@@ -107,6 +107,9 @@ def cmd_bound(args) -> int:
 
 
 def cmd_census(args) -> int:
+    if args.workers is None:
+        raise ValueError("GOPPA_ORBITS_THREADS must be an integer, got "
+                         f"{os.environ.get('GOPPA_ORBITS_THREADS')!r}")
     ctx = _tower(args)
     census = counting.global_orbit_census(ctx, workers=args.workers)
     bound = match = None
@@ -183,9 +186,9 @@ def cmd_fixed(args) -> int:
         "closed_form": closed, "oracle": oracle, "match": match,
         "elapsed_ms": round(elapsed, 3),
     }
+    shown = f"skipped (n > {counting.MAX_SWEEP_N})" if oracle is None else oracle
     lines = [f"n = {n}, power d = {d} (element order {order})",
-             f"closed form: {closed}", f"oracle sweep: {oracle}",
-             f"match: {match}"]
+             f"closed form: {closed}", f"oracle: {shown}", f"match: {match}"]
     _emit(args, "fixed", obj, lines)
     return EXIT_MISMATCH if match is False else EXIT_OK
 
@@ -291,9 +294,13 @@ def _add_common(p: argparse.ArgumentParser, *, workers: bool = False) -> None:
     p.add_argument("--modulus-base", help="override, exponent list like '5,2,0'")
     p.add_argument("--modulus-big", help="override, exponent list like '30,1,0'")
     if workers:
-        default = int(os.environ.get("GOPPA_ORBITS_THREADS", "1"))
+        try:
+            default = int(os.environ.get("GOPPA_ORBITS_THREADS", "1"))
+        except ValueError:
+            default = None  # cmd_census reports the bad value
         p.add_argument("--workers", type=int, default=default,
-                       help="expansion worker threads (result is identical)")
+                       help="validated (>= 1) and echoed in the report; the "
+                            "census runs in one thread")
 
 
 def build_parser() -> argparse.ArgumentParser:

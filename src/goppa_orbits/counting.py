@@ -5,10 +5,11 @@ class-equation checks).
 The closed forms are pure integer formulas valid for prime n > 3. Every one
 of them is paired with an oracle that recomputes the same quantity from the
 group action itself, with no shared formulas: the census and the fixed-point
-oracle enumerate orbits element by element over a visited bit array, the
-root-count oracles either solve GF(2)-linear systems or walk the whole
-multiplicative group. Oracles are feasible through n = 5 (a 2^30-bit array);
-larger n is refused with a cost estimate rather than attempted.
+oracle enumerate orbits affine class by affine class over a visited bit array
+indexed by the points of P^4(GF(2^n)); the root-count oracles either solve
+GF(2)-linear systems or walk the whole multiplicative group. Oracles are
+feasible through n = 5; larger n is refused with a cost estimate rather than
+attempted.
 """
 
 from __future__ import annotations
@@ -16,12 +17,11 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import mobius
+from . import gf2poly, mobius
 from .gf2tower import (
     LinearizedMap,
     Tower,
@@ -187,10 +187,6 @@ def _mark_bits(words: np.ndarray, idx: np.ndarray) -> None:
         b = b[miss]
 
 
-def _test_bit(words: np.ndarray, x: int) -> bool:
-    return bool((int(words[x >> 6]) >> (x & 63)) & 1)
-
-
 def _next_unvisited(words: np.ndarray, start_word: int) -> tuple[int, int | None]:
     """First zero bit at or after start_word; returns (word_cursor, index or None)."""
     w = start_word
@@ -209,12 +205,111 @@ def _next_unvisited(words: np.ndarray, start_word: int) -> tuple[int, int | None
     return total, None
 
 
-def _sweep_memory_check(n: int) -> None:
+def _any_bit(words: np.ndarray, idx: np.ndarray) -> bool:
+    return bool(((words[idx >> 6] >> (idx & 63).astype(np.uint64)) & np.uint64(1)).any())
+
+
+def _sweep_cost_check(n: int) -> None:
     if n > MAX_SWEEP_N:
-        gib = (1 << (6 * n - 3)) / (1 << 30)
         raise InfeasibleError(
-            f"n={n} needs a 2^{6 * n}-bit visited array ({gib:.0f} GiB); "
-            f"sweeps are limited to n <= {MAX_SWEEP_N}")
+            f"n={n}: the least-encoding orbit representatives cost about "
+            f"2^{5 * n} element visits; the census and fixed-point oracle "
+            f"are limited to n <= {MAX_SWEEP_N}")
+
+
+# ------------------------------------------------------------ affine classes
+
+
+@dataclass(frozen=True, eq=False)
+class _ClassIndex:
+    """Affine classes {e*beta + f : e in GF(q)*, f in GF(q)} as points of P^4(GF(q)).
+
+    A class is a point of the 5-dimensional GF(q)-space GF(q^6)/GF(q).
+    Coordinates use the GF(2)-basis gamma_k * theta^j (k < n, j < 6) with
+    gamma_k = embed_base(2^k) and theta = x, the generator of the big field;
+    base-field coordinate j of an element sits in bits [jn, jn + n). Dropping
+    coordinate 0 quotients by GF(q), and scaling the highest nonzero
+    coordinate (index l) to 1 picks the projective point. Points are ranked
+    by l, then by the lower coordinates read as one integer.
+    """
+
+    n: int
+    count: int  # (q^5 - 1) / (q - 1) points
+    to_coords: list[np.ndarray]  # byte tables: element -> coordinates
+    from_coords: tuple[int, ...]  # columns: coordinate bit -> element
+    div: np.ndarray  # div[a, c] = c / a in GF(q) on base encodings; div[a, 0] = 0
+    offsets: np.ndarray  # rank of the first point with leading index l
+    least_tabs: tuple[list[np.ndarray], ...]  # x -> least of gamma_k*x + GF(q)
+
+    def classes(self, x: np.ndarray) -> np.ndarray:
+        """Class rank of each element; x must avoid GF(q)."""
+        n = self.n
+        shifts = np.arange(0, 5 * n, n, dtype=np.int64)
+        v = Tower.apply_tables(self.to_coords, x) >> n
+        lead = (np.frexp(v.astype(np.float64))[1] - 1) // n  # frexp exponent = bit length
+        coords = (v[:, None] >> shifts) & ((1 << n) - 1)
+        scale = (v >> lead * n) & ((1 << n) - 1)
+        point = np.bitwise_or.reduce(self.div[scale[:, None], coords] << shifts, axis=1)
+        return point - (np.int64(1) << lead * n) + self.offsets[lead]
+
+    def element(self, rank: int) -> int:
+        """One element of the class with the given rank."""
+        lead = int(np.searchsorted(self.offsets, rank, side="right")) - 1
+        point = (1 << lead * self.n) + rank - int(self.offsets[lead])
+        return Tower._apply_cols(self.from_coords, point << self.n)
+
+    def least_element(self, x: np.ndarray) -> int:
+        """Least encoding in the union of the classes of the elements x.
+
+        x -> least element of x + GF(q) is GF(2)-linear (reduction by an
+        echelon basis of GF(q)), so the least element of {e*beta + f} is the
+        least nonzero combination of the n images of gamma_k * beta.
+        """
+        combos = np.zeros((x.size, 1), dtype=np.int64)
+        for tabs in self.least_tabs:
+            w = Tower.apply_tables(tabs, x)
+            combos = np.concatenate([combos, combos ^ w[:, None]], axis=1)
+        return int(combos[:, 1:].min())
+
+
+def _class_index(ctx: Tower) -> _ClassIndex:
+    """Class tables of one tower (about 1 ms to build at n = 4)."""
+    n, m = ctx.n, ctx.big_degree
+    q = 1 << n
+    gammas = [ctx.embed_base(1 << k) for k in range(n)]
+    from_coords = tuple(ctx.mul(g, ctx.pow(2, j)) for j in range(6) for g in gammas)
+    solver = _ColumnSolver(list(from_coords))
+    if solver.kernel_basis:
+        raise ConsistencyError("gamma_k * theta^j is not a basis of the big field")
+    to_coords = ctx._byte_tables([solver.solve(1 << j) for j in range(m)])
+
+    for g in range(2, q):  # least generator of GF(q)*, on base encodings
+        exp = [1]
+        while len(exp) < q:
+            nxt = gf2poly.mod(gf2poly.mul(exp[-1], g), ctx.modulus_base)
+            if nxt == 1:
+                break
+            exp.append(nxt)
+        if len(exp) == q - 1:
+            break
+    log = np.zeros(q, dtype=np.int64)
+    log[exp] = np.arange(q - 1)
+    div = np.array(exp, dtype=np.int64)[(log[None, :] - log[:, None]) % (q - 1)]
+    div[:, 0] = 0
+
+    sub = np.array(ctx.subfield, dtype=np.int64)
+    least_tabs = tuple(
+        ctx._byte_tables([int((sub ^ ctx.mul(g, 1 << j)).min()) for j in range(m)])
+        for g in gammas)
+    return _ClassIndex(
+        n=n,
+        count=(q ** 5 - 1) // (q - 1),
+        to_coords=to_coords,
+        from_coords=from_coords,
+        div=div,
+        offsets=np.array([(q ** l - 1) // (q - 1) for l in range(5)], dtype=np.int64),
+        least_tabs=least_tabs,
+    )
 
 
 # ------------------------------------------------------------------ the sweep
@@ -240,109 +335,94 @@ class SweepResult:
     elapsed_ms: float
 
 
-_SWEEP_CACHE: dict[tuple[int, int, int], SweepResult] = {}
+def _run_sweep(ctx: Tower) -> SweepResult:
+    """Enumerate every semi-linear orbit on the degree-6 set, by affine class.
 
-
-def _run_sweep(ctx: Tower, workers: int = 1) -> SweepResult:
-    """Enumerate every semi-linear orbit on the degree-6 set.
-
-    Walks encodings in ascending order over a 2^(6n)-bit visited array.
-    Each claimed element is the least of its orbit; its linear orbit is
-    expanded once through the affine-suborbit decomposition and the other
-    member orbits are its Frobenius images, deduplicated by the first
-    power t with sigma^t(alpha) back in the base orbit. Fixed-power flags
-    come from direct membership tests, and are cross-checked against the
-    cyclic structure (power p fixes the orbit iff t divides p).
-
-    The result is deterministic and identical for any worker count: claims
-    are sequential; workers only parallelize the per-conjugate image
-    computation.
+    Each linear orbit is the disjoint union of 2^n + 1 affine classes, and
+    Frobenius maps classes to classes, so the visited array has one bit per
+    point of P^4(GF(q)); the q + 2 classes inside GF(q^2) and GF(q^3) are
+    marked first. Each claimed class yields a linear orbit through its
+    affine-suborbit representatives; the other member orbits are its
+    Frobenius images, deduplicated by the first power t with sigma^t(alpha)
+    back in the base orbit. Fixed-power flags come from class membership
+    tests and are cross-checked against the cyclic structure (power p fixes
+    the orbit iff t divides p). Records are sorted by their least element.
+    Runs in one thread.
     """
     n, m = ctx.n, ctx.big_degree
-    _sweep_memory_check(n)
+    _sweep_cost_check(n)
     start = time.perf_counter()
-    words = np.zeros(1 << (m - 6), dtype=np.uint64)
-    for bits in (2 * n, 3 * n):
-        _mark_bits(words, ctx.subfield_span_array(bits))
-    non_s = int(np.bitwise_count(words).sum())
+    index = _class_index(ctx)
+    words = np.zeros(-(-index.count // 64), dtype=np.uint64)
+    _mark_bits(words, np.arange(index.count, words.size << 6, dtype=np.int64))
+    low = np.union1d(ctx.subfield_span_array(2 * n), ctx.subfield_span_array(3 * n))
+    _mark_bits(words, index.classes(np.setdiff1d(low, ctx.subfield, assume_unique=True)))
+    degree_six_classes = (words.size << 6) - int(np.bitwise_count(words).sum())
     orbit_size = (1 << 3 * n) - (1 << n)
 
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     records: list[SweepRecord] = []
-    try:
-        cursor = 0
-        while True:
-            cursor, alpha = _next_unvisited(words, cursor)
-            if alpha is None:
-                break
-            base = mobius.pgl_orbit_array(ctx, alpha)
-            base_sorted = np.sort(base)
-            if int(base_sorted[0]) != alpha:
-                raise ConsistencyError("claimed element is not its orbit minimum")
-            conj = np.array([ctx.frobenius(alpha, p) for p in range(1, m)],
-                            dtype=np.int64)
-            pos = np.searchsorted(base_sorted, conj)
-            inside = (pos < base_sorted.size) & (base_sorted[
-                np.minimum(pos, base_sorted.size - 1)] == conj)
-            fixed_mask = 0
-            for p in range(1, m):
-                if inside[p - 1]:
-                    fixed_mask |= 1 << p
-            t = m
-            for p in range(1, m):
-                if (fixed_mask >> p) & 1:
-                    t = p
-                    break
-            expected = sum(1 << p for p in range(1, m) if p % t == 0)
-            if fixed_mask != expected:
-                raise ConsistencyError(
-                    "membership flags break the cyclic orbit structure")
+    cursor = 0
+    while True:
+        cursor, claimed = _next_unvisited(words, cursor)
+        if claimed is None:
+            break
+        alpha = index.element(claimed)
+        reps = np.array(mobius.suborbit_representatives(ctx, alpha), dtype=np.int64)
+        images = ctx.conjugates_vec(reps)  # row i: class reps of sigma^i(orbit)
+        classes = index.classes(images.reshape(-1)).reshape(m, reps.size)
+        base = np.unique(classes[0])
+        if base.size != reps.size or claimed not in base:
+            raise ConsistencyError("linear orbit does not split into 2^n + 1 classes")
+        inside = np.isin(classes[1:, 0], base)  # sigma^p(alpha) for 1 <= p < 6n
+        fixed_mask = sum(1 << p for p in range(1, m) if inside[p - 1])
+        t = next((p for p in range(1, m) if (fixed_mask >> p) & 1), m)
+        if fixed_mask != sum(1 << p for p in range(t, m, t)):
+            raise ConsistencyError(
+                "membership flags break the cyclic orbit structure")
 
-            if pool is not None and t > 1:
-                futures = [
-                    pool.submit(lambda i=i: np.sort(ctx.frobenius_vec(base, i)))
-                    for i in range(1, t)
-                ]
-                _mark_bits(words, base_sorted)
-                for fut in futures:
-                    _mark_bits(words, fut.result())
-            else:
-                _mark_bits(words, base_sorted)
-                for i in range(1, t):
-                    _mark_bits(words, np.sort(ctx.frobenius_vec(base, i)))
-            records.append(SweepRecord(rep=alpha, pgl_orbits=t,
-                                       fixed_mask=fixed_mask))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        members = classes[:t].reshape(-1)
+        if np.unique(members).size != members.size or _any_bit(words, members):
+            raise ConsistencyError("claimed orbit overlaps a visited class")
+        _mark_bits(words, members)
+        records.append(SweepRecord(rep=index.least_element(images[:t].reshape(-1)),
+                                   pgl_orbits=t, fixed_mask=fixed_mask))
 
-    visited = int(np.bitwise_count(words).sum())
-    if visited != 1 << m:
-        raise ConsistencyError("sweep terminated with unvisited elements")
-    s_size = (1 << m) - non_s
-    total = sum(r.pgl_orbits for r in records) * orbit_size
-    if total != s_size:
+    if int(np.bitwise_count(words).sum()) != words.size << 6:
+        raise ConsistencyError("sweep terminated with unvisited classes")
+    pgl_orbit_count = sum(r.pgl_orbits for r in records)
+    if pgl_orbit_count * ((1 << n) + 1) != degree_six_classes:
         raise ConsistencyError(
-            f"orbit sizes sum to {total}, expected |S| = {s_size}")
-    result = SweepResult(
+            f"{pgl_orbit_count} linear orbits do not cover "
+            f"{degree_six_classes} degree-6 classes")
+    s_size = (1 << m) - low.size
+    if pgl_orbit_count * orbit_size != s_size:
+        raise ConsistencyError(
+            f"orbit sizes sum to {pgl_orbit_count * orbit_size}, expected |S| = {s_size}")
+    records.sort(key=lambda r: r.rep)
+    return SweepResult(
         n=n,
         records=tuple(records),
         pgl_orbit_size=orbit_size,
-        pgl_orbit_count=sum(r.pgl_orbits for r in records),
+        pgl_orbit_count=pgl_orbit_count,
         elements_visited=s_size,
-        workers=workers,
+        workers=1,
         elapsed_ms=(time.perf_counter() - start) * 1e3,
     )
-    _SWEEP_CACHE[(ctx.n, ctx.modulus_base, ctx.modulus_big)] = result
-    return result
 
 
-def _cached_sweep(ctx: Tower) -> SweepResult:
+_SWEEPS: dict[tuple[int, int, int], SweepResult] = {}
+
+
+def _sweep(ctx: Tower, fresh: bool = False) -> SweepResult:
+    """The sweep of one tower, cached by (n, modulus_base, modulus_big).
+
+    The only reader and writer of the cache; fresh=True recomputes and
+    refreshes the entry.
+    """
     key = (ctx.n, ctx.modulus_base, ctx.modulus_big)
-    hit = _SWEEP_CACHE.get(key)
-    if hit is None:
-        hit = _run_sweep(ctx, workers=1)
-    return hit
+    if fresh or key not in _SWEEPS:
+        _SWEEPS[key] = _run_sweep(ctx)
+    return _SWEEPS[key]
 
 
 # ---------------------------------------------------------------- the census
@@ -365,13 +445,13 @@ class OrbitCensus:
 def global_orbit_census(ctx: Tower, workers: int = 1) -> OrbitCensus:
     """Run a full sweep and tabulate the semi-linear orbits.
 
-    Always recomputes (the determinism contract across worker counts is a
-    statement about fresh runs); the result also refreshes the shared sweep
-    cache used by the fixed-point oracle.
+    Always recomputes, and the fresh result refills the sweep cache used by
+    the fixed-point oracle. The sweep runs in one thread; workers is
+    validated and echoed only.
     """
     if workers < 1:
         raise ValueError("workers must be positive")
-    sweep = _run_sweep(ctx, workers=workers)
+    sweep = _sweep(ctx, fresh=True)
     size = sweep.pgl_orbit_size
     records = tuple(
         (r.rep, r.pgl_orbits, r.pgl_orbits * size) for r in sweep.records)
@@ -397,8 +477,8 @@ def fixed_point_oracle(n: int, d: int, ctx: Tower) -> int:
     """
     if ctx.n != n:
         raise ValueError("context does not match n")
-    _sweep_memory_check(n)
-    sweep = _cached_sweep(ctx)
+    _sweep_cost_check(n)
+    sweep = _sweep(ctx)
     d_red = d % (6 * n)
     if d_red == 0:
         return sweep.pgl_orbit_count
@@ -409,7 +489,7 @@ def fixed_point_oracle(n: int, d: int, ctx: Tower) -> int:
 def fixed_orbit_representatives(ctx: Tower, d: int,
                                 limit: int | None = None) -> list[int]:
     """Least members of orbit classes fixed setwise by the d-th Frobenius power."""
-    sweep = _cached_sweep(ctx)
+    sweep = _sweep(ctx)
     d_red = d % (6 * ctx.n)
     if d_red == 0:
         reps = [r.rep for r in sweep.records]
@@ -503,7 +583,10 @@ def root_count_oracle(ctx: Tower, which: str) -> RootCounts:
     if which not in ROOT_EQUATIONS:
         raise ValueError(f"unknown equation {which!r}; choose from {ROOT_EQUATIONS}")
     if which == "eq_41":
-        _sweep_memory_check(ctx.n)
+        if ctx.n > MAX_SWEEP_N:
+            raise InfeasibleError(
+                f"n={ctx.n}: the eq_41 walk visits all 2^{ctx.big_degree} - 1 "
+                f"nonzero elements; it is limited to n <= {MAX_SWEEP_N}")
         return _eq41_walk(ctx)
     lmap, rhs = _affine_equation_map(ctx, which)
     kernel_dim = len(_ColumnSolver(list(lmap.cols)).kernel_basis)

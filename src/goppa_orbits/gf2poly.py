@@ -47,10 +47,12 @@ def divmod_poly(p: int, m: int) -> tuple[int, int]:
 
 
 def mod(p: int, m: int) -> int:
-    """Remainder of p modulo m."""
-    dm = degree(m)
-    while p and degree(p) >= dm:
-        p ^= m << (degree(p) - dm)
+    """Remainder of p modulo nonzero m."""
+    if m == 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    dm = m.bit_length()
+    while (dp := p.bit_length()) >= dm:
+        p ^= m << (dp - dm)
     return p
 
 

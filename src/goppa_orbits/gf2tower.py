@@ -263,7 +263,7 @@ class Tower:
         return cols
 
     @staticmethod
-    def _apply_cols(cols: list[int], x: int) -> int:
+    def _apply_cols(cols: list[int] | tuple[int, ...], x: int) -> int:
         r = 0
         j = 0
         while x:
@@ -401,20 +401,12 @@ class Tower:
         m = self.big_degree
         if m > 63:
             raise ValueError("vectorized paths need encodings below 64 bits")
-        nbytes = -(-m // 8)
+        cols = list(cols) + [0] * (-m % 8)
         tables = []
-        for bpos in range(nbytes):
-            tab = np.zeros(256, dtype=np.int64)
-            for v in range(256):
-                acc = 0
-                vv = v
-                j = 8 * bpos
-                while vv and j < m:
-                    if vv & 1:
-                        acc ^= cols[j]
-                    vv >>= 1
-                    j += 1
-                tab[v] = acc
+        for bpos in range(0, m, 8):
+            tab = np.zeros(1, dtype=np.int64)
+            for col in cols[bpos:bpos + 8]:  # bit b of the byte doubles the table
+                tab = np.concatenate([tab, tab ^ np.int64(col)])
             tables.append(tab)
         return tables
 
@@ -444,6 +436,20 @@ class Tower:
 
     def frobenius_vec(self, x: np.ndarray, i: int) -> np.ndarray:
         return self.apply_tables(self.frob_tables(i), x)
+
+    def conjugates_vec(self, x: np.ndarray) -> np.ndarray:
+        """All 6n Frobenius images at once: row i is x^(2^i)."""
+        key = ("frob_stack",)
+        hit = self._np_tables.get(key)
+        if hit is None:
+            hit = [np.stack([np.stack(self.frob_tables(i))
+                             for i in range(self.big_degree)])]
+            self._np_tables[key] = hit
+        stack = hit[0]  # (6n, bytes, 256)
+        out = stack[:, 0, x & 0xFF]
+        for bpos in range(1, stack.shape[1]):
+            out ^= stack[:, bpos, (x >> (8 * bpos)) & 0xFF]
+        return out
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Tower)

@@ -1,8 +1,9 @@
 """Acceptance suite: every headline claim at its exact expected value.
 
 Each test prints one PASS line when its criterion holds; any failure is a
-plain assert. The heavy n=5 sweeps live here; later test modules reuse the
-cached sweep through the counting module.
+plain assert. Every test stands alone: a cold n=5 census takes seconds, so
+the fixed-point and class-equation criteria do not rely on criterion 2
+having filled the sweep cache.
 """
 
 import random
@@ -68,18 +69,18 @@ def test_criterion_2_full_census_n5(tower5):
     assert census1.elements_visited == S_SIZE_N5
     assert sum(size * count for size, count in census1.orbit_sizes) == S_SIZE_N5
     assert all(size % PGL_ORBIT_SIZE_N5 == 0 for size, _ in census1.orbit_sizes)
-    assert census1.elapsed_ms <= 600_000
+    assert census1.elapsed_ms <= 60_000
 
     census8 = global_orbit_census(tower5, workers=8)
     assert census8.records == census1.records
     assert census8.orbit_sizes == census1.orbit_sizes
     assert census8.orbit_count == census1.orbit_count
-    assert census8.elapsed_ms <= 600_000
+    assert census8.elapsed_ms <= 60_000
 
     assert census1.orbit_count == burnside_bound(5)
     _pass(2, f"census finds 1131 orbits covering {S_SIZE_N5} elements, "
-             f"bit-identical for 1 and 8 workers "
-             f"({census1.elapsed_ms / 1e3:.0f}s / {census8.elapsed_ms / 1e3:.0f}s)")
+             f"bit-identical over two fresh runs (workers 1 and 8, echoed only) "
+             f"({census1.elapsed_ms / 1e3:.1f}s / {census8.elapsed_ms / 1e3:.1f}s)")
 
 
 def test_criterion_3_fixed_point_table_n5(tower5):

@@ -60,7 +60,17 @@ def test_census_worker_independence(capsys):
 def test_census_refuses_n7(capsys):
     code, _, err = run(capsys, "census", "--n", "7")
     assert code == 3
-    assert "GiB" in err
+    assert "2^35 element visits" in err
+
+
+def test_fixed_reports_skipped_oracle(capsys):
+    code, out, _ = run(capsys, "fixed", "--n", "7", "--d", "7")
+    assert code == 0
+    assert "oracle: skipped (n > 5)" in out
+    code, obj, _ = run_json(capsys, "fixed", "fixed", "--n", "7", "--d", "7",
+                            "--json")
+    assert code == 0
+    assert obj["oracle"] is None and obj["closed_form"] == 0
 
 
 def test_fixed_single_power(capsys):
@@ -152,6 +162,18 @@ def test_modulus_override_flag(capsys):
                             "--modulus-big", "12,6,4,1,0")
     assert code == 0
     assert obj["orbit_count"] == 8  # the count is basis-independent
+
+
+def test_bad_workers_exit_2(capsys, monkeypatch):
+    code, out, err = run(capsys, "census", "--n", "2", "--workers", "0")
+    assert code == 2 and out == ""
+    assert err == "error: workers must be positive\n"
+    monkeypatch.setenv("GOPPA_ORBITS_THREADS", "abc")
+    code, out, err = run(capsys, "census", "--n", "2")
+    assert code == 2 and out == ""
+    assert err == "error: GOPPA_ORBITS_THREADS must be an integer, got 'abc'\n"
+    code, _, _ = run(capsys, "bound", "--n", "5")
+    assert code == 0  # only the census reads the variable
 
 
 def test_workers_env_default(monkeypatch):

@@ -1,9 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from goppa_orbits import counting, mobius
+from goppa_orbits import counting, gf2poly, make_tower, mobius
 from goppa_orbits.counting import (
     InfeasibleError,
     burnside_bound,
@@ -115,8 +116,62 @@ def test_census_reps_are_class_minima(tower2):
 
 def test_sweep_refuses_large_n():
     with pytest.raises(InfeasibleError) as err:
-        counting._sweep_memory_check(7)
-    assert "GiB" in str(err.value)
+        counting._sweep_cost_check(7)
+    assert "2^35 element visits" in str(err.value)
+    with pytest.raises(InfeasibleError):
+        fixed_point_oracle(7, 1, make_tower(7))
+
+
+def brute_force_records(ctx):
+    """(rep, pgl_orbits, fixed_mask) per semi-linear orbit, element by element.
+
+    Independent of the class-indexed sweep: walks the least unvisited
+    element, expands its linear orbit with pgl_orbit_array and its Frobenius
+    images with frobenius_vec, and marks every element it reaches.
+    """
+    n, m = ctx.n, ctx.big_degree
+    visited = np.zeros(1 << m, dtype=bool)
+    visited[ctx.subfield_span_array(2 * n)] = True
+    visited[ctx.subfield_span_array(3 * n)] = True
+    records = []
+    while not visited.all():
+        alpha = int(np.argmin(visited))
+        base = mobius.pgl_orbit_array(ctx, alpha)
+        members = set(base.tolist())
+        fixed_mask = sum(1 << p for p in range(1, m)
+                         if ctx.frobenius(alpha, p) in members)
+        images = [ctx.frobenius_vec(base, i) for i in range(m)]
+        linear_orbits = {int(img.min()) for img in images}
+        orbit = np.concatenate(images)
+        assert not visited[orbit].any()
+        visited[orbit] = True
+        records.append((int(orbit.min()), len(linear_orbits), fixed_mask))
+    return sorted(records)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_class_census_matches_element_brute_force(n):
+    ctx = make_tower(n)
+    got = [(r.rep, r.pgl_orbits, r.fixed_mask)
+           for r in counting._run_sweep(ctx).records]
+    assert got == brute_force_records(ctx)
+
+
+def test_census_n4_recorded_values():
+    ctx = make_tower(4, modulus_big=gf2poly.from_exponents([24, 7, 2, 1, 0]))
+    census = global_orbit_census(ctx)
+    assert census.orbit_count == 185
+    assert census.pgl_orbit_count == 4111
+    assert dict(census.orbit_sizes) == {
+        12240: 1, 24480: 2, 32640: 2, 48960: 20, 97920: 160}
+    assert census.elements_visited == (1 << 24) - (1 << 12) - (1 << 8) + (1 << 4)
+
+
+def test_fixed_point_oracle_cold_cache_matches_warm(tower2):
+    warm = [fixed_point_oracle(2, d, tower2) for d in (1, 2, 3, 4, 6, 12)]
+    counting._SWEEPS.clear()
+    cold = [fixed_point_oracle(2, d, tower2) for d in (1, 2, 3, 4, 6, 12)]
+    assert cold == warm
 
 
 def test_fixed_point_oracle_small(tower2):

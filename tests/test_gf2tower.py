@@ -132,8 +132,12 @@ def test_degree_six_formula_values():
 def test_frobenius_vec_matches_scalar(tower5):
     rng = np.random.default_rng(6)
     x = rng.integers(0, 1 << 30, 500, dtype=np.int64)
+    conjugates = tower5.conjugates_vec(x)
+    assert conjugates.shape == (30, 500)
+    assert (conjugates[0] == x).all()
     for i in (1, 5, 10, 15, 29):
         vec = tower5.frobenius_vec(x, i)
+        assert (conjugates[i] == vec).all()
         for k in range(0, 500, 97):
             assert int(vec[k]) == tower5.frobenius(int(x[k]), i)
 
