@@ -272,8 +272,10 @@ def cmd_equiv(args) -> int:
         "map": mobius.format_map(ctx, semimap),
         "permutation_cycles": _cycles(report.permutation),
         "verified": report.verified,
-        "weight_enumerator_alpha": list(report.weights_alpha),
-        "weight_enumerator_beta": list(report.weights_beta),
+        "weight_enumerator_alpha": (None if report.weights_alpha is None
+                                    else list(report.weights_alpha)),
+        "weight_enumerator_beta": (None if report.weights_beta is None
+                                   else list(report.weights_beta)),
     }
     lines = [
         f"alpha = {obj['alpha_hex']}, map = {obj['map']}",
@@ -281,6 +283,9 @@ def cmd_equiv(args) -> int:
         f"support permutation: {obj['permutation_cycles']}",
         f"verified: {report.verified}",
     ]
+    if report.weights_alpha is None:
+        lines.append(f"weight enumerators: skipped (dimension above "
+                     f"{codes.WEIGHT_ENUM_MAX_DIM})")
     _emit(args, "equiv", obj, lines)
     return EXIT_OK if report.verified else EXIT_MISMATCH
 

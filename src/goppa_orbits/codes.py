@@ -319,8 +319,8 @@ class EquivalenceReport:
     map: SemiLinearMap
     permutation: tuple[int, ...]
     verified: bool
-    weights_alpha: tuple[int, ...]
-    weights_beta: tuple[int, ...]
+    weights_alpha: tuple[int, ...] | None  # None above WEIGHT_ENUM_MAX_DIM
+    weights_beta: tuple[int, ...] | None
 
 
 def check_extended_equivalence(ctx: Tower, alpha: int,
@@ -330,7 +330,9 @@ def check_extended_equivalence(ctx: Tower, alpha: int,
 
     A False verified flag would falsify the equivalence property this
     package is built around; it is reported rather than raised so callers
-    can surface it loudly.
+    can surface it loudly. The verdict compares reduced generator matrices;
+    weight enumerators are computed only up to WEIGHT_ENUM_MAX_DIM and are
+    None above it.
     """
     beta = apply_map(ctx, m, alpha)
     support = list(ctx.subfield) + [infinity(ctx)]
@@ -339,14 +341,15 @@ def check_extended_equivalence(ctx: Tower, alpha: int,
     code_b = extended_goppa_code(ctx, beta)
     permuted = rref(permute_columns(code_b.generator, perm))
     verified = permuted == code_a.generator
+    enumerate_weights = code_a.dimension <= WEIGHT_ENUM_MAX_DIM
     return EquivalenceReport(
         alpha=alpha,
         beta=beta,
         map=m,
         permutation=perm,
         verified=verified,
-        weights_alpha=weight_enumerator(code_a),
-        weights_beta=weight_enumerator(code_b),
+        weights_alpha=weight_enumerator(code_a) if enumerate_weights else None,
+        weights_beta=weight_enumerator(code_b) if enumerate_weights else None,
     )
 
 

@@ -25,6 +25,7 @@ from . import gf2poly, mobius
 from .gf2tower import (
     LinearizedMap,
     Tower,
+    _apply_cols,
     _ColumnSolver,
     frobenius_linearized,
     identity_linearized,
@@ -75,27 +76,13 @@ class ConsistencyError(Exception):
 
 
 def is_prime(k: int) -> bool:
-    if k < 2:
-        return False
-    f = 2
-    while f * f <= k:
-        if k % f == 0:
-            return False
-        f += 1
-    return True
+    return k >= 2 and gf2poly._prime_factors(k) == [k]
 
 
 def euler_phi(k: int) -> int:
     out = k
-    f = 2
-    while f * f <= k:
-        if k % f == 0:
-            out -= out // f
-            while k % f == 0:
-                k //= f
-        f += 1
-    if k > 1:
-        out -= out // k
+    for f in gf2poly._prime_factors(k):
+        out -= out // f
     return out
 
 
@@ -256,7 +243,7 @@ class _ClassIndex:
         """One element of the class with the given rank."""
         lead = int(np.searchsorted(self.offsets, rank, side="right")) - 1
         point = (1 << lead * self.n) + rank - int(self.offsets[lead])
-        return Tower._apply_cols(self.from_coords, point << self.n)
+        return _apply_cols(self.from_coords, point << self.n)
 
     def least_element(self, x: np.ndarray) -> int:
         """Least encoding in the union of the classes of the elements x.
@@ -604,16 +591,7 @@ def primitive_element(ctx: Tower) -> int:
     if hit is not None:
         return int(hit[0][0])
     q1 = ctx.order - 1
-    primes = []
-    k, f = q1, 2
-    while f * f <= k:
-        if k % f == 0:
-            primes.append(f)
-            while k % f == 0:
-                k //= f
-        f += 1
-    if k > 1:
-        primes.append(k)
+    primes = gf2poly._prime_factors(q1)
     g = 2
     while True:
         if all(ctx.pow(g, q1 // p) != 1 for p in primes):

@@ -23,13 +23,25 @@ def degree(p: int) -> int:
 
 
 def mul(a: int, b: int) -> int:
-    """Carryless product of two GF(2) polynomials."""
+    """Carryless product of two GF(2) polynomials.
+
+    A 4-bit window: w[k] is the product of a with the nibble k, so each
+    nibble of the shorter factor costs one shifted XOR.
+    """
+    if a.bit_length() < b.bit_length():
+        a, b = b, a
+    a2 = a << 1
+    a3 = a2 ^ a
+    a4 = a << 2
+    a8 = a << 3
+    w = (0, a, a2, a3, a4, a4 ^ a, a4 ^ a2, a4 ^ a3,
+         a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a8 ^ a4, a8 ^ a4 ^ a, a8 ^ a4 ^ a2, a8 ^ a4 ^ a3)
     r = 0
+    s = 0
     while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
+        r ^= w[b & 15] << s
+        b >>= 4
+        s += 4
     return r
 
 

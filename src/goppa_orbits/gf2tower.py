@@ -7,6 +7,20 @@ the subfield embedding and the Frobenius machinery; all operations are pure
 functions of their inputs and a Tower is immutable after construction
 (internal caches are append-only), so it can be shared freely between
 threads.
+
+The scalar kernel:
+
+- `Tower.mul` is `gf2poly.mul` (the package's one carry-less product, a
+  4-bit windowed product) followed by a byte-table reduction. For each shift
+  sh in range(6n, 12n - 1, 8), `__init__` builds a 256-entry table of
+  (byte << sh) mod modulus_big, so reducing a product is its low 6n bits
+  XOR one lookup per high byte (4 at n = 5, 5 at n = 7).
+- `Tower.inv` is the shift-and-add extended Euclid; a zero remainder means
+  the modulus was not irreducible and raises instead of looping.
+- `_frob_cols(i)`, the columns of x -> x^(2^i), are the powers z^j of
+  z = x^(2^i), cached per i. `frobenius`, `embed_base` and
+  `LinearizedMap.apply` apply such columns with `_apply_cols`, the one
+  GF(2)-linear map application.
 """
 
 from __future__ import annotations
@@ -66,6 +80,16 @@ class _ColumnSolver:
         return x
 
 
+def _apply_cols(cols: list[int] | tuple[int, ...], x: int) -> int:
+    """XOR of cols[j] over the set bits j of x: the GF(2)-linear map with columns cols."""
+    r = 0
+    while x:
+        low = x & -x
+        r ^= cols[low.bit_length() - 1]
+        x ^= low
+    return r
+
+
 def span(basis: tuple[int, ...] | list[int]) -> np.ndarray:
     """All XOR combinations of the basis vectors, as a sorted int64 array."""
     arr = np.zeros(1, dtype=np.int64)
@@ -86,18 +110,8 @@ class LinearizedMap:
     cols: tuple[int, ...]
     offset: int = 0
 
-    def apply_linear(self, x: int) -> int:
-        r = 0
-        j = 0
-        while x:
-            if x & 1:
-                r ^= self.cols[j]
-            x >>= 1
-            j += 1
-        return r
-
     def apply(self, x: int) -> int:
-        return self.apply_linear(x) ^ self.offset
+        return _apply_cols(self.cols, x) ^ self.offset
 
 
 def identity_linearized(width: int) -> LinearizedMap:
@@ -123,8 +137,8 @@ def linearized_sum(*maps: LinearizedMap) -> LinearizedMap:
 
 
 def compose_linearized(f: LinearizedMap, g: LinearizedMap) -> LinearizedMap:
-    cols = tuple(f.apply_linear(c) for c in g.cols)
-    return LinearizedMap(cols, f.apply_linear(g.offset) ^ f.offset)
+    cols = tuple(_apply_cols(f.cols, c) for c in g.cols)
+    return LinearizedMap(cols, _apply_cols(f.cols, g.offset) ^ f.offset)
 
 
 def solve_affine_linearized(lmap: LinearizedMap, b: int) -> np.ndarray:
@@ -174,8 +188,17 @@ class Tower:
         self.modulus_big = modulus_big
         self.order = 1 << m
 
-        # squaring matrix: column j is x^(2j) mod modulus_big
-        self._sq_cols = [gf2poly.mod(1 << (2 * j), modulus_big) for j in range(m)]
+        # reduction tables, one (sh, tab) per high byte of a product:
+        # tab[b] = (b << sh) mod modulus_big
+        self._mask = (1 << m) - 1
+        reduce = []
+        for sh in range(m, 2 * m - 1, 8):
+            tab = [0]
+            for k in range(8):  # bit k of the byte doubles the table
+                col = gf2poly.mod(1 << (sh + k), modulus_big)
+                tab += [t ^ col for t in tab]
+            reduce.append((sh, tab))
+        self._reduce: tuple[tuple[int, list[int]], ...] = tuple(reduce)
         self._frob_cache: dict[int, list[int]] = {0: [1 << j for j in range(m)]}
         self._np_tables: dict[tuple, list[np.ndarray]] = {}
 
@@ -187,8 +210,9 @@ class Tower:
         sub = span(sub_basis)
         self.subfield: tuple[int, ...] = tuple(int(v) for v in sub)
 
-        gamma = min(v for v in self.subfield
-                    if v and self._eval_gf2_poly(modulus_base, v) == 0)
+        # subfield is sorted, so the first root is the enc-least one
+        gamma = next(v for v in self.subfield
+                     if v and self._eval_gf2_poly(modulus_base, v) == 0)
         self._embed_cols = [self.pow(gamma, i) for i in range(n)]
         if sorted(self.embed_base(a) for a in range(1 << n)) != list(self.subfield):
             raise AssertionError("embedding image differs from the fixed field")
@@ -203,7 +227,11 @@ class Tower:
         return x ^ y
 
     def mul(self, x: int, y: int) -> int:
-        return gf2poly.mod(gf2poly.mul(x, y), self.modulus_big)
+        p = gf2poly.mul(x, y)
+        r = p & self._mask
+        for sh, tab in self._reduce:
+            r ^= tab[(p >> sh) & 255]
+        return r
 
     def sqr(self, x: int) -> int:
         return self.frobenius(x, 1)
@@ -211,15 +239,20 @@ class Tower:
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("inverse of zero")
-        t0, t1 = 0, 1
-        r0, r1 = self.modulus_big, x
-        while r1:
-            q, r = gf2poly.divmod_poly(r0, r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, t0 ^ gf2poly.mul(q, t1)
-        if r0 != 1:
-            raise AssertionError("modulus not irreducible")
-        return gf2poly.mod(t0, self.modulus_big)
+        # shift-and-add extended Euclid; invariants g1*x = u, g2*x = v (mod modulus)
+        u, v = x, self.modulus_big
+        g1, g2 = 1, 0
+        while u != 1:
+            j = u.bit_length() - v.bit_length()
+            if j < 0:
+                u, v = v, u
+                g1, g2 = g2, g1
+                j = -j
+            u ^= v << j
+            g1 ^= g2 << j
+            if u == 0:  # gcd(x, modulus) != 1; without this check the loop never ends
+                raise AssertionError("modulus not irreducible")
+        return g1
 
     def inv_batch(self, values: list[int]) -> list[int]:
         """Invert many elements with one field inversion (prefix-product trick)."""
@@ -252,30 +285,25 @@ class Tower:
     # ------------------------------------------------------------- frobenius
 
     def _frob_cols(self, i: int) -> list[int]:
-        """Columns of x -> x^(2^i) in the polynomial basis, cached per i."""
-        i %= self.big_degree
-        cached = self._frob_cache.get(i)
-        if cached is not None:
-            return cached
-        prev = self._frob_cols(i - 1)
-        cols = [self._apply_cols(self._sq_cols, c) for c in prev]
-        self._frob_cache[i] = cols
-        return cols
+        """Columns of x -> x^(2^i) in the polynomial basis, cached per i.
 
-    @staticmethod
-    def _apply_cols(cols: list[int] | tuple[int, ...], x: int) -> int:
-        r = 0
-        j = 0
-        while x:
-            if x & 1:
-                r ^= cols[j]
-            x >>= 1
-            j += 1
-        return r
+        Column j is z^j with z = x^(2^i): i squarings and 6n - 1 products.
+        """
+        i %= self.big_degree
+        cols = self._frob_cache.get(i)
+        if cols is None:
+            z = 2
+            for _ in range(i):
+                z = self.mul(z, z)
+            cols = [1]
+            for _ in range(self.big_degree - 1):
+                cols.append(self.mul(cols[-1], z))
+            self._frob_cache[i] = cols
+        return cols
 
     def frobenius(self, x: int, i: int) -> int:
         """x^(2^i); i is reduced modulo 6n."""
-        return self._apply_cols(self._frob_cols(i), x)
+        return _apply_cols(self._frob_cols(i), x)
 
     def degree_over_base(self, x: int) -> int:
         """Least d dividing 6 with x^(2^(dn)) = x."""
@@ -308,7 +336,7 @@ class Tower:
         """Embed a base-field encoding (n bits) into the big field."""
         if a >> self.n:
             raise ValueError("base-field encoding out of range")
-        return self._apply_cols(self._embed_cols, a)
+        return _apply_cols(self._embed_cols, a)
 
     def to_base(self, x: int) -> int:
         """Inverse of embed_base; raises if x is not in the embedded subfield."""

@@ -86,8 +86,8 @@ _SCHEMAS: dict[str, dict] = {
         "map": _STR,
         "permutation_cycles": _STR,
         "verified": _BOOL,
-        "weight_enumerator_alpha": list,
-        "weight_enumerator_beta": list,
+        "weight_enumerator_alpha": _opt(list),
+        "weight_enumerator_beta": _opt(list),
     },
 }
 

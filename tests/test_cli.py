@@ -143,6 +143,20 @@ def test_equiv_random(capsys):
     assert obj["weight_enumerator_alpha"] == obj["weight_enumerator_beta"]
 
 
+def test_equiv_skips_weights_above_budget(capsys):
+    # the extended n = 7 code has dimension 86, past WEIGHT_ENUM_MAX_DIM
+    argv = ("equiv", "--n", "7", "--alpha", "random", "--map", "random",
+            "--seed", "3")
+    code, obj, _ = run_json(capsys, "equiv", *argv, "--json")
+    assert code == 0
+    assert obj["verified"] is True
+    assert obj["weight_enumerator_alpha"] is None
+    assert obj["weight_enumerator_beta"] is None
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "weight enumerators: skipped" in out
+
+
 def test_equiv_explicit_map(capsys):
     code, obj, _ = run_json(capsys, "equiv", "equiv", "--n", "2", "--alpha",
                             "random", "--map", "1,1,1,0;7", "--seed", "4",
