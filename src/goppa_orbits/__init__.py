@@ -5,11 +5,15 @@ Library layout:
 - gf2tower: exact arithmetic in GF(2) < GF(2^n) < GF(2^(6n)), Frobenius and
   trace machinery, linearized-equation solving.
 - mobius: the projective semi-linear group over GF(2^n), its action on the
-  degree-6 elements, orbits and canonical representatives.
-- codes: alternant / Goppa / extended code construction as binary codes,
-  polynomial transforms and permutation-equivalence verification.
+  degree-6 elements, and the split of each linear orbit into 2^n + 1 affine
+  classes.
+- codes: alternant / Goppa / extended code construction as binary codes
+  (one alternant builder, on projective supports), polynomial transforms
+  and permutation-equivalence verification.
 - counting: closed-form fixed-point counts, the averaged orbit bound, and
-  the brute-force oracles (census, root counts, class equations).
+  the brute-force oracles (census, root counts, class equations); the
+  census, fixed-point oracle and class equations index affine classes as
+  points of P^4(GF(2^n)).
 - cli: the goppa-orbits command.
 """
 
@@ -17,12 +21,10 @@ from .gf2tower import LinearizedMap, Tower, make_tower, solve_affine_linearized
 from .mobius import (
     SemiLinearMap,
     apply_map,
-    canonical_orbit_rep,
     compose,
     infinity,
     inverse,
     make_map,
-    pgl_orbit,
     random_degree_six,
 )
 from .codes import (
@@ -54,7 +56,7 @@ __version__ = "1.0.0"
 __all__ = [
     "Tower", "make_tower", "LinearizedMap", "solve_affine_linearized",
     "SemiLinearMap", "make_map", "apply_map", "compose", "inverse",
-    "infinity", "pgl_orbit", "canonical_orbit_rep", "random_degree_six",
+    "infinity", "random_degree_six",
     "BinaryCode", "GoppaInstance", "goppa_instance", "goppa_code",
     "extended_goppa_code", "extend_code", "transform_polynomial",
     "check_extended_equivalence", "weight_enumerator",

@@ -22,8 +22,6 @@ __all__ = [
     "code_from_generator",
     "eval_at_point",
     "alternant_parity",
-    "extended_alternant_parity",
-    "projective_alternant_parity",
     "goppa_parity",
     "subfield_subcode",
     "extend_code",
@@ -117,26 +115,11 @@ def code_from_generator(gen_rows: list[int], length: int) -> BinaryCode:
 # ------------------------------------------------------------- parity builders
 
 
-def alternant_parity(ctx: Tower, v: list[int], support: list[int], r: int) -> list[list[int]]:
-    """The r x m big-field matrix with rows v_j * a_j^i, i = 0..r-1."""
-    if len(v) != len(support):
-        raise ValueError("multiplier and support lengths differ")
-    if any(x == 0 for x in v):
-        raise ValueError("multiplier entries must be nonzero")
-    if len(set(support)) != len(support):
-        raise ValueError("support points must be distinct")
-    if r < 1:
-        raise ValueError("need at least one parity row")
-    rows = [list(v)]
-    for _ in range(1, r):
-        rows.append([ctx.mul(prev, a) for prev, a in zip(rows[-1], support)])
-    return rows
-
-
-def projective_alternant_parity(ctx: Tower, v: list[int], support: list[int],
-                                r: int) -> list[list[int]]:
-    """Alternant parity over a projective support; the infinity column is
-    zero except for v_j in the last row."""
+def alternant_parity(ctx: Tower, v: list[int], support: list[int],
+                     r: int) -> list[list[int]]:
+    """The r x m big-field matrix with rows v_j * a_j^i, i = 0..r-1, over a
+    projective support: the infinity column, at any position, is zero except
+    for v_j in the last row."""
     if len(v) != len(support):
         raise ValueError("multiplier and support lengths differ")
     if any(x == 0 for x in v):
@@ -156,15 +139,6 @@ def projective_alternant_parity(ctx: Tower, v: list[int], support: list[int],
                 rows[i][j] = acc
                 acc = ctx.mul(acc, pt)
     return rows
-
-
-def extended_alternant_parity(ctx: Tower, v: list[int], support: list[int],
-                              r: int) -> list[list[int]]:
-    """Projective alternant parity with the infinity point required last."""
-    inf = infinity(ctx)
-    if not support or support[-1] != inf or inf in support[:-1]:
-        raise ValueError("support must end with the infinity point")
-    return projective_alternant_parity(ctx, v, support, r)
 
 
 def goppa_parity(ctx: Tower, alpha: int, support: list[int]) -> list[list[int]]:

@@ -6,10 +6,12 @@ The closed forms are pure integer formulas valid for prime n > 3. Every one
 of them is paired with an oracle that recomputes the same quantity from the
 group action itself, with no shared formulas: the census and the fixed-point
 oracle enumerate orbits affine class by affine class over a visited bit array
-indexed by the points of P^4(GF(2^n)); the root-count oracles either solve
-GF(2)-linear systems or walk the whole multiplicative group. Oracles are
-feasible through n = 5; larger n is refused with a cost estimate rather than
-attempted.
+indexed by the points of P^4(GF(2^n)), and the class equations read the
+Frobenius action on an orbit's 2^n + 1 affine classes off the same index; the
+root-count oracles either solve GF(2)-linear systems or walk the whole
+multiplicative group. The sweeps and the walk are feasible through n = 5, the
+linear solvers through n = 10 (64-bit elements); larger n is refused with a
+cost estimate rather than attempted.
 """
 
 from __future__ import annotations
@@ -569,6 +571,10 @@ def root_count_oracle(ctx: Tower, which: str) -> RootCounts:
     """
     if which not in ROOT_EQUATIONS:
         raise ValueError(f"unknown equation {which!r}; choose from {ROOT_EQUATIONS}")
+    if ctx.big_degree > 63:
+        raise InfeasibleError(
+            f"n={ctx.n}: the vectorised root paths hold elements of GF(2^{ctx.big_degree}) "
+            "in 64-bit integers; they are limited to n <= 10")
     if which == "eq_41":
         if ctx.n > MAX_SWEEP_N:
             raise InfeasibleError(
@@ -586,18 +592,12 @@ def root_count_oracle(ctx: Tower, which: str) -> RootCounts:
 
 def primitive_element(ctx: Tower) -> int:
     """Deterministic generator of the multiplicative group (least encoding)."""
-    key = ("primitive",)
-    hit = ctx._np_tables.get(key)
-    if hit is not None:
-        return int(hit[0][0])
     q1 = ctx.order - 1
     primes = gf2poly._prime_factors(q1)
     g = 2
-    while True:
-        if all(ctx.pow(g, q1 // p) != 1 for p in primes):
-            ctx._np_tables[key] = [np.array([g], dtype=np.int64)]
-            return g
+    while any(ctx.pow(g, q1 // p) == 1 for p in primes):
         g += 1
+    return g
 
 
 def _eq41_walk(ctx: Tower) -> RootCounts:
@@ -667,23 +667,21 @@ def _eq41_walk(ctx: Tower) -> RootCounts:
 def class_equation_check(ctx: Tower, alpha: int, d: int) -> tuple[int, ...]:
     """Cycle-type of the d-th Frobenius power acting on the affine suborbits.
 
-    Requires the power to fix the orbit of alpha as a set. The returned
-    parts sum to 2^n + 1 and each divides the order of the acting element.
+    Requires the power to fix the orbit of alpha as a set. The suborbits are
+    the affine classes of the 2^n + 1 suborbit representatives; the power
+    maps the class of rep k to the class of its image, read off by class
+    rank. The returned parts sum to 2^n + 1 and each divides the order of
+    the acting element.
     """
     if not ctx.is_degree_six(alpha):
         raise ValueError("alpha must have degree 6 over the base field")
-    base_sorted = np.sort(mobius.pgl_orbit_array(ctx, alpha))
-    image = ctx.frobenius(alpha, d)
-    pos = int(np.searchsorted(base_sorted, image))
-    if pos >= base_sorted.size or int(base_sorted[pos]) != image:
+    index = _class_index(ctx)
+    reps = np.array(mobius.suborbit_representatives(ctx, alpha), dtype=np.int64)
+    position = {int(c): k for k, c in enumerate(index.classes(reps))}
+    images = index.classes(ctx.frobenius_vec(reps, d)).tolist()
+    if images[0] not in position:
         raise ValueError("the Galois power does not fix the orbit of alpha")
-
-    reps = mobius.suborbit_representatives(ctx, alpha)
-    owner: dict[int, int] = {}
-    for k, rep in enumerate(reps):
-        for y in mobius.affine_suborbit(ctx, rep):
-            owner[y] = k
-    perm = [owner[ctx.frobenius(rep, d)] for rep in reps]
+    perm = [position[c] for c in images]
 
     order = (6 * ctx.n) // math.gcd(6 * ctx.n, d)
     parts = []

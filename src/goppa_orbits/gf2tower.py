@@ -233,9 +233,6 @@ class Tower:
             r ^= tab[(p >> sh) & 255]
         return r
 
-    def sqr(self, x: int) -> int:
-        return self.frobenius(x, 1)
-
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("inverse of zero")

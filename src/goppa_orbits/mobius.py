@@ -1,5 +1,11 @@
 """Projective semi-linear maps over GF(2^n) and their orbits on degree-6 elements.
 
+Each PGL(2, 2^n) orbit of a degree-6 element is the disjoint union of the
+2^n + 1 affine classes {e*beta + f} of its `suborbit_representatives`; the
+census, the fixed-point oracle and the class equations in `counting` work on
+those classes. `pgl_orbit_array` expands an orbit element by element, for
+tests and element-level checks.
+
 A projective point is an int: a field encoding, or infinity(ctx) = 2^(6n),
 one past the largest encoding, so points stay dense and sortable. Semi-linear
 maps pair an invertible 2x2 matrix over the (embedded) base field with a
@@ -11,7 +17,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -29,12 +34,8 @@ __all__ = [
     "compose",
     "inverse",
     "random_degree_six",
-    "affine_suborbit",
     "suborbit_representatives",
-    "pgl_orbit",
     "pgl_orbit_array",
-    "canonical_orbit_rep",
-    "galois_orbit_of_pgl_orbit",
 ]
 
 
@@ -151,80 +152,23 @@ def _require_degree_six(ctx: Tower, x: int) -> None:
         raise ValueError("element must have degree 6 over the base field")
 
 
-def affine_suborbit(ctx: Tower, beta: int) -> Iterator[int]:
-    """Stream {e*beta + f : e nonzero, f in the base field}; size 2^(2n) - 2^n."""
-    _require_degree_six(ctx, beta)
-    for e in ctx.subfield_nonzero():
-        eb = ctx.mul(e, beta)
-        for f in ctx.subfield:
-            yield eb ^ f
-
-
 def suborbit_representatives(ctx: Tower, alpha: int) -> list[int]:
     """Representatives of the 2^n + 1 affine suborbits partitioning the orbit of alpha."""
     _require_degree_six(ctx, alpha)
     return [alpha] + ctx.inv_batch([alpha ^ g for g in ctx.subfield])
 
 
-def _orbit_np_config(ctx: Tower) -> tuple[np.ndarray, np.ndarray]:
-    """Cached (etab, femb): multiplier table rows and additive offsets."""
-    key = ("orbit_cfg",)
-    hit = ctx._np_tables.get(key)
-    if hit is None:
-        m = ctx.big_degree
-        nz = ctx.subfield_nonzero()
-        etab = np.array(
-            [[ctx.mul(e, 1 << j) for j in range(m)] for e in nz], dtype=np.int64)
-        femb = np.array(ctx.subfield, dtype=np.int64)
-        hit = [etab, femb]
-        ctx._np_tables[key] = hit
-    return hit[0], hit[1]
-
-
 def pgl_orbit_array(ctx: Tower, alpha: int) -> np.ndarray:
     """The full projective-linear orbit of alpha as a flat int64 array.
 
-    Built from the affine-suborbit decomposition: one batched inversion for
-    the 2^n + 1 suborbit representatives, then {e*rep + f} blocks expanded
-    with vectorized fixed-multiplier arithmetic. Size 2^(3n) - 2^n; no
-    duplicates.
+    The element-level expansion of the affine-class decomposition: one
+    batched inversion for the 2^n + 1 suborbit representatives, then
+    e*rep + f for e in GF(2^n)* (outermost), rep, and f in GF(2^n)
+    (innermost), multiplying by e through `Tower.mult_tables`. Size
+    2^(3n) - 2^n; no duplicates.
     """
     _require_degree_six(ctx, alpha)
-    etab, femb = _orbit_np_config(ctx)
     reps = np.array(suborbit_representatives(ctx, alpha), dtype=np.int64)
-    multiples = np.zeros((etab.shape[0], reps.size), dtype=np.int64)
-    for j in range(ctx.big_degree):
-        bit = (reps >> j) & 1
-        multiples ^= bit[None, :] * etab[:, j][:, None]
-    return (multiples[:, :, None] ^ femb[None, None, :]).reshape(-1)
-
-
-def pgl_orbit(ctx: Tower, alpha: int) -> Iterator[int]:
-    """Stream the projective-linear orbit of alpha without duplicates."""
-    for rep in suborbit_representatives(ctx, alpha):
-        yield from affine_suborbit(ctx, rep)
-
-
-def canonical_orbit_rep(ctx: Tower, alpha: int, group: str = "PGL") -> int:
-    """The enc-least element of the orbit of alpha under PGL or PGammaL."""
-    _require_degree_six(ctx, alpha)
-    if group == "PGL":
-        return int(pgl_orbit_array(ctx, alpha).min())
-    if group in ("PGammaL", "PGAMMAL", "pgammal"):
-        best = None
-        for i in range(ctx.big_degree):
-            r = int(pgl_orbit_array(ctx, ctx.frobenius(alpha, i)).min())
-            if best is None or r < best:
-                best = r
-        return best
-    raise ValueError("group must be 'PGL' or 'PGammaL'")
-
-
-def galois_orbit_of_pgl_orbit(ctx: Tower, alpha: int) -> tuple[int, ...]:
-    """Sorted canonical representatives of the Frobenius images of alpha's orbit."""
-    _require_degree_six(ctx, alpha)
-    reps = {
-        int(pgl_orbit_array(ctx, ctx.frobenius(alpha, i)).min())
-        for i in range(ctx.big_degree)
-    }
-    return tuple(sorted(reps))
+    multiples = np.stack([ctx.apply_tables(ctx.mult_tables(e), reps)
+                          for e in ctx.subfield_nonzero()])
+    return (multiples[:, :, None] ^ np.array(ctx.subfield, dtype=np.int64)).reshape(-1)

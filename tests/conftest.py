@@ -1,6 +1,7 @@
 import pytest
 
 from goppa_orbits import make_tower
+from goppa_orbits.mobius import pgl_orbit_array
 
 
 def schoolbook_mul(ctx, x, y):
@@ -19,6 +20,17 @@ def schoolbook_mul(ctx, x, y):
             for j in range(m + 1):
                 prod[top - m + j] ^= mod[j]
     return sum(b << j for j, b in enumerate(prod[:m]))
+
+
+def canonical_orbit_rep(ctx, alpha, group="PGL"):
+    """Orbit oracle: the enc-least element of the orbit of alpha under PGL or
+    PGammaL, by expanding every orbit element with pgl_orbit_array."""
+    if group == "PGL":
+        return int(pgl_orbit_array(ctx, alpha).min())
+    if group == "PGammaL":
+        return min(int(pgl_orbit_array(ctx, ctx.frobenius(alpha, i)).min())
+                   for i in range(ctx.big_degree))
+    raise ValueError("group must be 'PGL' or 'PGammaL'")
 
 
 @pytest.fixture(scope="session")

@@ -195,3 +195,12 @@ def test_workers_env_default(monkeypatch):
     monkeypatch.setenv("GOPPA_ORBITS_THREADS", "6")
     args = build_parser().parse_args(["census", "--n", "2"])
     assert args.workers == 6
+
+
+def test_roots_refuses_n11(capsys):
+    # 6n = 66 bits do not fit the 64-bit integers of the vectorised paths
+    for which in ("eq_deg8", "fixed_field_64"):
+        code, out, err = run(capsys, "roots", "--n", "11", "--which", which)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert "n <= 10" in err and "64-bit" in err

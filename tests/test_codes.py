@@ -9,7 +9,6 @@ from goppa_orbits.codes import (
     code_from_parity,
     code_to_json,
     extend_code,
-    extended_alternant_parity,
     extended_goppa_code,
     eval_at_point,
     goppa_code,
@@ -17,7 +16,6 @@ from goppa_orbits.codes import (
     goppa_parity,
     induced_permutation,
     nullspace,
-    projective_alternant_parity,
     rref,
     subfield_subcode,
     transform_polynomial,
@@ -87,21 +85,19 @@ def test_alternant_parity_structure(tower2):
 def test_extended_parity_infinity_column(tower2):
     pts = projective_support(tower2)
     v = [1] * len(pts)
-    rows = extended_alternant_parity(tower2, v, pts, 7)
+    rows = alternant_parity(tower2, v, pts, 7)
     col = [row[-1] for row in rows]
     assert col == [0] * 6 + [v[-1]]
     # dropping the infinity column and last row recovers the plain rows
     plain = alternant_parity(tower2, v[:-1], pts[:-1], 6)
     assert [row[:-1] for row in rows[:-1]] == plain
-    with pytest.raises(ValueError):
-        extended_alternant_parity(tower2, v, pts[::-1], 7)
 
 
 def test_projective_parity_allows_interior_infinity(tower2):
     pts = projective_support(tower2)
     moved = [pts[-1]] + pts[:-1]
     v = [1] * len(moved)
-    rows = projective_alternant_parity(tower2, v, moved, 7)
+    rows = alternant_parity(tower2, v, moved, 7)
     assert [row[0] for row in rows] == [0] * 6 + [1]
 
 
@@ -152,7 +148,7 @@ def test_extension_matches_extended_alternant(tower2, tower5):
         pts = projective_support(ctx)
         via_alt = subfield_subcode(
             ctx,
-            extended_alternant_parity(ctx, multipliers(ctx, inst.g, pts), pts, 7),
+            alternant_parity(ctx, multipliers(ctx, inst.g, pts), pts, 7),
             len(pts))
         assert ext == via_alt
         assert ext.dimension == goppa_code(ctx, alpha).dimension

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import canonical_orbit_rep
 from goppa_orbits import counting, gf2poly, make_tower, mobius
 from goppa_orbits.counting import (
     InfeasibleError,
@@ -111,7 +112,7 @@ def test_census_reps_are_class_minima(tower2):
     reps = [rep for rep, _, _ in c.records]
     assert reps == sorted(reps)
     rep0 = reps[0]
-    assert mobius.canonical_orbit_rep(tower2, rep0, "PGammaL") == rep0
+    assert canonical_orbit_rep(tower2, rep0, "PGammaL") == rep0
 
 
 def test_sweep_refuses_large_n():
@@ -280,12 +281,51 @@ def test_class_equation_small(tower2):
             assert all(order % p == 0 for p in parts)
 
 
+def class_equation_oracle(ctx, alpha, d):
+    """Cycle type of sigma^d on the affine suborbits, element by element.
+
+    Independent of the class index: the owner of each orbit element is the
+    representative whose block of pgl_orbit_array holds it (the array runs
+    over e, then the 2^n + 1 representatives, then f).
+    """
+    q = 1 << ctx.n
+    orbit = mobius.pgl_orbit_array(ctx, alpha).tolist()
+    owner = {y: (p // q) % (q + 1) for p, y in enumerate(orbit)}
+    if ctx.frobenius(alpha, d) not in owner:
+        raise ValueError("the Galois power does not fix the orbit of alpha")
+    perm = [owner[ctx.frobenius(rep, d)]
+            for rep in mobius.suborbit_representatives(ctx, alpha)]
+    parts, seen = [], set()
+    for start in range(q + 1):
+        length, k = 0, start
+        while k not in seen:
+            seen.add(k)
+            k = perm[k]
+            length += 1
+        if length:
+            parts.append(length)
+    return tuple(sorted(parts))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_class_equation_matches_element_oracle(n):
+    ctx = make_tower(n)
+    checked = 0
+    for d in range(1, 6 * n):
+        for rep in fixed_orbit_representatives(ctx, d):
+            assert class_equation_check(ctx, rep, d) == class_equation_oracle(ctx, rep, d)
+            checked += 1
+    assert checked > 0
+
+
 def test_class_equation_rejects_unfixed_orbit(tower2):
     moving = fixed_orbit_representatives(tower2, 12)
     fixed_d1 = set(fixed_orbit_representatives(tower2, 1))
     target = next(rep for rep in moving if rep not in fixed_d1)
     with pytest.raises(ValueError):
         class_equation_check(tower2, target, 1)
+    with pytest.raises(ValueError):
+        class_equation_oracle(tower2, target, 1)
 
 
 # ----------------------------------------------------------- shift equations
