@@ -11,9 +11,9 @@ Library layout:
   (one alternant builder, on projective supports), polynomial transforms
   and permutation-equivalence verification.
 - counting: closed-form fixed-point counts, the averaged orbit bound, and
-  the brute-force oracles (census, root counts, class equations); the
+  the independent oracles (census, root counts, class equations); the
   census, fixed-point oracle and class equations index affine classes as
-  points of P^4(GF(2^n)).
+  points of P^4(GF(2^n)), and eq_41 is counted by GF(2) polynomial gcds.
 - cli: the goppa-orbits command.
 """
 
@@ -45,7 +45,6 @@ from .counting import (
     class_equation_check,
     closed_form_fixed_points,
     fixed_point_oracle,
-    fixed_point_table,
     global_orbit_census,
     root_count_oracle,
     solve_artin_schreier_shift,
@@ -61,7 +60,7 @@ __all__ = [
     "extended_goppa_code", "extend_code", "transform_polynomial",
     "check_extended_equivalence", "weight_enumerator",
     "burnside_bound", "closed_form_fixed_points", "fixed_point_oracle",
-    "fixed_point_table", "global_orbit_census", "root_count_oracle",
-    "class_equation_check", "solve_artin_schreier_shift",
+    "global_orbit_census", "root_count_oracle", "class_equation_check",
+    "solve_artin_schreier_shift",
     "OrbitCensus", "InfeasibleError",
 ]

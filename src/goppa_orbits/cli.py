@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
 import time
@@ -107,9 +106,6 @@ def cmd_bound(args) -> int:
 
 
 def cmd_census(args) -> int:
-    if args.workers is None:
-        raise ValueError("GOPPA_ORBITS_THREADS must be an integer, got "
-                         f"{os.environ.get('GOPPA_ORBITS_THREADS')!r}")
     ctx = _tower(args)
     census = counting.global_orbit_census(ctx, workers=args.workers)
     bound = match = None
@@ -299,11 +295,7 @@ def _add_common(p: argparse.ArgumentParser, *, workers: bool = False) -> None:
     p.add_argument("--modulus-base", help="override, exponent list like '5,2,0'")
     p.add_argument("--modulus-big", help="override, exponent list like '30,1,0'")
     if workers:
-        try:
-            default = int(os.environ.get("GOPPA_ORBITS_THREADS", "1"))
-        except ValueError:
-            default = None  # cmd_census reports the bad value
-        p.add_argument("--workers", type=int, default=default,
+        p.add_argument("--workers", type=int, default=1,
                        help="validated (>= 1) and echoed in the report; the "
                             "census runs in one thread")
 

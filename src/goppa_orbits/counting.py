@@ -1,6 +1,5 @@
 """Orbit counts: closed-form fixed-point formulas, the averaged orbit bound,
-and independent brute-force oracles (global census, root-count sweeps,
-class-equation checks).
+and independent oracles (global census, root counts, class-equation checks).
 
 The closed forms are pure integer formulas valid for prime n > 3. Every one
 of them is paired with an oracle that recomputes the same quantity from the
@@ -8,10 +7,11 @@ group action itself, with no shared formulas: the census and the fixed-point
 oracle enumerate orbits affine class by affine class over a visited bit array
 indexed by the points of P^4(GF(2^n)), and the class equations read the
 Frobenius action on an orbit's 2^n + 1 affine classes off the same index; the
-root-count oracles either solve GF(2)-linear systems or walk the whole
-multiplicative group. The sweeps and the walk are feasible through n = 5, the
-linear solvers through n = 10 (64-bit elements); larger n is refused with a
-cost estimate rather than attempted.
+root-count oracles solve GF(2)-linear systems, or, for the multiplicative
+equation eq_41, take gcds of GF(2) polynomials. The sweeps are feasible
+through n = 5, eq_41 through n = 8 and the linear solvers through n = 10
+(64-bit elements); larger n is refused with a cost estimate rather than
+attempted.
 """
 
 from __future__ import annotations
@@ -50,14 +50,11 @@ __all__ = [
     "global_orbit_census",
     "fixed_point_oracle",
     "fixed_orbit_representatives",
-    "FixedPointTable",
-    "fixed_point_table",
     "ROOT_EQUATIONS",
     "RootCounts",
     "root_count_oracle",
     "class_equation_check",
     "solve_artin_schreier_shift",
-    "primitive_element",
     "MAX_SWEEP_N",
 ]
 
@@ -487,39 +484,7 @@ def fixed_orbit_representatives(ctx: Tower, d: int,
     return reps[:limit] if limit is not None else reps
 
 
-@dataclass(frozen=True)
-class FixedPointTable:
-    """Closed forms and oracle counts per divisor of 6n."""
-
-    n: int
-    entries: tuple[dict, ...]
-
-    def all_match(self) -> bool:
-        return all(
-            e["closed_form"] is None or e["oracle"] is None
-            or e["closed_form"] == e["oracle"]
-            for e in self.entries)
-
-
-def fixed_point_table(n: int, ctx: Tower | None = None) -> FixedPointTable:
-    entries = []
-    closed_ok = n > 3 and is_prime(n)
-    for d in sorted(k for k in range(1, 6 * n + 1) if (6 * n) % k == 0):
-        order = 6 * n // d
-        closed = closed_form_fixed_points(n, order) if closed_ok else None
-        oracle = None
-        if ctx is not None and n <= MAX_SWEEP_N:
-            oracle = fixed_point_oracle(n, d, ctx)
-        entries.append({
-            "divisor": d,
-            "order": order,
-            "closed_form": closed,
-            "oracle": oracle,
-        })
-    return FixedPointTable(n=n, entries=tuple(entries))
-
-
-# ----------------------------------------------------------- root-count sweeps
+# ---------------------------------------------------------------- root counts
 
 
 @dataclass(frozen=True)
@@ -566,8 +531,8 @@ def root_count_oracle(ctx: Tower, which: str) -> RootCounts:
     """Count roots of one of the named equations, splitting by subfield.
 
     The affine-linearized equations are solved exactly by GF(2) linear
-    algebra at any feasible n; the multiplicative equation walks every
-    nonzero field element (n <= 5).
+    algebra (n <= 10); eq_41 is counted by polynomial gcds over GF(2)
+    (n <= 8).
     """
     if which not in ROOT_EQUATIONS:
         raise ValueError(f"unknown equation {which!r}; choose from {ROOT_EQUATIONS}")
@@ -576,11 +541,11 @@ def root_count_oracle(ctx: Tower, which: str) -> RootCounts:
             f"n={ctx.n}: the vectorised root paths hold elements of GF(2^{ctx.big_degree}) "
             "in 64-bit integers; they are limited to n <= 10")
     if which == "eq_41":
-        if ctx.n > MAX_SWEEP_N:
+        if ctx.n > 8:
             raise InfeasibleError(
-                f"n={ctx.n}: the eq_41 walk visits all 2^{ctx.big_degree} - 1 "
-                f"nonzero elements; it is limited to n <= {MAX_SWEEP_N}")
-        return _eq41_walk(ctx)
+                f"n={ctx.n}: eq_41 takes gcds of degree-{(1 << 2 * ctx.n) + 1} "
+                "polynomials over GF(2); it is limited to n <= 8")
+        return _eq41_counts(ctx.n)
     lmap, rhs = _affine_equation_map(ctx, which)
     kernel_dim = len(_ColumnSolver(list(lmap.cols)).kernel_basis)
     if kernel_dim > 22:
@@ -590,74 +555,30 @@ def root_count_oracle(ctx: Tower, which: str) -> RootCounts:
     return _classify_roots(ctx, which, sols)
 
 
-def primitive_element(ctx: Tower) -> int:
-    """Deterministic generator of the multiplicative group (least encoding)."""
-    q1 = ctx.order - 1
-    primes = gf2poly._prime_factors(q1)
-    g = 2
-    while any(ctx.pow(g, q1 // p) == 1 for p in primes):
-        g += 1
-    return g
+def _eq41_counts(n: int) -> RootCounts:
+    """Root tallies of P = x^(2^(2n)+1) + x + 1 from GF(2) polynomial gcds.
 
-
-def _eq41_walk(ctx: Tower) -> RootCounts:
-    """Exhaustive root count for x^(2^(2n)+1) + x + 1 over the nonzero field.
-
-    Walks x = g^k over the whole multiplicative group in vectorized lanes.
-    Both x and p = x^(2^(2n)+1) advance by fixed multipliers, so the
-    equation test p == x + 1 needs no per-element multiplication; subfield
-    membership of x is read off the exponent k modulo the subgroup indexes.
+    P' = x^(2^(2n)) + 1 is coprime to P, so P is squarefree and has exactly
+    deg gcd(P, x^(2^k) + x) roots in GF(2^k). One chain of 6n squarings
+    mod P gives x^(2^k) for k = n, 2n, 3n and 6n; GF(2^n) is the
+    intersection of GF(2^(2n)) and GF(2^(3n)).
     """
-    n, m = ctx.n, ctx.big_degree
-    group = ctx.order - 1
-    g = primitive_element(ctx)
-    exp = (1 << 2 * n) + 1
-    g_tabs = ctx.mult_tables(g)
-    gn_tabs = ctx.mult_tables(ctx.pow(g, exp))
-    idx2 = group // ((1 << 2 * n) - 1)
-    idx3 = group // ((1 << 3 * n) - 1)
-
-    lanes = min(1 << 17, group)
-    iters = -(-group // lanes)
-    g_step = ctx.pow(g, iters)
-    gn_step = ctx.pow(g_step, exp)
-    x = np.empty(lanes, dtype=np.int64)
-    p = np.empty(lanes, dtype=np.int64)
-    xv, pv = 1, 1
-    for w in range(lanes):
-        x[w] = xv
-        p[w] = pv
-        xv = ctx.mul(xv, g_step)
-        pv = ctx.mul(pv, gn_step)
-    bases = np.arange(lanes, dtype=np.int64) * iters
-    r2 = bases % idx2
-    r3 = bases % idx3
-    limit = group - bases
-
-    total = in2 = in3 = both = 0
-    one = np.int64(1)
-    for step in range(iters):
-        hits = np.flatnonzero((p == (x ^ one)) & (limit > step))
-        if hits.size:
-            h2 = r2[hits] == 0
-            h3 = r3[hits] == 0
-            total += int(hits.size)
-            in2 += int(h2.sum())
-            in3 += int(h3.sum())
-            both += int((h2 & h3).sum())
-        if step + 1 < iters:
-            x = ctx.apply_tables(g_tabs, x)
-            p = ctx.apply_tables(gn_tabs, p)
-            r2 += 1
-            r2[r2 == idx2] = 0
-            r3 += 1
-            r3[r3 == idx3] = 0
+    e = 1 << 2 * n
+    p = (1 << e + 1) | 0b11
+    if gf2poly.gcd(p, (1 << e) | 1) != 1:
+        raise ConsistencyError(f"x^(2^{2 * n}+1) + x + 1 is not squarefree")
+    roots = {}
+    r = 0b10
+    for k in range(1, 6 * n + 1):
+        r = gf2poly.mod(gf2poly.mul(r, r), p)
+        if k % n == 0:
+            roots[k // n] = gf2poly.degree(gf2poly.gcd(p, r ^ 0b10))
     return RootCounts(
         equation="eq_41",
-        total=total,
-        in_degree_six=total - in2 - in3 + both,
-        in_subfield_2n=in2,
-        in_subfield_3n=in3,
+        total=roots[6],
+        in_degree_six=roots[6] - roots[2] - roots[3] + roots[1],
+        in_subfield_2n=roots[2],
+        in_subfield_3n=roots[3],
     )
 
 

@@ -8,7 +8,6 @@ __all__ = [
     "degree",
     "mul",
     "mod",
-    "divmod_poly",
     "gcd",
     "is_irreducible",
     "lowest_irreducible",
@@ -43,19 +42,6 @@ def mul(a: int, b: int) -> int:
         b >>= 4
         s += 4
     return r
-
-
-def divmod_poly(p: int, m: int) -> tuple[int, int]:
-    """Quotient and remainder of p by nonzero m."""
-    if m == 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    dm = degree(m)
-    q = 0
-    while p and degree(p) >= dm:
-        shift = degree(p) - dm
-        q |= 1 << shift
-        p ^= m << shift
-    return q, p
 
 
 def mod(p: int, m: int) -> int:

@@ -178,23 +178,10 @@ def test_modulus_override_flag(capsys):
     assert obj["orbit_count"] == 8  # the count is basis-independent
 
 
-def test_bad_workers_exit_2(capsys, monkeypatch):
+def test_bad_workers_exit_2(capsys):
     code, out, err = run(capsys, "census", "--n", "2", "--workers", "0")
     assert code == 2 and out == ""
     assert err == "error: workers must be positive\n"
-    monkeypatch.setenv("GOPPA_ORBITS_THREADS", "abc")
-    code, out, err = run(capsys, "census", "--n", "2")
-    assert code == 2 and out == ""
-    assert err == "error: GOPPA_ORBITS_THREADS must be an integer, got 'abc'\n"
-    code, _, _ = run(capsys, "bound", "--n", "5")
-    assert code == 0  # only the census reads the variable
-
-
-def test_workers_env_default(monkeypatch):
-    from goppa_orbits.cli import build_parser
-    monkeypatch.setenv("GOPPA_ORBITS_THREADS", "6")
-    args = build_parser().parse_args(["census", "--n", "2"])
-    assert args.workers == 6
 
 
 def test_roots_refuses_n11(capsys):
@@ -204,3 +191,20 @@ def test_roots_refuses_n11(capsys):
         assert code == 3 and out == ""
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert "n <= 10" in err and "64-bit" in err
+
+
+def test_roots_eq41_n7(capsys):
+    code, obj, _ = run_json(capsys, "roots", "roots", "--n", "7", "--which",
+                            "eq_41", "--json")
+    assert code == 0
+    assert obj["in_degree_six"] == obj["expected_in_degree_six"] == 16254
+    assert obj["match"] is True
+    assert (obj["total"], obj["in_subfield_2n"],
+            obj["in_subfield_3n"]) == (16385, 2, 129)
+
+
+def test_roots_eq41_refuses_n9(capsys):
+    code, out, err = run(capsys, "roots", "--n", "9", "--which", "eq_41")
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "n <= 8" in err and "262145" in err

@@ -16,10 +16,8 @@ from goppa_orbits.counting import (
     euler_phi,
     fixed_orbit_representatives,
     fixed_point_oracle,
-    fixed_point_table,
     fixed_points_for_power,
     global_orbit_census,
-    primitive_element,
     root_count_oracle,
     solve_artin_schreier_shift,
 )
@@ -195,16 +193,6 @@ def test_fixed_point_oracle_checks_n(tower2):
         fixed_point_oracle(3, 1, tower2)
 
 
-def test_fixed_point_table_shape(tower2):
-    table = fixed_point_table(2, tower2)
-    assert [e["divisor"] for e in table.entries] == [1, 2, 3, 4, 6, 12]
-    assert all(e["closed_form"] is None for e in table.entries)
-    assert table.all_match()
-    closed_only = fixed_point_table(7)
-    assert closed_only.entries[-1]["closed_form"] == (1 << 21) + (1 << 7) - 1
-    assert closed_only.entries[-1]["oracle"] is None
-
-
 # ------------------------------------------------------------- root counting
 
 
@@ -222,11 +210,14 @@ def brute_root_counts(ctx, predicate):
     return total, in_s, in2, in3
 
 
+def eq41_predicate(ctx):
+    """x^(2^(2n)+1) = x + 1, tested element by element."""
+    return lambda x: ctx.mul(ctx.frobenius(x, 2 * ctx.n), x) ^ x ^ 1 == 0
+
+
 def test_root_counts_match_exhaustive_sweep_n2(tower2):
     ctx = tower2
-
-    def eq41(x):
-        return x != 0 and ctx.mul(ctx.frobenius(x, 4), x) ^ x ^ 1 == 0
+    eq41 = eq41_predicate(ctx)
 
     def eq3n(x):
         return ctx.frobenius(x, 6) ^ x ^ 1 == 0
@@ -246,6 +237,13 @@ def test_root_counts_match_exhaustive_sweep_n2(tower2):
     assert got.total == 0
 
 
+def test_eq41_matches_exhaustive_sweep_n3(tower3):
+    got = root_count_oracle(tower3, "eq_41")
+    expect = brute_root_counts(tower3, eq41_predicate(tower3))
+    assert (got.total, got.in_degree_six,
+            got.in_subfield_2n, got.in_subfield_3n) == expect == (65, 54, 2, 9)
+
+
 def test_root_oracle_rejects_unknown(tower2):
     with pytest.raises(ValueError):
         root_count_oracle(tower2, "eq_unknown")
@@ -255,16 +253,6 @@ def test_eq3n_solver_counts_n3(tower3):
     got = root_count_oracle(tower3, "eq_3n")
     assert got.total == 1 << 9
     assert got.in_degree_six == (1 << 9) - (1 << 3)
-
-
-def test_primitive_element_orders(tower2, tower3):
-    for ctx in (tower2, tower3):
-        g = primitive_element(ctx)
-        q1 = ctx.order - 1
-        assert ctx.pow(g, q1) == 1
-        for p in (3, 5, 7, 13):
-            if q1 % p == 0:
-                assert ctx.pow(g, q1 // p) != 1
 
 
 # ------------------------------------------------------------ class equations

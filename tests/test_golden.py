@@ -26,7 +26,8 @@ def _golden_commands() -> dict[str, list[str]]:
     cmds.update({f"fixed_n4_d{d}": ["fixed", "--n", "4", "--d", str(d)]
                  for d in (1, 2, 3, 4, 6, 8, 12, 24)})
     cmds.update({f"roots_n5_{w}": ["roots", "--n", "5", "--which", w]
-                 for w in ("eq_3n", "eq_2n_affine", "eq_deg8", "fixed_field_64")})
+                 for w in ("eq_3n", "eq_2n_affine", "eq_41", "eq_deg8",
+                           "fixed_field_64")})
     cmds.update({f"code_n{n}_seed{s}": ["code", "--n", str(n), "--alpha", "random",
                                         "--seed", str(s), "--extended"]
                  for n in (5, 7) for s in range(3)})
