@@ -47,7 +47,6 @@ from .counting import (
     fixed_point_oracle,
     global_orbit_census,
     root_count_oracle,
-    solve_artin_schreier_shift,
 )
 
 __version__ = "1.0.0"
@@ -61,6 +60,5 @@ __all__ = [
     "check_extended_equivalence", "weight_enumerator",
     "burnside_bound", "closed_form_fixed_points", "fixed_point_oracle",
     "global_orbit_census", "root_count_oracle", "class_equation_check",
-    "solve_artin_schreier_shift",
     "OrbitCensus", "InfeasibleError",
 ]

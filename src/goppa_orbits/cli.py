@@ -22,22 +22,36 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 
+# code --n 11 --extended takes about 0.7 s (2 vCPU); at n = 12 building the
+# extended code alone takes about 3 s and its report holds 4024 rows of 4097 bits
+MAX_CODE_N = 11
 
-def _parse_modulus(text: str | None) -> int | None:
+
+def _parse_modulus(text: str | None, degree: int) -> int | None:
     if text is None:
         return None
     try:
-        return gf2poly.from_exponents([int(t) for t in text.split(",")])
+        exps = [int(t) for t in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"bad modulus exponent list {text!r}") from exc
+    if any(not 0 <= e <= degree for e in exps):
+        raise ValueError(f"modulus exponents must lie in 0..{degree}, got {text!r}")
+    return gf2poly.from_exponents(exps)
 
 
 def _tower(args) -> Tower:
     return make_tower(
         args.n,
-        modulus_base=_parse_modulus(getattr(args, "modulus_base", None)),
-        modulus_big=_parse_modulus(getattr(args, "modulus_big", None)),
+        modulus_base=_parse_modulus(getattr(args, "modulus_base", None), args.n),
+        modulus_big=_parse_modulus(getattr(args, "modulus_big", None), 6 * args.n),
     )
+
+
+def _code_cost_check(n: int) -> None:
+    if n > MAX_CODE_N:
+        raise InfeasibleError(
+            f"n={n}: codes of length 2^n + 1 = {(1 << n) + 1} are too large to "
+            f"build and report; code and equiv are limited to n <= {MAX_CODE_N}")
 
 
 def _emit(args, kind: str, obj: dict, lines: list[str]) -> None:
@@ -230,6 +244,7 @@ def cmd_roots(args) -> int:
 
 
 def cmd_code(args) -> int:
+    _code_cost_check(args.n)
     ctx = _tower(args)
     alpha = _resolve_alpha(ctx, args.alpha, args.seed)
     inst = codes.goppa_instance(ctx, alpha)
@@ -253,6 +268,7 @@ def cmd_code(args) -> int:
 
 
 def cmd_equiv(args) -> int:
+    _code_cost_check(args.n)
     ctx = _tower(args)
     rng = random.Random(args.seed)
     alpha = _resolve_alpha(ctx, args.alpha, args.seed)
@@ -330,14 +346,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", required=True, choices=counting.ROOT_EQUATIONS)
     p.set_defaults(func=cmd_roots)
 
-    p = sub.add_parser("code", help="build the binary code of a degree-6 element")
+    p = sub.add_parser("code", help="build the binary code of a degree-6 element "
+                                    f"(n <= {MAX_CODE_N})")
     _add_common(p)
     p.add_argument("--alpha", required=True, help="hex encoding or 'random'")
     p.add_argument("--seed", type=int, help="seed when alpha is 'random'")
     p.add_argument("--extended", action="store_true")
     p.set_defaults(func=cmd_code)
 
-    p = sub.add_parser("equiv", help="verify extended-code equivalence under a map")
+    p = sub.add_parser("equiv", help="verify extended-code equivalence under a map "
+                                     f"(n <= {MAX_CODE_N})")
     _add_common(p)
     p.add_argument("--alpha", required=True, help="hex encoding or 'random'")
     p.add_argument("--map", required=True,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2tower import Tower
+from .gf2tower import Tower, _ColumnSolver
 from .mobius import SemiLinearMap, apply_map, infinity
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "GoppaInstance",
     "rref",
     "nullspace",
-    "code_from_parity",
     "code_from_generator",
     "eval_at_point",
     "alternant_parity",
@@ -44,21 +43,7 @@ WEIGHT_ENUM_MAX_DIM = 24
 
 def rref(rows: list[int]) -> tuple[int, ...]:
     """Reduced row echelon form of int-bitmask rows, pivots at least set bits."""
-    out: list[int] = []
-    for r in rows:
-        for o in out:
-            if r & (o & -o):
-                r ^= o
-        if r:
-            out.append(r)
-    out.sort(key=lambda x: x & -x)
-    for i, r in enumerate(out):
-        low = r & -r
-        for j in range(len(out)):
-            if j != i and out[j] & low:
-                out[j] ^= r
-    out.sort(key=lambda x: x & -x)
-    return tuple(out)
+    return _ColumnSolver(rows).rref()
 
 
 def nullspace(rows: list[int], width: int) -> tuple[int, ...]:
@@ -102,14 +87,9 @@ class BinaryCode:
         return all((word & h).bit_count() % 2 == 0 for h in self.parity)
 
 
-def code_from_parity(parity_rows: list[int], length: int) -> BinaryCode:
-    gen = nullspace(parity_rows, length)
-    return BinaryCode(length, rref(list(gen)), rref(parity_rows))
-
-
 def code_from_generator(gen_rows: list[int], length: int) -> BinaryCode:
-    par = nullspace(gen_rows, length)
-    return BinaryCode(length, rref(gen_rows), rref(list(par)))
+    gen = rref(gen_rows)
+    return BinaryCode(length, gen, rref(list(nullspace(gen, length))))
 
 
 # ------------------------------------------------------------- parity builders
@@ -149,22 +129,20 @@ def goppa_parity(ctx: Tower, alpha: int, support: list[int]) -> list[list[int]]:
 
 
 def subfield_subcode(ctx: Tower, parity_rows: list[list[int]], length: int) -> BinaryCode:
-    """Binary code cut out by a big-field parity matrix, via coefficient expansion."""
-    bin_rows = []
-    for row in parity_rows:
-        for k in range(ctx.big_degree):
-            r = 0
-            for j, e in enumerate(row):
-                if (e >> k) & 1:
-                    r |= 1 << j
-            bin_rows.append(r)
-    return code_from_parity(bin_rows, length)
+    """Binary code cut out by a big-field parity matrix: the kernel of its
+    columns, each the bits of its entries stacked 6n bits apart."""
+    m = ctx.big_degree
+    cols = [sum(row[j] << (i * m) for i, row in enumerate(parity_rows))
+            for j in range(length)]
+    return code_from_generator(list(_ColumnSolver(cols).kernel_basis), length)
 
 
 def extend_code(code: BinaryCode) -> BinaryCode:
-    """Append an overall parity bit to every codeword."""
-    gen = [r | ((r.bit_count() & 1) << code.length) for r in code.generator]
-    return code_from_generator(gen, code.length + 1)
+    """Append an overall parity bit to every codeword: the reduced generator
+    stays reduced, and the parity checks gain the all-ones row."""
+    n = code.length
+    gen = tuple(r | ((r.bit_count() & 1) << n) for r in code.generator)
+    return BinaryCode(n + 1, gen, rref([*code.parity, (1 << (n + 1)) - 1]))
 
 
 # --------------------------------------------------------------- Goppa codes

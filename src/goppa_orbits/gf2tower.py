@@ -21,6 +21,12 @@ The scalar kernel:
   z = x^(2^i), cached per i. `frobenius`, `embed_base` and
   `LinearizedMap.apply` apply such columns with `_apply_cols`, the one
   GF(2)-linear map application.
+
+Linear algebra over GF(2) has one elimination, `_ColumnSolver`: it reduces
+int-bitmask vectors at their least set bits and keeps the input combination
+behind each pivot. Its kernel gives the subfields and the solution sets of
+linearized equations, `solve` inverts GF(2)-linear maps, and its `rref` is
+`codes.rref`, on which every binary code is built.
 """
 
 from __future__ import annotations
@@ -47,37 +53,53 @@ _MAX_N = 16  # subfield enumeration builds 2^n elements; keep construction desk-
 
 
 class _ColumnSolver:
-    """Solve sum_{j in bits(x)} cols[j] = target over GF(2) by elimination."""
+    """The package's one GF(2) elimination: pivots at least set bits, each with
+    the combination of inputs (bit j = input j) it came from; inputs that
+    reduce to zero give the kernel."""
 
-    def __init__(self, cols: list[int]):
-        self._pivots: dict[int, tuple[int, int]] = {}  # leading bit -> (col, combo)
+    def __init__(self, vecs: list[int]):
+        self._pivots: dict[int, tuple[int, int]] = {}  # least bit -> (vec, combo)
         kernel = []
-        for j, col in enumerate(cols):
+        for j, vec in enumerate(vecs):
             combo = 1 << j
-            while col:
-                lead = col.bit_length() - 1
-                if lead in self._pivots:
-                    pcol, pcombo = self._pivots[lead]
-                    col ^= pcol
-                    combo ^= pcombo
-                else:
-                    self._pivots[lead] = (col, combo)
+            while vec:
+                low = (vec & -vec).bit_length() - 1
+                hit = self._pivots.get(low)
+                if hit is None:
+                    self._pivots[low] = (vec, combo)
                     break
-            if col == 0:
+                vec ^= hit[0]
+                combo ^= hit[1]
+            else:
                 kernel.append(combo)
         self.kernel_basis: tuple[int, ...] = tuple(kernel)
 
     def solve(self, target: int) -> int | None:
-        """One solution x, or None if target is outside the column span."""
+        """A combination x of the inputs summing to target, or None outside the span."""
         x = 0
         while target:
-            lead = target.bit_length() - 1
-            hit = self._pivots.get(lead)
+            hit = self._pivots.get((target & -target).bit_length() - 1)
             if hit is None:
                 return None
             target ^= hit[0]
             x ^= hit[1]
         return x
+
+    def rref(self) -> tuple[int, ...]:
+        """Reduced row echelon basis of the span, by ascending pivot; back-substitutes
+        from the highest pivot down (a reduced row holds no other pivot bit)."""
+        reduced: dict[int, int] = {}
+        above = 0  # pivot bits of the rows reduced so far
+        for low in sorted(self._pivots, reverse=True):
+            vec = self._pivots[low][0]
+            hits = vec & above
+            while hits:
+                bit = hits & -hits
+                vec ^= reduced[bit.bit_length() - 1]
+                hits ^= bit
+            reduced[low] = vec
+            above |= 1 << low
+        return tuple(reversed(reduced.values()))
 
 
 def _apply_cols(cols: list[int] | tuple[int, ...], x: int) -> int:
@@ -200,15 +222,12 @@ class Tower:
             reduce.append((sh, tab))
         self._reduce: tuple[tuple[int, list[int]], ...] = tuple(reduce)
         self._frob_cache: dict[int, list[int]] = {0: [1 << j for j in range(m)]}
-        self._np_tables: dict[tuple, list[np.ndarray]] = {}
+        self._np_tables: dict[tuple, object] = {}  # per-tower tables, built on first use
 
-        # base subfield inside the big field: fixed points of x -> x^(2^n)
-        fix_cols = [self._frob_cols(n)[j] ^ (1 << j) for j in range(m)]
-        sub_basis = _ColumnSolver(fix_cols).kernel_basis
-        if len(sub_basis) != n:
-            raise AssertionError("subfield dimension mismatch")
-        sub = span(sub_basis)
-        self.subfield: tuple[int, ...] = tuple(int(v) for v in sub)
+        # base subfield inside the big field, as Python ints (6n may exceed 63 bits)
+        sub_basis = self._fixed_field_basis(n)
+        self.subfield: tuple[int, ...] = tuple(
+            sorted(_apply_cols(sub_basis, k) for k in range(1 << n)))
 
         # subfield is sorted, so the first root is the enc-least one
         gamma = next(v for v in self.subfield
@@ -217,7 +236,6 @@ class Tower:
         if sorted(self.embed_base(a) for a in range(1 << n)) != list(self.subfield):
             raise AssertionError("embedding image differs from the fixed field")
         self._project = _ColumnSolver(self._embed_cols)
-        self._subfield_basis = sub_basis
 
     # ------------------------------------------------------------------ core
 
@@ -345,15 +363,19 @@ class Tower:
     def subfield_nonzero(self) -> tuple[int, ...]:
         return self.subfield[1:]
 
-    def subfield_span_array(self, bits: int) -> np.ndarray:
-        """The subfield GF(2^bits) of the big field as a sorted int64 array."""
+    def _fixed_field_basis(self, bits: int) -> tuple[int, ...]:
+        """A GF(2)-basis of the subfield GF(2^bits): the kernel of x^(2^bits) + x."""
         if self.big_degree % bits:
             raise ValueError("not a subfield of the tower's big field")
         fix = [self._frob_cols(bits)[j] ^ (1 << j) for j in range(self.big_degree)]
         basis = _ColumnSolver(fix).kernel_basis
         if len(basis) != bits:
             raise AssertionError("subfield dimension mismatch")
-        return span(basis)
+        return basis
+
+    def subfield_span_array(self, bits: int) -> np.ndarray:
+        """The subfield GF(2^bits) of the big field as a sorted int64 array."""
+        return span(self._fixed_field_basis(bits))
 
     # --------------------------------------------------------- polynomials
 
@@ -464,13 +486,10 @@ class Tower:
 
     def conjugates_vec(self, x: np.ndarray) -> np.ndarray:
         """All 6n Frobenius images at once: row i is x^(2^i)."""
-        key = ("frob_stack",)
-        hit = self._np_tables.get(key)
-        if hit is None:
-            hit = [np.stack([np.stack(self.frob_tables(i))
-                             for i in range(self.big_degree)])]
-            self._np_tables[key] = hit
-        stack = hit[0]  # (6n, bytes, 256)
+        stack = self._np_tables.get(("frob_stack",))  # (6n, bytes, 256)
+        if stack is None:
+            stack = self._np_tables[("frob_stack",)] = np.stack(
+                [np.stack(self.frob_tables(i)) for i in range(self.big_degree)])
         out = stack[:, 0, x & 0xFF]
         for bpos in range(1, stack.shape[1]):
             out ^= stack[:, bpos, (x >> (8 * bpos)) & 0xFF]

@@ -178,6 +178,14 @@ def test_modulus_override_flag(capsys):
     assert obj["orbit_count"] == 8  # the count is basis-independent
 
 
+def test_modulus_exponent_out_of_range_exit_2(capsys):
+    for flag, limit in (("--modulus-base", 5), ("--modulus-big", 30)):
+        code, out, err = run(capsys, "code", "--n", "5", "--alpha", "random",
+                             flag, "99999999999999999999")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and f"0..{limit}" in err
+
+
 def test_bad_workers_exit_2(capsys):
     code, out, err = run(capsys, "census", "--n", "2", "--workers", "0")
     assert code == 2 and out == ""
@@ -191,6 +199,15 @@ def test_roots_refuses_n11(capsys):
         assert code == 3 and out == ""
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert "n <= 10" in err and "64-bit" in err
+
+
+def test_code_and_equiv_refuse_n12(capsys):
+    for argv in (("code", "--n", "12", "--alpha", "random"),
+                 ("equiv", "--n", "12", "--alpha", "random", "--map", "random")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert "n <= 11" in err
 
 
 def test_roots_eq41_n7(capsys):

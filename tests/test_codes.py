@@ -6,7 +6,7 @@ from goppa_orbits.codes import (
     BinaryCode,
     alternant_parity,
     check_extended_equivalence,
-    code_from_parity,
+    code_from_generator,
     code_to_json,
     extend_code,
     extended_goppa_code,
@@ -54,10 +54,10 @@ def test_rref_and_nullspace():
             assert (v & row).bit_count() % 2 == 0
 
 
-def test_code_from_parity_rank_identity():
-    code = code_from_parity([0b1111, 0b0011], 4)
+def test_code_from_generator_rank_identity():
+    code = code_from_generator([0b0011, 0b1100, 0b1111], 4)
     assert code.dimension == 2
-    assert len(code.parity) == 2
+    assert code.parity == (0b0011, 0b1100)
     assert code.contains(code.generator[0])
     assert not code.contains(0b0001)
 

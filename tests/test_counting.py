@@ -1,5 +1,4 @@
 import math
-import random
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from goppa_orbits.counting import (
     fixed_points_for_power,
     global_orbit_census,
     root_count_oracle,
-    solve_artin_schreier_shift,
 )
 
 PRIMES_TO_61 = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
@@ -314,41 +312,3 @@ def test_class_equation_rejects_unfixed_orbit(tower2):
         class_equation_check(tower2, target, 1)
     with pytest.raises(ValueError):
         class_equation_oracle(tower2, target, 1)
-
-
-# ----------------------------------------------------------- shift equations
-
-
-def test_artin_schreier_shift(tower5):
-    assert solve_artin_schreier_shift(tower5, 0) is not None
-    c0 = solve_artin_schreier_shift(tower5, 0)
-    assert tower5.frobenius(c0, 6) ^ c0 == 0
-
-    rng = random.Random(20)
-    # alpha = x + c0 with x of degree 6 fixed by sigma^6 gives b in the base field
-    roots64 = root_count_oracle(tower5, "fixed_field_64")
-    assert roots64.in_degree_six == 54
-    from goppa_orbits.gf2tower import (
-        frobenius_linearized, identity_linearized, linearized_sum,
-        solve_affine_linearized)
-    sols = solve_affine_linearized(
-        linearized_sum(frobenius_linearized(tower5, 6),
-                       identity_linearized(30)), 0)
-    deg6_fixed = [int(v) for v in sols if tower5.is_degree_six(int(v))]
-    assert len(deg6_fixed) == 54
-    for _ in range(10):
-        x = rng.choice(deg6_fixed)
-        c0 = tower5.embed_base(rng.getrandbits(5))
-        alpha = x ^ c0
-        b = tower5.frobenius(alpha, 6) ^ alpha
-        assert tower5.frobenius(b, 5) == b  # lands in the base field
-        c = solve_artin_schreier_shift(tower5, b)
-        assert c is not None
-        shifted = alpha ^ c
-        assert tower5.frobenius(shifted, 6) == shifted
-
-    # nonzero-trace right-hand sides are unsolvable
-    bad = next(b for b in tower5.subfield if tower5.trace(b, 5, 1) == 1)
-    assert solve_artin_schreier_shift(tower5, bad) is None
-    with pytest.raises(ValueError):
-        solve_artin_schreier_shift(tower5, 2)  # x is not in the base field

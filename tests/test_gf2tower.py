@@ -24,6 +24,15 @@ def test_construction_rejects_small_and_huge_n():
         make_tower(17)
 
 
+def test_tower_above_63_bits_builds():
+    # 6n = 72: the subfield is enumerated as Python ints, not int64
+    ctx = make_tower(12)
+    assert len(ctx.subfield) == 1 << 12 and list(ctx.subfield) == sorted(ctx.subfield)
+    a = ctx.subfield[-1]
+    assert ctx.embed_base(ctx.to_base(a)) == a
+    assert ctx.mul(a, ctx.inv(a)) == 1 and ctx.frobenius(a, 12) == a
+
+
 def test_deterministic_moduli(tower5):
     again = make_tower(5)
     assert again.modulus_base == tower5.modulus_base
