@@ -73,24 +73,6 @@ def _resolve_alpha(ctx: Tower, text: str, seed: int | None) -> int:
     return alpha
 
 
-def _cycles(perm: tuple[int, ...]) -> str:
-    seen: set[int] = set()
-    out = []
-    for start in range(len(perm)):
-        if start in seen or perm[start] == start:
-            seen.add(start)
-            continue
-        cyc = [start]
-        seen.add(start)
-        k = perm[start]
-        while k != start:
-            cyc.append(k)
-            seen.add(k)
-            k = perm[k]
-        out.append("(" + " ".join(map(str, cyc)) + ")")
-    return "".join(out) if out else "()"
-
-
 # ------------------------------------------------------------------ commands
 
 
@@ -136,10 +118,11 @@ def cmd_census(args) -> int:
         "orbit_size_histogram": {str(s): c for s, c in census.orbit_sizes},
         "elements_visited": census.elements_visited,
         "orbits": [
-            {"rep": ctx.to_hex(rep), "pgl_orbits": t, "size": size}
-            for rep, t, size in census.records
+            {"rep": ctx.to_hex(r.rep), "pgl_orbits": r.pgl_orbits,
+             "size": r.pgl_orbits * census.pgl_orbit_size}
+            for r in census.records
         ],
-        "workers": census.workers,
+        "workers": args.workers,
         "elapsed_ms": round(census.elapsed_ms, 3),
         "bound": bound,
         "match": match,
@@ -149,7 +132,7 @@ def cmd_census(args) -> int:
         f"{census.elements_visited} degree-6 elements{note}",
         f"linear orbits: {census.pgl_orbit_count}; histogram (size: count): "
         + ", ".join(f"{s}: {c}" for s, c in census.orbit_sizes),
-        f"workers = {census.workers}, elapsed {census.elapsed_ms / 1e3:.1f} s",
+        f"workers = {args.workers}, elapsed {census.elapsed_ms / 1e3:.1f} s",
     ]
     if bound is not None:
         lines.append(f"bound = {bound}: {'MATCH' if match else 'MISMATCH'}")
@@ -277,12 +260,15 @@ def cmd_equiv(args) -> int:
     else:
         semimap = mobius.parse_map(ctx, args.map)
     report = codes.check_extended_equivalence(ctx, alpha, semimap)
+    cycles = "".join("(" + " ".join(map(str, c)) + ")"
+                     for c in counting.permutation_cycles(report.permutation)
+                     if len(c) > 1)
     obj = {
         "n": args.n,
         "alpha_hex": ctx.to_hex(report.alpha),
         "beta_hex": ctx.to_hex(report.beta),
         "map": mobius.format_map(ctx, semimap),
-        "permutation_cycles": _cycles(report.permutation),
+        "permutation_cycles": cycles or "()",
         "verified": report.verified,
         "weight_enumerator_alpha": (None if report.weights_alpha is None
                                     else list(report.weights_alpha)),
@@ -332,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, workers=True)
     p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("fixed", help="fixed-orbit counts per Frobenius power")
+    p = sub.add_parser("fixed", help="fixed-orbit counts per Frobenius power "
+                                     f"(oracle n <= {counting.MAX_SWEEP_N})")
     _add_common(p)
     p.add_argument("--d", type=int, help="Frobenius power")
     p.add_argument("--table", action="store_true",
@@ -341,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest n for --table")
     p.set_defaults(func=cmd_fixed)
 
-    p = sub.add_parser("roots", help="root-count oracles for the named equations")
+    p = sub.add_parser("roots", help="root-count oracles for the named equations "
+                                     "(n <= 10; eq_41 n <= 8, eq_3n n <= 7)")
     _add_common(p)
     p.add_argument("--which", required=True, choices=counting.ROOT_EQUATIONS)
     p.set_defaults(func=cmd_roots)

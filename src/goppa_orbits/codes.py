@@ -173,9 +173,8 @@ def eval_at_point(ctx: Tower, coeffs: tuple[int, ...], pt: int) -> int:
 
 def goppa_code(ctx: Tower, alpha: int) -> BinaryCode:
     """The binary code of alpha on the canonical full support."""
-    inst = goppa_instance(ctx, alpha)
-    return subfield_subcode(
-        ctx, goppa_parity(ctx, alpha, list(inst.support)), len(inst.support))
+    support = list(ctx.subfield)
+    return subfield_subcode(ctx, goppa_parity(ctx, alpha, support), len(support))
 
 
 def extended_goppa_code(ctx: Tower, alpha: int) -> BinaryCode:
@@ -238,13 +237,11 @@ def induced_permutation(ctx: Tower, m: SemiLinearMap,
 
 def permute_columns(rows: tuple[int, ...], perm: tuple[int, ...]) -> list[int]:
     """Rows of y with y_j = x_perm[j] for each row x."""
+    width = len(perm)
     out = []
     for x in rows:
-        y = 0
-        for j, pj in enumerate(perm):
-            if (x >> pj) & 1:
-                y |= 1 << j
-        out.append(y)
+        bits = format(x, f"0{width}b")[::-1]  # bits[j] = bit j of x
+        out.append(int("".join(bits[pj] for pj in reversed(perm)) or "0", 2))
     return out
 
 

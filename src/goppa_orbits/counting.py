@@ -8,9 +8,11 @@ oracle enumerate orbits affine class by affine class over a visited bit array
 indexed by the points of P^4(GF(2^n)), and the class equations read the
 Frobenius action on an orbit's 2^n + 1 affine classes off the same index; the
 root-count oracles solve GF(2)-linear systems, or, for the multiplicative
-equation eq_41, take gcds of GF(2) polynomials. The sweeps are feasible
-through n = 5, eq_41 through n = 8 and the linear solvers through n = 10
-(64-bit elements); larger n is refused with a cost estimate rather than
+equation eq_41, take gcds of GF(2) polynomials. Each orbit is represented by
+an element of its least class rank, the class the sweep claims for it. The
+sweeps are feasible through n = 5, eq_41 through n = 8 and the linear solvers
+through n = 10 (64-bit elements; eq_3n through n = 7, where its 2^(3n) roots
+are enumerated); larger n is refused with a cost estimate rather than
 attempted.
 """
 
@@ -19,7 +21,9 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +49,6 @@ __all__ = [
     "burnside_numerator",
     "burnside_decomposition",
     "burnside_bound",
-    "SweepResult",
     "OrbitCensus",
     "global_orbit_census",
     "fixed_point_oracle",
@@ -54,6 +57,7 @@ __all__ = [
     "RootCounts",
     "root_count_oracle",
     "class_equation_check",
+    "permutation_cycles",
     "MAX_SWEEP_N",
 ]
 
@@ -160,16 +164,8 @@ _WORD_FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def _mark_bits(words: np.ndarray, idx: np.ndarray) -> None:
-    """Set bits idx in the packed array; converges under in-word collisions."""
-    w = idx >> 6
-    b = np.uint64(1) << (idx & np.int64(63)).astype(np.uint64)
-    while True:
-        words[w] |= b
-        miss = (words[w] & b) == 0
-        if not miss.any():
-            return
-        w = w[miss]
-        b = b[miss]
+    """Set bits idx in the packed array; unbuffered, so in-word collisions add up."""
+    np.bitwise_or.at(words, idx >> 6, np.uint64(1) << (idx & 63).astype(np.uint64))
 
 
 def _next_unvisited(words: np.ndarray, start_word: int) -> tuple[int, int | None]:
@@ -196,10 +192,11 @@ def _any_bit(words: np.ndarray, idx: np.ndarray) -> bool:
 
 def _sweep_cost_check(n: int) -> None:
     if n > MAX_SWEEP_N:
+        q = 1 << n
         raise InfeasibleError(
-            f"n={n}: the least-encoding orbit representatives cost about "
-            f"2^{5 * n} element visits; the census and fixed-point oracle "
-            f"are limited to n <= {MAX_SWEEP_N}")
+            f"n={n}: the census and fixed-point oracle sweep the "
+            f"{(q ** 5 - 1) // (q - 1)} classes of P^4(GF(2^{n})); they are "
+            f"limited to n <= {MAX_SWEEP_N}")
 
 
 # ------------------------------------------------------------ affine classes
@@ -224,7 +221,6 @@ class _ClassIndex:
     from_coords: tuple[int, ...]  # columns: coordinate bit -> element
     div: np.ndarray  # div[a, c] = c / a in GF(q) on base encodings; div[a, 0] = 0
     offsets: np.ndarray  # rank of the first point with leading index l
-    least_tabs: tuple[list[np.ndarray], ...]  # x -> least of gamma_k*x + GF(q)
 
     def classes(self, x: np.ndarray) -> np.ndarray:
         """Class rank of each element; x must avoid GF(q)."""
@@ -242,19 +238,6 @@ class _ClassIndex:
         lead = int(np.searchsorted(self.offsets, rank, side="right")) - 1
         point = (1 << lead * self.n) + rank - int(self.offsets[lead])
         return _apply_cols(self.from_coords, point << self.n)
-
-    def least_element(self, x: np.ndarray) -> int:
-        """Least encoding in the union of the classes of the elements x.
-
-        x -> least element of x + GF(q) is GF(2)-linear (reduction by an
-        echelon basis of GF(q)), so the least element of {e*beta + f} is the
-        least nonzero combination of the n images of gamma_k * beta.
-        """
-        combos = np.zeros((x.size, 1), dtype=np.int64)
-        for tabs in self.least_tabs:
-            w = Tower.apply_tables(tabs, x)
-            combos = np.concatenate([combos, combos ^ w[:, None]], axis=1)
-        return int(combos[:, 1:].min())
 
 
 def _class_index(ctx: Tower) -> _ClassIndex:
@@ -285,11 +268,6 @@ def _class_index(ctx: Tower) -> _ClassIndex:
     log[exp] = np.arange(q - 1)
     div = np.array(exp, dtype=np.int64)[(log[None, :] - log[:, None]) % (q - 1)]
     div[:, 0] = 0
-
-    sub = np.array(ctx.subfield, dtype=np.int64)
-    least_tabs = tuple(
-        ctx._byte_tables([int((sub ^ ctx.mul(g, 1 << j)).min()) for j in range(m)])
-        for g in gammas)
     index = ctx._np_tables[("class_index",)] = _ClassIndex(
         n=n,
         count=(q ** 5 - 1) // (q - 1),
@@ -297,7 +275,6 @@ def _class_index(ctx: Tower) -> _ClassIndex:
         from_coords=from_coords,
         div=div,
         offsets=np.array([(q ** l - 1) // (q - 1) for l in range(5)], dtype=np.int64),
-        least_tabs=least_tabs,
     )
     return index
 
@@ -305,9 +282,8 @@ def _class_index(ctx: Tower) -> _ClassIndex:
 # ------------------------------------------------------------------ the sweep
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One semi-linear orbit: least element, linear-orbit count, fixed-power mask."""
+class SweepRecord(NamedTuple):
+    """One semi-linear orbit: representative, linear-orbit count, fixed-power mask."""
 
     rep: int
     pgl_orbits: int
@@ -315,29 +291,43 @@ class SweepRecord:
 
 
 @dataclass(frozen=True)
-class SweepResult:
+class OrbitCensus:
+    """Census of semi-linear orbits on the degree-6 set, in ascending class
+    rank of the representatives."""
+
     n: int
     records: tuple[SweepRecord, ...]
     pgl_orbit_size: int
     pgl_orbit_count: int
     elements_visited: int
-    workers: int
     elapsed_ms: float
 
+    @property
+    def orbit_count(self) -> int:
+        return len(self.records)
 
-def _run_sweep(ctx: Tower) -> SweepResult:
+    @property
+    def orbit_sizes(self) -> tuple[tuple[int, int], ...]:
+        """(size, multiplicity) pairs, ascending by size."""
+        hist = Counter(r.pgl_orbits * self.pgl_orbit_size for r in self.records)
+        return tuple(sorted(hist.items()))
+
+
+def _run_sweep(ctx: Tower) -> OrbitCensus:
     """Enumerate every semi-linear orbit on the degree-6 set, by affine class.
 
     Each linear orbit is the disjoint union of 2^n + 1 affine classes, and
     Frobenius maps classes to classes, so the visited array has one bit per
     point of P^4(GF(q)); the q + 2 classes inside GF(q^2) and GF(q^3) are
-    marked first. Each claimed class yields a linear orbit through its
-    affine-suborbit representatives; the other member orbits are its
-    Frobenius images, deduplicated by the first power t with sigma^t(alpha)
-    back in the base orbit. Fixed-power flags come from class membership
-    tests and are cross-checked against the cyclic structure (power p fixes
-    the orbit iff t divides p). Records are sorted by their least element.
-    Runs in one thread.
+    marked first. Each claimed class is the first unvisited one, hence the
+    least class rank of its orbit, and its element index.element(claimed)
+    is the orbit's representative; records come out in ascending class rank.
+    The claimed class yields a linear orbit through its affine-suborbit
+    representatives; the other member orbits are its Frobenius images,
+    deduplicated by the first power t with sigma^t(alpha) back in the base
+    orbit. Fixed-power flags come from class membership tests and are
+    cross-checked against the cyclic structure (power p fixes the orbit iff
+    t divides p). Runs in one thread.
     """
     n, m = ctx.n, ctx.big_degree
     _sweep_cost_check(n)
@@ -373,9 +363,10 @@ def _run_sweep(ctx: Tower) -> SweepResult:
         members = classes[:t].reshape(-1)
         if np.unique(members).size != members.size or _any_bit(words, members):
             raise ConsistencyError("claimed orbit overlaps a visited class")
+        if int(members.min()) != claimed:
+            raise ConsistencyError("claimed class is not the least class of its orbit")
         _mark_bits(words, members)
-        records.append(SweepRecord(rep=index.least_element(images[:t].reshape(-1)),
-                                   pgl_orbits=t, fixed_mask=fixed_mask))
+        records.append(SweepRecord(rep=alpha, pgl_orbits=t, fixed_mask=fixed_mask))
 
     if int(np.bitwise_count(words).sum()) != words.size << 6:
         raise ConsistencyError("sweep terminated with unvisited classes")
@@ -388,22 +379,20 @@ def _run_sweep(ctx: Tower) -> SweepResult:
     if pgl_orbit_count * orbit_size != s_size:
         raise ConsistencyError(
             f"orbit sizes sum to {pgl_orbit_count * orbit_size}, expected |S| = {s_size}")
-    records.sort(key=lambda r: r.rep)
-    return SweepResult(
+    return OrbitCensus(
         n=n,
         records=tuple(records),
         pgl_orbit_size=orbit_size,
         pgl_orbit_count=pgl_orbit_count,
         elements_visited=s_size,
-        workers=1,
         elapsed_ms=(time.perf_counter() - start) * 1e3,
     )
 
 
-_SWEEPS: dict[tuple[int, int, int], SweepResult] = {}
+_SWEEPS: dict[tuple[int, int, int], OrbitCensus] = {}
 
 
-def _sweep(ctx: Tower, fresh: bool = False) -> SweepResult:
+def _sweep(ctx: Tower, fresh: bool = False) -> OrbitCensus:
     """The sweep of one tower, cached by (n, modulus_base, modulus_big).
 
     The only reader and writer of the cache; fresh=True recomputes and
@@ -418,44 +407,16 @@ def _sweep(ctx: Tower, fresh: bool = False) -> SweepResult:
 # ---------------------------------------------------------------- the census
 
 
-@dataclass(frozen=True)
-class OrbitCensus:
-    """Census of semi-linear orbits on the degree-6 set."""
-
-    n: int
-    orbit_count: int
-    orbit_sizes: tuple[tuple[int, int], ...]  # (size, multiplicity), ascending
-    elements_visited: int
-    pgl_orbit_count: int
-    records: tuple[tuple[int, int, int], ...]  # (rep, pgl_orbits, size)
-    workers: int
-    elapsed_ms: float
-
-
 def global_orbit_census(ctx: Tower, workers: int = 1) -> OrbitCensus:
     """Run a full sweep and tabulate the semi-linear orbits.
 
     Always recomputes, and the fresh result refills the sweep cache used by
     the fixed-point oracle. The sweep runs in one thread; workers is
-    validated and echoed only.
+    validated only.
     """
     if workers < 1:
         raise ValueError("workers must be positive")
-    sweep = _sweep(ctx, fresh=True)
-    size = sweep.pgl_orbit_size
-    records = tuple(
-        (r.rep, r.pgl_orbits, r.pgl_orbits * size) for r in sweep.records)
-    hist = Counter(r[2] for r in records)
-    return OrbitCensus(
-        n=sweep.n,
-        orbit_count=len(records),
-        orbit_sizes=tuple(sorted(hist.items())),
-        elements_visited=sweep.elements_visited,
-        pgl_orbit_count=sweep.pgl_orbit_count,
-        records=records,
-        workers=workers,
-        elapsed_ms=sweep.elapsed_ms,
-    )
+    return _sweep(ctx, fresh=True)
 
 
 def fixed_point_oracle(n: int, d: int, ctx: Tower) -> int:
@@ -478,7 +439,8 @@ def fixed_point_oracle(n: int, d: int, ctx: Tower) -> int:
 
 def fixed_orbit_representatives(ctx: Tower, d: int,
                                 limit: int | None = None) -> list[int]:
-    """Least members of orbit classes fixed setwise by the d-th Frobenius power."""
+    """Census representatives of the orbits fixed setwise by the d-th
+    Frobenius power, in ascending class rank."""
     sweep = _sweep(ctx)
     d_red = d % (6 * ctx.n)
     if d_red == 0:
@@ -554,7 +516,8 @@ def root_count_oracle(ctx: Tower, which: str) -> RootCounts:
     kernel_dim = len(_ColumnSolver(list(lmap.cols)).kernel_basis)
     if kernel_dim > 22:
         raise InfeasibleError(
-            f"solution space 2^{kernel_dim} too large to enumerate")
+            f"n={ctx.n}: solution space 2^{kernel_dim} too large to enumerate; "
+            "eq_3n is limited to n <= 7")
     sols = solve_affine_linearized(lmap, rhs)
     return _classify_roots(ctx, which, sols)
 
@@ -609,21 +572,26 @@ def class_equation_check(ctx: Tower, alpha: int, d: int) -> tuple[int, ...]:
     perm = [position[c] for c in images]
 
     order = (6 * ctx.n) // math.gcd(6 * ctx.n, d)
-    parts = []
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = perm[k]
-            length += 1
-        parts.append(length)
-    parts.sort()
+    parts = sorted(len(cycle) for cycle in permutation_cycles(perm))
     if sum(parts) != (1 << ctx.n) + 1:
         raise ConsistencyError("suborbit cycle type does not cover the partition")
     if any(order % part for part in parts):
         raise ConsistencyError("cycle length does not divide the element order")
     return tuple(parts)
+
+
+def permutation_cycles(perm: Sequence[int]) -> list[tuple[int, ...]]:
+    """Cycles of a permutation of range(len(perm)), fixed points included;
+    each cycle starts from its least point, in order of that point."""
+    seen = [False] * len(perm)
+    cycles = []
+    for start in range(len(perm)):
+        cycle = []
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            cycle.append(k)
+            k = perm[k]
+        if cycle:
+            cycles.append(tuple(cycle))
+    return cycles

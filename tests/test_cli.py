@@ -2,6 +2,7 @@ import json
 
 from goppa_orbits import schema
 from goppa_orbits.cli import main
+from goppa_orbits.gf2tower import Tower
 
 
 def run(capsys, *argv):
@@ -60,7 +61,8 @@ def test_census_worker_independence(capsys):
 def test_census_refuses_n7(capsys):
     code, _, err = run(capsys, "census", "--n", "7")
     assert code == 3
-    assert "2^35 element visits" in err
+    assert len(err.splitlines()) == 1
+    assert "n=7" in err and "270549121 classes" in err and "n <= 5" in err
 
 
 def test_fixed_reports_skipped_oracle(capsys):
@@ -225,3 +227,40 @@ def test_roots_eq41_refuses_n9(capsys):
     assert code == 3 and out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert "n <= 8" in err and "262145" in err
+
+
+def test_roots_eq3n_refuses_n8(capsys):
+    code, out, err = run(capsys, "roots", "--n", "8", "--which", "eq_3n")
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "n=8:" in err and "2^24" in err and "n <= 7" in err
+
+
+def test_roots_at_largest_accepted_n(capsys):
+    # n = 10 is not prime, so there is no closed form to match against
+    code, obj, _ = run_json(capsys, "roots", "roots", "--n", "10", "--which",
+                            "eq_deg8", "--json")
+    assert code == 0
+    assert (obj["total"], obj["in_degree_six"], obj["match"]) == (8, 0, None)
+    code, obj, _ = run_json(capsys, "roots", "roots", "--n", "7", "--which",
+                            "eq_3n", "--json")
+    assert code == 0
+    assert obj["in_degree_six"] == obj["expected_in_degree_six"] == (1 << 21) - (1 << 7)
+    assert obj["match"] is True
+
+
+def test_minimal_polynomial_calls(capsys, monkeypatch):
+    calls = []
+    inner = Tower.minimal_polynomial
+
+    def counted(self, alpha):
+        calls.append(alpha)
+        return inner(self, alpha)
+
+    monkeypatch.setattr(Tower, "minimal_polynomial", counted)
+    code, _, _ = run(capsys, "code", "--n", "5", "--alpha", "random", "--seed", "0")
+    assert code == 0 and len(calls) == 1
+    calls.clear()
+    code, _, _ = run(capsys, "equiv", "--n", "5", "--alpha", "random",
+                     "--map", "random", "--seed", "0")
+    assert code == 0 and calls == []

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goppa_orbits.codes import (
     BinaryCode,
@@ -16,6 +18,7 @@ from goppa_orbits.codes import (
     goppa_parity,
     induced_permutation,
     nullspace,
+    permute_columns,
     rref,
     subfield_subcode,
     transform_polynomial,
@@ -275,3 +278,12 @@ def test_code_json_schema(tower5):
     assert len(obj["alpha_hex"]) == 8
     assert len(obj["g_coeffs"]) == 7
     assert sum(obj["weight_enumerator"]) == 1 << obj["dimension"]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 40).flatmap(lambda w: st.tuples(
+    st.permutations(range(w)), st.lists(st.integers(0, (1 << w) - 1), max_size=6))))
+def test_permute_columns_moves_bit_perm_j_to_j(case):
+    perm, rows = case
+    out = permute_columns(tuple(rows), tuple(perm))
+    assert out == [sum(((x >> pj) & 1) << j for j, pj in enumerate(perm)) for x in rows]

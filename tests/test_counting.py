@@ -103,18 +103,25 @@ def test_census_deterministic_across_workers(tower2):
         global_orbit_census(tower2, workers=0)
 
 
-def test_census_reps_are_class_minima(tower2):
-    c = global_orbit_census(tower2, workers=1)
-    reps = [rep for rep, _, _ in c.records]
-    assert reps == sorted(reps)
-    rep0 = reps[0]
-    assert canonical_orbit_rep(tower2, rep0, "PGammaL") == rep0
+def test_census_reps_are_least_class_ranks(tower2, tower3):
+    for ctx in (tower2, tower3):
+        index = counting._class_index(ctx)
+        reps = [rep for rep, _, _ in global_orbit_census(ctx).records]
+        ranks = index.classes(np.array(reps, dtype=np.int64))
+        assert (np.diff(ranks) > 0).all()
+        for rep, rank in zip(reps, ranks.tolist()):
+            base = mobius.pgl_orbit_array(ctx, rep)
+            orbit = np.concatenate(
+                [ctx.frobenius_vec(base, i) for i in range(ctx.big_degree)])
+            assert int(index.classes(orbit).min()) == rank
+        least = {canonical_orbit_rep(ctx, rep, "PGammaL") for rep in reps}
+        assert len(least) == len(reps)
 
 
 def test_sweep_refuses_large_n():
     with pytest.raises(InfeasibleError) as err:
         counting._sweep_cost_check(7)
-    assert "2^35 element visits" in str(err.value)
+    assert "270549121 classes" in str(err.value)
     with pytest.raises(InfeasibleError):
         fixed_point_oracle(7, 1, make_tower(7))
 
@@ -149,8 +156,8 @@ def brute_force_records(ctx):
 @pytest.mark.parametrize("n", [2, 3])
 def test_class_census_matches_element_brute_force(n):
     ctx = make_tower(n)
-    got = [(r.rep, r.pgl_orbits, r.fixed_mask)
-           for r in counting._run_sweep(ctx).records]
+    got = sorted((canonical_orbit_rep(ctx, r.rep, "PGammaL"), r.pgl_orbits, r.fixed_mask)
+                 for r in counting._run_sweep(ctx).records)
     assert got == brute_force_records(ctx)
 
 
