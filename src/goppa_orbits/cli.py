@@ -22,8 +22,8 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 
-# code --n 11 --extended takes about 0.7 s (2 vCPU); at n = 12 building the
-# extended code alone takes about 3 s and its report holds 4024 rows of 4097 bits
+# the limit is the report size, not the build time: at n = 12 the extended code
+# builds in about 0.3 s (2 vCPU), but its report holds 4024 rows of 4097 bits
 MAX_CODE_N = 11
 
 

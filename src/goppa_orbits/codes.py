@@ -4,6 +4,9 @@ Binary matrices are lists of int bitmasks (bit j = column j), the usual
 GF(2) idiom: row reduction is XOR, parity checks are popcounts. Codes are
 stored with both a generator and a parity basis in reduced row echelon form,
 so code equality is structural equality of the canonical generator rows.
+A subfield subcode is the kernel of its binary parity columns, which
+`_ColumnSolver` hands back already reduced, so `rref` on it finds every
+pivot without a single row reduction.
 """
 
 from __future__ import annotations

@@ -33,9 +33,6 @@ from .gf2tower import (
     Tower,
     _apply_cols,
     _ColumnSolver,
-    frobenius_linearized,
-    identity_linearized,
-    linearized_sum,
     solve_affine_linearized,
 )
 
@@ -479,26 +476,12 @@ def _classify_roots(ctx: Tower, which: str, sols: np.ndarray) -> RootCounts:
     )
 
 
-def _affine_equation_map(ctx: Tower, which: str) -> tuple[LinearizedMap, int]:
-    n, m = ctx.n, ctx.big_degree
-    ident = identity_linearized(m)
-    if which == "eq_3n":
-        return linearized_sum(frobenius_linearized(ctx, 3 * n), ident), 1
-    if which == "eq_2n_affine":
-        return linearized_sum(frobenius_linearized(ctx, 2 * n), ident), 1
-    if which == "eq_deg8":
-        return linearized_sum(frobenius_linearized(ctx, 3), ident), 1
-    if which == "fixed_field_64":
-        return linearized_sum(frobenius_linearized(ctx, 6), ident), 0
-    raise ValueError(f"unknown equation {which!r}")
-
-
 def root_count_oracle(ctx: Tower, which: str) -> RootCounts:
     """Count roots of one of the named equations, splitting by subfield.
 
-    The affine-linearized equations are solved exactly by GF(2) linear
-    algebra (n <= 10); eq_41 is counted by polynomial gcds over GF(2)
-    (n <= 8).
+    The affine-linearized equations, each x^(2^k) + x = rhs, are solved
+    exactly by one GF(2) elimination (n <= 10); eq_41 is counted by
+    polynomial gcds over GF(2) (n <= 8).
     """
     if which not in ROOT_EQUATIONS:
         raise ValueError(f"unknown equation {which!r}; choose from {ROOT_EQUATIONS}")
@@ -512,13 +495,18 @@ def root_count_oracle(ctx: Tower, which: str) -> RootCounts:
                 f"n={ctx.n}: eq_41 takes gcds of degree-{(1 << 2 * ctx.n) + 1} "
                 "polynomials over GF(2); it is limited to n <= 8")
         return _eq41_counts(ctx.n)
-    lmap, rhs = _affine_equation_map(ctx, which)
-    kernel_dim = len(_ColumnSolver(list(lmap.cols)).kernel_basis)
+    n = ctx.n
+    k, rhs = {"eq_3n": (3 * n, 1), "eq_2n_affine": (2 * n, 1),
+              "eq_deg8": (3, 1), "fixed_field_64": (6, 0)}[which]
+    kernel_dim = math.gcd(k, ctx.big_degree)  # the kernel is GF(2^gcd(k, 6n))
     if kernel_dim > 22:
         raise InfeasibleError(
             f"n={ctx.n}: solution space 2^{kernel_dim} too large to enumerate; "
             "eq_3n is limited to n <= 7")
-    sols = solve_affine_linearized(lmap, rhs)
+    sols = solve_affine_linearized(LinearizedMap(ctx._frob_plus_id_cols(k)), rhs)
+    if sols.size not in (0, 1 << kernel_dim):
+        raise ConsistencyError(
+            f"{which}: {sols.size} solutions, not 0 or 2^{kernel_dim}")
     return _classify_roots(ctx, which, sols)
 
 

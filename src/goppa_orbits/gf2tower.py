@@ -24,9 +24,11 @@ The scalar kernel:
 
 Linear algebra over GF(2) has one elimination, `_ColumnSolver`: it reduces
 int-bitmask vectors at their least set bits and keeps the input combination
-behind each pivot. Its kernel gives the subfields and the solution sets of
-linearized equations, `solve` inverts GF(2)-linear maps, and its `rref` is
-`codes.rref`, on which every binary code is built.
+behind each pivot. Walking the inputs from last to first makes its kernel
+basis come out in reduced row echelon form. That kernel gives the subfields
+(of the columns of x -> x^(2^k) + x, `_frob_plus_id_cols`), the solution sets
+of linearized equations and every binary code; `solve` inverts GF(2)-linear
+maps, and its `rref` is `codes.rref`.
 """
 
 from __future__ import annotations
@@ -41,10 +43,6 @@ __all__ = [
     "Tower",
     "make_tower",
     "LinearizedMap",
-    "identity_linearized",
-    "frobenius_linearized",
-    "linearized_sum",
-    "compose_linearized",
     "solve_affine_linearized",
     "span",
 ]
@@ -55,13 +53,20 @@ _MAX_N = 16  # subfield enumeration builds 2^n elements; keep construction desk-
 class _ColumnSolver:
     """The package's one GF(2) elimination: pivots at least set bits, each with
     the combination of inputs (bit j = input j) it came from; inputs that
-    reduce to zero give the kernel."""
+    reduce to zero give the kernel.
 
-    def __init__(self, vecs: list[int]):
+    Inputs are walked from last to first, so a dependent input j reduces
+    against pivots that all came from inputs after j, and its kernel vector is
+    e_j plus pivot inputs above j. No pivot input is ever a kernel vector's
+    least bit, so `kernel_basis`, by ascending least bit, is the unique
+    reduced row echelon form of the kernel: the tuple `codes.rref` returns.
+    """
+
+    def __init__(self, vecs: list[int] | tuple[int, ...]):
         self._pivots: dict[int, tuple[int, int]] = {}  # least bit -> (vec, combo)
         kernel = []
-        for j, vec in enumerate(vecs):
-            combo = 1 << j
+        for j in range(len(vecs) - 1, -1, -1):
+            vec, combo = vecs[j], 1 << j
             while vec:
                 low = (vec & -vec).bit_length() - 1
                 hit = self._pivots.get(low)
@@ -72,7 +77,7 @@ class _ColumnSolver:
                 combo ^= hit[1]
             else:
                 kernel.append(combo)
-        self.kernel_basis: tuple[int, ...] = tuple(kernel)
+        self.kernel_basis: tuple[int, ...] = tuple(reversed(kernel))
 
     def solve(self, target: int) -> int | None:
         """A combination x of the inputs summing to target, or None outside the span."""
@@ -134,33 +139,6 @@ class LinearizedMap:
 
     def apply(self, x: int) -> int:
         return _apply_cols(self.cols, x) ^ self.offset
-
-
-def identity_linearized(width: int) -> LinearizedMap:
-    return LinearizedMap(tuple(1 << j for j in range(width)))
-
-
-def frobenius_linearized(ctx: Tower, i: int) -> LinearizedMap:
-    """The map x -> x^(2^i) as a bit matrix."""
-    return LinearizedMap(tuple(ctx._frob_cols(i)))
-
-
-def linearized_sum(*maps: LinearizedMap) -> LinearizedMap:
-    width = len(maps[0].cols)
-    cols = [0] * width
-    offset = 0
-    for m in maps:
-        if len(m.cols) != width:
-            raise ValueError("mismatched map widths")
-        for j in range(width):
-            cols[j] ^= m.cols[j]
-        offset ^= m.offset
-    return LinearizedMap(tuple(cols), offset)
-
-
-def compose_linearized(f: LinearizedMap, g: LinearizedMap) -> LinearizedMap:
-    cols = tuple(_apply_cols(f.cols, c) for c in g.cols)
-    return LinearizedMap(cols, _apply_cols(f.cols, g.offset) ^ f.offset)
 
 
 def solve_affine_linearized(lmap: LinearizedMap, b: int) -> np.ndarray:
@@ -229,9 +207,11 @@ class Tower:
         self.subfield: tuple[int, ...] = tuple(
             sorted(_apply_cols(sub_basis, k) for k in range(1 << n)))
 
-        # subfield is sorted, so the first root is the enc-least one
+        # subfield is sorted, so the first root is the enc-least one; the bits
+        # of modulus_base are its coefficients, as encodings of 0 and 1
+        base_coeffs = [(modulus_base >> k) & 1 for k in range(n + 1)]
         gamma = next(v for v in self.subfield
-                     if v and self._eval_gf2_poly(modulus_base, v) == 0)
+                     if v and self.eval_poly(base_coeffs, v) == 0)
         self._embed_cols = [self.pow(gamma, i) for i in range(n)]
         if sorted(self.embed_base(a) for a in range(1 << n)) != list(self.subfield):
             raise AssertionError("embedding image differs from the fixed field")
@@ -363,12 +343,15 @@ class Tower:
     def subfield_nonzero(self) -> tuple[int, ...]:
         return self.subfield[1:]
 
+    def _frob_plus_id_cols(self, k: int) -> tuple[int, ...]:
+        """Columns of x -> x^(2^k) + x, whose kernel is GF(2^gcd(k, 6n))."""
+        return tuple(c ^ (1 << j) for j, c in enumerate(self._frob_cols(k)))
+
     def _fixed_field_basis(self, bits: int) -> tuple[int, ...]:
         """A GF(2)-basis of the subfield GF(2^bits): the kernel of x^(2^bits) + x."""
         if self.big_degree % bits:
             raise ValueError("not a subfield of the tower's big field")
-        fix = [self._frob_cols(bits)[j] ^ (1 << j) for j in range(self.big_degree)]
-        basis = _ColumnSolver(fix).kernel_basis
+        basis = _ColumnSolver(self._frob_plus_id_cols(bits)).kernel_basis
         if len(basis) != bits:
             raise AssertionError("subfield dimension mismatch")
         return basis
@@ -378,16 +361,6 @@ class Tower:
         return span(self._fixed_field_basis(bits))
 
     # --------------------------------------------------------- polynomials
-
-    def _eval_gf2_poly(self, p: int, x: int) -> int:
-        """Evaluate a GF(2)-coefficient polynomial at a big-field point."""
-        r = 0
-        xp = 1
-        for k in range(gf2poly.degree(p) + 1):
-            if (p >> k) & 1:
-                r ^= xp
-            xp = self.mul(xp, x)
-        return r
 
     def minimal_polynomial(self, alpha: int) -> tuple[int, ...]:
         """Monic minimal polynomial of alpha over GF(2^n).

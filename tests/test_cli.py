@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from goppa_orbits import schema
@@ -210,6 +211,20 @@ def test_code_and_equiv_refuse_n12(capsys):
         assert code == 3 and out == ""
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert "n <= 11" in err
+
+
+def test_code_and_equiv_at_largest_accepted_n(capsys):
+    # sha256 of the full reports; neither report carries a timing field
+    code, out, _ = run(capsys, "code", "--n", "11", "--alpha", "random", "--seed", "0",
+                       "--extended", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "827af3840d4f81606c845ed9b52ceb387421479f741418eaf9d2952913ff3103")
+    code, out, _ = run(capsys, "equiv", "--n", "11", "--alpha", "random", "--map", "random",
+                       "--seed", "1", "--json")
+    assert code == 0 and json.loads(out)["verified"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d2bbded041bc47389ae9d1b2d1cf8f0a141565a389671beb21f443130d562e81")
 
 
 def test_roots_eq41_n7(capsys):

@@ -1,8 +1,9 @@
 """Property tests for the package's one GF(2) elimination.
 
-`gf2tower._ColumnSolver` reduces int-bitmask vectors at their least set bits;
-`codes.rref` and `codes.nullspace` are built on it. Vectors are drawn as up to
-12 rows of up to 20 bits, with duplicates and zero rows allowed.
+`gf2tower._ColumnSolver` reduces int-bitmask vectors at their least set bits
+and hands back its kernel basis in reduced row echelon form; `codes.rref` and
+`codes.nullspace` are built on it. Vectors are drawn as up to 12 rows of up to
+20 bits, with duplicates and zero rows allowed.
 """
 
 from functools import reduce
@@ -80,5 +81,5 @@ def test_kernel_maps_to_zero_with_nullity_dimension(cols):
     kernel = _ColumnSolver(cols).kernel_basis
     assert all(_apply_cols(cols, k) == 0 for k in kernel)
     assert len(kernel) == len(cols) - len(rref(cols))
-    assert len(rref(list(kernel))) == len(kernel)  # independent
+    assert kernel == rref(list(kernel))  # reduced: the unique RREF of the kernel
 
