@@ -102,6 +102,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_census(args) -> int:
+    counting._sweep_cost_check(args.n)
     ctx = _tower(args)
     census = counting.global_orbit_census(ctx, workers=args.workers)
     bound = match = None
@@ -196,6 +197,7 @@ _ROOT_EXPECTED = {
 
 
 def cmd_roots(args) -> int:
+    counting._roots_cost_check(args.n, args.which)
     ctx = _tower(args)
     start = time.perf_counter()
     counts = counting.root_count_oracle(ctx, args.which)
@@ -231,9 +233,8 @@ def cmd_code(args) -> int:
     ctx = _tower(args)
     alpha = _resolve_alpha(ctx, args.alpha, args.seed)
     inst = codes.goppa_instance(ctx, alpha)
-    code = codes.goppa_code(ctx, alpha)
-    if args.extended:
-        code = codes.extend_code(code)
+    code = (codes.extended_goppa_code(ctx, alpha) if args.extended
+            else codes.goppa_code(ctx, alpha))
     obj = codes.code_to_json(ctx, inst, code)
     obj["extended"] = bool(args.extended)
     lines = [

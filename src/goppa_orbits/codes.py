@@ -7,6 +7,9 @@ so code equality is structural equality of the canonical generator rows.
 A subfield subcode is the kernel of its binary parity columns, which
 `_ColumnSolver` hands back already reduced, so `rref` on it finds every
 pivot without a single row reduction.
+
+An extended code is one subfield subcode over a projective support in any
+order, so the equivalence check builds both codes and compares them.
 """
 
 from __future__ import annotations
@@ -125,10 +128,12 @@ def alternant_parity(ctx: Tower, v: list[int], support: list[int],
 
 
 def goppa_parity(ctx: Tower, alpha: int, support: list[int]) -> list[list[int]]:
-    """The single-row parity 1/(alpha - a_j) defining the code of alpha."""
+    """The single-row parity 1/(alpha - a_j) defining the code of alpha, over
+    a projective support: the entry at infinity, at any position, is 0."""
     if not ctx.is_degree_six(alpha):
         raise ValueError("alpha must have degree 6 over the base field")
-    return [ctx.inv_batch([alpha ^ aj for aj in support])]
+    inf = infinity(ctx)
+    return [[0 if aj == inf else ctx.inv(alpha ^ aj) for aj in support]]
 
 
 def subfield_subcode(ctx: Tower, parity_rows: list[list[int]], length: int) -> BinaryCode:
@@ -180,8 +185,16 @@ def goppa_code(ctx: Tower, alpha: int) -> BinaryCode:
     return subfield_subcode(ctx, goppa_parity(ctx, alpha, support), len(support))
 
 
-def extended_goppa_code(ctx: Tower, alpha: int) -> BinaryCode:
-    return extend_code(goppa_code(ctx, alpha))
+def extended_goppa_code(ctx: Tower, alpha: int,
+                        support: list[int] | None = None) -> BinaryCode:
+    """The extended code of alpha over a projective support (by default the
+    subfield, then infinity): the subfield subcode of the row 1/(alpha - a_j),
+    0 at infinity, and the all-ones row."""
+    if support is None:
+        support = [*ctx.subfield, infinity(ctx)]
+    length = len(support)
+    return subfield_subcode(
+        ctx, goppa_parity(ctx, alpha, support) + [[1] * length], length)
 
 
 # ----------------------------------------------------------- transformations
@@ -238,16 +251,6 @@ def induced_permutation(ctx: Tower, m: SemiLinearMap,
     return perm
 
 
-def permute_columns(rows: tuple[int, ...], perm: tuple[int, ...]) -> list[int]:
-    """Rows of y with y_j = x_perm[j] for each row x."""
-    width = len(perm)
-    out = []
-    for x in rows:
-        bits = format(x, f"0{width}b")[::-1]  # bits[j] = bit j of x
-        out.append(int("".join(bits[pj] for pj in reversed(perm)) or "0", 2))
-    return out
-
-
 def weight_enumerator(code: BinaryCode) -> tuple[int, ...]:
     """Codeword counts by Hamming weight, by exhaustive span enumeration."""
     k = code.dimension
@@ -280,26 +283,25 @@ def check_extended_equivalence(ctx: Tower, alpha: int,
     """Verify that the extended codes of alpha and its map image are
     permutation equivalent under the induced support permutation.
 
+    The code of beta is built on the moved support (the map image of alpha's
+    support, point by point), and the verdict is equality of the two codes.
     A False verified flag would falsify the equivalence property this
     package is built around; it is reported rather than raised so callers
-    can surface it loudly. The verdict compares reduced generator matrices;
-    weight enumerators are computed only up to WEIGHT_ENUM_MAX_DIM and are
-    None above it.
+    can surface it loudly. Weight enumerators are computed only up to
+    WEIGHT_ENUM_MAX_DIM and are None above it.
     """
     beta = apply_map(ctx, m, alpha)
-    support = list(ctx.subfield) + [infinity(ctx)]
+    support = [*ctx.subfield, infinity(ctx)]
     perm = induced_permutation(ctx, m, support)
-    code_a = extended_goppa_code(ctx, alpha)
-    code_b = extended_goppa_code(ctx, beta)
-    permuted = rref(permute_columns(code_b.generator, perm))
-    verified = permuted == code_a.generator
+    code_a = extended_goppa_code(ctx, alpha, support)
+    code_b = extended_goppa_code(ctx, beta, [support[p] for p in perm])
     enumerate_weights = code_a.dimension <= WEIGHT_ENUM_MAX_DIM
     return EquivalenceReport(
         alpha=alpha,
         beta=beta,
         map=m,
         permutation=perm,
-        verified=verified,
+        verified=code_a == code_b,
         weights_alpha=weight_enumerator(code_a) if enumerate_weights else None,
         weights_beta=weight_enumerator(code_b) if enumerate_weights else None,
     )

@@ -476,6 +476,24 @@ def _classify_roots(ctx: Tower, which: str, sols: np.ndarray) -> RootCounts:
     )
 
 
+def _roots_cost_check(n: int, which: str) -> None:
+    if which not in ROOT_EQUATIONS:
+        raise ValueError(f"unknown equation {which!r}; choose from {ROOT_EQUATIONS}")
+    if 6 * n > 63:
+        raise InfeasibleError(
+            f"n={n}: the vectorised root paths hold elements of GF(2^{6 * n}) "
+            "in 64-bit integers; they are limited to n <= 10")
+    if which == "eq_41" and n > 8:
+        raise InfeasibleError(
+            f"n={n}: eq_41 takes gcds of degree-{(1 << 2 * n) + 1} "
+            "polynomials over GF(2); it is limited to n <= 8")
+    # eq_3n's kernel is GF(2^3n); the other kernels have at most 2^(2n) <= 2^20 points
+    if which == "eq_3n" and n > 7:
+        raise InfeasibleError(
+            f"n={n}: solution space 2^{3 * n} too large to enumerate; "
+            "eq_3n is limited to n <= 7")
+
+
 def root_count_oracle(ctx: Tower, which: str) -> RootCounts:
     """Count roots of one of the named equations, splitting by subfield.
 
@@ -483,26 +501,13 @@ def root_count_oracle(ctx: Tower, which: str) -> RootCounts:
     exactly by one GF(2) elimination (n <= 10); eq_41 is counted by
     polynomial gcds over GF(2) (n <= 8).
     """
-    if which not in ROOT_EQUATIONS:
-        raise ValueError(f"unknown equation {which!r}; choose from {ROOT_EQUATIONS}")
-    if ctx.big_degree > 63:
-        raise InfeasibleError(
-            f"n={ctx.n}: the vectorised root paths hold elements of GF(2^{ctx.big_degree}) "
-            "in 64-bit integers; they are limited to n <= 10")
+    _roots_cost_check(ctx.n, which)
     if which == "eq_41":
-        if ctx.n > 8:
-            raise InfeasibleError(
-                f"n={ctx.n}: eq_41 takes gcds of degree-{(1 << 2 * ctx.n) + 1} "
-                "polynomials over GF(2); it is limited to n <= 8")
         return _eq41_counts(ctx.n)
     n = ctx.n
     k, rhs = {"eq_3n": (3 * n, 1), "eq_2n_affine": (2 * n, 1),
               "eq_deg8": (3, 1), "fixed_field_64": (6, 0)}[which]
     kernel_dim = math.gcd(k, ctx.big_degree)  # the kernel is GF(2^gcd(k, 6n))
-    if kernel_dim > 22:
-        raise InfeasibleError(
-            f"n={ctx.n}: solution space 2^{kernel_dim} too large to enumerate; "
-            "eq_3n is limited to n <= 7")
     sols = solve_affine_linearized(LinearizedMap(ctx._frob_plus_id_cols(k)), rhs)
     if sols.size not in (0, 1 << kernel_dim):
         raise ConsistencyError(

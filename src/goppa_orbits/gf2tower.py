@@ -250,20 +250,10 @@ class Tower:
         return g1
 
     def inv_batch(self, values: list[int]) -> list[int]:
-        """Invert many elements with one field inversion (prefix-product trick)."""
-        prefix = []
-        acc = 1
-        for v in values:
-            if v == 0:
-                raise ZeroDivisionError("inverse of zero")
-            prefix.append(acc)
-            acc = self.mul(acc, v)
-        inv_acc = self.inv(acc)
-        out = [0] * len(values)
-        for i in range(len(values) - 1, -1, -1):
-            out[i] = self.mul(inv_acc, prefix[i])
-            inv_acc = self.mul(inv_acc, values[i])
-        return out
+        """Invert each element with its own `inv`: at n <= 7 one extended
+        Euclid is cheaper than the three products per element of a
+        prefix-product batch."""
+        return [self.inv(v) for v in values]
 
     def pow(self, x: int, e: int) -> int:
         if e < 0:

@@ -213,6 +213,21 @@ def test_code_and_equiv_refuse_n12(capsys):
         assert "n <= 11" in err
 
 
+def test_census_and_roots_refuse_n17_before_building_a_tower(capsys, monkeypatch):
+    # n = 17 is above the tower's construction cap, so a tower build would exit 2
+    def no_tower(*args, **kwargs):
+        raise AssertionError("tower built before the n check")
+
+    monkeypatch.setattr("goppa_orbits.cli.make_tower", no_tower)
+    for argv, limit in ((("census", "--n", "17"), "n <= 5"),
+                        (("census", "--n", "16"), "n <= 5"),
+                        (("roots", "--n", "17", "--which", "eq_deg8"), "n <= 10")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"infeasible: n={argv[2]}:")
+        assert limit in err
+
+
 def test_code_and_equiv_at_largest_accepted_n(capsys):
     # sha256 of the full reports; neither report carries a timing field
     code, out, _ = run(capsys, "code", "--n", "11", "--alpha", "random", "--seed", "0",
