@@ -9,11 +9,15 @@ indexed by the points of P^4(GF(2^n)), and the class equations read the
 Frobenius action on an orbit's 2^n + 1 affine classes off the same index; the
 root-count oracles solve GF(2)-linear systems, or, for the multiplicative
 equation eq_41, take gcds of GF(2) polynomials. Each orbit is represented by
-an element of its least class rank, the class the sweep claims for it. The
-sweeps are feasible through n = 5, eq_41 through n = 8 and the linear solvers
-through n = 10 (64-bit elements; eq_3n through n = 7, where its 2^(3n) roots
-are enumerated); larger n is refused with a cost estimate rather than
-attempted.
+an element of its least class rank, the class the sweep claims for it. Each
+round of the sweep claims a batch of the least unvisited classes and drops a
+candidate whose orbit an earlier one of the round already holds, so every
+accepted class is still the least of its orbit; the suborbit representatives
+of the whole batch are inverted in one numpy pass (`Tower.inv_vec`). The
+sweeps are limited to n <= 5 (at n = 7 one would take about a minute), eq_41
+to n <= 8 and the linear solvers to n <= 10 (64-bit elements; eq_3n to
+n <= 7, where its 2^(3n) roots are enumerated); larger n is refused with a
+cost estimate rather than attempted.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from . import gf2poly, mobius
 from .gf2tower import (
     LinearizedMap,
     Tower,
-    _apply_cols,
     _ColumnSolver,
     solve_affine_linearized,
 )
@@ -165,26 +168,26 @@ def _mark_bits(words: np.ndarray, idx: np.ndarray) -> None:
     np.bitwise_or.at(words, idx >> 6, np.uint64(1) << (idx & 63).astype(np.uint64))
 
 
-def _next_unvisited(words: np.ndarray, start_word: int) -> tuple[int, int | None]:
-    """First zero bit at or after start_word; returns (word_cursor, index or None)."""
-    w = start_word
-    total = words.size
-    chunk_words = 1 << 14
-    while w < total:
-        chunk = words[w:w + chunk_words]
-        nz = np.flatnonzero(chunk != _WORD_FULL)
-        if nz.size:
-            wi = w + int(nz[0])
-            word = int(words[wi])
-            inv = ~word & 0xFFFFFFFFFFFFFFFF
-            bit = (inv & -inv).bit_length() - 1
-            return wi, (wi << 6) | bit
-        w += chunk_words
-    return total, None
+_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
+_CHUNK_WORDS = 1 << 14
 
 
-def _any_bit(words: np.ndarray, idx: np.ndarray) -> bool:
-    return bool(((words[idx >> 6] >> (idx & 63).astype(np.uint64)) & np.uint64(1)).any())
+def _first_unvisited(words: np.ndarray, start_word: int,
+                     count: int) -> tuple[int, np.ndarray]:
+    """The first `count` zero bits at or after start_word (fewer at the end),
+    ascending, and the word of the first one: every word before it is full."""
+    found, cursor, w = [], words.size, start_word
+    while w < words.size and count:
+        chunk = words[w:w + _CHUNK_WORDS]
+        open_words = np.flatnonzero(chunk != _WORD_FULL)[:count]
+        if open_words.size:
+            cursor = min(cursor, w + int(open_words[0]))
+            word, bit = np.nonzero((chunk[open_words, None] & _BITS) == 0)
+            idx = ((open_words[word] + w) << 6 | bit)[:count]
+            found.append(idx)
+            count -= idx.size
+        w += _CHUNK_WORDS
+    return cursor, np.concatenate(found) if found else np.empty(0, dtype=np.int64)
 
 
 def _sweep_cost_check(n: int) -> None:
@@ -215,26 +218,26 @@ class _ClassIndex:
     n: int
     count: int  # (q^5 - 1) / (q - 1) points
     to_coords: list[np.ndarray]  # byte tables: element -> coordinates
-    from_coords: tuple[int, ...]  # columns: coordinate bit -> element
-    div: np.ndarray  # div[a, c] = c / a in GF(q) on base encodings; div[a, 0] = 0
+    from_coords: list[np.ndarray]  # byte tables: coordinates -> element
+    div: np.ndarray  # div[a * q + c] = c / a in GF(q) on base encodings; div[a * q] = 0
     offsets: np.ndarray  # rank of the first point with leading index l
 
     def classes(self, x: np.ndarray) -> np.ndarray:
-        """Class rank of each element; x must avoid GF(q)."""
-        n = self.n
-        shifts = np.arange(0, 5 * n, n, dtype=np.int64)
+        """Class rank of each element, elementwise; x must avoid GF(q)."""
+        n, mask = self.n, (1 << self.n) - 1
         v = Tower.apply_tables(self.to_coords, x) >> n
         lead = (np.frexp(v.astype(np.float64))[1] - 1) // n  # frexp exponent = bit length
-        coords = (v[:, None] >> shifts) & ((1 << n) - 1)
-        scale = (v >> lead * n) & ((1 << n) - 1)
-        point = np.bitwise_or.reduce(self.div[scale[:, None], coords] << shifts, axis=1)
-        return point - (np.int64(1) << lead * n) + self.offsets[lead]
+        row = ((v >> lead * n) & mask) << n  # div row of the leading coordinate
+        point = self.offsets[lead] - (np.int64(1) << lead * n)
+        for j in range(0, 5 * n, n):
+            point += self.div[row | ((v >> j) & mask)] << j
+        return point
 
-    def element(self, rank: int) -> int:
-        """One element of the class with the given rank."""
-        lead = int(np.searchsorted(self.offsets, rank, side="right")) - 1
-        point = (1 << lead * self.n) + rank - int(self.offsets[lead])
-        return _apply_cols(self.from_coords, point << self.n)
+    def elements(self, ranks: np.ndarray) -> np.ndarray:
+        """One element of each class with the given rank."""
+        lead = np.searchsorted(self.offsets, ranks, side="right") - 1
+        point = (np.int64(1) << lead * self.n) + ranks - self.offsets[lead]
+        return Tower.apply_tables(self.from_coords, point << self.n)
 
 
 def _class_index(ctx: Tower) -> _ClassIndex:
@@ -265,11 +268,12 @@ def _class_index(ctx: Tower) -> _ClassIndex:
     log[exp] = np.arange(q - 1)
     div = np.array(exp, dtype=np.int64)[(log[None, :] - log[:, None]) % (q - 1)]
     div[:, 0] = 0
+    div = div.reshape(-1)
     index = ctx._np_tables[("class_index",)] = _ClassIndex(
         n=n,
         count=(q ** 5 - 1) // (q - 1),
         to_coords=to_coords,
-        from_coords=from_coords,
+        from_coords=ctx._byte_tables(from_coords),
         div=div,
         offsets=np.array([(q ** l - 1) // (q - 1) for l in range(5)], dtype=np.int64),
     )
@@ -290,7 +294,8 @@ class SweepRecord(NamedTuple):
 @dataclass(frozen=True)
 class OrbitCensus:
     """Census of semi-linear orbits on the degree-6 set, in ascending class
-    rank of the representatives."""
+    rank of the representatives. `candidates` counts the classes the sweep
+    claimed, accepted or dropped."""
 
     n: int
     records: tuple[SweepRecord, ...]
@@ -298,6 +303,7 @@ class OrbitCensus:
     pgl_orbit_count: int
     elements_visited: int
     elapsed_ms: float
+    candidates: int
 
     @property
     def orbit_count(self) -> int:
@@ -310,21 +316,37 @@ class OrbitCensus:
         return tuple(sorted(hist.items()))
 
 
+_MAX_BATCH = 32  # candidates per round: (6n)(2^n + 1) class ranks each
+
+
 def _run_sweep(ctx: Tower) -> OrbitCensus:
     """Enumerate every semi-linear orbit on the degree-6 set, by affine class.
 
     Each linear orbit is the disjoint union of 2^n + 1 affine classes, and
     Frobenius maps classes to classes, so the visited array has one bit per
     point of P^4(GF(q)); the q + 2 classes inside GF(q^2) and GF(q^3) are
-    marked first. Each claimed class is the first unvisited one, hence the
-    least class rank of its orbit, and its element index.element(claimed)
-    is the orbit's representative; records come out in ascending class rank.
-    The claimed class yields a linear orbit through its affine-suborbit
-    representatives; the other member orbits are its Frobenius images,
+    marked first.
+
+    Each round claims the first B unvisited classes (B starts at
+    _MAX_BATCH, halves when more than half of a round is dropped and doubles
+    back while at most a quarter is). Their elements index.elements(claimed)
+    yield linear orbits through their affine-suborbit representatives, all
+    inverted in one pass; the other member orbits are the Frobenius images,
     deduplicated by the first power t with sigma^t(alpha) back in the base
-    orbit. Fixed-power flags come from class membership tests and are
-    cross-checked against the cyclic structure (power p fixes the orbit iff
-    t divides p). Runs in one thread.
+    orbit. A candidate is dropped when an earlier candidate of the round has
+    the same orbit, seen as the same least class over all 6n images. An
+    accepted candidate is still the least class of its orbit: every
+    unvisited class below it is an earlier candidate of the round, from
+    another orbit. So records come out in ascending class rank, each
+    represented by the element of its claimed class.
+
+    Checks: each base orbit has 2^n + 1 distinct classes including the
+    claimed one; the fixed-power flags, from class membership tests, have the
+    cyclic structure (power p fixes the orbit iff t divides p); each accepted
+    class is its orbit's least; the visited count grows by exactly the
+    classes marked, so accepted orbits neither overlap visited classes nor
+    each other; and at the end every class is visited and both size
+    identities hold. Runs in one thread.
     """
     n, m = ctx.n, ctx.big_degree
     _sweep_cost_check(n)
@@ -334,38 +356,61 @@ def _run_sweep(ctx: Tower) -> OrbitCensus:
     _mark_bits(words, np.arange(index.count, words.size << 6, dtype=np.int64))
     low = np.union1d(ctx.subfield_span_array(2 * n), ctx.subfield_span_array(3 * n))
     _mark_bits(words, index.classes(np.setdiff1d(low, ctx.subfield, assume_unique=True)))
-    degree_six_classes = (words.size << 6) - int(np.bitwise_count(words).sum())
+    visited = int(np.bitwise_count(words).sum())
+    degree_six_classes = (words.size << 6) - visited
     orbit_size = (1 << 3 * n) - (1 << n)
+    powers = np.arange(m)
+    flag_bits = np.int64(1) << powers[1:]  # fixed_mask bit p, 1 <= p < 6n
+    cyclic = np.array([sum(1 << p for p in range(t, m, t)) for t in range(1, m + 1)])
 
     records: list[SweepRecord] = []
+    candidates = 0
+    batch = _MAX_BATCH
     cursor = 0
     while True:
-        cursor, claimed = _next_unvisited(words, cursor)
-        if claimed is None:
+        cursor, claimed = _first_unvisited(words, cursor, batch)
+        k = claimed.size
+        if k == 0:
             break
-        alpha = index.element(claimed)
-        reps = np.array(mobius.suborbit_representatives(ctx, alpha), dtype=np.int64)
-        images = ctx.conjugates_vec(reps)  # row i: class reps of sigma^i(orbit)
-        classes = index.classes(images.reshape(-1)).reshape(m, reps.size)
-        base = np.unique(classes[0])
-        if base.size != reps.size or claimed not in base:
+        candidates += k
+        alphas = index.elements(claimed)
+        reps = mobius.suborbit_representatives(ctx, alphas)  # (k, 2^n + 1)
+        images = ctx.conjugates_vec(reps)  # [i, j]: class reps of sigma^i(orbit j)
+        classes = index.classes(images)
+        base = np.sort(classes[0], axis=1)
+        if ((base[:, 1:] == base[:, :-1]).any()
+                or not (base == claimed[:, None]).any(axis=1).all()):
             raise ConsistencyError("linear orbit does not split into 2^n + 1 classes")
-        inside = np.isin(classes[1:, 0], base)  # sigma^p(alpha) for 1 <= p < 6n
-        fixed_mask = sum(1 << p for p in range(1, m) if inside[p - 1])
-        t = next((p for p in range(1, m) if (fixed_mask >> p) & 1), m)
-        if fixed_mask != sum(1 << p for p in range(t, m, t)):
+        inside = (classes[1:, :, :1] == classes[0]).any(axis=2)  # sigma^p(alpha_j)
+        fixed_mask = flag_bits @ inside
+        t = np.where(inside.any(axis=0), inside.argmax(axis=0) + 1, m)
+        if (fixed_mask != cyclic[t - 1]).any():
             raise ConsistencyError(
                 "membership flags break the cyclic orbit structure")
 
-        members = classes[:t].reshape(-1)
-        if np.unique(members).size != members.size or _any_bit(words, members):
-            raise ConsistencyError("claimed orbit overlaps a visited class")
-        if int(members.min()) != claimed:
+        least = classes.min(axis=2)  # [p, j]: least class of sigma^p(orbit j)
+        orbit_least = least.min(axis=0)  # equal iff two candidates share an orbit
+        accepted = ~np.triu(orbit_least[:, None] == orbit_least, 1).any(axis=0)
+        rows = (powers[:, None] < t) & accepted  # member orbits of accepted ones
+        if (np.where(rows, least, index.count).min(axis=0) != claimed)[accepted].any():
             raise ConsistencyError("claimed class is not the least class of its orbit")
+        members = classes[rows]
         _mark_bits(words, members)
-        records.append(SweepRecord(rep=alpha, pgl_orbits=t, fixed_mask=fixed_mask))
+        marked = int(np.bitwise_count(words).sum())
+        if marked - visited != members.size:
+            raise ConsistencyError(
+                "claimed orbits overlap each other or a visited class")
+        visited = marked
+        for j in np.flatnonzero(accepted).tolist():
+            records.append(SweepRecord(
+                rep=int(alphas[j]), pgl_orbits=int(t[j]), fixed_mask=int(fixed_mask[j])))
+        drops = k - int(accepted.sum())
+        if 4 * drops <= k:
+            batch = min(2 * batch, _MAX_BATCH)
+        elif 2 * drops > k:
+            batch = max(batch // 2, 1)
 
-    if int(np.bitwise_count(words).sum()) != words.size << 6:
+    if visited != words.size << 6:
         raise ConsistencyError("sweep terminated with unvisited classes")
     pgl_orbit_count = sum(r.pgl_orbits for r in records)
     if pgl_orbit_count * ((1 << n) + 1) != degree_six_classes:
@@ -383,6 +428,7 @@ def _run_sweep(ctx: Tower) -> OrbitCensus:
         pgl_orbit_count=pgl_orbit_count,
         elements_visited=s_size,
         elapsed_ms=(time.perf_counter() - start) * 1e3,
+        candidates=candidates,
     )
 
 
@@ -557,7 +603,7 @@ def class_equation_check(ctx: Tower, alpha: int, d: int) -> tuple[int, ...]:
     if not ctx.is_degree_six(alpha):
         raise ValueError("alpha must have degree 6 over the base field")
     index = _class_index(ctx)
-    reps = np.array(mobius.suborbit_representatives(ctx, alpha), dtype=np.int64)
+    reps = mobius.suborbit_representatives(ctx, alpha)
     position = {int(c): k for k, c in enumerate(index.classes(reps))}
     images = index.classes(ctx.frobenius_vec(reps, d)).tolist()
     if images[0] not in position:

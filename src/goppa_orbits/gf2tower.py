@@ -22,6 +22,13 @@ The scalar kernel:
   `LinearizedMap.apply` apply such columns with `_apply_cols`, the one
   GF(2)-linear map application.
 
+The numpy paths hold encodings in int64, so they need 6n <= 63 (n <= 10)
+and raise ValueError above it. Their tables are built on first use and kept
+in `_np_tables`: byte tables of Frobenius powers and multipliers
+(`frobenius_vec`, `conjugates_vec`), and `mul_vec`, a chunked carry-less
+product with the byte-table reduction of `mul`. `inv_vec` inverts a whole
+array by the Itoh-Tsujii chain of products and Frobenius lookups.
+
 Linear algebra over GF(2) has one elimination, `_ColumnSolver`: it reduces
 int-bitmask vectors at their least set bits and keeps the input combination
 behind each pivot. Walking the inputs from last to first makes its kernel
@@ -252,7 +259,7 @@ class Tower:
     def inv_batch(self, values: list[int]) -> list[int]:
         """Invert each element with its own `inv`: at n <= 7 one extended
         Euclid is cheaper than the three products per element of a
-        prefix-product batch."""
+        prefix-product batch. For int64 arrays, `inv_vec` is faster."""
         return [self.inv(v) for v in values]
 
     def pow(self, x: int, e: int) -> int:
@@ -447,12 +454,61 @@ class Tower:
     def frobenius_vec(self, x: np.ndarray, i: int) -> np.ndarray:
         return self.apply_tables(self.frob_tables(i), x)
 
+    def mul_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Elementwise products of two int64 arrays of encodings, of one shape.
+
+        Horner over the w-bit chunks of y, top chunk first, with
+        w = min(6n, 63 - 6n): each step's shifted accumulator and carry-less
+        partial product stay below 2^63, and its high bits fold back through
+        the byte tables of `mul`. One chunk up to n = 5, two at n = 6..10.
+        """
+        m = self.big_degree
+        reduce = self._np_tables.get(("reduce",))
+        if reduce is None:
+            if m > 63:
+                raise ValueError("vectorized paths need encodings below 64 bits")
+            reduce = self._np_tables[("reduce",)] = [
+                (sh, np.array(tab, dtype=np.int64)) for sh, tab in self._reduce]
+        w = min(m, 63 - m)
+        bits = np.arange(w, dtype=np.int64).reshape((-1,) + (1,) * np.ndim(x))
+        shifted = x << bits  # x * 2^j for each bit j of a chunk
+        acc = None
+        for lo in range(w * ((m - 1) // w), -1, -w):
+            part = np.bitwise_xor.reduce(shifted * ((y >> (bits + lo)) & 1), axis=0)
+            acc = part if acc is None else (acc << w) ^ part
+            r = acc & self._mask
+            for sh, tab in reduce:
+                if sh >= m + w:
+                    break
+                r ^= tab[(acc >> sh) & 255]
+            acc = r
+        return acc
+
+    def inv_vec(self, x: np.ndarray) -> np.ndarray:
+        """Elementwise inverses x^(2^(6n) - 2) of an int64 array, by the
+        Itoh-Tsujii chain: with b_k = x^(2^k - 1), b_2k = b_k^(2^k) * b_k and
+        b_(k+1) = b_k^2 * x, walking the bits of 6n - 1 from the top, and
+        x^-1 = b_(6n-1)^2. Seven products and eight Frobenius lookups at
+        n = 4, 5 and 7."""
+        if (x == 0).any():
+            raise ZeroDivisionError("inverse of zero")
+        b, k = x, 1
+        for bit in bin(self.big_degree - 1)[3:]:
+            b = self.mul_vec(self.frobenius_vec(b, k), b)
+            k *= 2
+            if bit == "1":
+                b = self.mul_vec(self.frobenius_vec(b, 1), x)
+                k += 1
+        return self.frobenius_vec(b, 1)
+
     def conjugates_vec(self, x: np.ndarray) -> np.ndarray:
         """All 6n Frobenius images at once: row i is x^(2^i)."""
         stack = self._np_tables.get(("frob_stack",))  # (6n, bytes, 256)
-        if stack is None:
-            stack = self._np_tables[("frob_stack",)] = np.stack(
-                [np.stack(self.frob_tables(i)) for i in range(self.big_degree)])
+        if stack is None:  # row i: row i - 1 pushed through the squaring tables
+            rows = [np.stack(self.frob_tables(0))]
+            for _ in range(1, self.big_degree):
+                rows.append(self.apply_tables(self.frob_tables(1), rows[-1]))
+            stack = self._np_tables[("frob_stack",)] = np.stack(rows)
         out = stack[:, 0, x & 0xFF]
         for bpos in range(1, stack.shape[1]):
             out ^= stack[:, bpos, (x >> (8 * bpos)) & 0xFF]

@@ -147,28 +147,32 @@ def random_degree_six(ctx: Tower, rng: random.Random) -> int:
 # ----------------------------------------------------------------- orbits
 
 
-def _require_degree_six(ctx: Tower, x: int) -> None:
-    if not ctx.is_degree_six(x):
+def _require_degree_six(ctx: Tower, x: np.ndarray) -> None:
+    n = ctx.n
+    if ((ctx.frobenius_vec(x, 2 * n) == x) | (ctx.frobenius_vec(x, 3 * n) == x)).any():
         raise ValueError("element must have degree 6 over the base field")
 
 
-def suborbit_representatives(ctx: Tower, alpha: int) -> list[int]:
-    """Representatives of the 2^n + 1 affine suborbits partitioning the orbit of alpha."""
+def suborbit_representatives(ctx: Tower, alpha: int | np.ndarray) -> np.ndarray:
+    """Representatives of the 2^n + 1 affine suborbits partitioning the orbit
+    of alpha: alpha, then 1/(alpha + g) for g in the subfield, as an int64
+    array. For an array of alphas, one row per alpha; all inversions run in
+    one `Tower.inv_vec` pass."""
+    alpha = np.asarray(alpha, dtype=np.int64)[..., None]
     _require_degree_six(ctx, alpha)
-    return [alpha] + ctx.inv_batch([alpha ^ g for g in ctx.subfield])
+    shifted = alpha ^ np.array(ctx.subfield, dtype=np.int64)
+    return np.concatenate([alpha, ctx.inv_vec(shifted)], axis=-1)
 
 
 def pgl_orbit_array(ctx: Tower, alpha: int) -> np.ndarray:
     """The full projective-linear orbit of alpha as a flat int64 array.
 
-    The element-level expansion of the affine-class decomposition: one
-    batched inversion for the 2^n + 1 suborbit representatives, then
-    e*rep + f for e in GF(2^n)* (outermost), rep, and f in GF(2^n)
-    (innermost), multiplying by e through `Tower.mult_tables`. Size
-    2^(3n) - 2^n; no duplicates.
+    The element-level expansion of the affine-class decomposition: the
+    2^n + 1 suborbit representatives, then e*rep + f for e in GF(2^n)*
+    (outermost), rep, and f in GF(2^n) (innermost), multiplying by e through
+    `Tower.mult_tables`. Size 2^(3n) - 2^n; no duplicates.
     """
-    _require_degree_six(ctx, alpha)
-    reps = np.array(suborbit_representatives(ctx, alpha), dtype=np.int64)
+    reps = suborbit_representatives(ctx, alpha)
     multiples = np.stack([ctx.apply_tables(ctx.mult_tables(e), reps)
                           for e in ctx.subfield_nonzero()])
     return (multiples[:, :, None] ^ np.array(ctx.subfield, dtype=np.int64)).reshape(-1)

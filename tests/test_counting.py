@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -116,6 +118,36 @@ def test_census_reps_are_least_class_ranks(tower2, tower3):
             assert int(index.classes(orbit).min()) == rank
         least = {canonical_orbit_rep(ctx, rep, "PGammaL") for rep in reps}
         assert len(least) == len(reps)
+
+
+def test_batched_sweep_drops_candidates(tower3):
+    census = global_orbit_census(tower3)
+    assert census.candidates > census.orbit_count == 33
+
+
+def test_census_n5_records_digest(tower5):
+    """The n = 5 records, pinned by a sha256 recorded from the one-orbit-per-round sweep."""
+    records = json.dumps([list(r) for r in counting._run_sweep(tower5).records])
+    assert hashlib.sha256(records.encode()).hexdigest() == (
+        "a92df7bb20bd60a90a9c53d290253902478551c7b1a83067ff269c0bccb55f94")
+
+
+def test_first_unvisited_matches_bit_scan():
+    rng = np.random.default_rng(9)
+    words = rng.integers(0, 1 << 63, 2 * counting._CHUNK_WORDS + 40, dtype=np.int64)
+    words = (words.astype(np.uint64) << np.uint64(1)) | np.uint64(1)  # dense, not full
+    words[:counting._CHUNK_WORDS + 3] = counting._WORD_FULL  # first chunk full
+    free = np.flatnonzero(np.unpackbits(~words.view(np.uint8), bitorder="little"))
+    for start, count in [(0, 1), (0, 64), (5, 200), (counting._CHUNK_WORDS + 3, 7)]:
+        cursor, idx = counting._first_unvisited(words, start, count)
+        assert cursor == counting._CHUNK_WORDS + 3
+        assert idx.tolist() == free[:count].tolist()
+    last = free[-1] >> 6
+    assert counting._first_unvisited(words, int(last), 10**6)[1].tolist() == (
+        free[free >> 6 >= last].tolist())
+    words[:] = counting._WORD_FULL
+    cursor, idx = counting._first_unvisited(words, 0, 8)
+    assert cursor == words.size and idx.size == 0
 
 
 def test_sweep_refuses_large_n():
@@ -287,7 +319,7 @@ def class_equation_oracle(ctx, alpha, d):
     if ctx.frobenius(alpha, d) not in owner:
         raise ValueError("the Galois power does not fix the orbit of alpha")
     perm = [owner[ctx.frobenius(rep, d)]
-            for rep in mobius.suborbit_representatives(ctx, alpha)]
+            for rep in mobius.suborbit_representatives(ctx, alpha).tolist()]
     parts, seen = [], set()
     for start in range(q + 1):
         length, k = 0, start

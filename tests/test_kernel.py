@@ -1,15 +1,18 @@
-"""Property and golden tests for the scalar field kernel.
+"""Property and golden tests for the field kernel.
 
-The kernel is gf2poly.mul (windowed carry-less product) plus Tower.mul
-(byte-table reduction), Tower.inv (shift-and-add extended Euclid) and the
-Frobenius columns. Each property runs on the default towers at n = 2, 3, 4,
-5, 7 and on two towers whose big modulus has a dense tail.
+The scalar kernel is gf2poly.mul (windowed carry-less product) plus
+Tower.mul (byte-table reduction), Tower.inv (shift-and-add extended Euclid)
+and the Frobenius columns. Each property runs on the default towers at
+n = 2, 3, 4, 5, 7 and on two towers whose big modulus has a dense tail. The
+vectorised kernel, Tower.mul_vec (chunked carry-less product) and
+Tower.inv_vec (Itoh-Tsujii chain), must equal the scalar one elementwise.
 """
 
 import copy
 import functools
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,3 +117,48 @@ def test_inv_refuses_reducible_modulus():
     with pytest.raises(AssertionError, match="not irreducible"):
         bad.inv(0b111)
     assert gf2poly.mod(gf2poly.mul(0b10, bad.inv(0b10)), bad.modulus_big) == 1
+
+
+# ------------------------------------------------------------ vectorised kernel
+
+
+def test_vec_kernel_matches_scalar_on_every_element_n2():
+    ctx = tower((2, None))
+    x = np.arange(1 << 12, dtype=np.int64)
+    for y in [x, x[::-1], np.roll(x, 1000)] + [np.full_like(x, c) for c in (0, 1, 0x2b3)]:
+        want = [ctx.mul(a, b) for a, b in zip(x.tolist(), y.tolist())]
+        assert ctx.mul_vec(x, y).tolist() == want
+    assert ctx.inv_vec(x[1:]).tolist() == [ctx.inv(a) for a in range(1, 1 << 12)]
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 10])
+def test_vec_kernel_matches_scalar(n):
+    ctx = make_tower(n)
+    pairs = st.tuples(field_elements((n, None), min_value=1), field_elements((n, None)))
+
+    @KERNEL
+    @given(st.lists(pairs, min_size=1, max_size=40))
+    def check(drawn):
+        x, y = (np.array(col, dtype=np.int64) for col in zip(*drawn))
+        assert ctx.mul_vec(x, y).tolist() == [ctx.mul(a, b) for a, b in drawn]
+        assert ctx.inv_vec(x).tolist() == [ctx.inv(a) for a, _ in drawn]
+        column = ctx.inv_vec(ctx.mul_vec(x[:, None], y[:, None] | 1))
+        assert column.shape == (len(drawn), 1)
+        assert column[:, 0].tolist() == ctx.inv_vec(ctx.mul_vec(x, y | 1)).tolist()
+
+    check()
+
+
+def test_inv_vec_refuses_zero():
+    ctx = tower((5, None))
+    with pytest.raises(ZeroDivisionError):
+        ctx.inv_vec(np.array([3, 0, 5], dtype=np.int64))
+
+
+def test_vec_kernel_refuses_towers_above_63_bits():
+    ctx = make_tower(11)  # 66-bit encodings
+    x = np.array([1, 2, 3], dtype=np.int64)
+    with pytest.raises(ValueError, match="below 64 bits"):
+        ctx.mul_vec(x, x)
+    with pytest.raises(ValueError, match="below 64 bits"):
+        ctx.inv_vec(x)
