@@ -1,7 +1,9 @@
 """Command-line surface: reproduce the counting claims and build codes.
 
 Exit codes: 0 success (and all verified claims matched), 1 a verified claim
-mismatched (falsification), 2 usage or domain error, 3 infeasible request.
+mismatched (falsification), 2 usage or domain error, 3 infeasible request,
+4 the reader closed the output pipe before the report was written (as
+`goppa-orbits census --n 5 --json | head -1` does).
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -21,6 +24,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
+EXIT_PIPE = 4
 
 # the limit is the report size, not the build time: at n = 12 the extended code
 # builds in about 0.3 s (2 vCPU), but its report holds 4024 rows of 4097 bits
@@ -315,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("census", help="full orbit census (n <= 5)")
+    p = sub.add_parser("census", help=f"full orbit census (n <= {counting.MAX_SWEEP_N})")
     _add_common(p, workers=True)
     p.set_defaults(func=cmd_census)
 
@@ -357,7 +361,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the exit-time flush
+        return code
+    except BrokenPipeError:
+        # send what is left in the buffer to devnull, so the exit-time flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: the output pipe was closed before the report was written",
+              file=sys.stderr)
+        return EXIT_PIPE
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

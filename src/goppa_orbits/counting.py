@@ -12,12 +12,14 @@ equation eq_41, take gcds of GF(2) polynomials. Each orbit is represented by
 an element of its least class rank, the class the sweep claims for it. Each
 round of the sweep claims a batch of the least unvisited classes and drops a
 candidate whose orbit an earlier one of the round already holds, so every
-accepted class is still the least of its orbit; the suborbit representatives
-of the whole batch are inverted in one numpy pass (`Tower.inv_vec`). The
-sweeps are limited to n <= 5 (at n = 7 one would take about a minute), eq_41
-to n <= 8 and the linear solvers to n <= 10 (64-bit elements; eq_3n to
-n <= 7, where its 2^(3n) roots are enumerated); larger n is refused with a
-cost estimate rather than attempted.
+accepted class is still the least of its orbit. A round takes the suborbit
+representatives of the whole batch in norm form (`mobius`), reads the class
+coordinates of all 6n Frobenius images through one stack of fused byte
+tables and marks the new classes word by word. The sweeps are limited to
+n <= 7 (about 28 s and 80 MiB at n = 7 on 2 vCPU), eq_41 to n <= 8 and the
+linear solvers to n <= 10 (64-bit elements; eq_3n to n <= 7, where its
+2^(3n) roots are enumerated); larger n is refused with a cost estimate
+rather than attempted.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ __all__ = [
     "MAX_SWEEP_N",
 ]
 
-MAX_SWEEP_N = 5
+MAX_SWEEP_N = 7
 
 ROOT_EQUATIONS = ("eq_3n", "eq_2n_affine", "eq_41", "eq_deg8", "fixed_field_64")
 
@@ -161,11 +163,29 @@ def burnside_bound(n: int) -> int:
 
 
 _WORD_FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
+_BLOCK = 1 << 14  # elements per block of the large sweep arrays, to stay in cache
 
 
-def _mark_bits(words: np.ndarray, idx: np.ndarray) -> None:
-    """Set bits idx in the packed array; unbuffered, so in-word collisions add up."""
-    np.bitwise_or.at(words, idx >> 6, np.uint64(1) << (idx & 63).astype(np.uint64))
+def _mark_bits(words: np.ndarray, idx: np.ndarray) -> int:
+    """Set bits idx in the packed array and return how many were clear.
+
+    Works through idx in blocks of _BLOCK: sorts each block, ORs each
+    word's bits together with `reduceat`, and counts new bits on the touched
+    words only; a bit given twice, or one already set, is not counted.
+    """
+    idx = idx.reshape(-1)
+    new_bits = 0
+    for lo in range(0, idx.size, _BLOCK):
+        block = np.sort(idx[lo:lo + _BLOCK])
+        word = block >> 6
+        starts = np.flatnonzero(np.concatenate(([True], word[1:] != word[:-1])))
+        touched = word[starts]
+        old = words[touched]
+        new = old | np.bitwise_or.reduceat(
+            np.uint64(1) << (block & 63).astype(np.uint64), starts)
+        words[touched] = new
+        new_bits += int(np.bitwise_count(new ^ old).sum())
+    return new_bits
 
 
 _BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
@@ -209,29 +229,52 @@ class _ClassIndex:
     A class is a point of the 5-dimensional GF(q)-space GF(q^6)/GF(q).
     Coordinates use the GF(2)-basis gamma_k * theta^j (k < n, j < 6) with
     gamma_k = embed_base(2^k) and theta = x, the generator of the big field;
-    base-field coordinate j of an element sits in bits [jn, jn + n). Dropping
-    coordinate 0 quotients by GF(q), and scaling the highest nonzero
-    coordinate (index l) to 1 picks the projective point. Points are ranked
-    by l, then by the lower coordinates read as one integer.
+    base-field coordinate j of an element sits in bits [jn, jn + n).
+    Dropping coordinate 0 quotients by GF(q) and leaves coordinate j at bits
+    [(j - 1)n, jn); scaling the highest nonzero one (index l) to 1 picks the
+    projective point. Points are ranked by l, then by the lower coordinates
+    read as one integer.
     """
 
     n: int
     count: int  # (q^5 - 1) / (q - 1) points
-    to_coords: list[np.ndarray]  # byte tables: element -> coordinates
+    conjugates: np.ndarray  # (bytes, 256, 6n) byte tables: x -> quotient coordinates of x^(2^i)
     from_coords: list[np.ndarray]  # byte tables: coordinates -> element
-    div: np.ndarray  # div[a * q + c] = c / a in GF(q) on base encodings; div[a * q] = 0
+    div: tuple[np.ndarray, ...]  # div[j][a * q + c] = (c / a) << jn in GF(q), j < 4; 0 for c = 0
+    base: np.ndarray  # offsets[l] less 1 << ln, the leading coordinate's own div term (l < 4)
     offsets: np.ndarray  # rank of the first point with leading index l
+
+    def ranks(self, v: np.ndarray) -> np.ndarray:
+        """Class rank of each quotient coordinate vector (nonzero), elementwise.
+
+        v holds c_0..c_4, c_j in bits [jn, jn + n), and a = c_l is the highest
+        nonzero one. The rank is base[l] plus (c_j / a) << jn for j < 4: j = l
+        adds the 1 << ln that base takes back out, j > l adds 0, and c_4 is
+        never below the leading coordinate.
+        """
+        n, mask = self.n, (1 << self.n) - 1
+        lead = (np.frexp(v.astype(np.float64))[1] - 1) // n  # frexp exponent = bit length
+        row = ((v >> lead * n) & mask) << n  # div row of the leading coordinate
+        point = self.base[lead]
+        for j, div in enumerate(self.div):
+            point += div[row | ((v >> j * n) & mask)]
+        return point
 
     def classes(self, x: np.ndarray) -> np.ndarray:
         """Class rank of each element, elementwise; x must avoid GF(q)."""
-        n, mask = self.n, (1 << self.n) - 1
-        v = Tower.apply_tables(self.to_coords, x) >> n
-        lead = (np.frexp(v.astype(np.float64))[1] - 1) // n  # frexp exponent = bit length
-        row = ((v >> lead * n) & mask) << n  # div row of the leading coordinate
-        point = self.offsets[lead] - (np.int64(1) << lead * n)
-        for j in range(0, 5 * n, n):
-            point += self.div[row | ((v >> j) & mask)] << j
-        return point
+        return self.ranks(Tower.apply_tables(self.conjugates[..., 0], x))
+
+    def conjugate_classes(self, x: np.ndarray) -> np.ndarray:
+        """Class ranks of all 6n Frobenius images of each element, along a new
+        last axis; x must avoid GF(q). Works in blocks of about _BLOCK images,
+        so that the temporaries stay in cache."""
+        m = self.conjugates.shape[-1]
+        flat = x.reshape(-1)
+        out = np.empty((flat.size, m), dtype=np.int64)
+        step = max(1, _BLOCK // m)
+        for lo in range(0, flat.size, step):
+            out[lo:lo + step] = self.ranks(Tower.apply_tables(self.conjugates, flat[lo:lo + step]))
+        return out.reshape(x.shape + (m,))
 
     def elements(self, ranks: np.ndarray) -> np.ndarray:
         """One element of each class with the given rank."""
@@ -241,8 +284,9 @@ class _ClassIndex:
 
 
 def _class_index(ctx: Tower) -> _ClassIndex:
-    """Class tables of one tower (about 1.5 ms to build at n = 5), built once
-    and kept in the tower's table cache."""
+    """Class tables of one tower (about 2.5 ms to build at n = 5, most of it
+    the fused stack `conjugates`), built once and kept in the tower's table
+    cache."""
     index = ctx._np_tables.get(("class_index",))
     if index is not None:
         return index
@@ -253,7 +297,7 @@ def _class_index(ctx: Tower) -> _ClassIndex:
     solver = _ColumnSolver(list(from_coords))
     if solver.kernel_basis:
         raise ConsistencyError("gamma_k * theta^j is not a basis of the big field")
-    to_coords = ctx._byte_tables([solver.solve(1 << j) for j in range(m)])
+    conjugates = ctx.conjugate_tables([solver.solve(1 << j) >> n for j in range(m)])
 
     for g in range(2, q):  # least generator of GF(q)*, on base encodings
         exp = [1]
@@ -269,13 +313,15 @@ def _class_index(ctx: Tower) -> _ClassIndex:
     div = np.array(exp, dtype=np.int64)[(log[None, :] - log[:, None]) % (q - 1)]
     div[:, 0] = 0
     div = div.reshape(-1)
+    offsets = np.array([(q ** l - 1) // (q - 1) for l in range(5)], dtype=np.int64)
     index = ctx._np_tables[("class_index",)] = _ClassIndex(
         n=n,
         count=(q ** 5 - 1) // (q - 1),
-        to_coords=to_coords,
+        conjugates=conjugates,
         from_coords=ctx._byte_tables(from_coords),
-        div=div,
-        offsets=np.array([(q ** l - 1) // (q - 1) for l in range(5)], dtype=np.int64),
+        div=tuple(div << j * n for j in range(4)),
+        base=offsets - np.where(np.arange(5) < 4, np.int64(1) << np.arange(5) * n, 0),
+        offsets=offsets,
     )
     return index
 
@@ -316,6 +362,17 @@ class OrbitCensus:
         return tuple(sorted(hist.items()))
 
 
+def _low_field_class_elements(ctx: Tower) -> np.ndarray:
+    """One element of each of the q + 2 affine classes inside GF(q^2) and
+    GF(q^3), q = 2^n. GF(q^2) minus GF(q) is one class, of any v outside GF(q).
+    For u in GF(q^3) outside GF(q), 1, u and u^2 are a GF(q)-basis of GF(q^3), so
+    GF(q^3) minus GF(q) is the q + 1 classes of u^2 and u + c u^2, c in GF(q)."""
+    v, u = (next(b for b in ctx._fixed_field_basis(bits) if ctx.frobenius(b, ctx.n) != b)
+            for bits in (2 * ctx.n, 3 * ctx.n))
+    u2 = ctx.mul(u, u)
+    return np.array([v, u2] + [u ^ ctx.mul(c, u2) for c in ctx.subfield], dtype=np.int64)
+
+
 _MAX_BATCH = 32  # candidates per round: (6n)(2^n + 1) class ranks each
 
 
@@ -325,39 +382,42 @@ def _run_sweep(ctx: Tower) -> OrbitCensus:
     Each linear orbit is the disjoint union of 2^n + 1 affine classes, and
     Frobenius maps classes to classes, so the visited array has one bit per
     point of P^4(GF(q)); the q + 2 classes inside GF(q^2) and GF(q^3) are
-    marked first.
+    marked first, from one element each.
 
     Each round claims the first B unvisited classes (B starts at
     _MAX_BATCH, halves when more than half of a round is dropped and doubles
     back while at most a quarter is). Their elements index.elements(claimed)
     yield linear orbits through their affine-suborbit representatives, all
-    inverted in one pass; the other member orbits are the Frobenius images,
+    taken in one pass; the other member orbits are the Frobenius images,
     deduplicated by the first power t with sigma^t(alpha) back in the base
-    orbit. A candidate is dropped when an earlier candidate of the round has
+    orbit, and `_ClassIndex.conjugate_classes` ranks all images at once. A
+    candidate is dropped when an earlier candidate of the round has
     the same orbit, seen as the same least class over all 6n images. An
     accepted candidate is still the least class of its orbit: every
     unvisited class below it is an earlier candidate of the round, from
     another orbit. So records come out in ascending class rank, each
     represented by the element of its claimed class.
 
-    Checks: each base orbit has 2^n + 1 distinct classes including the
-    claimed one; the fixed-power flags, from class membership tests, have the
-    cyclic structure (power p fixes the orbit iff t divides p); each accepted
-    class is its orbit's least; the visited count grows by exactly the
-    classes marked, so accepted orbits neither overlap visited classes nor
-    each other; and at the end every class is visited and both size
-    identities hold. Runs in one thread.
+    Checks: the q + 2 set-up classes are distinct; each base orbit has
+    2^n + 1 distinct classes including the claimed one; the fixed-power
+    flags, from class membership tests, have the cyclic structure (power p
+    fixes the orbit iff t divides p); each accepted class is its orbit's
+    least; the visited count grows by exactly the classes marked, so
+    accepted orbits neither overlap visited classes nor each other; and at
+    the end every class is visited and both size identities hold, with
+    |GF(q^2) u GF(q^3)| = q^2 + q^3 - q. Runs in one thread.
     """
     n, m = ctx.n, ctx.big_degree
+    q = 1 << n
     _sweep_cost_check(n)
     start = time.perf_counter()
     index = _class_index(ctx)
     words = np.zeros(-(-index.count // 64), dtype=np.uint64)
-    _mark_bits(words, np.arange(index.count, words.size << 6, dtype=np.int64))
-    low = np.union1d(ctx.subfield_span_array(2 * n), ctx.subfield_span_array(3 * n))
-    _mark_bits(words, index.classes(np.setdiff1d(low, ctx.subfield, assume_unique=True)))
-    visited = int(np.bitwise_count(words).sum())
-    degree_six_classes = (words.size << 6) - visited
+    visited = _mark_bits(words, np.arange(index.count, words.size << 6, dtype=np.int64))
+    if _mark_bits(words, index.classes(_low_field_class_elements(ctx))) != q + 2:
+        raise ConsistencyError("GF(q^2) and GF(q^3) do not hold q + 2 distinct classes")
+    visited += q + 2
+    degree_six_classes = index.count - (q + 2)
     orbit_size = (1 << 3 * n) - (1 << n)
     powers = np.arange(m)
     flag_bits = np.int64(1) << powers[1:]  # fixed_mask bit p, 1 <= p < 6n
@@ -375,32 +435,30 @@ def _run_sweep(ctx: Tower) -> OrbitCensus:
         candidates += k
         alphas = index.elements(claimed)
         reps = mobius.suborbit_representatives(ctx, alphas)  # (k, 2^n + 1)
-        images = ctx.conjugates_vec(reps)  # [i, j]: class reps of sigma^i(orbit j)
-        classes = index.classes(images)
-        base = np.sort(classes[0], axis=1)
+        # [j, r, i]: class of sigma^i(rep r of orbit j)
+        classes = index.conjugate_classes(reps)
+        base = np.sort(classes[:, :, 0], axis=1)
         if ((base[:, 1:] == base[:, :-1]).any()
                 or not (base == claimed[:, None]).any(axis=1).all()):
             raise ConsistencyError("linear orbit does not split into 2^n + 1 classes")
-        inside = (classes[1:, :, :1] == classes[0]).any(axis=2)  # sigma^p(alpha_j)
-        fixed_mask = flag_bits @ inside
-        t = np.where(inside.any(axis=0), inside.argmax(axis=0) + 1, m)
+        inside = (classes[:, :1, 1:] == classes[:, :, :1]).any(axis=1)  # sigma^p(alpha_j)
+        fixed_mask = inside @ flag_bits
+        t = np.where(inside.any(axis=1), inside.argmax(axis=1) + 1, m)
         if (fixed_mask != cyclic[t - 1]).any():
             raise ConsistencyError(
                 "membership flags break the cyclic orbit structure")
 
-        least = classes.min(axis=2)  # [p, j]: least class of sigma^p(orbit j)
-        orbit_least = least.min(axis=0)  # equal iff two candidates share an orbit
+        least = classes.min(axis=1)  # [j, p]: least class of sigma^p(orbit j)
+        orbit_least = least.min(axis=1)  # equal iff two candidates share an orbit
         accepted = ~np.triu(orbit_least[:, None] == orbit_least, 1).any(axis=0)
-        rows = (powers[:, None] < t) & accepted  # member orbits of accepted ones
-        if (np.where(rows, least, index.count).min(axis=0) != claimed)[accepted].any():
+        rows = (powers < t[:, None]) & accepted[:, None]  # member orbits of accepted ones
+        if (np.where(rows, least, index.count).min(axis=1) != claimed)[accepted].any():
             raise ConsistencyError("claimed class is not the least class of its orbit")
-        members = classes[rows]
-        _mark_bits(words, members)
-        marked = int(np.bitwise_count(words).sum())
-        if marked - visited != members.size:
+        members = classes.transpose(0, 2, 1)[rows]
+        if _mark_bits(words, members) != members.size:
             raise ConsistencyError(
                 "claimed orbits overlap each other or a visited class")
-        visited = marked
+        visited += members.size
         for j in np.flatnonzero(accepted).tolist():
             records.append(SweepRecord(
                 rep=int(alphas[j]), pgl_orbits=int(t[j]), fixed_mask=int(fixed_mask[j])))
@@ -410,14 +468,14 @@ def _run_sweep(ctx: Tower) -> OrbitCensus:
         elif 2 * drops > k:
             batch = max(batch // 2, 1)
 
-    if visited != words.size << 6:
+    if visited != words.size << 6 or int(np.bitwise_count(words).sum()) != visited:
         raise ConsistencyError("sweep terminated with unvisited classes")
     pgl_orbit_count = sum(r.pgl_orbits for r in records)
-    if pgl_orbit_count * ((1 << n) + 1) != degree_six_classes:
+    if pgl_orbit_count * (q + 1) != degree_six_classes:
         raise ConsistencyError(
             f"{pgl_orbit_count} linear orbits do not cover "
             f"{degree_six_classes} degree-6 classes")
-    s_size = (1 << m) - low.size
+    s_size = (1 << m) - (q * q + q ** 3 - q)  # |GF(q^2) u GF(q^3)|: they meet in GF(q)
     if pgl_orbit_count * orbit_size != s_size:
         raise ConsistencyError(
             f"orbit sizes sum to {pgl_orbit_count * orbit_size}, expected |S| = {s_size}")

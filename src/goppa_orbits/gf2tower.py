@@ -25,9 +25,10 @@ The scalar kernel:
 The numpy paths hold encodings in int64, so they need 6n <= 63 (n <= 10)
 and raise ValueError above it. Their tables are built on first use and kept
 in `_np_tables`: byte tables of Frobenius powers and multipliers
-(`frobenius_vec`, `conjugates_vec`), and `mul_vec`, a chunked carry-less
-product with the byte-table reduction of `mul`. `inv_vec` inverts a whole
-array by the Itoh-Tsujii chain of products and Frobenius lookups.
+(`frobenius_vec`, `mult_tables`) and the reduction tables of `mul_vec`, a
+chunked carry-less product of masked integer products with the byte-table
+reduction of `mul`. `conjugate_tables` fuses a GF(2)-linear map with all
+6n Frobenius powers into one stack of byte tables, which its caller keeps.
 
 Linear algebra over GF(2) has one elimination, `_ColumnSolver`: it reduces
 int-bitmask vectors at their least set bits and keeps the input combination
@@ -55,6 +56,10 @@ __all__ = [
 ]
 
 _MAX_N = 16  # subfield enumeration builds 2^n elements; keep construction desk-scale
+
+_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1  # [v, k]: bit k of byte v
+# every fourth bit, from bit i, below bit 63: the slots of `Tower.mul_vec`
+_SLOTS = tuple(np.int64((0x1111111111111111 << i) & (2**63 - 1)) for i in range(4))
 
 
 class _ColumnSolver:
@@ -259,7 +264,7 @@ class Tower:
     def inv_batch(self, values: list[int]) -> list[int]:
         """Invert each element with its own `inv`: at n <= 7 one extended
         Euclid is cheaper than the three products per element of a
-        prefix-product batch. For int64 arrays, `inv_vec` is faster."""
+        prefix-product batch."""
         return [self.inv(v) for v in values]
 
     def pow(self, x: int, e: int) -> int:
@@ -418,14 +423,8 @@ class Tower:
         m = self.big_degree
         if m > 63:
             raise ValueError("vectorized paths need encodings below 64 bits")
-        cols = list(cols) + [0] * (-m % 8)
-        tables = []
-        for bpos in range(0, m, 8):
-            tab = np.zeros(1, dtype=np.int64)
-            for col in cols[bpos:bpos + 8]:  # bit b of the byte doubles the table
-                tab = np.concatenate([tab, tab ^ np.int64(col)])
-            tables.append(tab)
-        return tables
+        cols = np.array(list(cols) + [0] * (-m % 8), dtype=np.int64).reshape(-1, 1, 8)
+        return list(np.bitwise_xor.reduce(cols * _BYTE_BITS, axis=2))  # bits of v pick columns
 
     def frob_tables(self, i: int) -> list[np.ndarray]:
         key = ("frob", i % self.big_degree)
@@ -458,9 +457,14 @@ class Tower:
         """Elementwise products of two int64 arrays of encodings, of one shape.
 
         Horner over the w-bit chunks of y, top chunk first, with
-        w = min(6n, 63 - 6n): each step's shifted accumulator and carry-less
-        partial product stay below 2^63, and its high bits fold back through
-        the byte tables of `mul`. One chunk up to n = 5, two at n = 6..10.
+        w = min(6n, 63 - 6n): each step's shifted accumulator and product
+        stay below 2^63, and its high bits fold back through the byte tables
+        of `mul`. One chunk up to n = 5, two at n = 6..10. A chunk's
+        carry-less product is 16 integer products of masks that keep every
+        fourth bit (`_SLOTS`): x_i * y_j puts all its terms on bits
+        congruent to i + j mod 4, at most ceil(w / 4) <= 8 on one bit, so
+        no carry leaves a 4-bit slot and each slot's low bit is the XOR of
+        its terms.
         """
         m = self.big_degree
         reduce = self._np_tables.get(("reduce",))
@@ -470,11 +474,15 @@ class Tower:
             reduce = self._np_tables[("reduce",)] = [
                 (sh, np.array(tab, dtype=np.int64)) for sh, tab in self._reduce]
         w = min(m, 63 - m)
-        bits = np.arange(w, dtype=np.int64).reshape((-1,) + (1,) * np.ndim(x))
-        shifted = x << bits  # x * 2^j for each bit j of a chunk
+        xs = [x & s for s in _SLOTS]
         acc = None
         for lo in range(w * ((m - 1) // w), -1, -w):
-            part = np.bitwise_xor.reduce(shifted * ((y >> (bits + lo)) & 1), axis=0)
+            chunk = (y >> lo) & ((1 << w) - 1)
+            ys = [chunk & s for s in _SLOTS]
+            part = 0
+            for r, slot in enumerate(_SLOTS):  # x_i * y_j lands on slot i + j mod 4
+                part ^= (xs[0] * ys[r] ^ xs[1] * ys[r - 1]
+                         ^ xs[2] * ys[r - 2] ^ xs[3] * ys[r - 3]) & slot
             acc = part if acc is None else (acc << w) ^ part
             r = acc & self._mask
             for sh, tab in reduce:
@@ -484,35 +492,16 @@ class Tower:
             acc = r
         return acc
 
-    def inv_vec(self, x: np.ndarray) -> np.ndarray:
-        """Elementwise inverses x^(2^(6n) - 2) of an int64 array, by the
-        Itoh-Tsujii chain: with b_k = x^(2^k - 1), b_2k = b_k^(2^k) * b_k and
-        b_(k+1) = b_k^2 * x, walking the bits of 6n - 1 from the top, and
-        x^-1 = b_(6n-1)^2. Seven products and eight Frobenius lookups at
-        n = 4, 5 and 7."""
-        if (x == 0).any():
-            raise ZeroDivisionError("inverse of zero")
-        b, k = x, 1
-        for bit in bin(self.big_degree - 1)[3:]:
-            b = self.mul_vec(self.frobenius_vec(b, k), b)
-            k *= 2
-            if bit == "1":
-                b = self.mul_vec(self.frobenius_vec(b, 1), x)
-                k += 1
-        return self.frobenius_vec(b, 1)
-
-    def conjugates_vec(self, x: np.ndarray) -> np.ndarray:
-        """All 6n Frobenius images at once: row i is x^(2^i)."""
-        stack = self._np_tables.get(("frob_stack",))  # (6n, bytes, 256)
-        if stack is None:  # row i: row i - 1 pushed through the squaring tables
-            rows = [np.stack(self.frob_tables(0))]
-            for _ in range(1, self.big_degree):
-                rows.append(self.apply_tables(self.frob_tables(1), rows[-1]))
-            stack = self._np_tables[("frob_stack",)] = np.stack(rows)
-        out = stack[:, 0, x & 0xFF]
-        for bpos in range(1, stack.shape[1]):
-            out ^= stack[:, bpos, (x >> (8 * bpos)) & 0xFF]
-        return out
+    def conjugate_tables(self, cols: list[int] | tuple[int, ...]) -> np.ndarray:
+        """Byte tables of x -> L(x^(2^i)) for all i < 6n at once, L the
+        GF(2)-linear map with columns cols (bits of an image below 64):
+        `apply_tables` of the (bytes, 256, 6n) result gives L of every
+        Frobenius image along a new last axis. Not cached."""
+        rows = [np.stack(self.frob_tables(0))]  # row i: row i - 1 through the squaring tables
+        for _ in range(1, self.big_degree):
+            rows.append(self.apply_tables(self.frob_tables(1), rows[-1]))
+        fused = self.apply_tables(self._byte_tables(cols), np.stack(rows))
+        return np.ascontiguousarray(np.moveaxis(fused, 0, -1))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Tower)

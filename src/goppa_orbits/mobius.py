@@ -155,13 +155,19 @@ def _require_degree_six(ctx: Tower, x: np.ndarray) -> None:
 
 def suborbit_representatives(ctx: Tower, alpha: int | np.ndarray) -> np.ndarray:
     """Representatives of the 2^n + 1 affine suborbits partitioning the orbit
-    of alpha: alpha, then 1/(alpha + g) for g in the subfield, as an int64
-    array. For an array of alphas, one row per alpha; all inversions run in
-    one `Tower.inv_vec` pass."""
+    of alpha, as an int64 array: alpha, then z^(q + q^2 + q^3 + q^4 + q^5)
+    for z = alpha + g, g in the subfield, q = 2^n. That power is N(z) / z
+    with the norm N(z) = z^(1 + q + ... + q^5) in GF(q)*, so it lies in the
+    affine class of 1/(alpha + g). For an array of alphas, one row per
+    alpha; three `Tower.mul_vec` passes and four Frobenius lookups in all."""
     alpha = np.asarray(alpha, dtype=np.int64)[..., None]
     _require_degree_six(ctx, alpha)
-    shifted = alpha ^ np.array(ctx.subfield, dtype=np.int64)
-    return np.concatenate([alpha, ctx.inv_vec(shifted)], axis=-1)
+    n = ctx.n
+    z = alpha ^ np.array(ctx.subfield, dtype=np.int64)
+    zq = ctx.frobenius_vec(z, n)
+    z2 = ctx.mul_vec(zq, ctx.frobenius_vec(zq, n))  # z^(q + q^2)
+    z4 = ctx.mul_vec(z2, ctx.frobenius_vec(z2, 2 * n))  # z^(q + ... + q^4)
+    return np.concatenate([alpha, ctx.mul_vec(z4, ctx.frobenius_vec(z, 5 * n))], axis=-1)
 
 
 def pgl_orbit_array(ctx: Tower, alpha: int) -> np.ndarray:

@@ -1,9 +1,17 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from goppa_orbits import schema
 from goppa_orbits.cli import main
 from goppa_orbits.gf2tower import Tower
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -59,21 +67,48 @@ def test_census_worker_independence(capsys):
     assert one == eight
 
 
-def test_census_refuses_n7(capsys):
-    code, _, err = run(capsys, "census", "--n", "7")
+def test_census_refuses_n8(capsys):
+    code, _, err = run(capsys, "census", "--n", "8")
     assert code == 3
     assert len(err.splitlines()) == 1
-    assert "n=7" in err and "270549121 classes" in err and "n <= 5" in err
+    assert "n=8" in err and "4311810305 classes" in err and "n <= 7" in err
+
+
+def test_census_help_states_the_sweep_limit(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert "full orbit census (n <= 7)" in capsys.readouterr().out
 
 
 def test_fixed_reports_skipped_oracle(capsys):
-    code, out, _ = run(capsys, "fixed", "--n", "7", "--d", "7")
+    code, out, _ = run(capsys, "fixed", "--n", "11", "--d", "11")
     assert code == 0
-    assert "oracle: skipped (n > 5)" in out
-    code, obj, _ = run_json(capsys, "fixed", "fixed", "--n", "7", "--d", "7",
+    assert "oracle: skipped (n > 7)" in out
+    code, obj, _ = run_json(capsys, "fixed", "fixed", "--n", "11", "--d", "11",
                             "--json")
     assert code == 0
     assert obj["oracle"] is None and obj["closed_form"] == 0
+
+
+def test_closed_pipe_ends_with_one_line(tmp_path):
+    """The reader stops after one line: exit 4 and one stderr line, no traceback."""
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    with subprocess.Popen(
+            [sys.executable, "-m", "goppa_orbits.cli", "census", "--n", "5", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=tmp_path) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()  # the report is over 64 KiB, more than the pipe holds
+        err = proc.stderr.read().decode()
+    assert first == b"{\n" and proc.returncode == 4
+    assert err == "error: the output pipe was closed before the report was written\n"
+
+
+@pytest.mark.slow
+def test_census_n6_has_no_bound(capsys):
+    code, out, _ = run(capsys, "census", "--n", "6")
+    assert code == 0
+    assert "(n outside the closed-form hypotheses; census only)" in out
+    assert "bound" not in out
 
 
 def test_fixed_single_power(capsys):
@@ -219,8 +254,8 @@ def test_census_and_roots_refuse_n17_before_building_a_tower(capsys, monkeypatch
         raise AssertionError("tower built before the n check")
 
     monkeypatch.setattr("goppa_orbits.cli.make_tower", no_tower)
-    for argv, limit in ((("census", "--n", "17"), "n <= 5"),
-                        (("census", "--n", "16"), "n <= 5"),
+    for argv, limit in ((("census", "--n", "17"), "n <= 7"),
+                        (("census", "--n", "16"), "n <= 7"),
                         (("roots", "--n", "17", "--which", "eq_deg8"), "n <= 10")):
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""

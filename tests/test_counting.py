@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -132,6 +133,22 @@ def test_census_n5_records_digest(tower5):
         "a92df7bb20bd60a90a9c53d290253902478551c7b1a83067ff269c0bccb55f94")
 
 
+@pytest.mark.slow
+def test_census_n7():
+    """The n = 7 sweep against the figures of its first run (about 30 s)."""
+    ctx = make_tower(7)
+    census = global_orbit_census(ctx)
+    records = json.dumps([list(r) for r in census.records])
+    assert hashlib.sha256(records.encode()).hexdigest() == (
+        "bb70c8a0eb711e5526b02808f4a39846665a320cc5cd9dee0f1b2493b52d318e")
+    assert census.orbit_count == burnside_bound(7) == 50333
+    assert census.candidates == 50512
+    assert Counter(r.pgl_orbits for r in census.records) == {
+        42: 49542, 21: 780, 14: 9, 6: 1, 3: 1}
+    assert [fixed_point_oracle(7, d, ctx) for d in (1, 2, 3, 6, 7, 14, 21, 42)] == [
+        0, 0, 3, 9, 0, 126, 16383, 2097279]
+
+
 def test_first_unvisited_matches_bit_scan():
     rng = np.random.default_rng(9)
     words = rng.integers(0, 1 << 63, 2 * counting._CHUNK_WORDS + 40, dtype=np.int64)
@@ -151,11 +168,37 @@ def test_first_unvisited_matches_bit_scan():
 
 
 def test_sweep_refuses_large_n():
+    counting._sweep_cost_check(counting.MAX_SWEEP_N)
     with pytest.raises(InfeasibleError) as err:
-        counting._sweep_cost_check(7)
-    assert "270549121 classes" in str(err.value)
+        counting._sweep_cost_check(8)
+    assert "4311810305 classes" in str(err.value) and "n <= 7" in str(err.value)
     with pytest.raises(InfeasibleError):
-        fixed_point_oracle(7, 1, make_tower(7))
+        fixed_point_oracle(8, 1, make_tower(8))
+
+
+def test_mark_bits_counts_only_new_bits():
+    rng = np.random.default_rng(3)
+    words = rng.integers(0, 1 << 63, 40, dtype=np.int64).astype(np.uint64)
+    before = np.unpackbits(words.view(np.uint8), bitorder="little").astype(bool)
+    for idx in (rng.permutation(2560)[:300], rng.integers(0, 2560, 300),
+                np.array([5, 70, 5, 2559, 64, 65, 70])):
+        bits = before.copy()
+        bits[idx] = True
+        got = words.copy()
+        assert counting._mark_bits(got, idx) == int(bits.sum() - before.sum())
+        assert (np.unpackbits(got.view(np.uint8), bitorder="little") == bits).all()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_low_field_classes_are_those_of_the_subfield_spans(n):
+    ctx = make_tower(n)
+    index = counting._class_index(ctx)
+    low = np.union1d(ctx.subfield_span_array(2 * n), ctx.subfield_span_array(3 * n))
+    outside = np.setdiff1d(low, ctx.subfield)
+    assert low.size == (1 << 2 * n) + (1 << 3 * n) - (1 << n)
+    want = np.unique(index.classes(outside))
+    got = index.classes(counting._low_field_class_elements(ctx))
+    assert want.size == (1 << n) + 2 and sorted(got.tolist()) == want.tolist()
 
 
 def brute_force_records(ctx):

@@ -3,8 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from goppa_orbits import gf2poly, make_tower
-from goppa_orbits.gf2tower import LinearizedMap, solve_affine_linearized
+from goppa_orbits import counting, gf2poly, make_tower
+from goppa_orbits.gf2tower import LinearizedMap, Tower, _ColumnSolver, solve_affine_linearized
 
 
 from conftest import schoolbook_mul
@@ -134,14 +134,26 @@ def test_degree_six_formula_values():
 def test_frobenius_vec_matches_scalar(tower5):
     rng = np.random.default_rng(6)
     x = rng.integers(0, 1 << 30, 500, dtype=np.int64)
-    conjugates = tower5.conjugates_vec(x)
-    assert conjugates.shape == (30, 500)
-    assert (conjugates[0] == x).all()
-    for i in (1, 5, 10, 15, 29):
+    for i in (0, 1, 5, 10, 15, 29):
         vec = tower5.frobenius_vec(x, i)
-        assert (conjugates[i] == vec).all()
-        for k in range(0, 500, 97):
-            assert int(vec[k]) == tower5.frobenius(int(x[k]), i)
+        assert [int(v) for v in vec[::97]] == [tower5.frobenius(int(v), i) for v in x[::97]]
+
+
+@pytest.mark.parametrize("n", [2, 5, 7])
+def test_conjugate_tables_fuse_frobenius_and_to_coords(n):
+    """The class index's fused stack is to_coords after x -> x^(2^i): the
+    scalar Frobenius, then coordinates in the basis gamma_k theta^j, then
+    coordinate 0 dropped."""
+    ctx = make_tower(n)
+    gammas = [ctx.embed_base(1 << k) for k in range(n)]
+    coords = _ColumnSolver([ctx.mul(g, ctx.pow(2, j)) for j in range(6) for g in gammas])
+    rng = np.random.default_rng(n)
+    x = rng.integers(0, 1 << 6 * n, (4, 25), dtype=np.int64)
+    fused = Tower.apply_tables(counting._class_index(ctx).conjugates, x)
+    assert fused.shape == (4, 25, 6 * n)
+    for i in range(6 * n):
+        want = [coords.solve(ctx.frobenius(v, i)) >> n for v in x.ravel().tolist()]
+        assert fused[..., i].ravel().tolist() == want
 
 
 def test_embedding_is_field_homomorphism(tower5):

@@ -4,8 +4,9 @@ The scalar kernel is gf2poly.mul (windowed carry-less product) plus
 Tower.mul (byte-table reduction), Tower.inv (shift-and-add extended Euclid)
 and the Frobenius columns. Each property runs on the default towers at
 n = 2, 3, 4, 5, 7 and on two towers whose big modulus has a dense tail. The
-vectorised kernel, Tower.mul_vec (chunked carry-less product) and
-Tower.inv_vec (Itoh-Tsujii chain), must equal the scalar one elementwise.
+vectorised product Tower.mul_vec (chunked, masked integer products) must
+equal the scalar one elementwise, and the norm-form suborbit representative
+N(z)/z of z = alpha + g must lie in the affine class of the scalar inv(z).
 """
 
 import copy
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goppa_orbits import gf2poly, make_tower
+from goppa_orbits import counting, gf2poly, make_tower, mobius
 
 from conftest import schoolbook_mul
 
@@ -128,31 +129,67 @@ def test_vec_kernel_matches_scalar_on_every_element_n2():
     for y in [x, x[::-1], np.roll(x, 1000)] + [np.full_like(x, c) for c in (0, 1, 0x2b3)]:
         want = [ctx.mul(a, b) for a, b in zip(x.tolist(), y.tolist())]
         assert ctx.mul_vec(x, y).tolist() == want
-    assert ctx.inv_vec(x[1:]).tolist() == [ctx.inv(a) for a in range(1, 1 << 12)]
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 10])
 def test_vec_kernel_matches_scalar(n):
     ctx = make_tower(n)
-    pairs = st.tuples(field_elements((n, None), min_value=1), field_elements((n, None)))
+    pairs = st.tuples(field_elements((n, None)), field_elements((n, None)))
 
     @KERNEL
     @given(st.lists(pairs, min_size=1, max_size=40))
     def check(drawn):
         x, y = (np.array(col, dtype=np.int64) for col in zip(*drawn))
         assert ctx.mul_vec(x, y).tolist() == [ctx.mul(a, b) for a, b in drawn]
-        assert ctx.inv_vec(x).tolist() == [ctx.inv(a) for a, _ in drawn]
-        column = ctx.inv_vec(ctx.mul_vec(x[:, None], y[:, None] | 1))
+        column = ctx.mul_vec(x[:, None], y[:, None])
         assert column.shape == (len(drawn), 1)
-        assert column[:, 0].tolist() == ctx.inv_vec(ctx.mul_vec(x, y | 1)).tolist()
+        assert column[:, 0].tolist() == ctx.mul_vec(x, y).tolist()
 
     check()
 
 
-def test_inv_vec_refuses_zero():
-    ctx = tower((5, None))
-    with pytest.raises(ZeroDivisionError):
-        ctx.inv_vec(np.array([3, 0, 5], dtype=np.int64))
+@pytest.mark.parametrize("n", [5, 10])
+def test_mul_vec_all_ones(n):
+    """All-ones operands put the most terms on each masked slot of a chunk."""
+    ctx = make_tower(n)
+    ones = (1 << 6 * n) - 1
+    x = np.array([ones, ones, ones ^ 1, 1 << 6 * n - 1, 3], dtype=np.int64)
+    y = np.array([ones, 1, ones, ones, ones], dtype=np.int64)
+    assert ctx.mul_vec(x, y).tolist() == [ctx.mul(a, b) for a, b in zip(x.tolist(), y.tolist())]
+
+
+def assert_norm_form(ctx, alphas):
+    """Each suborbit representative of z = alpha + g is N(z)/z: z times it is
+    a nonzero element of GF(q), and it has the class rank of inv(z)."""
+    reps = mobius.suborbit_representatives(ctx, np.array(alphas, dtype=np.int64))
+    z = [[a ^ g for g in ctx.subfield] for a in alphas]
+    inverses = np.array([[ctx.inv(v) for v in row] for row in z], dtype=np.int64)
+    index = counting._class_index(ctx)
+    assert (reps[:, 0] == alphas).all()
+    assert (index.classes(reps[:, 1:]) == index.classes(inverses)).all()
+    subfield = set(ctx.subfield_nonzero())
+    assert all(ctx.mul(v, r) in subfield
+               for row, rrow in zip(z, reps[:, 1:].tolist()) for v, r in zip(row, rrow))
+
+
+def test_norm_form_on_every_element_n2():
+    ctx = tower((2, None))
+    alphas = [a for a in range(1 << 12) if ctx.is_degree_six(a)]
+    assert len(alphas) == 4020
+    assert_norm_form(ctx, alphas)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_norm_form_matches_scalar_inverse(n):
+    ctx = make_tower(n)
+
+    @KERNEL
+    @given(st.lists(field_elements((n, None)).filter(ctx.is_degree_six),
+                    min_size=1, max_size=3))
+    def check(alphas):
+        assert_norm_form(ctx, alphas)
+
+    check()
 
 
 def test_vec_kernel_refuses_towers_above_63_bits():
@@ -161,4 +198,4 @@ def test_vec_kernel_refuses_towers_above_63_bits():
     with pytest.raises(ValueError, match="below 64 bits"):
         ctx.mul_vec(x, x)
     with pytest.raises(ValueError, match="below 64 bits"):
-        ctx.inv_vec(x)
+        ctx.conjugate_tables(list(range(66)))
