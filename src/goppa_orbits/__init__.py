@@ -3,7 +3,8 @@
 Library layout:
 
 - gf2tower: exact arithmetic in GF(2) < GF(2^n) < GF(2^(6n)), Frobenius and
-  trace machinery, linearized-equation solving.
+  trace machinery, and the one GF(2) elimination, which solves linearized
+  equations as cosets.
 - mobius: the projective semi-linear group over GF(2^n), its action on the
   degree-6 elements, and the split of each linear orbit into 2^n + 1 affine
   classes.
@@ -13,11 +14,12 @@ Library layout:
 - counting: closed-form fixed-point counts, the averaged orbit bound, and
   the independent oracles (census, root counts, class equations); the
   census, fixed-point oracle and class equations index affine classes as
-  points of P^4(GF(2^n)), and eq_41 is counted by GF(2) polynomial gcds.
+  points of P^4(GF(2^n)), the linear root counts are GF(2) ranks, and eq_41
+  is counted by GF(2) polynomial gcds.
 - cli: the goppa-orbits command.
 """
 
-from .gf2tower import LinearizedMap, Tower, make_tower, solve_affine_linearized
+from .gf2tower import Tower, make_tower, solve_affine_linearized
 from .mobius import (
     SemiLinearMap,
     apply_map,
@@ -52,7 +54,7 @@ from .counting import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "Tower", "make_tower", "LinearizedMap", "solve_affine_linearized",
+    "Tower", "make_tower", "solve_affine_linearized",
     "SemiLinearMap", "make_map", "apply_map", "compose", "inverse",
     "infinity", "random_degree_six",
     "BinaryCode", "GoppaInstance", "goppa_instance", "goppa_code",

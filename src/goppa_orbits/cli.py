@@ -334,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fixed)
 
     p = sub.add_parser("roots", help="root-count oracles for the named equations "
-                                     "(n <= 10; eq_41 n <= 8, eq_3n n <= 7)")
+                                     f"(n <= {counting.MAX_ROOTS_N}; "
+                                     f"eq_41 n <= {counting.MAX_EQ41_N})")
     _add_common(p)
     p.add_argument("--which", required=True, choices=counting.ROOT_EQUATIONS)
     p.set_defaults(func=cmd_roots)

@@ -7,19 +7,19 @@ group action itself, with no shared formulas: the census and the fixed-point
 oracle enumerate orbits affine class by affine class over a visited bit array
 indexed by the points of P^4(GF(2^n)), and the class equations read the
 Frobenius action on an orbit's 2^n + 1 affine classes off the same index; the
-root-count oracles solve GF(2)-linear systems, or, for the multiplicative
-equation eq_41, take gcds of GF(2) polynomials. Each orbit is represented by
-an element of its least class rank, the class the sweep claims for it. Each
-round of the sweep claims a batch of the least unvisited classes and drops a
-candidate whose orbit an earlier one of the round already holds, so every
-accepted class is still the least of its orbit. A round takes the suborbit
-representatives of the whole batch in norm form (`mobius`), reads the class
-coordinates of all 6n Frobenius images through one stack of fused byte
-tables and marks the new classes word by word. The sweeps are limited to
-n <= 7 (about 28 s and 80 MiB at n = 7 on 2 vCPU), eq_41 to n <= 8 and the
-linear solvers to n <= 10 (64-bit elements; eq_3n to n <= 7, where its
-2^(3n) roots are enumerated); larger n is refused with a cost estimate
-rather than attempted.
+root-count oracles count by rank, one stacked GF(2)-linear system per
+subfield, or, for the multiplicative equation eq_41, take gcds of GF(2)
+polynomials. Each orbit is represented by an element of its least class
+rank, the class the sweep claims for it. Each round of the sweep claims a
+batch of the least unvisited classes and drops a candidate whose orbit an
+earlier one of the round already holds, so every accepted class is still
+the least of its orbit. A round takes the suborbit representatives of the
+whole batch in norm form (`mobius`), reads the class coordinates of all 6n
+Frobenius images through one stack of fused byte tables and marks the new
+classes word by word. The sweeps are limited to
+n <= 7 (about 28 s and 80 MiB at n = 7 on 2 vCPU) and eq_41 to n <= 8;
+larger n is refused with a cost estimate rather than attempted. The linear
+root counts list no root, so they run up to the tower's cap, n <= 16.
 """
 
 from __future__ import annotations
@@ -34,12 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gf2poly, mobius
-from .gf2tower import (
-    LinearizedMap,
-    Tower,
-    _ColumnSolver,
-    solve_affine_linearized,
-)
+from .gf2tower import _MAX_N, Tower, _ColumnSolver, solve_affine_linearized
 
 __all__ = [
     "InfeasibleError",
@@ -61,9 +56,13 @@ __all__ = [
     "class_equation_check",
     "permutation_cycles",
     "MAX_SWEEP_N",
+    "MAX_ROOTS_N",
+    "MAX_EQ41_N",
 ]
 
 MAX_SWEEP_N = 7
+MAX_ROOTS_N = _MAX_N  # the linear root counts are ranks: any tower will do
+MAX_EQ41_N = 8
 
 ROOT_EQUATIONS = ("eq_3n", "eq_2n_affine", "eq_41", "eq_deg8", "fixed_field_64")
 
@@ -565,58 +564,62 @@ class RootCounts:
     in_subfield_3n: int
 
 
-def _classify_roots(ctx: Tower, which: str, sols: np.ndarray) -> RootCounts:
-    if sols.size == 0:
-        return RootCounts(which, 0, 0, 0, 0)
-    n = ctx.n
-    in2 = ctx.frobenius_vec(sols, 2 * n) == sols
-    in3 = ctx.frobenius_vec(sols, 3 * n) == sols
+def _by_subfield(which: str, roots: dict[int, int]) -> RootCounts:
+    """RootCounts from the root counts in GF(2^(jn)), keyed by j = 1, 2, 3, 6:
+    the degree-6 roots are those outside GF(2^(2n)) and GF(2^(3n)), whose
+    intersection is GF(2^n)."""
     return RootCounts(
         equation=which,
-        total=int(sols.size),
-        in_degree_six=int((~in2 & ~in3).sum()),
-        in_subfield_2n=int(in2.sum()),
-        in_subfield_3n=int(in3.sum()),
+        total=roots[6],
+        in_degree_six=roots[6] - roots[2] - roots[3] + roots[1],
+        in_subfield_2n=roots[2],
+        in_subfield_3n=roots[3],
     )
 
 
 def _roots_cost_check(n: int, which: str) -> None:
     if which not in ROOT_EQUATIONS:
         raise ValueError(f"unknown equation {which!r}; choose from {ROOT_EQUATIONS}")
-    if 6 * n > 63:
-        raise InfeasibleError(
-            f"n={n}: the vectorised root paths hold elements of GF(2^{6 * n}) "
-            "in 64-bit integers; they are limited to n <= 10")
-    if which == "eq_41" and n > 8:
+    if which == "eq_41" and n > MAX_EQ41_N:
         raise InfeasibleError(
             f"n={n}: eq_41 takes gcds of degree-{(1 << 2 * n) + 1} "
-            "polynomials over GF(2); it is limited to n <= 8")
-    # eq_3n's kernel is GF(2^3n); the other kernels have at most 2^(2n) <= 2^20 points
-    if which == "eq_3n" and n > 7:
+            f"polynomials over GF(2); it is limited to n <= {MAX_EQ41_N}")
+    if n > MAX_ROOTS_N:
         raise InfeasibleError(
-            f"n={n}: solution space 2^{3 * n} too large to enumerate; "
-            "eq_3n is limited to n <= 7")
+            f"n={n}: the root counts work in the tower GF(2^{6 * n}), whose "
+            f"construction enumerates GF(2^{n}); they are limited to n <= {MAX_ROOTS_N}")
 
 
 def root_count_oracle(ctx: Tower, which: str) -> RootCounts:
     """Count roots of one of the named equations, splitting by subfield.
 
-    The affine-linearized equations, each x^(2^k) + x = rhs, are solved
-    exactly by one GF(2) elimination (n <= 10); eq_41 is counted by
-    polynomial gcds over GF(2) (n <= 8).
+    The affine-linearized equations, each L(x) = x^(2^k) + x = rhs, are
+    counted by rank. The roots in GF(2^(jn)) solve one stacked GF(2) system,
+    L(x) = rhs beside x^(2^(jn)) + x = 0, so they number 0 or 2^(kernel
+    dimension); the whole field (j = 6) goes first, and without a root there
+    the subfields are not solved. eq_41 is counted by polynomial gcds over
+    GF(2) (n <= 8).
     """
     _roots_cost_check(ctx.n, which)
     if which == "eq_41":
         return _eq41_counts(ctx.n)
-    n = ctx.n
+    n, m = ctx.n, ctx.big_degree
     k, rhs = {"eq_3n": (3 * n, 1), "eq_2n_affine": (2 * n, 1),
               "eq_deg8": (3, 1), "fixed_field_64": (6, 0)}[which]
-    kernel_dim = math.gcd(k, ctx.big_degree)  # the kernel is GF(2^gcd(k, 6n))
-    sols = solve_affine_linearized(LinearizedMap(ctx._frob_plus_id_cols(k)), rhs)
-    if sols.size not in (0, 1 << kernel_dim):
-        raise ConsistencyError(
-            f"{which}: {sols.size} solutions, not 0 or 2^{kernel_dim}")
-    return _classify_roots(ctx, which, sols)
+    cols = ctx._frob_plus_id_cols(k)
+
+    def count(j: int) -> int:
+        sub = ctx._frob_plus_id_cols(j * n)  # all zero at j = 6
+        coset = solve_affine_linearized([c | s << m for c, s in zip(cols, sub)], rhs)
+        return 0 if coset is None else 1 << len(coset[1])
+
+    total = count(6)
+    kernel_dim = math.gcd(k, m)  # the kernel is GF(2^gcd(k, 6n))
+    if total not in (0, 1 << kernel_dim):
+        raise ConsistencyError(f"{which}: {total} solutions, not 0 or 2^{kernel_dim}")
+    if not total:
+        return RootCounts(which, 0, 0, 0, 0)
+    return _by_subfield(which, {6: total, 1: count(1), 2: count(2), 3: count(3)})
 
 
 def _eq41_counts(n: int) -> RootCounts:
@@ -624,8 +627,7 @@ def _eq41_counts(n: int) -> RootCounts:
 
     P' = x^(2^(2n)) + 1 is coprime to P, so P is squarefree and has exactly
     deg gcd(P, x^(2^k) + x) roots in GF(2^k). One chain of 6n squarings
-    mod P gives x^(2^k) for k = n, 2n, 3n and 6n; GF(2^n) is the
-    intersection of GF(2^(2n)) and GF(2^(3n)).
+    mod P gives x^(2^k) for k = n, 2n, 3n and 6n.
     """
     e = 1 << 2 * n
     p = (1 << e + 1) | 0b11
@@ -637,13 +639,7 @@ def _eq41_counts(n: int) -> RootCounts:
         r = gf2poly.mod(gf2poly.mul(r, r), p)
         if k % n == 0:
             roots[k // n] = gf2poly.degree(gf2poly.gcd(p, r ^ 0b10))
-    return RootCounts(
-        equation="eq_41",
-        total=roots[6],
-        in_degree_six=roots[6] - roots[2] - roots[3] + roots[1],
-        in_subfield_2n=roots[2],
-        in_subfield_3n=roots[3],
-    )
+    return _by_subfield("eq_41", roots)
 
 
 # ------------------------------------------------------- class-equation checks

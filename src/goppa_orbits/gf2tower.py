@@ -18,9 +18,8 @@ The scalar kernel:
 - `Tower.inv` is the shift-and-add extended Euclid; a zero remainder means
   the modulus was not irreducible and raises instead of looping.
 - `_frob_cols(i)`, the columns of x -> x^(2^i), are the powers z^j of
-  z = x^(2^i), cached per i. `frobenius`, `embed_base` and
-  `LinearizedMap.apply` apply such columns with `_apply_cols`, the one
-  GF(2)-linear map application.
+  z = x^(2^i), cached per i. `frobenius` and `embed_base` apply such
+  columns with `_apply_cols`, the one GF(2)-linear map application.
 
 The numpy paths hold encodings in int64, so they need 6n <= 63 (n <= 10)
 and raise ValueError above it. Their tables are built on first use and kept
@@ -34,14 +33,14 @@ Linear algebra over GF(2) has one elimination, `_ColumnSolver`: it reduces
 int-bitmask vectors at their least set bits and keeps the input combination
 behind each pivot. Walking the inputs from last to first makes its kernel
 basis come out in reduced row echelon form. That kernel gives the subfields
-(of the columns of x -> x^(2^k) + x, `_frob_plus_id_cols`), the solution sets
-of linearized equations and every binary code; `solve` inverts GF(2)-linear
-maps, and its `rref` is `codes.rref`.
+(of the columns of x -> x^(2^k) + x, `_frob_plus_id_cols`) and every binary
+code; `solve` inverts GF(2)-linear maps, and its `rref` is `codes.rref`.
+`solve_affine_linearized` hands back the solutions of a linearized equation
+as a coset, a particular solution and a kernel basis, so a root count is a
+rank and never a list of roots.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,9 +49,7 @@ from . import gf2poly
 __all__ = [
     "Tower",
     "make_tower",
-    "LinearizedMap",
     "solve_affine_linearized",
-    "span",
 ]
 
 _MAX_N = 16  # subfield enumeration builds 2^n elements; keep construction desk-scale
@@ -129,43 +126,16 @@ def _apply_cols(cols: list[int] | tuple[int, ...], x: int) -> int:
     return r
 
 
-def span(basis: tuple[int, ...] | list[int]) -> np.ndarray:
-    """All XOR combinations of the basis vectors, as a sorted int64 array."""
-    arr = np.zeros(1, dtype=np.int64)
-    for b in basis:
-        arr = np.concatenate([arr, arr ^ np.int64(b)])
-    arr.sort()
-    return arr
+def solve_affine_linearized(cols: list[int] | tuple[int, ...],
+                             b: int) -> tuple[int, tuple[int, ...]] | None:
+    """The solutions of M(x) = b, M the GF(2)-linear map with columns cols, as
+    a coset (particular, kernel_basis), or None when b is outside the image.
 
-
-@dataclass(frozen=True)
-class LinearizedMap:
-    """GF(2)-affine map on field encodings: x -> M(x) + offset.
-
-    cols[j] is the image of the basis element x^j, so M(x) is the XOR of
-    cols[j] over the set bits of x.
+    The coset holds 2^len(kernel_basis) solutions; none of them is listed.
     """
-
-    cols: tuple[int, ...]
-    offset: int = 0
-
-    def apply(self, x: int) -> int:
-        return _apply_cols(self.cols, x) ^ self.offset
-
-
-def solve_affine_linearized(lmap: LinearizedMap, b: int) -> np.ndarray:
-    """All solutions of lmap(x) = b, as a sorted int64 array (possibly empty).
-
-    The solution set is a coset of the kernel, so its size is 0 or
-    2^dim(ker).
-    """
-    solver = _ColumnSolver(list(lmap.cols))
-    particular = solver.solve(b ^ lmap.offset)
-    if particular is None:
-        return np.empty(0, dtype=np.int64)
-    sols = span(solver.kernel_basis) ^ np.int64(particular)
-    sols.sort()
-    return sols
+    solver = _ColumnSolver(cols)
+    particular = solver.solve(b)
+    return None if particular is None else (particular, solver.kernel_basis)
 
 
 class Tower:
@@ -357,10 +327,6 @@ class Tower:
         if len(basis) != bits:
             raise AssertionError("subfield dimension mismatch")
         return basis
-
-    def subfield_span_array(self, bits: int) -> np.ndarray:
-        """The subfield GF(2^bits) of the big field as a sorted int64 array."""
-        return span(self._fixed_field_basis(bits))
 
     # --------------------------------------------------------- polynomials
 

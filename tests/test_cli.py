@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from goppa_orbits import schema
-from goppa_orbits.cli import main
+from goppa_orbits.cli import _ROOT_EXPECTED, main
 from goppa_orbits.gf2tower import Tower
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -230,13 +230,15 @@ def test_bad_workers_exit_2(capsys):
     assert err == "error: workers must be positive\n"
 
 
-def test_roots_refuses_n11(capsys):
-    # 6n = 66 bits do not fit the 64-bit integers of the vectorised paths
-    for which in ("eq_deg8", "fixed_field_64"):
-        code, out, err = run(capsys, "roots", "--n", "11", "--which", which)
-        assert code == 3 and out == ""
-        assert len(err.splitlines()) == 1 and "Traceback" not in err
-        assert "n <= 10" in err and "64-bit" in err
+def test_roots_linear_equations_match_at_n11_and_n13(capsys):
+    # above 6n = 63 bits: the counts are ranks, so no root is held in an int64
+    for n in (11, 13):
+        for which in ("eq_3n", "eq_2n_affine", "eq_deg8", "fixed_field_64"):
+            code, obj, _ = run_json(capsys, "roots", "roots", "--n", str(n),
+                                    "--which", which, "--json")
+            assert code == 0 and obj["match"] is True
+            assert obj["in_degree_six"] == obj["expected_in_degree_six"] == (
+                _ROOT_EXPECTED[which](n))
 
 
 def test_code_and_equiv_refuse_n12(capsys):
@@ -256,7 +258,7 @@ def test_census_and_roots_refuse_n17_before_building_a_tower(capsys, monkeypatch
     monkeypatch.setattr("goppa_orbits.cli.make_tower", no_tower)
     for argv, limit in ((("census", "--n", "17"), "n <= 7"),
                         (("census", "--n", "16"), "n <= 7"),
-                        (("roots", "--n", "17", "--which", "eq_deg8"), "n <= 10")):
+                        (("roots", "--n", "17", "--which", "eq_deg8"), "n <= 16")):
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith(f"infeasible: n={argv[2]}:")
@@ -294,24 +296,15 @@ def test_roots_eq41_refuses_n9(capsys):
     assert "n <= 8" in err and "262145" in err
 
 
-def test_roots_eq3n_refuses_n8(capsys):
-    code, out, err = run(capsys, "roots", "--n", "8", "--which", "eq_3n")
-    assert code == 3 and out == ""
-    assert len(err.splitlines()) == 1 and "Traceback" not in err
-    assert "n=8:" in err and "2^24" in err and "n <= 7" in err
-
-
 def test_roots_at_largest_accepted_n(capsys):
-    # n = 10 is not prime, so there is no closed form to match against
-    code, obj, _ = run_json(capsys, "roots", "roots", "--n", "10", "--which",
-                            "eq_deg8", "--json")
-    assert code == 0
-    assert (obj["total"], obj["in_degree_six"], obj["match"]) == (8, 0, None)
-    code, obj, _ = run_json(capsys, "roots", "roots", "--n", "7", "--which",
+    # n = 16 is not prime, so there is no closed form to match against; its
+    # 2^48 roots split as in any n: 2^n in GF(2^(2n)), none in GF(2^(3n))
+    code, obj, _ = run_json(capsys, "roots", "roots", "--n", "16", "--which",
                             "eq_3n", "--json")
     assert code == 0
-    assert obj["in_degree_six"] == obj["expected_in_degree_six"] == (1 << 21) - (1 << 7)
-    assert obj["match"] is True
+    assert (obj["total"], obj["in_degree_six"], obj["in_subfield_2n"],
+            obj["in_subfield_3n"]) == (1 << 48, (1 << 48) - (1 << 16), 1 << 16, 0)
+    assert obj["expected_in_degree_six"] is None and obj["match"] is None
 
 
 def test_minimal_polynomial_calls(capsys, monkeypatch):

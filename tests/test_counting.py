@@ -6,7 +6,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import canonical_orbit_rep
+from conftest import (
+    LINEAR_EQUATIONS,
+    canonical_orbit_rep,
+    enumerated_root_counts,
+    subfield_span_array,
+)
 from goppa_orbits import counting, gf2poly, make_tower, mobius
 from goppa_orbits.counting import (
     InfeasibleError,
@@ -193,7 +198,7 @@ def test_mark_bits_counts_only_new_bits():
 def test_low_field_classes_are_those_of_the_subfield_spans(n):
     ctx = make_tower(n)
     index = counting._class_index(ctx)
-    low = np.union1d(ctx.subfield_span_array(2 * n), ctx.subfield_span_array(3 * n))
+    low = np.union1d(subfield_span_array(ctx, 2 * n), subfield_span_array(ctx, 3 * n))
     outside = np.setdiff1d(low, ctx.subfield)
     assert low.size == (1 << 2 * n) + (1 << 3 * n) - (1 << n)
     want = np.unique(index.classes(outside))
@@ -210,8 +215,8 @@ def brute_force_records(ctx):
     """
     n, m = ctx.n, ctx.big_degree
     visited = np.zeros(1 << m, dtype=bool)
-    visited[ctx.subfield_span_array(2 * n)] = True
-    visited[ctx.subfield_span_array(3 * n)] = True
+    visited[subfield_span_array(ctx, 2 * n)] = True
+    visited[subfield_span_array(ctx, 3 * n)] = True
     records = []
     while not visited.all():
         alpha = int(np.argmin(visited))
@@ -327,6 +332,21 @@ def test_eq41_matches_exhaustive_sweep_n3(tower3):
 def test_root_oracle_rejects_unknown(tower2):
     with pytest.raises(ValueError):
         root_count_oracle(tower2, "eq_unknown")
+
+
+@pytest.mark.parametrize("big", [None, "30,1,0", "30,9,0", "30,21,0", "30,29,0"])
+def test_root_ranks_match_enumeration_n5(big):
+    ctx = make_tower(5, modulus_big=None if big is None
+                     else gf2poly.from_exponents([int(e) for e in big.split(",")]))
+    for which in LINEAR_EQUATIONS:
+        assert root_count_oracle(ctx, which) == enumerated_root_counts(ctx, which)
+
+
+def test_root_ranks_match_enumeration_n7():
+    # eq_3n's 2^21 roots are left out: listing them is what the ranks avoid
+    ctx = make_tower(7)
+    for which in ("eq_2n_affine", "eq_deg8", "fixed_field_64"):
+        assert root_count_oracle(ctx, which) == enumerated_root_counts(ctx, which)
 
 
 def test_eq3n_solver_counts_n3(tower3):
