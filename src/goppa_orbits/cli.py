@@ -82,6 +82,7 @@ def _resolve_alpha(ctx: Tower, text: str, seed: int | None) -> int:
 
 def cmd_bound(args) -> int:
     n = args.n
+    counting._closed_form_cost_check(n)
     if n <= 3 or not counting.is_prime(n):
         print(f"error: n={n} must be a prime greater than 3", file=sys.stderr)
         return EXIT_USAGE
@@ -147,6 +148,7 @@ def cmd_census(args) -> int:
 
 def cmd_fixed(args) -> int:
     if args.table:
+        counting._closed_form_cost_check(args.nmax, "nmax")
         primes = [k for k in range(5, args.nmax + 1) if counting.is_prime(k)]
         rows = []
         for n in primes:
@@ -168,6 +170,7 @@ def cmd_fixed(args) -> int:
         print("error: --d is required without --table", file=sys.stderr)
         return EXIT_USAGE
     n, d = args.n, args.d
+    counting._closed_form_cost_check(n)
     closed = None
     if n > 3 and counting.is_prime(n):
         closed = counting.fixed_points_for_power(n, d)
@@ -175,7 +178,7 @@ def cmd_fixed(args) -> int:
     start = time.perf_counter()
     if n <= counting.MAX_SWEEP_N:
         ctx = _tower(args)
-        oracle = counting.fixed_point_oracle(n, d, ctx)
+        oracle = counting.fixed_point_oracle(ctx, d)
     elapsed = (time.perf_counter() - start) * 1e3
     match = None if closed is None or oracle is None else closed == oracle
     order = (6 * n) // math.gcd(6 * n, d % (6 * n) or 6 * n)
@@ -236,10 +239,9 @@ def cmd_code(args) -> int:
     _code_cost_check(args.n)
     ctx = _tower(args)
     alpha = _resolve_alpha(ctx, args.alpha, args.seed)
-    inst = codes.goppa_instance(ctx, alpha)
     code = (codes.extended_goppa_code(ctx, alpha) if args.extended
             else codes.goppa_code(ctx, alpha))
-    obj = codes.code_to_json(ctx, inst, code)
+    obj = codes.code_to_json(ctx, alpha, code)
     obj["extended"] = bool(args.extended)
     lines = [
         f"n = {args.n}, alpha = {ctx.to_hex(alpha)}"
@@ -314,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "bounds, and equivalence checks over GF(2^(6n)).")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bound", help="closed-form orbit-count upper bound")
+    p = sub.add_parser("bound", help="closed-form orbit-count upper bound "
+                                     f"(n <= {counting.MAX_CLOSED_FORM_N})")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bound)
@@ -324,13 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("fixed", help="fixed-orbit counts per Frobenius power "
-                                     f"(oracle n <= {counting.MAX_SWEEP_N})")
+                                     f"(n <= {counting.MAX_CLOSED_FORM_N}; "
+                                     f"oracle n <= {counting.MAX_SWEEP_N})")
     _add_common(p)
     p.add_argument("--d", type=int, help="Frobenius power")
     p.add_argument("--table", action="store_true",
                    help="print closed forms for a range of primes")
     p.add_argument("--nmax", type=int, default=61,
-                   help="largest n for --table")
+                   help=f"largest n for --table (at most {counting.MAX_CLOSED_FORM_N})")
     p.set_defaults(func=cmd_fixed)
 
     p = sub.add_parser("roots", help="root-count oracles for the named equations "

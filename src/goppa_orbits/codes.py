@@ -1,15 +1,17 @@
-"""Goppa, alternant and extended code construction over the tower, as binary codes.
+"""Goppa and extended code construction over the tower, as binary codes.
 
 Binary matrices are lists of int bitmasks (bit j = column j), the usual
 GF(2) idiom: row reduction is XOR, parity checks are popcounts. Codes are
 stored with both a generator and a parity basis in reduced row echelon form,
 so code equality is structural equality of the canonical generator rows.
 A subfield subcode is the kernel of its binary parity columns, which
-`_ColumnSolver` hands back already reduced, so `rref` on it finds every
-pivot without a single row reduction.
+`_ColumnSolver` hands back already reduced: that kernel is the generator as
+it stands, and one `nullspace` and one `rref` give the parity basis.
 
 An extended code is one subfield subcode over a projective support in any
-order, so the equivalence check builds both codes and compares them.
+order, so the equivalence check builds both codes and compares them. The
+alternant route to the same codes, through the transformed polynomial of
+the paper, is a test oracle in `tests/conftest.py`.
 """
 
 from __future__ import annotations
@@ -21,19 +23,13 @@ from .mobius import SemiLinearMap, apply_map, infinity
 
 __all__ = [
     "BinaryCode",
-    "GoppaInstance",
     "rref",
     "nullspace",
-    "code_from_generator",
-    "eval_at_point",
-    "alternant_parity",
     "goppa_parity",
     "subfield_subcode",
     "extend_code",
-    "goppa_instance",
     "goppa_code",
     "extended_goppa_code",
-    "transform_polynomial",
     "induced_permutation",
     "check_extended_equivalence",
     "weight_enumerator",
@@ -89,42 +85,8 @@ class BinaryCode:
         if len(self.generator) + len(self.parity) != self.length:
             raise AssertionError("rank defect in code bases")
 
-    def contains(self, word: int) -> bool:
-        return all((word & h).bit_count() % 2 == 0 for h in self.parity)
-
-
-def code_from_generator(gen_rows: list[int], length: int) -> BinaryCode:
-    gen = rref(gen_rows)
-    return BinaryCode(length, gen, rref(list(nullspace(gen, length))))
-
 
 # ------------------------------------------------------------- parity builders
-
-
-def alternant_parity(ctx: Tower, v: list[int], support: list[int],
-                     r: int) -> list[list[int]]:
-    """The r x m big-field matrix with rows v_j * a_j^i, i = 0..r-1, over a
-    projective support: the infinity column, at any position, is zero except
-    for v_j in the last row."""
-    if len(v) != len(support):
-        raise ValueError("multiplier and support lengths differ")
-    if any(x == 0 for x in v):
-        raise ValueError("multiplier entries must be nonzero")
-    if len(set(support)) != len(support):
-        raise ValueError("support points must be distinct")
-    if r < 1:
-        raise ValueError("need at least one parity row")
-    inf = infinity(ctx)
-    rows = [[0] * len(support) for _ in range(r)]
-    for j, (vj, pt) in enumerate(zip(v, support)):
-        if pt == inf:
-            rows[r - 1][j] = vj
-        else:
-            acc = vj
-            for i in range(r):
-                rows[i][j] = acc
-                acc = ctx.mul(acc, pt)
-    return rows
 
 
 def goppa_parity(ctx: Tower, alpha: int, support: list[int]) -> list[list[int]]:
@@ -142,7 +104,8 @@ def subfield_subcode(ctx: Tower, parity_rows: list[list[int]], length: int) -> B
     m = ctx.big_degree
     cols = [sum(row[j] << (i * m) for i, row in enumerate(parity_rows))
             for j in range(length)]
-    return code_from_generator(list(_ColumnSolver(cols).kernel_basis), length)
+    gen = _ColumnSolver(cols).kernel_basis  # already reduced
+    return BinaryCode(length, gen, rref(list(nullspace(gen, length))))
 
 
 def extend_code(code: BinaryCode) -> BinaryCode:
@@ -154,29 +117,6 @@ def extend_code(code: BinaryCode) -> BinaryCode:
 
 
 # --------------------------------------------------------------- Goppa codes
-
-
-@dataclass(frozen=True)
-class GoppaInstance:
-    """A degree-6 element, its minimal polynomial, and the canonical support."""
-
-    alpha: int
-    g: tuple[int, ...]
-    support: tuple[int, ...]
-
-
-def goppa_instance(ctx: Tower, alpha: int) -> GoppaInstance:
-    if not ctx.is_degree_six(alpha):
-        raise ValueError("alpha must have degree 6 over the base field")
-    g = ctx.minimal_polynomial(alpha)
-    return GoppaInstance(alpha=alpha, g=g, support=tuple(ctx.subfield))
-
-
-def eval_at_point(ctx: Tower, coeffs: tuple[int, ...], pt: int) -> int:
-    """Evaluate at a projective point; the value at infinity is the leading coefficient."""
-    if pt == infinity(ctx):
-        return coeffs[-1]
-    return ctx.eval_poly(coeffs, pt)
 
 
 def goppa_code(ctx: Tower, alpha: int) -> BinaryCode:
@@ -195,49 +135,6 @@ def extended_goppa_code(ctx: Tower, alpha: int,
     length = len(support)
     return subfield_subcode(
         ctx, goppa_parity(ctx, alpha, support) + [[1] * length], length)
-
-
-# ----------------------------------------------------------- transformations
-
-
-def transform_polynomial(ctx: Tower, g: tuple[int, ...],
-                         m: SemiLinearMap) -> tuple[int, ...]:
-    """Image of g under the semi-linear substitution.
-
-    With tg the coefficient-wise Frobenius image of g and r its degree, the
-    result is sum_k tg_k (d x + b)^k (c x + a)^(r - k), whose roots are the
-    map images of the roots of g. Requires tg(d/c) nonzero when c is nonzero
-    (signs collapse in characteristic 2).
-    """
-    r = len(g) - 1
-    if r < 1 or g[-1] == 0:
-        raise ValueError("polynomial must have positive degree")
-    tg = [ctx.frobenius(ck, m.frob) for ck in g]
-    if m.c and ctx.eval_poly(tg, ctx.mul(m.d, ctx.inv(m.c))) == 0:
-        raise ValueError("substitution pole coincides with a root of the polynomial")
-
-    def pmul(p: list[int], q: list[int]) -> list[int]:
-        out = [0] * (len(p) + len(q) - 1)
-        for i, pi in enumerate(p):
-            if pi:
-                for j, qj in enumerate(q):
-                    out[i + j] ^= ctx.mul(pi, qj)
-        return out
-
-    acc = [0] * (r + 1)
-    for k, tgk in enumerate(tg):
-        if tgk == 0:
-            continue
-        term = [1]
-        for _ in range(k):
-            term = pmul(term, [m.b, m.d])
-        for _ in range(r - k):
-            term = pmul(term, [m.a, m.c])
-        for i, t in enumerate(term):
-            acc[i] ^= ctx.mul(tgk, t)
-    if acc[-1] == 0:
-        raise AssertionError("transformed polynomial dropped degree")
-    return tuple(acc)
 
 
 def induced_permutation(ctx: Tower, m: SemiLinearMap,
@@ -310,15 +207,15 @@ def check_extended_equivalence(ctx: Tower, alpha: int,
 # -------------------------------------------------------------------- export
 
 
-def code_to_json(ctx: Tower, inst: GoppaInstance, code: BinaryCode) -> dict:
+def code_to_json(ctx: Tower, alpha: int, code: BinaryCode) -> dict:
     row_width = -(-code.length // 4)
     enum = None
     if code.dimension <= WEIGHT_ENUM_MAX_DIM:
         enum = list(weight_enumerator(code))
     return {
         "n": ctx.n,
-        "alpha_hex": ctx.to_hex(inst.alpha),
-        "g_coeffs": [ctx.to_hex(c) for c in inst.g],
+        "alpha_hex": ctx.to_hex(alpha),
+        "g_coeffs": [ctx.to_hex(c) for c in ctx.minimal_polynomial(alpha)],
         "length": code.length,
         "dimension": code.dimension,
         "generator_rows": [format(r, f"0{row_width}x") for r in code.generator],

@@ -1,12 +1,15 @@
 """Orbit counts: closed-form fixed-point formulas, the averaged orbit bound,
-and independent oracles (global census, root counts, class-equation checks).
+and independent oracles (global census, fixed points, root counts).
 
-The closed forms are pure integer formulas valid for prime n > 3. Every one
+The closed forms are pure integer formulas valid for prime n > 3. Reports
+print them in full, so the commands refuse n > `MAX_CLOSED_FORM_N` = 701, the
+last prime whose closed forms stay below 640 digits, the least limit that
+PYTHONINTMAXSTRDIGITS accepts for int-to-string conversion. Every one
 of them is paired with an oracle that recomputes the same quantity from the
 group action itself, with no shared formulas: the census and the fixed-point
 oracle enumerate orbits affine class by affine class over a visited bit array
-indexed by the points of P^4(GF(2^n)), and the class equations read the
-Frobenius action on an orbit's 2^n + 1 affine classes off the same index; the
+indexed by the points of P^4(GF(2^n)); the element-level class equations
+that check this decomposition are test oracles in `tests/`. The
 root-count oracles count by rank, one stacked GF(2)-linear system per
 subfield, or, for the multiplicative equation eq_41, take gcds of GF(2)
 polynomials. Each orbit is represented by an element of its least class
@@ -49,20 +52,22 @@ __all__ = [
     "OrbitCensus",
     "global_orbit_census",
     "fixed_point_oracle",
-    "fixed_orbit_representatives",
     "ROOT_EQUATIONS",
     "RootCounts",
     "root_count_oracle",
-    "class_equation_check",
     "permutation_cycles",
     "MAX_SWEEP_N",
     "MAX_ROOTS_N",
     "MAX_EQ41_N",
+    "MAX_CLOSED_FORM_N",
 ]
 
 MAX_SWEEP_N = 7
 MAX_ROOTS_N = _MAX_N  # the linear root counts are ranks: any tower will do
 MAX_EQ41_N = 8
+# the closed forms grow as 2^(3n): at n = 701 they have 634 digits, below the
+# least limit (640) that PYTHONINTMAXSTRDIGITS accepts for printing an int
+MAX_CLOSED_FORM_N = 701
 
 ROOT_EQUATIONS = ("eq_3n", "eq_2n_affine", "eq_41", "eq_deg8", "fixed_field_64")
 
@@ -87,6 +92,13 @@ def euler_phi(k: int) -> int:
     for f in gf2poly._prime_factors(k):
         out -= out // f
     return out
+
+
+def _closed_form_cost_check(n: int, flag: str = "n") -> None:
+    if n > MAX_CLOSED_FORM_N:
+        raise InfeasibleError(
+            f"--{flag} {n}: the closed forms grow as 2^(3n) and are printed in "
+            f"full; bound and fixed are limited to n <= {MAX_CLOSED_FORM_N}")
 
 
 def _require_odd_prime(n: int) -> None:
@@ -519,35 +531,20 @@ def global_orbit_census(ctx: Tower, workers: int = 1) -> OrbitCensus:
     return _sweep(ctx, fresh=True)
 
 
-def fixed_point_oracle(n: int, d: int, ctx: Tower) -> int:
+def fixed_point_oracle(ctx: Tower, d: int) -> int:
     """Count linear-group orbits fixed by the d-th Frobenius power, by sweep.
 
     Exhaustive and formula-free: orbit membership of sigma^d(rep) is tested
     against the enumerated orbit, once per orbit class, and every member
     orbit of a class shares the class flags by conjugation.
     """
-    if ctx.n != n:
-        raise ValueError("context does not match n")
-    _sweep_cost_check(n)
+    _sweep_cost_check(ctx.n)
     sweep = _sweep(ctx)
-    d_red = d % (6 * n)
+    d_red = d % ctx.big_degree
     if d_red == 0:
         return sweep.pgl_orbit_count
     return sum(r.pgl_orbits for r in sweep.records
                if (r.fixed_mask >> d_red) & 1)
-
-
-def fixed_orbit_representatives(ctx: Tower, d: int,
-                                limit: int | None = None) -> list[int]:
-    """Census representatives of the orbits fixed setwise by the d-th
-    Frobenius power, in ascending class rank."""
-    sweep = _sweep(ctx)
-    d_red = d % (6 * ctx.n)
-    if d_red == 0:
-        reps = [r.rep for r in sweep.records]
-    else:
-        reps = [r.rep for r in sweep.records if (r.fixed_mask >> d_red) & 1]
-    return reps[:limit] if limit is not None else reps
 
 
 # ---------------------------------------------------------------- root counts
@@ -640,37 +637,6 @@ def _eq41_counts(n: int) -> RootCounts:
         if k % n == 0:
             roots[k // n] = gf2poly.degree(gf2poly.gcd(p, r ^ 0b10))
     return _by_subfield("eq_41", roots)
-
-
-# ------------------------------------------------------- class-equation checks
-
-
-def class_equation_check(ctx: Tower, alpha: int, d: int) -> tuple[int, ...]:
-    """Cycle-type of the d-th Frobenius power acting on the affine suborbits.
-
-    Requires the power to fix the orbit of alpha as a set. The suborbits are
-    the affine classes of the 2^n + 1 suborbit representatives; the power
-    maps the class of rep k to the class of its image, read off by class
-    rank. The returned parts sum to 2^n + 1 and each divides the order of
-    the acting element.
-    """
-    if not ctx.is_degree_six(alpha):
-        raise ValueError("alpha must have degree 6 over the base field")
-    index = _class_index(ctx)
-    reps = mobius.suborbit_representatives(ctx, alpha)
-    position = {int(c): k for k, c in enumerate(index.classes(reps))}
-    images = index.classes(ctx.frobenius_vec(reps, d)).tolist()
-    if images[0] not in position:
-        raise ValueError("the Galois power does not fix the orbit of alpha")
-    perm = [position[c] for c in images]
-
-    order = (6 * ctx.n) // math.gcd(6 * ctx.n, d)
-    parts = sorted(len(cycle) for cycle in permutation_cycles(perm))
-    if sum(parts) != (1 << ctx.n) + 1:
-        raise ConsistencyError("suborbit cycle type does not cover the partition")
-    if any(order % part for part in parts):
-        raise ConsistencyError("cycle length does not divide the element order")
-    return tuple(parts)
 
 
 def permutation_cycles(perm: Sequence[int]) -> list[tuple[int, ...]]:

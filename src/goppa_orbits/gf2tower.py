@@ -6,7 +6,9 @@ and one, and addition is the xor (^) operation. A Tower carries the moduli,
 the subfield embedding and the Frobenius machinery; all operations are pure
 functions of their inputs and a Tower is immutable after construction
 (internal caches are append-only), so it can be shared freely between
-threads.
+threads. The module holds what the commands and the benchmark call; the
+independent oracles the tests check it against (a schoolbook product,
+subfield spans, enumerated root counts) live in `tests/conftest.py`.
 
 The scalar kernel:
 
@@ -201,11 +203,6 @@ class Tower:
 
     # ------------------------------------------------------------------ core
 
-    @staticmethod
-    def add(x: int, y: int) -> int:
-        """Field addition; identical to x ^ y."""
-        return x ^ y
-
     def mul(self, x: int, y: int) -> int:
         p = gf2poly.mul(x, y)
         r = p & self._mask
@@ -282,20 +279,6 @@ class Tower:
     def is_degree_six(self, x: int) -> bool:
         n = self.n
         return self.frobenius(x, 2 * n) != x and self.frobenius(x, 3 * n) != x
-
-    def trace(self, x: int, from_bits: int, to_bits: int) -> int:
-        """Relative trace from GF(2^from_bits) down to GF(2^to_bits)."""
-        m = self.big_degree
-        if from_bits % to_bits or m % from_bits:
-            raise ValueError("trace levels must divide each other and 6n")
-        if self.frobenius(x, from_bits) != x:
-            raise ValueError("element does not lie in the source field")
-        acc = 0
-        y = x
-        for _ in range(from_bits // to_bits):
-            acc ^= y
-            y = self.frobenius(y, to_bits)
-        return acc
 
     # ------------------------------------------------------------- embedding
 

@@ -2,15 +2,17 @@
 
 Each PGL(2, 2^n) orbit of a degree-6 element is the disjoint union of the
 2^n + 1 affine classes {e*beta + f} of its `suborbit_representatives`; the
-census, the fixed-point oracle and the class equations in `counting` work on
-those classes. `pgl_orbit_array` expands an orbit element by element, for
-tests and element-level checks.
+census and the fixed-point oracle in `counting` work on those classes.
+`pgl_orbit_array` expands an orbit element by element; the tests check the
+class decomposition against it.
 
 A projective point is an int: a field encoding, or infinity(ctx) = 2^(6n),
 one past the largest encoding, so points stay dense and sortable. Semi-linear
 maps pair an invertible 2x2 matrix over the (embedded) base field with a
 Frobenius exponent; matrices are stored scalar-normalized so dataclass
-equality coincides with equality in the projective group.
+equality coincides with equality in the projective group. The group law
+(composition, inverses) is a test oracle in `tests/conftest.py`: the package
+only applies maps.
 """
 
 from __future__ import annotations
@@ -26,13 +28,10 @@ __all__ = [
     "infinity",
     "SemiLinearMap",
     "make_map",
-    "identity_map",
     "random_map",
     "parse_map",
     "format_map",
     "apply_map",
-    "compose",
-    "inverse",
     "random_degree_six",
     "suborbit_representatives",
     "pgl_orbit_array",
@@ -74,10 +73,6 @@ def make_map(ctx: Tower, a: int, b: int, c: int, d: int, frob: int = 0) -> SemiL
     return SemiLinearMap(a, b, c, d, frob % ctx.big_degree)
 
 
-def identity_map(ctx: Tower) -> SemiLinearMap:
-    return SemiLinearMap(1, 0, 0, 1, 0)
-
-
 def random_map(ctx: Tower, rng: random.Random) -> SemiLinearMap:
     """Uniform-ish random semi-linear map from a seeded generator."""
     while True:
@@ -114,26 +109,6 @@ def apply_map(ctx: Tower, m: SemiLinearMap, zeta: int) -> int:
     if den == 0:
         return inf
     return ctx.mul(ctx.mul(m.a, zeta) ^ m.b, ctx.inv(den))
-
-
-def compose(ctx: Tower, f: SemiLinearMap, g: SemiLinearMap) -> SemiLinearMap:
-    """The map acting as f after g."""
-    ga, gb, gc, gd = (ctx.frobenius(e, f.frob) for e in (g.a, g.b, g.c, g.d))
-    return make_map(
-        ctx,
-        ctx.mul(f.a, ga) ^ ctx.mul(f.b, gc),
-        ctx.mul(f.a, gb) ^ ctx.mul(f.b, gd),
-        ctx.mul(f.c, ga) ^ ctx.mul(f.d, gc),
-        ctx.mul(f.c, gb) ^ ctx.mul(f.d, gd),
-        f.frob + g.frob,
-    )
-
-
-def inverse(ctx: Tower, m: SemiLinearMap) -> SemiLinearMap:
-    """Group inverse: conjugate the adjugate matrix back by the Frobenius power."""
-    k = -m.frob % ctx.big_degree
-    a, b, c, d = (ctx.frobenius(e, k) for e in (m.d, m.b, m.c, m.a))
-    return make_map(ctx, a, b, c, d, k)
 
 
 def random_degree_six(ctx: Tower, rng: random.Random) -> int:

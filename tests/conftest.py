@@ -1,10 +1,19 @@
+"""Shared fixtures, and the independent oracles the tests compare the package
+against: they live here, not in `src/`, because no command reaches them."""
+
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from goppa_orbits import make_tower
+from goppa_orbits import counting, make_tower
+from goppa_orbits.codes import BinaryCode, nullspace, rref
 from goppa_orbits.counting import RootCounts
 from goppa_orbits.gf2tower import solve_affine_linearized
-from goppa_orbits.mobius import pgl_orbit_array
+from goppa_orbits.mobius import infinity, make_map, pgl_orbit_array, suborbit_representatives
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # (k, rhs) of each linear root equation x^(2^k) + x = rhs, by n
 LINEAR_EQUATIONS = {
@@ -13,6 +22,15 @@ LINEAR_EQUATIONS = {
     "eq_deg8": lambda n: (3, 1),
     "fixed_field_64": lambda n: (6, 0),
 }
+
+
+def load_bench_run(monkeypatch):
+    """`bench/run.py` as a module, with `bench/` on the path for its imports."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    bench_run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_run)
+    return bench_run
 
 
 def schoolbook_mul(ctx, x, y):
@@ -67,6 +85,9 @@ def enumerated_root_counts(ctx, which):
                       int(in2.sum()), int(in3.sum()))
 
 
+# ------------------------------------------------------------------- orbits
+
+
 def canonical_orbit_rep(ctx, alpha, group="PGL"):
     """Orbit oracle: the enc-least element of the orbit of alpha under PGL or
     PGammaL, by expanding every orbit element with pgl_orbit_array."""
@@ -76,6 +97,126 @@ def canonical_orbit_rep(ctx, alpha, group="PGL"):
         return min(int(pgl_orbit_array(ctx, ctx.frobenius(alpha, i)).min())
                    for i in range(ctx.big_degree))
     raise ValueError("group must be 'PGL' or 'PGammaL'")
+
+
+def fixed_orbit_representatives(ctx, d, limit=None):
+    """Census representatives of the orbits fixed setwise by the d-th
+    Frobenius power, in ascending class rank."""
+    d_red = d % ctx.big_degree
+    return [r.rep for r in counting._sweep(ctx).records
+            if d_red == 0 or (r.fixed_mask >> d_red) & 1][:limit]
+
+
+def class_equation_oracle(ctx, alpha, d):
+    """Cycle type of sigma^d on the affine suborbits, element by element.
+
+    Independent of the class index: the owner of each orbit element is the
+    representative whose block of pgl_orbit_array holds it (the array runs
+    over e, then the 2^n + 1 representatives, then f).
+    """
+    q = 1 << ctx.n
+    orbit = pgl_orbit_array(ctx, alpha).tolist()
+    owner = {y: (p // q) % (q + 1) for p, y in enumerate(orbit)}
+    if ctx.frobenius(alpha, d) not in owner:
+        raise ValueError("the Galois power does not fix the orbit of alpha")
+    perm = [owner[ctx.frobenius(rep, d)]
+            for rep in suborbit_representatives(ctx, alpha).tolist()]
+    return tuple(sorted(len(cycle) for cycle in counting.permutation_cycles(perm)))
+
+
+# ------------------------------------------------------------- map group law
+
+
+def compose(ctx, f, g):
+    """The map acting as f after g."""
+    ga, gb, gc, gd = (ctx.frobenius(e, f.frob) for e in (g.a, g.b, g.c, g.d))
+    return make_map(
+        ctx,
+        ctx.mul(f.a, ga) ^ ctx.mul(f.b, gc),
+        ctx.mul(f.a, gb) ^ ctx.mul(f.b, gd),
+        ctx.mul(f.c, ga) ^ ctx.mul(f.d, gc),
+        ctx.mul(f.c, gb) ^ ctx.mul(f.d, gd),
+        f.frob + g.frob,
+    )
+
+
+def inverse(ctx, m):
+    """Group inverse: conjugate the adjugate matrix back by the Frobenius power."""
+    k = -m.frob % ctx.big_degree
+    a, b, c, d = (ctx.frobenius(e, k) for e in (m.d, m.b, m.c, m.a))
+    return make_map(ctx, a, b, c, d, k)
+
+
+# ------------------------------------------------------ the alternant route
+
+
+def code_from_generator(gen_rows, length):
+    """The code spanned by gen_rows, both bases reduced from scratch."""
+    gen = rref(gen_rows)
+    return BinaryCode(length, gen, rref(list(nullspace(gen, length))))
+
+
+def multipliers(ctx, g, pts):
+    """The column multipliers 1/g(a_j) of the alternant form of a Goppa code,
+    over projective points: g at infinity is its leading coefficient."""
+    inf = infinity(ctx)
+    return ctx.inv_batch([g[-1] if p == inf else ctx.eval_poly(g, p) for p in pts])
+
+
+def alternant_parity(ctx, v, support, r):
+    """The r x m big-field matrix with rows v_j * a_j^i, i = 0..r-1, over a
+    projective support: the infinity column, at any position, is zero except
+    for v_j in the last row."""
+    inf = infinity(ctx)
+    rows = [[0] * len(support) for _ in range(r)]
+    for j, (vj, pt) in enumerate(zip(v, support)):
+        if pt == inf:
+            rows[r - 1][j] = vj
+        else:
+            acc = vj
+            for i in range(r):
+                rows[i][j] = acc
+                acc = ctx.mul(acc, pt)
+    return rows
+
+
+def transform_polynomial(ctx, g, m):
+    """Image of g under the semi-linear substitution.
+
+    With tg the coefficient-wise Frobenius image of g and r its degree, the
+    result is sum_k tg_k (d x + b)^k (c x + a)^(r - k), whose roots are the
+    map images of the roots of g. Requires tg(d/c) nonzero when c is nonzero
+    (signs collapse in characteristic 2).
+    """
+    r = len(g) - 1
+    if r < 1 or g[-1] == 0:
+        raise ValueError("polynomial must have positive degree")
+    tg = [ctx.frobenius(ck, m.frob) for ck in g]
+    if m.c and ctx.eval_poly(tg, ctx.mul(m.d, ctx.inv(m.c))) == 0:
+        raise ValueError("substitution pole coincides with a root of the polynomial")
+
+    def pmul(p, q):
+        out = [0] * (len(p) + len(q) - 1)
+        for i, pi in enumerate(p):
+            if pi:
+                for j, qj in enumerate(q):
+                    out[i + j] ^= ctx.mul(pi, qj)
+        return out
+
+    acc = [0] * (r + 1)
+    for k, tgk in enumerate(tg):
+        if tgk == 0:
+            continue
+        term = [1]
+        for _ in range(k):
+            term = pmul(term, [m.b, m.d])
+        for _ in range(r - k):
+            term = pmul(term, [m.a, m.c])
+        for i, t in enumerate(term):
+            acc[i] ^= ctx.mul(tgk, t)
+    if acc[-1] == 0:
+        raise AssertionError("transformed polynomial dropped degree")
+    return tuple(acc)
 
 
 @pytest.fixture(scope="session")

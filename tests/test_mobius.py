@@ -2,15 +2,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import canonical_orbit_rep
+from conftest import canonical_orbit_rep, compose, inverse
 from goppa_orbits.mobius import (
     apply_map,
-    compose,
     format_map,
-    identity_map,
     infinity,
-    inverse,
     make_map,
     parse_map,
     pgl_orbit_array,
@@ -40,7 +39,7 @@ def test_scalar_normalization_gives_equality(tower2):
 
 def test_apply_conventions(tower2):
     inf = infinity(tower2)
-    ident = identity_map(tower2)
+    ident = make_map(tower2, 1, 0, 0, 1)
     assert apply_map(tower2, ident, inf) == inf
     assert apply_map(tower2, ident, 0x3f) == 0x3f
     m = make_map(tower2, 1, 1, 1, 0)  # z -> (z+1)/z
@@ -48,28 +47,36 @@ def test_apply_conventions(tower2):
     assert apply_map(tower2, m, 0) == inf  # denominator vanishes
 
 
-def test_compose_homomorphism(tower2):
-    rng = random.Random(1)
-    inf = infinity(tower2)
-    points = [rng.getrandbits(12) for _ in range(20)] + [inf, 0, 1]
-    for _ in range(25):
-        f = random_map(tower2, rng)
-        g = random_map(tower2, rng)
-        fg = compose(tower2, f, g)
-        for z in points:
-            assert apply_map(tower2, fg, z) == apply_map(
-                tower2, f, apply_map(tower2, g, z))
+SEEDS = st.integers(0, (1 << 32) - 1)
 
 
-def test_compose_identity_and_inverse(tower2):
-    rng = random.Random(2)
-    ident = identity_map(tower2)
-    for _ in range(20):
-        f = random_map(tower2, rng)
-        assert compose(tower2, f, ident) == f
-        assert compose(tower2, ident, f) == f
-        assert compose(tower2, f, inverse(tower2, f)) == ident
-        assert compose(tower2, inverse(tower2, f), f) == ident
+def _maps(ctx, *seeds):
+    return [random_map(ctx, random.Random(s)) for s in seeds]
+
+
+# apply_map is a group action: it turns the composition oracle into composition.
+# n = 5, because the Frobenius powers on GF(4) are only the identity and squaring
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(f=SEEDS, g=SEEDS, z=st.integers(0, 1 << 30))
+def test_compose_homomorphism(tower5, f, g, z):
+    f, g = _maps(tower5, f, g)
+    fg = compose(tower5, f, g)
+    for pt in (z, 0, 1, infinity(tower5)):
+        assert apply_map(tower5, fg, pt) == apply_map(tower5, f, apply_map(tower5, g, pt))
+        assert apply_map(tower5, inverse(tower5, f), apply_map(tower5, f, pt)) == pt
+
+
+# the group laws of the oracle, on normalized maps
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(f=SEEDS, g=SEEDS, h=SEEDS)
+def test_compose_identity_and_inverse(tower5, f, g, h):
+    f, g, h = _maps(tower5, f, g, h)
+    ident = make_map(tower5, 1, 0, 0, 1)
+    assert compose(tower5, f, ident) == f == compose(tower5, ident, f)
+    assert compose(tower5, f, inverse(tower5, f)) == ident
+    assert compose(tower5, inverse(tower5, f), f) == ident
+    assert (compose(tower5, compose(tower5, f, g), h)
+            == compose(tower5, f, compose(tower5, g, h)))
 
 
 def test_suborbit_rejects_low_degree(tower5):
