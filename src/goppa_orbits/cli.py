@@ -54,7 +54,7 @@ def _tower(args) -> Tower:
 def _code_cost_check(n: int) -> None:
     if n > MAX_CODE_N:
         raise InfeasibleError(
-            f"n={n}: codes of length 2^n + 1 = {(1 << n) + 1} are too large to "
+            f"n={n}: codes of length 2^{n} + 1 are too large to "
             f"build and report; code and equiv are limited to n <= {MAX_CODE_N}")
 
 
@@ -363,8 +363,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built by the first `main` call, not on import, and shared by every later
+# call in the process: parsing reads the parser and never changes it
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not in the exit-time flush

@@ -222,11 +222,12 @@ def _first_unvisited(words: np.ndarray, start_word: int,
 
 
 def _sweep_cost_check(n: int) -> None:
+    """Refuse n > MAX_SWEEP_N; the refusal counts the classes as a 2^k
+    expression, which stays one short line for any n."""
     if n > MAX_SWEEP_N:
-        q = 1 << n
         raise InfeasibleError(
             f"n={n}: the census and fixed-point oracle sweep the "
-            f"{(q ** 5 - 1) // (q - 1)} classes of P^4(GF(2^{n})); they are "
+            f"(2^{5 * n} - 1)/(2^{n} - 1) classes of P^4(GF(2^{n})); they are "
             f"limited to n <= {MAX_SWEEP_N}")
 
 
@@ -579,7 +580,7 @@ def _roots_cost_check(n: int, which: str) -> None:
         raise ValueError(f"unknown equation {which!r}; choose from {ROOT_EQUATIONS}")
     if which == "eq_41" and n > MAX_EQ41_N:
         raise InfeasibleError(
-            f"n={n}: eq_41 takes gcds of degree-{(1 << 2 * n) + 1} "
+            f"n={n}: eq_41 takes gcds of degree-(2^{2 * n} + 1) "
             f"polynomials over GF(2); it is limited to n <= {MAX_EQ41_N}")
     if n > MAX_ROOTS_N:
         raise InfeasibleError(

@@ -20,8 +20,22 @@ The scalar kernel:
 - `Tower.inv` is the shift-and-add extended Euclid; a zero remainder means
   the modulus was not irreducible and raises instead of looping.
 - `_frob_cols(i)`, the columns of x -> x^(2^i), are the powers z^j of
-  z = x^(2^i), cached per i. `frobenius` and `embed_base` apply such
-  columns with `_apply_cols`, the one GF(2)-linear map application.
+  z = x^(2^i), cached per i; a new i costs i squarings and 6n - 1
+  products. `frobenius` and `embed_base` apply such columns with
+  `_apply_cols`, the one GF(2)-linear map application.
+- The degree tests walk the orbit of x under sigma^n on the sigma^n columns
+  that `__init__` builds: the degree over GF(2^n) is the first d with
+  sigma^(dn)(x) = x, and a degree-6 test takes three steps. So
+  `degree_over_base`, `is_degree_six`, `minimal_polynomial` and
+  `mobius.random_degree_six` build no other Frobenius columns.
+
+Construction picks the default moduli (`gf2poly.lowest_irreducible`, which
+tests candidates in ascending order without listing them), builds the
+sigma^n columns, lists the subfield GF(2^n) by doubling the span of its
+basis, and searches it in ascending order for the embedding root. The
+embedding is checked in O(n): its n columns are independent and fixed by
+sigma^n. `make_tower(16)` takes 0.4-0.65 s (2 vCPU), mostly the root
+search and the degree-96 modulus; n = 5 takes about 1 ms.
 
 The numpy paths hold encodings in int64, so they need 6n <= 63 (n <= 10)
 and raise ValueError above it. Their tables are built on first use and kept
@@ -186,10 +200,12 @@ class Tower:
         self._frob_cache: dict[int, list[int]] = {0: [1 << j for j in range(m)]}
         self._np_tables: dict[tuple, object] = {}  # per-tower tables, built on first use
 
-        # base subfield inside the big field, as Python ints (6n may exceed 63 bits)
-        sub_basis = self._fixed_field_basis(n)
-        self.subfield: tuple[int, ...] = tuple(
-            sorted(_apply_cols(sub_basis, k) for k in range(1 << n)))
+        # base subfield inside the big field, as Python ints (6n may exceed 63
+        # bits): the span of its basis, doubled one basis vector at a time
+        subfield = [0]
+        for b in self._fixed_field_basis(n):
+            subfield += [v ^ b for v in subfield]
+        self.subfield: tuple[int, ...] = tuple(sorted(subfield))
 
         # subfield is sorted, so the first root is the enc-least one; the bits
         # of modulus_base are its coefficients, as encodings of 0 and 1
@@ -197,9 +213,11 @@ class Tower:
         gamma = next(v for v in self.subfield
                      if v and self.eval_poly(base_coeffs, v) == 0)
         self._embed_cols = [self.pow(gamma, i) for i in range(n)]
-        if sorted(self.embed_base(a) for a in range(1 << n)) != list(self.subfield):
-            raise AssertionError("embedding image differs from the fixed field")
         self._project = _ColumnSolver(self._embed_cols)
+        # n independent columns fixed by sigma^n span the n-dimensional fixed field
+        if self._project.kernel_basis or any(
+                self.frobenius(c, n) != c for c in self._embed_cols):
+            raise AssertionError("embedding image differs from the fixed field")
 
     # ------------------------------------------------------------------ core
 
@@ -270,15 +288,21 @@ class Tower:
         return _apply_cols(self._frob_cols(i), x)
 
     def degree_over_base(self, x: int) -> int:
-        """Least d dividing 6 with x^(2^(dn)) = x."""
-        for d in (1, 2, 3, 6):
-            if self.frobenius(x, d * self.n) == x:
+        """Least d with x^(2^(dn)) = x, which divides 6: the length of the
+        orbit of x under sigma^n, walked on the columns __init__ built."""
+        cols = self._frob_cols(self.n)
+        y = x
+        for d in range(1, 7):
+            y = _apply_cols(cols, y)
+            if y == x:
                 return d
         raise AssertionError("element outside the degree-6 tower")
 
     def is_degree_six(self, x: int) -> bool:
-        n = self.n
-        return self.frobenius(x, 2 * n) != x and self.frobenius(x, 3 * n) != x
+        """Neither sigma^(2n) nor sigma^(3n) fixes x, both reached by sigma^n steps."""
+        cols = self._frob_cols(self.n)
+        y = _apply_cols(cols, _apply_cols(cols, x))
+        return y != x and _apply_cols(cols, y) != x
 
     # ------------------------------------------------------------- embedding
 

@@ -2,12 +2,13 @@
 against: they live here, not in `src/`, because no command reaches them."""
 
 import importlib.util
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from goppa_orbits import counting, make_tower
+from goppa_orbits import counting, gf2poly, make_tower
 from goppa_orbits.codes import BinaryCode, nullspace, rref
 from goppa_orbits.counting import RootCounts
 from goppa_orbits.gf2tower import solve_affine_linearized
@@ -49,6 +50,16 @@ def schoolbook_mul(ctx, x, y):
             for j in range(m + 1):
                 prod[top - m + j] ^= mod[j]
     return sum(b << j for j, b in enumerate(prod[:m]))
+
+
+def lowest_irreducible_by_sort(d):
+    """The default-modulus oracle: for each odd interior weight, list and
+    sort every interior mask, then take the first irreducible (d >= 2)."""
+    for w in range(1, d, 2):
+        for mid in sorted(sum(1 << i for i in comb) for comb in combinations(range(1, d), w)):
+            if gf2poly.is_irreducible((1 << d) | mid | 1):
+                return (1 << d) | mid | 1
+    raise AssertionError(f"no irreducible of degree {d} found")
 
 
 def span(basis):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from goppa_orbits import schema
+from goppa_orbits import cli, schema
 from goppa_orbits.cli import _ROOT_EXPECTED, main
 from goppa_orbits.counting import MAX_CLOSED_FORM_N, burnside_numerator, is_prime
 from goppa_orbits.gf2tower import Tower
@@ -121,7 +121,33 @@ def test_census_refuses_n8(capsys):
     code, _, err = run(capsys, "census", "--n", "8")
     assert code == 3
     assert len(err.splitlines()) == 1
-    assert "n=8" in err and "4311810305 classes" in err and "n <= 7" in err
+    assert "n=8" in err and "(2^40 - 1)/(2^8 - 1) classes" in err and "n <= 7" in err
+
+
+def test_refusals_at_huge_n_are_one_short_line(capsys):
+    # 2^(2n) at n = 7000 and the class count at n = 5000 have more digits than
+    # Python prints by default; the refusals word them as 2^k expressions
+    for argv, words in ((("census", "--n", "5000"), "(2^25000 - 1)/(2^5000 - 1) classes"),
+                        (("code", "--n", "15000", "--alpha", "random"), "length 2^15000 + 1"),
+                        (("roots", "--n", "7000", "--which", "eq_41"), "degree-(2^14000 + 1)")):
+        for mode in ((), ("--json",)):
+            code, out, err = run(capsys, *argv, *mode)
+            assert code == 3 and out == "", argv
+            assert len(err.splitlines()) == 1 and len(err) < 200, err[:200]
+            assert err.startswith(f"infeasible: n={argv[2]}:") and words in err
+
+
+def test_sweep_refusal_at_n_1e9_builds_no_big_integer():
+    probe = ("from goppa_orbits import counting\n"
+             "try:\n    counting._sweep_cost_check(10**9)\n"
+             "except counting.InfeasibleError as exc:\n    print(exc)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=5)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == ("n=1000000000: the census and fixed-point oracle sweep the "
+                           "(2^5000000000 - 1)/(2^1000000000 - 1) classes of "
+                           "P^4(GF(2^1000000000)); they are limited to n <= 7\n")
 
 
 def test_census_help_states_the_sweep_limit(capsys):
@@ -343,7 +369,7 @@ def test_roots_eq41_refuses_n9(capsys):
     code, out, err = run(capsys, "roots", "--n", "9", "--which", "eq_41")
     assert code == 3 and out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err
-    assert "n <= 8" in err and "262145" in err
+    assert "n <= 8" in err and "degree-(2^18 + 1)" in err
 
 
 def test_roots_at_largest_accepted_n(capsys):
@@ -372,3 +398,58 @@ def test_minimal_polynomial_calls(capsys, monkeypatch):
     code, _, _ = run(capsys, "equiv", "--n", "5", "--alpha", "random",
                      "--map", "random", "--seed", "0")
     assert code == 0 and calls == []
+
+
+# --------------------------------------------------- the process-wide parser
+
+
+@pytest.fixture
+def fresh_parser(monkeypatch):
+    """Start from no parser, counting the builds; the old parser comes back after."""
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    return builds
+
+
+def test_parser_is_built_once_per_process(capsys, fresh_parser):
+    assert run(capsys, "bound", "--n", "5")[0] == 0
+    parser = cli._PARSER
+    assert run(capsys, "fixed", "--n", "5", "--table", "--nmax", "7", "--json")[0] == 0
+    with pytest.raises(SystemExit):
+        main(["roots", "--n", "5"])
+    assert run(capsys, "roots", "--n", "5", "--which", "eq_deg8")[0] == 0
+    assert fresh_parser == [1] and cli._PARSER is parser
+
+
+def test_options_of_one_call_do_not_reach_the_next(capsys, monkeypatch, fresh_parser):
+    code, obj, _ = run_json(capsys, "fixed_table", "fixed", "--n", "5", "--table",
+                            "--nmax", "7", "--json")
+    assert code == 0 and obj["n_values"] == [5, 7]
+    code, obj, _ = run_json(capsys, "fixed", "fixed", "--n", "5", "--d", "6", "--json")
+    assert code == 0 and (obj["d"], obj["oracle"], obj["closed_form"]) == (6, 9, 9)
+
+    seeds = []
+    resolve = cli._resolve_alpha
+    monkeypatch.setattr(cli, "_resolve_alpha",
+                        lambda ctx, text, seed: seeds.append(seed) or resolve(ctx, text, seed))
+    code, first, _ = run_json(capsys, "code", "code", "--n", "3", "--alpha", "random",
+                              "--seed", "3", "--extended", "--json")
+    assert code == 0 and first["extended"] is True
+    code, second, _ = run_json(capsys, "code", "code", "--n", "3", "--alpha", "random",
+                               "--json")
+    assert code == 0 and second["extended"] is False and seeds == [3, None]
+    assert fresh_parser == [1]
+
+
+def test_usage_error_leaves_the_shared_parser_working(capsys, fresh_parser):
+    for argv in (["code", "--n", "5"], ["roots", "--n", "5", "--which", "eq_99"],
+                 ["bound", "--n", "five"], ["nosuchcommand"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: goppa-orbits")
+    code, obj, _ = run_json(capsys, "bound", "bound", "--n", "5", "--json")
+    assert code == 0 and obj["bound"] == 1131
+    assert fresh_parser == [1]

@@ -176,7 +176,8 @@ def test_sweep_refuses_large_n():
     counting._sweep_cost_check(counting.MAX_SWEEP_N)
     with pytest.raises(InfeasibleError) as err:
         counting._sweep_cost_check(8)
-    assert "4311810305 classes" in str(err.value) and "n <= 7" in str(err.value)
+    # the refusal words the class count (2^40 - 1)/(2^8 - 1) = 4311810305 as an expression
+    assert "(2^40 - 1)/(2^8 - 1) classes" in str(err.value) and "n <= 7" in str(err.value)
     with pytest.raises(InfeasibleError):
         fixed_point_oracle(make_tower(8), 1)
 

@@ -4,6 +4,8 @@ import pytest
 
 from goppa_orbits import gf2poly
 
+from conftest import lowest_irreducible_by_sort
+
 
 def test_degree():
     assert gf2poly.degree(0) == -1
@@ -58,6 +60,12 @@ def test_lowest_irreducible_is_minimal_weight_then_value():
     assert bin(p8).count("1") == 5
     for k in range(1, 8):
         assert not gf2poly.is_irreducible((1 << 8) | (1 << k) | 1)
+
+
+def test_default_moduli_match_the_sort_then_scan_search():
+    # every default modulus of a buildable tower: degrees n and 6n, 2 <= n <= 16
+    for d in sorted({k for n in range(2, 17) for k in (n, 6 * n)}):
+        assert gf2poly.lowest_irreducible(d) == lowest_irreducible_by_sort(d), d
 
 
 def test_exponents_roundtrip():

@@ -1,9 +1,12 @@
+import functools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from goppa_orbits import counting, gf2poly, make_tower
+from goppa_orbits import counting, gf2poly, make_tower, random_degree_six
 from goppa_orbits.gf2tower import Tower, _apply_cols, _ColumnSolver, solve_affine_linearized
 
 
@@ -124,6 +127,37 @@ def test_degree_census_small(tower2, tower3):
     assert tower2.degree_over_base(1) == 1
     expected = (1 << 12) - (1 << 4) - (1 << 6) + (1 << 2)
     assert expected == 4020
+
+
+@functools.cache
+def tower_and_bases(n):
+    ctx = make_tower(n)
+    return ctx, {d: ctx._fixed_field_basis(d * n) for d in (1, 2, 3, 6)}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 7), d=st.sampled_from((1, 2, 3, 6)), coords=st.integers(0, 2**42 - 1))
+def test_degree_chain_matches_the_frobenius_definition(n, d, coords):
+    """On an element of GF(2^(dn)), the sigma^n chain gives the least d' in
+    1, 2, 3, 6 with sigma^(d'n)(x) = x, and is_degree_six tests
+    sigma^(2n)(x) != x != sigma^(3n)(x)."""
+    ctx, bases = tower_and_bases(n)
+    x = _apply_cols(bases[d], coords % (1 << d * n))
+    fixed = [e for e in (1, 2, 3, 6) if ctx.frobenius(x, e * n) == x]
+    assert ctx.degree_over_base(x) == fixed[0] and d % fixed[0] == 0
+    assert ctx.is_degree_six(x) == (2 not in fixed and 3 not in fixed)
+
+
+@pytest.mark.parametrize("n", [2, 5, 7])
+def test_degree_tests_build_no_frobenius_columns(n):
+    # __init__ builds the identity and sigma^n columns; the degree tests need no others
+    ctx = make_tower(n)
+    assert sorted(ctx._frob_cache) == [0, n]
+    rng = random.Random(n)
+    for _ in range(5):
+        alpha = random_degree_six(ctx, rng)
+        assert len(ctx.minimal_polynomial(alpha)) == 7
+    assert sorted(ctx._frob_cache) == [0, n]
 
 
 def test_degree_six_formula_values():
