@@ -9,9 +9,12 @@ A subfield subcode is the kernel of its binary parity columns, which
 it stands, and one `nullspace` and one `rref` give the parity basis.
 
 An extended code is one subfield subcode over a projective support in any
-order, so the equivalence check builds both codes and compares them. The
-alternant route to the same codes, through the transformed polynomial of
-the paper, is a test oracle in `tests/conftest.py`.
+order, so the equivalence check builds both codes and compares them. A
+map's support permutation is computed in GF(2^n), on the discrete logs of
+`Tower.base_logs`, because every support point and map entry lies there;
+`apply_map`, with its big-field products and inverse, maps alpha to beta
+only. The alternant route to the same codes, through the transformed
+polynomial of the paper, is a test oracle in `tests/conftest.py`.
 """
 
 from __future__ import annotations
@@ -139,10 +142,46 @@ def extended_goppa_code(ctx: Tower, alpha: int,
 
 def induced_permutation(ctx: Tower, m: SemiLinearMap,
                         support: list[int]) -> tuple[int, ...]:
-    """perm[j] = position in the support of the map image of support[j]."""
+    """perm[j] = position in the support of the map image of support[j].
+
+    Every support point and every map entry lies in GF(q) u {inf},
+    q = 2^n, so the images are computed on discrete logs of GF(q)*
+    (`Tower.base_logs`), with no product or inverse in the big field. On
+    GF(q), sigma^frob is sigma^(frob mod n), which multiplies a log by
+    2^(frob mod n) modulo q - 1: it rotates the log's n bits. a*s and c*s
+    are log sums, and the quotient is a log difference. As in `apply_map`,
+    a zero denominator gives infinity, and infinity goes to a/c (infinity
+    when c = 0). Raises ValueError when a support point lies outside
+    GF(q) u {inf} or an image outside the support.
+    """
+    n = ctx.n
+    q1 = (1 << n) - 1
+    logs = ctx.base_logs()
+    exp, log = logs.embedded, logs.log
+    inf = infinity(ctx)
+    k = m.frob % n
+
+    def quotient(num: int, den: int) -> int:
+        if den == 0:
+            return inf
+        return exp[(log[num] - log[den]) % q1] if num else 0
+
+    def times(e: int, ls: int) -> int:  # e * s, with ls = log s
+        return exp[(log[e] + ls) % q1] if e else 0
+
     position = {pt: j for j, pt in enumerate(support)}
     try:
-        perm = tuple(position[apply_map(ctx, m, pt)] for pt in support)
+        images = []
+        for pt in support:
+            if pt == inf:
+                images.append(quotient(m.a, m.c))
+            elif pt == 0:
+                images.append(quotient(m.b, m.d))
+            else:
+                ls = log[pt]
+                ls = ((ls << k) | (ls >> (n - k))) & q1
+                images.append(quotient(times(m.a, ls) ^ m.b, times(m.c, ls) ^ m.d))
+        perm = tuple(position[img] for img in images)
     except KeyError as exc:
         raise ValueError("map does not preserve the support set") from exc
     return perm

@@ -311,17 +311,9 @@ def _class_index(ctx: Tower) -> _ClassIndex:
         raise ConsistencyError("gamma_k * theta^j is not a basis of the big field")
     conjugates = ctx.conjugate_tables([solver.solve(1 << j) >> n for j in range(m)])
 
-    for g in range(2, q):  # least generator of GF(q)*, on base encodings
-        exp = [1]
-        while len(exp) < q:
-            nxt = gf2poly.mod(gf2poly.mul(exp[-1], g), ctx.modulus_base)
-            if nxt == 1:
-                break
-            exp.append(nxt)
-        if len(exp) == q - 1:
-            break
+    exp = ctx.base_logs().exp
     log = np.zeros(q, dtype=np.int64)
-    log[exp] = np.arange(q - 1)
+    log[list(exp)] = np.arange(q - 1)
     div = np.array(exp, dtype=np.int64)[(log[None, :] - log[:, None]) % (q - 1)]
     div[:, 0] = 0
     div = div.reshape(-1)

@@ -18,11 +18,16 @@ only applies maps.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2tower import Tower
+from .gf2tower import Tower, _parse_hex
+
+# the Frobenius power of a map string: `int()` would also take "+", "_",
+# surrounding space and non-ASCII digits
+_POWER = re.compile(r"-?[0-9]+")
 
 __all__ = [
     "infinity",
@@ -88,10 +93,13 @@ def format_map(ctx: Tower, m: SemiLinearMap) -> str:
 
 
 def parse_map(ctx: Tower, text: str) -> SemiLinearMap:
-    """Parse "a,b,c,d;i" with base-field hex entries and decimal Frobenius power."""
+    """Parse "a,b,c,d;i" with base-field hex entries and a decimal Frobenius
+    power (ASCII digits, optionally negative; 0 when omitted)."""
     try:
         mat, _, fr = text.partition(";")
-        a, b, c, d = (ctx.embed_base(int(h, 16)) for h in mat.split(","))
+        a, b, c, d = (ctx.embed_base(_parse_hex(h)) for h in mat.split(","))
+        if fr and not _POWER.fullmatch(fr):
+            raise ValueError(f"bad Frobenius power {fr!r}")
         frob = int(fr) if fr else 0
     except (ValueError, TypeError) as exc:
         raise ValueError(f"bad map string {text!r}: expected 'a,b,c,d;i'") from exc

@@ -12,7 +12,13 @@ from goppa_orbits import counting, gf2poly, make_tower
 from goppa_orbits.codes import BinaryCode, nullspace, rref
 from goppa_orbits.counting import RootCounts
 from goppa_orbits.gf2tower import solve_affine_linearized
-from goppa_orbits.mobius import infinity, make_map, pgl_orbit_array, suborbit_representatives
+from goppa_orbits.mobius import (
+    apply_map,
+    infinity,
+    make_map,
+    pgl_orbit_array,
+    suborbit_representatives,
+)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -156,6 +162,16 @@ def inverse(ctx, m):
     k = -m.frob % ctx.big_degree
     a, b, c, d = (ctx.frobenius(e, k) for e in (m.d, m.b, m.c, m.a))
     return make_map(ctx, a, b, c, d, k)
+
+
+def induced_permutation_by_apply_map(ctx, m, support):
+    """Support-permutation oracle in the big field: each image by `apply_map`
+    (a Frobenius power, products and an inverse in GF(2^(6n)))."""
+    position = {pt: j for j, pt in enumerate(support)}
+    try:
+        return tuple(position[apply_map(ctx, m, pt)] for pt in support)
+    except KeyError as exc:
+        raise ValueError("map does not preserve the support set") from exc
 
 
 # ------------------------------------------------------ the alternant route

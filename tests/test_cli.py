@@ -285,6 +285,42 @@ def test_equiv_bad_map_string(capsys):
     assert code == 2
 
 
+BAD_HEX = ("+3f", "0x3f", "0X3f", "3_f", " 3f", "3f\n", "", "\u0663f")
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+def test_hex_input_takes_hex_digits_only(capsys, mode):
+    """An alpha or map entry with a sign, prefix, underscore, space or
+    non-ASCII digit exits 2 with one line, where `int(text, 16)` took it."""
+    for bad in BAD_HEX:
+        for argv in (("code", "--n", "2", "--alpha", bad),
+                     ("equiv", "--n", "5", "--alpha", "random",
+                      "--map", f"{bad},0,0,1;0")):
+            code, out, err = run(capsys, *argv, *mode)
+            assert (code, out) == (2, ""), argv
+            assert len(err.splitlines()) == 1 and "Traceback" not in err, argv
+    code, _, _ = run(capsys, "code", "--n", "2", "--alpha", "3F", *mode)
+    assert code == 0
+
+
+BAD_POWER = ("+5", " 5", "5 ", "5_0", "\u0665", "0x5", "--5", "-")
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+def test_map_power_takes_ascii_digits_only(capsys, mode):
+    """The Frobenius power of --map is an optionally negative run of ASCII
+    digits: `int()` took a sign, spaces, underscores and non-ASCII digits."""
+    for bad in BAD_POWER:
+        code, out, err = run(capsys, "equiv", "--n", "5", "--alpha", "random",
+                             "--map", f"1,0,0,1;{bad}", *mode)
+        assert (code, out) == (2, ""), bad
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, bad
+    for good in ("5", "-1", "0"):
+        code, _, _ = run(capsys, "equiv", "--n", "5", "--alpha", "random",
+                         "--map", f"1,0,0,1;{good}", *mode)
+        assert code == 0, good
+
+
 def test_modulus_override_flag(capsys):
     code, obj, _ = run_json(capsys, "census", "census", "--n", "2", "--json",
                             "--modulus-big", "12,6,4,1,0")

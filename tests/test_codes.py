@@ -1,12 +1,14 @@
+import functools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     alternant_parity,
     code_from_generator,
+    induced_permutation_by_apply_map,
     multipliers,
     transform_polynomial,
 )
@@ -31,7 +33,7 @@ from goppa_orbits.mobius import (
     random_degree_six,
     random_map,
 )
-from goppa_orbits import schema
+from goppa_orbits import make_tower, schema
 
 
 def projective_support(ctx):
@@ -221,6 +223,70 @@ def test_induced_permutation(tower5):
     for _ in range(100):
         perm = induced_permutation(tower5, random_map(tower5, rng), pts)
         assert sorted(perm) == list(range(33))
+
+
+@functools.cache
+def tower_and_support(n):
+    ctx = make_tower(n)
+    return ctx, projective_support(ctx)
+
+
+# entries forced to zero: none, c (affine), a, b, d, and b and c (diagonal);
+# b = d = 0 together would make the matrix singular
+ZEROED = ((), ("c",), ("a",), ("b",), ("d",), ("b", "c"))
+
+
+@st.composite
+def semilinear_maps(draw):
+    """(n, map) with n in 2..7: entries drawn as base encodings, some forced
+    to zero, and a Frobenius power that is a multiple of n, or any residue
+    mod n, anywhere in 0..6n - 1."""
+    n = draw(st.integers(2, 7))
+    ctx, _ = tower_and_support(n)
+    q = 1 << n
+    zeroed = draw(st.sampled_from(ZEROED))
+    entries = {e: 0 if e in zeroed else draw(st.integers(1, q - 1)) for e in "abcd"}
+    a, b, c, d = (ctx.embed_base(entries[e]) for e in "abcd")
+    assume(ctx.mul(a, d) ^ ctx.mul(b, c))
+    frob = draw(st.one_of(st.integers(0, 5).map(lambda j: j * n),
+                          st.integers(0, 6 * n - 1)))
+    return n, make_map(ctx, a, b, c, d, frob)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=semilinear_maps())
+def test_induced_permutation_matches_the_big_field_oracle(case):
+    """The log-table permutation equals the one `apply_map` gives point by point."""
+    n, m = case
+    ctx, support = tower_and_support(n)
+    assert (induced_permutation(ctx, m, support)
+            == induced_permutation_by_apply_map(ctx, m, support))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_induced_permutation_edge_maps_match_the_oracle(n):
+    """Every zero pattern of ZEROED, with the Frobenius powers 0, n and 5n
+    (the identity on GF(2^n)) and 1, n + 1 and 6n - 1 (nonzero residues)."""
+    ctx, support = tower_and_support(n)
+    rng = random.Random(n)
+    for zeroed in ZEROED:
+        for frob in (0, n, 5 * n, 1, n + 1, 6 * n - 1):
+            while True:
+                a, b, c, d = (0 if e in zeroed else ctx.embed_base(rng.randrange(1, 1 << n))
+                              for e in "abcd")
+                if ctx.mul(a, d) ^ ctx.mul(b, c):
+                    break
+            m = make_map(ctx, a, b, c, d, frob)
+            assert (induced_permutation(ctx, m, support)
+                    == induced_permutation_by_apply_map(ctx, m, support)), (zeroed, frob)
+
+
+def test_induced_permutation_rejects_points_outside_the_support_field(tower5):
+    outside = random_degree_six(tower5, random.Random(16))
+    m = make_map(tower5, 1, 1, 0, 1, 3)
+    for support in (projective_support(tower5) + [outside], [outside, 0]):
+        with pytest.raises(ValueError, match="does not preserve the support set"):
+            induced_permutation(tower5, m, support)
 
 
 def test_equivalence_identity(tower5):

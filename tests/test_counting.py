@@ -196,6 +196,20 @@ def test_mark_bits_counts_only_new_bits():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_class_index_div_is_division_in_the_base_field(n):
+    """a * div[a * q + c] = c in GF(q) for a != 0, products by gf2poly; the
+    higher tables are the same quotients shifted to coordinate j."""
+    ctx = make_tower(n)
+    q = 1 << n
+    div = counting._class_index(ctx).div
+    for a in range(1, q):
+        for c in range(q):
+            quot = int(div[0][a * q + c])
+            assert gf2poly.mod(gf2poly.mul(a, quot), ctx.modulus_base) == c, (a, c)
+            assert [int(t[a * q + c]) for t in div] == [quot << j * n for j in range(4)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_low_field_classes_are_those_of_the_subfield_spans(n):
     ctx = make_tower(n)
     index = counting._class_index(ctx)

@@ -271,3 +271,51 @@ def test_subfield_span_array(tower5):
     assert all(tower5.frobenius(int(v), 10) == int(v) for v in sub10[:16])
     with pytest.raises(ValueError):
         subfield_span_array(tower5, 7)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_base_logs_are_a_cyclic_group_table(n):
+    """exp lists q - 1 distinct base encodings, each the generator times the
+    previous; the embedded powers are their embeddings, and log inverts them."""
+    ctx = make_tower(n)
+    assert ("base_logs",) not in ctx._np_tables  # built on first use, not by __init__
+    logs = ctx.base_logs()
+    q = 1 << n
+    assert len(logs.exp) == len(set(logs.exp)) == q - 1 and sorted(logs.exp) == list(range(1, q))
+    g = logs.exp[1]
+    for k, a in enumerate(logs.exp):
+        assert gf2poly.mod(gf2poly.mul(a, g), ctx.modulus_base) == logs.exp[(k + 1) % (q - 1)]
+        assert logs.embedded[k] == ctx.embed_base(a)
+        assert logs.log[logs.embedded[k]] == k
+    assert ctx.base_logs() is logs
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_frobenius_chain_equals_repeated_squaring(n):
+    ctx = make_tower(n)
+    m = ctx.big_degree
+    rng = random.Random(n)
+    for x in (0, 1, rng.getrandbits(m), rng.getrandbits(m)):
+        squares = [x]
+        for _ in range(m - 1):
+            squares.append(ctx.mul(squares[-1], squares[-1]))
+        for i in range(-m, m + 1):
+            assert ctx.frobenius(x, i) == squares[i % m], (x, i)
+    assert sorted(ctx._frob_cache) == [0, n]
+
+
+def test_equiv_request_builds_only_the_identity_and_sigma_n_columns(monkeypatch, capsys):
+    from goppa_orbits import cli
+
+    towers = []
+
+    def keep(*args, **kwargs):
+        towers.append(make_tower(*args, **kwargs))
+        return towers[-1]
+
+    monkeypatch.setattr(cli, "make_tower", keep)
+    for seed in range(3):
+        assert cli.main(["equiv", "--n", "5", "--alpha", "random", "--map", "random",
+                         "--seed", str(seed), "--json"]) == 0
+    capsys.readouterr()
+    assert [sorted(ctx._frob_cache) for ctx in towers] == [[0, 5]] * 3
