@@ -239,9 +239,10 @@ def cmd_code(args) -> int:
     _code_cost_check(args.n)
     ctx = _tower(args)
     alpha = _resolve_alpha(ctx, args.alpha, args.seed)
-    code = (codes.extended_goppa_code(ctx, alpha) if args.extended
-            else codes.goppa_code(ctx, alpha))
-    obj = codes.code_to_json(ctx, alpha, code)
+    g = ctx.minimal_polynomial(alpha)
+    code = (codes.extended_goppa_code(ctx, g) if args.extended
+            else codes.goppa_code(ctx, g))
+    obj = codes.code_to_json(ctx, alpha, g, code)
     obj["extended"] = bool(args.extended)
     lines = [
         f"n = {args.n}, alpha = {ctx.to_hex(alpha)}"

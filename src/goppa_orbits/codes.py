@@ -8,6 +8,12 @@ A subfield subcode is the kernel of its binary parity columns, which
 `_ColumnSolver` hands back already reduced: that kernel is the generator as
 it stands, and one `nullspace` and one `rref` give the parity basis.
 
+A code is built from g, the sextic minimal polynomial of alpha over GF(q),
+q = 2^n, in GF(q): each finite parity column holds a^k / g(a), k < 6, read
+off the discrete logs of `Tower.base_logs`, so a code costs no product or
+inverse in the big field. It is the binary code of the single row
+1/(alpha - a) over GF(q^6), the route the tests keep as an oracle.
+
 An extended code is one subfield subcode over a projective support in any
 order, so the equivalence check builds both codes and compares them. A
 map's support permutation is computed in GF(2^n), on the discrete logs of
@@ -92,22 +98,59 @@ class BinaryCode:
 # ------------------------------------------------------------- parity builders
 
 
-def goppa_parity(ctx: Tower, alpha: int, support: list[int]) -> list[list[int]]:
-    """The single-row parity 1/(alpha - a_j) defining the code of alpha, over
-    a projective support: the entry at infinity, at any position, is 0."""
-    if not ctx.is_degree_six(alpha):
+def goppa_parity(ctx: Tower, g: tuple[int, ...], support: list[int]) -> list[int]:
+    """The parity columns of the Goppa code of g over a projective support.
+
+    g is the sextic minimal polynomial over GF(q), q = 2^n, of a degree-6
+    alpha (`Tower.minimal_polynomial`); a finite column holds the base
+    encodings of a^k / g(a), k = 0..5, at bits kn..kn + n - 1, and the
+    column at infinity, at any position, is 0. Each entry is a log sum on
+    `Tower.base_logs`: no product or inverse in the big field. Over GF(2)
+    this cuts out the code of the single row 1/(alpha - a), because
+    sum c_a / (x - a) = 0 mod g iff sum c_a a^k / g(a) = 0 for k < 6.
+    Raises ValueError unless g is a sextic over GF(q) without a root in
+    the support.
+    """
+    if len(g) != 7:
         raise ValueError("alpha must have degree 6 over the base field")
+    n = ctx.n
+    q1 = (1 << n) - 1
+    logs = ctx.base_logs()
+    exp, log, base_log = logs.exp, logs.log, logs.base_log
+    coeffs = [ctx.to_base(c) for c in g]
+    terms = [(k, base_log[c]) for k, c in enumerate(coeffs) if c]
     inf = infinity(ctx)
-    return [[0 if aj == inf else ctx.inv(alpha ^ aj) for aj in support]]
+    cols = []
+    try:
+        for a in support:
+            if a == inf:
+                cols.append(0)
+                continue
+            if a == 0:  # g(0) = g_0, and a^k = 0 for k > 0
+                ga, la, top = coeffs[0], 0, n
+            else:
+                ga, la, top = 0, log[a], 6 * n
+                for k, lc in terms:
+                    ga ^= exp[(lc + k * la) % q1]
+            if ga == 0:
+                raise ValueError("g has a root in the support")
+            e = -base_log[ga]  # log of a^k / g(a), from k = 0 on
+            col = 0
+            for shift in range(0, top, n):
+                col |= exp[e % q1] << shift
+                e += la
+            cols.append(col)
+    except KeyError as exc:
+        raise ValueError("support point outside GF(2^n) u {inf}") from exc
+    return cols
 
 
-def subfield_subcode(ctx: Tower, parity_rows: list[list[int]], length: int) -> BinaryCode:
-    """Binary code cut out by a big-field parity matrix: the kernel of its
-    columns, each the bits of its entries stacked 6n bits apart."""
-    m = ctx.big_degree
-    cols = [sum(row[j] << (i * m) for i, row in enumerate(parity_rows))
-            for j in range(length)]
-    gen = _ColumnSolver(cols).kernel_basis  # already reduced
+def subfield_subcode(columns: list[int]) -> BinaryCode:
+    """The binary code cut out by parity columns, each the GF(2)
+    coordinates of a column of a parity matrix over an extension field: the
+    kernel of the columns."""
+    length = len(columns)
+    gen = _ColumnSolver(columns).kernel_basis  # already reduced
     return BinaryCode(length, gen, rref(list(nullspace(gen, length))))
 
 
@@ -122,22 +165,20 @@ def extend_code(code: BinaryCode) -> BinaryCode:
 # --------------------------------------------------------------- Goppa codes
 
 
-def goppa_code(ctx: Tower, alpha: int) -> BinaryCode:
-    """The binary code of alpha on the canonical full support."""
-    support = list(ctx.subfield)
-    return subfield_subcode(ctx, goppa_parity(ctx, alpha, support), len(support))
+def goppa_code(ctx: Tower, g: tuple[int, ...]) -> BinaryCode:
+    """The binary Goppa code of g on the canonical full support GF(q)."""
+    return subfield_subcode(goppa_parity(ctx, g, list(ctx.subfield)))
 
 
-def extended_goppa_code(ctx: Tower, alpha: int,
+def extended_goppa_code(ctx: Tower, g: tuple[int, ...],
                         support: list[int] | None = None) -> BinaryCode:
-    """The extended code of alpha over a projective support (by default the
-    subfield, then infinity): the subfield subcode of the row 1/(alpha - a_j),
-    0 at infinity, and the all-ones row."""
+    """The extended code of g over a projective support (by default the
+    subfield, then infinity): the parity columns of `goppa_parity`, 0 at
+    infinity, under the all-ones row."""
     if support is None:
         support = [*ctx.subfield, infinity(ctx)]
-    length = len(support)
-    return subfield_subcode(
-        ctx, goppa_parity(ctx, alpha, support) + [[1] * length], length)
+    ones = 1 << ctx.big_degree
+    return subfield_subcode([col | ones for col in goppa_parity(ctx, g, support)])
 
 
 def induced_permutation(ctx: Tower, m: SemiLinearMap,
@@ -229,8 +270,9 @@ def check_extended_equivalence(ctx: Tower, alpha: int,
     beta = apply_map(ctx, m, alpha)
     support = [*ctx.subfield, infinity(ctx)]
     perm = induced_permutation(ctx, m, support)
-    code_a = extended_goppa_code(ctx, alpha, support)
-    code_b = extended_goppa_code(ctx, beta, [support[p] for p in perm])
+    code_a = extended_goppa_code(ctx, ctx.minimal_polynomial(alpha), support)
+    code_b = extended_goppa_code(ctx, ctx.minimal_polynomial(beta),
+                                 [support[p] for p in perm])
     enumerate_weights = code_a.dimension <= WEIGHT_ENUM_MAX_DIM
     return EquivalenceReport(
         alpha=alpha,
@@ -246,7 +288,9 @@ def check_extended_equivalence(ctx: Tower, alpha: int,
 # -------------------------------------------------------------------- export
 
 
-def code_to_json(ctx: Tower, alpha: int, code: BinaryCode) -> dict:
+def code_to_json(ctx: Tower, alpha: int, g: tuple[int, ...], code: BinaryCode) -> dict:
+    """The `code` report of alpha's code, with g, the minimal polynomial the
+    parity was built from."""
     row_width = -(-code.length // 4)
     enum = None
     if code.dimension <= WEIGHT_ENUM_MAX_DIM:
@@ -254,7 +298,7 @@ def code_to_json(ctx: Tower, alpha: int, code: BinaryCode) -> dict:
     return {
         "n": ctx.n,
         "alpha_hex": ctx.to_hex(alpha),
-        "g_coeffs": [ctx.to_hex(c) for c in ctx.minimal_polynomial(alpha)],
+        "g_coeffs": [ctx.to_hex(c) for c in g],
         "length": code.length,
         "dimension": code.dimension,
         "generator_rows": [format(r, f"0{row_width}x") for r in code.generator],

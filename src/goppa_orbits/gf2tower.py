@@ -17,8 +17,9 @@ The scalar kernel:
   sh in range(6n, 12n - 1, 8), `__init__` builds a 256-entry table of
   (byte << sh) mod modulus_big, so reducing a product is its low 6n bits
   XOR one lookup per high byte (4 at n = 5, 5 at n = 7).
-- `Tower.inv` is the shift-and-add extended Euclid; a zero remainder means
-  the modulus was not irreducible and raises instead of looping.
+- `Tower.inv` is `gf2poly.inverse`, the shift-and-add extended Euclid; a
+  zero remainder means the modulus was not irreducible and raises instead
+  of looping.
 - `frobenius(x, i)` reduces i modulo 6n, does (i mod n) squarings, then
   floor(i / n) steps on the sigma^n columns that `__init__` builds: at most
   n - 1 products and 5 column applications, and no new column table for a
@@ -30,23 +31,31 @@ The scalar kernel:
 - The degree tests walk the orbit of x under sigma^n on the sigma^n columns
   that `__init__` builds: the degree over GF(2^n) is the first d with
   sigma^(dn)(x) = x, and a degree-6 test takes three steps. So
-  `degree_over_base`, `is_degree_six`, `minimal_polynomial` and
+  `conjugates`, `is_degree_six`, `minimal_polynomial` and
   `mobius.random_degree_six` build no other Frobenius columns.
 - `base_logs` is the tower's one table of GF(q)*, q = 2^n: the powers of
   the least generator (on base encodings, the package's one generator
   search), their embeddings, and the discrete log of each embedding. It is
   built on first use and kept with the numpy tables, so commands that need
   no arithmetic in GF(q) pay nothing for it: 0.03 ms at n = 5, a few ms at
-  n = 11. Support permutations (`codes.induced_permutation`) and the class
-  index's quotient table (`counting._class_index`) read it.
+  n = 11. The Goppa parity (`codes.goppa_parity`), support permutations
+  (`codes.induced_permutation`) and the class index's quotient table
+  (`counting._class_index`) read it.
 
 Construction picks the default moduli (`gf2poly.lowest_irreducible`, which
 tests candidates in ascending order without listing them), builds the
 sigma^n columns, lists the subfield GF(2^n) by doubling the span of its
-basis, and searches it in ascending order for the embedding root. The
+basis, and finds the embedding root in an n-bit copy of the subfield. The
+least subfield element w of degree n over GF(2) has a minimal polynomial
+m_w, the one relation among w^0..w^n (one `_ColumnSolver`), so y -> w maps
+K = GF(2)[y]/(m_w) onto the subfield. `gf2poly.field_root` finds a root r
+of modulus_base in K on n-bit integers; gamma, the enc-least root in the
+big field, is the least image of the n conjugates r^(2^i), and the
+embedding columns are the images of 1, r, ..., r^(n-1). So the big field
+spends n products on the powers of w and none on the search. The
 embedding is checked in O(n): its n columns are independent and fixed by
-sigma^n. `make_tower(16)` takes 0.4-0.65 s (2 vCPU), mostly the root
-search and the degree-96 modulus; n = 5 takes about 0.5 ms.
+sigma^n. `make_tower` takes about 0.28 ms at n = 5, 0.74 ms at n = 7 and
+0.12 s at n = 16 (2 vCPU), where the degree-96 modulus is two thirds of it.
 
 The numpy paths hold encodings in int64, so they need 6n <= 63 (n <= 10)
 and raise ValueError above it. Their tables are built on first use and kept
@@ -180,12 +189,14 @@ def _parse_hex(text: str) -> int:
 
 class BaseLogs(NamedTuple):
     """GF(q)*, q = 2^n, as powers of its least generator g: exp[k] is the
-    base encoding of g^k, embedded[k] its big-field encoding, and log maps
-    each embedded[k] back to k (k < q - 1)."""
+    base encoding of g^k, embedded[k] its big-field encoding, log maps each
+    embedded[k] back to k (k < q - 1), and base_log[exp[k]] is k too
+    (base_log[0] is None)."""
 
     exp: tuple[int, ...]
     embedded: tuple[int, ...]
     log: dict[int, int]
+    base_log: tuple[int | None, ...]
 
 
 class Tower:
@@ -241,12 +252,30 @@ class Tower:
             subfield += [v ^ b for v in subfield]
         self.subfield: tuple[int, ...] = tuple(sorted(subfield))
 
-        # subfield is sorted, so the first root is the enc-least one; the bits
-        # of modulus_base are its coefficients, as encodings of 0 and 1
-        base_coeffs = [(modulus_base >> k) & 1 for k in range(n + 1)]
-        gamma = next(v for v in self.subfield
-                     if v and self.eval_poly(base_coeffs, v) == 0)
-        self._embed_cols = [self.pow(gamma, i) for i in range(n)]
+        # w, the least subfield element of degree n over GF(2) (0 and 1 have
+        # degree 1), and its minimal polynomial m_w, the one relation among
+        # w^0..w^n: y -> w maps K = GF(2)[y]/(m_w) onto the subfield, so the
+        # roots of modulus_base in the subfield are the images of its n
+        # conjugate roots in K, and gamma, the enc-least of them, is the
+        # image of the least conjugate
+        for w in self.subfield[2:]:
+            powers = [1]
+            for _ in range(n):
+                powers.append(self.mul(powers[-1], w))
+            kernel = _ColumnSolver(powers).kernel_basis
+            if len(kernel) == 1:
+                break
+        m_w, to_big = kernel[0], powers[:n]
+        r = gf2poly.field_root(modulus_base, m_w)
+        conjugates = [r]
+        for _ in range(n - 1):
+            conjugates.append(gf2poly.mod(gf2poly.square(conjugates[-1]), m_w))
+        root = min(conjugates, key=lambda c: _apply_cols(to_big, c))
+        self._embed_cols = []  # images of root^0..root^(n-1): gamma^0..gamma^(n-1)
+        e = 1
+        for _ in range(n):
+            self._embed_cols.append(_apply_cols(to_big, e))
+            e = gf2poly.mod(gf2poly.mul(e, root), m_w)
         self._project = _ColumnSolver(self._embed_cols)
         # n independent columns fixed by sigma^n span the n-dimensional fixed field
         if self._project.kernel_basis or any(
@@ -263,22 +292,7 @@ class Tower:
         return r
 
     def inv(self, x: int) -> int:
-        if x == 0:
-            raise ZeroDivisionError("inverse of zero")
-        # shift-and-add extended Euclid; invariants g1*x = u, g2*x = v (mod modulus)
-        u, v = x, self.modulus_big
-        g1, g2 = 1, 0
-        while u != 1:
-            j = u.bit_length() - v.bit_length()
-            if j < 0:
-                u, v = v, u
-                g1, g2 = g2, g1
-                j = -j
-            u ^= v << j
-            g1 ^= g2 << j
-            if u == 0:  # gcd(x, modulus) != 1; without this check the loop never ends
-                raise AssertionError("modulus not irreducible")
-        return g1
+        return gf2poly.inverse(x, self.modulus_big)
 
     def inv_batch(self, values: list[int]) -> list[int]:
         """Invert each element with its own `inv`: at n <= 7 one extended
@@ -328,15 +342,17 @@ class Tower:
             x = _apply_cols(cols, x)
         return x
 
-    def degree_over_base(self, x: int) -> int:
-        """Least d with x^(2^(dn)) = x, which divides 6: the length of the
-        orbit of x under sigma^n, walked on the columns __init__ built."""
+    def conjugates(self, x: int) -> tuple[int, ...]:
+        """x, x^q, ..., x^(q^(d-1)), q = 2^n: the orbit of x under sigma^n,
+        walked on the columns __init__ built. Its length d, the least with
+        x^(2^(dn)) = x, is the degree of x over GF(q) and divides 6."""
         cols = self._frob_cols(self.n)
-        y = x
-        for d in range(1, 7):
-            y = _apply_cols(cols, y)
+        orbit = [x]
+        for _ in range(6):
+            y = _apply_cols(cols, orbit[-1])
             if y == x:
-                return d
+                return tuple(orbit)
+            orbit.append(y)
         raise AssertionError("element outside the degree-6 tower")
 
     def is_degree_six(self, x: int) -> bool:
@@ -379,8 +395,12 @@ class Tower:
             for c in self._embed_cols:
                 span += [v ^ c for v in span]
             embedded = tuple(span[a] for a in exp)
+            base_log: list[int | None] = [None] * q
+            for k, a in enumerate(exp):
+                base_log[a] = k
             logs = self._np_tables[("base_logs",)] = BaseLogs(
-                tuple(exp), embedded, {x: k for k, x in enumerate(embedded)})
+                tuple(exp), embedded, {x: k for k, x in enumerate(embedded)},
+                tuple(base_log))
         return logs
 
     def subfield_nonzero(self) -> tuple[int, ...]:
@@ -405,31 +425,20 @@ class Tower:
         """Monic minimal polynomial of alpha over GF(2^n).
 
         Coefficients are returned ascending by degree, pre-embedded in the
-        big field. The degree equals degree_over_base(alpha).
+        big field: the product of x - c over the conjugates c of alpha, so
+        the degree is len(conjugates(alpha)).
         """
-        d = self.degree_over_base(alpha)
         poly = [1]
-        c = alpha
-        for _ in range(d):
+        for c in self.conjugates(alpha):
             nxt = [0] * (len(poly) + 1)
             for k, pk in enumerate(poly):
                 nxt[k + 1] ^= pk
                 nxt[k] ^= self.mul(pk, c)
             poly = nxt
-            c = self.frobenius(c, self.n)
-        if c != alpha:
-            raise AssertionError("conjugate orbit did not close")
         for pk in poly:
             if self.frobenius(pk, self.n) != pk:
                 raise AssertionError("coefficient escaped the base field")
         return tuple(poly)
-
-    def eval_poly(self, coeffs: tuple[int, ...] | list[int], x: int) -> int:
-        """Evaluate a big-field-coefficient polynomial (ascending) at x."""
-        r = 0
-        for c in reversed(coeffs):
-            r = self.mul(r, x) ^ c
-        return r
 
     # ------------------------------------------------------------ serialization
 

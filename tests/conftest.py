@@ -58,6 +58,26 @@ def schoolbook_mul(ctx, x, y):
     return sum(b << j for j, b in enumerate(prod[:m]))
 
 
+def is_irreducible_two_pass(p):
+    """The irreducibility oracle: x^(2^d) = x mod p by d squarings, then a
+    fresh chain of d/q squarings for the gcd of each prime factor q of d."""
+    def pow2_frobenius(k):
+        r = gf2poly.mod(2, p)
+        for _ in range(k):
+            r = gf2poly.mod(gf2poly.mul(r, r), p)
+        return r
+
+    d = gf2poly.degree(p)
+    if d <= 0:
+        return False
+    if d == 1:
+        return True
+    if not p & 1 or pow2_frobenius(d) != 2:
+        return False
+    primes = [q for q in range(2, d + 1) if d % q == 0 and all(q % r for r in range(2, q))]
+    return all(gf2poly.gcd(pow2_frobenius(d // q) ^ 2, p) == 1 for q in primes)
+
+
 def lowest_irreducible_by_sort(d):
     """The default-modulus oracle: for each odd interior weight, list and
     sort every interior mask, then take the first irreducible (d >= 2)."""
@@ -75,6 +95,26 @@ def span(basis):
         arr = np.concatenate([arr, arr ^ np.int64(b)])
     arr.sort()
     return arr
+
+
+def eval_poly(ctx, coeffs, x):
+    """A big-field-coefficient polynomial (ascending) at x, by Horner."""
+    r = 0
+    for c in reversed(coeffs):
+        r = ctx.mul(r, x) ^ c
+    return r
+
+
+def embedding_by_scan(ctx):
+    """The embedding-column oracle: powers of the enc-least root of
+    modulus_base, found by scanning the subfield in ascending order."""
+    n = ctx.n
+    base_coeffs = [(ctx.modulus_base >> k) & 1 for k in range(n + 1)]
+    gamma = next(v for v in ctx.subfield if v and eval_poly(ctx, base_coeffs, v) == 0)
+    cols = [1]
+    for _ in range(n - 1):
+        cols.append(ctx.mul(cols[-1], gamma))
+    return cols
 
 
 def subfield_span_array(ctx, bits):
@@ -174,7 +214,22 @@ def induced_permutation_by_apply_map(ctx, m, support):
         raise ValueError("map does not preserve the support set") from exc
 
 
-# ------------------------------------------------------ the alternant route
+# --------------------------------------------- the inversion and alternant routes
+
+
+def stacked_columns(ctx, rows):
+    """Parity columns of a big-field matrix: the bits of column j's entries,
+    row i at bits 6n*i and up."""
+    m = ctx.big_degree
+    return [sum(row[j] << (i * m) for i, row in enumerate(rows))
+            for j in range(len(rows[0]))]
+
+
+def inversion_columns(ctx, alpha, support):
+    """The parity columns of the inversion route: 1/(alpha - a) in
+    GF(2^(6n)) for each finite point, 0 at infinity."""
+    inf = infinity(ctx)
+    return [0 if a == inf else ctx.inv(alpha ^ a) for a in support]
 
 
 def code_from_generator(gen_rows, length):
@@ -187,7 +242,7 @@ def multipliers(ctx, g, pts):
     """The column multipliers 1/g(a_j) of the alternant form of a Goppa code,
     over projective points: g at infinity is its leading coefficient."""
     inf = infinity(ctx)
-    return ctx.inv_batch([g[-1] if p == inf else ctx.eval_poly(g, p) for p in pts])
+    return ctx.inv_batch([g[-1] if p == inf else eval_poly(ctx, g, p) for p in pts])
 
 
 def alternant_parity(ctx, v, support, r):
@@ -219,7 +274,7 @@ def transform_polynomial(ctx, g, m):
     if r < 1 or g[-1] == 0:
         raise ValueError("polynomial must have positive degree")
     tg = [ctx.frobenius(ck, m.frob) for ck in g]
-    if m.c and ctx.eval_poly(tg, ctx.mul(m.d, ctx.inv(m.c))) == 0:
+    if m.c and eval_poly(ctx, tg, ctx.mul(m.d, ctx.inv(m.c))) == 0:
         raise ValueError("substitution pole coincides with a root of the polynomial")
 
     def pmul(p, q):

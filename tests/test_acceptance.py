@@ -12,8 +12,10 @@ import time
 from conftest import (
     alternant_parity,
     class_equation_oracle,
+    eval_poly,
     fixed_orbit_representatives,
     multipliers,
+    stacked_columns,
     transform_polynomial,
 )
 from goppa_orbits import counting
@@ -136,15 +138,13 @@ def test_criterion_6_transform_suite_n5(tower5):
         m = random_map(tower5, rng)
         h = transform_polynomial(tower5, g, m)
         beta = apply_map(tower5, m, alpha)
-        assert tower5.eval_poly(h, beta) == 0
+        assert eval_poly(tower5, h, beta) == 0
 
-        left = subfield_subcode(
-            tower5, alternant_parity(tower5, multipliers(tower5, g, support), support, 7),
-            len(support))
+        left = subfield_subcode(stacked_columns(
+            tower5, alternant_parity(tower5, multipliers(tower5, g, support), support, 7)))
         moved = [apply_map(tower5, m, p) for p in support]
-        right = subfield_subcode(
-            tower5, alternant_parity(tower5, multipliers(tower5, h, moved), moved, 7),
-            len(moved))
+        right = subfield_subcode(stacked_columns(
+            tower5, alternant_parity(tower5, multipliers(tower5, h, moved), moved, 7)))
         assert left == right  # indexwise, before any permutation
     _pass(6, "50 transformed-polynomial code identities hold indexwise")
 

@@ -428,12 +428,32 @@ def test_minimal_polynomial_calls(capsys, monkeypatch):
         return inner(self, alpha)
 
     monkeypatch.setattr(Tower, "minimal_polynomial", counted)
+    # code: the parity and the report share one g
     code, _, _ = run(capsys, "code", "--n", "5", "--alpha", "random", "--seed", "0")
     assert code == 0 and len(calls) == 1
     calls.clear()
+    # equiv: one g per extended code, alpha's and beta's
     code, _, _ = run(capsys, "equiv", "--n", "5", "--alpha", "random",
                      "--map", "random", "--seed", "0")
+    assert code == 0 and len(calls) == 2 and calls[0] != calls[1]
+
+
+def test_parity_makes_no_big_field_inversions(capsys, monkeypatch):
+    calls = []
+    inner = Tower.inv
+
+    def counted(self, x):
+        calls.append(x)
+        return inner(self, x)
+
+    monkeypatch.setattr(Tower, "inv", counted)
+    code, _, _ = run(capsys, "code", "--n", "7", "--alpha", "random", "--seed", "0",
+                     "--extended")
     assert code == 0 and calls == []
+    # the map's normalisation and beta = m(alpha); the codes make none
+    code, _, _ = run(capsys, "equiv", "--n", "5", "--alpha", "random",
+                     "--map", "random", "--seed", "0")
+    assert code == 0 and len(calls) <= 2
 
 
 # --------------------------------------------------- the process-wide parser

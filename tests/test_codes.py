@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from conftest import (
     alternant_parity,
     code_from_generator,
+    eval_poly,
     induced_permutation_by_apply_map,
+    inversion_columns,
     multipliers,
+    stacked_columns,
     transform_polynomial,
 )
 from goppa_orbits.codes import (
@@ -99,25 +102,38 @@ def test_projective_parity_allows_interior_infinity(tower2):
 
 
 def test_subfield_subcode_of_zero_matrix(tower2):
-    code = subfield_subcode(tower2, [[0, 0, 0, 0]], 4)
+    code = subfield_subcode([0, 0, 0, 0])
     assert code.dimension == 4  # no constraints -> the full space
 
 
 def test_goppa_parity_entries_distinct(tower5):
-    alpha = random_degree_six(tower5, random.Random(0))
-    row = goppa_parity(tower5, alpha, list(tower5.subfield))[0]
-    assert all(row)
-    assert len(set(row)) == len(row)
-    with pytest.raises(ValueError):
-        goppa_parity(tower5, 1, list(tower5.subfield))
+    ctx = tower5
+    alpha = random_degree_six(ctx, random.Random(0))
+    g = ctx.minimal_polynomial(alpha)
+    cols = goppa_parity(ctx, g, list(ctx.subfield))
+    assert all(cols)
+    assert len(set(cols)) == len(cols)
+    # entry k of a's column is a^k / g(a), checked in the big field
+    for a, col in zip(ctx.subfield, cols):
+        ga = eval_poly(ctx, g, a)
+        for k in range(6):
+            entry = ctx.embed_base((col >> (k * ctx.n)) & ((1 << ctx.n) - 1))
+            assert ctx.mul(entry, ga) == ctx.pow(a, k)
+        assert col >> (6 * ctx.n) == 0
+    quadratic = next(x for x in ctx._fixed_field_basis(2 * ctx.n)
+                     if len(ctx.conjugates(x)) == 2)
+    for bad in (1, ctx.embed_base(3), quadratic):
+        with pytest.raises(ValueError, match="degree 6"):
+            goppa_parity(ctx, ctx.minimal_polynomial(bad), list(ctx.subfield))
 
 
 def test_goppa_parity_is_zero_at_infinity(tower5):
     alpha = random_degree_six(tower5, random.Random(0))
-    finite = goppa_parity(tower5, alpha, list(tower5.subfield))[0]
+    g = tower5.minimal_polynomial(alpha)
+    finite = goppa_parity(tower5, g, list(tower5.subfield))
     pts = projective_support(tower5)
-    assert goppa_parity(tower5, alpha, pts)[0] == finite + [0]
-    assert goppa_parity(tower5, alpha, [pts[-1]] + pts[:-1])[0] == [0] + finite
+    assert goppa_parity(tower5, g, pts) == finite + [0]
+    assert goppa_parity(tower5, g, [pts[-1]] + pts[:-1]) == [0] + finite
 
 
 # --------------------------------------------------------- code constructions
@@ -128,19 +144,16 @@ def test_goppa_equals_alternant(tower2, tower5, seed):
     for ctx in (tower2, tower5):
         alpha = random_degree_six(ctx, random.Random(seed))
         support = list(ctx.subfield)
-        direct = subfield_subcode(
-            ctx, goppa_parity(ctx, alpha, support), len(support))
-        via_alt = subfield_subcode(
-            ctx,
-            alternant_parity(ctx, multipliers(ctx, ctx.minimal_polynomial(alpha), support),
-                             support, 6),
-            len(support))
+        g = ctx.minimal_polynomial(alpha)
+        direct = subfield_subcode(goppa_parity(ctx, g, support))
+        via_alt = subfield_subcode(stacked_columns(
+            ctx, alternant_parity(ctx, multipliers(ctx, g, support), support, 6)))
         assert direct == via_alt
 
 
 def test_goppa_dimension_lower_bound(tower5):
     alpha = random_degree_six(tower5, random.Random(3))
-    code = goppa_code(tower5, alpha)
+    code = goppa_code(tower5, tower5.minimal_polynomial(alpha))
     assert code.length == 32
     assert code.dimension >= 32 - 30
 
@@ -148,23 +161,67 @@ def test_goppa_dimension_lower_bound(tower5):
 def test_extension_matches_extended_alternant(tower2, tower5):
     for ctx, seed in ((tower2, 4), (tower5, 5)):
         alpha = random_degree_six(ctx, random.Random(seed))
-        ext = extend_code(goppa_code(ctx, alpha))
+        g = ctx.minimal_polynomial(alpha)
+        ext = extend_code(goppa_code(ctx, g))
         pts = projective_support(ctx)
-        via_alt = subfield_subcode(
-            ctx,
-            alternant_parity(ctx, multipliers(ctx, ctx.minimal_polynomial(alpha), pts), pts, 7),
-            len(pts))
+        via_alt = subfield_subcode(stacked_columns(
+            ctx, alternant_parity(ctx, multipliers(ctx, g, pts), pts, 7)))
         assert ext == via_alt
-        assert ext.dimension == goppa_code(ctx, alpha).dimension
+        assert ext.dimension == goppa_code(ctx, g).dimension
         assert ext.length == len(pts)
 
 
 def test_extended_codewords_have_even_weight(tower5):
     alpha = random_degree_six(tower5, random.Random(6))
-    ext = extended_goppa_code(tower5, alpha)
+    ext = extended_goppa_code(tower5, tower5.minimal_polynomial(alpha))
     counts = weight_enumerator(ext)
     assert all(c == 0 for w, c in enumerate(counts) if w % 2 == 1)
     assert ext.dimension >= (1 << 5) + 1 - 30 - 1
+
+
+@st.composite
+def goppa_cases(draw):
+    """(ctx, alpha, support, extended): n in 2, 3, 4, 5, 7; the projective
+    support for an extended code and GF(q) for a plain one, in canonical
+    order, moved by a random map (infinity dropped for a plain code), or
+    rotated."""
+    n = draw(st.sampled_from((2, 3, 4, 5, 7)))
+    ctx, support = tower_and_support(n)
+    rng = random.Random(draw(st.integers(0, (1 << 32) - 1)))
+    alpha = random_degree_six(ctx, rng)
+    extended = draw(st.booleans())
+    pts = support if extended else support[:-1]
+    order = draw(st.sampled_from(("canonical", "moved", "rotated")))
+    if order == "moved":
+        moved = [support[p] for p in induced_permutation(ctx, random_map(ctx, rng), support)]
+        pts = moved if extended else [p for p in moved if p != support[-1]]
+    elif order == "rotated":
+        k = draw(st.integers(0, len(pts) - 1))
+        pts = pts[k:] + pts[:k]
+    return ctx, alpha, pts, extended
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=goppa_cases())
+def test_parity_on_the_logs_gives_the_inversion_and_alternant_codes(case):
+    """The code from the GF(q) columns a^k / g(a) equals the code from the
+    big-field row 1/(alpha - a) and the alternant code of g, rows
+    a^i / g(a) for i < 6, or i < 7 with infinity for the extended code."""
+    ctx, alpha, pts, extended = case
+    g = ctx.minimal_polynomial(alpha)
+    rows = 7 if extended else 6
+    by_alternant = subfield_subcode(stacked_columns(
+        ctx, alternant_parity(ctx, multipliers(ctx, g, pts), pts, rows)))
+    if extended:
+        ones = 1 << ctx.big_degree
+        by_inversion = subfield_subcode([c | ones for c in inversion_columns(ctx, alpha, pts)])
+        code = extended_goppa_code(ctx, g, pts)
+    else:
+        by_inversion = subfield_subcode(inversion_columns(ctx, alpha, pts))
+        code = subfield_subcode(goppa_parity(ctx, g, pts))
+        if pts == list(ctx.subfield):
+            assert goppa_code(ctx, g) == code
+    assert code == by_inversion == by_alternant
 
 
 # ------------------------------------------------------------ transformations
@@ -184,7 +241,7 @@ def test_transform_root_mapping(tower5):
         m = random_map(tower5, rng)
         h = transform_polynomial(tower5, g, m)
         beta = apply_map(tower5, m, alpha)
-        assert tower5.eval_poly(h, beta) == 0
+        assert eval_poly(tower5, h, beta) == 0
         assert len(h) == 7 and h[-1] != 0
         # monic normalization recovers the minimal polynomial of beta
         lead_inv = tower5.inv(h[-1])
@@ -323,7 +380,7 @@ def test_weight_enumerator_budget():
 
 def test_weight_enumerator_permutation_invariant(tower5):
     alpha = random_degree_six(tower5, random.Random(13))
-    code = extended_goppa_code(tower5, alpha)
+    code = extended_goppa_code(tower5, tower5.minimal_polynomial(alpha))
     base = weight_enumerator(code)
     perm = list(range(code.length))
     random.Random(14).shuffle(perm)
@@ -333,7 +390,8 @@ def test_weight_enumerator_permutation_invariant(tower5):
 
 def test_code_json_schema(tower5):
     alpha = random_degree_six(tower5, random.Random(15))
-    obj = code_to_json(tower5, alpha, extended_goppa_code(tower5, alpha))
+    g = tower5.minimal_polynomial(alpha)
+    obj = code_to_json(tower5, alpha, g, extended_goppa_code(tower5, g))
     obj["extended"] = True
     schema.validate("code", obj)
     assert len(obj["alpha_hex"]) == 8
@@ -349,10 +407,12 @@ def test_extended_code_on_moved_support_is_the_permuted_code(tower5, seed):
     rng = random.Random(seed)
     alpha = random_degree_six(ctx, rng)
     m = random_map(ctx, rng)
-    assert extended_goppa_code(ctx, alpha) == extend_code(goppa_code(ctx, alpha))
+    g = ctx.minimal_polynomial(alpha)
+    assert extended_goppa_code(ctx, g) == extend_code(goppa_code(ctx, g))
     beta = apply_map(ctx, m, alpha)
     support = projective_support(ctx)
     perm = induced_permutation(ctx, m, support)
-    natural = extend_code(goppa_code(ctx, beta))
-    moved = extended_goppa_code(ctx, beta, [support[p] for p in perm])
+    h = ctx.minimal_polynomial(beta)
+    natural = extend_code(goppa_code(ctx, h))
+    moved = extended_goppa_code(ctx, h, [support[p] for p in perm])
     assert moved == code_from_generator(permuted_rows(natural.generator, perm), len(perm))

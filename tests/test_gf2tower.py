@@ -10,7 +10,14 @@ from goppa_orbits import counting, gf2poly, make_tower, random_degree_six
 from goppa_orbits.gf2tower import Tower, _apply_cols, _ColumnSolver, solve_affine_linearized
 
 
-from conftest import coset_array, schoolbook_mul, span, subfield_span_array
+from conftest import (
+    coset_array,
+    embedding_by_scan,
+    eval_poly,
+    schoolbook_mul,
+    span,
+    subfield_span_array,
+)
 
 
 def test_construction_rejects_small_and_huge_n():
@@ -122,9 +129,9 @@ def test_degree_census_small(tower2, tower3):
         if n == 2:
             counts = {1: 0, 2: 0, 3: 0, 6: 0}
             for x in range(1 << 12):
-                counts[ctx.degree_over_base(x)] += 1
+                counts[len(ctx.conjugates(x))] += 1
             assert counts == {1: 4, 2: 12, 3: 60, 6: 4020}
-    assert tower2.degree_over_base(1) == 1
+    assert tower2.conjugates(1) == (1,)
     expected = (1 << 12) - (1 << 4) - (1 << 6) + (1 << 2)
     assert expected == 4020
 
@@ -144,7 +151,9 @@ def test_degree_chain_matches_the_frobenius_definition(n, d, coords):
     ctx, bases = tower_and_bases(n)
     x = _apply_cols(bases[d], coords % (1 << d * n))
     fixed = [e for e in (1, 2, 3, 6) if ctx.frobenius(x, e * n) == x]
-    assert ctx.degree_over_base(x) == fixed[0] and d % fixed[0] == 0
+    orbit = ctx.conjugates(x)
+    assert len(orbit) == fixed[0] and d % fixed[0] == 0
+    assert list(orbit) == [ctx.frobenius(x, k * n) for k in range(len(orbit))]
     assert ctx.is_degree_six(x) == (2 not in fixed and 3 not in fixed)
 
 
@@ -226,7 +235,7 @@ def test_minimal_polynomial_degrees(tower5):
             continue
         po = tower5.minimal_polynomial(x)
         assert len(po) == 7 and po[-1] == 1
-        assert tower5.eval_poly(po, x) == 0
+        assert eval_poly(tower5, po, x) == 0
 
 
 def test_hex_roundtrip(tower5):
@@ -287,6 +296,8 @@ def test_base_logs_are_a_cyclic_group_table(n):
         assert gf2poly.mod(gf2poly.mul(a, g), ctx.modulus_base) == logs.exp[(k + 1) % (q - 1)]
         assert logs.embedded[k] == ctx.embed_base(a)
         assert logs.log[logs.embedded[k]] == k
+        assert logs.base_log[a] == k
+    assert logs.base_log[0] is None
     assert ctx.base_logs() is logs
 
 
@@ -319,3 +330,55 @@ def test_equiv_request_builds_only_the_identity_and_sigma_n_columns(monkeypatch,
                          "--seed", str(seed), "--json"]) == 0
     capsys.readouterr()
     assert [sorted(ctx._frob_cache) for ctx in towers] == [[0, 5]] * 3
+
+
+# ------------------------------------------------------------------ embedding
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_embedding_equals_the_ascending_scan(n):
+    """Default moduli: the root found in an n-bit copy of the subfield gives
+    the columns of the enc-least root of modulus_base in the big field."""
+    ctx = make_tower(n)
+    assert ctx._embed_cols == embedding_by_scan(ctx)
+
+
+def random_irreducible(rng, d):
+    while True:
+        p = (1 << d) | rng.getrandbits(d) | 1
+        if gf2poly.is_irreducible(p):
+            return p
+
+
+def least_subfield_element_degree(ctx):
+    """Degree over GF(2) of the subfield's least element besides 0 and 1."""
+    w = ctx.subfield[2]
+    return next(d for d in range(1, ctx.n + 1) if ctx.n % d == 0 and ctx.frobenius(w, d) == w)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_embedding_equals_the_ascending_scan_for_random_moduli(n):
+    """Five towers per n: random irreducible modulus_base (every one there is
+    at n = 3 and 4, which have 2 and 3) and a random modulus_big."""
+    rng = random.Random(100 + n)
+    bases = [p for p in range(1 << n, 2 << n) if gf2poly.is_irreducible(p)]
+    bases = bases if len(bases) <= 5 else rng.sample(bases, 5)
+    for k in range(5):
+        ctx = make_tower(n, modulus_base=bases[k % len(bases)],
+                         modulus_big=random_irreducible(rng, 6 * n))
+        assert ctx._embed_cols == embedding_by_scan(ctx), (ctx.modulus_base, ctx.modulus_big)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_embedding_passes_a_least_element_in_a_proper_subfield(n):
+    """At composite n, the least subfield element besides 0 and 1 can have
+    degree below n, and the search for w must pass it: the first random
+    modulus_big that puts it there."""
+    rng = random.Random(200 + n)
+    for _ in range(300):
+        ctx = make_tower(n, modulus_big=random_irreducible(rng, 6 * n))
+        if least_subfield_element_degree(ctx) < n:
+            break
+    else:
+        pytest.fail("no tower with a least element in a proper subfield")
+    assert ctx._embed_cols == embedding_by_scan(ctx)
