@@ -13,6 +13,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 import time
 
@@ -30,15 +31,20 @@ EXIT_PIPE = 4
 # builds in about 0.3 s (2 vCPU), but its report holds 4024 rows of 4097 bits
 MAX_CODE_N = 11
 
+_EXPONENTS = re.compile(r"[0-9]+(,[0-9]+)*")
+
 
 def _parse_modulus(text: str | None, degree: int) -> int | None:
     if text is None:
         return None
-    try:
-        exps = [int(t) for t in text.split(",")]
-    except ValueError as exc:
-        raise ValueError(f"bad modulus exponent list {text!r}") from exc
-    if any(not 0 <= e <= degree for e in exps):
+    if not _EXPONENTS.fullmatch(text):
+        raise ValueError(f"bad modulus exponent list {text!r}: expected "
+                         "comma-separated digits 0-9")
+    exps = [int(t) for t in text.split(",")]
+    if len(set(exps)) != len(exps):
+        raise ValueError(f"repeated modulus exponent in {text!r}: over GF(2) "
+                         "the two terms cancel")
+    if any(e > degree for e in exps):
         raise ValueError(f"modulus exponents must lie in 0..{degree}, got {text!r}")
     return gf2poly.from_exponents(exps)
 

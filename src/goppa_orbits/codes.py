@@ -1,12 +1,12 @@
 """Goppa and extended code construction over the tower, as binary codes.
 
 Binary matrices are lists of int bitmasks (bit j = column j), the usual
-GF(2) idiom: row reduction is XOR, parity checks are popcounts. Codes are
-stored with both a generator and a parity basis in reduced row echelon form,
-so code equality is structural equality of the canonical generator rows.
-A subfield subcode is the kernel of its binary parity columns, which
-`_ColumnSolver` hands back already reduced: that kernel is the generator as
-it stands, and one `nullspace` and one `rref` give the parity basis.
+GF(2) idiom: row reduction is XOR, parity checks are popcounts. A code is
+its generator in reduced row echelon form, so code equality is structural
+equality of the canonical generator rows. A subfield subcode is the kernel
+of its binary parity columns, which `_ColumnSolver` hands back already
+reduced: that kernel is the code as it stands. The parity basis is derived,
+by one `nullspace` and one `rref`, only where the `code` report prints it.
 
 A code is built from g, the sextic minimal polynomial of alpha over GF(q),
 q = 2^n, in GF(q): each finite parity column holds a^k / g(a), k < 6, read
@@ -76,23 +76,26 @@ def nullspace(rows: list[int], width: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class BinaryCode:
-    """Binary linear code with canonical (RREF) generator and parity bases."""
+    """Binary linear code, held as its canonical (RREF) generator rows."""
 
     length: int
     generator: tuple[int, ...]
-    parity: tuple[int, ...]
 
     @property
     def dimension(self) -> int:
         return len(self.generator)
 
-    def __post_init__(self):
+    @property
+    def parity(self) -> tuple[int, ...]:
+        """The canonical (RREF) parity basis, derived and checked on each read."""
+        parity = rref(list(nullspace(self.generator, self.length)))
         for g in self.generator:
-            for h in self.parity:
+            for h in parity:
                 if (g & h).bit_count() & 1:
                     raise AssertionError("generator not orthogonal to parity rows")
-        if len(self.generator) + len(self.parity) != self.length:
+        if len(self.generator) + len(parity) != self.length:
             raise AssertionError("rank defect in code bases")
+        return parity
 
 
 # ------------------------------------------------------------- parity builders
@@ -149,17 +152,16 @@ def subfield_subcode(columns: list[int]) -> BinaryCode:
     """The binary code cut out by parity columns, each the GF(2)
     coordinates of a column of a parity matrix over an extension field: the
     kernel of the columns."""
-    length = len(columns)
     gen = _ColumnSolver(columns).kernel_basis  # already reduced
-    return BinaryCode(length, gen, rref(list(nullspace(gen, length))))
+    return BinaryCode(len(columns), gen)
 
 
 def extend_code(code: BinaryCode) -> BinaryCode:
     """Append an overall parity bit to every codeword: the reduced generator
-    stays reduced, and the parity checks gain the all-ones row."""
+    stays reduced."""
     n = code.length
     gen = tuple(r | ((r.bit_count() & 1) << n) for r in code.generator)
-    return BinaryCode(n + 1, gen, rref([*code.parity, (1 << (n + 1)) - 1]))
+    return BinaryCode(n + 1, gen)
 
 
 # --------------------------------------------------------------- Goppa codes

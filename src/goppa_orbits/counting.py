@@ -305,7 +305,8 @@ def _class_index(ctx: Tower) -> _ClassIndex:
     n, m = ctx.n, ctx.big_degree
     q = 1 << n
     gammas = [ctx.embed_base(1 << k) for k in range(n)]
-    from_coords = tuple(ctx.mul(g, ctx.pow(2, j)) for j in range(6) for g in gammas)
+    # theta^j = x^j is the bitmask 1 << j, already reduced as j < 6 <= 6n
+    from_coords = tuple(ctx.mul(g, 1 << j) for j in range(6) for g in gammas)
     solver = _ColumnSolver(list(from_coords))
     if solver.kernel_basis:
         raise ConsistencyError("gamma_k * theta^j is not a basis of the big field")

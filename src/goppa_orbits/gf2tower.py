@@ -300,18 +300,6 @@ class Tower:
         prefix-product batch."""
         return [self.inv(v) for v in values]
 
-    def pow(self, x: int, e: int) -> int:
-        if e < 0:
-            x = self.inv(x)
-            e = -e
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, x)
-            x = self.mul(x, x)
-            e >>= 1
-        return r
-
     # ------------------------------------------------------------- frobenius
 
     def _frob_cols(self, i: int) -> list[int]:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from goppa_orbits import counting, gf2poly, make_tower
-from goppa_orbits.codes import BinaryCode, nullspace, rref
+from goppa_orbits.codes import BinaryCode, rref
 from goppa_orbits.counting import RootCounts
 from goppa_orbits.gf2tower import solve_affine_linearized
 from goppa_orbits.mobius import (
@@ -95,6 +95,17 @@ def span(basis):
         arr = np.concatenate([arr, arr ^ np.int64(b)])
     arr.sort()
     return arr
+
+
+def power(ctx, x, e):
+    """x^e in the big field for e >= 0, by square-and-multiply."""
+    r = 1
+    while e:
+        if e & 1:
+            r = ctx.mul(r, x)
+        x = ctx.mul(x, x)
+        e >>= 1
+    return r
 
 
 def eval_poly(ctx, coeffs, x):
@@ -233,9 +244,14 @@ def inversion_columns(ctx, alpha, support):
 
 
 def code_from_generator(gen_rows, length):
-    """The code spanned by gen_rows, both bases reduced from scratch."""
-    gen = rref(gen_rows)
-    return BinaryCode(length, gen, rref(list(nullspace(gen, length))))
+    """The code spanned by gen_rows, its generator reduced from scratch."""
+    return BinaryCode(length, rref(gen_rows))
+
+
+def extended_parity_by_ones_row(code):
+    """The parity basis of `extend_code(code)` by the second route: the
+    parity rows of code, then the all-ones row, reduced together."""
+    return rref([*code.parity, (1 << (code.length + 1)) - 1])
 
 
 def multipliers(ctx, g, pts):

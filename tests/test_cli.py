@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from goppa_orbits import cli, schema
+from conftest import load_bench_run
+from goppa_orbits import cli, codes, schema
 from goppa_orbits.cli import _ROOT_EXPECTED, main
 from goppa_orbits.counting import MAX_CLOSED_FORM_N, burnside_numerator, is_prime
 from goppa_orbits.gf2tower import Tower
@@ -336,6 +337,30 @@ def test_modulus_exponent_out_of_range_exit_2(capsys):
         assert len(err.splitlines()) == 1 and f"0..{limit}" in err
 
 
+BAD_EXPONENTS = ("3_0,1,0", "+30,1,0", " 30,1,0", "30,1,0 ", "30,1,0\n", "\u06630,1,0",
+                 "30,1,1,0", "30,1,01,0", "30,,1,0", "30,1,0,", "", "0x1e,1,0", "30;1;0")
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+def test_modulus_takes_distinct_ascii_exponents_only(capsys, monkeypatch, mode):
+    """A modulus exponent with a sign, underscore, space or non-ASCII digit,
+    or one given twice (over GF(2) the two terms cancel), exits 2 with one
+    line, where `int()` took it and the repeat was OR-ed in."""
+    for bad in BAD_EXPONENTS:
+        for flag in ("--modulus-base", "--modulus-big"):
+            code, out, err = run(capsys, "roots", "--n", "5", "--which", "eq_3n",
+                                 flag, bad, *mode)
+            assert (code, out) == (2, ""), (flag, bad)
+            assert len(err.splitlines()) == 1 and "Traceback" not in err, (flag, bad)
+    load_bench_run(monkeypatch)
+    import workloads
+    for n, big in [(4, m) for m in workloads.N4_BIG_MODULI] + [
+            (5, m) for m in workloads.N5_BIG_MODULI]:
+        code, _, _ = run(capsys, "roots", "--n", str(n), "--which", "eq_3n",
+                         "--modulus-big", big, *mode)
+        assert code == 0, big
+
+
 def test_bad_workers_exit_2(capsys):
     code, out, err = run(capsys, "census", "--n", "2", "--workers", "0")
     assert code == 2 and out == ""
@@ -454,6 +479,25 @@ def test_parity_makes_no_big_field_inversions(capsys, monkeypatch):
     code, _, _ = run(capsys, "equiv", "--n", "5", "--alpha", "random",
                      "--map", "random", "--seed", "0")
     assert code == 0 and len(calls) <= 2
+
+
+def test_only_the_code_report_derives_a_parity_basis(capsys, monkeypatch):
+    """A code is its reduced generator: equiv compares generators and
+    eliminates nothing more, and the code report derives the one parity
+    basis it prints."""
+    calls = {"nullspace": 0, "rref": 0}
+    for name in calls:
+        def counted(*args, _name=name, _inner=getattr(codes, name)):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(codes, name, counted)
+    code, _, _ = run(capsys, "equiv", "--n", "5", "--alpha", "random",
+                     "--map", "random", "--seed", "0")
+    assert code == 0 and calls == {"nullspace": 0, "rref": 0}
+    code, _, _ = run(capsys, "code", "--n", "5", "--alpha", "random", "--seed", "0",
+                     "--extended")
+    assert code == 0 and calls["nullspace"] == 1
 
 
 # --------------------------------------------------- the process-wide parser

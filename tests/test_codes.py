@@ -9,9 +9,11 @@ from conftest import (
     alternant_parity,
     code_from_generator,
     eval_poly,
+    extended_parity_by_ones_row,
     induced_permutation_by_apply_map,
     inversion_columns,
     multipliers,
+    power,
     stacked_columns,
     transform_polynomial,
 )
@@ -36,7 +38,7 @@ from goppa_orbits.mobius import (
     random_degree_six,
     random_map,
 )
-from goppa_orbits import make_tower, schema
+from goppa_orbits import codes, make_tower, schema
 
 
 def projective_support(ctx):
@@ -66,6 +68,55 @@ def test_code_from_generator_rank_identity():
     code = code_from_generator([0b0011, 0b1100, 0b1111], 4)
     assert code.dimension == 2
     assert code.parity == (0b0011, 0b1100)
+
+
+def test_codes_compare_by_length_and_generator():
+    code = code_from_generator([0b0011], 4)
+    assert code == code_from_generator([0b0011, 0b0011], 4)
+    assert hash(code) == hash(code_from_generator([0b0011, 0b0011], 4))
+    assert code != code_from_generator([0b1100], 4)
+    assert code != code_from_generator([0b0011], 5)
+
+
+@st.composite
+def generator_sets(draw):
+    """A length up to 40 and rows spanning a code of it: random rows, or
+    the zero code, or the full code."""
+    length = draw(st.integers(1, 40))
+    rows = draw(st.one_of(
+        st.lists(st.integers(0, (1 << length) - 1), max_size=length + 2),
+        st.just([]),
+        st.just([1 << j for j in range(length)])))
+    return length, rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=generator_sets())
+def test_derived_parity_is_the_reduced_dual_basis(case):
+    length, rows = case
+    code = code_from_generator(rows, length)
+    parity = code.parity
+    assert rref(list(parity)) == parity
+    assert all((g & h).bit_count() % 2 == 0 for g in code.generator for h in parity)
+    assert len(parity) == length - code.dimension
+    assert extend_code(code).parity == extended_parity_by_ones_row(code)
+
+
+def test_code_report_checks_the_derived_parity(tower5, monkeypatch):
+    """A parity basis that is not orthogonal to the generator stops the
+    report: the checks run wherever a basis is derived."""
+    alpha = random_degree_six(tower5, random.Random(15))
+    g = tower5.minimal_polynomial(alpha)
+    code = extended_goppa_code(tower5, g)
+    inner = codes.nullspace
+
+    def corrupted(rows, width):
+        basis = inner(rows, width)  # flip a bit of the first row's support
+        return (basis[0] ^ (rows[0] & -rows[0]), *basis[1:])
+
+    monkeypatch.setattr(codes, "nullspace", corrupted)
+    with pytest.raises(AssertionError, match="not orthogonal"):
+        code_to_json(tower5, alpha, g, code)
 
 
 # ------------------------------------------------------------ parity builders
@@ -118,7 +169,7 @@ def test_goppa_parity_entries_distinct(tower5):
         ga = eval_poly(ctx, g, a)
         for k in range(6):
             entry = ctx.embed_base((col >> (k * ctx.n)) & ((1 << ctx.n) - 1))
-            assert ctx.mul(entry, ga) == ctx.pow(a, k)
+            assert ctx.mul(entry, ga) == power(ctx, a, k)
         assert col >> (6 * ctx.n) == 0
     quadratic = next(x for x in ctx._fixed_field_basis(2 * ctx.n)
                      if len(ctx.conjugates(x)) == 2)
@@ -169,6 +220,7 @@ def test_extension_matches_extended_alternant(tower2, tower5):
         assert ext == via_alt
         assert ext.dimension == goppa_code(ctx, g).dimension
         assert ext.length == len(pts)
+        assert ext.parity == extended_parity_by_ones_row(goppa_code(ctx, g))
 
 
 def test_extended_codewords_have_even_weight(tower5):
@@ -364,16 +416,33 @@ def test_equivalence_random_maps(tower5):
         assert rep.weights_alpha == rep.weights_beta
 
 
+def test_equivalence_under_a_wrong_permutation_is_not_verified(tower5, monkeypatch):
+    """The verdict compares the two reduced generators: beta's code on a
+    support moved by a permutation other than the map's is another code."""
+    inner = codes.induced_permutation
+
+    def rotated(ctx, m, support):
+        perm = inner(ctx, m, support)
+        return perm[1:] + perm[:1]
+
+    monkeypatch.setattr(codes, "induced_permutation", rotated)
+    rng = random.Random(12)
+    rep = check_extended_equivalence(tower5, random_degree_six(tower5, rng),
+                                     random_map(tower5, rng))
+    assert not rep.verified
+    assert rep.weights_alpha == rep.weights_beta  # permuted codes, equal weights
+
+
 # ----------------------------------------------------------------- enumerator
 
 
 def test_weight_enumerator_zero_code():
-    zero = BinaryCode(5, (), rref([0b1, 0b10, 0b100, 0b1000, 0b10000]))
+    zero = BinaryCode(5, ())
     assert weight_enumerator(zero) == (1, 0, 0, 0, 0, 0)
 
 
 def test_weight_enumerator_budget():
-    full = BinaryCode(25, rref([1 << j for j in range(25)]), ())
+    full = BinaryCode(25, rref([1 << j for j in range(25)]))
     with pytest.raises(ValueError):
         weight_enumerator(full)
 
