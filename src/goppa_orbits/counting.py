@@ -374,7 +374,7 @@ def _low_field_class_elements(ctx: Tower) -> np.ndarray:
     GF(q^3) minus GF(q) is the q + 1 classes of u^2 and u + c u^2, c in GF(q)."""
     v, u = (next(b for b in ctx._fixed_field_basis(bits) if ctx.frobenius(b, ctx.n) != b)
             for bits in (2 * ctx.n, 3 * ctx.n))
-    u2 = ctx.mul(u, u)
+    u2 = ctx.square(u)
     return np.array([v, u2] + [u ^ ctx.mul(c, u2) for c in ctx.subfield], dtype=np.int64)
 
 

@@ -62,7 +62,7 @@ _SPREAD = tuple(int(f"{b:b}", 4) for b in range(256))
 def square(a: int) -> int:
     """mul(a, a), moving bit i of a to bit 2i a byte at a time: a third of
     the windowed product's time, for the squaring chains of
-    `is_irreducible` and `field_root`."""
+    `is_irreducible` and `field_root` and for `Tower.square`."""
     r = s = 0
     while a:
         r |= _SPREAD[a & 255] << s
@@ -131,10 +131,12 @@ def _prime_factors(k: int) -> list[int]:
     return out
 
 
-def is_irreducible(p: int) -> bool:
+def is_irreducible(p: int, chain: list[int] | None = None) -> bool:
     """Irreducibility over GF(2) via the Frobenius fixed-point criterion:
     x^(2^d) = x mod p, and gcd(x^(2^(d/q)) + x, p) = 1 for each prime q | d,
-    all read off one chain of d squarings."""
+    all read off one chain of d squarings. A caller that already holds the
+    chain x^(2^i) mod p, i = 0..d (a `Tower` squares it with its reduction
+    table), passes it in."""
     d = degree(p)
     if d <= 0:
         return False
@@ -142,7 +144,8 @@ def is_irreducible(p: int) -> bool:
         return True
     if not (p & 1):
         return False
-    chain = _frobenius_chain(p, d)
+    if chain is None:
+        chain = _frobenius_chain(p, d)
     if chain[d] != 2:
         return False
     for q in _prime_factors(d):
@@ -166,16 +169,17 @@ def lowest_irreducible(d: int) -> int:
     """Deterministic irreducible of degree d: fewest terms, then least value.
 
     Candidates must have the constant term and an odd number of interior
-    terms (an even total term count has 1 as a root). The interior masks of
-    each weight come in ascending order without being listed, so the search
-    stops at the first irreducible: at d = 96 it tests the 95 trinomials and
-    118 of the 138415 pentanomials.
+    terms (an even total term count has 1 as a root). At d = 0 mod 8 every
+    trinomial is reducible (Swan 1962, Pacific J. Math. 12), so the search
+    starts at pentanomials there. The interior masks of each weight come in
+    ascending order without being listed, so the search stops at the first
+    irreducible: at d = 96 it tests 118 of the 138415 pentanomials.
     """
     if d < 1:
         raise ValueError("degree must be positive")
     if d == 1:
         return 0b10  # x
-    for w in range(1, d, 2):
+    for w in range(3 if d % 8 == 0 else 1, d, 2):
         for mid in _ascending_masks(w, d):
             p = (1 << d) | mid | 1
             if is_irreducible(p):
@@ -191,9 +195,10 @@ def field_root(f: int, m: int) -> int:
     degree n, so f splits into n distinct linear factors over K.
 
     Below degree `_SPLIT_FROM_DEGREE` it is the least root, by an ascending
-    scan of K. From there on it is the root that trace splitting isolates:
-    with x^(2^i) mod f read off one chain (f has GF(2) coefficients), the
-    trace T_j = sum_i (y^j)^(2^i) x^(2^i) mod f costs n squarings in K, and
+    scan of K: f(r) by Horner, each step a product with r read off r's n
+    columns r * y^j mod m. From there on it is the root that trace
+    splitting isolates: with x^(2^i) mod f read off one chain (f has GF(2)
+    coefficients), the trace T_j = sum_i (y^j)^(2^i) x^(2^i) mod f costs n squarings in K, and
     gcd(h, T_j) keeps the roots r of h with Tr(y^j r) = 0. No j > 0 leaves
     all n conjugates on one side, and the trace form is nondegenerate, so
     j = 1..n - 1 isolate one root. Every factor kept divides f, so a root
@@ -201,10 +206,25 @@ def field_root(f: int, m: int) -> int:
     """
     n, d = degree(m), degree(f)
     if n < _SPLIT_FROM_DEGREE:
-        for r in range(1 << n):
+        top = 1 << n
+        for r in range(top):
+            cols = []  # r * y^j mod m, j < n: one shift and reduce each
+            c = r
+            for _ in range(n):
+                cols.append(c)
+                c <<= 1
+                if c & top:
+                    c ^= m
             acc = 0
-            for k in range(d, -1, -1):
-                acc = mod(mul(acc, r), m) ^ ((f >> k) & 1)
+            for k in range(d, -1, -1):  # Horner, multiplying by r on its columns
+                prod = 0
+                j = 0
+                while acc:
+                    if acc & 1:
+                        prod ^= cols[j]
+                    acc >>= 1
+                    j += 1
+                acc = prod ^ ((f >> k) & 1)
             if acc == 0:
                 return r
         raise ValueError("the polynomial has no root in the field")

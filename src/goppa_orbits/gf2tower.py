@@ -13,21 +13,25 @@ subfield spans, enumerated root counts) live in `tests/conftest.py`.
 The scalar kernel:
 
 - `Tower.mul` is `gf2poly.mul` (the package's one carry-less product, a
-  4-bit windowed product) followed by a byte-table reduction. For each shift
-  sh in range(6n, 12n - 1, 8), `__init__` builds a 256-entry table of
-  (byte << sh) mod modulus_big, so reducing a product is its low 6n bits
-  XOR one lookup per high byte (4 at n = 5, 5 at n = 7).
+  4-bit windowed product) followed by a byte-table reduction on one
+  256-entry table, red[b] = (b << 6n) ^ ((b << 6n) mod modulus_big). It is
+  read from the top byte of the product down: p ^= red[byte] << (sh - 6n)
+  clears the byte at bit sh and folds it into the bits below sh, which the
+  lower bytes then carry on (4 lookups at n = 5, 5 at n = 7).
+  `Tower.square` is `gf2poly.square` (bit spreading) and the same
+  reduction, at about half the cost of a `mul`.
 - `Tower.inv` is `gf2poly.inverse`, the shift-and-add extended Euclid; a
   zero remainder means the modulus was not irreducible and raises instead
   of looping.
 - `frobenius(x, i)` reduces i modulo 6n, does (i mod n) squarings, then
   floor(i / n) steps on the sigma^n columns that `__init__` builds: at most
-  n - 1 products and 5 column applications, and no new column table for a
+  n - 1 squarings and 5 column applications, and no new column table for a
   power used once.
 - `_frob_cols(i)`, the columns of x -> x^(2^i), are the powers z^j of
-  z = x^(2^i), cached per i; a new i costs i squarings and 6n - 1
-  products. `_frob_plus_id_cols` and `frob_tables` build on them, and
-  `_apply_cols` is the one GF(2)-linear map application.
+  z = x^(2^i), cached per i; a new i costs i squarings, and its columns
+  (`_power_cols`) 3n - 1 squarings, z^(2j) = (z^j)^2, and 3n - 1 products.
+  `_frob_plus_id_cols` and `frob_tables` build on them, and `_apply_cols`
+  is the one GF(2)-linear map application.
 - The degree tests walk the orbit of x under sigma^n on the sigma^n columns
   that `__init__` builds: the degree over GF(2^n) is the first d with
   sigma^(dn)(x) = x, and a degree-6 test takes three steps. So
@@ -43,27 +47,36 @@ The scalar kernel:
   (`counting._class_index`) read it.
 
 Construction picks the default moduli (`gf2poly.lowest_irreducible`, which
-tests candidates in ascending order without listing them), builds the
-sigma^n columns, lists the subfield GF(2^n) by doubling the span of its
+tests candidates in ascending order without listing them) or checks the
+given ones, builds the reduction table and squares the chain x^(2^i) mod
+modulus_big on it. A given modulus_big passes both of
+`gf2poly.is_irreducible`'s tests on that chain, run to i = 6n; with the
+default modulus it runs to n. chain[n] seeds the sigma^n columns.
+Construction then lists the subfield GF(2^n) by doubling the span of its
 basis, and finds the embedding root in an n-bit copy of the subfield. The
-least subfield element w of degree n over GF(2) has a minimal polynomial
-m_w, the one relation among w^0..w^n (one `_ColumnSolver`), so y -> w maps
+least subfield element w of degree n over GF(2), found by squarings
+(w^(2^(n/p)) != w for each prime p | n), has a minimal polynomial m_w, the
+one relation among w^0..w^n (one `_ColumnSolver`), so y -> w maps
 K = GF(2)[y]/(m_w) onto the subfield. `gf2poly.field_root` finds a root r
 of modulus_base in K on n-bit integers; gamma, the enc-least root in the
 big field, is the least image of the n conjugates r^(2^i), and the
 embedding columns are the images of 1, r, ..., r^(n-1). So the big field
-spends n products on the powers of w and none on the search. The
-embedding is checked in O(n): its n columns are independent and fixed by
-sigma^n. `make_tower` takes about 0.28 ms at n = 5, 0.74 ms at n = 7 and
-0.12 s at n = 16 (2 vCPU), where the degree-96 modulus is two thirds of it.
+spends n products on the powers of w and a few squarings per candidate
+on the search. The embedding is checked in O(n): its n columns are
+independent and fixed by sigma^n. `make_tower` takes about 0.08 ms at
+n = 2, 0.20 ms at n = 5 and 0.56 ms at n = 7, and 0.15 ms at n = 4 with
+the given modulus 24,4,3,1,0 (2 vCPU; the host drifts by up to half).
+The default-moduli search is most of the rest at n = 7 (degree 42) and
+above: about 70 % of 60 ms at n = 16 (degree 96).
 
 The numpy paths hold encodings in int64, so they need 6n <= 63 (n <= 10)
 and raise ValueError above it. Their tables are built on first use and kept
 in `_np_tables`: byte tables of Frobenius powers and multipliers
-(`frobenius_vec`, `mult_tables`) and the reduction tables of `mul_vec`, a
-chunked carry-less product of masked integer products with the byte-table
-reduction of `mul`. `conjugate_tables` fuses a GF(2)-linear map with all
-6n Frobenius powers into one stack of byte tables, which its caller keeps.
+(`frobenius_vec`, `mult_tables`) and the reduction table of `mul_vec`, a
+chunked carry-less product of masked integer products reduced on int64
+copies of the table of `mul`. `conjugate_tables` fuses a GF(2)-linear map
+with all 6n Frobenius powers into one stack of byte tables, which its
+caller keeps.
 
 Linear algebra over GF(2) has one elimination, `_ColumnSolver`: it reduces
 int-bitmask vectors at their least set bits and keeps the input combination
@@ -223,26 +236,34 @@ class Tower:
             modulus_base = gf2poly.lowest_irreducible(n)
         elif gf2poly.degree(modulus_base) != n or not gf2poly.is_irreducible(modulus_base):
             raise ValueError("modulus_base must be irreducible of degree n")
-        if modulus_big is None:
+        given = modulus_big is not None
+        if not given:
             modulus_big = gf2poly.lowest_irreducible(m)
-        elif gf2poly.degree(modulus_big) != m or not gf2poly.is_irreducible(modulus_big):
+        elif gf2poly.degree(modulus_big) != m:
             raise ValueError("modulus_big must be irreducible of degree 6n")
         self.modulus_base = modulus_base
         self.modulus_big = modulus_big
         self.order = 1 << m
 
-        # reduction tables, one (sh, tab) per high byte of a product:
-        # tab[b] = (b << sh) mod modulus_big
+        # one reduction table, read from the top byte of a product down:
+        # red[b] = (b << 6n) ^ ((b << 6n) mod modulus_big)
         self._mask = (1 << m) - 1
-        reduce = []
-        for sh in range(m, 2 * m - 1, 8):
-            tab = [0]
-            for k in range(8):  # bit k of the byte doubles the table
-                col = gf2poly.mod(1 << (sh + k), modulus_big)
-                tab += [t ^ col for t in tab]
-            reduce.append((sh, tab))
-        self._reduce: tuple[tuple[int, list[int]], ...] = tuple(reduce)
-        self._frob_cache: dict[int, list[int]] = {0: [1 << j for j in range(m)]}
+        self._red = [0]
+        for k in range(8):  # bit k of the byte doubles the table
+            top = (1 << (m + k)) ^ gf2poly.mod(1 << (m + k), modulus_big)
+            self._red += [t ^ top for t in self._red]
+        # (sh, sh - 6n) for each byte of a product above bit 6n + 7, top first
+        self._shifts = tuple((sh, sh - m) for sh in range(m + 8 * ((m - 2) // 8), m, -8))
+
+        # x^(2^i) mod modulus_big by table squarings: a given modulus passes
+        # both Rabin tests on the chain to 6n; a default one needs it to n
+        chain = [2]
+        for _ in range(m if given else n):
+            chain.append(self.square(chain[-1]))
+        if given and not gf2poly.is_irreducible(modulus_big, chain=chain):
+            raise ValueError("modulus_big must be irreducible of degree 6n")
+        self._frob_cache: dict[int, list[int]] = {
+            0: [1 << j for j in range(m)], n: self._power_cols(chain[n])}
         self._np_tables: dict[tuple, object] = {}  # per-tower tables, built on first use
 
         # base subfield inside the big field, as Python ints (6n may exceed 63
@@ -257,14 +278,22 @@ class Tower:
         # w^0..w^n: y -> w maps K = GF(2)[y]/(m_w) onto the subfield, so the
         # roots of modulus_base in the subfield are the images of its n
         # conjugate roots in K, and gamma, the enc-least of them, is the
-        # image of the least conjugate
+        # image of the least conjugate. A candidate's degree is tested by
+        # squarings, w^(2^(n/p)) != w for each prime p | n, before its powers
+        # are built.
+        steps = [n // p for p in gf2poly._prime_factors(n)]
         for w in self.subfield[2:]:
-            powers = [1]
-            for _ in range(n):
-                powers.append(self.mul(powers[-1], w))
-            kernel = _ColumnSolver(powers).kernel_basis
-            if len(kernel) == 1:
+            z = [w]  # w^(2^k), k <= n/p for the least prime p | n
+            for _ in range(max(steps)):
+                z.append(self.square(z[-1]))
+            if all(z[k] != w for k in steps):
                 break
+        powers = [1]
+        for _ in range(n):
+            powers.append(self.mul(powers[-1], w))
+        kernel = _ColumnSolver(powers).kernel_basis
+        if len(kernel) != 1:
+            raise AssertionError("subfield element of degree n has no unique relation")
         m_w, to_big = kernel[0], powers[:n]
         r = gf2poly.field_root(modulus_base, m_w)
         conjugates = [r]
@@ -285,11 +314,23 @@ class Tower:
     # ------------------------------------------------------------------ core
 
     def mul(self, x: int, y: int) -> int:
+        """x * y: the bytes of the carry-less product from bit 6n up are
+        cleared top first, each folded into the bits below it by one lookup
+        in the reduction table. `square` repeats these lines; a call shared
+        by both cost about 7 % of a `mul` at n = 5."""
         p = gf2poly.mul(x, y)
-        r = p & self._mask
-        for sh, tab in self._reduce:
-            r ^= tab[(p >> sh) & 255]
-        return r
+        red = self._red
+        for sh, lo in self._shifts:
+            p ^= red[(p >> sh) & 255] << lo
+        return p ^ red[p >> self.big_degree]
+
+    def square(self, x: int) -> int:
+        """mul(x, x), by `gf2poly.square` and the reduction of `mul`."""
+        p = gf2poly.square(x)
+        red = self._red
+        for sh, lo in self._shifts:
+            p ^= red[(p >> sh) & 255] << lo
+        return p ^ red[p >> self.big_degree]
 
     def inv(self, x: int) -> int:
         return gf2poly.inverse(x, self.modulus_big)
@@ -302,21 +343,26 @@ class Tower:
 
     # ------------------------------------------------------------- frobenius
 
+    def _power_cols(self, z: int) -> list[int]:
+        """z^0..z^(6n - 1): z^(2j) = (z^j)^2 and z^(2j + 1) = z^(2j) * z."""
+        cols = [1, z]
+        for j in range(2, self.big_degree):
+            cols.append(self.mul(cols[-1], z) if j & 1 else self.square(cols[j >> 1]))
+        return cols
+
     def _frob_cols(self, i: int) -> list[int]:
         """Columns of x -> x^(2^i) in the polynomial basis, cached per i.
 
-        Column j is z^j with z = x^(2^i): i squarings and 6n - 1 products.
+        Column j is z^j with z = x^(2^i): i squarings, then the powers of z
+        (`_power_cols`).
         """
         i %= self.big_degree
         cols = self._frob_cache.get(i)
         if cols is None:
             z = 2
             for _ in range(i):
-                z = self.mul(z, z)
-            cols = [1]
-            for _ in range(self.big_degree - 1):
-                cols.append(self.mul(cols[-1], z))
-            self._frob_cache[i] = cols
+                z = self.square(z)
+            cols = self._frob_cache[i] = self._power_cols(z)
         return cols
 
     def frobenius(self, x: int, i: int) -> int:
@@ -324,7 +370,7 @@ class Tower:
         steps on the sigma^n columns __init__ built."""
         i %= self.big_degree
         for _ in range(i % self.n):
-            x = self.mul(x, x)
+            x = self.square(x)
         cols = self._frob_cols(self.n)
         for _ in range(i // self.n):
             x = _apply_cols(cols, x)
@@ -492,22 +538,24 @@ class Tower:
 
         Horner over the w-bit chunks of y, top chunk first, with
         w = min(6n, 63 - 6n): each step's shifted accumulator and product
-        stay below 2^63, and its high bits fold back through the byte tables
-        of `mul`. One chunk up to n = 5, two at n = 6..10. A chunk's
-        carry-less product is 16 integer products of masks that keep every
-        fourth bit (`_SLOTS`): x_i * y_j puts all its terms on bits
-        congruent to i + j mod 4, at most ceil(w / 4) <= 8 on one bit, so
-        no carry leaves a 4-bit slot and each slot's low bit is the XOR of
-        its terms.
+        stay below 2^63, and its high bytes fold back top first through the
+        table of `mul` without its b << 6n terms (int64 cannot hold them),
+        one copy shifted to each high byte; a mask then clears those bytes.
+        One chunk up to n = 5, two at n = 6..10. A chunk's carry-less
+        product is 16 integer products of masks that keep every fourth bit
+        (`_SLOTS`): x_i * y_j puts all its terms on bits congruent to
+        i + j mod 4, at most ceil(w / 4) <= 8 on one bit, so no carry leaves
+        a 4-bit slot and each slot's low bit is the XOR of its terms.
         """
         m = self.big_degree
+        w = min(m, 63 - m)
         reduce = self._np_tables.get(("reduce",))
         if reduce is None:
             if m > 63:
                 raise ValueError("vectorized paths need encodings below 64 bits")
+            red = np.array([t & self._mask for t in self._red], dtype=np.int64)
             reduce = self._np_tables[("reduce",)] = [
-                (sh, np.array(tab, dtype=np.int64)) for sh, tab in self._reduce]
-        w = min(m, 63 - m)
+                (sh, red << (sh - m)) for sh, _ in self._shifts if sh < m + w] + [(m, red)]
         xs = [x & s for s in _SLOTS]
         acc = None
         for lo in range(w * ((m - 1) // w), -1, -w):
@@ -518,12 +566,9 @@ class Tower:
                 part ^= (xs[0] * ys[r] ^ xs[1] * ys[r - 1]
                          ^ xs[2] * ys[r - 2] ^ xs[3] * ys[r - 3]) & slot
             acc = part if acc is None else (acc << w) ^ part
-            r = acc & self._mask
-            for sh, tab in reduce:
-                if sh >= m + w:
-                    break
-                r ^= tab[(acc >> sh) & 255]
-            acc = r
+            for sh, tab in reduce:  # folds each high byte below it; the mask clears them
+                acc ^= tab[(acc >> sh) & 255]
+            acc &= self._mask
         return acc
 
     def conjugate_tables(self, cols: list[int] | tuple[int, ...]) -> np.ndarray:

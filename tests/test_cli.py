@@ -361,6 +361,16 @@ def test_modulus_takes_distinct_ascii_exponents_only(capsys, monkeypatch, mode):
         assert code == 0, big
 
 
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+def test_modulus_rejected_by_the_gcd_test_alone_exit_2(capsys, mode):
+    """(x^6 + x + 1)(x^6 + x^3 + 1) passes x^(2^12) = x at n = 2; the gcd
+    test on the tower's chain rejects it with the one documented line."""
+    code, out, err = run(capsys, "roots", "--n", "2", "--which", "eq_3n",
+                         "--modulus-big", "12,9,7,4,3,1,0", *mode)
+    assert (code, out) == (2, "")
+    assert err == "error: modulus_big must be irreducible of degree 6n\n"
+
+
 def test_bad_workers_exit_2(capsys):
     code, out, err = run(capsys, "census", "--n", "2", "--workers", "0")
     assert code == 2 and out == ""

@@ -76,6 +76,22 @@ def test_default_moduli_match_the_sort_then_scan_search():
         assert gf2poly.lowest_irreducible(d) == lowest_irreducible_by_sort(d), d
 
 
+def test_lowest_irreducible_skips_trinomials_at_degrees_divisible_by_8(monkeypatch):
+    """Swan's theorem: every trinomial of degree 0 mod 8 is reducible, so the
+    search at d = 24 tests pentanomials only."""
+    tested = []
+    real = gf2poly.is_irreducible
+
+    def counting(p, chain=None):
+        tested.append(p)
+        return real(p, chain)
+
+    monkeypatch.setattr(gf2poly, "is_irreducible", counting)
+    assert gf2poly.lowest_irreducible(24) == gf2poly.from_exponents([24, 4, 3, 1, 0])
+    assert tested and all(bin(p).count("1") == 5 for p in tested)
+    assert not any(is_irreducible_two_pass((1 << 24) | (1 << k) | 1) for k in range(1, 24))
+
+
 def test_exponents_roundtrip():
     p = (1 << 30) | (1 << 1) | 1
     exps = gf2poly.exponents(p)

@@ -51,6 +51,11 @@ def test_modulus_overrides_validated():
         make_tower(2, modulus_base=0b110)
     with pytest.raises(ValueError):
         make_tower(2, modulus_big=(1 << 12) | 1)
+    # (x^6 + x + 1)(x^6 + x^3 + 1) satisfies x^(2^12) = x, so only the gcd
+    # test rejects it; x^30 + x^2 + 1 already fails x^(2^30) = x
+    for n, exps in ((2, [12, 9, 7, 4, 3, 1, 0]), (5, [30, 2, 0])):
+        with pytest.raises(ValueError, match=r"^modulus_big must be irreducible of degree 6n$"):
+            make_tower(n, modulus_big=gf2poly.from_exponents(exps))
     alt = make_tower(2, modulus_big=gf2poly.from_exponents([12, 6, 4, 1, 0]))
     assert alt.modulus_big != make_tower(2).modulus_big
     x = 0x5ab

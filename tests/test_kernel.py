@@ -1,12 +1,16 @@
 """Property and golden tests for the field kernel.
 
-The scalar kernel is gf2poly.mul (windowed carry-less product) plus
-Tower.mul (byte-table reduction), Tower.inv (shift-and-add extended Euclid)
-and the Frobenius columns. Each property runs on the default towers at
-n = 2, 3, 4, 5, 7 and on two towers whose big modulus has a dense tail. The
-vectorised product Tower.mul_vec (chunked, masked integer products) must
-equal the scalar one elementwise, and the norm-form suborbit representative
-N(z)/z of z = alpha + g must lie in the affine class of the scalar inv(z).
+The scalar kernel is gf2poly.mul (windowed carry-less product) and
+gf2poly.square (bit spreading), each followed by the one reduction table of
+the tower read from the top byte down (Tower.mul, Tower.square), Tower.inv
+(shift-and-add extended Euclid) and the Frobenius columns. Each property
+runs on the default towers at n = 2, 3, 4, 5, 7 and on two towers whose big
+modulus has a dense tail (24,16,3,1,0 and 30,29,0), where a folded top byte
+reaches the most bytes below it. The vectorised product Tower.mul_vec
+(chunked, masked integer products, reduced on int64 copies of the same
+table) must equal the scalar one elementwise, on those two towers too, and
+the norm-form suborbit representative N(z)/z of z = alpha + g must lie in
+the affine class of the scalar inv(z).
 """
 
 import copy
@@ -73,6 +77,7 @@ def test_mul_matches_schoolbook(key):
     @given(field_elements(key), field_elements(key))
     def check(x, y):
         assert ctx.mul(x, y) == schoolbook_mul(ctx, x, y)
+        assert ctx.square(x) == schoolbook_mul(ctx, x, x)
 
     check()
 
@@ -131,10 +136,12 @@ def test_vec_kernel_matches_scalar_on_every_element_n2():
         assert ctx.mul_vec(x, y).tolist() == want
 
 
-@pytest.mark.parametrize("n", [3, 5, 7, 10])
-def test_vec_kernel_matches_scalar(n):
-    ctx = make_tower(n)
-    pairs = st.tuples(field_elements((n, None)), field_elements((n, None)))
+@pytest.mark.parametrize(
+    "key", [(3, None), (5, None), (7, None), (10, None), (4, "24,16,3,1,0"), (5, "30,29,0")],
+    ids=lambda key: str(key[0] if key[1] is None else key))
+def test_vec_kernel_matches_scalar(key):
+    ctx = tower(key)
+    pairs = st.tuples(field_elements(key), field_elements(key))
 
     @KERNEL
     @given(st.lists(pairs, min_size=1, max_size=40))
