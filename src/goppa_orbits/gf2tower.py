@@ -4,11 +4,14 @@ Field elements are plain ints: bit j of enc(x) is the coefficient of x^j in
 the polynomial basis of the field's modulus. 0 and 1 encode the field's zero
 and one, and addition is the xor (^) operation. A Tower carries the moduli,
 the subfield embedding and the Frobenius machinery; all operations are pure
-functions of their inputs and a Tower is immutable after construction
-(internal caches are append-only), so it can be shared freely between
-threads. The module holds what the commands and the benchmark call; the
-independent oracles the tests check it against (a schoolbook product,
-subfield spans, enumerated root counts) live in `tests/conftest.py`.
+functions of their inputs. A Tower's moduli never change after
+construction; the subfield list and the embedding (`_embedding`), the
+Frobenius columns and the numpy tables are built on first read and then
+kept unchanged (two threads racing on a first read build equal values),
+so a Tower can be shared freely between threads. The module holds what
+the commands and the benchmark call; the independent oracles the tests
+check it against (a schoolbook product, subfield spans, enumerated root
+counts) live in `tests/conftest.py`.
 
 The scalar kernel:
 
@@ -46,15 +49,24 @@ The scalar kernel:
   (`codes.induced_permutation`) and the class index's quotient table
   (`counting._class_index`) read it.
 
-Construction picks the default moduli (`gf2poly.lowest_irreducible`, which
-tests candidates in ascending order without listing them) or checks the
-given ones, builds the reduction table and squares the chain x^(2^i) mod
-modulus_big on it. A given modulus_big passes both of
-`gf2poly.is_irreducible`'s tests on that chain, run to i = 6n; with the
-default modulus it runs to n. chain[n] seeds the sigma^n columns.
-Construction then lists the subfield GF(2^n) by doubling the span of its
-basis, and finds the embedding root in an n-bit copy of the subfield. The
-least subfield element w of degree n over GF(2), found by squarings
+Construction only validates the moduli and builds what every command
+uses. The default moduli are read from `_DEFAULT_MODULI`, a table of the
+`gf2poly.lowest_irreducible` picks for the 29 degrees n and 6n a tower can
+ask for (the tests check it against that search), and a table modulus
+passes exactly the checks a given one does: `gf2poly.is_irreducible` for
+modulus_base, and for modulus_big both Rabin tests on the chain
+x^(2^i) mod modulus_big, i <= 6n, that the tower squares on its own
+reduction table. chain[n] seeds the sigma^n columns. `make_tower` takes
+about 0.12-0.16 ms at n = 5, 0.19-0.27 ms at n = 7, 1.1-1.4 ms at n = 16,
+and 0.09-0.13 ms at n = 4 with the given modulus 24,4,3,1,0 (2 vCPU; the
+host drifts by up to half).
+
+The subfield and the embedding are built together on the first read of
+`subfield`, `subfield_nonzero`, `embed_base`, `to_base` or `base_logs`,
+so root counts and a fixed-point count read off a cached sweep build
+neither. The subfield GF(2^n) is listed by doubling the span of its
+basis, and the embedding root is found in an n-bit copy of the subfield.
+The least subfield element w of degree n over GF(2), found by squarings
 (w^(2^(n/p)) != w for each prime p | n), has a minimal polynomial m_w, the
 one relation among w^0..w^n (one `_ColumnSolver`), so y -> w maps
 K = GF(2)[y]/(m_w) onto the subfield. `gf2poly.field_root` finds a root r
@@ -63,11 +75,9 @@ big field, is the least image of the n conjugates r^(2^i), and the
 embedding columns are the images of 1, r, ..., r^(n-1). So the big field
 spends n products on the powers of w and a few squarings per candidate
 on the search. The embedding is checked in O(n): its n columns are
-independent and fixed by sigma^n. `make_tower` takes about 0.08 ms at
-n = 2, 0.20 ms at n = 5 and 0.56 ms at n = 7, and 0.15 ms at n = 4 with
-the given modulus 24,4,3,1,0 (2 vCPU; the host drifts by up to half).
-The default-moduli search is most of the rest at n = 7 (degree 42) and
-above: about 70 % of 60 ms at n = 16 (degree 96).
+independent and fixed by sigma^n. This first read costs about 0.12 ms
+at n = 5 and 17-25 ms at n = 16, where listing the 65536-element subfield
+is almost all of it.
 
 The numpy paths hold encodings in int64, so they need 6n <= 63 (n <= 10)
 and raise ValueError above it. Their tables are built on first use and kept
@@ -91,6 +101,7 @@ rank and never a list of roots.
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import NamedTuple
 
@@ -105,6 +116,20 @@ __all__ = [
 ]
 
 _MAX_N = 16  # subfield enumeration builds 2^n elements; keep construction desk-scale
+
+# the default moduli, as exponents: gf2poly.lowest_irreducible(d), the
+# fewest-terms, least-value irreducible, for each degree a tower asks for,
+# d = n and d = 6n with 2 <= n <= 16; tests/test_gf2tower.py checks every
+# entry against that search, and the constructor checks each one it reads
+_DEFAULT_MODULI = {
+    2: (2, 1, 0), 3: (3, 1, 0), 4: (4, 1, 0), 5: (5, 2, 0), 6: (6, 1, 0),
+    7: (7, 1, 0), 8: (8, 4, 3, 1, 0), 9: (9, 1, 0), 10: (10, 3, 0),
+    11: (11, 2, 0), 12: (12, 3, 0), 13: (13, 4, 3, 1, 0), 14: (14, 5, 0),
+    15: (15, 1, 0), 16: (16, 5, 3, 1, 0), 18: (18, 3, 0), 24: (24, 4, 3, 1, 0),
+    30: (30, 1, 0), 36: (36, 9, 0), 42: (42, 7, 0), 48: (48, 5, 3, 2, 0),
+    54: (54, 9, 0), 60: (60, 1, 0), 66: (66, 3, 0), 72: (72, 10, 9, 3, 0),
+    78: (78, 6, 5, 3, 0), 84: (84, 5, 0), 90: (90, 27, 0), 96: (96, 10, 9, 6, 0),
+}
 
 _HEX = re.compile(r"[0-9a-fA-F]+")
 
@@ -212,13 +237,25 @@ class BaseLogs(NamedTuple):
     base_log: tuple[int | None, ...]
 
 
+class _Embedding(NamedTuple):
+    """The base subfield (sorted) and the embedding of GF(2^n) onto it: its
+    columns gamma^0..gamma^(n-1) and their elimination, which projects back."""
+
+    subfield: tuple[int, ...]
+    cols: list[int]
+    project: _ColumnSolver
+
+
 class Tower:
     """The tower GF(2) < GF(2^n) < GF(2^(6n)) with fixed moduli and embedding.
 
     Default moduli are the deterministic fewest-terms, least-value
-    irreducibles of degrees n and 6n. The embedding sends the base field's
+    irreducibles of degrees n and 6n, read from `_DEFAULT_MODULI` and
+    checked like given ones. The embedding sends the base field's
     generator (x mod modulus_base) to the enc-least root of modulus_base in
-    the big field, so encodings are reproducible across runs.
+    the big field, so encodings are reproducible across runs; it and the
+    subfield list are built on first read (`_embedding`), the moduli
+    checks at construction.
     """
 
     def __init__(self, n: int, modulus_base: int | None = None,
@@ -233,13 +270,12 @@ class Tower:
         self.big_degree = 6 * n
         m = self.big_degree
         if modulus_base is None:
-            modulus_base = gf2poly.lowest_irreducible(n)
-        elif gf2poly.degree(modulus_base) != n or not gf2poly.is_irreducible(modulus_base):
+            modulus_base = gf2poly.from_exponents(_DEFAULT_MODULI[n])
+        if gf2poly.degree(modulus_base) != n or not gf2poly.is_irreducible(modulus_base):
             raise ValueError("modulus_base must be irreducible of degree n")
-        given = modulus_big is not None
-        if not given:
-            modulus_big = gf2poly.lowest_irreducible(m)
-        elif gf2poly.degree(modulus_big) != m:
+        if modulus_big is None:
+            modulus_big = gf2poly.from_exponents(_DEFAULT_MODULI[m])
+        if gf2poly.degree(modulus_big) != m:
             raise ValueError("modulus_big must be irreducible of degree 6n")
         self.modulus_base = modulus_base
         self.modulus_big = modulus_big
@@ -255,23 +291,30 @@ class Tower:
         # (sh, sh - 6n) for each byte of a product above bit 6n + 7, top first
         self._shifts = tuple((sh, sh - m) for sh in range(m + 8 * ((m - 2) // 8), m, -8))
 
-        # x^(2^i) mod modulus_big by table squarings: a given modulus passes
-        # both Rabin tests on the chain to 6n; a default one needs it to n
+        # x^(2^i) mod modulus_big, i <= 6n, by table squarings: modulus_big
+        # passes both Rabin tests on it, and chain[n] seeds the sigma^n columns
         chain = [2]
-        for _ in range(m if given else n):
+        for _ in range(m):
             chain.append(self.square(chain[-1]))
-        if given and not gf2poly.is_irreducible(modulus_big, chain=chain):
+        if not gf2poly.is_irreducible(modulus_big, chain=chain):
             raise ValueError("modulus_big must be irreducible of degree 6n")
         self._frob_cache: dict[int, list[int]] = {
             0: [1 << j for j in range(m)], n: self._power_cols(chain[n])}
         self._np_tables: dict[tuple, object] = {}  # per-tower tables, built on first use
 
-        # base subfield inside the big field, as Python ints (6n may exceed 63
-        # bits): the span of its basis, doubled one basis vector at a time
-        subfield = [0]
+    @functools.cached_property
+    def _embedding(self) -> _Embedding:
+        """The subfield GF(2^n) and the embedding of the base field into it,
+        built together on the first read of `subfield`, `embed_base`,
+        `to_base` or `base_logs`: the embedding search walks the subfield,
+        and every command that lists the subfield also embeds."""
+        n = self.n
+        # the subfield as Python ints (6n may exceed 63 bits): the span of
+        # its basis, doubled one basis vector at a time
+        span = [0]
         for b in self._fixed_field_basis(n):
-            subfield += [v ^ b for v in subfield]
-        self.subfield: tuple[int, ...] = tuple(sorted(subfield))
+            span += [v ^ b for v in span]
+        subfield = tuple(sorted(span))
 
         # w, the least subfield element of degree n over GF(2) (0 and 1 have
         # degree 1), and its minimal polynomial m_w, the one relation among
@@ -282,7 +325,7 @@ class Tower:
         # squarings, w^(2^(n/p)) != w for each prime p | n, before its powers
         # are built.
         steps = [n // p for p in gf2poly._prime_factors(n)]
-        for w in self.subfield[2:]:
+        for w in subfield[2:]:
             z = [w]  # w^(2^k), k <= n/p for the least prime p | n
             for _ in range(max(steps)):
                 z.append(self.square(z[-1]))
@@ -295,21 +338,31 @@ class Tower:
         if len(kernel) != 1:
             raise AssertionError("subfield element of degree n has no unique relation")
         m_w, to_big = kernel[0], powers[:n]
-        r = gf2poly.field_root(modulus_base, m_w)
+        r = gf2poly.field_root(self.modulus_base, m_w)
         conjugates = [r]
         for _ in range(n - 1):
             conjugates.append(gf2poly.mod(gf2poly.square(conjugates[-1]), m_w))
         root = min(conjugates, key=lambda c: _apply_cols(to_big, c))
-        self._embed_cols = []  # images of root^0..root^(n-1): gamma^0..gamma^(n-1)
+        cols = []  # images of root^0..root^(n-1): gamma^0..gamma^(n-1)
         e = 1
         for _ in range(n):
-            self._embed_cols.append(_apply_cols(to_big, e))
+            cols.append(_apply_cols(to_big, e))
             e = gf2poly.mod(gf2poly.mul(e, root), m_w)
-        self._project = _ColumnSolver(self._embed_cols)
+        project = _ColumnSolver(cols)
         # n independent columns fixed by sigma^n span the n-dimensional fixed field
-        if self._project.kernel_basis or any(
-                self.frobenius(c, n) != c for c in self._embed_cols):
+        if project.kernel_basis or any(self.frobenius(c, n) != c for c in cols):
             raise AssertionError("embedding image differs from the fixed field")
+        return _Embedding(subfield, cols, project)
+
+    @property
+    def subfield(self) -> tuple[int, ...]:
+        """The 2^n elements of the base subfield in the big field, ascending."""
+        return self._embedding.subfield
+
+    @property
+    def _embed_cols(self) -> list[int]:
+        """gamma^0..gamma^(n-1): the columns of `embed_base`."""
+        return self._embedding.cols
 
     # ------------------------------------------------------------------ core
 
@@ -405,7 +458,7 @@ class Tower:
 
     def to_base(self, x: int) -> int:
         """Inverse of embed_base; raises if x is not in the embedded subfield."""
-        a = self._project.solve(x)
+        a = self._embedding.project.solve(x)
         if a is None:
             raise ValueError("element is not in the embedded base field")
         return a

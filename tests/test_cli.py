@@ -371,6 +371,18 @@ def test_modulus_rejected_by_the_gcd_test_alone_exit_2(capsys, mode):
     assert err == "error: modulus_big must be irreducible of degree 6n\n"
 
 
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+def test_reducible_modulus_base_exit_2(capsys, mode):
+    """x^5 + x^4 + 1 = (x^2 + x + 1)(x^3 + x + 1) and x^4 + x^3 + x^2 + 1,
+    which has the root 1, are refused with the one documented line while
+    the tower is built."""
+    for argv in (("roots", "--n", "5", "--which", "eq_3n", "--modulus-base", "5,4,0"),
+                 ("fixed", "--n", "4", "--d", "6", "--modulus-base", "4,3,2,0")):
+        code, out, err = run(capsys, *argv, *mode)
+        assert (code, out) == (2, ""), argv
+        assert err == "error: modulus_base must be irreducible of degree n\n", argv
+
+
 def test_bad_workers_exit_2(capsys):
     code, out, err = run(capsys, "census", "--n", "2", "--workers", "0")
     assert code == 2 and out == ""

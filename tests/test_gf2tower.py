@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goppa_orbits import counting, gf2poly, make_tower, random_degree_six
-from goppa_orbits.gf2tower import Tower, _apply_cols, _ColumnSolver, solve_affine_linearized
+from goppa_orbits.gf2tower import (
+    _DEFAULT_MODULI,
+    Tower,
+    _apply_cols,
+    _ColumnSolver,
+    solve_affine_linearized,
+)
 
 
 from conftest import (
@@ -60,6 +66,27 @@ def test_modulus_overrides_validated():
     assert alt.modulus_big != make_tower(2).modulus_big
     x = 0x5ab
     assert alt.mul(x, alt.inv(x)) == 1
+
+
+def test_default_moduli_table_is_the_lowest_irreducible_search(monkeypatch):
+    """The table holds every degree a tower asks for, n and 6n for
+    2 <= n <= 16, each entry `lowest_irreducible`'s pick; a tower built on
+    it equals the one built with those moduli given, and no tower searches."""
+    assert set(_DEFAULT_MODULI) == set(range(2, 17)) | {6 * n for n in range(2, 17)}
+    for d, exps in _DEFAULT_MODULI.items():
+        assert gf2poly.from_exponents(exps) == gf2poly.lowest_irreducible(d), d
+    for n in range(2, 12):
+        ctx = make_tower(n)
+        given = make_tower(n, modulus_base=gf2poly.lowest_irreducible(n),
+                           modulus_big=gf2poly.lowest_irreducible(6 * n))
+        assert ctx == given and ctx._embed_cols == given._embed_cols, n
+
+    def no_search(d):
+        raise AssertionError(f"searched degree {d}")
+
+    monkeypatch.setattr(gf2poly, "lowest_irreducible", no_search)
+    for n in range(2, 17):
+        assert make_tower(n).modulus_big == gf2poly.from_exponents(_DEFAULT_MODULI[6 * n])
 
 
 def test_field_axioms_n2_exhaustive_inverses(tower2):
@@ -339,6 +366,43 @@ def test_equiv_request_builds_only_the_identity_and_sigma_n_columns(monkeypatch,
 
 
 # ------------------------------------------------------------------ embedding
+
+
+def test_root_counts_and_a_cached_sweep_build_no_subfield():
+    """Root counts on the linear equations, and a fixed-point count read
+    off a cached sweep, neither list the subfield nor embed the base field."""
+    for n in (5, 16):
+        ctx = make_tower(n)
+        for which in counting.ROOT_EQUATIONS:
+            if which != "eq_41":
+                counting.root_count_oracle(ctx, which)
+        assert "_embedding" not in vars(ctx), n
+    want = counting.fixed_point_oracle(make_tower(2), 3)  # runs and caches the sweep
+    ctx = make_tower(2)
+    assert counting.fixed_point_oracle(ctx, 3) == want
+    assert "_embedding" not in vars(ctx)
+
+
+READERS = {
+    "subfield": lambda ctx: ctx.subfield,
+    "subfield_nonzero": lambda ctx: ctx.subfield_nonzero(),
+    "embed_base": lambda ctx: ctx.embed_base(1),
+    "to_base": lambda ctx: ctx.to_base(1),
+    "base_logs": lambda ctx: ctx.base_logs(),
+}
+
+
+@pytest.mark.parametrize("n", [2, 4, 5])
+@pytest.mark.parametrize("reader", READERS)
+def test_any_reader_builds_the_subfield_and_embedding(n, reader):
+    """One reader builds both lazy parts: the subfield as the sorted span of
+    its basis, the embedding as the ascending scan finds it."""
+    ctx = make_tower(n)
+    assert "_embedding" not in vars(ctx)
+    READERS[reader](ctx)
+    assert "_embedding" in vars(ctx)
+    assert list(ctx.subfield) == subfield_span_array(ctx, n).tolist()
+    assert ctx._embed_cols == embedding_by_scan(ctx)
 
 
 @pytest.mark.parametrize("n", range(2, 17))
