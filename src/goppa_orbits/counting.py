@@ -23,6 +23,11 @@ classes word by word. The sweeps are limited to
 n <= 7 (about 28 s and 80 MiB at n = 7 on 2 vCPU) and eq_41 to n <= 8;
 larger n is refused with a cost estimate rather than attempted. The linear
 root counts list no root, so they run up to the tower's cap, n <= 16.
+
+Only the sweep uses numpy: the class index (`_class_index`), the bit-array
+helpers and `_run_sweep` import it on their first call, so the closed
+forms, the root counts and a fixed-point count read off a cached sweep run
+without it, as does importing this module.
 """
 
 from __future__ import annotations
@@ -32,12 +37,13 @@ import time
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import gf2poly, mobius
 from .gf2tower import _MAX_N, Tower, _ColumnSolver, solve_affine_linearized
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "InfeasibleError",
@@ -173,7 +179,7 @@ def burnside_bound(n: int) -> int:
 # ------------------------------------------------------------ visited-bit ops
 
 
-_WORD_FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
+_WORD_FULL = 0xFFFFFFFFFFFFFFFF  # a visited word with all 64 bits set
 _BLOCK = 1 << 14  # elements per block of the large sweep arrays, to stay in cache
 
 
@@ -184,6 +190,7 @@ def _mark_bits(words: np.ndarray, idx: np.ndarray) -> int:
     word's bits together with `reduceat`, and counts new bits on the touched
     words only; a bit given twice, or one already set, is not counted.
     """
+    import numpy as np
     idx = idx.reshape(-1)
     new_bits = 0
     for lo in range(0, idx.size, _BLOCK):
@@ -199,7 +206,6 @@ def _mark_bits(words: np.ndarray, idx: np.ndarray) -> int:
     return new_bits
 
 
-_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 _CHUNK_WORDS = 1 << 14
 
 
@@ -207,13 +213,15 @@ def _first_unvisited(words: np.ndarray, start_word: int,
                      count: int) -> tuple[int, np.ndarray]:
     """The first `count` zero bits at or after start_word (fewer at the end),
     ascending, and the word of the first one: every word before it is full."""
+    import numpy as np
+    bits = np.uint64(1) << np.arange(64, dtype=np.uint64)
     found, cursor, w = [], words.size, start_word
     while w < words.size and count:
         chunk = words[w:w + _CHUNK_WORDS]
         open_words = np.flatnonzero(chunk != _WORD_FULL)[:count]
         if open_words.size:
             cursor = min(cursor, w + int(open_words[0]))
-            word, bit = np.nonzero((chunk[open_words, None] & _BITS) == 0)
+            word, bit = np.nonzero((chunk[open_words, None] & bits) == 0)
             idx = ((open_words[word] + w) << 6 | bit)[:count]
             found.append(idx)
             count -= idx.size
@@ -246,31 +254,43 @@ class _ClassIndex:
     [(j - 1)n, jn); scaling the highest nonzero one (index l) to 1 picks the
     projective point. Points are ranked by l, then by the lower coordinates
     read as one integer.
+
+    Division by a fixed a != 0 is GF(2)-linear on the low 4n bits, coordinate
+    by coordinate, so it is one byte table per 8 of those bits: `div_bytes`.
+    The leading index l and coordinate a are fixed by the bit length of a
+    vector and the n - 1 bits below its leading one, which its float64 bits
+    hold from the exponent down: that key reads a and l off `lead_row` and
+    `lead_base`.
     """
 
     n: int
     count: int  # (q^5 - 1) / (q - 1) points
     conjugates: np.ndarray  # (bytes, 256, 6n) byte tables: x -> quotient coordinates of x^(2^i)
     from_coords: list[np.ndarray]  # byte tables: coordinates -> element
-    div: tuple[np.ndarray, ...]  # div[j][a * q + c] = (c / a) << jn in GF(q), j < 4; 0 for c = 0
-    base: np.ndarray  # offsets[l] less 1 << ln, the leading coordinate's own div term (l < 4)
+    # div_bytes[b, a << 8 | u]: (c_j / a) << jn, j < 4, over the coordinates c_j
+    # of u << 8b below bit 4n, in GF(q), as int32; rows of a = 0 are never read
+    div_bytes: np.ndarray
+    lead_row: np.ndarray  # [key]: a << 8, the div_bytes row of the leading coordinate
+    lead_base: np.ndarray  # [key]: offsets[l] less 1 << ln, a's own quotient (l < 4)
     offsets: np.ndarray  # rank of the first point with leading index l
 
     def ranks(self, v: np.ndarray) -> np.ndarray:
         """Class rank of each quotient coordinate vector (nonzero), elementwise.
 
         v holds c_0..c_4, c_j in bits [jn, jn + n), and a = c_l is the highest
-        nonzero one. The rank is base[l] plus (c_j / a) << jn for j < 4: j = l
-        adds the 1 << ln that base takes back out, j > l adds 0, and c_4 is
+        nonzero one. The rank is lead_base plus (c_j / a) << jn for j < 4, the
+        XOR of one `div_bytes` lookup per byte of v below bit 4n: j = l adds
+        the 1 << ln that lead_base takes back out, j > l adds 0, and c_4 is
         never below the leading coordinate.
         """
-        n, mask = self.n, (1 << self.n) - 1
-        lead = (np.frexp(v.astype(np.float64))[1] - 1) // n  # frexp exponent = bit length
-        row = ((v >> lead * n) & mask) << n  # div row of the leading coordinate
-        point = self.base[lead]
-        for j, div in enumerate(self.div):
-            point += div[row | ((v >> j * n) & mask)]
-        return point
+        # v has 5n <= 35 bits and converts exactly; the key is its float64
+        # bits from the exponent down to n - 1 mantissa bits, less the key of 1
+        key = (v.astype(float).view("int64") >> 53 - self.n) - (1023 << self.n - 1)
+        row = self.lead_row[key]
+        low = self.div_bytes[0][row | (v & 255)]
+        for b in range(1, self.div_bytes.shape[0]):
+            low ^= self.div_bytes[b][row | ((v >> 8 * b) & 255)]
+        return self.lead_base[key] + low
 
     def classes(self, x: np.ndarray) -> np.ndarray:
         """Class rank of each element, elementwise; x must avoid GF(q)."""
@@ -280,6 +300,7 @@ class _ClassIndex:
         """Class ranks of all 6n Frobenius images of each element, along a new
         last axis; x must avoid GF(q). Works in blocks of about _BLOCK images,
         so that the temporaries stay in cache."""
+        import numpy as np
         m = self.conjugates.shape[-1]
         flat = x.reshape(-1)
         out = np.empty((flat.size, m), dtype=np.int64)
@@ -290,18 +311,20 @@ class _ClassIndex:
 
     def elements(self, ranks: np.ndarray) -> np.ndarray:
         """One element of each class with the given rank."""
-        lead = np.searchsorted(self.offsets, ranks, side="right") - 1
-        point = (np.int64(1) << lead * self.n) + ranks - self.offsets[lead]
+        lead = self.offsets.searchsorted(ranks, side="right") - 1
+        point = (1 << lead * self.n) + ranks - self.offsets[lead]
         return Tower.apply_tables(self.from_coords, point << self.n)
 
 
 def _class_index(ctx: Tower) -> _ClassIndex:
-    """Class tables of one tower (about 2.5 ms to build at n = 5, most of it
+    """Class tables of one tower (about 3 ms to build at n = 5, most of it
     the fused stack `conjugates`), built once and kept in the tower's table
     cache."""
     index = ctx._np_tables.get(("class_index",))
     if index is not None:
         return index
+    _sweep_cost_check(ctx.n)  # n <= 7: the quotients of div_bytes fit in int32
+    import numpy as np
     n, m = ctx.n, ctx.big_degree
     q = 1 << n
     gammas = [ctx.embed_base(1 << k) for k in range(n)]
@@ -315,17 +338,29 @@ def _class_index(ctx: Tower) -> _ClassIndex:
     exp = ctx.base_logs().exp
     log = np.zeros(q, dtype=np.int64)
     log[list(exp)] = np.arange(q - 1)
-    div = np.array(exp, dtype=np.int64)[(log[None, :] - log[:, None]) % (q - 1)]
+    div = np.array(exp, dtype=np.int64)[(log[None, :] - log[:, None]) % (q - 1)]  # [a, c]: c / a
     div[:, 0] = 0
-    div = div.reshape(-1)
+    # [b, u]: the bits below 4n of byte u at byte b, whose coordinates are
+    # divided by every a at once
+    spans = (np.arange(256) << 8 * np.arange(-(-4 * n // 8))[:, None]) & ((1 << 4 * n) - 1)
+    div_bytes = 0
+    for j in range(4):
+        div_bytes = div_bytes ^ div[:, (spans >> j * n) & (q - 1)] << j * n  # [a, b, u]
     offsets = np.array([(q ** l - 1) // (q - 1) for l in range(5)], dtype=np.int64)
+    # [bit length - 1, the n - 1 bits t below the leading one]: a << 8 and
+    # the base of l, row by row in the order of the `ranks` key
+    k = np.arange(5 * n)[:, None] % n  # bit length of a, less 1
+    lead_row = (1 << k | np.arange(1 << n - 1) >> n - 1 - k) << 8
+    base = offsets - np.where(np.arange(5) < 4, np.int64(1) << np.arange(5) * n, 0)
     index = ctx._np_tables[("class_index",)] = _ClassIndex(
         n=n,
         count=(q ** 5 - 1) // (q - 1),
         conjugates=conjugates,
         from_coords=ctx._byte_tables(from_coords),
-        div=tuple(div << j * n for j in range(4)),
-        base=offsets - np.where(np.arange(5) < 4, np.int64(1) << np.arange(5) * n, 0),
+        # int32 halves the tables' cache footprint, 1 MiB at n = 7 in int64
+        div_bytes=div_bytes.transpose(1, 0, 2).reshape(spans.shape[0], -1).astype(np.int32),
+        lead_row=lead_row.reshape(-1),
+        lead_base=np.repeat(base, n << n - 1),
         offsets=offsets,
     )
     return index
@@ -372,6 +407,7 @@ def _low_field_class_elements(ctx: Tower) -> np.ndarray:
     GF(q^3), q = 2^n. GF(q^2) minus GF(q) is one class, of any v outside GF(q).
     For u in GF(q^3) outside GF(q), 1, u and u^2 are a GF(q)-basis of GF(q^3), so
     GF(q^3) minus GF(q) is the q + 1 classes of u^2 and u + c u^2, c in GF(q)."""
+    import numpy as np
     v, u = (next(b for b in ctx._fixed_field_basis(bits) if ctx.frobenius(b, ctx.n) != b)
             for bits in (2 * ctx.n, 3 * ctx.n))
     u2 = ctx.square(u)
@@ -412,6 +448,7 @@ def _run_sweep(ctx: Tower) -> OrbitCensus:
     the end every class is visited and both size identities hold, with
     |GF(q^2) u GF(q^3)| = q^2 + q^3 - q. Runs in one thread.
     """
+    import numpy as np
     n, m = ctx.n, ctx.big_degree
     q = 1 << n
     _sweep_cost_check(n)

@@ -80,13 +80,16 @@ at n = 5 and 17-25 ms at n = 16, where listing the 65536-element subfield
 is almost all of it.
 
 The numpy paths hold encodings in int64, so they need 6n <= 63 (n <= 10)
-and raise ValueError above it. Their tables are built on first use and kept
-in `_np_tables`: byte tables of Frobenius powers and multipliers
-(`frobenius_vec`, `mult_tables`) and the reduction table of `mul_vec`, a
-chunked carry-less product of masked integer products reduced on int64
-copies of the table of `mul`. `conjugate_tables` fuses a GF(2)-linear map
-with all 6n Frobenius powers into one stack of byte tables, which its
-caller keeps.
+and raise ValueError above it. numpy is first imported by the first table
+a vector path builds (`_byte_tables`, which every byte table goes through,
+the reduction table of `mul_vec`, and `conjugate_tables`), never at import:
+construction and the scalar kernel run without it. The tables are built on
+first use and kept in `_np_tables`: byte tables of Frobenius powers and
+multipliers (`frobenius_vec`, `mult_tables`) and the reduction table of
+`mul_vec`, a chunked carry-less product of masked integer products reduced
+on int64 copies of the table of `mul`. `conjugate_tables` fuses a
+GF(2)-linear map with all 6n Frobenius powers into one stack of byte
+tables, which its caller keeps.
 
 Linear algebra over GF(2) has one elimination, `_ColumnSolver`: it reduces
 int-bitmask vectors at their least set bits and keeps the input combination
@@ -103,11 +106,12 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import gf2poly
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Tower",
@@ -133,9 +137,8 @@ _DEFAULT_MODULI = {
 
 _HEX = re.compile(r"[0-9a-fA-F]+")
 
-_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1  # [v, k]: bit k of byte v
 # every fourth bit, from bit i, below bit 63: the slots of `Tower.mul_vec`
-_SLOTS = tuple(np.int64((0x1111111111111111 << i) & (2**63 - 1)) for i in range(4))
+_SLOTS = tuple((0x1111111111111111 << i) & (2**63 - 1) for i in range(4))
 
 
 class _ColumnSolver:
@@ -553,11 +556,14 @@ class Tower:
 
     def _byte_tables(self, cols: list[int]) -> list[np.ndarray]:
         """256-entry lookup tables per byte of input for a GF(2)-linear map."""
+        import numpy as np
         m = self.big_degree
         if m > 63:
             raise ValueError("vectorized paths need encodings below 64 bits")
         cols = np.array(list(cols) + [0] * (-m % 8), dtype=np.int64).reshape(-1, 1, 8)
-        return list(np.bitwise_xor.reduce(cols * _BYTE_BITS, axis=2))  # bits of v pick columns
+        bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                             bitorder="little")  # [v, k]: bit k of byte v
+        return list(np.bitwise_xor.reduce(cols * bits, axis=2))  # bits of v pick columns
 
     def frob_tables(self, i: int) -> list[np.ndarray]:
         key = ("frob", i % self.big_degree)
@@ -604,6 +610,7 @@ class Tower:
         w = min(m, 63 - m)
         reduce = self._np_tables.get(("reduce",))
         if reduce is None:
+            import numpy as np
             if m > 63:
                 raise ValueError("vectorized paths need encodings below 64 bits")
             red = np.array([t & self._mask for t in self._red], dtype=np.int64)
@@ -629,6 +636,7 @@ class Tower:
         GF(2)-linear map with columns cols (bits of an image below 64):
         `apply_tables` of the (bytes, 256, 6n) result gives L of every
         Frobenius image along a new last axis. Not cached."""
+        import numpy as np
         rows = [np.stack(self.frob_tables(0))]  # row i: row i - 1 through the squaring tables
         for _ in range(1, self.big_degree):
             rows.append(self.apply_tables(self.frob_tables(1), rows[-1]))

@@ -12,7 +12,9 @@ maps pair an invertible 2x2 matrix over the (embedded) base field with a
 Frobenius exponent; matrices are stored scalar-normalized so dataclass
 equality coincides with equality in the projective group. The group law
 (composition, inverses) is a test oracle in `tests/conftest.py`: the package
-only applies maps.
+only applies maps. The maps and their scalar evaluation run without numpy;
+it is first imported by `suborbit_representatives` and `pgl_orbit_array`,
+the two orbit builders.
 """
 
 from __future__ import annotations
@@ -20,10 +22,12 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .gf2tower import Tower, _parse_hex
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # the Frobenius power of a map string: `int()` would also take "+", "_",
 # surrounding space and non-ASCII digits
@@ -143,6 +147,7 @@ def suborbit_representatives(ctx: Tower, alpha: int | np.ndarray) -> np.ndarray:
     with the norm N(z) = z^(1 + q + ... + q^5) in GF(q)*, so it lies in the
     affine class of 1/(alpha + g). For an array of alphas, one row per
     alpha; three `Tower.mul_vec` passes and four Frobenius lookups in all."""
+    import numpy as np
     alpha = np.asarray(alpha, dtype=np.int64)[..., None]
     _require_degree_six(ctx, alpha)
     n = ctx.n
@@ -161,6 +166,7 @@ def pgl_orbit_array(ctx: Tower, alpha: int) -> np.ndarray:
     (outermost), rep, and f in GF(2^n) (innermost), multiplying by e through
     `Tower.mult_tables`. Size 2^(3n) - 2^n; no duplicates.
     """
+    import numpy as np
     reps = suborbit_representatives(ctx, alpha)
     multiples = np.stack([ctx.apply_tables(ctx.mult_tables(e), reps)
                           for e in ctx.subfield_nonzero()])

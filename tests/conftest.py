@@ -128,6 +128,27 @@ def embedding_by_scan(ctx):
     return cols
 
 
+def class_ranks_by_coordinate(ctx, v):
+    """Class rank of each quotient coordinate vector (nonzero), coordinate by
+    coordinate: (q^l - 1)/(q - 1) for the leading index l, plus each lower
+    coordinate c_j divided by the leading one a, at bits [jn, jn + n). One
+    gather per coordinate from a q x q quotient table of gf2poly products by
+    inverses; `counting._ClassIndex.ranks` reads byte tables instead."""
+    n, q = ctx.n, 1 << ctx.n
+    inv = [0] + [gf2poly.inverse(a, ctx.modulus_base) for a in range(1, q)]
+    div = np.array([gf2poly.mod(gf2poly.mul(c, inv[a]), ctx.modulus_base)
+                    for a in range(q) for c in range(q)], dtype=np.int64)
+    coords = [(v >> j * n) & (q - 1) for j in range(5)]
+    lead = np.zeros_like(v)
+    for j in range(1, 5):
+        lead = np.where(coords[j] != 0, j, lead)
+    a = np.choose(lead, coords)
+    rank = ((q ** lead) - 1) // (q - 1)
+    for j in range(4):
+        rank += np.where(j < lead, div[a * q + coords[j]] << j * n, 0)
+    return rank
+
+
 def subfield_span_array(ctx, bits):
     """The subfield GF(2^bits) of the big field as a sorted int64 array."""
     return span(ctx._fixed_field_basis(bits))

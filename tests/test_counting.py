@@ -10,6 +10,7 @@ from conftest import (
     LINEAR_EQUATIONS,
     canonical_orbit_rep,
     class_equation_oracle,
+    class_ranks_by_coordinate,
     enumerated_root_counts,
     fixed_orbit_representatives,
     subfield_span_array,
@@ -197,16 +198,51 @@ def test_mark_bits_counts_only_new_bits():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_class_index_div_is_division_in_the_base_field(n):
-    """a * div[a * q + c] = c in GF(q) for a != 0, products by gf2poly; the
-    higher tables are the same quotients shifted to coordinate j."""
+    """For a != 0, the `div_bytes` lookups of c << jn (j < 4), XORed over its
+    bytes, give (c / a) << jn with a * (c / a) = c in GF(q), products by
+    gf2poly; bits of coordinate 4 read 0."""
     ctx = make_tower(n)
     q = 1 << n
-    div = counting._class_index(ctx).div
+    tables = counting._class_index(ctx).div_bytes
+    assert len(tables) == -(-4 * n // 8)
+
+    def divide(a, v):
+        out = 0
+        for b, tab in enumerate(tables):
+            out ^= int(tab[a << 8 | (v >> 8 * b) & 255])
+        return out
+
     for a in range(1, q):
         for c in range(q):
-            quot = int(div[0][a * q + c])
+            quot = divide(a, c)
             assert gf2poly.mod(gf2poly.mul(a, quot), ctx.modulus_base) == c, (a, c)
-            assert [int(t[a * q + c]) for t in div] == [quot << j * n for j in range(4)]
+            assert [divide(a, c << j * n) for j in range(5)] == (
+                [quot << j * n for j in range(4)] + [0])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_class_ranks_match_the_per_coordinate_route(n):
+    """`_ClassIndex.ranks` against the coordinate-by-coordinate oracle, for
+    every leading index l: all vectors at n <= 3, else a leading coordinate
+    and lower coordinates drawn at random (a seeded sample per l, with the
+    lower coordinates zero in a quarter of it)."""
+    ctx = make_tower(n)
+    q = 1 << n
+    if n <= 3:
+        v = np.arange(1, q ** 5, dtype=np.int64)
+    else:
+        rng = np.random.default_rng(n)
+        parts = []
+        for lead in range(5):
+            size = 4000
+            low = rng.integers(0, q ** lead, size, dtype=np.int64)
+            low[: size // 4] = 0
+            parts.append(rng.integers(1, q, size, dtype=np.int64) << lead * n | low)
+        v = np.concatenate(parts)
+    got = counting._class_index(ctx).ranks(v)
+    assert got.tolist() == class_ranks_by_coordinate(ctx, v).tolist()
+    if n <= 3:  # onto the ranks 0..count - 1 of P^4
+        assert np.unique(got).tolist() == list(range(counting._class_index(ctx).count))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -1,0 +1,70 @@
+"""Start-up guard: only the sweeps import numpy.
+
+Importing the CLI, building a tower and every scalar command run in a fresh
+interpreter where numpy cannot be imported, and their reports equal the
+goldens; a census or a fixed-point count by sweep imports it.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from test_golden import GOLDEN, GOLDEN_DIR
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# each entry of argv[1] is run by cli.main with --json; prints one
+# {"argv", "exit", "report"} record per entry (the golden file layout, without
+# `elapsed_ms`), then whether numpy was imported
+CHILD = """
+import contextlib, io, json, sys
+if sys.argv[2] == "block":
+    sys.modules["numpy"] = None  # `import numpy` now raises ImportError
+import goppa_orbits.cli
+from goppa_orbits import make_tower
+assert sys.modules.get("numpy") is None, "importing the CLI imported numpy"
+for n in range(2, 17):
+    make_tower(n)
+assert sys.modules.get("numpy") is None, "building a tower imported numpy"
+records = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = goppa_orbits.cli.main([*argv, "--json"])
+    report = json.loads(buf.getvalue())
+    report.pop("elapsed_ms", None)
+    records.append({"argv": argv, "exit": code, "report": report})
+print(json.dumps({"records": records, "numpy": sys.modules.get("numpy") is not None}))
+"""
+
+SCALAR = ["bound_n5", "fixed_table", "code_n5_seed1", "equiv_n5_seed1"] + [
+    name for name in GOLDEN if name.startswith("roots_n5_")]
+
+
+def run_child(argvs, mode):
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argvs), mode],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_scalar_commands_run_without_numpy():
+    assert len(SCALAR) == 9
+    out = run_child([GOLDEN[name] for name in SCALAR], "block")
+    assert not out["numpy"]
+    for name, record in zip(SCALAR, out["records"]):
+        assert record == json.loads((GOLDEN_DIR / f"{name}.json").read_text()), name
+        assert record["exit"] == 0, name
+
+
+@pytest.mark.parametrize("argv", [["census", "--n", "2"], ["fixed", "--n", "2", "--d", "3"]])
+def test_sweeps_import_numpy(argv):
+    """The guard can fail: a sweep imports numpy, and only there."""
+    out = run_child([argv], "open")
+    assert out["records"][0]["exit"] == 0
+    assert out["numpy"]
