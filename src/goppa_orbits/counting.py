@@ -7,27 +7,25 @@ last prime whose closed forms stay below 640 digits, the least limit that
 PYTHONINTMAXSTRDIGITS accepts for int-to-string conversion. Every one
 of them is paired with an oracle that recomputes the same quantity from the
 group action itself, with no shared formulas: the census and the fixed-point
-oracle enumerate orbits affine class by affine class over a visited bit array
-indexed by the points of P^4(GF(2^n)); the element-level class equations
-that check this decomposition are test oracles in `tests/`. The
-root-count oracles count by rank, one stacked GF(2)-linear system per
-subfield, or, for the multiplicative equation eq_41, take gcds of GF(2)
-polynomials. Each orbit is represented by an element of its least class
-rank, the class the sweep claims for it. Each round of the sweep claims a
-batch of the least unvisited classes and drops a candidate whose orbit an
-earlier one of the round already holds, so every accepted class is still
-the least of its orbit. A round takes the suborbit representatives of the
-whole batch in norm form (`mobius`), reads the class coordinates of all 6n
-Frobenius images through one stack of fused byte tables and marks the new
-classes word by word. The sweeps are limited to
-n <= 7 (about 28 s and 80 MiB at n = 7 on 2 vCPU) and eq_41 to n <= 8;
-larger n is refused with a cost estimate rather than attempted. The linear
-root counts list no root, so they run up to the tower's cap, n <= 16.
+oracle scan the affine classes of P^4(GF(2^n)) in ascending rank and key each
+by an orbit invariant, the cross-ratio of the first four q-power conjugates,
+until the orbits found hold every class (`_run_sweep` says why that stop
+certifies the census); the element-level orbits and class equations that
+check it are test oracles in `tests/`. The root-count oracles count by rank,
+one stacked GF(2)-linear system per subfield, or, for the multiplicative
+equation eq_41, take gcds of GF(2) polynomials. Each orbit is represented by
+an element of its least class rank, the first class the scan meets. At
+n = 7 the scan meets the least class of every orbit in the first 0.4 % of
+the ranks (about 2.2 s and 50 MiB on 2 vCPU). The census and the oracle stay
+limited to n <= 7, where the n = 8 report would hold some 350,000 records,
+and eq_41 to n <= 8; larger n is refused with a cost estimate rather than
+attempted. The linear root counts list no root, so they run up to the
+tower's cap, n <= 16.
 
-Only the sweep uses numpy: the class index (`_class_index`), the bit-array
-helpers and `_run_sweep` import it on their first call, so the closed
-forms, the root counts and a fixed-point count read off a cached sweep run
-without it, as does importing this module.
+Only the scan uses numpy: `_class_elements`, `_canonical` and `_run_sweep`
+import it on their first call, so the closed forms, the root counts and a
+fixed-point count read off a cached census run without it, as does
+importing this module.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import gf2poly, mobius
+from . import gf2poly
 from .gf2tower import _MAX_N, Tower, _ColumnSolver, solve_affine_linearized
 
 if TYPE_CHECKING:
@@ -176,57 +174,12 @@ def burnside_bound(n: int) -> int:
     return numerator // (6 * n)
 
 
-# ------------------------------------------------------------ visited-bit ops
+# ------------------------------------------------------------------ the scan
 
 
-_WORD_FULL = 0xFFFFFFFFFFFFFFFF  # a visited word with all 64 bits set
-_BLOCK = 1 << 14  # elements per block of the large sweep arrays, to stay in cache
-
-
-def _mark_bits(words: np.ndarray, idx: np.ndarray) -> int:
-    """Set bits idx in the packed array and return how many were clear.
-
-    Works through idx in blocks of _BLOCK: sorts each block, ORs each
-    word's bits together with `reduceat`, and counts new bits on the touched
-    words only; a bit given twice, or one already set, is not counted.
-    """
-    import numpy as np
-    idx = idx.reshape(-1)
-    new_bits = 0
-    for lo in range(0, idx.size, _BLOCK):
-        block = np.sort(idx[lo:lo + _BLOCK])
-        word = block >> 6
-        starts = np.flatnonzero(np.concatenate(([True], word[1:] != word[:-1])))
-        touched = word[starts]
-        old = words[touched]
-        new = old | np.bitwise_or.reduceat(
-            np.uint64(1) << (block & 63).astype(np.uint64), starts)
-        words[touched] = new
-        new_bits += int(np.bitwise_count(new ^ old).sum())
-    return new_bits
-
-
-_CHUNK_WORDS = 1 << 14
-
-
-def _first_unvisited(words: np.ndarray, start_word: int,
-                     count: int) -> tuple[int, np.ndarray]:
-    """The first `count` zero bits at or after start_word (fewer at the end),
-    ascending, and the word of the first one: every word before it is full."""
-    import numpy as np
-    bits = np.uint64(1) << np.arange(64, dtype=np.uint64)
-    found, cursor, w = [], words.size, start_word
-    while w < words.size and count:
-        chunk = words[w:w + _CHUNK_WORDS]
-        open_words = np.flatnonzero(chunk != _WORD_FULL)[:count]
-        if open_words.size:
-            cursor = min(cursor, w + int(open_words[0]))
-            word, bit = np.nonzero((chunk[open_words, None] & bits) == 0)
-            idx = ((open_words[word] + w) << 6 | bit)[:count]
-            found.append(idx)
-            count -= idx.size
-        w += _CHUNK_WORDS
-    return cursor, np.concatenate(found) if found else np.empty(0, dtype=np.int64)
+# class ranks in the first block of the scan, which holds the least class
+# of every orbit at n <= 4, and in its largest; the blocks double in between
+_FIRST_BLOCK, _BLOCK = 1 << 11, 1 << 13
 
 
 def _sweep_cost_check(n: int) -> None:
@@ -239,134 +192,35 @@ def _sweep_cost_check(n: int) -> None:
             f"limited to n <= {MAX_SWEEP_N}")
 
 
-# ------------------------------------------------------------ affine classes
+def _class_elements(ctx: Tower, ranks: np.ndarray) -> np.ndarray:
+    """One element of the affine class {e*beta + f : e in GF(q)*, f in GF(q)}
+    of each given rank, q = 2^n.
 
-
-@dataclass(frozen=True, eq=False)
-class _ClassIndex:
-    """Affine classes {e*beta + f : e in GF(q)*, f in GF(q)} as points of P^4(GF(q)).
-
-    A class is a point of the 5-dimensional GF(q)-space GF(q^6)/GF(q).
-    Coordinates use the GF(2)-basis gamma_k * theta^j (k < n, j < 6) with
-    gamma_k = embed_base(2^k) and theta = x, the generator of the big field;
-    base-field coordinate j of an element sits in bits [jn, jn + n).
-    Dropping coordinate 0 quotients by GF(q) and leaves coordinate j at bits
-    [(j - 1)n, jn); scaling the highest nonzero one (index l) to 1 picks the
-    projective point. Points are ranked by l, then by the lower coordinates
-    read as one integer.
-
-    Division by a fixed a != 0 is GF(2)-linear on the low 4n bits, coordinate
-    by coordinate, so it is one byte table per 8 of those bits: `div_bytes`.
-    The leading index l and coordinate a are fixed by the bit length of a
-    vector and the n - 1 bits below its leading one, which its float64 bits
-    hold from the exponent down: that key reads a and l off `lead_row` and
-    `lead_base`.
+    A class is a point of P^4(GF(q)), as GF(q^6)/GF(q) is a 5-dimensional
+    GF(q)-space. Coordinates use the GF(2)-basis gamma_k * theta^j (k < n,
+    j < 6) with gamma_k = embed_base(2^k) and theta = x, the generator of the
+    big field; base-field coordinate j of an element sits in bits
+    [jn, jn + n). Dropping coordinate 0 quotients by GF(q) and leaves
+    coordinate j at bits [(j - 1)n, jn); scaling the highest nonzero one
+    (index l) to 1 picks the projective point. Points are ranked by l, then
+    by the lower coordinates read as one integer. The element taken has
+    coordinate 0 equal to 0. The byte tables of the basis are built once and
+    kept in the tower's table cache.
     """
-
-    n: int
-    count: int  # (q^5 - 1) / (q - 1) points
-    conjugates: np.ndarray  # (bytes, 256, 6n) byte tables: x -> quotient coordinates of x^(2^i)
-    from_coords: list[np.ndarray]  # byte tables: coordinates -> element
-    # div_bytes[b, a << 8 | u]: (c_j / a) << jn, j < 4, over the coordinates c_j
-    # of u << 8b below bit 4n, in GF(q), as int32; rows of a = 0 are never read
-    div_bytes: np.ndarray
-    lead_row: np.ndarray  # [key]: a << 8, the div_bytes row of the leading coordinate
-    lead_base: np.ndarray  # [key]: offsets[l] less 1 << ln, a's own quotient (l < 4)
-    offsets: np.ndarray  # rank of the first point with leading index l
-
-    def ranks(self, v: np.ndarray) -> np.ndarray:
-        """Class rank of each quotient coordinate vector (nonzero), elementwise.
-
-        v holds c_0..c_4, c_j in bits [jn, jn + n), and a = c_l is the highest
-        nonzero one. The rank is lead_base plus (c_j / a) << jn for j < 4, the
-        XOR of one `div_bytes` lookup per byte of v below bit 4n: j = l adds
-        the 1 << ln that lead_base takes back out, j > l adds 0, and c_4 is
-        never below the leading coordinate.
-        """
-        # v has 5n <= 35 bits and converts exactly; the key is its float64
-        # bits from the exponent down to n - 1 mantissa bits, less the key of 1
-        key = (v.astype(float).view("int64") >> 53 - self.n) - (1023 << self.n - 1)
-        row = self.lead_row[key]
-        low = self.div_bytes[0][row | (v & 255)]
-        for b in range(1, self.div_bytes.shape[0]):
-            low ^= self.div_bytes[b][row | ((v >> 8 * b) & 255)]
-        return self.lead_base[key] + low
-
-    def classes(self, x: np.ndarray) -> np.ndarray:
-        """Class rank of each element, elementwise; x must avoid GF(q)."""
-        return self.ranks(Tower.apply_tables(self.conjugates[..., 0], x))
-
-    def conjugate_classes(self, x: np.ndarray) -> np.ndarray:
-        """Class ranks of all 6n Frobenius images of each element, along a new
-        last axis; x must avoid GF(q). Works in blocks of about _BLOCK images,
-        so that the temporaries stay in cache."""
-        import numpy as np
-        m = self.conjugates.shape[-1]
-        flat = x.reshape(-1)
-        out = np.empty((flat.size, m), dtype=np.int64)
-        step = max(1, _BLOCK // m)
-        for lo in range(0, flat.size, step):
-            out[lo:lo + step] = self.ranks(Tower.apply_tables(self.conjugates, flat[lo:lo + step]))
-        return out.reshape(x.shape + (m,))
-
-    def elements(self, ranks: np.ndarray) -> np.ndarray:
-        """One element of each class with the given rank."""
-        lead = self.offsets.searchsorted(ranks, side="right") - 1
-        point = (1 << lead * self.n) + ranks - self.offsets[lead]
-        return Tower.apply_tables(self.from_coords, point << self.n)
-
-
-def _class_index(ctx: Tower) -> _ClassIndex:
-    """Class tables of one tower (about 3 ms to build at n = 5, most of it
-    the fused stack `conjugates`), built once and kept in the tower's table
-    cache."""
-    index = ctx._np_tables.get(("class_index",))
-    if index is not None:
-        return index
-    _sweep_cost_check(ctx.n)  # n <= 7: the quotients of div_bytes fit in int32
     import numpy as np
-    n, m = ctx.n, ctx.big_degree
-    q = 1 << n
-    gammas = [ctx.embed_base(1 << k) for k in range(n)]
-    # theta^j = x^j is the bitmask 1 << j, already reduced as j < 6 <= 6n
-    from_coords = tuple(ctx.mul(g, 1 << j) for j in range(6) for g in gammas)
-    solver = _ColumnSolver(list(from_coords))
-    if solver.kernel_basis:
-        raise ConsistencyError("gamma_k * theta^j is not a basis of the big field")
-    conjugates = ctx.conjugate_tables([solver.solve(1 << j) >> n for j in range(m)])
-
-    exp = ctx.base_logs().exp
-    log = np.zeros(q, dtype=np.int64)
-    log[list(exp)] = np.arange(q - 1)
-    div = np.array(exp, dtype=np.int64)[(log[None, :] - log[:, None]) % (q - 1)]  # [a, c]: c / a
-    div[:, 0] = 0
-    # [b, u]: the bits below 4n of byte u at byte b, whose coordinates are
-    # divided by every a at once
-    spans = (np.arange(256) << 8 * np.arange(-(-4 * n // 8))[:, None]) & ((1 << 4 * n) - 1)
-    div_bytes = 0
-    for j in range(4):
-        div_bytes = div_bytes ^ div[:, (spans >> j * n) & (q - 1)] << j * n  # [a, b, u]
-    offsets = np.array([(q ** l - 1) // (q - 1) for l in range(5)], dtype=np.int64)
-    # [bit length - 1, the n - 1 bits t below the leading one]: a << 8 and
-    # the base of l, row by row in the order of the `ranks` key
-    k = np.arange(5 * n)[:, None] % n  # bit length of a, less 1
-    lead_row = (1 << k | np.arange(1 << n - 1) >> n - 1 - k) << 8
-    base = offsets - np.where(np.arange(5) < 4, np.int64(1) << np.arange(5) * n, 0)
-    index = ctx._np_tables[("class_index",)] = _ClassIndex(
-        n=n,
-        count=(q ** 5 - 1) // (q - 1),
-        conjugates=conjugates,
-        from_coords=ctx._byte_tables(from_coords),
-        # int32 halves the tables' cache footprint, 1 MiB at n = 7 in int64
-        div_bytes=div_bytes.transpose(1, 0, 2).reshape(spans.shape[0], -1).astype(np.int32),
-        lead_row=lead_row.reshape(-1),
-        lead_base=np.repeat(base, n << n - 1),
-        offsets=offsets,
-    )
-    return index
-
-
-# ------------------------------------------------------------------ the sweep
+    n, q = ctx.n, 1 << ctx.n
+    from_coords = ctx._np_tables.get(("class_elements",))
+    if from_coords is None:
+        gammas = [ctx.embed_base(1 << k) for k in range(n)]
+        # theta^j = x^j is the bitmask 1 << j, already reduced as j < 6 <= 6n
+        basis = [ctx.mul(g, 1 << j) for j in range(6) for g in gammas]
+        if _ColumnSolver(basis).kernel_basis:
+            raise ConsistencyError("gamma_k * theta^j is not a basis of the big field")
+        from_coords = ctx._np_tables[("class_elements",)] = ctx._byte_tables(basis)
+    offsets = np.array([(q ** l - 1) // (q - 1) for l in range(5)])  # first rank of each l
+    lead = offsets.searchsorted(ranks, side="right") - 1
+    point = (1 << lead * n) + ranks - offsets[lead]
+    return Tower.apply_tables(from_coords, point << n)
 
 
 class SweepRecord(NamedTuple):
@@ -380,8 +234,7 @@ class SweepRecord(NamedTuple):
 @dataclass(frozen=True)
 class OrbitCensus:
     """Census of semi-linear orbits on the degree-6 set, in ascending class
-    rank of the representatives. `candidates` counts the classes the sweep
-    claimed, accepted or dropped."""
+    rank of the representatives."""
 
     n: int
     records: tuple[SweepRecord, ...]
@@ -389,7 +242,6 @@ class OrbitCensus:
     pgl_orbit_count: int
     elements_visited: int
     elapsed_ms: float
-    candidates: int
 
     @property
     def orbit_count(self) -> int:
@@ -402,121 +254,100 @@ class OrbitCensus:
         return tuple(sorted(hist.items()))
 
 
-def _low_field_class_elements(ctx: Tower) -> np.ndarray:
-    """One element of each of the q + 2 affine classes inside GF(q^2) and
-    GF(q^3), q = 2^n. GF(q^2) minus GF(q) is one class, of any v outside GF(q).
-    For u in GF(q^3) outside GF(q), 1, u and u^2 are a GF(q)-basis of GF(q^3), so
-    GF(q^3) minus GF(q) is the q + 1 classes of u^2 and u + c u^2, c in GF(q)."""
+def _cross_ratio(ctx: Tower, alpha: np.ndarray) -> np.ndarray:
+    """mu = (a0 + a2)(a1 + a3) / ((a0 + a3)(a1 + a2)) of each element, with
+    a_i = alpha^(q^i), q = 2^n, and 1/0 read as 0. For alpha of degree 6
+    the a_i are distinct and mu lies outside {0, 1}; in GF(q^2) a2 = a0,
+    and in GF(q^3) a3 = a0, so mu = 0 there."""
+    n = ctx.n
+    a1 = ctx.frobenius_vec(alpha, n)
+    a2 = ctx.frobenius_vec(a1, n)
+    a3 = ctx.frobenius_vec(a2, n)
+    return ctx.mul_vec(ctx.mul_vec(alpha ^ a2, a1 ^ a3),
+                       ctx.inv_vec(ctx.mul_vec(alpha ^ a3, a1 ^ a2)))
+
+
+def _canonical(ctx: Tower, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The least of the 6n squarings mu^(2^p) of each element, and t, the
+    least p >= 1 with mu^(2^p) = mu."""
     import numpy as np
-    v, u = (next(b for b in ctx._fixed_field_basis(bits) if ctx.frobenius(b, ctx.n) != b)
-            for bits in (2 * ctx.n, 3 * ctx.n))
-    u2 = ctx.square(u)
-    return np.array([v, u2] + [u ^ ctx.mul(c, u2) for c in ctx.subfield], dtype=np.int64)
-
-
-_MAX_BATCH = 32  # candidates per round: (6n)(2^n + 1) class ranks each
+    m = ctx.big_degree
+    least, image, t = mu, mu, np.full_like(mu, m)
+    for p in range(1, m):
+        image = ctx.frobenius_vec(image, 1)
+        least = np.minimum(least, image)
+        t = np.where((image == mu) & (t == m), p, t)
+    return least, t
 
 
 def _run_sweep(ctx: Tower) -> OrbitCensus:
-    """Enumerate every semi-linear orbit on the degree-6 set, by affine class.
+    """Enumerate every semi-linear orbit on the degree-6 set by an ordered
+    scan of the affine classes, keyed by the cross-ratio.
 
-    Each linear orbit is the disjoint union of 2^n + 1 affine classes, and
-    Frobenius maps classes to classes, so the visited array has one bit per
-    point of P^4(GF(q)); the q + 2 classes inside GF(q^2) and GF(q^3) are
-    marked first, from one element each.
+    A Mobius map over GF(q), q = 2^n, commutes with the q-power, so the
+    cross-ratio mu of the q-power conjugates (`_cross_ratio`) is constant on
+    a PGL(2, q) orbit, and mu(alpha^2) = mu(alpha)^2, so the least of the 6n
+    squarings of mu (`_canonical`) is constant on a semi-linear orbit.
 
-    Each round claims the first B unvisited classes (B starts at
-    _MAX_BATCH, halves when more than half of a round is dropped and doubles
-    back while at most a quarter is). Their elements index.elements(claimed)
-    yield linear orbits through their affine-suborbit representatives, all
-    taken in one pass; the other member orbits are the Frobenius images,
-    deduplicated by the first power t with sigma^t(alpha) back in the base
-    orbit, and `_ClassIndex.conjugate_classes` ranks all images at once. A
-    candidate is dropped when an earlier candidate of the round has
-    the same orbit, seen as the same least class over all 6n images. An
-    accepted candidate is still the least class of its orbit: every
-    unvisited class below it is an earlier candidate of the round, from
-    another orbit. So records come out in ascending class rank, each
-    represented by the element of its claimed class.
+    The scan walks the class ranks upward in blocks, takes one element of
+    each class (`_class_elements`), drops the q + 2 classes inside GF(q^2)
+    and GF(q^3), where mu = 0, and accepts a class when its canonical mu is
+    new. It records the element, t, the least p >= 1 with mu^(2^p) = mu, as
+    the count of linear orbits, and sets bit p of fixed_mask iff
+    mu^(2^p) = mu, that is, iff t divides p. An accepted class is the least
+    of its orbit, as every class below it was scanned first, so records come
+    out in ascending class rank.
 
-    Checks: the q + 2 set-up classes are distinct; each base orbit has
-    2^n + 1 distinct classes including the claimed one; the fixed-power
-    flags, from class membership tests, have the cyclic structure (power p
-    fixes the orbit iff t divides p); each accepted class is its orbit's
-    least; the visited count grows by exactly the classes marked, so
-    accepted orbits neither overlap visited classes nor each other; and at
-    the end every class is visited and both size identities hold, with
-    |GF(q^2) u GF(q^3)| = q^2 + q^3 - q. Runs in one thread.
+    The scan stops when the accepted orbits' classes, t(q + 1) each, sum to
+    the (q^5 - 1)/(q - 1) - (q + 2) degree-6 classes. This certifies the
+    census without assuming that mu is complete: if sigma^p fixes a linear
+    orbit then mu^(2^p) = mu, so t divides the orbit's true count of linear
+    orbits, and a canonical mu shared by several orbits is accepted once.
+    So the sum never exceeds the classes that the accepted orbits hold, and
+    it reaches the total only when every class lies in an accepted orbit,
+    each mu marks one orbit and each t is exact. A sum past the total, or
+    ranks that run out before it, raise ConsistencyError, as does a final
+    size identity, |GF(q^2) u GF(q^3)| = q^2 + q^3 - q. Runs in one thread.
     """
     import numpy as np
     n, m = ctx.n, ctx.big_degree
     q = 1 << n
     _sweep_cost_check(n)
     start = time.perf_counter()
-    index = _class_index(ctx)
-    words = np.zeros(-(-index.count // 64), dtype=np.uint64)
-    visited = _mark_bits(words, np.arange(index.count, words.size << 6, dtype=np.int64))
-    if _mark_bits(words, index.classes(_low_field_class_elements(ctx))) != q + 2:
-        raise ConsistencyError("GF(q^2) and GF(q^3) do not hold q + 2 distinct classes")
-    visited += q + 2
-    degree_six_classes = index.count - (q + 2)
-    orbit_size = (1 << 3 * n) - (1 << n)
-    powers = np.arange(m)
-    flag_bits = np.int64(1) << powers[1:]  # fixed_mask bit p, 1 <= p < 6n
-    cyclic = np.array([sum(1 << p for p in range(t, m, t)) for t in range(1, m + 1)])
-
+    count = (q ** 5 - 1) // (q - 1)
+    degree_six_classes = count - (q + 2)
+    cyclic = {t: sum(1 << p for p in range(t, m, t)) for t in range(1, m + 1)}  # fixed_mask of t
+    seen = np.array([-1])  # canonical mu of the records, sorted, after a sentinel
     records: list[SweepRecord] = []
-    candidates = 0
-    batch = _MAX_BATCH
-    cursor = 0
-    while True:
-        cursor, claimed = _first_unvisited(words, cursor, batch)
-        k = claimed.size
-        if k == 0:
+    covered = 0
+    lo, size = 0, _FIRST_BLOCK
+    while lo < count:
+        alpha = _class_elements(ctx, np.arange(lo, min(lo + size, count)))
+        lo, size = lo + size, min(2 * size, _BLOCK)
+        mu = _cross_ratio(ctx, alpha)
+        alpha, mu = alpha[mu != 0], mu[mu != 0]  # drops the classes in GF(q^2), GF(q^3)
+        mu, first = np.unique(mu, return_index=True)  # first: index of the least rank
+        canon, t = _canonical(ctx, mu)
+        order = np.lexsort((first, canon))  # by canonical value, then by rank
+        head = order[np.concatenate(([True], canon[order[1:]] != canon[order[:-1]]))]
+        value = canon[head]  # ascending, each with its least rank in the block
+        pos = seen.searchsorted(value, side="right")
+        new = head[seen[pos - 1] != value]  # pos >= 1: the sentinel is below every value
+        if not new.size:
+            continue
+        seen = np.insert(seen, seen.searchsorted(canon[new]), canon[new])
+        new = new[np.argsort(first[new])]
+        records += [SweepRecord(rep=rep, pgl_orbits=tj, fixed_mask=cyclic[tj])
+                    for rep, tj in zip(alpha[first[new]].tolist(), t[new].tolist())]
+        covered += int(t[new].sum()) * (q + 1)
+        if covered >= degree_six_classes:
             break
-        candidates += k
-        alphas = index.elements(claimed)
-        reps = mobius.suborbit_representatives(ctx, alphas)  # (k, 2^n + 1)
-        # [j, r, i]: class of sigma^i(rep r of orbit j)
-        classes = index.conjugate_classes(reps)
-        base = np.sort(classes[:, :, 0], axis=1)
-        if ((base[:, 1:] == base[:, :-1]).any()
-                or not (base == claimed[:, None]).any(axis=1).all()):
-            raise ConsistencyError("linear orbit does not split into 2^n + 1 classes")
-        inside = (classes[:, :1, 1:] == classes[:, :, :1]).any(axis=1)  # sigma^p(alpha_j)
-        fixed_mask = inside @ flag_bits
-        t = np.where(inside.any(axis=1), inside.argmax(axis=1) + 1, m)
-        if (fixed_mask != cyclic[t - 1]).any():
-            raise ConsistencyError(
-                "membership flags break the cyclic orbit structure")
-
-        least = classes.min(axis=1)  # [j, p]: least class of sigma^p(orbit j)
-        orbit_least = least.min(axis=1)  # equal iff two candidates share an orbit
-        accepted = ~np.triu(orbit_least[:, None] == orbit_least, 1).any(axis=0)
-        rows = (powers < t[:, None]) & accepted[:, None]  # member orbits of accepted ones
-        if (np.where(rows, least, index.count).min(axis=1) != claimed)[accepted].any():
-            raise ConsistencyError("claimed class is not the least class of its orbit")
-        members = classes.transpose(0, 2, 1)[rows]
-        if _mark_bits(words, members) != members.size:
-            raise ConsistencyError(
-                "claimed orbits overlap each other or a visited class")
-        visited += members.size
-        for j in np.flatnonzero(accepted).tolist():
-            records.append(SweepRecord(
-                rep=int(alphas[j]), pgl_orbits=int(t[j]), fixed_mask=int(fixed_mask[j])))
-        drops = k - int(accepted.sum())
-        if 4 * drops <= k:
-            batch = min(2 * batch, _MAX_BATCH)
-        elif 2 * drops > k:
-            batch = max(batch // 2, 1)
-
-    if visited != words.size << 6 or int(np.bitwise_count(words).sum()) != visited:
-        raise ConsistencyError("sweep terminated with unvisited classes")
-    pgl_orbit_count = sum(r.pgl_orbits for r in records)
-    if pgl_orbit_count * (q + 1) != degree_six_classes:
+    if covered != degree_six_classes:
         raise ConsistencyError(
-            f"{pgl_orbit_count} linear orbits do not cover "
+            f"the scan's orbits hold {covered} classes, not the "
             f"{degree_six_classes} degree-6 classes")
+    pgl_orbit_count = sum(r.pgl_orbits for r in records)
+    orbit_size = (1 << 3 * n) - (1 << n)
     s_size = (1 << m) - (q * q + q ** 3 - q)  # |GF(q^2) u GF(q^3)|: they meet in GF(q)
     if pgl_orbit_count * orbit_size != s_size:
         raise ConsistencyError(
@@ -528,7 +359,6 @@ def _run_sweep(ctx: Tower) -> OrbitCensus:
         pgl_orbit_count=pgl_orbit_count,
         elements_visited=s_size,
         elapsed_ms=(time.perf_counter() - start) * 1e3,
-        candidates=candidates,
     )
 
 
@@ -536,7 +366,7 @@ _SWEEPS: dict[tuple[int, int, int], OrbitCensus] = {}
 
 
 def _sweep(ctx: Tower, fresh: bool = False) -> OrbitCensus:
-    """The sweep of one tower, cached by (n, modulus_base, modulus_big).
+    """The census of one tower, cached by (n, modulus_base, modulus_big).
 
     The only reader and writer of the cache; fresh=True recomputes and
     refreshes the entry.
@@ -551,10 +381,10 @@ def _sweep(ctx: Tower, fresh: bool = False) -> OrbitCensus:
 
 
 def global_orbit_census(ctx: Tower, workers: int = 1) -> OrbitCensus:
-    """Run a full sweep and tabulate the semi-linear orbits.
+    """Run a full scan and tabulate the semi-linear orbits.
 
-    Always recomputes, and the fresh result refills the sweep cache used by
-    the fixed-point oracle. The sweep runs in one thread; workers is
+    Always recomputes, and the fresh result refills the census cache used by
+    the fixed-point oracle. The scan runs in one thread; workers is
     validated only.
     """
     if workers < 1:
@@ -563,11 +393,12 @@ def global_orbit_census(ctx: Tower, workers: int = 1) -> OrbitCensus:
 
 
 def fixed_point_oracle(ctx: Tower, d: int) -> int:
-    """Count linear-group orbits fixed by the d-th Frobenius power, by sweep.
+    """Count linear-group orbits fixed by the d-th Frobenius power, off the
+    census.
 
-    Exhaustive and formula-free: orbit membership of sigma^d(rep) is tested
-    against the enumerated orbit, once per orbit class, and every member
-    orbit of a class shares the class flags by conjugation.
+    Formula-free: sigma^d fixes the linear orbits of a record iff
+    mu^(2^d) = mu for its cross-ratio mu, bit d of its fixed_mask, and the
+    census's stop certifies that each record's t is exact.
     """
     _sweep_cost_check(ctx.n)
     sweep = _sweep(ctx)

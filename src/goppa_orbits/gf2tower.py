@@ -45,9 +45,8 @@ The scalar kernel:
   search), their embeddings, and the discrete log of each embedding. It is
   built on first use and kept with the numpy tables, so commands that need
   no arithmetic in GF(q) pay nothing for it: 0.03 ms at n = 5, a few ms at
-  n = 11. The Goppa parity (`codes.goppa_parity`), support permutations
-  (`codes.induced_permutation`) and the class index's quotient table
-  (`counting._class_index`) read it.
+  n = 11. The Goppa parity (`codes.goppa_parity`) and support
+  permutations (`codes.induced_permutation`) read it.
 
 Construction only validates the moduli and builds what every command
 uses. The default moduli are read from `_DEFAULT_MODULI`, a table of the
@@ -82,14 +81,13 @@ is almost all of it.
 The numpy paths hold encodings in int64, so they need 6n <= 63 (n <= 10)
 and raise ValueError above it. numpy is first imported by the first table
 a vector path builds (`_byte_tables`, which every byte table goes through,
-the reduction table of `mul_vec`, and `conjugate_tables`), never at import:
-construction and the scalar kernel run without it. The tables are built on
-first use and kept in `_np_tables`: byte tables of Frobenius powers and
-multipliers (`frobenius_vec`, `mult_tables`) and the reduction table of
-`mul_vec`, a chunked carry-less product of masked integer products reduced
-on int64 copies of the table of `mul`. `conjugate_tables` fuses a
-GF(2)-linear map with all 6n Frobenius powers into one stack of byte
-tables, which its caller keeps.
+and the reduction table of `mul_vec`), never at import: construction and
+the scalar kernel run without it. The tables are built on first use and
+kept in `_np_tables`: byte tables of Frobenius powers and multipliers
+(`frobenius_vec`, `mult_tables`) and the reduction table of `mul_vec`, a
+chunked carry-less product of masked integer products reduced on int64
+copies of the table of `mul`. `inv_vec` inverts by Itoh-Tsujii on those
+two, with no table of its own.
 
 Linear algebra over GF(2) has one elimination, `_ColumnSolver`: it reduces
 int-bitmask vectors at their least set bits and keeps the input combination
@@ -631,17 +629,21 @@ class Tower:
             acc &= self._mask
         return acc
 
-    def conjugate_tables(self, cols: list[int] | tuple[int, ...]) -> np.ndarray:
-        """Byte tables of x -> L(x^(2^i)) for all i < 6n at once, L the
-        GF(2)-linear map with columns cols (bits of an image below 64):
-        `apply_tables` of the (bytes, 256, 6n) result gives L of every
-        Frobenius image along a new last axis. Not cached."""
-        import numpy as np
-        rows = [np.stack(self.frob_tables(0))]  # row i: row i - 1 through the squaring tables
-        for _ in range(1, self.big_degree):
-            rows.append(self.apply_tables(self.frob_tables(1), rows[-1]))
-        fused = self.apply_tables(self._byte_tables(cols), np.stack(rows))
-        return np.ascontiguousarray(np.moveaxis(fused, 0, -1))
+    def inv_vec(self, x: np.ndarray) -> np.ndarray:
+        """Elementwise inverses of an int64 array of encodings, 0 to 0, by
+        Itoh-Tsujii: 1/x = b^2 with b = x^(2^(6n - 1) - 1), built on the bits
+        of 6n - 1 from the top. With b_e = x^(2^e - 1), each bit doubles e,
+        b_(2e) = b_e^(2^e) * b_e, and a set bit adds one, b_(e + 1) =
+        b_e^2 * x: one `frobenius_vec` and one `mul_vec` each, 7 of each at
+        n = 5 and 7, then the last squaring."""
+        b, e = x, 1
+        for bit in bin(self.big_degree - 1)[3:]:
+            b = self.mul_vec(self.frobenius_vec(b, e), b)
+            e *= 2
+            if bit == "1":
+                b = self.mul_vec(self.frobenius_vec(b, 1), x)
+                e += 1
+        return self.frobenius_vec(b, 1)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Tower)

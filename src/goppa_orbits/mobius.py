@@ -1,10 +1,12 @@
 """Projective semi-linear maps over GF(2^n) and their orbits on degree-6 elements.
 
 Each PGL(2, 2^n) orbit of a degree-6 element is the disjoint union of the
-2^n + 1 affine classes {e*beta + f} of its `suborbit_representatives`; the
-census and the fixed-point oracle in `counting` work on those classes.
-`pgl_orbit_array` expands an orbit element by element; the tests check the
-class decomposition against it.
+2^n + 1 affine classes {e*beta + f} of its `suborbit_representatives`, and
+`pgl_orbit_array` expands an orbit element by element. The census in
+`counting` never builds an orbit: it keys affine classes by the cross-ratio,
+which is constant on each orbit. These two builders are the element-level
+orbit oracle the tests check the census and the class decomposition
+against.
 
 A projective point is an int: a field encoding, or infinity(ctx) = 2^(6n),
 one past the largest encoding, so points stay dense and sortable. Semi-linear

@@ -1,6 +1,7 @@
 """Shared fixtures, and the independent oracles the tests compare the package
 against: they live here, not in `src/`, because no command reaches them."""
 
+import functools
 import importlib.util
 from itertools import combinations
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from goppa_orbits import counting, gf2poly, make_tower
 from goppa_orbits.codes import BinaryCode, rref
 from goppa_orbits.counting import RootCounts
-from goppa_orbits.gf2tower import solve_affine_linearized
+from goppa_orbits.gf2tower import Tower, _ColumnSolver, solve_affine_linearized
 from goppa_orbits.mobius import (
     apply_map,
     infinity,
@@ -128,16 +129,23 @@ def embedding_by_scan(ctx):
     return cols
 
 
+@functools.lru_cache(maxsize=None)
+def base_quotients(n, modulus_base):
+    """[a * q + c]: c / a in GF(q), q = 2^n, from gf2poly products by
+    inverses (0 where a = 0)."""
+    q = 1 << n
+    inv = [0] + [gf2poly.inverse(a, modulus_base) for a in range(1, q)]
+    return np.array([gf2poly.mod(gf2poly.mul(c, inv[a]), modulus_base)
+                     for a in range(q) for c in range(q)], dtype=np.int64)
+
+
 def class_ranks_by_coordinate(ctx, v):
     """Class rank of each quotient coordinate vector (nonzero), coordinate by
     coordinate: (q^l - 1)/(q - 1) for the leading index l, plus each lower
     coordinate c_j divided by the leading one a, at bits [jn, jn + n). One
-    gather per coordinate from a q x q quotient table of gf2poly products by
-    inverses; `counting._ClassIndex.ranks` reads byte tables instead."""
+    gather per coordinate from a q x q quotient table."""
     n, q = ctx.n, 1 << ctx.n
-    inv = [0] + [gf2poly.inverse(a, ctx.modulus_base) for a in range(1, q)]
-    div = np.array([gf2poly.mod(gf2poly.mul(c, inv[a]), ctx.modulus_base)
-                    for a in range(q) for c in range(q)], dtype=np.int64)
+    div = base_quotients(n, ctx.modulus_base)
     coords = [(v >> j * n) & (q - 1) for j in range(5)]
     lead = np.zeros_like(v)
     for j in range(1, 5):
@@ -147,6 +155,25 @@ def class_ranks_by_coordinate(ctx, v):
     for j in range(4):
         rank += np.where(j < lead, div[a * q + coords[j]] << j * n, 0)
     return rank
+
+
+@functools.lru_cache(maxsize=None)
+def quotient_coordinate_tables(ctx):
+    """Byte tables of x -> the coordinates of x in the GF(2)-basis
+    gamma_k * theta^j (gamma_k = embed_base(2^k), theta = x, by
+    square-and-multiply), coordinate 0 dropped: bits [(j - 1)n, jn) hold
+    coordinate j."""
+    n = ctx.n
+    gammas = [ctx.embed_base(1 << k) for k in range(n)]
+    coords = _ColumnSolver([ctx.mul(g, power(ctx, 2, j)) for j in range(6) for g in gammas])
+    return ctx._byte_tables([coords.solve(1 << j) >> n for j in range(ctx.big_degree)])
+
+
+def class_ranks(ctx, x):
+    """The class-rank oracle: the rank of the affine class of each element
+    (outside GF(q)) in P^4(GF(q)), from its quotient coordinates."""
+    return class_ranks_by_coordinate(
+        ctx, Tower.apply_tables(quotient_coordinate_tables(ctx), x))
 
 
 def subfield_span_array(ctx, bits):

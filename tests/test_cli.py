@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from conftest import load_bench_run
-from goppa_orbits import cli, codes, schema
+from goppa_orbits import cli, codes, counting, make_tower, schema
 from goppa_orbits.cli import _ROOT_EXPECTED, main
 from goppa_orbits.counting import MAX_CLOSED_FORM_N, burnside_numerator, is_prime
 from goppa_orbits.gf2tower import Tower
@@ -182,10 +183,17 @@ def test_closed_pipe_ends_with_one_line(tmp_path):
 
 @pytest.mark.slow
 def test_census_n6_has_no_bound(capsys):
+    """n = 6 prints no bound; its records are pinned by a sha256 recorded
+    from the visited-bit sweep the cross-ratio scan replaced."""
     code, out, _ = run(capsys, "census", "--n", "6")
     assert code == 0
     assert "(n outside the closed-form hypotheses; census only)" in out
     assert "bound" not in out
+    records = counting._sweep(make_tower(6)).records  # the census just cached
+    digest = hashlib.sha256(json.dumps([list(r) for r in records]).encode()).hexdigest()
+    assert digest == "44ff532a395f3bfd3e90263d2525fd089af647b2e7c1629b159717b0bc3b9f14"
+    assert len(records) == 7405
+    assert Counter(r.pgl_orbits for r in records) == {36: 7168, 18: 224, 12: 5, 9: 7, 4: 1}
 
 
 def test_fixed_single_power(capsys):

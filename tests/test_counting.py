@@ -5,12 +5,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     LINEAR_EQUATIONS,
     canonical_orbit_rep,
     class_equation_oracle,
-    class_ranks_by_coordinate,
+    class_ranks,
     enumerated_root_counts,
     fixed_orbit_representatives,
     subfield_span_array,
@@ -114,22 +116,16 @@ def test_census_deterministic_across_workers(tower2):
 
 def test_census_reps_are_least_class_ranks(tower2, tower3):
     for ctx in (tower2, tower3):
-        index = counting._class_index(ctx)
         reps = [rep for rep, _, _ in global_orbit_census(ctx).records]
-        ranks = index.classes(np.array(reps, dtype=np.int64))
+        ranks = class_ranks(ctx, np.array(reps, dtype=np.int64))
         assert (np.diff(ranks) > 0).all()
         for rep, rank in zip(reps, ranks.tolist()):
             base = mobius.pgl_orbit_array(ctx, rep)
             orbit = np.concatenate(
                 [ctx.frobenius_vec(base, i) for i in range(ctx.big_degree)])
-            assert int(index.classes(orbit).min()) == rank
+            assert int(class_ranks(ctx, orbit).min()) == rank
         least = {canonical_orbit_rep(ctx, rep, "PGammaL") for rep in reps}
         assert len(least) == len(reps)
-
-
-def test_batched_sweep_drops_candidates(tower3):
-    census = global_orbit_census(tower3)
-    assert census.candidates > census.orbit_count == 33
 
 
 def test_census_n5_records_digest(tower5):
@@ -141,36 +137,17 @@ def test_census_n5_records_digest(tower5):
 
 @pytest.mark.slow
 def test_census_n7():
-    """The n = 7 sweep against the figures of its first run (about 30 s)."""
+    """The n = 7 census against the figures of its first run (about 3 s)."""
     ctx = make_tower(7)
     census = global_orbit_census(ctx)
     records = json.dumps([list(r) for r in census.records])
     assert hashlib.sha256(records.encode()).hexdigest() == (
         "bb70c8a0eb711e5526b02808f4a39846665a320cc5cd9dee0f1b2493b52d318e")
     assert census.orbit_count == burnside_bound(7) == 50333
-    assert census.candidates == 50512
     assert Counter(r.pgl_orbits for r in census.records) == {
         42: 49542, 21: 780, 14: 9, 6: 1, 3: 1}
     assert [fixed_point_oracle(ctx, d) for d in (1, 2, 3, 6, 7, 14, 21, 42)] == [
         0, 0, 3, 9, 0, 126, 16383, 2097279]
-
-
-def test_first_unvisited_matches_bit_scan():
-    rng = np.random.default_rng(9)
-    words = rng.integers(0, 1 << 63, 2 * counting._CHUNK_WORDS + 40, dtype=np.int64)
-    words = (words.astype(np.uint64) << np.uint64(1)) | np.uint64(1)  # dense, not full
-    words[:counting._CHUNK_WORDS + 3] = counting._WORD_FULL  # first chunk full
-    free = np.flatnonzero(np.unpackbits(~words.view(np.uint8), bitorder="little"))
-    for start, count in [(0, 1), (0, 64), (5, 200), (counting._CHUNK_WORDS + 3, 7)]:
-        cursor, idx = counting._first_unvisited(words, start, count)
-        assert cursor == counting._CHUNK_WORDS + 3
-        assert idx.tolist() == free[:count].tolist()
-    last = free[-1] >> 6
-    assert counting._first_unvisited(words, int(last), 10**6)[1].tolist() == (
-        free[free >> 6 >= last].tolist())
-    words[:] = counting._WORD_FULL
-    cursor, idx = counting._first_unvisited(words, 0, 8)
-    assert cursor == words.size and idx.size == 0
 
 
 def test_sweep_refuses_large_n():
@@ -183,84 +160,104 @@ def test_sweep_refuses_large_n():
         fixed_point_oracle(make_tower(8), 1)
 
 
-def test_mark_bits_counts_only_new_bits():
-    rng = np.random.default_rng(3)
-    words = rng.integers(0, 1 << 63, 40, dtype=np.int64).astype(np.uint64)
-    before = np.unpackbits(words.view(np.uint8), bitorder="little").astype(bool)
-    for idx in (rng.permutation(2560)[:300], rng.integers(0, 2560, 300),
-                np.array([5, 70, 5, 2559, 64, 65, 70])):
-        bits = before.copy()
-        bits[idx] = True
-        got = words.copy()
-        assert counting._mark_bits(got, idx) == int(bits.sum() - before.sum())
-        assert (np.unpackbits(got.view(np.uint8), bitorder="little") == bits).all()
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_class_index_div_is_division_in_the_base_field(n):
-    """For a != 0, the `div_bytes` lookups of c << jn (j < 4), XORed over its
-    bytes, give (c / a) << jn with a * (c / a) = c in GF(q), products by
-    gf2poly; bits of coordinate 4 read 0."""
-    ctx = make_tower(n)
-    q = 1 << n
-    tables = counting._class_index(ctx).div_bytes
-    assert len(tables) == -(-4 * n // 8)
-
-    def divide(a, v):
-        out = 0
-        for b, tab in enumerate(tables):
-            out ^= int(tab[a << 8 | (v >> 8 * b) & 255])
-        return out
-
-    for a in range(1, q):
-        for c in range(q):
-            quot = divide(a, c)
-            assert gf2poly.mod(gf2poly.mul(a, quot), ctx.modulus_base) == c, (a, c)
-            assert [divide(a, c << j * n) for j in range(5)] == (
-                [quot << j * n for j in range(4)] + [0])
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_class_ranks_match_the_per_coordinate_route(n):
-    """`_ClassIndex.ranks` against the coordinate-by-coordinate oracle, for
-    every leading index l: all vectors at n <= 3, else a leading coordinate
-    and lower coordinates drawn at random (a seeded sample per l, with the
-    lower coordinates zero in a quarter of it)."""
+    """`_class_elements` against the coordinate-by-coordinate class-rank
+    oracle: every rank at n <= 3, else the first 2q (leading indices 0 and
+    1), every 97th rank after them, and the last; each element lies outside
+    GF(q)."""
     ctx = make_tower(n)
     q = 1 << n
-    if n <= 3:
-        v = np.arange(1, q ** 5, dtype=np.int64)
-    else:
-        rng = np.random.default_rng(n)
-        parts = []
-        for lead in range(5):
-            size = 4000
-            low = rng.integers(0, q ** lead, size, dtype=np.int64)
-            low[: size // 4] = 0
-            parts.append(rng.integers(1, q, size, dtype=np.int64) << lead * n | low)
-        v = np.concatenate(parts)
-    got = counting._class_index(ctx).ranks(v)
-    assert got.tolist() == class_ranks_by_coordinate(ctx, v).tolist()
-    if n <= 3:  # onto the ranks 0..count - 1 of P^4
-        assert np.unique(got).tolist() == list(range(counting._class_index(ctx).count))
+    count = (q ** 5 - 1) // (q - 1)
+    ranks = np.arange(count) if n <= 3 else np.concatenate(
+        [np.arange(2 * q), np.arange(2 * q, count, 97), [count - 1]])
+    alpha = counting._class_elements(ctx, ranks)
+    assert class_ranks(ctx, alpha).tolist() == ranks.tolist()
+    assert not (ctx.frobenius_vec(alpha, n) == alpha).any()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_low_field_classes_are_those_of_the_subfield_spans(n):
+    """The classes the scan drops, where mu = 0, are exactly the q + 2
+    classes of GF(q^2) and GF(q^3) outside GF(q), by the class-rank oracle
+    on the subfield spans."""
     ctx = make_tower(n)
-    index = counting._class_index(ctx)
+    q = 1 << n
     low = np.union1d(subfield_span_array(ctx, 2 * n), subfield_span_array(ctx, 3 * n))
     outside = np.setdiff1d(low, ctx.subfield)
     assert low.size == (1 << 2 * n) + (1 << 3 * n) - (1 << n)
-    want = np.unique(index.classes(outside))
-    got = index.classes(counting._low_field_class_elements(ctx))
-    assert want.size == (1 << n) + 2 and sorted(got.tolist()) == want.tolist()
+    want = np.unique(class_ranks(ctx, outside))
+    count, step = (q ** 5 - 1) // (q - 1), 1 << 16
+    got = [lo + np.flatnonzero(counting._cross_ratio(ctx, counting._class_elements(
+        ctx, np.arange(lo, min(lo + step, count)))) == 0) for lo in range(0, count, step)]
+    assert want.size == q + 2 and np.concatenate(got).tolist() == want.tolist()
+
+
+def cross_ratio_by_scalars(ctx, alpha):
+    """mu(alpha) from the scalar kernel: q-powers by `frobenius`, one `inv`."""
+    a0, a1, a2, a3 = (ctx.frobenius(alpha, i * ctx.n) for i in range(4))
+    return ctx.mul(ctx.mul(a0 ^ a2, a1 ^ a3), ctx.inv(ctx.mul(a0 ^ a3, a1 ^ a2)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cross_ratio_is_a_semilinear_invariant(n):
+    """mu(m(alpha)) = mu(alpha) for a random PGL(2, q) map m, and
+    mu(alpha^2) = mu(alpha)^2, on random degree-6 alpha; mu is the scalar
+    formula and lies outside {0, 1}."""
+    ctx = make_tower(n)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, (1 << 6 * n) - 1).filter(ctx.is_degree_six),
+           st.lists(st.integers(0, (1 << n) - 1), min_size=4, max_size=4))
+    def check(alpha, entries):
+        a, b, c, d = (ctx.embed_base(e) for e in entries)
+        assume(ctx.mul(a, d) ^ ctx.mul(b, c))
+        beta = mobius.apply_map(ctx, mobius.make_map(ctx, a, b, c, d), alpha)
+        mu = counting._cross_ratio(ctx, np.array([alpha, beta, ctx.square(alpha)])).tolist()
+        assert mu[0] == cross_ratio_by_scalars(ctx, alpha) not in (0, 1)
+        assert mu[1] == mu[0] and mu[2] == ctx.square(mu[0])
+
+    check()
+
+
+def test_cross_ratio_is_zero_exactly_off_the_degree_six_set(tower2):
+    x = np.arange(1 << 12)
+    mu = counting._cross_ratio(tower2, x)
+    six = np.array([tower2.is_degree_six(v) for v in range(1 << 12)])
+    assert six.sum() == 4020
+    assert ((mu == 0) == ~six).all() and (mu != 1).all()
+
+
+@pytest.mark.parametrize("coarsen", ["merge two orbits", "no squarings"])
+def test_scan_raises_unless_its_orbits_hold_every_class(tower3, monkeypatch, coarsen):
+    """An invariant that merges two orbits makes the scan run out of ranks
+    one orbit's classes short; one that splits orbits (mu itself, not the
+    least of its squarings) carries the sum past the total. Both raise."""
+    q = 1 << 3
+    total = (q ** 5 - 1) // (q - 1) - (q + 2)
+    records = counting._run_sweep(tower3).records
+    canonical = counting._canonical
+    mu = counting._cross_ratio(tower3, np.array([r.rep for r in records[:2]]))
+    (c0, c1), _ = canonical(tower3, mu)
+
+    def coarse(ctx, mu):
+        least, t = canonical(ctx, mu)
+        return (np.where(least == c1, c0, least) if coarsen == "merge two orbits" else mu), t
+
+    monkeypatch.setattr(counting, "_canonical", coarse)
+    with pytest.raises(counting.ConsistencyError, match=f"not the {total} degree-6") as err:
+        counting._run_sweep(tower3)
+    held = int(str(err.value).split()[4])  # "the scan's orbits hold <held> classes, ..."
+    if coarsen == "merge two orbits":
+        assert held == total - records[1].pgl_orbits * (q + 1)
+    else:
+        assert held > total
 
 
 def brute_force_records(ctx):
     """(rep, pgl_orbits, fixed_mask) per semi-linear orbit, element by element.
 
-    Independent of the class-indexed sweep: walks the least unvisited
+    Independent of the cross-ratio scan: walks the least unvisited
     element, expands its linear orbit with pgl_orbit_array and its Frobenius
     images with frobenius_vec, and marks every element it reaches.
     """

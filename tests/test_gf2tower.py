@@ -7,13 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goppa_orbits import counting, gf2poly, make_tower, random_degree_six
-from goppa_orbits.gf2tower import (
-    _DEFAULT_MODULI,
-    Tower,
-    _apply_cols,
-    _ColumnSolver,
-    solve_affine_linearized,
-)
+from goppa_orbits.gf2tower import _DEFAULT_MODULI, _apply_cols, solve_affine_linearized
 
 
 from conftest import (
@@ -213,23 +207,6 @@ def test_frobenius_vec_matches_scalar(tower5):
     for i in (0, 1, 5, 10, 15, 29):
         vec = tower5.frobenius_vec(x, i)
         assert [int(v) for v in vec[::97]] == [tower5.frobenius(int(v), i) for v in x[::97]]
-
-
-@pytest.mark.parametrize("n", [2, 5, 7])
-def test_conjugate_tables_fuse_frobenius_and_to_coords(n):
-    """The class index's fused stack is to_coords after x -> x^(2^i): the
-    scalar Frobenius, then coordinates in the basis gamma_k theta^j, then
-    coordinate 0 dropped."""
-    ctx = make_tower(n)
-    gammas = [ctx.embed_base(1 << k) for k in range(n)]
-    coords = _ColumnSolver([ctx.mul(g, power(ctx, 2, j)) for j in range(6) for g in gammas])
-    rng = np.random.default_rng(n)
-    x = rng.integers(0, 1 << 6 * n, (4, 25), dtype=np.int64)
-    fused = Tower.apply_tables(counting._class_index(ctx).conjugates, x)
-    assert fused.shape == (4, 25, 6 * n)
-    for i in range(6 * n):
-        want = [coords.solve(ctx.frobenius(v, i)) >> n for v in x.ravel().tolist()]
-        assert fused[..., i].ravel().tolist() == want
 
 
 def test_embedding_is_field_homomorphism(tower5):
