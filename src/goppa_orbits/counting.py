@@ -16,10 +16,13 @@ one stacked GF(2)-linear system per subfield, or, for the multiplicative
 equation eq_41, take gcds of GF(2) polynomials. Each orbit is represented by
 an element of its least class rank, the first class the scan meets. At
 n = 7 the scan meets the least class of every orbit in the first 0.4 % of
-the ranks (about 2.2 s and 50 MiB on 2 vCPU). The census and the oracle stay
-limited to n <= 7, where the n = 8 report would hold some 350,000 records,
-and eq_41 to n <= 8; larger n is refused with a cost estimate rather than
-attempted. The linear root counts list no root, so they run up to the
+the ranks (about 1.3-1.6 s and 44 MiB on 2 vCPU). Its two costly steps are
+the inverse in the cross-ratio, taken through the norm to GF(q)
+(`Tower.inv_vec`), and the least of the 6n squarings of each value, read
+as rotations of its coordinates in a normal basis (`_canonical`). The
+census and the oracle stay limited to n <= 7, where the n = 8 report would
+hold some 350,000 records, and eq_41 to n <= 8; larger n is refused with a
+cost estimate rather than attempted. The linear root counts list no root, so they run up to the
 tower's cap, n <= 16.
 
 Only the scan uses numpy: `_class_elements`, `_canonical` and `_run_sweep`
@@ -177,8 +180,10 @@ def burnside_bound(n: int) -> int:
 # ------------------------------------------------------------------ the scan
 
 
-# class ranks in the first block of the scan, which holds the least class
-# of every orbit at n <= 4, and in its largest; the blocks double in between
+# class ranks in the first block of the scan and in its largest; the blocks
+# double in between. The first block holds the least class of every orbit
+# at n <= 4 on the default moduli, but not on every modulus: at n = 4 the
+# last least class has rank 2150 under 24,9,3,1,0 and 5339 under 24,16,3,1,0
 _FIRST_BLOCK, _BLOCK = 1 << 11, 1 << 13
 
 
@@ -187,9 +192,9 @@ def _sweep_cost_check(n: int) -> None:
     expression, which stays one short line for any n."""
     if n > MAX_SWEEP_N:
         raise InfeasibleError(
-            f"n={n}: the census and fixed-point oracle sweep the "
-            f"(2^{5 * n} - 1)/(2^{n} - 1) classes of P^4(GF(2^{n})); they are "
-            f"limited to n <= {MAX_SWEEP_N}")
+            f"n={n}: the census and fixed-point oracle scan the "
+            f"(2^{5 * n} - 1)/(2^{n} - 1) classes of P^4(GF(2^{n})) by rank until "
+            f"their orbits hold every class; they are limited to n <= {MAX_SWEEP_N}")
 
 
 def _class_elements(ctx: Tower, ranks: np.ndarray) -> np.ndarray:
@@ -268,15 +273,21 @@ def _cross_ratio(ctx: Tower, alpha: np.ndarray) -> np.ndarray:
 
 
 def _canonical(ctx: Tower, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The least of the 6n squarings mu^(2^p) of each element, and t, the
-    least p >= 1 with mu^(2^p) = mu."""
+    """The least of the 6n squarings of each element, read in the normal
+    basis of `Tower.normal_tables`, and t, the least p >= 1 with
+    mu^(2^p) = mu. In that basis squaring rotates the coordinates by one
+    bit, so one table application and 6n - 1 rotations replace 6n - 1
+    Frobenius applications. t divides 6n, so only the divisors are tested."""
     import numpy as np
     m = ctx.big_degree
-    least, image, t = mu, mu, np.full_like(mu, m)
+    mask = (1 << m) - 1
+    v = Tower.apply_tables(ctx.normal_tables(), mu)
+    least, image, t = v, v, np.full_like(v, m)
     for p in range(1, m):
-        image = ctx.frobenius_vec(image, 1)
+        image = ((image << 1) & mask) | (image >> (m - 1))
         least = np.minimum(least, image)
-        t = np.where((image == mu) & (t == m), p, t)
+        if m % p == 0:
+            t[(image == v) & (t == m)] = p
     return least, t
 
 

@@ -84,10 +84,17 @@ a vector path builds (`_byte_tables`, which every byte table goes through,
 and the reduction table of `mul_vec`), never at import: construction and
 the scalar kernel run without it. The tables are built on first use and
 kept in `_np_tables`: byte tables of Frobenius powers and multipliers
-(`frobenius_vec`, `mult_tables`) and the reduction table of `mul_vec`, a
+(`frobenius_vec`, `mult_tables`), the reduction table of `mul_vec`, a
 chunked carry-less product of masked integer products reduced on int64
-copies of the table of `mul`. `inv_vec` inverts by Itoh-Tsujii on those
-two, with no table of its own.
+copies of the table of `mul`, and two tables the census reads:
+- `normal_tables`, the coordinates in a normal basis beta^(2^i), in which
+  squaring is a rotation by one bit, so the census ranks the 6n squarings
+  of a value after one table application;
+- GF(q) sorted beside the inverses, for `inv_vec`. It inverts through the
+  norm to GF(q): 1/x = y / (x y) with y = x^(q + ... + q^5)
+  (`conorm_vec`, three `mul_vec` on the sigma^n tables), the norm x y
+  inverted by lookup. That is five `mul_vec` and no Frobenius table
+  besides sigma^n.
 
 Linear algebra over GF(2) has one elimination, `_ColumnSolver`: it reduces
 int-bitmask vectors at their least set bits and keeps the input combination
@@ -103,6 +110,7 @@ rank and never a list of roots.
 from __future__ import annotations
 
 import functools
+import random
 import re
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -629,21 +637,64 @@ class Tower:
             acc &= self._mask
         return acc
 
+    def normal_tables(self) -> list[np.ndarray]:
+        """Byte tables of the coordinates in a normal basis beta^(2^i),
+        i < 6n: bit i of the image of x is the coefficient of beta^(2^i), so
+        the image of x^2 is that of x rotated left by one bit.
+
+        beta is the first draw of random.Random(0).getrandbits(6n) whose 6n
+        squarings `_ColumnSolver` finds independent, which takes 1-4 draws
+        on the towers tried; ordered candidates (ascending integers, x^(6n-1)
+        + k) took hundreds on some. Built on first use and kept."""
+        tabs = self._np_tables.get(("normal",))
+        if tabs is None:
+            m = self.big_degree
+            rng = random.Random(0)
+            while True:
+                squarings = [rng.getrandbits(m)]
+                for _ in range(m - 1):
+                    squarings.append(self.square(squarings[-1]))
+                solver = _ColumnSolver(squarings)
+                if not solver.kernel_basis:
+                    break
+            tabs = self._np_tables[("normal",)] = self._byte_tables(
+                [solver.solve(1 << j) for j in range(m)])
+        return tabs
+
+    def conorm_vec(self, x: np.ndarray) -> np.ndarray:
+        """x^(q + q^2 + ... + q^5), q = 2^n, elementwise: N(x)/x for the norm
+        N(x) = x^(1 + q + ... + q^5) to GF(q). With u = x^(1 + q), it is
+        sigma^n(u * sigma^(2n)(x * sigma^n(u))): three `mul_vec` and five
+        applications of the sigma^n tables, the only Frobenius tables read."""
+        tabs = self.frob_tables(self.n)
+        u = self.mul_vec(x, self.apply_tables(tabs, x))
+        t = self.mul_vec(x, self.apply_tables(tabs, u))  # x^(1 + q + q^2)
+        s = self.mul_vec(u, self.apply_tables(tabs, self.apply_tables(tabs, t)))
+        return self.apply_tables(tabs, s)
+
     def inv_vec(self, x: np.ndarray) -> np.ndarray:
-        """Elementwise inverses of an int64 array of encodings, 0 to 0, by
-        Itoh-Tsujii: 1/x = b^2 with b = x^(2^(6n - 1) - 1), built on the bits
-        of 6n - 1 from the top. With b_e = x^(2^e - 1), each bit doubles e,
-        b_(2e) = b_e^(2^e) * b_e, and a set bit adds one, b_(e + 1) =
-        b_e^2 * x: one `frobenius_vec` and one `mul_vec` each, 7 of each at
-        n = 5 and 7, then the last squaring."""
-        b, e = x, 1
-        for bit in bin(self.big_degree - 1)[3:]:
-            b = self.mul_vec(self.frobenius_vec(b, e), b)
-            e *= 2
-            if bit == "1":
-                b = self.mul_vec(self.frobenius_vec(b, 1), x)
-                e += 1
-        return self.frobenius_vec(b, 1)
+        """Elementwise inverses of an int64 array of encodings, 0 to 0,
+        through the norm: with y = `conorm_vec`(x), N = x * y lies in GF(q),
+        q = 2^n, and 1/x = y * (1/N). N is inverted by lookup: GF(q) sorted,
+        with each element's inverse beside it (0 beside 0), built from
+        `base_logs` and kept with the numpy tables; an N missing from it
+        raises. Five `mul_vec` and five sigma^n applications."""
+        import numpy as np
+        y = self.conorm_vec(x)
+        norm = self.mul_vec(x, y)
+        table = self._np_tables.get(("base_inverse",))
+        if table is None:
+            embedded = self.base_logs().embedded  # g^k; its inverse is g^(-k)
+            keys = np.array((0,) + embedded, dtype=np.int64)
+            order = np.argsort(keys)
+            inverses = np.array([0] + [embedded[-k] for k in range(len(embedded))],
+                                dtype=np.int64)
+            table = self._np_tables[("base_inverse",)] = (keys[order], inverses[order])
+        keys, inverses = table
+        pos = np.minimum(keys.searchsorted(norm), keys.size - 1)
+        if (keys[pos] != norm).any():
+            raise AssertionError("a norm to GF(q) is missing from its inverse table")
+        return self.mul_vec(y, inverses[pos])
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Tower)

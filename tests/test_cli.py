@@ -147,9 +147,10 @@ def test_sweep_refusal_at_n_1e9_builds_no_big_integer():
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=5)
     assert proc.returncode == 0 and proc.stderr == ""
-    assert proc.stdout == ("n=1000000000: the census and fixed-point oracle sweep the "
+    assert proc.stdout == ("n=1000000000: the census and fixed-point oracle scan the "
                            "(2^5000000000 - 1)/(2^1000000000 - 1) classes of "
-                           "P^4(GF(2^1000000000)); they are limited to n <= 7\n")
+                           "P^4(GF(2^1000000000)) by rank until their orbits hold "
+                           "every class; they are limited to n <= 7\n")
 
 
 def test_census_help_states_the_sweep_limit(capsys):

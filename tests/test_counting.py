@@ -137,7 +137,7 @@ def test_census_n5_records_digest(tower5):
 
 @pytest.mark.slow
 def test_census_n7():
-    """The n = 7 census against the figures of its first run (about 3 s)."""
+    """The n = 7 census against the figures of its first run (about 2 s)."""
     ctx = make_tower(7)
     census = global_orbit_census(ctx)
     records = json.dumps([list(r) for r in census.records])
@@ -254,6 +254,34 @@ def test_scan_raises_unless_its_orbits_hold_every_class(tower3, monkeypatch, coa
         assert held > total
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 7])
+def test_canonical_is_the_least_squaring_and_its_period(n):
+    """`_canonical` against Frobenius powers: t is the least p >= 1 with
+    `frobenius_vec(mu, p) == mu`, and the least value is constant on each
+    squaring orbit and differs between orbits. Every element at n = 2;
+    elsewhere the subfields GF(2^d), d | 6n, d <= 12, and random elements."""
+    ctx = make_tower(n)
+    m = ctx.big_degree
+    if n == 2:
+        mu = np.arange(1 << m, dtype=np.int64)
+    else:
+        rng = np.random.default_rng(n)
+        mu = np.concatenate([subfield_span_array(ctx, d) for d in range(1, 13) if m % d == 0]
+                            + [rng.integers(0, 1 << m, 2000)])
+    least, t = counting._canonical(ctx, mu)
+    images = [mu]
+    for _ in range(m):
+        images.append(ctx.frobenius_vec(images[-1], 1))
+    period = np.array([min(p for p in range(1, m + 1) if images[p][k] == mu[k])
+                       for k in range(mu.size)])
+    assert t.tolist() == period.tolist()
+    for image in images[1:]:
+        assert (counting._canonical(ctx, image)[0] == least).all()
+    orbit_min = np.minimum.reduce(images)  # the least polynomial encoding in the orbit
+    assert np.unique(least).size == np.unique(orbit_min).size == np.unique(
+        np.stack([least, orbit_min]), axis=1).shape[1]
+
+
 def brute_force_records(ctx):
     """(rep, pgl_orbits, fixed_mask) per semi-linear orbit, element by element.
 
@@ -290,13 +318,24 @@ def test_class_census_matches_element_brute_force(n):
 
 
 def test_census_n4_recorded_values():
-    ctx = make_tower(4, modulus_big=gf2poly.from_exponents([24, 7, 2, 1, 0]))
-    census = global_orbit_census(ctx)
-    assert census.orbit_count == 185
-    assert census.pgl_orbit_count == 4111
-    assert dict(census.orbit_sizes) == {
-        12240: 1, 24480: 2, 32640: 2, 48960: 20, 97920: 160}
-    assert census.elements_visited == (1 << 24) - (1 << 12) - (1 << 8) + (1 << 4)
+    """The n = 4 census on three big moduli. Under 24,7,2,1,0 the last orbit's
+    least class lies in the scan's first block; under 24,9,3,1,0 and
+    24,16,3,1,0 it lies past it (ranks 2150 and 5339), so the scan reads
+    further blocks. The fixed table satisfies Burnside's identity."""
+    fixed = {1: 0, 2: 0, 3: 3, 4: 0, 6: 15, 8: 16, 12: 255, 24: 4111}
+    assert sum(euler_phi(24 // d) * f for d, f in fixed.items()) == 185 * 24
+    for exponents, last_rank in (((24, 7, 2, 1, 0), 1704), ((24, 9, 3, 1, 0), 2150),
+                                 ((24, 16, 3, 1, 0), 5339)):
+        ctx = make_tower(4, modulus_big=gf2poly.from_exponents(exponents))
+        census = global_orbit_census(ctx)
+        assert census.orbit_count == 185
+        assert census.pgl_orbit_count == 4111
+        assert dict(census.orbit_sizes) == {
+            12240: 1, 24480: 2, 32640: 2, 48960: 20, 97920: 160}
+        assert census.elements_visited == (1 << 24) - (1 << 12) - (1 << 8) + (1 << 4)
+        reps = np.array([r.rep for r in census.records], dtype=np.int64)
+        assert int(class_ranks(ctx, reps).max()) == last_rank
+        assert {d: fixed_point_oracle(ctx, d) for d in fixed} == fixed
 
 
 def test_fixed_point_oracle_cold_cache_matches_warm(tower2):

@@ -8,10 +8,12 @@ runs on the default towers at n = 2, 3, 4, 5, 7 and on two towers whose big
 modulus has a dense tail (24,16,3,1,0 and 30,29,0), where a folded top byte
 reaches the most bytes below it. The vectorised product Tower.mul_vec
 (chunked, masked integer products, reduced on int64 copies of the same
-table) and inverse Tower.inv_vec (Itoh-Tsujii, 0 to 0) must equal the
-scalar ones elementwise, on those two towers too, and
+table) and inverse Tower.inv_vec (through the norm to GF(q), 0 to 0) must
+equal the scalar ones elementwise, on those two towers too; the conorm
+Tower.conorm_vec must be the scalar product of the five conjugates, and
 the norm-form suborbit representative N(z)/z of z = alpha + g must lie in
-the affine class of the scalar inv(z).
+the affine class of the scalar inv(z). In the coordinates of
+Tower.normal_tables, squaring must rotate left by one bit.
 """
 
 import copy
@@ -197,6 +199,63 @@ def test_norm_form_matches_scalar_inverse(n):
                     min_size=1, max_size=3))
     def check(alphas):
         assert_norm_form(ctx, alphas)
+
+    check()
+
+
+@pytest.mark.parametrize("key", TOWER_KEYS, ids=str)
+def test_conorm_is_the_product_of_the_five_conjugates(key):
+    ctx = tower(key)
+
+    @KERNEL
+    @given(st.lists(field_elements(key), min_size=1, max_size=20))
+    def check(drawn):
+        want = []
+        for a in drawn:
+            y = 1
+            for i in range(1, 6):
+                y = ctx.mul(y, ctx.frobenius(a, i * ctx.n))
+            want.append(y)
+        assert ctx.conorm_vec(np.array(drawn, dtype=np.int64)).tolist() == want
+
+    check()
+
+
+def test_inv_vec_raises_on_a_norm_missing_from_its_table(monkeypatch):
+    """The norm of every nonzero element of GF(2^12) runs over all of GF(4)*,
+    so a table with one element of GF(4)* replaced misses a norm."""
+    ctx = make_tower(2)
+    logs = ctx.base_logs()
+    corrupted = logs._replace(embedded=(logs.embedded[0] ^ 1,) + logs.embedded[1:])
+    monkeypatch.setattr(ctx, "base_logs", lambda: corrupted)
+    with pytest.raises(AssertionError, match="missing from its inverse table"):
+        ctx.inv_vec(np.arange(1 << 12, dtype=np.int64))
+
+
+def rotate(v, m):
+    """v rotated left by one bit within m bits."""
+    return ((v << 1) & ((1 << m) - 1)) | (v >> (m - 1))
+
+
+def test_squaring_rotates_normal_coordinates_on_every_element_n2():
+    ctx = tower((2, None))
+    x = np.arange(1 << 12, dtype=np.int64)
+    v = ctx.apply_tables(ctx.normal_tables(), x)
+    assert np.unique(v).size == 1 << 12  # the coordinate map is a bijection
+    assert (rotate(v, 12) == ctx.apply_tables(ctx.normal_tables(), ctx.mul_vec(x, x))).all()
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_squaring_rotates_normal_coordinates(n):
+    ctx = make_tower(n)
+
+    @KERNEL
+    @given(st.lists(field_elements((n, None)), min_size=1, max_size=20))
+    def check(drawn):
+        x = np.array(drawn, dtype=np.int64)
+        squares = np.array([ctx.square(a) for a in drawn], dtype=np.int64)
+        assert (rotate(ctx.apply_tables(ctx.normal_tables(), x), 6 * n)
+                == ctx.apply_tables(ctx.normal_tables(), squares)).all()
 
     check()
 
