@@ -13,8 +13,8 @@ Library layout:
 - counting: closed-form fixed-point counts, the averaged orbit bound, and
   the independent oracles (census, fixed points, root counts); the census
   and fixed-point oracle scan affine classes, the points of P^4(GF(2^n)),
-  keyed by the cross-ratio, an orbit invariant, the linear root counts are
-  GF(2) ranks, and eq_41 is counted by GF(2) polynomial gcds.
+  keyed by the cross-ratio, an orbit invariant, and the root counts are
+  GF(2) ranks.
 - cli: the goppa-orbits command.
 
 The package holds what the commands and the benchmark reach

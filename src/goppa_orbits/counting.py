@@ -12,8 +12,9 @@ by an orbit invariant, the cross-ratio of the first four q-power conjugates,
 until the orbits found hold every class (`_run_sweep` says why that stop
 certifies the census); the element-level orbits and class equations that
 check it are test oracles in `tests/`. The root-count oracles count by rank,
-one stacked GF(2)-linear system per subfield, or, for the multiplicative
-equation eq_41, take gcds of GF(2) polynomials. Each orbit is represented by
+one stacked GF(2)-linear system per subfield; the one equation that is not
+linear, eq_41, is counted on the kernel of a linearized polynomial whose
+nonzero elements map onto its roots. Each orbit is represented by
 an element of its least class rank, the first class the scan meets. At
 n = 7 the scan meets the least class of every orbit in the first 0.4 % of
 the ranks (about 1.3-1.6 s and 44 MiB on 2 vCPU). Its two costly steps are
@@ -21,9 +22,9 @@ the inverse in the cross-ratio, taken through the norm to GF(q)
 (`Tower.inv_vec`), and the least of the 6n squarings of each value, read
 as rotations of its coordinates in a normal basis (`_canonical`). The
 census and the oracle stay limited to n <= 7, where the n = 8 report would
-hold some 350,000 records, and eq_41 to n <= 8; larger n is refused with a
-cost estimate rather than attempted. The linear root counts list no root, so they run up to the
-tower's cap, n <= 16.
+hold some 350,000 records; larger n is refused with a cost estimate rather
+than attempted. The root counts list no root, so they run up to the tower's
+cap, n <= 16.
 
 Only the scan uses numpy: `_class_elements`, `_canonical` and `_run_sweep`
 import it on their first call, so the closed forms, the root counts and a
@@ -65,13 +66,11 @@ __all__ = [
     "permutation_cycles",
     "MAX_SWEEP_N",
     "MAX_ROOTS_N",
-    "MAX_EQ41_N",
     "MAX_CLOSED_FORM_N",
 ]
 
 MAX_SWEEP_N = 7
-MAX_ROOTS_N = _MAX_N  # the linear root counts are ranks: any tower will do
-MAX_EQ41_N = 8
+MAX_ROOTS_N = _MAX_N  # every root count is a rank: any tower will do
 # the closed forms grow as 2^(3n): at n = 701 they have 634 digits, below the
 # least limit (640) that PYTHONINTMAXSTRDIGITS accepts for printing an int
 MAX_CLOSED_FORM_N = 701
@@ -450,66 +449,66 @@ def _by_subfield(which: str, roots: dict[int, int]) -> RootCounts:
 def _roots_cost_check(n: int, which: str) -> None:
     if which not in ROOT_EQUATIONS:
         raise ValueError(f"unknown equation {which!r}; choose from {ROOT_EQUATIONS}")
-    if which == "eq_41" and n > MAX_EQ41_N:
-        raise InfeasibleError(
-            f"n={n}: eq_41 takes gcds of degree-(2^{2 * n} + 1) "
-            f"polynomials over GF(2); it is limited to n <= {MAX_EQ41_N}")
     if n > MAX_ROOTS_N:
         raise InfeasibleError(
-            f"n={n}: the root counts work in the tower GF(2^{6 * n}), whose "
-            f"construction enumerates GF(2^{n}); they are limited to n <= {MAX_ROOTS_N}")
+            f"n={n}: the root counts work in the tower GF(2^{6 * n}), built for "
+            f"n <= {MAX_ROOTS_N}, the last n with default moduli")
 
 
 def root_count_oracle(ctx: Tower, which: str) -> RootCounts:
     """Count roots of one of the named equations, splitting by subfield.
 
-    The affine-linearized equations, each L(x) = x^(2^k) + x = rhs, are
-    counted by rank. The roots in GF(2^(jn)) solve one stacked GF(2) system,
-    L(x) = rhs beside x^(2^(jn)) + x = 0, so they number 0 or 2^(kernel
-    dimension); the whole field (j = 6) goes first, and without a root there
-    the subfields are not solved. eq_41 is counted by polynomial gcds over
-    GF(2) (n <= 8).
+    Every count is a rank. The zeros in GF(2^(jn)) of a GF(2)-linear map,
+    set equal to rhs, solve one stacked GF(2) system, the map beside
+    x^(2^(jn)) + x = 0, so they number 0 or 2^(kernel dimension). The
+    affine-linearized equations, each x^(2^k) + x = rhs, are counted so
+    directly; the whole field (j = 6) goes first, and without a root there
+    the subfields are not solved.
+
+    eq_41, f(x) = x^(q^2+1) + x + 1 with q = 2^n, is counted through
+    L(z) = z^(q^4) + z^(q^2) + z: L(z)/z = f(z^(q^2-1)), and L is
+    GF(q^2)-linear, so the q^2 - 1 nonzero multiples of a kernel element
+    give one root, and every root in GF(2^(6n)) has norm 1 to GF(q^2), so
+    it is reached. In GF(2^(3n)), y = 1/x turns f into y^(q+1) + y + 1,
+    counted the same way by z^(q^2) + z^q + z with unit q - 1. In GF(2^(2n))
+    and GF(2^n), f is x^2 + x + 1, counted as x^2 + x = 1. See Bluher,
+    "On x^(q+1) + ax + b", Finite Fields Appl. 10 (2004).
     """
     _roots_cost_check(ctx.n, which)
-    if which == "eq_41":
-        return _eq41_counts(ctx.n)
     n, m = ctx.n, ctx.big_degree
-    k, rhs = {"eq_3n": (3 * n, 1), "eq_2n_affine": (2 * n, 1),
-              "eq_deg8": (3, 1), "fixed_field_64": (6, 0)}[which]
-    cols = ctx._frob_plus_id_cols(k)
 
-    def count(j: int) -> int:
+    def count(cols: Sequence[int], rhs: int, j: int) -> int:
         sub = ctx._frob_plus_id_cols(j * n)  # all zero at j = 6
         coset = solve_affine_linearized([c | s << m for c, s in zip(cols, sub)], rhs)
         return 0 if coset is None else 1 << len(coset[1])
 
-    total = count(6)
+    if which == "eq_41":
+        def kernel_lines(k: int, j: int) -> int:
+            """(|ker L| - 1)/(2^k - 1) in GF(2^(jn)), L(z) = z^(2^(2k)) + z^(2^k) + z."""
+            cols = [a ^ b ^ (1 << i) for i, (a, b)
+                    in enumerate(zip(ctx._frob_cols(2 * k), ctx._frob_cols(k)))]
+            nonzero, unit = count(cols, 0, j) - 1, (1 << k) - 1
+            if nonzero % unit:
+                raise ConsistencyError(
+                    f"eq_41: {nonzero} nonzero kernel elements in GF(2^{j * n}), "
+                    f"not a multiple of 2^{k} - 1")
+            return nonzero // unit
+
+        quadratic = ctx._frob_plus_id_cols(1)  # x^2 + x = 1
+        return _by_subfield(which, {6: kernel_lines(2 * n, 6), 3: kernel_lines(n, 3),
+                                    2: count(quadratic, 1, 2),
+                                    1: count(quadratic, 1, 1)})
+    k, rhs = {"eq_3n": (3 * n, 1), "eq_2n_affine": (2 * n, 1),
+              "eq_deg8": (3, 1), "fixed_field_64": (6, 0)}[which]
+    cols = ctx._frob_plus_id_cols(k)
+    total = count(cols, rhs, 6)
     kernel_dim = math.gcd(k, m)  # the kernel is GF(2^gcd(k, 6n))
     if total not in (0, 1 << kernel_dim):
         raise ConsistencyError(f"{which}: {total} solutions, not 0 or 2^{kernel_dim}")
     if not total:
         return RootCounts(which, 0, 0, 0, 0)
-    return _by_subfield(which, {6: total, 1: count(1), 2: count(2), 3: count(3)})
-
-
-def _eq41_counts(n: int) -> RootCounts:
-    """Root tallies of P = x^(2^(2n)+1) + x + 1 from GF(2) polynomial gcds.
-
-    P' = x^(2^(2n)) + 1 is coprime to P, so P is squarefree and has exactly
-    deg gcd(P, x^(2^k) + x) roots in GF(2^k). One chain of 6n squarings
-    mod P gives x^(2^k) for k = n, 2n, 3n and 6n.
-    """
-    e = 1 << 2 * n
-    p = (1 << e + 1) | 0b11
-    if gf2poly.gcd(p, (1 << e) | 1) != 1:
-        raise ConsistencyError(f"x^(2^{2 * n}+1) + x + 1 is not squarefree")
-    roots = {}
-    r = 0b10
-    for k in range(1, 6 * n + 1):
-        r = gf2poly.mod(gf2poly.mul(r, r), p)
-        if k % n == 0:
-            roots[k // n] = gf2poly.degree(gf2poly.gcd(p, r ^ 0b10))
-    return _by_subfield("eq_41", roots)
+    return _by_subfield(which, {6: total, 1: count(cols, rhs, 1), 2: count(cols, rhs, 2),
+                                3: count(cols, rhs, 3)})
 
 
 def permutation_cycles(perm: Sequence[int]) -> list[tuple[int, ...]]:

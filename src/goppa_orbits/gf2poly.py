@@ -2,10 +2,9 @@
 
 A field GF(2)[y]/(m), m irreducible, is held the same way: its elements are
 the remainders, products are `mod(mul(a, b), m)` and `inverse` is the
-shift-and-add extended Euclid. `field_root` finds a root in such a field of
-a polynomial with GF(2) coefficients, which is how `Tower` embeds its base
-field: an ascending scan below degree `_SPLIT_FROM_DEGREE`, trace
-splitting (Berlekamp's trace algorithm) from there on.
+shift-and-add extended Euclid. `field_root` finds the least root in such a
+field of a polynomial with GF(2) coefficients, by an ascending scan, which
+is how `Tower` embeds its base field.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ _SPREAD = tuple(int(f"{b:b}", 4) for b in range(256))
 def square(a: int) -> int:
     """mul(a, a), moving bit i of a to bit 2i a byte at a time: a third of
     the windowed product's time, for the squaring chains of
-    `is_irreducible` and `field_root` and for `Tower.square`."""
+    `is_irreducible` and for `Tower.square`."""
     r = s = 0
     while a:
         r |= _SPREAD[a & 255] << s
@@ -107,16 +106,6 @@ def inverse(x: int, m: int) -> int:
     return g1
 
 
-def _frobenius_chain(p: int, k: int) -> list[int]:
-    """x^(2^i) mod p for i = 0..k, by k modular squarings."""
-    r = mod(2, p)
-    chain = [r]
-    for _ in range(k):
-        r = mod(square(r), p)
-        chain.append(r)
-    return chain
-
-
 def _prime_factors(k: int) -> list[int]:
     out = []
     f = 2
@@ -144,8 +133,10 @@ def is_irreducible(p: int, chain: list[int] | None = None) -> bool:
         return True
     if not (p & 1):
         return False
-    if chain is None:
-        chain = _frobenius_chain(p, d)
+    if chain is None:  # x^(2^i) mod p, i = 0..d, by d modular squarings
+        chain = [mod(2, p)]
+        for _ in range(d):
+            chain.append(mod(square(chain[-1]), p))
     if chain[d] != 2:
         return False
     for q in _prime_factors(d):
@@ -191,92 +182,36 @@ def lowest_irreducible(d: int) -> int:
     raise AssertionError(f"no irreducible of degree {d} found")
 
 
-_SPLIT_FROM_DEGREE = 7  # below it, the 2^n / (n + 1) scanned candidates cost less
-
-
 def field_root(f: int, m: int) -> int:
-    """A root of f in the field K = GF(2)[y]/(m), f and m irreducible of one
-    degree n, so f splits into n distinct linear factors over K.
+    """The least root of f in the field K = GF(2)[y]/(m), f and m irreducible
+    of one degree n, so f splits into n distinct linear factors over K.
 
-    Below degree `_SPLIT_FROM_DEGREE` it is the least root, by an ascending
-    scan of K: f(r) by Horner, each step a product with r read off r's n
-    columns r * y^j mod m. From there on it is the root that trace
-    splitting isolates: with x^(2^i) mod f read off one chain (f has GF(2)
-    coefficients), the trace T_j = sum_i (y^j)^(2^i) x^(2^i) mod f costs n squarings in K, and
-    gcd(h, T_j) keeps the roots r of h with Tr(y^j r) = 0. No j > 0 leaves
-    all n conjugates on one side, and the trace form is nondegenerate, so
-    j = 1..n - 1 isolate one root. Every factor kept divides f, so a root
-    it returns is a root. Raises ValueError when it finds none.
+    An ascending scan of K: f(r) by Horner, each step a product with r read
+    off r's n columns r * y^j mod m. Raises ValueError when it finds none.
     """
     n, d = degree(m), degree(f)
-    if n < _SPLIT_FROM_DEGREE:
-        top = 1 << n
-        for r in range(top):
-            cols = []  # r * y^j mod m, j < n: one shift and reduce each
-            c = r
-            for _ in range(n):
-                cols.append(c)
-                c <<= 1
-                if c & top:
-                    c ^= m
-            acc = 0
-            for k in range(d, -1, -1):  # Horner, multiplying by r on its columns
-                prod = 0
-                j = 0
-                while acc:
-                    if acc & 1:
-                        prod ^= cols[j]
-                    acc >>= 1
-                    j += 1
-                acc = prod ^ ((f >> k) & 1)
-            if acc == 0:
-                return r
-        raise ValueError("the polynomial has no root in the field")
-    h = [(f >> k) & 1 for k in range(d + 1)]  # monic, ascending
-    chain = _frobenius_chain(f, n - 1)
-    for j in range(1, n):
-        trace = [0] * d
-        b = 1 << j
-        for c in chain:
-            k = 0
-            while c:
-                if c & 1:
-                    trace[k] ^= b
-                c >>= 1
-                k += 1
-            b = mod(square(b), m)
-        g = _poly_gcd(h, trace, m)
-        if 1 < len(g) < len(h):
-            h = g
-            if len(h) == 2:  # x + h[0]
-                return h[0]
+    top = 1 << n
+    for r in range(top):
+        cols = []  # r * y^j mod m, j < n: one shift and reduce each
+        c = r
+        for _ in range(n):
+            cols.append(c)
+            c <<= 1
+            if c & top:
+                c ^= m
+        acc = 0
+        for k in range(d, -1, -1):  # Horner, multiplying by r on its columns
+            prod = 0
+            j = 0
+            while acc:
+                if acc & 1:
+                    prod ^= cols[j]
+                acc >>= 1
+                j += 1
+            acc = prod ^ ((f >> k) & 1)
+        if acc == 0:
+            return r
     raise ValueError("the polynomial has no root in the field")
-
-
-def _poly_monic(a: list[int], m: int) -> list[int]:
-    """a over GF(2)[y]/(m), coefficients ascending, without its zero top
-    coefficients and scaled to leading coefficient 1 ([] for zero)."""
-    while a and not a[-1]:
-        a.pop()
-    if a and a[-1] != 1:
-        lead = inverse(a[-1], m)
-        a = [mod(mul(lead, c), m) for c in a]
-    return a
-
-
-def _poly_gcd(a: list[int], b: list[int], m: int) -> list[int]:
-    """Monic gcd of two polynomials over GF(2)[y]/(m), a monic."""
-    b = _poly_monic(list(b), m)
-    while b:
-        a = list(a)
-        db = len(b) - 1
-        for top in range(len(a) - 1, db - 1, -1):  # a mod b, b monic
-            c = a[top]
-            if c:
-                for k in range(db):
-                    a[top - db + k] ^= mod(mul(c, b[k]), m)
-        a, b = b, _poly_monic(a[:db], m)
-    return a
 
 
 def exponents(p: int) -> list[int]:

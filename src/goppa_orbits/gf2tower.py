@@ -68,15 +68,16 @@ basis, and the embedding root is found in an n-bit copy of the subfield.
 The least subfield element w of degree n over GF(2), found by squarings
 (w^(2^(n/p)) != w for each prime p | n), has a minimal polynomial m_w, the
 one relation among w^0..w^n (one `_ColumnSolver`), so y -> w maps
-K = GF(2)[y]/(m_w) onto the subfield. `gf2poly.field_root` finds a root r
-of modulus_base in K on n-bit integers; gamma, the enc-least root in the
-big field, is the least image of the n conjugates r^(2^i), and the
-embedding columns are the images of 1, r, ..., r^(n-1). So the big field
-spends n products on the powers of w and a few squarings per candidate
-on the search. The embedding is checked in O(n): its n columns are
-independent and fixed by sigma^n. This first read costs about 0.12 ms
-at n = 5 and 17-25 ms at n = 16, where listing the 65536-element subfield
-is almost all of it.
+K = GF(2)[y]/(m_w) onto the subfield. `gf2poly.field_root` finds the
+least root r of modulus_base in K by an ascending scan on n-bit integers;
+gamma, the enc-least root in the big field, is the least image of the n
+conjugates r^(2^i), and the embedding columns are the images of 1, r, ...,
+r^(n-1). So the big field spends n products on the powers of w and a few
+squarings per candidate on the search for w. The embedding is checked in
+O(n): its n columns are independent and fixed by sigma^n. This first read
+costs about 0.2-0.3 ms at n = 5 and 7 and 2 ms at n = 11, the largest n
+a command reads it at, and about 0.18 s at n = 16, where the scan for r
+is most of it (2 vCPU).
 
 The numpy paths hold encodings in int64, so they need 6n <= 63 (n <= 10)
 and raise ValueError above it. numpy is first imported by the first table
@@ -125,7 +126,7 @@ __all__ = [
     "solve_affine_linearized",
 ]
 
-_MAX_N = 16  # subfield enumeration builds 2^n elements; keep construction desk-scale
+_MAX_N = 16  # the last n in _DEFAULT_MODULI; reading the subfield lists its 2^n elements
 
 # the default moduli, as exponents: gf2poly.lowest_irreducible(d), the
 # fewest-terms, least-value irreducible, for each degree a tower asks for,
@@ -273,8 +274,8 @@ class Tower:
             raise ValueError("n must be at least 2")
         if n > _MAX_N:
             raise ValueError(
-                f"n={n} exceeds the construction cap ({_MAX_N}); "
-                "the subfield embedding enumerates 2^n elements")
+                f"n={n} exceeds the construction cap ({_MAX_N}), "
+                "the last n with default moduli")
         self.n = n
         self.big_degree = 6 * n
         m = self.big_degree

@@ -127,11 +127,11 @@ def test_census_refuses_n8(capsys):
 
 
 def test_refusals_at_huge_n_are_one_short_line(capsys):
-    # 2^(2n) at n = 7000 and the class count at n = 5000 have more digits than
+    # 2^(6n) at n = 7000 and the class count at n = 5000 have more digits than
     # Python prints by default; the refusals word them as 2^k expressions
     for argv, words in ((("census", "--n", "5000"), "(2^25000 - 1)/(2^5000 - 1) classes"),
                         (("code", "--n", "15000", "--alpha", "random"), "length 2^15000 + 1"),
-                        (("roots", "--n", "7000", "--which", "eq_41"), "degree-(2^14000 + 1)")):
+                        (("roots", "--n", "7000", "--which", "eq_41"), "tower GF(2^42000)")):
         for mode in ((), ("--json",)):
             code, out, err = run(capsys, *argv, *mode)
             assert code == 3 and out == "", argv
@@ -457,11 +457,16 @@ def test_roots_eq41_n7(capsys):
             obj["in_subfield_3n"]) == (16385, 2, 129)
 
 
-def test_roots_eq41_refuses_n9(capsys):
-    code, out, err = run(capsys, "roots", "--n", "9", "--which", "eq_41")
+def test_roots_eq41_runs_to_the_tower_cap(capsys):
+    # eq_41 is a rank like the linear equations, so it has no cap of its own
+    code, obj, _ = run_json(capsys, "roots", "roots", "--n", "13", "--which",
+                            "eq_41", "--json")
+    assert code == 0 and obj["match"] is True
+    assert obj["in_degree_six"] == obj["expected_in_degree_six"] == _ROOT_EXPECTED["eq_41"](13)
+    code, out, err = run(capsys, "roots", "--n", "17", "--which", "eq_41")
     assert code == 3 and out == ""
-    assert len(err.splitlines()) == 1 and "Traceback" not in err
-    assert "n <= 8" in err and "degree-(2^18 + 1)" in err
+    assert err == ("infeasible: n=17: the root counts work in the tower GF(2^102), "
+                   "built for n <= 16, the last n with default moduli\n")
 
 
 def test_roots_at_largest_accepted_n(capsys):

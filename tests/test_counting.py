@@ -14,6 +14,7 @@ from conftest import (
     class_equation_oracle,
     class_ranks,
     enumerated_root_counts,
+    eq41_counts_by_gcd,
     fixed_orbit_representatives,
     subfield_span_array,
 )
@@ -409,6 +410,28 @@ def test_eq41_matches_exhaustive_sweep_n3(tower3):
     expect = brute_root_counts(tower3, eq41_predicate(tower3))
     assert (got.total, got.in_degree_six,
             got.in_subfield_2n, got.in_subfield_3n) == expect == (65, 54, 2, 9)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_eq41_rank_equals_gcd_oracle(n):
+    assert root_count_oracle(make_tower(n), "eq_41") == eq41_counts_by_gcd(n)
+
+
+@pytest.mark.slow
+def test_eq41_rank_equals_gcd_oracle_n8():
+    assert root_count_oracle(make_tower(8), "eq_41") == eq41_counts_by_gcd(8)
+
+
+@pytest.mark.parametrize("n, base, big", [
+    *((4, None, big) for big in ("24,4,3,1,0", "24,7,2,1,0", "24,9,3,1,0", "24,16,3,1,0")),
+    (4, "4,3,0", None),
+    *((5, None, big) for big in ("30,1,0", "30,9,0", "30,21,0", "30,29,0"))])
+def test_eq41_rank_is_the_same_under_other_moduli(n, base, big):
+    def modulus(exps):
+        return None if exps is None else gf2poly.from_exponents([int(e) for e in exps.split(",")])
+
+    ctx = make_tower(n, modulus_base=modulus(base), modulus_big=modulus(big))
+    assert root_count_oracle(ctx, "eq_41") == eq41_counts_by_gcd(n)
 
 
 def test_root_oracle_rejects_unknown(tower2):

@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 
 import pytest
@@ -124,11 +126,8 @@ def horner(f, r, m):
     return acc
 
 
-@pytest.mark.parametrize("split_from", [0, 99], ids=["splitting", "scan"])
-def test_field_root_is_a_root(monkeypatch, split_from):
-    """Both routes, on random pairs of irreducibles of degrees 2..12; the
-    scan gives the least root."""
-    monkeypatch.setattr(gf2poly, "_SPLIT_FROM_DEGREE", split_from)
+def test_field_root_is_a_root():
+    """On random pairs of irreducibles of degrees 2..12."""
     rng = random.Random(12)
     for n in range(2, 13):
         irreducible = [p for p in range(1 << n, 2 << n) if gf2poly.is_irreducible(p)]
@@ -136,13 +135,27 @@ def test_field_root_is_a_root(monkeypatch, split_from):
             f, m = rng.choice(irreducible), rng.choice(irreducible)
             r = gf2poly.field_root(f, m)
             assert r >> n == 0 and horner(f, r, m) == 0, (f, m)
-            if split_from:
-                assert all(horner(f, s, m) for s in range(r)), (f, m)
 
 
-@pytest.mark.parametrize("split_from", [0, 99], ids=["splitting", "scan"])
-def test_field_root_raises_without_a_root(monkeypatch, split_from):
-    monkeypatch.setattr(gf2poly, "_SPLIT_FROM_DEGREE", split_from)
+def test_field_root_is_the_least_root():
+    """Every pair of irreducibles f, m of one degree 2..7, against all of K:
+    f(r) is the sum of r^k over the terms x^k of f."""
+    for n in range(2, 8):
+        irreducible = [p for p in range(1 << n, 2 << n) if gf2poly.is_irreducible(p)]
+        for m in irreducible:
+            powers = []  # r^0..r^n mod m for each r in K, ascending
+            for r in range(1 << n):
+                powers.append([1])
+                for _ in range(n):
+                    powers[-1].append(gf2poly.mod(gf2poly.mul(powers[-1][-1], r), m))
+            for f in irreducible:
+                terms = [k for k in range(n + 1) if f >> k & 1]
+                roots = [r for r, pw in enumerate(powers)
+                         if not functools.reduce(operator.xor, (pw[k] for k in terms))]
+                assert len(roots) == n and gf2poly.field_root(f, m) == roots[0], (f, m)
+
+
+def test_field_root_raises_without_a_root():
     with pytest.raises(ValueError, match="no root"):
         gf2poly.field_root(0b1011, 0b10011)  # GF(8) is not inside GF(16)
     with pytest.raises(ValueError, match="no root"):

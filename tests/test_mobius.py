@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import canonical_orbit_rep, compose, inverse
+from goppa_orbits import make_tower
 from goppa_orbits.mobius import (
     apply_map,
     format_map,
@@ -84,6 +85,16 @@ def test_suborbit_rejects_low_degree(tower5):
         suborbit_representatives(tower5, 1)
     with pytest.raises(ValueError):
         pgl_orbit_array(tower5, 0)
+
+
+def test_degree_check_reads_only_the_sigma_n_tables():
+    ctx = make_tower(5)
+    suborbit_representatives(ctx, random_degree_six(ctx, random.Random(9)))
+    assert [k for k in ctx._np_tables if k[0] == "frob"] == [("frob", 5)]
+    for bits in (10, 15):  # degree 2 and degree 3 over GF(2^5)
+        x = next(b for b in ctx._fixed_field_basis(bits) if ctx.frobenius(b, 5) != b)
+        with pytest.raises(ValueError, match="degree 6"):
+            suborbit_representatives(ctx, x)
 
 
 def test_pgl_orbit_size_and_disjoint_suborbits(tower5):
