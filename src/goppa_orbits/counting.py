@@ -17,13 +17,14 @@ linear, eq_41, is counted on the kernel of a linearized polynomial whose
 nonzero elements map onto its roots. Each orbit is represented by
 an element of its least class rank, the first class the scan meets. At
 n = 7 the scan meets the least class of every orbit in the first 0.4 % of
-the ranks (about 1.3-1.6 s and 44 MiB on 2 vCPU). Its two costly steps are
-the inverse in the cross-ratio, taken through the norm to GF(q)
-(`Tower.inv_vec`), and the least of the 6n squarings of each value, read
-as rotations of its coordinates in a normal basis (`_canonical`). The
-census and the oracle stay limited to n <= 7, where the n = 8 report would
-hold some 350,000 records; larger n is refused with a cost estimate rather
-than attempted. The root counts list no root, so they run up to the tower's
+the ranks (about 1.1-1.2 s on 2 vCPU, and 76.5 MiB peak RSS as a command,
+24 MiB of it the log tables of the inverse). Its costly steps are the
+cross-ratio, whose inverse is taken in coordinates over GF(q^3) on those
+log tables (`Tower.inv_vec`), and the least of the 6n squarings of each
+value, read as rotations of its coordinates in a normal basis
+(`_canonical`). The census and the oracle stay limited to n <= 7, where
+the n = 8 report would hold some 350,000 records; larger n is refused
+with a cost estimate rather than attempted. The root counts list no root, so they run up to the tower's
 cap, n <= 16.
 
 Only the scan uses numpy: `_class_elements`, `_canonical` and `_run_sweep`

@@ -81,21 +81,30 @@ is most of it (2 vCPU).
 
 The numpy paths hold encodings in int64, so they need 6n <= 63 (n <= 10)
 and raise ValueError above it. numpy is first imported by the first table
-a vector path builds (`_byte_tables`, which every byte table goes through,
-and the reduction table of `mul_vec`), never at import: construction and
-the scalar kernel run without it. The tables are built on first use and
-kept in `_np_tables`: byte tables of Frobenius powers and multipliers
-(`frobenius_vec`, `mult_tables`), the reduction table of `mul_vec`, a
-chunked carry-less product of masked integer products reduced on int64
-copies of the table of `mul`, and two tables the census reads:
+a vector path builds (`_chunk_tables`, which every lookup table goes
+through, and the reduction table of `mul_vec`), never at import:
+construction and the scalar kernel run without it. The tables are built on
+first use and kept in `_np_tables`: byte tables of Frobenius powers and
+multipliers (`frobenius_vec`, `mult_tables`), the reduction table of
+`mul_vec`, a chunked carry-less product of masked integer products reduced
+on int64 copies of the table of `mul`, and two sets of tables the census
+reads:
 - `normal_tables`, the coordinates in a normal basis beta^(2^i), in which
   squaring is a rotation by one bit, so the census ranks the 6n squarings
   of a value after one table application;
-- GF(q) sorted beside the inverses, for `inv_vec`. It inverts through the
-  norm to GF(q): 1/x = y / (x y) with y = x^(q + ... + q^5)
-  (`conorm_vec`, three `mul_vec` on the sigma^n tables), the norm x y
-  inverted by lookup. That is five `mul_vec` and no Frobenius table
-  besides sigma^n.
+- the tables of `inv_vec` (`_cubic_logs`). It inverts in coordinates over
+  GF(q^3), as composite-field inversion does (Guajardo and Paar, CRYPTO
+  1997): with x = u + v t and t + sigma^(3n)(t) = 1, the norm to GF(q^3)
+  is N = u(u + v) + c v^2, c = t^2 + t, and 1/x = ((u + v) + v t)/N. Its
+  one product and two quotients in GF(q^3) are sums of logs on int32 log
+  and exp tables of GF(q^3)*, between a byte table into the coordinates
+  and one back, and no product in GF(q^6) remains. The log tables hold
+  2^(3n) and 2^(3n+1) - 1 entries, 24 MiB at n = 7, so `inv_vec` serves
+  n <= 7 and refuses n = 8..10. Building them takes 0.44-0.67 ms at n = 4
+  (about 0.9 ms as the first build of a fresh process) and 46-67 ms at
+  n = 7 (2 vCPU), against 0.1-0.2 ms for one call on 2048 elements at
+  n = 4 and 0.2 ms at n = 7, where the route it replaced took 0.8 and
+  1.5 ms.
 
 Linear algebra over GF(2) has one elimination, `_ColumnSolver`: it reduces
 int-bitmask vectors at their least set bits and keeps the input combination
@@ -143,6 +152,11 @@ _DEFAULT_MODULI = {
 }
 
 _HEX = re.compile(r"[0-9a-fA-F]+")
+
+# the generators `Tower._cubic_logs` tries in GF(2)[y]/(m_w), as the roots a of
+# their factors y + a: y, y + 1 and y (y + 1), each product a shift (and an add)
+_GENERATORS = ((0,), (1,), (0, 1))
+_CHUNK = 1 << 16  # elements per numpy pass while `Tower._cubic_logs` fills its tables
 
 # every fourth bit, from bit i, below bit 63: the slots of `Tower.mul_vec`
 _SLOTS = tuple((0x1111111111111111 << i) & (2**63 - 1) for i in range(4))
@@ -225,6 +239,22 @@ def solve_affine_linearized(cols: list[int] | tuple[int, ...],
     solver = _ColumnSolver(cols)
     particular = solver.solve(b)
     return None if particular is None else (particular, solver.kernel_basis)
+
+
+def _chunk_tables(cols: np.ndarray, width: int = 8) -> np.ndarray:
+    """Lookup tables of GF(2)-linear maps per chunk of `width` input bits
+    (a byte by default): cols[..., i] is the image of input bit i, and
+    out[..., b, v] the image of the value v of chunk b, each table filled by
+    doubling on one column a step."""
+    import numpy as np
+    if cols.shape[-1] % width:
+        cols = np.concatenate([cols, np.zeros(cols.shape[:-1] + (-cols.shape[-1] % width,),
+                                              dtype=cols.dtype)], axis=-1)
+    cols = cols.reshape(cols.shape[:-1] + (cols.shape[-1] // width, width))
+    out = np.zeros(cols.shape[:-1] + (1 << width,), dtype=cols.dtype)
+    for i in range(width):
+        np.bitwise_xor(out[..., :1 << i], cols[..., i:i + 1], out=out[..., 1 << i:2 << i])
+    return out
 
 
 def _parse_hex(text: str) -> int:
@@ -561,18 +591,15 @@ class Tower:
 
     # ------------------------------------------------------------ numpy paths
 
-    def _byte_tables(self, cols: list[int]) -> list[np.ndarray]:
-        """256-entry lookup tables per byte of input for a GF(2)-linear map."""
+    def _byte_tables(self, cols: list[int]) -> np.ndarray:
+        """The byte tables (`_chunk_tables`) of a GF(2)-linear map on
+        encodings with columns cols (one per input bit)."""
         import numpy as np
-        m = self.big_degree
-        if m > 63:
+        if self.big_degree > 63:
             raise ValueError("vectorized paths need encodings below 64 bits")
-        cols = np.array(list(cols) + [0] * (-m % 8), dtype=np.int64).reshape(-1, 1, 8)
-        bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
-                             bitorder="little")  # [v, k]: bit k of byte v
-        return list(np.bitwise_xor.reduce(cols * bits, axis=2))  # bits of v pick columns
+        return _chunk_tables(np.array(cols, dtype=np.int64))
 
-    def frob_tables(self, i: int) -> list[np.ndarray]:
+    def frob_tables(self, i: int) -> np.ndarray:
         key = ("frob", i % self.big_degree)
         tabs = self._np_tables.get(key)
         if tabs is None:
@@ -580,7 +607,7 @@ class Tower:
             self._np_tables[key] = tabs
         return tabs
 
-    def mult_tables(self, c: int) -> list[np.ndarray]:
+    def mult_tables(self, c: int) -> np.ndarray:
         """Byte tables of the fixed-multiplier map x -> c * x."""
         key = ("mult", c)
         tabs = self._np_tables.get(key)
@@ -590,7 +617,7 @@ class Tower:
         return tabs
 
     @staticmethod
-    def apply_tables(tables: list[np.ndarray], x: np.ndarray) -> np.ndarray:
+    def apply_tables(tables: np.ndarray, x: np.ndarray) -> np.ndarray:
         out = tables[0][x & 0xFF]
         for bpos in range(1, len(tables)):
             out ^= tables[bpos][(x >> (8 * bpos)) & 0xFF]
@@ -638,7 +665,7 @@ class Tower:
             acc &= self._mask
         return acc
 
-    def normal_tables(self) -> list[np.ndarray]:
+    def normal_tables(self) -> np.ndarray:
         """Byte tables of the coordinates in a normal basis beta^(2^i),
         i < 6n: bit i of the image of x is the coefficient of beta^(2^i), so
         the image of x^2 is that of x rotated left by one bit.
@@ -673,29 +700,146 @@ class Tower:
         s = self.mul_vec(u, self.apply_tables(tabs, self.apply_tables(tabs, t)))
         return self.apply_tables(tabs, s)
 
-    def inv_vec(self, x: np.ndarray) -> np.ndarray:
-        """Elementwise inverses of an int64 array of encodings, 0 to 0,
-        through the norm: with y = `conorm_vec`(x), N = x * y lies in GF(q),
-        q = 2^n, and 1/x = y * (1/N). N is inverted by lookup: GF(q) sorted,
-        with each element's inverse beside it (0 beside 0), built from
-        `base_logs` and kept with the numpy tables; an N missing from it
-        raises. Five `mul_vec` and five sigma^n applications."""
+    def _cubic_logs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The tables of `inv_vec`, built on first use and kept with the
+        numpy tables: GF(q^6) = GF(q^3)(t), q = 2^n, in coordinates over
+        GF(q^3), and discrete logs on GF(q^3)*. With k = 3n, they are
+        (coords, out, log, exp): byte tables from an encoding x = u + v t to
+        u | v << k | (u^2 + c v^2) << 2k, and from u | v << k back to x; then
+        int32 logs and powers of g on GF(q^3)* with u and v read in the
+        basis w^0..w^(k-1), exp[i] = g^(i mod (2^k - 1)) for i < 2(2^k - 1)
+        and exp[2(2^k - 1)] = 0 = exp[log 0].
+
+        GF(q^3) is the kernel of sigma^(3n) + id and the image of the trace
+        Tr(z) = z + sigma^(3n)(z). Draws z come from
+        random.Random(0).getrandbits(6n). For the first with s = Tr(z)
+        nonzero, t = z / s has t + sigma^(3n)(t) = 1, and c = t^2 + t lies
+        in GF(q^3). w is the first trace of a draw whose minimal polynomial
+        m_w (the one relation among w^0..w^(3n), `_ColumnSolver`) has degree
+        3n and has y, y + 1 or y (y + 1) for a generator g of
+        K = GF(2)[y]/(m_w) (`gf2poly.is_generator`, on 3n-bit integers). So
+        x = u + v t with u, v in K, read in the basis w^0..w^(3n-1), and
+        exp[i] = g^i: the first 64 by shifts, then doubled on the tables of
+        the products by g^64, g^128, ..., each read on the low and the high
+        half of g^i. Raises AssertionError when t, c, the change of basis or
+        the powers of g are not what they must be."""
+        logs = self._np_tables.get(("cubic_logs",))
+        if logs is not None:
+            return logs
         import numpy as np
-        y = self.conorm_vec(x)
-        norm = self.mul_vec(x, y)
-        table = self._np_tables.get(("base_inverse",))
-        if table is None:
-            embedded = self.base_logs().embedded  # g^k; its inverse is g^(-k)
-            keys = np.array((0,) + embedded, dtype=np.int64)
-            order = np.argsort(keys)
-            inverses = np.array([0] + [embedded[-k] for k in range(len(embedded))],
-                                dtype=np.int64)
-            table = self._np_tables[("base_inverse",)] = (keys[order], inverses[order])
-        keys, inverses = table
-        pos = np.minimum(keys.searchsorted(norm), keys.size - 1)
-        if (keys[pos] != norm).any():
-            raise AssertionError("a norm to GF(q) is missing from its inverse table")
-        return self.mul_vec(y, inverses[pos])
+        m, k = self.big_degree, 3 * self.n
+        order = (1 << k) - 1  # |GF(q^3)*|
+        rng = random.Random(0)
+        z = rng.getrandbits(m)
+        while not (s := z ^ self.frobenius(z, k)):
+            z = rng.getrandbits(m)
+        t = self.mul(z, self.inv(s))
+        if t ^ self.frobenius(t, k) != 1:
+            raise AssertionError("t + sigma^3n(t) is not 1")
+        c = self.square(t) ^ t
+        if self.frobenius(c, k) != c:
+            raise AssertionError("c = t^2 + t lies outside GF(q^3)")
+        for _ in range(64):  # every element of GF(q^3) is a trace: a draw rarely fails
+            powers = [1, s]  # as in `_power_cols`
+            for j in range(2, k + 1):
+                powers.append(self.mul(powers[-1], s) if j & 1 else self.square(powers[j >> 1]))
+            kernel = _ColumnSolver(powers).kernel_basis
+            if len(kernel) == 1:
+                m_w = kernel[0]
+                g = next((g for g in _GENERATORS if gf2poly.is_generator(m_w, g)), None)
+                if g is not None:
+                    break
+            z = rng.getrandbits(m)
+            s = z ^ self.frobenius(z, k)
+        else:
+            raise AssertionError("64 draws gave no generator of GF(q^3)*")
+        cols = powers[:k] + [self.mul(p, t) for p in powers[:k]]  # w^i, then w^i t
+        solver = _ColumnSolver(cols)
+        if solver.kernel_basis:
+            raise AssertionError("the basis w^i, w^i t of GF(q^6) is singular")
+
+        def times_g(v: int) -> int:  # v g in K: a shift (and an add) per factor
+            for a in g:
+                v = v << 1 ^ (v if a else 0)
+                if v >> k:
+                    v ^= m_w
+            return v
+
+        seed = [1]  # g^i below 64
+        for _ in range(min(64, order) - 1):
+            seed.append(times_g(seed[-1]))
+        by = []  # columns g^d y^i of the products by g^d, d = 64, 128, ... below the order
+        g_d = times_g(seed[-1])
+        for _ in range(k - 6):
+            col = g_d
+            for _ in range(k):
+                by.append(col)
+                col <<= 1
+                if col >> k:
+                    col ^= m_w
+            g_d = gf2poly.mod(gf2poly.square(g_d), m_w)
+        half = (k + 1) // 2  # the tables read the low and the high half of g^i
+        exp = np.empty(2 * order + 1, dtype=np.int32)
+        exp[:len(seed)] = seed
+        done = len(seed)
+        for low, high in _chunk_tables(np.array(by, dtype=np.int32).reshape(-1, k), half):
+            step = min(done, order - done)  # g^done g^i, on the tables of g^done
+            for lo in range(0, step, _CHUNK):
+                head = exp[lo:min(lo + _CHUNK, step)]
+                part = exp[done + lo:done + lo + head.size]
+                np.take(low, head & (1 << half) - 1, out=part)
+                part ^= high[head >> half]
+            done += step
+        log = np.full(order + 1, -1, dtype=np.int32)
+        for lo in range(0, order, _CHUNK):
+            hi = min(lo + _CHUNK, order)
+            log[exp[lo:hi]] = np.arange(lo, hi, dtype=np.int32)
+        if log[0] != -1 or (log[1:] < 0).any():
+            raise AssertionError("the powers of g are not all of GF(q^3)*")
+        exp[order:2 * order] = exp[:order]
+        exp[2 * order], log[0] = 0, 2 * order  # a sum holding log 0 reaches the zero
+
+        # each bit of an encoding in coordinates u | v << 3n; u^2 + c v^2 is
+        # linear in them, with columns y^2i and c y^2i, and lands above 6n
+        ys, cs = [1], [solver.solve(c)]  # y^i and c y^i; c has no v part
+        for _ in range(2 * k - 2):
+            for col in (ys, cs):
+                v = col[-1] << 1
+                col.append(v ^ m_w if v >> k else v)
+        to_uv, from_coords, square = _chunk_tables(np.array(
+            [[solver.solve(1 << j) for j in range(m)], cols, ys[::2] + cs[::2]], dtype=np.int64))
+        to_coords = to_uv ^ self.apply_tables(square, to_uv) << 2 * k
+        logs = self._np_tables[("cubic_logs",)] = (to_coords, from_coords, log, exp)
+        return logs
+
+    def inv_vec(self, x: np.ndarray) -> np.ndarray:
+        """Elementwise inverses of an int64 array of encodings, 0 to 0, for
+        n <= 7, in coordinates over GF(q^3), q = 2^n (`_cubic_logs`).
+
+        With x = u + v t, its conjugate over GF(q^3) is (u + v) + v t, the
+        norm N = u(u + v) + c v^2 lies in GF(q^3), and 1/x = ((u + v) + v t)/N.
+        One table application gives u, v and u^2 + c v^2; the product u v
+        and the two quotients are sums of logs, and a sum that holds log 0
+        is clipped onto the zero entry of exp; a second table application
+        returns to encodings. No product in GF(q^6). The tables hold
+        2^(3n) entries, so n = 8..10 are refused with a ValueError."""
+        import numpy as np
+        if self.big_degree > 63:
+            raise ValueError("vectorized paths need encodings below 64 bits")
+        k = 3 * self.n
+        if k > 21:
+            raise ValueError(f"inv_vec serves n <= 7: at n = {self.n} its log tables "
+                             f"on GF(q^3) would hold 2^{k} entries each")
+        coords, out, log, exp = self._cubic_logs()
+        order, zero = (1 << k) - 1, exp.size - 1
+        uvl = self.apply_tables(coords, x)
+        u, v = uvl & order, (uvl >> k) & order
+        lv = log[v]
+        norm = (uvl >> 2 * k) ^ exp[np.minimum(log[u] + lv, zero)]
+        neg = np.maximum(order - log[norm], 0)  # log 1/N, and 0 for N = 0
+        inv = np.left_shift(exp[np.minimum(lv + neg, zero)], k, dtype=np.int64)
+        inv |= exp[np.minimum(log[u ^ v] + neg, zero)]
+        return self.apply_tables(out, inv)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Tower)

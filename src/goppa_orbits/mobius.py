@@ -4,7 +4,7 @@ Each PGL(2, 2^n) orbit of a degree-6 element is the disjoint union of the
 2^n + 1 affine classes {e*beta + f} of its `suborbit_representatives`, and
 `pgl_orbit_array` expands an orbit element by element. The representatives
 are in norm form, N(z)/z for z = alpha + g, the power `Tower.conorm_vec`
-builds for `Tower.inv_vec` as well. The census in `counting` never builds
+builds. The census in `counting` never builds
 an orbit: it keys affine classes by the cross-ratio, which is constant on
 each orbit. These two builders are the element-level orbit oracle the
 tests check the census and the class decomposition against.
@@ -152,8 +152,7 @@ def suborbit_representatives(ctx: Tower, alpha: int | np.ndarray) -> np.ndarray:
     for z = alpha + g, g in the subfield, q = 2^n. That power is N(z) / z
     with the norm N(z) = z^(1 + q + ... + q^5) in GF(q)*, so it lies in the
     affine class of 1/(alpha + g). For an array of alphas, one row per
-    alpha; the power is `Tower.conorm_vec`, the product `Tower.inv_vec`
-    inverts through."""
+    alpha; the power is `Tower.conorm_vec`."""
     import numpy as np
     alpha = np.asarray(alpha, dtype=np.int64)[..., None]
     _require_degree_six(ctx, alpha)

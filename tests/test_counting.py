@@ -149,6 +149,12 @@ def test_census_n7():
         42: 49542, 21: 780, 14: 9, 6: 1, 3: 1}
     assert [fixed_point_oracle(ctx, d) for d in (1, 2, 3, 6, 7, 14, 21, 42)] == [
         0, 0, 3, 9, 0, 126, 16383, 2097279]
+    # the inverse's log tables on GF(2^21)*: 2^21 logs and 2^22 - 1 powers, int32,
+    # with one zero entry for every clipped sum; its byte tables add 24 KiB
+    coords, out, log, exp = ctx._np_tables[("cubic_logs",)]
+    assert log.dtype == exp.dtype == np.int32
+    assert log.nbytes + exp.nbytes <= 24 << 20
+    assert coords.nbytes + out.nbytes == 2 * 6 * 256 * 8
 
 
 def test_sweep_refuses_large_n():

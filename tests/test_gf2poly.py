@@ -111,6 +111,19 @@ def test_is_irreducible_equals_the_two_pass_test():
         assert gf2poly.is_irreducible(p) == is_irreducible_two_pass(p), p
 
 
+@pytest.mark.parametrize("factors, g", [((0,), 0b10), ((1,), 0b11), ((0, 1), 0b110)])
+def test_is_generator_equals_the_order_by_enumeration(factors, g):
+    """Every irreducible of degree 2..9: g generates exactly when its powers
+    first return to 1 at 2^d - 1."""
+    for m in range(4, 1 << 10):
+        if not gf2poly.is_irreducible(m):
+            continue
+        order, power, e = (1 << gf2poly.degree(m)) - 1, gf2poly.mod(g, m), 1
+        while power != 1:
+            power, e = gf2poly.mod(gf2poly.mul(power, g), m), e + 1
+        assert gf2poly.is_generator(m, factors) == (e == order), (m, factors)
+
+
 def test_lowest_irreducible_is_unchanged_up_to_degree_96():
     for d in range(2, 97):
         want = next((1 << d) | mid | 1 for w in range(1, d, 2)

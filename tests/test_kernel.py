@@ -8,8 +8,13 @@ runs on the default towers at n = 2, 3, 4, 5, 7 and on two towers whose big
 modulus has a dense tail (24,16,3,1,0 and 30,29,0), where a folded top byte
 reaches the most bytes below it. The vectorised product Tower.mul_vec
 (chunked, masked integer products, reduced on int64 copies of the same
-table) and inverse Tower.inv_vec (through the norm to GF(q), 0 to 0) must
-equal the scalar ones elementwise, on those two towers too; the conorm
+table) must equal the scalar one elementwise, on those two towers too.
+The vectorised inverse Tower.inv_vec (in coordinates over GF(q^3), on log
+tables of GF(q^3)*, 0 to 0) must equal the scalar Tower.inv on every
+element of GF(2^12), on every nonzero element of GF(q^3) at n = 2 and 3,
+and on draws at n = 3, 4, 5, 7 and on the two dense-tail towers; it
+refuses n = 8..10, whose tables would hold 2^(3n) entries, and each check
+of its table build raises when a patched input breaks it. The conorm
 Tower.conorm_vec must be the scalar product of the five conjugates, and
 the norm-form suborbit representative N(z)/z of z = alpha + g must lie in
 the affine class of the scalar inv(z). In the coordinates of
@@ -19,6 +24,7 @@ Tower.normal_tables, squaring must rotate left by one bit.
 import copy
 import functools
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -141,7 +147,8 @@ def test_vec_kernel_matches_scalar_on_every_element_n2():
 
 
 @pytest.mark.parametrize(
-    "key", [(3, None), (5, None), (7, None), (10, None), (4, "24,16,3,1,0"), (5, "30,29,0")],
+    "key", [(3, None), (4, None), (5, None), (7, None), (10, None), (4, "24,16,3,1,0"),
+            (5, "30,29,0")],
     ids=lambda key: str(key[0] if key[1] is None else key))
 def test_vec_kernel_matches_scalar(key):
     ctx = tower(key)
@@ -155,9 +162,85 @@ def test_vec_kernel_matches_scalar(key):
         column = ctx.mul_vec(x[:, None], y[:, None])
         assert column.shape == (len(drawn), 1)
         assert column[:, 0].tolist() == ctx.mul_vec(x, y).tolist()
-        assert ctx.inv_vec(x).tolist() == [ctx.inv(a) if a else 0 for a in x.tolist()]
+        if ctx.n <= 7:
+            assert ctx.inv_vec(x).tolist() == [ctx.inv(a) if a else 0 for a in x.tolist()]
+        else:
+            with pytest.raises(ValueError, match=r"n <= 7: at n = 10 .* 2\^30 entries"):
+                ctx.inv_vec(x)
 
     check()
+
+
+def cubic_subfield(ctx):
+    """GF(q^3) as big-field encodings: the span of its basis, doubled."""
+    span = [0]
+    for b in ctx._fixed_field_basis(3 * ctx.n):
+        span += [v ^ b for v in span]
+    return span
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_inv_vec_on_every_element_of_the_cubic_subfield(n):
+    """There v = 0: the norm is u^2 and every log sum that holds v is clipped."""
+    ctx = make_tower(n)
+    x = cubic_subfield(ctx)
+    assert len(x) == 1 << 3 * n
+    assert ctx.inv_vec(np.array(x, dtype=np.int64)).tolist() == [
+        ctx.inv(a) if a else 0 for a in x]
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_inv_vec_refuses_n8_to_n10_by_the_size_of_its_tables(n):
+    ctx = make_tower(n)
+    with pytest.raises(ValueError, match=rf"^inv_vec serves n <= 7: at n = {n} .* 2\^{3 * n} "):
+        ctx.inv_vec(np.array([1, 2], dtype=np.int64))
+    assert ("cubic_logs",) not in ctx._np_tables
+
+
+def assert_build_raises(ctx, message):
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        ctx.inv_vec(np.arange(1, 64, dtype=np.int64))
+    assert ("cubic_logs",) not in ctx._np_tables
+
+
+def outside_cubic(ctx, x):
+    return ctx.frobenius(x, 3 * ctx.n) != x
+
+
+def test_inv_vec_build_checks_t(monkeypatch):
+    """With 1/s read as 1, t is the draw z, and t + sigma^3n(t) = s, not 1."""
+    ctx = make_tower(2)
+    monkeypatch.setattr(ctx, "inv", lambda s: 1)
+    assert_build_raises(ctx, "t + sigma^3n(t) is not 1")
+
+
+def test_inv_vec_build_checks_c(monkeypatch):
+    """A squaring that adds x^(6n-1), an element outside GF(q^3), moves c
+    out of GF(q^3); t is built without squarings."""
+    ctx = make_tower(2)
+    top = 1 << ctx.big_degree - 1
+    assert outside_cubic(ctx, top)
+    square = ctx.square
+    monkeypatch.setattr(ctx, "square", lambda x: square(x) ^ top)
+    assert_build_raises(ctx, "c = t^2 + t lies outside GF(q^3)")
+
+
+def test_inv_vec_build_checks_the_change_of_basis(monkeypatch):
+    """Products by a factor outside GF(q^3) read as 0: t = z * (1/s) and the
+    powers of w keep their values, the columns w^i t vanish."""
+    ctx = make_tower(2)
+    mul = ctx.mul
+    monkeypatch.setattr(ctx, "mul", lambda a, b: 0 if outside_cubic(ctx, b) else mul(a, b))
+    assert_build_raises(ctx, "the basis w^i, w^i t of GF(q^6) is singular")
+
+
+def test_inv_vec_build_checks_that_g_generates(monkeypatch):
+    """At n = 2 the first trace of degree 6 has y + 1, not y, for a generator
+    of its K; a test that passes everything keeps y, and its powers repeat
+    before they cover GF(64)*."""
+    ctx = make_tower(2)
+    monkeypatch.setattr(gf2poly, "is_generator", lambda m, factors=(0,): True)
+    assert_build_raises(ctx, "the powers of g are not all of GF(q^3)*")
 
 
 @pytest.mark.parametrize("n", [5, 10])
@@ -219,17 +302,6 @@ def test_conorm_is_the_product_of_the_five_conjugates(key):
         assert ctx.conorm_vec(np.array(drawn, dtype=np.int64)).tolist() == want
 
     check()
-
-
-def test_inv_vec_raises_on_a_norm_missing_from_its_table(monkeypatch):
-    """The norm of every nonzero element of GF(2^12) runs over all of GF(4)*,
-    so a table with one element of GF(4)* replaced misses a norm."""
-    ctx = make_tower(2)
-    logs = ctx.base_logs()
-    corrupted = logs._replace(embedded=(logs.embedded[0] ^ 1,) + logs.embedded[1:])
-    monkeypatch.setattr(ctx, "base_logs", lambda: corrupted)
-    with pytest.raises(AssertionError, match="missing from its inverse table"):
-        ctx.inv_vec(np.arange(1 << 12, dtype=np.int64))
 
 
 def rotate(v, m):
