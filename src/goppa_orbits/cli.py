@@ -89,9 +89,6 @@ def _resolve_alpha(ctx: Tower, text: str, seed: int | None) -> int:
 def cmd_bound(args) -> int:
     n = args.n
     counting._closed_form_cost_check(n)
-    if n <= 3 or not counting.is_prime(n):
-        print(f"error: n={n} must be a prime greater than 3", file=sys.stderr)
-        return EXIT_USAGE
     rows = counting.burnside_decomposition(n)
     numerator = counting.burnside_numerator(n)
     bound = counting.burnside_bound(n)
@@ -115,7 +112,9 @@ def cmd_bound(args) -> int:
 def cmd_census(args) -> int:
     counting._sweep_cost_check(args.n)
     ctx = _tower(args)
-    census = counting.global_orbit_census(ctx, workers=args.workers)
+    if args.workers < 1:
+        raise ValueError("workers must be positive")
+    census = counting.global_orbit_census(ctx)
     bound = match = None
     note = ""
     if args.n > 3 and counting.is_prime(args.n):
@@ -200,15 +199,6 @@ def cmd_fixed(args) -> int:
     return EXIT_MISMATCH if match is False else EXIT_OK
 
 
-_ROOT_EXPECTED = {
-    "eq_3n": lambda n: (1 << 3 * n) - (1 << n),
-    "eq_41": lambda n: (1 << 2 * n) - (1 << n) - 2,
-    "eq_deg8": lambda n: 6,
-    "fixed_field_64": lambda n: 54,
-    "eq_2n_affine": lambda n: 0,
-}
-
-
 def cmd_roots(args) -> int:
     counting._roots_cost_check(args.n, args.which)
     ctx = _tower(args)
@@ -217,7 +207,7 @@ def cmd_roots(args) -> int:
     elapsed = (time.perf_counter() - start) * 1e3
     expected = match = None
     if args.n > 3 and counting.is_prime(args.n):
-        expected = _ROOT_EXPECTED[args.which](args.n)
+        expected = counting.ROOT_EXPECTED[args.which](args.n)
         match = counts.in_degree_six == expected
     obj = {
         "n": args.n, "which": args.which,
@@ -305,15 +295,11 @@ def cmd_equiv(args) -> int:
 # -------------------------------------------------------------------- parser
 
 
-def _add_common(p: argparse.ArgumentParser, *, workers: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True, help="base-field exponent")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--modulus-base", help="override, exponent list like '5,2,0'")
     p.add_argument("--modulus-big", help="override, exponent list like '30,1,0'")
-    if workers:
-        p.add_argument("--workers", type=int, default=1,
-                       help="validated (>= 1) and echoed in the report; the "
-                            "census runs in one thread")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,7 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("census", help=f"full orbit census (n <= {counting.MAX_SWEEP_N})")
-    _add_common(p, workers=True)
+    _add_common(p)
+    p.add_argument("--workers", type=int, default=1,
+                   help="validated (>= 1) and echoed in the report; the "
+                        "census runs in one thread")
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("fixed", help="fixed-orbit counts per Frobenius power "

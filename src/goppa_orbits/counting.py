@@ -62,6 +62,7 @@ __all__ = [
     "global_orbit_census",
     "fixed_point_oracle",
     "ROOT_EQUATIONS",
+    "ROOT_EXPECTED",
     "RootCounts",
     "root_count_oracle",
     "permutation_cycles",
@@ -77,6 +78,14 @@ MAX_ROOTS_N = _MAX_N  # every root count is a rank: any tower will do
 MAX_CLOSED_FORM_N = 701
 
 ROOT_EQUATIONS = ("eq_3n", "eq_2n_affine", "eq_41", "eq_deg8", "fixed_field_64")
+# the paper's closed forms for the degree-6 root counts of each equation, prime n > 3
+ROOT_EXPECTED = {
+    "eq_3n": lambda n: (1 << 3 * n) - (1 << n),
+    "eq_41": lambda n: (1 << 2 * n) - (1 << n) - 2,
+    "eq_deg8": lambda n: 6,
+    "fixed_field_64": lambda n: 54,
+    "eq_2n_affine": lambda n: 0,
+}
 
 
 class InfeasibleError(Exception):
@@ -391,15 +400,12 @@ def _sweep(ctx: Tower, fresh: bool = False) -> OrbitCensus:
 # ---------------------------------------------------------------- the census
 
 
-def global_orbit_census(ctx: Tower, workers: int = 1) -> OrbitCensus:
+def global_orbit_census(ctx: Tower) -> OrbitCensus:
     """Run a full scan and tabulate the semi-linear orbits.
 
     Always recomputes, and the fresh result refills the census cache used by
-    the fixed-point oracle. The scan runs in one thread; workers is
-    validated only.
+    the fixed-point oracle.
     """
-    if workers < 1:
-        raise ValueError("workers must be positive")
     return _sweep(ctx, fresh=True)
 
 

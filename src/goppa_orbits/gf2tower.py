@@ -61,7 +61,7 @@ and 0.09-0.13 ms at n = 4 with the given modulus 24,4,3,1,0 (2 vCPU; the
 host drifts by up to half).
 
 The subfield and the embedding are built together on the first read of
-`subfield`, `subfield_nonzero`, `embed_base`, `to_base` or `base_logs`,
+`subfield`, `embed_base`, `to_base` or `base_logs`,
 so root counts and a fixed-point count read off a cached sweep build
 neither. The subfield GF(2^n) is listed by doubling the span of its
 basis, and the embedding root is found in an n-bit copy of the subfield.
@@ -80,15 +80,15 @@ a command reads it at, and about 0.18 s at n = 16, where the scan for r
 is most of it (2 vCPU).
 
 The numpy paths hold encodings in int64, so they need 6n <= 63 (n <= 10)
-and raise ValueError above it. numpy is first imported by the first table
-a vector path builds (`_chunk_tables`, which every lookup table goes
-through, and the reduction table of `mul_vec`), never at import:
+and raise ValueError above it. numpy is first imported by the first call
+of a vector path (`_chunk_tables`, which every lookup table goes through,
+the reduction table of `mul_vec`, and `inv_vec`), never at import:
 construction and the scalar kernel run without it. The tables are built on
-first use and kept in `_np_tables`: byte tables of Frobenius powers and
-multipliers (`frobenius_vec`, `mult_tables`), the reduction table of
-`mul_vec`, a chunked carry-less product of masked integer products reduced
-on int64 copies of the table of `mul`, and two sets of tables the census
-reads:
+first use and kept in `_np_tables`: byte tables of Frobenius powers
+(`frobenius_vec`), the reduction table of `mul_vec`, a chunked carry-less
+product of masked integer products reduced on int64 copies of the table of
+`mul` that broadcasts its operands, and two sets of tables the census
+reads, the second also read by the orbit oracle in `mobius`:
 - `normal_tables`, the coordinates in a normal basis beta^(2^i), in which
   squaring is a rotation by one bit, so the census ranks the 6n squarings
   of a value after one table application;
@@ -530,9 +530,6 @@ class Tower:
                 tuple(base_log))
         return logs
 
-    def subfield_nonzero(self) -> tuple[int, ...]:
-        return self.subfield[1:]
-
     def _frob_plus_id_cols(self, k: int) -> tuple[int, ...]:
         """Columns of x -> x^(2^k) + x, whose kernel is GF(2^gcd(k, 6n))."""
         return tuple(c ^ (1 << j) for j, c in enumerate(self._frob_cols(k)))
@@ -607,15 +604,6 @@ class Tower:
             self._np_tables[key] = tabs
         return tabs
 
-    def mult_tables(self, c: int) -> np.ndarray:
-        """Byte tables of the fixed-multiplier map x -> c * x."""
-        key = ("mult", c)
-        tabs = self._np_tables.get(key)
-        if tabs is None:
-            tabs = self._byte_tables([self.mul(c, 1 << j) for j in range(self.big_degree)])
-            self._np_tables[key] = tabs
-        return tabs
-
     @staticmethod
     def apply_tables(tables: np.ndarray, x: np.ndarray) -> np.ndarray:
         out = tables[0][x & 0xFF]
@@ -627,7 +615,9 @@ class Tower:
         return self.apply_tables(self.frob_tables(i), x)
 
     def mul_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Elementwise products of two int64 arrays of encodings, of one shape.
+        """Elementwise products of two int64 arrays of encodings, broadcast
+        against each other as numpy operands are: shapes (1, R) and (E, 1)
+        give the (E, R) table of every product.
 
         Horner over the w-bit chunks of y, top chunk first, with
         w = min(6n, 63 - 6n): each step's shifted accumulator and product
@@ -688,17 +678,6 @@ class Tower:
             tabs = self._np_tables[("normal",)] = self._byte_tables(
                 [solver.solve(1 << j) for j in range(m)])
         return tabs
-
-    def conorm_vec(self, x: np.ndarray) -> np.ndarray:
-        """x^(q + q^2 + ... + q^5), q = 2^n, elementwise: N(x)/x for the norm
-        N(x) = x^(1 + q + ... + q^5) to GF(q). With u = x^(1 + q), it is
-        sigma^n(u * sigma^(2n)(x * sigma^n(u))): three `mul_vec` and five
-        applications of the sigma^n tables, the only Frobenius tables read."""
-        tabs = self.frob_tables(self.n)
-        u = self.mul_vec(x, self.apply_tables(tabs, x))
-        t = self.mul_vec(x, self.apply_tables(tabs, u))  # x^(1 + q + q^2)
-        s = self.mul_vec(u, self.apply_tables(tabs, self.apply_tables(tabs, t)))
-        return self.apply_tables(tabs, s)
 
     def _cubic_logs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The tables of `inv_vec`, built on first use and kept with the
@@ -822,7 +801,10 @@ class Tower:
         and the two quotients are sums of logs, and a sum that holds log 0
         is clipped onto the zero entry of exp; a second table application
         returns to encodings. No product in GF(q^6). The tables hold
-        2^(3n) entries, so n = 8..10 are refused with a ValueError."""
+        2^(3n) entries, so n = 8..10 are refused with a ValueError. Its
+        callers are the census's cross-ratio (`counting._cross_ratio`) and
+        the orbit oracle's representatives
+        (`mobius.suborbit_representatives`)."""
         import numpy as np
         if self.big_degree > 63:
             raise ValueError("vectorized paths need encodings below 64 bits")

@@ -2,12 +2,14 @@
 
 Each PGL(2, 2^n) orbit of a degree-6 element is the disjoint union of the
 2^n + 1 affine classes {e*beta + f} of its `suborbit_representatives`, and
-`pgl_orbit_array` expands an orbit element by element. The representatives
-are in norm form, N(z)/z for z = alpha + g, the power `Tower.conorm_vec`
-builds. The census in `counting` never builds
-an orbit: it keys affine classes by the cross-ratio, which is constant on
-each orbit. These two builders are the element-level orbit oracle the
-tests check the census and the class decomposition against.
+`pgl_orbit_array` expands an orbit element by element. Both run on the
+vector kernel the census uses: the representatives are 1/(alpha + g), by
+`Tower.inv_vec`, and the expansion multiplies them by GF(2^n)* in one
+`Tower.mul_vec`, so the oracle serves n <= 7, as the census does. The
+census in `counting` never builds an orbit: it keys affine classes by the
+cross-ratio, which is constant on each orbit. These two builders are the
+element-level orbit oracle the tests check the census and the class
+decomposition against.
 
 A projective point is an int: a field encoding, or infinity(ctx) = 2^(6n),
 one past the largest encoding, so points stay dense and sortable. Semi-linear
@@ -17,7 +19,8 @@ equality coincides with equality in the projective group. The group law
 (composition, inverses) is a test oracle in `tests/conftest.py`: the package
 only applies maps. The maps and their scalar evaluation run without numpy;
 it is first imported by `suborbit_representatives` and `pgl_orbit_array`,
-the two orbit builders.
+the two orbit builders, and they build no byte table of their own: the
+tables are those of `inv_vec` and `mul_vec`.
 """
 
 from __future__ import annotations
@@ -137,27 +140,18 @@ def random_degree_six(ctx: Tower, rng: random.Random) -> int:
 # ----------------------------------------------------------------- orbits
 
 
-def _require_degree_six(ctx: Tower, x: np.ndarray) -> None:
-    """Neither sigma^(2n) nor sigma^(3n) fixes x, both reached by sigma^n
-    steps, on the one Frobenius table `conorm_vec` reads too."""
-    n = ctx.n
-    y = ctx.frobenius_vec(ctx.frobenius_vec(x, n), n)
-    if ((y == x) | (ctx.frobenius_vec(y, n) == x)).any():
-        raise ValueError("element must have degree 6 over the base field")
-
-
 def suborbit_representatives(ctx: Tower, alpha: int | np.ndarray) -> np.ndarray:
     """Representatives of the 2^n + 1 affine suborbits partitioning the orbit
-    of alpha, as an int64 array: alpha, then z^(q + q^2 + q^3 + q^4 + q^5)
-    for z = alpha + g, g in the subfield, q = 2^n. That power is N(z) / z
-    with the norm N(z) = z^(1 + q + ... + q^5) in GF(q)*, so it lies in the
-    affine class of 1/(alpha + g). For an array of alphas, one row per
-    alpha; the power is `Tower.conorm_vec`."""
+    of alpha, as an int64 array: alpha, then 1/(alpha + g) for g in the
+    subfield, ascending, by `Tower.inv_vec` (n <= 7). For an array of
+    alphas, one row per alpha; each alpha must have degree 6
+    (`Tower.is_degree_six`)."""
     import numpy as np
     alpha = np.asarray(alpha, dtype=np.int64)[..., None]
-    _require_degree_six(ctx, alpha)
+    if not all(map(ctx.is_degree_six, alpha.ravel().tolist())):
+        raise ValueError("element must have degree 6 over the base field")
     z = alpha ^ np.array(ctx.subfield, dtype=np.int64)
-    return np.concatenate([alpha, ctx.conorm_vec(z)], axis=-1)
+    return np.concatenate([alpha, ctx.inv_vec(z)], axis=-1)
 
 
 def pgl_orbit_array(ctx: Tower, alpha: int) -> np.ndarray:
@@ -165,11 +159,11 @@ def pgl_orbit_array(ctx: Tower, alpha: int) -> np.ndarray:
 
     The element-level expansion of the affine-class decomposition: the
     2^n + 1 suborbit representatives, then e*rep + f for e in GF(2^n)*
-    (outermost), rep, and f in GF(2^n) (innermost), multiplying by e through
-    `Tower.mult_tables`. Size 2^(3n) - 2^n; no duplicates.
+    (outermost), rep, and f in GF(2^n) (innermost), the products e*rep in
+    one broadcast `Tower.mul_vec`. Size 2^(3n) - 2^n; no duplicates.
     """
     import numpy as np
     reps = suborbit_representatives(ctx, alpha)
-    multiples = np.stack([ctx.apply_tables(ctx.mult_tables(e), reps)
-                          for e in ctx.subfield_nonzero()])
-    return (multiples[:, :, None] ^ np.array(ctx.subfield, dtype=np.int64)).reshape(-1)
+    sub = np.array(ctx.subfield, dtype=np.int64)
+    multiples = ctx.mul_vec(reps[None, :], sub[1:, None])
+    return (multiples[:, :, None] ^ sub).reshape(-1)

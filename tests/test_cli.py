@@ -10,8 +10,13 @@ import pytest
 
 from conftest import load_bench_run
 from goppa_orbits import cli, codes, counting, make_tower, schema
-from goppa_orbits.cli import _ROOT_EXPECTED, main
-from goppa_orbits.counting import MAX_CLOSED_FORM_N, burnside_numerator, is_prime
+from goppa_orbits.cli import main
+from goppa_orbits.counting import (
+    MAX_CLOSED_FORM_N,
+    ROOT_EXPECTED,
+    burnside_numerator,
+    is_prime,
+)
 from goppa_orbits.gf2tower import Tower
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -56,9 +61,10 @@ def test_bound_text_mode(capsys):
 
 
 def test_bound_rejects_nonprime(capsys):
-    code, _, err = run(capsys, "bound", "--n", "4")
-    assert code == 2
-    assert "prime" in err
+    for n in ("4", "3", "1", "-5"):  # counting's refusal of the closed forms, one line
+        code, out, err = run(capsys, "bound", "--n", n)
+        assert (code, out) == (2, ""), n
+        assert err == "error: closed forms require a prime n greater than 3\n", n
 
 
 def test_closed_forms_run_at_the_cap(capsys):
@@ -406,7 +412,7 @@ def test_roots_linear_equations_match_at_n11_and_n13(capsys):
                                     "--which", which, "--json")
             assert code == 0 and obj["match"] is True
             assert obj["in_degree_six"] == obj["expected_in_degree_six"] == (
-                _ROOT_EXPECTED[which](n))
+                ROOT_EXPECTED[which](n))
 
 
 def test_code_and_equiv_refuse_n12(capsys):
@@ -462,7 +468,7 @@ def test_roots_eq41_runs_to_the_tower_cap(capsys):
     code, obj, _ = run_json(capsys, "roots", "roots", "--n", "13", "--which",
                             "eq_41", "--json")
     assert code == 0 and obj["match"] is True
-    assert obj["in_degree_six"] == obj["expected_in_degree_six"] == _ROOT_EXPECTED["eq_41"](13)
+    assert obj["in_degree_six"] == obj["expected_in_degree_six"] == ROOT_EXPECTED["eq_41"](13)
     code, out, err = run(capsys, "roots", "--n", "17", "--which", "eq_41")
     assert code == 3 and out == ""
     assert err == ("infeasible: n=17: the root counts work in the tower GF(2^102), "

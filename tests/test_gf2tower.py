@@ -361,7 +361,6 @@ def test_root_counts_and_a_cached_sweep_build_no_subfield():
 
 READERS = {
     "subfield": lambda ctx: ctx.subfield,
-    "subfield_nonzero": lambda ctx: ctx.subfield_nonzero(),
     "embed_base": lambda ctx: ctx.embed_base(1),
     "to_base": lambda ctx: ctx.to_base(1),
     "base_logs": lambda ctx: ctx.base_logs(),

@@ -88,13 +88,19 @@ def test_suborbit_rejects_low_degree(tower5):
 
 
 def test_degree_check_reads_only_the_sigma_n_tables():
+    """The scalar degree test walks the sigma^n columns; it builds no
+    Frobenius byte table, and still rejects elements of degree 2 and 3."""
     ctx = make_tower(5)
-    suborbit_representatives(ctx, random_degree_six(ctx, random.Random(9)))
-    assert [k for k in ctx._np_tables if k[0] == "frob"] == [("frob", 5)]
+    alpha = random_degree_six(ctx, random.Random(9))
+    suborbit_representatives(ctx, alpha)
+    assert [k for k in ctx._np_tables if k[0] == "frob"] == []
+    assert sorted(ctx._frob_cache) == [0, 5]
     for bits in (10, 15):  # degree 2 and degree 3 over GF(2^5)
         x = next(b for b in ctx._fixed_field_basis(bits) if ctx.frobenius(b, 5) != b)
         with pytest.raises(ValueError, match="degree 6"):
             suborbit_representatives(ctx, x)
+        with pytest.raises(ValueError, match="degree 6"):  # one bad row in an array
+            suborbit_representatives(ctx, np.array([alpha, x], dtype=np.int64))
 
 
 def test_pgl_orbit_size_and_disjoint_suborbits(tower5):
@@ -116,19 +122,22 @@ def test_orbit_invariant_under_member_replacement(tower2):
         assert np.array_equal(base, again)
 
 
-def test_orbit_matches_brute_force(tower2):
+@pytest.mark.parametrize("n", [2, 3])
+def test_orbit_matches_brute_force(n):
     """Apply every group element directly; the suborbit walk must agree."""
-    sub = tower2.subfield
+    ctx = make_tower(n)
+    sub = ctx.subfield
     maps = []
     for a in sub:
         for b in sub:
             for c in sub:
                 for d in sub:
-                    if tower2.mul(a, d) ^ tower2.mul(b, c):
-                        maps.append(make_map(tower2, a, b, c, d, 0))
-    alpha = random_degree_six(tower2, random.Random(7))
-    brute = {apply_map(tower2, m, alpha) for m in maps}
-    assert brute == set(pgl_orbit_array(tower2, alpha).tolist())
+                    if ctx.mul(a, d) ^ ctx.mul(b, c):
+                        maps.append(make_map(ctx, a, b, c, d, 0))
+    assert len(maps) == (1 << n) * ((1 << 2 * n) - 1) * ((1 << n) - 1)  # |GL(2, 2^n)|
+    alpha = random_degree_six(ctx, random.Random(7))
+    brute = {apply_map(ctx, m, alpha) for m in maps}
+    assert brute == set(pgl_orbit_array(ctx, alpha).tolist())
 
 
 def test_canonical_rep_constant_on_orbits(tower5):

@@ -3,7 +3,8 @@ class of `src/goppa_orbits` is reached, by name, from the `cli` entry points
 (every `cmd_*`, `main`, `build_parser`, and the modules' top-level
 statements) or from a name the benchmark traces (`TRACED_FUNCTIONS` in
 `bench/run.py`). Dunder methods are exempt, and run whenever their class is
-reached. Code that only tests call belongs in `tests/`."""
+reached. Code that only tests call belongs in `tests/`. The names that only
+the benchmark reaches are listed exactly, so no new one joins them."""
 
 import ast
 from pathlib import Path
@@ -51,3 +52,18 @@ def unreached(traced):
 
 def test_every_public_name_is_reached_from_the_cli_or_the_benchmark(monkeypatch):
     assert unreached(set(load_bench_run(monkeypatch).TRACED_FUNCTIONS)) == []
+
+
+# kept alive only by the benchmark's traced names, until the next change to
+# `bench/` drops them; a new name reached from nowhere else fails here
+BENCHMARK_ONLY = [
+    "codes.extend_code",
+    "gf2poly.lowest_irreducible",
+    "gf2tower.Tower.inv_batch",
+    "mobius.pgl_orbit_array",
+    "mobius.suborbit_representatives",
+]
+
+
+def test_the_names_only_the_benchmark_reaches_are_pinned():
+    assert unreached(set()) == BENCHMARK_ONLY
