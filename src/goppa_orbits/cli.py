@@ -3,7 +3,12 @@
 Exit codes: 0 success (and all verified claims matched), 1 a verified claim
 mismatched (falsification), 2 usage or domain error, 3 infeasible request,
 4 the reader closed the output pipe before the report was written (as
-`goppa-orbits census --n 5 --json | head -1` does).
+`goppa-orbits code --n 11 --alpha random --seed 1 --extended --json | head -c 1`
+does).
+
+A `--json` report is one line of JSON with sorted keys, written by the C
+encoder of the `json` module (an `indent` would send it through the
+pure-Python one); `python -m json.tool` prints it indented.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ def _code_cost_check(n: int) -> None:
 def _emit(args, kind: str, obj: dict, lines: list[str]) -> None:
     if args.json:
         schema.validate(kind, obj)
-        print(json.dumps(obj, indent=2, sort_keys=True))
+        print(json.dumps(obj, sort_keys=True))
     else:
         for line in lines:
             print(line)
@@ -115,6 +120,10 @@ def cmd_census(args) -> int:
     if args.workers < 1:
         raise ValueError("workers must be positive")
     census = counting.global_orbit_census(ctx)
+    # `to_hex` for each row, with its range check made once for all of them
+    if census.records and max(r.rep for r in census.records) >= ctx.order:
+        raise ValueError("encoding out of range")
+    spec = f"0{ctx.hex_width}x"
     bound = match = None
     note = ""
     if args.n > 3 and counting.is_prime(args.n):
@@ -129,7 +138,7 @@ def cmd_census(args) -> int:
         "orbit_size_histogram": {str(s): c for s, c in census.orbit_sizes},
         "elements_visited": census.elements_visited,
         "orbits": [
-            {"rep": ctx.to_hex(r.rep), "pgl_orbits": r.pgl_orbits,
+            {"rep": format(r.rep, spec), "pgl_orbits": r.pgl_orbits,
              "size": r.pgl_orbits * census.pgl_orbit_size}
             for r in census.records
         ],

@@ -175,16 +175,34 @@ def test_fixed_reports_skipped_oracle(capsys):
     assert obj["oracle"] is None and obj["closed_form"] == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("bound", "--n", "5"),
+    ("census", "--n", "2"),
+    ("fixed", "--n", "2", "--d", "6"),
+    ("fixed", "--n", "5", "--table", "--nmax", "13"),
+    ("roots", "--n", "5", "--which", "eq_deg8"),
+    ("code", "--n", "5", "--alpha", "random", "--seed", "1", "--extended"),
+    ("equiv", "--n", "5", "--alpha", "random", "--map", "random", "--seed", "3"),
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:4]))
+def test_json_report_is_one_compact_line(capsys, argv):
+    """Every report is the compact encoding of its object, so the C encoder writes it."""
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert out.count("\n") == 1
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
 def test_closed_pipe_ends_with_one_line(tmp_path):
-    """The reader stops after one line: exit 4 and one stderr line, no traceback."""
+    """The reader stops after one byte: exit 4 and one stderr line, no traceback."""
     env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
     with subprocess.Popen(
-            [sys.executable, "-m", "goppa_orbits.cli", "census", "--n", "5", "--json"],
+            [sys.executable, "-m", "goppa_orbits.cli", "code", "--n", "11", "--alpha",
+             "random", "--seed", "1", "--extended", "--json"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=tmp_path) as proc:
-        first = proc.stdout.readline()
-        proc.stdout.close()  # the report is over 64 KiB, more than the pipe holds
+        first = proc.stdout.read(1)
+        proc.stdout.close()  # the report is about 1 MiB, more than the pipe holds
         err = proc.stderr.read().decode()
-    assert first == b"{\n" and proc.returncode == 4
+    assert first == b"{" and proc.returncode == 4
     assert err == "error: the output pipe was closed before the report was written\n"
 
 
@@ -440,16 +458,21 @@ def test_census_and_roots_refuse_n17_before_building_a_tower(capsys, monkeypatch
 
 
 def test_code_and_equiv_at_largest_accepted_n(capsys):
-    # sha256 of the full reports; neither report carries a timing field
+    # sha256 of the full reports, indented as they were when the digests were
+    # recorded; neither report carries a timing field
+    def digest(out):
+        text = json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        return hashlib.sha256(text.encode()).hexdigest()
+
     code, out, _ = run(capsys, "code", "--n", "11", "--alpha", "random", "--seed", "0",
                        "--extended", "--json")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
+    assert digest(out) == (
         "827af3840d4f81606c845ed9b52ceb387421479f741418eaf9d2952913ff3103")
     code, out, _ = run(capsys, "equiv", "--n", "11", "--alpha", "random", "--map", "random",
                        "--seed", "1", "--json")
     assert code == 0 and json.loads(out)["verified"] is True
-    assert hashlib.sha256(out.encode()).hexdigest() == (
+    assert digest(out) == (
         "d2bbded041bc47389ae9d1b2d1cf8f0a141565a389671beb21f443130d562e81")
 
 
