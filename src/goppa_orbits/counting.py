@@ -238,11 +238,11 @@ def _class_elements(ctx: Tower, ranks: np.ndarray) -> np.ndarray:
 
 
 class SweepRecord(NamedTuple):
-    """One semi-linear orbit: representative, linear-orbit count, fixed-power mask."""
+    """One semi-linear orbit: its representative and t, its count of linear
+    orbits; sigma^p fixes each member orbit iff t divides p, and t | 6n."""
 
     rep: int
     pgl_orbits: int
-    fixed_mask: int  # bit p set iff the Frobenius power p fixes each member orbit
 
 
 @dataclass(frozen=True)
@@ -312,11 +312,10 @@ def _run_sweep(ctx: Tower) -> OrbitCensus:
     The scan walks the class ranks upward in blocks, takes one element of
     each class (`_class_elements`), drops the q + 2 classes inside GF(q^2)
     and GF(q^3), where mu = 0, and accepts a class when its canonical mu is
-    new. It records the element, t, the least p >= 1 with mu^(2^p) = mu, as
-    the count of linear orbits, and sets bit p of fixed_mask iff
-    mu^(2^p) = mu, that is, iff t divides p. An accepted class is the least
-    of its orbit, as every class below it was scanned first, so records come
-    out in ascending class rank.
+    new. It records the element and t, the least p >= 1 with
+    mu^(2^p) = mu, as the count of linear orbits; mu^(2^p) = mu iff t
+    divides p. An accepted class is the least of its orbit, as every class
+    below it was scanned first, so records come out in ascending class rank.
 
     The scan stops when the accepted orbits' classes, t(q + 1) each, sum to
     the (q^5 - 1)/(q - 1) - (q + 2) degree-6 classes. This certifies the
@@ -336,7 +335,6 @@ def _run_sweep(ctx: Tower) -> OrbitCensus:
     start = time.perf_counter()
     count = (q ** 5 - 1) // (q - 1)
     degree_six_classes = count - (q + 2)
-    cyclic = {t: sum(1 << p for p in range(t, m, t)) for t in range(1, m + 1)}  # fixed_mask of t
     seen = np.array([-1])  # canonical mu of the records, sorted, after a sentinel
     records: list[SweepRecord] = []
     covered = 0
@@ -357,8 +355,7 @@ def _run_sweep(ctx: Tower) -> OrbitCensus:
             continue
         seen = np.insert(seen, seen.searchsorted(canon[new]), canon[new])
         new = new[np.argsort(first[new])]
-        records += [SweepRecord(rep=rep, pgl_orbits=tj, fixed_mask=cyclic[tj])
-                    for rep, tj in zip(alpha[first[new]].tolist(), t[new].tolist())]
+        records += map(SweepRecord, alpha[first[new]].tolist(), t[new].tolist())
         covered += int(t[new].sum()) * (q + 1)
         if covered >= degree_six_classes:
             break
@@ -414,16 +411,10 @@ def fixed_point_oracle(ctx: Tower, d: int) -> int:
     census.
 
     Formula-free: sigma^d fixes the linear orbits of a record iff
-    mu^(2^d) = mu for its cross-ratio mu, bit d of its fixed_mask, and the
-    census's stop certifies that each record's t is exact.
+    mu^(2^d) = mu for its cross-ratio mu, that is, iff its t divides d, and
+    the census's stop certifies that each record's t is exact.
     """
-    _sweep_cost_check(ctx.n)
-    sweep = _sweep(ctx)
-    d_red = d % ctx.big_degree
-    if d_red == 0:
-        return sweep.pgl_orbit_count
-    return sum(r.pgl_orbits for r in sweep.records
-               if (r.fixed_mask >> d_red) & 1)
+    return sum(r.pgl_orbits for r in _sweep(ctx).records if d % r.pgl_orbits == 0)
 
 
 # ---------------------------------------------------------------- root counts

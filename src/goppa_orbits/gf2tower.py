@@ -32,9 +32,10 @@ The scalar kernel:
   power used once.
 - `_frob_cols(i)`, the columns of x -> x^(2^i), are the powers z^j of
   z = x^(2^i), cached per i; a new i costs i squarings, and its columns
-  (`_power_cols`) 3n - 1 squarings, z^(2j) = (z^j)^2, and 3n - 1 products.
-  `_frob_plus_id_cols` and `frob_tables` build on them, and `_apply_cols`
-  is the one GF(2)-linear map application.
+  3n - 1 squarings, z^(2j) = (z^j)^2, and 3n - 1 products. `_powers` is
+  the one power builder, also behind the sigma^n columns of `__init__` and
+  the subfield models. `_frob_plus_id_cols` and `frob_tables` build on the
+  columns, and `_apply_cols` is the one GF(2)-linear map application.
 - The degree tests walk the orbit of x under sigma^n on the sigma^n columns
   that `__init__` builds: the degree over GF(2^n) is the first d with
   sigma^(dn)(x) = x, and a degree-6 test takes three steps. So
@@ -60,24 +61,28 @@ about 0.12-0.16 ms at n = 5, 0.19-0.27 ms at n = 7, 1.1-1.4 ms at n = 16,
 and 0.09-0.13 ms at n = 4 with the given modulus 24,4,3,1,0 (2 vCPU; the
 host drifts by up to half).
 
+A subfield GF(2^d), d | 6n, has one model, `_trace_models(d)`: for each
+draw z of random.Random(0).getrandbits(6n), the trace
+w = z + sigma^d(z) + ... + sigma^(6n-d)(z), walked on the sigma^n
+columns, lies in GF(2^d), and when the one relation among w^0..w^d (one
+`_ColumnSolver`) has degree d it is the minimal polynomial m_w, so
+y -> w maps K = GF(2)[y]/(m_w) onto GF(2^d); a trace in a proper subfield
+is skipped. The embedding and the log tables of `inv_vec` both start from
+such a model, of GF(2^n) and of GF(q^3).
+
 The subfield and the embedding are built together on the first read of
-`subfield`, `embed_base`, `to_base` or `base_logs`,
-so root counts and a fixed-point count read off a cached sweep build
-neither. The subfield GF(2^n) is listed by doubling the span of its
-basis, and the embedding root is found in an n-bit copy of the subfield.
-The least subfield element w of degree n over GF(2), found by squarings
-(w^(2^(n/p)) != w for each prime p | n), has a minimal polynomial m_w, the
-one relation among w^0..w^n (one `_ColumnSolver`), so y -> w maps
-K = GF(2)[y]/(m_w) onto the subfield. `gf2poly.field_root` finds the
-least root r of modulus_base in K by an ascending scan on n-bit integers;
-gamma, the enc-least root in the big field, is the least image of the n
-conjugates r^(2^i), and the embedding columns are the images of 1, r, ...,
-r^(n-1). So the big field spends n products on the powers of w and a few
-squarings per candidate on the search for w. The embedding is checked in
-O(n): its n columns are independent and fixed by sigma^n. This first read
-costs about 0.2-0.3 ms at n = 5 and 7 and 2 ms at n = 11, the largest n
-a command reads it at, and about 0.18 s at n = 16, where the scan for r
-is most of it (2 vCPU).
+`subfield`, `embed_base`, `to_base` or `base_logs`, so root counts and a
+fixed-point count read off a cached sweep build neither. From the first
+model of GF(2^n), `gf2poly.field_root` finds the least root r of
+modulus_base in K by an ascending scan on n-bit integers; gamma, the
+enc-least root in the big field, is the least image of the n conjugates
+r^(2^i), whatever w is, and the embedding columns are the images of 1, r,
+..., r^(n-1). One doubling over those columns lists the subfield and the
+span in embed order that `base_logs` reads. The embedding is checked in
+O(n): its n columns are independent and fixed by sigma^n. This first read,
+with `base_logs`, costs about 0.1-0.2 ms at n = 4 and 5, 0.3-0.4 ms at
+n = 7 and 9-11 ms at n = 11, the largest n a command reads it at, where
+the scan for r is most of it (2 vCPU).
 
 The numpy paths hold encodings in int64, so they need 6n <= 63 (n <= 10)
 and raise ValueError above it. numpy is first imported by the first call
@@ -109,9 +114,9 @@ reads, the second also read by the orbit oracle in `mobius`:
 Linear algebra over GF(2) has one elimination, `_ColumnSolver`: it reduces
 int-bitmask vectors at their least set bits and keeps the input combination
 behind each pivot. Walking the inputs from last to first makes its kernel
-basis come out in reduced row echelon form. That kernel gives the subfields
-(of the columns of x -> x^(2^k) + x, `_frob_plus_id_cols`) and every binary
-code; `solve` inverts GF(2)-linear maps, and its `rref` is `codes.rref`.
+basis come out in reduced row echelon form. That kernel gives the minimal
+polynomial of a trace (`_trace_models`) and every binary code; `solve`
+inverts GF(2)-linear maps, and its `rref` is `codes.rref`.
 `solve_affine_linearized` hands back the solutions of a linearized equation
 as a coset, a particular solution and a kernel basis, so a root count is a
 rank and never a list of roots.
@@ -127,6 +132,8 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import gf2poly
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     import numpy as np
 
 __all__ = [
@@ -156,6 +163,7 @@ _HEX = re.compile(r"[0-9a-fA-F]+")
 # the generators `Tower._cubic_logs` tries in GF(2)[y]/(m_w), as the roots a of
 # their factors y + a: y, y + 1 and y (y + 1), each product a shift (and an add)
 _GENERATORS = ((0,), (1,), (0, 1))
+_DRAWS = 64  # draws `Tower._trace_models` takes before it gives up
 _CHUNK = 1 << 16  # elements per numpy pass while `Tower._cubic_logs` fills its tables
 
 # every fourth bit, from bit i, below bit 63: the slots of `Tower.mul_vec`
@@ -279,10 +287,12 @@ class BaseLogs(NamedTuple):
 
 class _Embedding(NamedTuple):
     """The base subfield (sorted) and the embedding of GF(2^n) onto it: its
-    columns gamma^0..gamma^(n-1) and their elimination, which projects back."""
+    columns gamma^0..gamma^(n-1), their span in embed order (span[a] =
+    embed_base(a)) and their elimination, which projects back."""
 
     subfield: tuple[int, ...]
     cols: list[int]
+    span: list[int]
     project: _ColumnSolver
 
 
@@ -294,8 +304,8 @@ class Tower:
     checked like given ones. The embedding sends the base field's
     generator (x mod modulus_base) to the enc-least root of modulus_base in
     the big field, so encodings are reproducible across runs; it and the
-    subfield list are built on first read (`_embedding`), the moduli
-    checks at construction.
+    subfield list are built on first read (`_embedding`, from a model of
+    the subfield, `_trace_models`), the moduli checks at construction.
     """
 
     def __init__(self, n: int, modulus_base: int | None = None,
@@ -339,45 +349,23 @@ class Tower:
         if not gf2poly.is_irreducible(modulus_big, chain=chain):
             raise ValueError("modulus_big must be irreducible of degree 6n")
         self._frob_cache: dict[int, list[int]] = {
-            0: [1 << j for j in range(m)], n: self._power_cols(chain[n])}
+            0: [1 << j for j in range(m)], n: self._powers(chain[n], m)}
         self._np_tables: dict[tuple, object] = {}  # per-tower tables, built on first use
 
     @functools.cached_property
     def _embedding(self) -> _Embedding:
-        """The subfield GF(2^n) and the embedding of the base field into it,
+        """The subfield GF(2^n) and the embedding of the base field onto it,
         built together on the first read of `subfield`, `embed_base`,
-        `to_base` or `base_logs`: the embedding search walks the subfield,
-        and every command that lists the subfield also embeds."""
-        n = self.n
-        # the subfield as Python ints (6n may exceed 63 bits): the span of
-        # its basis, doubled one basis vector at a time
-        span = [0]
-        for b in self._fixed_field_basis(n):
-            span += [v ^ b for v in span]
-        subfield = tuple(sorted(span))
+        `to_base` or `base_logs`.
 
-        # w, the least subfield element of degree n over GF(2) (0 and 1 have
-        # degree 1), and its minimal polynomial m_w, the one relation among
-        # w^0..w^n: y -> w maps K = GF(2)[y]/(m_w) onto the subfield, so the
-        # roots of modulus_base in the subfield are the images of its n
-        # conjugate roots in K, and gamma, the enc-least of them, is the
-        # image of the least conjugate. A candidate's degree is tested by
-        # squarings, w^(2^(n/p)) != w for each prime p | n, before its powers
-        # are built.
-        steps = [n // p for p in gf2poly._prime_factors(n)]
-        for w in subfield[2:]:
-            z = [w]  # w^(2^k), k <= n/p for the least prime p | n
-            for _ in range(max(steps)):
-                z.append(self.square(z[-1]))
-            if all(z[k] != w for k in steps):
-                break
-        powers = [1]
-        for _ in range(n):
-            powers.append(self.mul(powers[-1], w))
-        kernel = _ColumnSolver(powers).kernel_basis
-        if len(kernel) != 1:
-            raise AssertionError("subfield element of degree n has no unique relation")
-        m_w, to_big = kernel[0], powers[:n]
+        The first model of GF(2^n) (`_trace_models`) gives w and its minimal
+        polynomial m_w: y -> w maps K = GF(2)[y]/(m_w) onto the subfield, so
+        the roots of modulus_base there are the images of its n conjugate
+        roots in K, and gamma, the enc-least of them, is the image of the
+        least conjugate. The subfield and the span in embed order come from
+        one doubling over the columns gamma^0..gamma^(n-1)."""
+        n = self.n
+        to_big, m_w = next(self._trace_models(n))
         r = gf2poly.field_root(self.modulus_base, m_w)
         conjugates = [r]
         for _ in range(n - 1):
@@ -392,7 +380,33 @@ class Tower:
         # n independent columns fixed by sigma^n span the n-dimensional fixed field
         if project.kernel_basis or any(self.frobenius(c, n) != c for c in cols):
             raise AssertionError("embedding image differs from the fixed field")
-        return _Embedding(subfield, cols, project)
+        span = [0]  # span[a] = embed_base(a), doubled on one column a step
+        for c in cols:
+            span += [v ^ c for v in span]
+        return _Embedding(tuple(sorted(span)), cols, span, project)
+
+    def _trace_models(self, d: int) -> Iterator[tuple[list[int], int]]:
+        """Models of the subfield GF(2^d), d | 6n, as (w^0..w^(d-1), m_w).
+
+        For each draw z of random.Random(0).getrandbits(6n), w is its trace
+        Tr(z) = z + sigma^d(z) + ... + sigma^(6n-d)(z), which lies in
+        GF(2^d), and m_w is the one relation among w^0..w^d (one
+        `_ColumnSolver`). When it has degree d, m_w is the minimal polynomial
+        of w and y -> w maps K = GF(2)[y]/(m_w) onto GF(2^d) with columns
+        w^0..w^(d-1); a trace in a proper subfield has more than one relation
+        and is skipped. Raises AssertionError after _DRAWS draws."""
+        m = self.big_degree
+        rng = random.Random(0)
+        for _ in range(_DRAWS):
+            z = w = rng.getrandbits(m)
+            for _ in range(m // d - 1):
+                z = self.frobenius(z, d)
+                w ^= z
+            powers = self._powers(w, d + 1)
+            kernel = _ColumnSolver(powers).kernel_basis
+            if len(kernel) == 1:
+                yield powers[:d], kernel[0]
+        raise AssertionError(f"{_DRAWS} draws gave no usable model of GF(2^{d})")
 
     @property
     def subfield(self) -> tuple[int, ...]:
@@ -436,18 +450,18 @@ class Tower:
 
     # ------------------------------------------------------------- frobenius
 
-    def _power_cols(self, z: int) -> list[int]:
-        """z^0..z^(6n - 1): z^(2j) = (z^j)^2 and z^(2j + 1) = z^(2j) * z."""
-        cols = [1, z]
-        for j in range(2, self.big_degree):
-            cols.append(self.mul(cols[-1], z) if j & 1 else self.square(cols[j >> 1]))
-        return cols
+    def _powers(self, z: int, count: int) -> list[int]:
+        """z^0..z^(count - 1), count >= 2: z^(2j) = (z^j)^2 and z^(2j + 1) = z^(2j) * z."""
+        powers = [1, z]
+        for j in range(2, count):
+            powers.append(self.mul(powers[-1], z) if j & 1 else self.square(powers[j >> 1]))
+        return powers
 
     def _frob_cols(self, i: int) -> list[int]:
         """Columns of x -> x^(2^i) in the polynomial basis, cached per i.
 
         Column j is z^j with z = x^(2^i): i squarings, then the powers of z
-        (`_power_cols`).
+        (`_powers`).
         """
         i %= self.big_degree
         cols = self._frob_cache.get(i)
@@ -455,7 +469,7 @@ class Tower:
             z = 2
             for _ in range(i):
                 z = self.square(z)
-            cols = self._frob_cache[i] = self._power_cols(z)
+            cols = self._frob_cache[i] = self._powers(z, self.big_degree)
         return cols
 
     def frobenius(self, x: int, i: int) -> int:
@@ -518,9 +532,7 @@ class Tower:
                     exp.append(nxt)
                 if len(exp) == q - 1:
                     break
-            span = [0]  # span[a] = embed_base(a), by doubling on the columns
-            for c in self._embed_cols:
-                span += [v ^ c for v in span]
+            span = self._embedding.span
             embedded = tuple(span[a] for a in exp)
             base_log: list[int | None] = [None] * q
             for k, a in enumerate(exp):
@@ -533,15 +545,6 @@ class Tower:
     def _frob_plus_id_cols(self, k: int) -> tuple[int, ...]:
         """Columns of x -> x^(2^k) + x, whose kernel is GF(2^gcd(k, 6n))."""
         return tuple(c ^ (1 << j) for j, c in enumerate(self._frob_cols(k)))
-
-    def _fixed_field_basis(self, bits: int) -> tuple[int, ...]:
-        """A GF(2)-basis of the subfield GF(2^bits): the kernel of x^(2^bits) + x."""
-        if self.big_degree % bits:
-            raise ValueError("not a subfield of the tower's big field")
-        basis = _ColumnSolver(self._frob_plus_id_cols(bits)).kernel_basis
-        if len(basis) != bits:
-            raise AssertionError("subfield dimension mismatch")
-        return basis
 
     # --------------------------------------------------------- polynomials
 
@@ -690,18 +693,20 @@ class Tower:
         and exp[2(2^k - 1)] = 0 = exp[log 0].
 
         GF(q^3) is the kernel of sigma^(3n) + id and the image of the trace
-        Tr(z) = z + sigma^(3n)(z). Draws z come from
-        random.Random(0).getrandbits(6n). For the first with s = Tr(z)
-        nonzero, t = z / s has t + sigma^(3n)(t) = 1, and c = t^2 + t lies
-        in GF(q^3). w is the first trace of a draw whose minimal polynomial
-        m_w (the one relation among w^0..w^(3n), `_ColumnSolver`) has degree
-        3n and has y, y + 1 or y (y + 1) for a generator g of
-        K = GF(2)[y]/(m_w) (`gf2poly.is_generator`, on 3n-bit integers). So
-        x = u + v t with u, v in K, read in the basis w^0..w^(3n-1), and
-        exp[i] = g^i: the first 64 by shifts, then doubled on the tables of
-        the products by g^64, g^128, ..., each read on the low and the high
-        half of g^i. Raises AssertionError when t, c, the change of basis or
-        the powers of g are not what they must be."""
+        Tr(z) = z + sigma^(3n)(z). For the first draw z of
+        random.Random(0).getrandbits(6n) with s = Tr(z) nonzero, t = z / s
+        has t + sigma^(3n)(t) = 1, and c = t^2 + t lies in GF(q^3). w and
+        m_w are the first model of GF(q^3) (`_trace_models`) whose
+        K = GF(2)[y]/(m_w) has y, y + 1 or y (y + 1) for a generator g
+        (`gf2poly.is_generator`, on 3n-bit integers). So x = u + v t with
+        u, v in K, read in the basis w^0..w^(3n-1), and exp[i] = g^i: the
+        first 64 by shifts, then doubled on the tables of the products by
+        g^64, g^128, ..., each read on the low and the high half of g^i.
+        The packed coordinates fill 9n bits of one int64, so besides the
+        2^(3n) entries of the log tables they too need n <= 7: at n = 8 the
+        shift by 2k runs past bit 63 without an error. Raises AssertionError
+        when t, c, the change of basis or the powers of g are not what they
+        must be."""
         logs = self._np_tables.get(("cubic_logs",))
         if logs is not None:
             return logs
@@ -718,21 +723,9 @@ class Tower:
         c = self.square(t) ^ t
         if self.frobenius(c, k) != c:
             raise AssertionError("c = t^2 + t lies outside GF(q^3)")
-        for _ in range(64):  # every element of GF(q^3) is a trace: a draw rarely fails
-            powers = [1, s]  # as in `_power_cols`
-            for j in range(2, k + 1):
-                powers.append(self.mul(powers[-1], s) if j & 1 else self.square(powers[j >> 1]))
-            kernel = _ColumnSolver(powers).kernel_basis
-            if len(kernel) == 1:
-                m_w = kernel[0]
-                g = next((g for g in _GENERATORS if gf2poly.is_generator(m_w, g)), None)
-                if g is not None:
-                    break
-            z = rng.getrandbits(m)
-            s = z ^ self.frobenius(z, k)
-        else:
-            raise AssertionError("64 draws gave no generator of GF(q^3)*")
-        cols = powers[:k] + [self.mul(p, t) for p in powers[:k]]  # w^i, then w^i t
+        powers, m_w, g = next((powers, m_w, g) for powers, m_w in self._trace_models(k)
+                              for g in _GENERATORS if gf2poly.is_generator(m_w, g))
+        cols = powers + [self.mul(p, t) for p in powers]  # w^i, then w^i t
         solver = _ColumnSolver(cols)
         if solver.kernel_basis:
             raise AssertionError("the basis w^i, w^i t of GF(q^6) is singular")
@@ -801,7 +794,9 @@ class Tower:
         and the two quotients are sums of logs, and a sum that holds log 0
         is clipped onto the zero entry of exp; a second table application
         returns to encodings. No product in GF(q^6). The tables hold
-        2^(3n) entries, so n = 8..10 are refused with a ValueError. Its
+        2^(3n) entries, and u | v << 3n | (u^2 + c v^2) << 6n packs 9n bits
+        into one int64, which holds 63, so n = 8..10 are refused with a
+        ValueError that names both limits. Its
         callers are the census's cross-ratio (`counting._cross_ratio`) and
         the orbit oracle's representatives
         (`mobius.suborbit_representatives`)."""
@@ -811,7 +806,9 @@ class Tower:
         k = 3 * self.n
         if k > 21:
             raise ValueError(f"inv_vec serves n <= 7: at n = {self.n} its log tables "
-                             f"on GF(q^3) would hold 2^{k} entries each")
+                             f"on GF(q^3) would hold 2^{k} entries each, and its packed "
+                             f"coordinates u | v << {k} | (u^2 + c v^2) << {2 * k} "
+                             f"would need {3 * k} of the 63 bits of an int64")
         coords, out, log, exp = self._cubic_logs()
         order, zero = (1 << k) - 1, exp.size - 1
         uvl = self.apply_tables(coords, x)

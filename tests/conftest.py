@@ -2,7 +2,9 @@
 against: they live here, not in `src/`, because no command reaches them."""
 
 import functools
+import hashlib
 import importlib.util
+import json
 from itertools import combinations
 from pathlib import Path
 
@@ -176,9 +178,18 @@ def class_ranks(ctx, x):
         ctx, Tower.apply_tables(quotient_coordinate_tables(ctx), x))
 
 
+def fixed_field_basis(ctx, bits):
+    """A GF(2)-basis of the subfield GF(2^bits): the kernel of x^(2^bits) + x."""
+    if ctx.big_degree % bits:
+        raise ValueError("not a subfield of the tower's big field")
+    basis = _ColumnSolver(ctx._frob_plus_id_cols(bits)).kernel_basis
+    assert len(basis) == bits, "subfield dimension mismatch"
+    return basis
+
+
 def subfield_span_array(ctx, bits):
     """The subfield GF(2^bits) of the big field as a sorted int64 array."""
-    return span(ctx._fixed_field_basis(bits))
+    return span(fixed_field_basis(ctx, bits))
 
 
 def coset_array(coset):
@@ -240,10 +251,17 @@ def canonical_orbit_rep(ctx, alpha, group="PGL"):
 
 def fixed_orbit_representatives(ctx, d, limit=None):
     """Census representatives of the orbits fixed setwise by the d-th
-    Frobenius power, in ascending class rank."""
-    d_red = d % ctx.big_degree
-    return [r.rep for r in counting._sweep(ctx).records
-            if d_red == 0 or (r.fixed_mask >> d_red) & 1][:limit]
+    Frobenius power, in ascending class rank: those whose t divides d."""
+    return [r.rep for r in counting._sweep(ctx).records if d % r.pgl_orbits == 0][:limit]
+
+
+def records_digest(ctx, records):
+    """sha256 of the census records as [rep, t, mask] lists, where bit p of
+    the mask is set iff t divides p, 0 < p < 6n: the form in which the
+    recorded digests were taken."""
+    m = ctx.big_degree
+    rows = [[rep, t, sum(1 << p for p in range(t, m, t))] for rep, t in records]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
 def class_equation_oracle(ctx, alpha, d):

@@ -10,6 +10,7 @@ from conftest import (
     code_from_generator,
     eval_poly,
     extended_parity_by_ones_row,
+    fixed_field_basis,
     induced_permutation_by_apply_map,
     inversion_columns,
     multipliers,
@@ -171,7 +172,7 @@ def test_goppa_parity_entries_distinct(tower5):
             entry = ctx.embed_base((col >> (k * ctx.n)) & ((1 << ctx.n) - 1))
             assert ctx.mul(entry, ga) == power(ctx, a, k)
         assert col >> (6 * ctx.n) == 0
-    quadratic = next(x for x in ctx._fixed_field_basis(2 * ctx.n)
+    quadratic = next(x for x in fixed_field_basis(ctx, 2 * ctx.n)
                      if len(ctx.conjugates(x)) == 2)
     for bad in (1, ctx.embed_base(3), quadratic):
         with pytest.raises(ValueError, match="degree 6"):

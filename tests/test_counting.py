@@ -1,5 +1,3 @@
-import hashlib
-import json
 import math
 from collections import Counter
 
@@ -16,6 +14,7 @@ from conftest import (
     enumerated_root_counts,
     eq41_counts_by_gcd,
     fixed_orbit_representatives,
+    records_digest,
     subfield_span_array,
 )
 from goppa_orbits import counting, gf2poly, make_tower, mobius
@@ -116,7 +115,7 @@ def test_census_deterministic_across_runs(tower2):
 
 def test_census_reps_are_least_class_ranks(tower2, tower3):
     for ctx in (tower2, tower3):
-        reps = [rep for rep, _, _ in global_orbit_census(ctx).records]
+        reps = [rep for rep, _ in global_orbit_census(ctx).records]
         ranks = class_ranks(ctx, np.array(reps, dtype=np.int64))
         assert (np.diff(ranks) > 0).all()
         for rep, rank in zip(reps, ranks.tolist()):
@@ -130,8 +129,7 @@ def test_census_reps_are_least_class_ranks(tower2, tower3):
 
 def test_census_n5_records_digest(tower5):
     """The n = 5 records, pinned by a sha256 recorded from the one-orbit-per-round sweep."""
-    records = json.dumps([list(r) for r in counting._run_sweep(tower5).records])
-    assert hashlib.sha256(records.encode()).hexdigest() == (
+    assert records_digest(tower5, counting._run_sweep(tower5).records) == (
         "a92df7bb20bd60a90a9c53d290253902478551c7b1a83067ff269c0bccb55f94")
 
 
@@ -140,8 +138,7 @@ def test_census_n7():
     """The n = 7 census against the figures of its first run (about 2 s)."""
     ctx = make_tower(7)
     census = global_orbit_census(ctx)
-    records = json.dumps([list(r) for r in census.records])
-    assert hashlib.sha256(records.encode()).hexdigest() == (
+    assert records_digest(ctx, census.records) == (
         "bb70c8a0eb711e5526b02808f4a39846665a320cc5cd9dee0f1b2493b52d318e")
     assert census.orbit_count == burnside_bound(7) == 50333
     assert Counter(r.pgl_orbits for r in census.records) == {
@@ -289,11 +286,13 @@ def test_canonical_is_the_least_squaring_and_its_period(n):
 
 
 def brute_force_records(ctx):
-    """(rep, pgl_orbits, fixed_mask) per semi-linear orbit, element by element.
+    """(rep, pgl_orbits) per semi-linear orbit, element by element.
 
     Independent of the cross-ratio scan: walks the least unvisited
     element, expands its linear orbit with pgl_orbit_array and its Frobenius
-    images with frobenius_vec, and marks every element it reaches.
+    images with frobenius_vec, and marks every element it reaches. The
+    powers p < 6n whose sigma^p fixes the linear orbit are the multiples of
+    its count of linear orbits, the rule the census's records rest on.
     """
     n, m = ctx.n, ctx.big_degree
     visited = np.zeros(1 << m, dtype=bool)
@@ -311,14 +310,16 @@ def brute_force_records(ctx):
         orbit = np.concatenate(images)
         assert not visited[orbit].any()
         visited[orbit] = True
-        records.append((int(orbit.min()), len(linear_orbits), fixed_mask))
+        t = len(linear_orbits)
+        assert fixed_mask == sum(1 << p for p in range(t, m, t))
+        records.append((int(orbit.min()), t))
     return sorted(records)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_class_census_matches_element_brute_force(n):
     ctx = make_tower(n)
-    got = sorted((canonical_orbit_rep(ctx, r.rep, "PGammaL"), r.pgl_orbits, r.fixed_mask)
+    got = sorted((canonical_orbit_rep(ctx, r.rep, "PGammaL"), r.pgl_orbits)
                  for r in counting._run_sweep(ctx).records)
     assert got == brute_force_records(ctx)
 
@@ -362,7 +363,7 @@ def test_fixed_point_oracle_small(tower2):
     # census cross-tabulation: sum of class sizes with period dividing d
     census = global_orbit_census(tower2)
     for d in (1, 2, 3, 4, 6, 12):
-        derived = sum(t for _, t, _ in census.records if d % t == 0)
+        derived = sum(t for _, t in census.records if d % t == 0)
         assert derived == table[d]
 
 

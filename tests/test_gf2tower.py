@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 
 import numpy as np
@@ -14,6 +15,7 @@ from conftest import (
     coset_array,
     embedding_by_scan,
     eval_poly,
+    fixed_field_basis,
     power,
     schoolbook_mul,
     span,
@@ -166,7 +168,7 @@ def test_degree_census_small(tower2, tower3):
 @functools.cache
 def tower_and_bases(n):
     ctx = make_tower(n)
-    return ctx, {d: ctx._fixed_field_basis(d * n) for d in (1, 2, 3, 6)}
+    return ctx, {d: fixed_field_basis(ctx, d * n) for d in (1, 2, 3, 6)}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -395,10 +397,28 @@ def random_irreducible(rng, d):
             return p
 
 
-def least_subfield_element_degree(ctx):
-    """Degree over GF(2) of the subfield's least element besides 0 and 1."""
-    w = ctx.subfield[2]
-    return next(d for d in range(1, ctx.n + 1) if ctx.n % d == 0 and ctx.frobenius(w, d) == w)
+def traces(ctx, d, draws):
+    """The traces to GF(2^d) of the first draws z of
+    random.Random(0).getrandbits(6n): z + z^(2^d) + ... + z^(2^(6n-d)), by
+    squarings."""
+    rng = random.Random(0)
+    out = []
+    for _ in range(draws):
+        z = w = rng.getrandbits(ctx.big_degree)
+        for _ in range(ctx.big_degree // d - 1):
+            for _ in range(d):
+                z = ctx.mul(z, z)
+            w ^= z
+        out.append(w)
+    return out
+
+
+def degree_over_gf2(ctx, x):
+    """The least e >= 1 with x^(2^e) = x, by squarings."""
+    y, e = ctx.mul(x, x), 1
+    while y != x:
+        y, e = ctx.mul(y, y), e + 1
+    return e
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -415,15 +435,49 @@ def test_embedding_equals_the_ascending_scan_for_random_moduli(n):
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
-def test_embedding_passes_a_least_element_in_a_proper_subfield(n):
-    """At composite n, the least subfield element besides 0 and 1 can have
-    degree below n, and the search for w must pass it: the first random
-    modulus_big that puts it there."""
+def test_embedding_passes_a_first_trace_in_a_proper_subfield(n):
+    """At composite n, the trace to GF(2^n) of the first draw can lie in a
+    proper subfield, and the embedding must pass it to the next model: the
+    first random modulus_big that puts it there."""
     rng = random.Random(200 + n)
     for _ in range(300):
         ctx = make_tower(n, modulus_big=random_irreducible(rng, 6 * n))
-        if least_subfield_element_degree(ctx) < n:
+        first = traces(ctx, n, 1)[0]
+        if degree_over_gf2(ctx, first) < n:
             break
     else:
-        pytest.fail("no tower with a least element in a proper subfield")
+        pytest.fail("no tower whose first trace lies in a proper subfield")
+    assert next(ctx._trace_models(n))[0][1] != first
     assert ctx._embed_cols == embedding_by_scan(ctx)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("big", [None, "24,4,3,1,0", "24,7,2,1,0", "24,9,3,1,0", "24,16,3,1,0"])
+def test_trace_models_are_the_traces_of_full_degree(big, k):
+    """The models of GF(2^d), d = kn, at n = 4 on the default and the
+    benchmark's big moduli: the traces of the first 40 draws in draw order,
+    less those of degree below d, each as w^0..w^(d-1) and an irreducible
+    m_w of degree d with m_w(w) = 0. A quarter of the traces to GF(16) lie
+    in GF(4), so at d = n some are skipped."""
+    ctx = make_tower(4, modulus_big=None if big is None
+                     else gf2poly.from_exponents([int(e) for e in big.split(",")]))
+    d = k * ctx.n
+    full = [w for w in traces(ctx, d, 40) if degree_over_gf2(ctx, w) == d]
+    if k == 1:
+        assert len(full) < 40
+    models = list(itertools.islice(ctx._trace_models(d), len(full)))
+    assert [powers[1] for powers, _ in models] == full
+    for powers, m_w in models:
+        w = powers[1]
+        assert powers == [power(ctx, w, j) for j in range(d)]
+        assert gf2poly.degree(m_w) == d and gf2poly.is_irreducible(m_w)
+        assert eval_poly(ctx, [(m_w >> j) & 1 for j in range(d + 1)], w) == 0
+
+
+def test_trace_models_give_up_after_a_fixed_number_of_draws(monkeypatch):
+    """With a Frobenius that returns its argument every trace to GF(2^n) is
+    six equal terms, 0, so no draw yields a model."""
+    ctx = make_tower(4)
+    monkeypatch.setattr(ctx, "frobenius", lambda x, i: x)
+    with pytest.raises(AssertionError, match=r"^64 draws gave no usable model of GF\(2\^4\)"):
+        next(ctx._trace_models(4))

@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 
 from goppa_orbits import gf2poly, make_tower, mobius
 
-from conftest import schoolbook_mul
+from conftest import fixed_field_basis, schoolbook_mul
 
 KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -177,7 +177,7 @@ def test_vec_kernel_matches_scalar(key):
 def cubic_subfield(ctx):
     """GF(q^3) as big-field encodings: the span of its basis, doubled."""
     span = [0]
-    for b in ctx._fixed_field_basis(3 * ctx.n):
+    for b in fixed_field_basis(ctx, 3 * ctx.n):
         span += [v ^ b for v in span]
     return span
 
@@ -195,8 +195,12 @@ def test_inv_vec_on_every_element_of_the_cubic_subfield(n):
 @pytest.mark.parametrize("n", [8, 9, 10])
 def test_inv_vec_refuses_n8_to_n10_by_the_size_of_its_tables(n):
     ctx = make_tower(n)
-    with pytest.raises(ValueError, match=rf"^inv_vec serves n <= 7: at n = {n} .* 2\^{3 * n} "):
+    prefix = rf"^inv_vec serves n <= 7: at n = {n} .* 2\^{3 * n} "
+    with pytest.raises(ValueError, match=prefix) as err:
         ctx.inv_vec(np.array([1, 2], dtype=np.int64))
+    # the packed coordinates u | v << 3n | (u^2 + c v^2) << 6n outgrow an int64 too
+    assert str(err.value).endswith(f"u | v << {3 * n} | (u^2 + c v^2) << {6 * n} "
+                                   f"would need {9 * n} of the 63 bits of an int64")
     assert ("cubic_logs",) not in ctx._np_tables
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import canonical_orbit_rep, compose, inverse
+from conftest import canonical_orbit_rep, compose, fixed_field_basis, inverse
 from goppa_orbits import make_tower
 from goppa_orbits.mobius import (
     apply_map,
@@ -96,7 +96,7 @@ def test_degree_check_reads_only_the_sigma_n_tables():
     assert [k for k in ctx._np_tables if k[0] == "frob"] == []
     assert sorted(ctx._frob_cache) == [0, 5]
     for bits in (10, 15):  # degree 2 and degree 3 over GF(2^5)
-        x = next(b for b in ctx._fixed_field_basis(bits) if ctx.frobenius(b, 5) != b)
+        x = next(b for b in fixed_field_basis(ctx, bits) if ctx.frobenius(b, 5) != b)
         with pytest.raises(ValueError, match="degree 6"):
             suborbit_representatives(ctx, x)
         with pytest.raises(ValueError, match="degree 6"):  # one bad row in an array
