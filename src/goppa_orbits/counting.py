@@ -17,14 +17,15 @@ linear, eq_41, is counted on the kernel of a linearized polynomial whose
 nonzero elements map onto its roots. Each orbit is represented by
 an element of its least class rank, the first class the scan meets. At
 n = 7 the scan meets the least class of every orbit in the first 0.4 % of
-the ranks (about 1.1-1.2 s on 2 vCPU, and 76.5 MiB peak RSS as a command,
-24 MiB of it the log tables of the inverse). Its costly steps are the
-cross-ratio, whose inverse is taken in coordinates over GF(q^3) on those
-log tables (`Tower.inv_vec`), and the least of the 6n squarings of each
-value, read as rotations of its coordinates in a normal basis
-(`_canonical`). The census and the oracle stay limited to n <= 7, where
-the n = 8 report would hold some 350,000 records; larger n is refused
-with a cost estimate rather than attempted. The root counts list no root, so they run up to the tower's
+the ranks (about 0.5-0.7 s in-process on 2 vCPU, and 76.5 MiB peak RSS as a
+command, 24 MiB of it the log tables of the inverse). Its costly steps are
+the cross-ratio, whose inverse is taken in coordinates over GF(q^3) on
+those log tables (`Tower.inv_vec`), and the least of the 6n squarings of
+each value, read as rotations of its coordinates in a normal basis
+(`_canonical`); the bookkeeping is one sort per block. The census and the
+oracle stay limited to n <= 7, where the n = 8 report would hold some
+350,000 records; larger n is refused with a cost estimate rather than
+attempted. The root counts list no root, so they run up to the tower's
 cap, n <= 16.
 
 Only the scan uses numpy: `_class_elements`, `_canonical` and `_run_sweep`
@@ -194,6 +195,7 @@ def burnside_bound(n: int) -> int:
 # at n <= 4 on the default moduli, but not on every modulus: at n = 4 the
 # last least class has rank 2150 under 24,9,3,1,0 and 5339 under 24,16,3,1,0
 _FIRST_BLOCK, _BLOCK = 1 << 11, 1 << 13
+_INDEX_BITS = (_BLOCK - 1).bit_length()  # a class's index in its block, in the sort key
 
 
 def _sweep_cost_check(n: int) -> None:
@@ -310,12 +312,16 @@ def _run_sweep(ctx: Tower) -> OrbitCensus:
     squarings of mu (`_canonical`) is constant on a semi-linear orbit.
 
     The scan walks the class ranks upward in blocks, takes one element of
-    each class (`_class_elements`), drops the q + 2 classes inside GF(q^2)
-    and GF(q^3), where mu = 0, and accepts a class when its canonical mu is
-    new. It records the element and t, the least p >= 1 with
-    mu^(2^p) = mu, as the count of linear orbits; mu^(2^p) = mu iff t
-    divides p. An accepted class is the least of its orbit, as every class
-    below it was scanned first, so records come out in ascending class rank.
+    each class (`_class_elements`) and sorts the block once by the int64
+    key canonical mu << _INDEX_BITS | i, i the class's index in the block,
+    so the first key of each run of equal values is its value's least class.
+    It drops the value 0, the canonical mu of mu = 0 alone (`normal_tables`
+    is a bijection): the q + 2 classes inside GF(q^2) and GF(q^3). It
+    accepts a class when its canonical mu is new and records, by ascending
+    index, the element and t, the least p >= 1 with mu^(2^p) = mu, as the
+    count of linear orbits; mu^(2^p) = mu iff t divides p. An accepted class
+    is the least of its orbit, as every class below it was scanned first, so
+    records come out in ascending class rank.
 
     The scan stops when the accepted orbits' classes, t(q + 1) each, sum to
     the (q^5 - 1)/(q - 1) - (q + 2) degree-6 classes. This certifies the
@@ -342,21 +348,19 @@ def _run_sweep(ctx: Tower) -> OrbitCensus:
     while lo < count:
         alpha = _class_elements(ctx, np.arange(lo, min(lo + size, count)))
         lo, size = lo + size, min(2 * size, _BLOCK)
-        mu = _cross_ratio(ctx, alpha)
-        alpha, mu = alpha[mu != 0], mu[mu != 0]  # drops the classes in GF(q^2), GF(q^3)
-        mu, first = np.unique(mu, return_index=True)  # first: index of the least rank
-        canon, t = _canonical(ctx, mu)
-        order = np.lexsort((first, canon))  # by canonical value, then by rank
-        head = order[np.concatenate(([True], canon[order[1:]] != canon[order[:-1]]))]
-        value = canon[head]  # ascending, each with its least rank in the block
+        canon, t = _canonical(ctx, _cross_ratio(ctx, alpha))
+        key = np.sort(canon << _INDEX_BITS | np.arange(canon.size))
+        value = key >> _INDEX_BITS
+        head = key[(value != 0) & np.concatenate(([True], value[1:] != value[:-1]))]
+        value = head >> _INDEX_BITS  # ascending; head holds the least index of each
         pos = seen.searchsorted(value, side="right")
-        new = head[seen[pos - 1] != value]  # pos >= 1: the sentinel is below every value
-        if not new.size:
+        new = seen[pos - 1] != value  # pos >= 1: the sentinel is below every value
+        if not new.any():
             continue
-        seen = np.insert(seen, seen.searchsorted(canon[new]), canon[new])
-        new = new[np.argsort(first[new])]
-        records += map(SweepRecord, alpha[first[new]].tolist(), t[new].tolist())
-        covered += int(t[new].sum()) * (q + 1)
+        seen = np.insert(seen, pos[new], value[new])
+        index = np.sort(head[new] & (1 << _INDEX_BITS) - 1)  # in ascending rank
+        records += map(SweepRecord, alpha[index].tolist(), t[index].tolist())
+        covered += int(t[index].sum()) * (q + 1)
         if covered >= degree_six_classes:
             break
     if covered != degree_six_classes:

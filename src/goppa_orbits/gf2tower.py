@@ -365,7 +365,7 @@ class Tower:
         least conjugate. The subfield and the span in embed order come from
         one doubling over the columns gamma^0..gamma^(n-1)."""
         n = self.n
-        to_big, m_w = next(self._trace_models(n))
+        to_big, m_w, _ = next(self._trace_models(n))
         r = gf2poly.field_root(self.modulus_base, m_w)
         conjugates = [r]
         for _ in range(n - 1):
@@ -385,8 +385,8 @@ class Tower:
             span += [v ^ c for v in span]
         return _Embedding(tuple(sorted(span)), cols, span, project)
 
-    def _trace_models(self, d: int) -> Iterator[tuple[list[int], int]]:
-        """Models of the subfield GF(2^d), d | 6n, as (w^0..w^(d-1), m_w).
+    def _trace_models(self, d: int) -> Iterator[tuple[list[int], int, int]]:
+        """Models of the subfield GF(2^d), d | 6n, as (w^0..w^(d-1), m_w, z).
 
         For each draw z of random.Random(0).getrandbits(6n), w is its trace
         Tr(z) = z + sigma^d(z) + ... + sigma^(6n-d)(z), which lies in
@@ -398,14 +398,14 @@ class Tower:
         m = self.big_degree
         rng = random.Random(0)
         for _ in range(_DRAWS):
-            z = w = rng.getrandbits(m)
+            z = w = conjugate = rng.getrandbits(m)
             for _ in range(m // d - 1):
-                z = self.frobenius(z, d)
-                w ^= z
+                conjugate = self.frobenius(conjugate, d)
+                w ^= conjugate
             powers = self._powers(w, d + 1)
             kernel = _ColumnSolver(powers).kernel_basis
             if len(kernel) == 1:
-                yield powers[:d], kernel[0]
+                yield powers[:d], kernel[0], z
         raise AssertionError(f"{_DRAWS} draws gave no usable model of GF(2^{d})")
 
     @property
@@ -692,13 +692,12 @@ class Tower:
         basis w^0..w^(k-1), exp[i] = g^(i mod (2^k - 1)) for i < 2(2^k - 1)
         and exp[2(2^k - 1)] = 0 = exp[log 0].
 
-        GF(q^3) is the kernel of sigma^(3n) + id and the image of the trace
-        Tr(z) = z + sigma^(3n)(z). For the first draw z of
-        random.Random(0).getrandbits(6n) with s = Tr(z) nonzero, t = z / s
-        has t + sigma^(3n)(t) = 1, and c = t^2 + t lies in GF(q^3). w and
-        m_w are the first model of GF(q^3) (`_trace_models`) whose
-        K = GF(2)[y]/(m_w) has y, y + 1 or y (y + 1) for a generator g
-        (`gf2poly.is_generator`, on 3n-bit integers). So x = u + v t with
+        w, m_w and the draw z are the first model of GF(q^3)
+        (`_trace_models`) whose K = GF(2)[y]/(m_w) has y, y + 1 or y (y + 1)
+        for a generator g (`gf2poly.is_generator`, on 3n-bit integers).
+        There w = Tr(z) = z + sigma^(3n)(z) has degree 3n, so it is nonzero,
+        t = z / w has t + sigma^(3n)(t) = 1, and c = t^2 + t lies in
+        GF(q^3), the kernel of sigma^(3n) + id. So x = u + v t with
         u, v in K, read in the basis w^0..w^(3n-1), and exp[i] = g^i: the
         first 64 by shifts, then doubled on the tables of the products by
         g^64, g^128, ..., each read on the low and the high half of g^i.
@@ -713,18 +712,14 @@ class Tower:
         import numpy as np
         m, k = self.big_degree, 3 * self.n
         order = (1 << k) - 1  # |GF(q^3)*|
-        rng = random.Random(0)
-        z = rng.getrandbits(m)
-        while not (s := z ^ self.frobenius(z, k)):
-            z = rng.getrandbits(m)
-        t = self.mul(z, self.inv(s))
+        powers, m_w, z, g = next((powers, m_w, z, g) for powers, m_w, z in self._trace_models(k)
+                                 for g in _GENERATORS if gf2poly.is_generator(m_w, g))
+        t = self.mul(z, self.inv(powers[1]))  # powers[1] = w = Tr(z)
         if t ^ self.frobenius(t, k) != 1:
             raise AssertionError("t + sigma^3n(t) is not 1")
         c = self.square(t) ^ t
         if self.frobenius(c, k) != c:
             raise AssertionError("c = t^2 + t lies outside GF(q^3)")
-        powers, m_w, g = next((powers, m_w, g) for powers, m_w in self._trace_models(k)
-                              for g in _GENERATORS if gf2poly.is_generator(m_w, g))
         cols = powers + [self.mul(p, t) for p in powers]  # w^i, then w^i t
         solver = _ColumnSolver(cols)
         if solver.kernel_basis:

@@ -133,6 +133,29 @@ def test_census_n5_records_digest(tower5):
         "a92df7bb20bd60a90a9c53d290253902478551c7b1a83067ff269c0bccb55f94")
 
 
+@pytest.mark.parametrize("exponents, digest", [
+    ((30, 9, 0), "09ad5e3893d7b6cfadc2d9fc76ce04c6e78d31fceeb5b0aa931be95d1865946c"),
+    ((30, 21, 0), "2d121fca178b325e63effbd228c16bea237eefab282d56ce3db9bd3e064da604"),
+    ((30, 29, 0), "58ec2360205b7a3b5caf0c6979976dee477ca2d14f5613b6b5ab4113ddc9153f"),
+])
+def test_census_n5_records_digest_on_other_moduli(exponents, digest):
+    """The n = 5 records on the big moduli of the benchmark's roots and
+    equiv requests, whose scans read blocks of the full size; the digests
+    were taken before the scan sorted one packed key per block."""
+    ctx = make_tower(5, modulus_big=gf2poly.from_exponents(exponents))
+    assert records_digest(ctx, counting._run_sweep(ctx).records) == digest
+
+
+def test_the_packed_sort_key_fits_in_an_int64():
+    """A block's sort key is its canonical mu, below 2^(6n), shifted above
+    the class's index in the block. Every block index must fit its bits,
+    and 6n plus those bits must stay at most 62 for every n the scan
+    accepts and for n = 8, the next census, so that the key never
+    overflows an int64 without an error."""
+    assert counting._FIRST_BLOCK <= counting._BLOCK <= 1 << counting._INDEX_BITS
+    assert 6 * max(counting.MAX_SWEEP_N, 8) + counting._INDEX_BITS <= 62
+
+
 @pytest.mark.slow
 def test_census_n7():
     """The n = 7 census against the figures of its first run (about 2 s)."""
@@ -328,13 +351,21 @@ def test_census_n4_recorded_values():
     """The n = 4 census on three big moduli. Under 24,7,2,1,0 the last orbit's
     least class lies in the scan's first block; under 24,9,3,1,0 and
     24,16,3,1,0 it lies past it (ranks 2150 and 5339), so the scan reads
-    further blocks. The fixed table satisfies Burnside's identity."""
+    further blocks and its records pass the bookkeeping across blocks. The
+    digests were taken before the scan sorted one packed key per block. The
+    fixed table satisfies Burnside's identity."""
     fixed = {1: 0, 2: 0, 3: 3, 4: 0, 6: 15, 8: 16, 12: 255, 24: 4111}
     assert sum(euler_phi(24 // d) * f for d, f in fixed.items()) == 185 * 24
-    for exponents, last_rank in (((24, 7, 2, 1, 0), 1704), ((24, 9, 3, 1, 0), 2150),
-                                 ((24, 16, 3, 1, 0), 5339)):
+    for exponents, last_rank, digest in (
+            ((24, 7, 2, 1, 0), 1704,
+             "f9ea6262337b150cbf3f07bcf047dae52fa63f0169f77480f8e902c59ac08c56"),
+            ((24, 9, 3, 1, 0), 2150,
+             "e40cc93eee9b59f8cd9bfb27e510bdc0cbacf79c20b875ced5483743e8ee8975"),
+            ((24, 16, 3, 1, 0), 5339,
+             "621d405d9bf464a8ef5fd67e13ef5cef509e024057d4e62f077e36bfafbb8829")):
         ctx = make_tower(4, modulus_big=gf2poly.from_exponents(exponents))
         census = global_orbit_census(ctx)
+        assert records_digest(ctx, census.records) == digest
         assert census.orbit_count == 185
         assert census.pgl_orbit_count == 4111
         assert dict(census.orbit_sizes) == {

@@ -397,20 +397,21 @@ def random_irreducible(rng, d):
             return p
 
 
-def traces(ctx, d, draws):
-    """The traces to GF(2^d) of the first draws z of
-    random.Random(0).getrandbits(6n): z + z^(2^d) + ... + z^(2^(6n-d)), by
+def trace(ctx, z, d):
+    """The trace of z to GF(2^d): z + z^(2^d) + ... + z^(2^(6n-d)), by
     squarings."""
+    w = z
+    for _ in range(ctx.big_degree // d - 1):
+        for _ in range(d):
+            z = ctx.mul(z, z)
+        w ^= z
+    return w
+
+
+def traces(ctx, d, draws):
+    """The traces to GF(2^d) of the first draws of random.Random(0).getrandbits(6n)."""
     rng = random.Random(0)
-    out = []
-    for _ in range(draws):
-        z = w = rng.getrandbits(ctx.big_degree)
-        for _ in range(ctx.big_degree // d - 1):
-            for _ in range(d):
-                z = ctx.mul(z, z)
-            w ^= z
-        out.append(w)
-    return out
+    return [trace(ctx, rng.getrandbits(ctx.big_degree), d) for _ in range(draws)]
 
 
 def degree_over_gf2(ctx, x):
@@ -456,8 +457,8 @@ def test_embedding_passes_a_first_trace_in_a_proper_subfield(n):
 def test_trace_models_are_the_traces_of_full_degree(big, k):
     """The models of GF(2^d), d = kn, at n = 4 on the default and the
     benchmark's big moduli: the traces of the first 40 draws in draw order,
-    less those of degree below d, each as w^0..w^(d-1) and an irreducible
-    m_w of degree d with m_w(w) = 0. A quarter of the traces to GF(16) lie
+    less those of degree below d, each as w^0..w^(d-1), an irreducible
+    m_w of degree d with m_w(w) = 0 and the draw whose trace w is. A quarter of the traces to GF(16) lie
     in GF(4), so at d = n some are skipped."""
     ctx = make_tower(4, modulus_big=None if big is None
                      else gf2poly.from_exponents([int(e) for e in big.split(",")]))
@@ -466,9 +467,10 @@ def test_trace_models_are_the_traces_of_full_degree(big, k):
     if k == 1:
         assert len(full) < 40
     models = list(itertools.islice(ctx._trace_models(d), len(full)))
-    assert [powers[1] for powers, _ in models] == full
-    for powers, m_w in models:
+    assert [powers[1] for powers, _, _ in models] == full
+    for powers, m_w, z in models:
         w = powers[1]
+        assert trace(ctx, z, d) == w
         assert powers == [power(ctx, w, j) for j in range(d)]
         assert gf2poly.degree(m_w) == d and gf2poly.is_irreducible(m_w)
         assert eval_poly(ctx, [(m_w >> j) & 1 for j in range(d + 1)], w) == 0
