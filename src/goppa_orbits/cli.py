@@ -131,11 +131,12 @@ def cmd_census(args) -> int:
         match = census.orbit_count == bound
     else:
         note = " (n outside the closed-form hypotheses; census only)"
+    sizes = census.orbit_sizes
     obj = {
         "n": census.n,
         "orbit_count": census.orbit_count,
         "pgl_orbit_count": census.pgl_orbit_count,
-        "orbit_size_histogram": {str(s): c for s, c in census.orbit_sizes},
+        "orbit_size_histogram": {str(s): c for s, c in sizes},
         "elements_visited": census.elements_visited,
         "orbits": [
             {"rep": format(r.rep, spec), "pgl_orbits": r.pgl_orbits,
@@ -151,7 +152,7 @@ def cmd_census(args) -> int:
         f"n = {args.n}: {census.orbit_count} semi-linear orbits on "
         f"{census.elements_visited} degree-6 elements{note}",
         f"linear orbits: {census.pgl_orbit_count}; histogram (size: count): "
-        + ", ".join(f"{s}: {c}" for s, c in census.orbit_sizes),
+        + ", ".join(f"{s}: {c}" for s, c in sizes),
         f"workers = {args.workers}, elapsed {census.elapsed_ms / 1e3:.1f} s",
     ]
     if bound is not None:
@@ -245,15 +246,15 @@ def cmd_code(args) -> int:
     ctx = _tower(args)
     alpha = _resolve_alpha(ctx, args.alpha, args.seed)
     g = ctx.minimal_polynomial(alpha)
-    code = (codes.extended_goppa_code(ctx, g) if args.extended
-            else codes.goppa_code(ctx, g))
-    obj = codes.code_to_json(ctx, alpha, g, code)
+    columns = (codes.extended_parity(ctx, g) if args.extended
+               else codes.goppa_parity(ctx, g, list(ctx.subfield)))
+    obj = codes.code_to_json(ctx, alpha, g, columns)
     obj["extended"] = bool(args.extended)
     lines = [
         f"n = {args.n}, alpha = {ctx.to_hex(alpha)}"
         + (" (extended)" if args.extended else ""),
         f"g coefficients (ascending): {' '.join(obj['g_coeffs'])}",
-        f"[{code.length}, {code.dimension}] binary code",
+        f"[{obj['length']}, {obj['dimension']}] binary code",
     ]
     if obj["weight_enumerator"] is not None:
         nz = {w: c for w, c in enumerate(obj["weight_enumerator"]) if c}

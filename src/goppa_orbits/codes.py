@@ -5,8 +5,10 @@ GF(2) idiom: row reduction is XOR, parity checks are popcounts. A code is
 its generator in reduced row echelon form, so code equality is structural
 equality of the canonical generator rows. A subfield subcode is the kernel
 of its binary parity columns, which `_ColumnSolver` hands back already
-reduced: that kernel is the code as it stands. The parity basis is derived,
-by one `nullspace` and one `rref`, only where the `code` report prints it.
+reduced: that kernel is the code as it stands. The parity basis is derived
+only where the `code` report prints it, from the same columns: the dual of
+the code is the row space of the binary parity-check matrix they form, so
+one `rref` of the transposed columns gives its reduced basis.
 
 A code is built from g, the sextic minimal polynomial of alpha over GF(q),
 q = 2^n, in GF(q): each finite parity column holds a^k / g(a), k < 6, read
@@ -35,6 +37,8 @@ __all__ = [
     "rref",
     "nullspace",
     "goppa_parity",
+    "extended_parity",
+    "parity_basis",
     "subfield_subcode",
     "extend_code",
     "goppa_code",
@@ -76,7 +80,9 @@ def nullspace(rows: list[int], width: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class BinaryCode:
-    """Binary linear code, held as its canonical (RREF) generator rows."""
+    """Binary linear code, held as its canonical (RREF) generator rows, its
+    one representation; only the `code` report derives a parity basis, from
+    the parity columns that built the code (`parity_basis`)."""
 
     length: int
     generator: tuple[int, ...]
@@ -84,18 +90,6 @@ class BinaryCode:
     @property
     def dimension(self) -> int:
         return len(self.generator)
-
-    @property
-    def parity(self) -> tuple[int, ...]:
-        """The canonical (RREF) parity basis, derived and checked on each read."""
-        parity = rref(list(nullspace(self.generator, self.length)))
-        for g in self.generator:
-            for h in parity:
-                if (g & h).bit_count() & 1:
-                    raise AssertionError("generator not orthogonal to parity rows")
-        if len(self.generator) + len(parity) != self.length:
-            raise AssertionError("rank defect in code bases")
-        return parity
 
 
 # ------------------------------------------------------------- parity builders
@@ -148,6 +142,28 @@ def goppa_parity(ctx: Tower, g: tuple[int, ...], support: list[int]) -> list[int
     return cols
 
 
+def extended_parity(ctx: Tower, g: tuple[int, ...],
+                    support: list[int] | None = None) -> list[int]:
+    """The parity columns of the extended code of g over a projective
+    support (by default the subfield, then infinity): the columns of
+    `goppa_parity`, 0 at infinity, under the all-ones row at bit 6n."""
+    if support is None:
+        support = [*ctx.subfield, infinity(ctx)]
+    ones = 1 << ctx.big_degree
+    return [col | ones for col in goppa_parity(ctx, g, support)]
+
+
+def parity_basis(columns: list[int]) -> tuple[int, ...]:
+    """The reduced basis of the dual of the code that parity columns cut
+    out: the row space of the binary matrix H whose column j is columns[j],
+    bit i in row i. H's rows are read off the columns' binary digits in one
+    transposition, the last column first so that row bit j is column j, and
+    reduced by one `rref`."""
+    width = max(columns).bit_length()
+    digits = "".join([format(col, f"0{width}b") for col in reversed(columns)])
+    return rref([int(digits[i::width], 2) for i in range(width)])
+
+
 def subfield_subcode(columns: list[int]) -> BinaryCode:
     """The binary code cut out by parity columns, each the GF(2)
     coordinates of a column of a parity matrix over an extension field: the
@@ -175,12 +191,8 @@ def goppa_code(ctx: Tower, g: tuple[int, ...]) -> BinaryCode:
 def extended_goppa_code(ctx: Tower, g: tuple[int, ...],
                         support: list[int] | None = None) -> BinaryCode:
     """The extended code of g over a projective support (by default the
-    subfield, then infinity): the parity columns of `goppa_parity`, 0 at
-    infinity, under the all-ones row."""
-    if support is None:
-        support = [*ctx.subfield, infinity(ctx)]
-    ones = 1 << ctx.big_degree
-    return subfield_subcode([col | ones for col in goppa_parity(ctx, g, support)])
+    subfield, then infinity): the kernel of `extended_parity`."""
+    return subfield_subcode(extended_parity(ctx, g, support))
 
 
 def induced_permutation(ctx: Tower, m: SemiLinearMap,
@@ -290,9 +302,24 @@ def check_extended_equivalence(ctx: Tower, alpha: int,
 # -------------------------------------------------------------------- export
 
 
-def code_to_json(ctx: Tower, alpha: int, g: tuple[int, ...], code: BinaryCode) -> dict:
-    """The `code` report of alpha's code, with g, the minimal polynomial the
-    parity was built from."""
+def code_to_json(ctx: Tower, alpha: int, g: tuple[int, ...], columns: list[int]) -> dict:
+    """The `code` report of alpha's code, given its parity columns
+    (`goppa_parity` or `extended_parity` of g, alpha's minimal polynomial).
+
+    The generator is the kernel of the columns and the parity basis the row
+    space of the matrix they form (`parity_basis`): two independent
+    eliminations of one matrix, checked against each other. Every generator
+    row must be orthogonal to every parity row, and the ranks must add up to
+    the length; AssertionError otherwise.
+    """
+    code = subfield_subcode(columns)
+    parity = parity_basis(columns)
+    for row in code.generator:
+        for h in parity:
+            if (row & h).bit_count() & 1:
+                raise AssertionError("generator not orthogonal to parity rows")
+    if code.dimension + len(parity) != code.length:
+        raise AssertionError("rank defect in code bases")
     row_width = -(-code.length // 4)
     enum = None
     if code.dimension <= WEIGHT_ENUM_MAX_DIM:
@@ -304,6 +331,6 @@ def code_to_json(ctx: Tower, alpha: int, g: tuple[int, ...], code: BinaryCode) -
         "length": code.length,
         "dimension": code.dimension,
         "generator_rows": [format(r, f"0{row_width}x") for r in code.generator],
-        "parity_rows": [format(r, f"0{row_width}x") for r in code.parity],
+        "parity_rows": [format(r, f"0{row_width}x") for r in parity],
         "weight_enumerator": enum,
     }

@@ -28,10 +28,10 @@ oracle stay limited to n <= 7, where the n = 8 report would hold some
 attempted. The root counts list no root, so they run up to the tower's
 cap, n <= 16.
 
-Only the scan uses numpy: `_class_elements`, `_canonical` and `_run_sweep`
-import it on their first call, so the closed forms, the root counts and a
-fixed-point count read off a cached census run without it, as does
-importing this module.
+Only the scan uses numpy: `_class_elements`, `_canonical`, `_period` and
+`_run_sweep` import it on their first call, so the closed forms, the root
+counts and a fixed-point count read off a cached census run without it, as
+does importing this module.
 """
 
 from __future__ import annotations
@@ -283,23 +283,30 @@ def _cross_ratio(ctx: Tower, alpha: np.ndarray) -> np.ndarray:
                        ctx.inv_vec(ctx.mul_vec(alpha ^ a3, a1 ^ a2)))
 
 
-def _canonical(ctx: Tower, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _canonical(ctx: Tower, mu: np.ndarray) -> np.ndarray:
     """The least of the 6n squarings of each element, read in the normal
-    basis of `Tower.normal_tables`, and t, the least p >= 1 with
-    mu^(2^p) = mu. In that basis squaring rotates the coordinates by one
-    bit, so one table application and 6n - 1 rotations replace 6n - 1
-    Frobenius applications. t divides 6n, so only the divisors are tested."""
+    basis of `Tower.normal_tables`. In that basis squaring rotates the
+    coordinates by one bit, so one table application and 6n - 1 rotations
+    replace 6n - 1 Frobenius applications."""
     import numpy as np
     m = ctx.big_degree
     mask = (1 << m) - 1
-    v = Tower.apply_tables(ctx.normal_tables(), mu)
-    least, image, t = v, v, np.full_like(v, m)
-    for p in range(1, m):
+    least = image = Tower.apply_tables(ctx.normal_tables(), mu)
+    for _ in range(1, m):
         image = ((image << 1) & mask) | (image >> (m - 1))
         least = np.minimum(least, image)
-        if m % p == 0:
-            t[(image == v) & (t == m)] = p
-    return least, t
+    return least
+
+
+def _period(m: int, x: np.ndarray) -> np.ndarray:
+    """t, the least p >= 1 that rotates each m-bit x to itself. On the
+    normal-basis coordinates of mu (`_canonical`), a rotation by p is the
+    2^p-power, so t is the least p >= 1 with mu^(2^p) = mu. t divides m, so
+    only the divisors are tested, all at once, one row each."""
+    import numpy as np
+    p = np.array([d for d in range(1, m + 1) if m % d == 0])[:, None]
+    rotated = (x & ((1 << (m - p)) - 1)) << p | x >> (m - p)
+    return p[(rotated == x).argmax(axis=0), 0]  # the row p = m always holds
 
 
 def _run_sweep(ctx: Tower) -> OrbitCensus:
@@ -319,7 +326,8 @@ def _run_sweep(ctx: Tower) -> OrbitCensus:
     is a bijection): the q + 2 classes inside GF(q^2) and GF(q^3). It
     accepts a class when its canonical mu is new and records, by ascending
     index, the element and t, the least p >= 1 with mu^(2^p) = mu, as the
-    count of linear orbits; mu^(2^p) = mu iff t divides p. An accepted class
+    count of linear orbits; mu^(2^p) = mu iff t divides p. t is read off the
+    accepted classes' canonical mu alone (`_period`). An accepted class
     is the least of its orbit, as every class below it was scanned first, so
     records come out in ascending class rank.
 
@@ -348,7 +356,7 @@ def _run_sweep(ctx: Tower) -> OrbitCensus:
     while lo < count:
         alpha = _class_elements(ctx, np.arange(lo, min(lo + size, count)))
         lo, size = lo + size, min(2 * size, _BLOCK)
-        canon, t = _canonical(ctx, _cross_ratio(ctx, alpha))
+        canon = _canonical(ctx, _cross_ratio(ctx, alpha))
         key = np.sort(canon << _INDEX_BITS | np.arange(canon.size))
         value = key >> _INDEX_BITS
         head = key[(value != 0) & np.concatenate(([True], value[1:] != value[:-1]))]
@@ -359,8 +367,9 @@ def _run_sweep(ctx: Tower) -> OrbitCensus:
             continue
         seen = np.insert(seen, pos[new], value[new])
         index = np.sort(head[new] & (1 << _INDEX_BITS) - 1)  # in ascending rank
-        records += map(SweepRecord, alpha[index].tolist(), t[index].tolist())
-        covered += int(t[index].sum()) * (q + 1)
+        t = _period(m, canon[index])
+        records += map(SweepRecord, alpha[index].tolist(), t.tolist())
+        covered += int(t.sum()) * (q + 1)
         if covered >= degree_six_classes:
             break
     if covered != degree_six_classes:

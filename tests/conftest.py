@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from goppa_orbits import counting, gf2poly, make_tower
-from goppa_orbits.codes import BinaryCode, rref
+from goppa_orbits.codes import BinaryCode, nullspace, rref
 from goppa_orbits.counting import RootCounts
 from goppa_orbits.gf2tower import Tower, _ColumnSolver, solve_affine_linearized
 from goppa_orbits.mobius import (
@@ -337,10 +337,18 @@ def code_from_generator(gen_rows, length):
     return BinaryCode(length, rref(gen_rows))
 
 
+def parity_by_nullspace(code):
+    """The parity basis of a code from its generator alone: the reduced
+    basis of the generator's nullspace, independent of the parity columns
+    that `codes.parity_basis` reduces."""
+    return rref(list(nullspace(code.generator, code.length)))
+
+
 def extended_parity_by_ones_row(code):
-    """The parity basis of `extend_code(code)` by the second route: the
-    parity rows of code, then the all-ones row, reduced together."""
-    return rref([*code.parity, (1 << (code.length + 1)) - 1])
+    """The parity basis of `extend_code(code)` by a third route: the parity
+    rows of code (`parity_by_nullspace`), then the all-ones row, reduced
+    together."""
+    return rref([*parity_by_nullspace(code), (1 << (code.length + 1)) - 1])
 
 
 def multipliers(ctx, g, pts):

@@ -14,6 +14,7 @@ from conftest import (
     induced_permutation_by_apply_map,
     inversion_columns,
     multipliers,
+    parity_by_nullspace,
     power,
     stacked_columns,
     transform_polynomial,
@@ -24,10 +25,12 @@ from goppa_orbits.codes import (
     code_to_json,
     extend_code,
     extended_goppa_code,
+    extended_parity,
     goppa_code,
     goppa_parity,
     induced_permutation,
     nullspace,
+    parity_basis,
     rref,
     subfield_subcode,
     weight_enumerator,
@@ -68,7 +71,7 @@ def test_rref_and_nullspace():
 def test_code_from_generator_rank_identity():
     code = code_from_generator([0b0011, 0b1100, 0b1111], 4)
     assert code.dimension == 2
-    assert code.parity == (0b0011, 0b1100)
+    assert parity_by_nullspace(code) == (0b0011, 0b1100)
 
 
 def test_codes_compare_by_length_and_generator():
@@ -80,44 +83,83 @@ def test_codes_compare_by_length_and_generator():
 
 
 @st.composite
-def generator_sets(draw):
-    """A length up to 40 and rows spanning a code of it: random rows, or
-    the zero code, or the full code."""
+def column_sets(draw):
+    """Up to 40 parity columns of up to 45 bits: random columns of a random
+    height, or all zero (the full code), or unit columns (the zero code,
+    whose parity-check matrix has as many rows as columns)."""
     length = draw(st.integers(1, 40))
-    rows = draw(st.one_of(
-        st.lists(st.integers(0, (1 << length) - 1), max_size=length + 2),
-        st.just([]),
+    height = draw(st.integers(1, 45))
+    return draw(st.one_of(
+        st.lists(st.integers(0, (1 << height) - 1), min_size=length, max_size=length),
+        st.just([0] * length),
         st.just([1 << j for j in range(length)])))
-    return length, rows
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(case=generator_sets())
-def test_derived_parity_is_the_reduced_dual_basis(case):
-    length, rows = case
-    code = code_from_generator(rows, length)
-    parity = code.parity
+@given(columns=column_sets())
+def test_derived_parity_is_the_reduced_dual_basis(columns):
+    """The row space of the columns' matrix, reduced, is the nullspace of
+    the code's generator, reduced; under the all-ones row, a column of it
+    appended, it is the parity basis of the extended code."""
+    code = subfield_subcode(columns)
+    parity = parity_basis(columns)
+    assert parity == parity_by_nullspace(code)
     assert rref(list(parity)) == parity
     assert all((g & h).bit_count() % 2 == 0 for g in code.generator for h in parity)
-    assert len(parity) == length - code.dimension
-    assert extend_code(code).parity == extended_parity_by_ones_row(code)
+    assert len(parity) == code.length - code.dimension
+    ones = 1 << 45
+    extended = [c | ones for c in columns] + [ones]
+    assert subfield_subcode(extended) == extend_code(code)
+    assert parity_basis(extended) == extended_parity_by_ones_row(code)
 
 
 def test_code_report_checks_the_derived_parity(tower5, monkeypatch):
-    """A parity basis that is not orthogonal to the generator stops the
-    report: the checks run wherever a basis is derived."""
+    """A parity basis that is not orthogonal to the generator, or one row
+    short, stops the report: the checks compare the two eliminations of the
+    parity-check matrix."""
     alpha = random_degree_six(tower5, random.Random(15))
     g = tower5.minimal_polynomial(alpha)
-    code = extended_goppa_code(tower5, g)
-    inner = codes.nullspace
+    columns = extended_parity(tower5, g)
+    pivot = extended_goppa_code(tower5, g).generator[0]
+    pivot &= -pivot
+    inner = codes.rref
 
-    def corrupted(rows, width):
-        basis = inner(rows, width)  # flip a bit of the first row's support
-        return (basis[0] ^ (rows[0] & -rows[0]), *basis[1:])
+    def corrupted(rows):  # flip the first generator row's pivot in one row
+        return inner([rows[0] ^ pivot, *rows[1:]])
 
-    monkeypatch.setattr(codes, "nullspace", corrupted)
+    monkeypatch.setattr(codes, "rref", corrupted)
     with pytest.raises(AssertionError, match="not orthogonal"):
-        code_to_json(tower5, alpha, g, code)
+        code_to_json(tower5, alpha, g, columns)
+    monkeypatch.setattr(codes, "rref", lambda rows: inner(rows)[:-1])
+    with pytest.raises(AssertionError, match="rank defect"):
+        code_to_json(tower5, alpha, g, columns)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_code_report_parity_rows_are_the_reduced_dual(n):
+    """The report's rows are the reduced generator and the parity basis of
+    the route that reduces the generator's nullspace, for plain and
+    extended codes. At n = 2 and 3 the codes are {0}: the parity-check
+    matrix has more rows (6n, or 6n + 1) than columns, and full rank."""
+    ctx, _ = tower_and_support(n)
+
+    @settings(max_examples=6, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, (1 << 32) - 1), extended=st.booleans())
+    def check(seed, extended):
+        alpha = random_degree_six(ctx, random.Random(seed))
+        g = ctx.minimal_polynomial(alpha)
+        if extended:
+            code, columns = extended_goppa_code(ctx, g), extended_parity(ctx, g)
+        else:
+            code, columns = goppa_code(ctx, g), goppa_parity(ctx, g, list(ctx.subfield))
+        report = code_to_json(ctx, alpha, g, columns)
+        assert n > 3 or code.dimension == 0
+        width = -(-code.length // 4)
+        assert report["generator_rows"] == [format(r, f"0{width}x") for r in code.generator]
+        assert report["parity_rows"] == [
+            format(r, f"0{width}x") for r in parity_by_nullspace(code)]
+
+    check()
 
 
 # ------------------------------------------------------------ parity builders
@@ -221,7 +263,8 @@ def test_extension_matches_extended_alternant(tower2, tower5):
         assert ext == via_alt
         assert ext.dimension == goppa_code(ctx, g).dimension
         assert ext.length == len(pts)
-        assert ext.parity == extended_parity_by_ones_row(goppa_code(ctx, g))
+        assert (parity_basis(extended_parity(ctx, g)) == parity_by_nullspace(ext)
+                == extended_parity_by_ones_row(goppa_code(ctx, g)))
 
 
 def test_extended_codewords_have_even_weight(tower5):
@@ -461,7 +504,7 @@ def test_weight_enumerator_permutation_invariant(tower5):
 def test_code_json_schema(tower5):
     alpha = random_degree_six(tower5, random.Random(15))
     g = tower5.minimal_polynomial(alpha)
-    obj = code_to_json(tower5, alpha, g, extended_goppa_code(tower5, g))
+    obj = code_to_json(tower5, alpha, g, extended_parity(tower5, g))
     obj["extended"] = True
     schema.validate("code", obj)
     assert len(obj["alpha_hex"]) == 8
