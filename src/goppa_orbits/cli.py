@@ -153,7 +153,7 @@ def cmd_census(args) -> int:
         f"{census.elements_visited} degree-6 elements{note}",
         f"linear orbits: {census.pgl_orbit_count}; histogram (size: count): "
         + ", ".join(f"{s}: {c}" for s, c in sizes),
-        f"workers = {args.workers}, elapsed {census.elapsed_ms / 1e3:.1f} s",
+        f"workers = {args.workers}, elapsed {census.elapsed_ms:.1f} ms",
     ]
     if bound is not None:
         lines.append(f"bound = {bound}: {'MATCH' if match else 'MISMATCH'}")

@@ -17,15 +17,16 @@ linear, eq_41, is counted on the kernel of a linearized polynomial whose
 nonzero elements map onto its roots. Each orbit is represented by
 an element of its least class rank, the first class the scan meets. At
 n = 7 the scan meets the least class of every orbit in the first 0.4 % of
-the ranks (about 0.5-0.7 s in-process on 2 vCPU, and 76.5 MiB peak RSS as a
-command, 24 MiB of it the log tables of the inverse). Its costly steps are
-the cross-ratio, whose inverse is taken in coordinates over GF(q^3) on
-those log tables (`Tower.inv_vec`), and the least of the 6n squarings of
-each value, read as rotations of its coordinates in a normal basis
-(`_canonical`); the bookkeeping is one sort per block. The census and the
-oracle stay limited to n <= 7, where the n = 8 report would hold some
-350,000 records; larger n is refused with a cost estimate rather than
-attempted. The root counts list no root, so they run up to the tower's
+the ranks (about 0.33-0.34 s in-process on 2 vCPU with the tables built,
+and 83 MiB peak RSS as a `--json` command, 24 MiB of it the log tables of
+GF(q^3)*). Its costly steps are the cross-ratio, taken in coordinates
+over GF(q^3), where every product and the one inverse are sums of logs on
+those tables (`Tower.mul_vec`, `Tower.inv_vec`), and the least of the 6n
+squarings of each value, read as rotations of its coordinates in a normal
+basis (`_canonical`); the bookkeeping is one sort per block. The census
+and the oracle stay limited to n <= 7, where the n = 8 report would hold
+some 350,000 records; larger n is refused with a cost estimate rather
+than attempted. The root counts list no root, so they run up to the tower's
 cap, n <= 16.
 
 Only the scan uses numpy: `_class_elements`, `_canonical`, `_period` and
@@ -271,30 +272,69 @@ class OrbitCensus:
 
 
 def _cross_ratio(ctx: Tower, alpha: np.ndarray) -> np.ndarray:
-    """mu = (a0 + a2)(a1 + a3) / ((a0 + a3)(a1 + a2)) of each element, with
+    """The coordinates in the normal basis of `Tower.normal_tables` of
+    mu = (a0 + a2)(a1 + a3) / ((a0 + a3)(a1 + a2)) for each element, with
     a_i = alpha^(q^i), q = 2^n, and 1/0 read as 0. For alpha of degree 6
     the a_i are distinct and mu lies outside {0, 1}; in GF(q^2) a2 = a0,
-    and in GF(q^3) a3 = a0, so mu = 0 there."""
-    n = ctx.n
-    a1 = ctx.frobenius_vec(alpha, n)
-    a2 = ctx.frobenius_vec(a1, n)
-    a3 = ctx.frobenius_vec(a2, n)
-    return ctx.mul_vec(ctx.mul_vec(alpha ^ a2, a1 ^ a3),
-                       ctx.inv_vec(ctx.mul_vec(alpha ^ a3, a1 ^ a2)))
+    and in GF(q^3) a3 = a0, so mu = 0 there.
+
+    It runs in the coordinates x = u + v t over GF(q^3) of the tower's
+    coordinate kernel. a3 is the conjugate (u0 + v0) + v0 t of
+    a0 = u0 + v0 t, so Z = a0 + a3 is v0, in GF(q^3), and with
+    X = a0 + a2, Y = a1 + a3 and W = a1 + a2, mu = X Y conj(W) / (N(W) Z):
+    the product X Y (`Tower.mul_vec`), divided by W scaled by Z
+    (`Tower.inv_vec`, which multiplies by the inverse without building it).
+    X and Z, Y, and W with its u^2 + c v^2 each come from one byte table
+    (`_cross_ratio_tables`), and one more takes mu from u | v << 3n to
+    its normal-basis coordinates."""
+    xz, y, w, normal = _cross_ratio_tables(ctx)
+    xz = Tower.apply_tables(xz, alpha)
+    mu = ctx.inv_vec(Tower.apply_tables(w, alpha), xz >> 6 * ctx.n,
+                     numer=ctx.mul_vec(xz, Tower.apply_tables(y, alpha)))
+    return Tower.apply_tables(normal, mu)
+
+
+def _cross_ratio_tables(ctx: Tower) -> tuple[np.ndarray, ...]:
+    """Byte tables from alpha to X | Z << 6n, to Y and to W with its
+    u^2 + c v^2 (`_cross_ratio`), and from u | v << 3n to normal-basis
+    coordinates, built once per tower and kept in its table cache. They
+    compose the kernel's tables (`Tower._cubic_logs`) with sigma^n and
+    sigma^(2n) (`Tower.frob_tables`) and with `Tower.normal_tables`, each
+    composition one table application to the entries of another table:
+    the tables of sigma^(2n) are those of sigma^n applied to their own
+    entries."""
+    tabs = ctx._np_tables.get(("cross_ratio",))
+    if tabs is None:
+        n, k = ctx.n, 3 * ctx.n
+        coords, out, _, _ = ctx._cubic_logs()
+        sigma = ctx.frob_tables(n)
+        a1 = Tower.apply_tables(coords, sigma)
+        a2 = Tower.apply_tables(coords, ctx.frobenius_vec(sigma, n))  # sigma^n twice
+        uv, v0 = (1 << 2 * k) - 1, (coords >> k) & ((1 << k) - 1)
+        tabs = ctx._np_tables[("cross_ratio",)] = (
+            ((coords ^ a2) & uv) | v0 << 2 * k,  # X = a0 + a2, Z = a0 + a3 = v0
+            (a1 ^ coords ^ v0) & uv,  # Y = a1 + a3, a3 = (u0 + v0) + v0 t
+            a1 ^ a2,  # W = a1 + a2
+            Tower.apply_tables(ctx.normal_tables(), out))
+    return tabs
 
 
 def _canonical(ctx: Tower, mu: np.ndarray) -> np.ndarray:
-    """The least of the 6n squarings of each element, read in the normal
-    basis of `Tower.normal_tables`. In that basis squaring rotates the
-    coordinates by one bit, so one table application and 6n - 1 rotations
-    replace 6n - 1 Frobenius applications."""
+    """The least of the 6n squarings of each element, given its
+    coordinates in the normal basis of `Tower.normal_tables`, as
+    `_cross_ratio` returns them. In that basis squaring rotates the
+    coordinates by one bit, so 6n - 1 rotations, done in place, replace
+    6n - 1 Frobenius applications."""
     import numpy as np
     m = ctx.big_degree
     mask = (1 << m) - 1
-    least = image = Tower.apply_tables(ctx.normal_tables(), mu)
+    least, image, top = mu.copy(), mu.copy(), np.empty_like(mu)
     for _ in range(1, m):
-        image = ((image << 1) & mask) | (image >> (m - 1))
-        least = np.minimum(least, image)
+        np.right_shift(image, m - 1, out=top)
+        image <<= 1
+        image &= mask
+        image |= top
+        np.minimum(least, image, out=least)
     return least
 
 

@@ -67,8 +67,8 @@ w = z + sigma^d(z) + ... + sigma^(6n-d)(z), walked on the sigma^n
 columns, lies in GF(2^d), and when the one relation among w^0..w^d (one
 `_ColumnSolver`) has degree d it is the minimal polynomial m_w, so
 y -> w maps K = GF(2)[y]/(m_w) onto GF(2^d); a trace in a proper subfield
-is skipped. The embedding and the log tables of `inv_vec` both start from
-such a model, of GF(2^n) and of GF(q^3).
+is skipped. The embedding and the log tables of the coordinate kernel both
+start from such a model, of GF(2^n) and of GF(q^3).
 
 The subfield and the embedding are built together on the first read of
 `subfield`, `embed_base`, `to_base` or `base_logs`, so root counts and a
@@ -87,29 +87,31 @@ the scan for r is most of it (2 vCPU).
 The numpy paths hold encodings in int64, so they need 6n <= 63 (n <= 10)
 and raise ValueError above it. numpy is first imported by the first call
 of a vector path (`_chunk_tables`, which every lookup table goes through,
-the reduction table of `mul_vec`, and `inv_vec`), never at import:
-construction and the scalar kernel run without it. The tables are built on
-first use and kept in `_np_tables`: byte tables of Frobenius powers
-(`frobenius_vec`), the reduction table of `mul_vec`, a chunked carry-less
-product of masked integer products reduced on int64 copies of the table of
-`mul` that broadcasts its operands, and two sets of tables the census
-reads, the second also read by the orbit oracle in `mobius`:
+and the coordinate kernel), never at import: construction and the scalar
+kernel run without it. The tables are built on first use and kept in
+`_np_tables`: byte tables of Frobenius powers (`frob_tables`), and two
+sets of tables the census reads, the second also read by the orbit oracle
+in `mobius`:
 - `normal_tables`, the coordinates in a normal basis beta^(2^i), in which
   squaring is a rotation by one bit, so the census ranks the 6n squarings
   of a value after one table application;
-- the tables of `inv_vec` (`_cubic_logs`). It inverts in coordinates over
-  GF(q^3), as composite-field inversion does (Guajardo and Paar, CRYPTO
-  1997): with x = u + v t and t + sigma^(3n)(t) = 1, the norm to GF(q^3)
-  is N = u(u + v) + c v^2, c = t^2 + t, and 1/x = ((u + v) + v t)/N. Its
-  one product and two quotients in GF(q^3) are sums of logs on int32 log
-  and exp tables of GF(q^3)*, between a byte table into the coordinates
-  and one back, and no product in GF(q^6) remains. The log tables hold
-  2^(3n) and 2^(3n+1) - 1 entries, 24 MiB at n = 7, so `inv_vec` serves
-  n <= 7 and refuses n = 8..10. Building them takes 0.44-0.67 ms at n = 4
-  (about 0.9 ms as the first build of a fresh process) and 46-67 ms at
-  n = 7 (2 vCPU), against 0.1-0.2 ms for one call on 2048 elements at
-  n = 4 and 0.2 ms at n = 7, where the route it replaced took 0.8 and
-  1.5 ms.
+- the tables of the coordinate kernel (`_cubic_logs`), the package's one
+  vector product (`mul_vec`) and one vector inverse (`inv_vec`, which can
+  multiply by the inverse without building it). They work in coordinates
+  over GF(q^3), as composite-field arithmetic does (Guajardo and Paar,
+  CRYPTO 1997): x = u + v t with t + sigma^(3n)(t) = 1 and t^2 = t + c,
+  packed as u | v << 3n. A product is three products in GF(q^3),
+  (u + v t)(u' + v' t) = (u u' + c v v') + ((u + v)(u' + v') + u u') t
+  (`_mul_logs`); the norm to GF(q^3) is N = u(u + v) + c v^2 and
+  1/x = ((u + v) + v t)/N. Every product and quotient in GF(q^3) is a sum
+  of logs on int32 log and exp tables of GF(q^3)*, and a byte table takes
+  encodings into the coordinates and one takes them back. The log tables
+  hold 2^(3n) and 2^(3n+1) - 1 entries, 24 MiB at n = 7, so the kernel
+  serves n <= 7 and refuses n = 8..10. Building them takes 0.44-0.67 ms at
+  n = 4 (about 0.9 ms as the first build of a fresh process) and 46-67 ms
+  at n = 7 (2 vCPU), against 0.07 ms for one `mul_vec` on 4096 elements
+  at n = 4 and 0.31 ms on 8192 at n = 7, and 0.10 and 0.35 ms for one
+  `inv_vec` with a scale (best of 5 x 100 calls).
 
 Linear algebra over GF(2) has one elimination, `_ColumnSolver`: it reduces
 int-bitmask vectors at their least set bits and keeps the input combination
@@ -165,9 +167,6 @@ _HEX = re.compile(r"[0-9a-fA-F]+")
 _GENERATORS = ((0,), (1,), (0, 1))
 _DRAWS = 64  # draws `Tower._trace_models` takes before it gives up
 _CHUNK = 1 << 16  # elements per numpy pass while `Tower._cubic_logs` fills its tables
-
-# every fourth bit, from bit i, below bit 63: the slots of `Tower.mul_vec`
-_SLOTS = tuple((0x1111111111111111 << i) & (2**63 - 1) for i in range(4))
 
 
 class _ColumnSolver:
@@ -265,6 +264,16 @@ def _chunk_tables(cols: np.ndarray, width: int = 8) -> np.ndarray:
     return out
 
 
+def _fold(s: np.ndarray, order: int) -> np.ndarray:
+    """s less order where s >= order, for an int32 array s >= 0: read as
+    uint32, s - order wraps above s exactly where s < order, so the least
+    of the two is the result. A sum of two logs below order lands below
+    order, and a sum that holds log 0 (3 order) stays past 2 order."""
+    import numpy as np
+    s = s.view(np.uint32)
+    return np.minimum(s, s - np.uint32(order)).view(np.int32)
+
+
 def _parse_hex(text: str) -> int:
     """The value of a string of hex digits; `int(text, 16)` would also take a
     sign, a 0x prefix, underscores and surrounding space."""
@@ -333,7 +342,6 @@ class Tower:
 
         # one reduction table, read from the top byte of a product down:
         # red[b] = (b << 6n) ^ ((b << 6n) mod modulus_big)
-        self._mask = (1 << m) - 1
         self._red = [0]
         for k in range(8):  # bit k of the byte doubles the table
             top = (1 << (m + k)) ^ gf2poly.mod(1 << (m + k), modulus_big)
@@ -617,47 +625,6 @@ class Tower:
     def frobenius_vec(self, x: np.ndarray, i: int) -> np.ndarray:
         return self.apply_tables(self.frob_tables(i), x)
 
-    def mul_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Elementwise products of two int64 arrays of encodings, broadcast
-        against each other as numpy operands are: shapes (1, R) and (E, 1)
-        give the (E, R) table of every product.
-
-        Horner over the w-bit chunks of y, top chunk first, with
-        w = min(6n, 63 - 6n): each step's shifted accumulator and product
-        stay below 2^63, and its high bytes fold back top first through the
-        table of `mul` without its b << 6n terms (int64 cannot hold them),
-        one copy shifted to each high byte; a mask then clears those bytes.
-        One chunk up to n = 5, two at n = 6..10. A chunk's carry-less
-        product is 16 integer products of masks that keep every fourth bit
-        (`_SLOTS`): x_i * y_j puts all its terms on bits congruent to
-        i + j mod 4, at most ceil(w / 4) <= 8 on one bit, so no carry leaves
-        a 4-bit slot and each slot's low bit is the XOR of its terms.
-        """
-        m = self.big_degree
-        w = min(m, 63 - m)
-        reduce = self._np_tables.get(("reduce",))
-        if reduce is None:
-            import numpy as np
-            if m > 63:
-                raise ValueError("vectorized paths need encodings below 64 bits")
-            red = np.array([t & self._mask for t in self._red], dtype=np.int64)
-            reduce = self._np_tables[("reduce",)] = [
-                (sh, red << (sh - m)) for sh, _ in self._shifts if sh < m + w] + [(m, red)]
-        xs = [x & s for s in _SLOTS]
-        acc = None
-        for lo in range(w * ((m - 1) // w), -1, -w):
-            chunk = (y >> lo) & ((1 << w) - 1)
-            ys = [chunk & s for s in _SLOTS]
-            part = 0
-            for r, slot in enumerate(_SLOTS):  # x_i * y_j lands on slot i + j mod 4
-                part ^= (xs[0] * ys[r] ^ xs[1] * ys[r - 1]
-                         ^ xs[2] * ys[r - 2] ^ xs[3] * ys[r - 3]) & slot
-            acc = part if acc is None else (acc << w) ^ part
-            for sh, tab in reduce:  # folds each high byte below it; the mask clears them
-                acc ^= tab[(acc >> sh) & 255]
-            acc &= self._mask
-        return acc
-
     def normal_tables(self) -> np.ndarray:
         """Byte tables of the coordinates in a normal basis beta^(2^i),
         i < 6n: bit i of the image of x is the coefficient of beta^(2^i), so
@@ -683,14 +650,18 @@ class Tower:
         return tabs
 
     def _cubic_logs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The tables of `inv_vec`, built on first use and kept with the
-        numpy tables: GF(q^6) = GF(q^3)(t), q = 2^n, in coordinates over
-        GF(q^3), and discrete logs on GF(q^3)*. With k = 3n, they are
-        (coords, out, log, exp): byte tables from an encoding x = u + v t to
-        u | v << k | (u^2 + c v^2) << 2k, and from u | v << k back to x; then
-        int32 logs and powers of g on GF(q^3)* with u and v read in the
-        basis w^0..w^(k-1), exp[i] = g^(i mod (2^k - 1)) for i < 2(2^k - 1)
-        and exp[2(2^k - 1)] = 0 = exp[log 0].
+        """The tables of the coordinate kernel (`mul_vec`, `inv_vec`), built
+        on first use and kept with the numpy tables: GF(q^6) = GF(q^3)(t),
+        q = 2^n, in coordinates over GF(q^3), and discrete logs on GF(q^3)*.
+        With k = 3n, they are (coords, out, log, exp): byte tables from an
+        encoding x = u + v t to u | v << k | (u^2 + c v^2) << 2k, and from
+        u | v << k back to x; then int32 logs and powers of g on GF(q^3)*
+        with u and v read in the basis w^0..w^(k-1), exp[i] =
+        g^(i mod (2^k - 1)) for i < 2(2^k - 1), exp[2(2^k - 1)] = 0, and
+        log 0 = 3(2^k - 1), so that a sum that holds log 0, even less
+        2^k - 1 (`_fold`), lies past the zero entry of exp, which every
+        lookup clips onto. The log of c, which the product's c v v' term
+        adds, is kept beside them as ("cubic_log_c",).
 
         w, m_w and the draw z are the first model of GF(q^3)
         (`_trace_models`) whose K = GF(2)[y]/(m_w) has y, y + 1 or y (y + 1)
@@ -701,16 +672,26 @@ class Tower:
         u, v in K, read in the basis w^0..w^(3n-1), and exp[i] = g^i: the
         first 64 by shifts, then doubled on the tables of the products by
         g^64, g^128, ..., each read on the low and the high half of g^i.
-        The packed coordinates fill 9n bits of one int64, so besides the
-        2^(3n) entries of the log tables they too need n <= 7: at n = 8 the
-        shift by 2k runs past bit 63 without an error. Raises AssertionError
+
+        The log tables hold 2^(3n) and 2^(3n+1) - 1 entries, 24 MiB at
+        n = 7, and the packed coordinates fill 9n bits of one int64, so the
+        kernel serves n <= 7 and refuses n = 8..10 with a ValueError that
+        names both limits, before it builds anything: at n = 8 the shift by
+        2k would run past bit 63 without an error. Raises AssertionError
         when t, c, the change of basis or the powers of g are not what they
         must be."""
         logs = self._np_tables.get(("cubic_logs",))
         if logs is not None:
             return logs
-        import numpy as np
         m, k = self.big_degree, 3 * self.n
+        if m > 63:
+            raise ValueError("vectorized paths need encodings below 64 bits")
+        if k > 21:
+            raise ValueError(f"mul_vec and inv_vec serve n <= 7: at n = {self.n} their log "
+                             f"tables on GF(q^3) would hold 2^{k} entries each, and their "
+                             f"packed coordinates u | v << {k} | (u^2 + c v^2) << {2 * k} "
+                             f"would need {3 * k} of the 63 bits of an int64")
+        import numpy as np
         order = (1 << k) - 1  # |GF(q^3)*|
         powers, m_w, z, g = next((powers, m_w, z, g) for powers, m_w, z in self._trace_models(k)
                                  for g in _GENERATORS if gf2poly.is_generator(m_w, g))
@@ -764,7 +745,7 @@ class Tower:
         if log[0] != -1 or (log[1:] < 0).any():
             raise AssertionError("the powers of g are not all of GF(q^3)*")
         exp[order:2 * order] = exp[:order]
-        exp[2 * order], log[0] = 0, 2 * order  # a sum holding log 0 reaches the zero
+        exp[2 * order], log[0] = 0, 3 * order  # a sum holding log 0 lies past the zero
 
         # each bit of an encoding in coordinates u | v << 3n; u^2 + c v^2 is
         # linear in them, with columns y^2i and c y^2i, and lands above 6n
@@ -776,44 +757,80 @@ class Tower:
         to_uv, from_coords, square = _chunk_tables(np.array(
             [[solver.solve(1 << j) for j in range(m)], cols, ys[::2] + cs[::2]], dtype=np.int64))
         to_coords = to_uv ^ self.apply_tables(square, to_uv) << 2 * k
+        self._np_tables[("cubic_log_c",)] = int(log[cs[0]])
         logs = self._np_tables[("cubic_logs",)] = (to_coords, from_coords, log, exp)
         return logs
 
-    def inv_vec(self, x: np.ndarray) -> np.ndarray:
-        """Elementwise inverses of an int64 array of encodings, 0 to 0, for
-        n <= 7, in coordinates over GF(q^3), q = 2^n (`_cubic_logs`).
+    def _coord_logs(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The logs of u, v and u + v for each x = u + v t packed as
+        u | v << 3n (bits from 6n up ignored), on the tables of
+        `_cubic_logs`: the form in which `_mul_logs` takes its operands."""
+        _, _, log, _ = self._cubic_logs()
+        k = 3 * self.n
+        order = (1 << k) - 1
+        u, v = x & order, (x >> k) & order
+        return log[u], log[v], log[u ^ v]
 
-        With x = u + v t, its conjugate over GF(q^3) is (u + v) + v t, the
-        norm N = u(u + v) + c v^2 lies in GF(q^3), and 1/x = ((u + v) + v t)/N.
-        One table application gives u, v and u^2 + c v^2; the product u v
-        and the two quotients are sums of logs, and a sum that holds log 0
-        is clipped onto the zero entry of exp; a second table application
-        returns to encodings. No product in GF(q^6). The tables hold
-        2^(3n) entries, and u | v << 3n | (u^2 + c v^2) << 6n packs 9n bits
-        into one int64, which holds 63, so n = 8..10 are refused with a
-        ValueError that names both limits. Its
-        callers are the census's cross-ratio (`counting._cross_ratio`) and
-        the orbit oracle's representatives
+    def _mul_logs(self, x: tuple[np.ndarray, ...], y: tuple[np.ndarray, ...]) -> np.ndarray:
+        """The product of two elements given as the logs of their u, v and
+        u + v (`_coord_logs`), each below 2^(3n) - 1 or, for a zero, past
+        2(2^(3n) - 1), packed as u | v << 3n. With t^2 = t + c,
+
+            (u + v t)(u' + v' t) = (u u' + c v v') + ((u + v)(u' + v') + u u') t,
+
+        three products in GF(q^3), each one sum of logs and one lookup in
+        exp; the log of c joins the log of v, folded back below 2^(3n) - 1
+        (`_fold`). v is shifted in int64: exp holds int32, which the shift
+        by 3n would overflow from n = 6."""
+        import numpy as np
+        exp = self._cubic_logs()[3]
+        k = 3 * self.n
+        log_c = self._np_tables[("cubic_log_c",)]
+        uu = np.take(exp, x[0] + y[0], mode="clip")
+        cvv = np.take(exp, _fold(x[1] + log_c, (1 << k) - 1) + y[1], mode="clip")
+        sums = np.take(exp, x[2] + y[2], mode="clip")
+        return np.left_shift(sums ^ uu, k, dtype=np.int64) | (uu ^ cvv)
+
+    def mul_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Elementwise products in coordinates over GF(q^3), q = 2^n, n <= 7
+        (`_cubic_logs`): x and y hold u | v << 3n for u + v t, bits from 6n
+        up ignored, and are broadcast against each other as numpy operands
+        are, so shapes (1, R) and (E, 1) give the (E, R) table of every
+        product; the result is packed the same way (`_mul_logs`)."""
+        return self._mul_logs(self._coord_logs(x), self._coord_logs(y))
+
+    def inv_vec(self, x: np.ndarray, scale: np.ndarray | None = None,
+                numer: np.ndarray | None = None) -> np.ndarray:
+        """Elementwise numer/(x s) in coordinates over GF(q^3), q = 2^n,
+        n <= 7 (`_cubic_logs`), and 0 where x s = 0, packed as u | v << 3n:
+        x holds u | v << 3n | (u^2 + c v^2) << 6n, as the table `coords`
+        gives; s, an optional array of elements of GF(q^3) read as u, and
+        numer, optional packed coordinates, are 1 by default and broadcast
+        against x.
+
+        The conjugate of x over GF(q^3) is (u + v) + v t, the norm
+        N = u(u + v) + c v^2 = (u^2 + c v^2) + u v lies in GF(q^3), and
+        1/(x s) = ((u + v) + v t)/(N s), whose u + v is u/(N s). The product
+        u v is one sum of logs; the log of 1/(N s) is 2^(3n) - 1 less the
+        log of N s, folded (`_fold`), and where N s = 0 the mask puts log 0
+        in its place, so that the result reads 0. The logs of 1/(x s) then
+        go straight into the product by numer (`_mul_logs`): the inverse is
+        never packed, nor its logs looked up again. The census's
+        cross-ratio passes a numerator (`counting._cross_ratio`); the orbit
+        oracle's representatives take 1/(alpha + g)
         (`mobius.suborbit_representatives`)."""
         import numpy as np
-        if self.big_degree > 63:
-            raise ValueError("vectorized paths need encodings below 64 bits")
+        _, _, log, exp = self._cubic_logs()
         k = 3 * self.n
-        if k > 21:
-            raise ValueError(f"inv_vec serves n <= 7: at n = {self.n} its log tables "
-                             f"on GF(q^3) would hold 2^{k} entries each, and its packed "
-                             f"coordinates u | v << {k} | (u^2 + c v^2) << {2 * k} "
-                             f"would need {3 * k} of the 63 bits of an int64")
-        coords, out, log, exp = self._cubic_logs()
-        order, zero = (1 << k) - 1, exp.size - 1
-        uvl = self.apply_tables(coords, x)
-        u, v = uvl & order, (uvl >> k) & order
-        lv = log[v]
-        norm = (uvl >> 2 * k) ^ exp[np.minimum(log[u] + lv, zero)]
-        neg = np.maximum(order - log[norm], 0)  # log 1/N, and 0 for N = 0
-        inv = np.left_shift(exp[np.minimum(lv + neg, zero)], k, dtype=np.int64)
-        inv |= exp[np.minimum(log[u ^ v] + neg, zero)]
-        return self.apply_tables(out, inv)
+        order = (1 << k) - 1
+        lu, lv, luv = self._coord_logs(x)
+        norm = (x >> 2 * k) ^ np.take(exp, lu + lv, mode="clip")
+        ld = log[norm] if scale is None else log[norm] + log[scale]
+        neg = order - _fold(ld, order)  # log 1/(N s), in (0, order] unless N s = 0
+        neg = np.where(neg > 0, neg, log[0])
+        inv = _fold(luv + neg, order), _fold(lv + neg, order), _fold(lu + neg, order)
+        one = 0, log[0], 0  # the logs of u = 1, v = 0 and u + v = 1
+        return self._mul_logs(one if numer is None else self._coord_logs(numer), inv)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Tower)

@@ -3,13 +3,14 @@
 Each PGL(2, 2^n) orbit of a degree-6 element is the disjoint union of the
 2^n + 1 affine classes {e*beta + f} of its `suborbit_representatives`, and
 `pgl_orbit_array` expands an orbit element by element. Both run on the
-vector kernel the census uses: the representatives are 1/(alpha + g), by
-`Tower.inv_vec`, and the expansion multiplies them by GF(2^n)* in one
-`Tower.mul_vec`, so the oracle serves n <= 7, as the census does. The
-census in `counting` never builds an orbit: it keys affine classes by the
-cross-ratio, which is constant on each orbit. These two builders are the
-element-level orbit oracle the tests check the census and the class
-decomposition against.
+coordinate kernel the census uses, in coordinates over GF(q^3) between
+its byte tables to and from encodings: the representatives are
+1/(alpha + g), by `Tower.inv_vec`, and the expansion multiplies them by
+GF(2^n)* in one broadcast `Tower.mul_vec`, so the oracle serves n <= 7, as
+the census does. The census in `counting` never builds an orbit: it keys
+affine classes by the cross-ratio, which is constant on each orbit. These
+two builders are the element-level orbit oracle the tests check the census
+and the class decomposition against.
 
 A projective point is an int: a field encoding, or infinity(ctx) = 2^(6n),
 one past the largest encoding, so points stay dense and sortable. Semi-linear
@@ -20,7 +21,7 @@ equality coincides with equality in the projective group. The group law
 only applies maps. The maps and their scalar evaluation run without numpy;
 it is first imported by `suborbit_representatives` and `pgl_orbit_array`,
 the two orbit builders, and they build no byte table of their own: the
-tables are those of `inv_vec` and `mul_vec`.
+tables are those of the coordinate kernel (`Tower._cubic_logs`).
 """
 
 from __future__ import annotations
@@ -143,15 +144,16 @@ def random_degree_six(ctx: Tower, rng: random.Random) -> int:
 def suborbit_representatives(ctx: Tower, alpha: int | np.ndarray) -> np.ndarray:
     """Representatives of the 2^n + 1 affine suborbits partitioning the orbit
     of alpha, as an int64 array: alpha, then 1/(alpha + g) for g in the
-    subfield, ascending, by `Tower.inv_vec` (n <= 7). For an array of
-    alphas, one row per alpha; each alpha must have degree 6
-    (`Tower.is_degree_six`)."""
+    subfield, ascending, by `Tower.inv_vec` in coordinates over GF(q^3)
+    (n <= 7). For an array of alphas, one row per alpha; each alpha must
+    have degree 6 (`Tower.is_degree_six`)."""
     import numpy as np
     alpha = np.asarray(alpha, dtype=np.int64)[..., None]
     if not all(map(ctx.is_degree_six, alpha.ravel().tolist())):
         raise ValueError("element must have degree 6 over the base field")
-    z = alpha ^ np.array(ctx.subfield, dtype=np.int64)
-    return np.concatenate([alpha, ctx.inv_vec(z)], axis=-1)
+    coords, out, _, _ = ctx._cubic_logs()
+    z = Tower.apply_tables(coords, alpha ^ np.array(ctx.subfield, dtype=np.int64))
+    return np.concatenate([alpha, Tower.apply_tables(out, ctx.inv_vec(z))], axis=-1)
 
 
 def pgl_orbit_array(ctx: Tower, alpha: int) -> np.ndarray:
@@ -160,10 +162,12 @@ def pgl_orbit_array(ctx: Tower, alpha: int) -> np.ndarray:
     The element-level expansion of the affine-class decomposition: the
     2^n + 1 suborbit representatives, then e*rep + f for e in GF(2^n)*
     (outermost), rep, and f in GF(2^n) (innermost), the products e*rep in
-    one broadcast `Tower.mul_vec`. Size 2^(3n) - 2^n; no duplicates.
+    one broadcast `Tower.mul_vec` in coordinates over GF(q^3). Size
+    2^(3n) - 2^n; no duplicates.
     """
     import numpy as np
-    reps = suborbit_representatives(ctx, alpha)
+    coords, out, _, _ = ctx._cubic_logs()
+    reps = Tower.apply_tables(coords, suborbit_representatives(ctx, alpha))
     sub = np.array(ctx.subfield, dtype=np.int64)
-    multiples = ctx.mul_vec(reps[None, :], sub[1:, None])
-    return (multiples[:, :, None] ^ sub).reshape(-1)
+    multiples = ctx.mul_vec(reps[None, :], Tower.apply_tables(coords, sub[1:, None]))
+    return (Tower.apply_tables(out, multiples)[:, :, None] ^ sub).reshape(-1)

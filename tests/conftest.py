@@ -249,6 +249,31 @@ def canonical_orbit_rep(ctx, alpha, group="PGL"):
     raise ValueError("group must be 'PGL' or 'PGammaL'")
 
 
+def cross_ratio_oracle(ctx, alphas):
+    """The census's cross-ratio by the scalar kernel: the q-powers a_i by
+    `Tower.frobenius`, mu = (a0 + a2)(a1 + a3) / ((a0 + a3)(a1 + a2)) by
+    `Tower.mul` and one `Tower.inv`, 0 where the denominator is 0, then
+    its coordinates in the normal basis of `Tower.normal_tables`."""
+    mus = []
+    for alpha in alphas:
+        a0, a1, a2, a3 = (ctx.frobenius(alpha, i * ctx.n) for i in range(4))
+        den = ctx.mul(a0 ^ a3, a1 ^ a2)
+        mus.append(ctx.mul(ctx.mul(a0 ^ a2, a1 ^ a3), ctx.inv(den)) if den else 0)
+    return Tower.apply_tables(ctx.normal_tables(), np.array(mus, dtype=np.int64))
+
+
+def low_field_class_elements(ctx):
+    """One element of each of the q + 2 affine classes inside GF(q^2) and
+    GF(q^3) outside GF(q), q = 2^n: a basis element b of GF(q^2) outside
+    GF(q), and for one b' of GF(q^3) outside GF(q), whose powers 1, b', b'^2
+    are a GF(q)-basis, b' and b'^2 + a b' for each a in GF(q)."""
+    n = ctx.n
+    b2, b3 = (next(b for b in fixed_field_basis(ctx, j * n) if ctx.frobenius(b, n) != b)
+              for j in (2, 3))
+    square = ctx.mul(b3, b3)
+    return [b2, b3] + [square ^ ctx.mul(a, b3) for a in ctx.subfield]
+
+
 def fixed_orbit_representatives(ctx, d, limit=None):
     """Census representatives of the orbits fixed setwise by the d-th
     Frobenius power, in ascending class rank: those whose t divides d."""

@@ -115,6 +115,16 @@ def test_census_small(capsys):
     assert obj["elements_visited"] == 4020
 
 
+def test_census_text_mode_prints_the_elapsed_milliseconds(capsys):
+    """A scan at n <= 5 takes a few ms, which seconds to one decimal read as 0.0."""
+    code, out, _ = run(capsys, "census", "--n", "3")
+    assert code == 0
+    line = next(line for line in out.splitlines() if line.startswith("workers = "))
+    ms = float(line.removeprefix("workers = 1, elapsed ").removesuffix(" ms"))
+    assert ms > 0
+    assert counting._sweep(make_tower(3)).elapsed_ms == pytest.approx(ms, abs=0.05)
+
+
 def test_census_worker_independence(capsys):
     _, one, _ = run_json(capsys, "census", "census", "--n", "3", "--json",
                          "--workers", "1")

@@ -11,9 +11,11 @@ from conftest import (
     canonical_orbit_rep,
     class_equation_oracle,
     class_ranks,
+    cross_ratio_oracle,
     enumerated_root_counts,
     eq41_counts_by_gcd,
     fixed_orbit_representatives,
+    low_field_class_elements,
     records_digest,
     subfield_span_array,
 )
@@ -219,18 +221,42 @@ def test_low_field_classes_are_those_of_the_subfield_spans(n):
     assert want.size == q + 2 and np.concatenate(got).tolist() == want.tolist()
 
 
-def cross_ratio_by_scalars(ctx, alpha):
-    """mu(alpha) from the scalar kernel: q-powers by `frobenius`, one `inv`."""
-    a0, a1, a2, a3 = (ctx.frobenius(alpha, i * ctx.n) for i in range(4))
-    return ctx.mul(ctx.mul(a0 ^ a2, a1 ^ a3), ctx.inv(ctx.mul(a0 ^ a3, a1 ^ a2)))
+def test_cross_ratio_matches_the_scalar_oracle_on_every_element_n2(tower2):
+    x = np.arange(1 << 12, dtype=np.int64)
+    assert counting._cross_ratio(tower2, x).tolist() == cross_ratio_oracle(
+        tower2, x.tolist()).tolist()
+
+
+ORACLE_TOWERS = [(3, None), (3, (18, 15, 0)), (4, None), (4, (24, 16, 3, 1, 0)), (5, None),
+                 (5, (30, 29, 0)), (6, None), (6, (36, 27, 0)), (7, None), (7, (42, 35, 0))]
+
+
+@pytest.mark.parametrize("n, exponents", ORACLE_TOWERS, ids=[
+    f"{n}-{','.join(map(str, e)) if e else 'default'}" for n, e in ORACLE_TOWERS])
+def test_cross_ratio_matches_the_scalar_oracle(n, exponents):
+    """The census's mu, in coordinates over GF(q^3), against the scalar
+    kernel on 2000 drawn classes and on the q + 2 classes inside GF(q^2)
+    and GF(q^3), where it is 0. n = 6 and 7 pack v past bit 31."""
+    ctx = make_tower(n, modulus_big=exponents and gf2poly.from_exponents(exponents))
+    q = 1 << n
+    low = class_ranks(ctx, np.array(low_field_class_elements(ctx), dtype=np.int64))
+    assert np.unique(low).size == q + 2
+    ranks = np.concatenate([low, np.random.default_rng(n).integers(
+        0, (q ** 5 - 1) // (q - 1), 2000)])
+    alpha = counting._class_elements(ctx, ranks)
+    mu = counting._cross_ratio(ctx, alpha)
+    assert mu.tolist() == cross_ratio_oracle(ctx, alpha.tolist()).tolist()
+    assert ((mu == 0) == np.isin(ranks, low)).all()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_cross_ratio_is_a_semilinear_invariant(n):
     """mu(m(alpha)) = mu(alpha) for a random PGL(2, q) map m, and
-    mu(alpha^2) = mu(alpha)^2, on random degree-6 alpha; mu is the scalar
-    formula and lies outside {0, 1}."""
+    mu(alpha^2) = mu(alpha)^2, a rotation of its normal-basis coordinates,
+    on random degree-6 alpha; mu is the scalar formula and lies outside
+    {0, 1}, whose coordinates are all ones."""
     ctx = make_tower(n)
+    m = ctx.big_degree
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(st.integers(0, (1 << 6 * n) - 1).filter(ctx.is_degree_six),
@@ -240,8 +266,8 @@ def test_cross_ratio_is_a_semilinear_invariant(n):
         assume(ctx.mul(a, d) ^ ctx.mul(b, c))
         beta = mobius.apply_map(ctx, mobius.make_map(ctx, a, b, c, d), alpha)
         mu = counting._cross_ratio(ctx, np.array([alpha, beta, ctx.square(alpha)])).tolist()
-        assert mu[0] == cross_ratio_by_scalars(ctx, alpha) not in (0, 1)
-        assert mu[1] == mu[0] and mu[2] == ctx.square(mu[0])
+        assert mu[0] == cross_ratio_oracle(ctx, [alpha])[0] not in (0, (1 << m) - 1)
+        assert mu[1] == mu[0] and mu[2] == ((mu[0] << 1) & ((1 << m) - 1)) | mu[0] >> (m - 1)
 
     check()
 
@@ -251,7 +277,7 @@ def test_cross_ratio_is_zero_exactly_off_the_degree_six_set(tower2):
     mu = counting._cross_ratio(tower2, x)
     six = np.array([tower2.is_degree_six(v) for v in range(1 << 12)])
     assert six.sum() == 4020
-    assert ((mu == 0) == ~six).all() and (mu != 1).all()
+    assert ((mu == 0) == ~six).all() and (mu != (1 << 12) - 1).all()  # mu = 1: all ones
 
 
 @pytest.mark.parametrize("coarsen", ["merge two orbits", "no squarings"])
@@ -271,7 +297,7 @@ def test_scan_raises_unless_its_orbits_hold_every_class(tower3, monkeypatch, coa
             least = canonical(ctx, mu)
             return np.where(least == c1, c0, least)
         # mu's own normal-basis coordinates, whose period is still t
-        return ctx.apply_tables(ctx.normal_tables(), mu)
+        return mu
 
     monkeypatch.setattr(counting, "_canonical", coarse)
     with pytest.raises(counting.ConsistencyError, match=f"not the {total} degree-6") as err:
@@ -298,7 +324,10 @@ def test_canonical_is_the_least_squaring_and_its_period(n):
         rng = np.random.default_rng(n)
         mu = np.concatenate([subfield_span_array(ctx, d) for d in range(1, 13) if m % d == 0]
                             + [rng.integers(0, 1 << m, 2000)])
-    least = counting._canonical(ctx, mu)
+    def canonical(x):
+        return counting._canonical(ctx, ctx.apply_tables(ctx.normal_tables(), x))
+
+    least = canonical(mu)
     t = counting._period(m, least)
     images = [mu]
     for _ in range(m):
@@ -307,7 +336,7 @@ def test_canonical_is_the_least_squaring_and_its_period(n):
                        for k in range(mu.size)])
     assert t.tolist() == period.tolist()
     for image in images[1:]:
-        assert (counting._canonical(ctx, image) == least).all()
+        assert (canonical(image) == least).all()
     orbit_min = np.minimum.reduce(images)  # the least polynomial encoding in the orbit
     assert np.unique(least).size == np.unique(orbit_min).size == np.unique(
         np.stack([least, orbit_min]), axis=1).shape[1]

@@ -6,19 +6,19 @@ the tower read from the top byte down (Tower.mul, Tower.square), Tower.inv
 (shift-and-add extended Euclid) and the Frobenius columns. Each property
 runs on the default towers at n = 2, 3, 4, 5, 7 and on two towers whose big
 modulus has a dense tail (24,16,3,1,0 and 30,29,0), where a folded top byte
-reaches the most bytes below it. The vectorised product Tower.mul_vec
-(chunked, masked integer products, reduced on int64 copies of the same
-table) must equal the scalar one elementwise, on those two towers too.
-The vectorised inverse Tower.inv_vec (in coordinates over GF(q^3), on log
-tables of GF(q^3)*, 0 to 0) must equal the scalar Tower.inv on every
-element of GF(2^12), on every nonzero element of GF(q^3) at n = 2 and 3,
-and on draws at n = 3, 4, 5, 7 and on the two dense-tail towers; it
-refuses n = 8..10, whose tables would hold 2^(3n) entries, and each check
-of its table build raises when a patched input breaks it. The suborbit
-representatives of alpha, which it computes, must be alpha and then the
-scalar inv(alpha + g) for each g of the subfield. Tower.mul_vec must
-broadcast: shapes (1, R) and (E, 1) give every product. In the coordinates
-of Tower.normal_tables, squaring must rotate left by one bit.
+reaches the most bytes below it. The coordinate kernel, Tower.mul_vec and
+Tower.inv_vec, works on u | v << 3n for x = u + v t over GF(q^3), on log
+tables of GF(q^3)*: read through its tables to and from encodings, its
+products, their broadcast tables ((1, R) against (E, 1)) and its inverses,
+0 to 0, optionally scaled by an element of GF(q^3) and times a numerator,
+must equal the scalar Tower.mul and Tower.inv on every element of
+GF(2^12), on every element of GF(q^3) at n = 2 and 3, on all-ones
+coordinates, and on draws at n = 3, 4, 5, 7 and on the two dense-tail
+towers; it refuses n = 8..10, whose tables would hold 2^(3n) entries, and
+each check of its table build raises when a patched input breaks it. The
+suborbit representatives of alpha, which it computes, must be alpha and
+then the scalar inv(alpha + g) for each g of the subfield. In the
+coordinates of Tower.normal_tables, squaring must rotate left by one bit.
 """
 
 import copy
@@ -137,13 +137,44 @@ def test_inv_refuses_reducible_modulus():
 # ------------------------------------------------------------ vectorised kernel
 
 
+def to_coords(ctx, x):
+    """u | v << 3n | (u^2 + c v^2) << 6n of each encoding, on the kernel's table."""
+    return ctx.apply_tables(ctx._cubic_logs()[0], np.asarray(x, dtype=np.int64))
+
+
+def from_coords(ctx, p):
+    """The encoding of each u | v << 3n, on the kernel's table."""
+    return ctx.apply_tables(ctx._cubic_logs()[1], p)
+
+
+def mul_on_coords(ctx, x, y):
+    return from_coords(ctx, ctx.mul_vec(to_coords(ctx, x), to_coords(ctx, y)))
+
+
+def inv_on_coords(ctx, x, scale=None, numer=None):
+    """numer/(x s) by `inv_vec`, s in GF(q^3) passed as its u coordinate."""
+    s = None if scale is None else to_coords(ctx, scale) & (1 << 3 * ctx.n) - 1
+    y = None if numer is None else to_coords(ctx, numer)
+    return from_coords(ctx, ctx.inv_vec(to_coords(ctx, x), s, y))
+
+
+def scalar_inv(ctx, x):
+    return ctx.inv(x) if x else 0
+
+
 def test_vec_kernel_matches_scalar_on_every_element_n2():
     ctx = tower((2, None))
     x = np.arange(1 << 12, dtype=np.int64)
     for y in [x, x[::-1], np.roll(x, 1000)] + [np.full_like(x, c) for c in (0, 1, 0x2b3)]:
         want = [ctx.mul(a, b) for a, b in zip(x.tolist(), y.tolist())]
-        assert ctx.mul_vec(x, y).tolist() == want
-    assert ctx.inv_vec(x).tolist() == [0] + [ctx.inv(a) for a in range(1, 1 << 12)]
+        assert mul_on_coords(ctx, x, y).tolist() == want
+    assert inv_on_coords(ctx, x).tolist() == [0] + [ctx.inv(a) for a in range(1, 1 << 12)]
+    for s in cubic_subfield(ctx)[:5] + [cubic_subfield(ctx)[-1]]:
+        assert inv_on_coords(ctx, x, np.full_like(x, s)).tolist() == [
+            scalar_inv(ctx, ctx.mul(a, s)) for a in x.tolist()]
+        assert inv_on_coords(ctx, x, np.full_like(x, s), x[::-1]).tolist() == [
+            ctx.mul(b, scalar_inv(ctx, ctx.mul(a, s)))
+            for a, b in zip(x.tolist(), x[::-1].tolist())]
 
 
 @pytest.mark.parametrize(
@@ -151,25 +182,37 @@ def test_vec_kernel_matches_scalar_on_every_element_n2():
             (5, "30,29,0")],
     ids=lambda key: str(key[0] if key[1] is None else key))
 def test_vec_kernel_matches_scalar(key):
+    """Products, their broadcast tables, inverses, and quotients by x scaled
+    by an element of GF(q^3) in coordinates, against the scalar kernel; at
+    n = 10 both refuse."""
     ctx = tower(key)
+    if ctx.n > 7:
+        x = np.array([1, 2], dtype=np.int64)
+        for call in (lambda: ctx.mul_vec(x, x), lambda: ctx.inv_vec(x)):
+            with pytest.raises(ValueError, match=r"n <= 7: at n = 10 .* 2\^30 entries"):
+                call()
+        return
+    cubic = cubic_subfield(ctx)
     pairs = st.tuples(field_elements(key), field_elements(key))
 
     @KERNEL
-    @given(st.lists(pairs, min_size=1, max_size=40))
-    def check(drawn):
+    @given(st.lists(pairs, min_size=1, max_size=40), st.integers(0, len(cubic) - 1))
+    def check(drawn, pick):
         x, y = (np.array(col, dtype=np.int64) for col in zip(*drawn))
-        assert ctx.mul_vec(x, y).tolist() == [ctx.mul(a, b) for a, b in drawn]
-        column = ctx.mul_vec(x[:, None], y[:, None])
+        assert mul_on_coords(ctx, x, y).tolist() == [ctx.mul(a, b) for a, b in drawn]
+        cx, cy = to_coords(ctx, x), to_coords(ctx, y)
+        column = ctx.mul_vec(cx[:, None], cy[:, None])
         assert column.shape == (len(drawn), 1)
-        assert column[:, 0].tolist() == ctx.mul_vec(x, y).tolist()
-        table = ctx.mul_vec(x[None, :], y[:, None])  # every y against every x
+        assert column[:, 0].tolist() == ctx.mul_vec(cx, cy).tolist()
+        table = from_coords(ctx, ctx.mul_vec(cx[None, :], cy[:, None]))  # every y against every x
         assert table.shape == (len(drawn), len(drawn))
         assert table.tolist() == [[ctx.mul(a, b) for a in x.tolist()] for b in y.tolist()]
-        if ctx.n <= 7:
-            assert ctx.inv_vec(x).tolist() == [ctx.inv(a) if a else 0 for a in x.tolist()]
-        else:
-            with pytest.raises(ValueError, match=r"n <= 7: at n = 10 .* 2\^30 entries"):
-                ctx.inv_vec(x)
+        assert inv_on_coords(ctx, x).tolist() == [scalar_inv(ctx, a) for a in x.tolist()]
+        s = cubic[pick]
+        assert inv_on_coords(ctx, x, np.full_like(x, s)).tolist() == [
+            scalar_inv(ctx, ctx.mul(a, s)) for a in x.tolist()]
+        assert inv_on_coords(ctx, x, np.full_like(x, s), y).tolist() == [
+            ctx.mul(b, scalar_inv(ctx, ctx.mul(a, s))) for a, b in drawn]
 
     check()
 
@@ -188,19 +231,22 @@ def test_inv_vec_on_every_element_of_the_cubic_subfield(n):
     ctx = make_tower(n)
     x = cubic_subfield(ctx)
     assert len(x) == 1 << 3 * n
-    assert ctx.inv_vec(np.array(x, dtype=np.int64)).tolist() == [
-        ctx.inv(a) if a else 0 for a in x]
+    assert (to_coords(ctx, x) >> 3 * n & (1 << 3 * n) - 1 == 0).all()  # v = 0
+    assert inv_on_coords(ctx, x).tolist() == [scalar_inv(ctx, a) for a in x]
 
 
 @pytest.mark.parametrize("n", [8, 9, 10])
 def test_inv_vec_refuses_n8_to_n10_by_the_size_of_its_tables(n):
+    """The product refuses them too: both read the same tables."""
     ctx = make_tower(n)
-    prefix = rf"^inv_vec serves n <= 7: at n = {n} .* 2\^{3 * n} "
-    with pytest.raises(ValueError, match=prefix) as err:
-        ctx.inv_vec(np.array([1, 2], dtype=np.int64))
-    # the packed coordinates u | v << 3n | (u^2 + c v^2) << 6n outgrow an int64 too
-    assert str(err.value).endswith(f"u | v << {3 * n} | (u^2 + c v^2) << {6 * n} "
-                                   f"would need {9 * n} of the 63 bits of an int64")
+    prefix = rf"^mul_vec and inv_vec serve n <= 7: at n = {n} .* 2\^{3 * n} "
+    x = np.array([1, 2], dtype=np.int64)
+    for call in (lambda: ctx.inv_vec(x), lambda: ctx.mul_vec(x, x)):
+        with pytest.raises(ValueError, match=prefix) as err:
+            call()
+        # the packed coordinates u | v << 3n | (u^2 + c v^2) << 6n outgrow an int64 too
+        assert str(err.value).endswith(f"u | v << {3 * n} | (u^2 + c v^2) << {6 * n} "
+                                       f"would need {9 * n} of the 63 bits of an int64")
     assert ("cubic_logs",) not in ctx._np_tables
 
 
@@ -252,12 +298,24 @@ def test_inv_vec_build_checks_that_g_generates(monkeypatch):
 
 @pytest.mark.parametrize("n", [5, 10])
 def test_mul_vec_all_ones(n):
-    """All-ones operands put the most terms on each masked slot of a chunk."""
+    """All-ones coordinates have u + v = 0, whose log is log 0, in the
+    third product of `mul_vec`; all-ones encodings and the top bit join
+    them. At n = 10 the coordinate kernel refuses."""
     ctx = make_tower(n)
-    ones = (1 << 6 * n) - 1
-    x = np.array([ones, ones, ones ^ 1, 1 << 6 * n - 1, 3], dtype=np.int64)
-    y = np.array([ones, 1, ones, ones, ones], dtype=np.int64)
-    assert ctx.mul_vec(x, y).tolist() == [ctx.mul(a, b) for a, b in zip(x.tolist(), y.tolist())]
+    k = 3 * n
+    ones = (1 << 2 * k) - 1
+    if n > 7:
+        with pytest.raises(ValueError, match="serve n <= 7"):
+            ctx.mul_vec(np.array([ones]), np.array([ones]))
+        return
+    cx = np.array([ones, ones, ones >> k, ones ^ 1, 1 << k], dtype=np.int64)
+    cy = np.array([ones, 1, ones, 1 << k, ones], dtype=np.int64)
+    x, y = from_coords(ctx, cx), from_coords(ctx, cy)
+    assert from_coords(ctx, ctx.mul_vec(cx, cy)).tolist() == [
+        ctx.mul(a, b) for a, b in zip(x.tolist(), y.tolist())]
+    enc = np.array([(1 << 6 * n) - 1, 1 << 6 * n - 1, 3], dtype=np.int64)
+    assert mul_on_coords(ctx, enc, enc[::-1]).tolist() == [
+        ctx.mul(a, b) for a, b in zip(enc.tolist(), enc[::-1].tolist())]
 
 
 def assert_inverse_form(ctx, alphas):
@@ -297,7 +355,8 @@ def test_squaring_rotates_normal_coordinates_on_every_element_n2():
     x = np.arange(1 << 12, dtype=np.int64)
     v = ctx.apply_tables(ctx.normal_tables(), x)
     assert np.unique(v).size == 1 << 12  # the coordinate map is a bijection
-    assert (rotate(v, 12) == ctx.apply_tables(ctx.normal_tables(), ctx.mul_vec(x, x))).all()
+    squares = np.array([ctx.square(a) for a in range(1 << 12)], dtype=np.int64)
+    assert (rotate(v, 12) == ctx.apply_tables(ctx.normal_tables(), squares)).all()
 
 
 @pytest.mark.parametrize("n", range(3, 11))
