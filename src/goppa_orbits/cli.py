@@ -174,7 +174,7 @@ def cmd_fixed(args) -> int:
                 "bound": counting.burnside_bound(n),
             })
         obj = {"n_values": primes, "rows": rows}
-        lines = []
+        lines = [] if rows else [f"no prime n in 5..{args.nmax}: the table is empty"]
         for row in rows:
             lines.append(f"n = {row['n']}: bound {row['bound']}")
             lines.append("  fixed by divisor: " + ", ".join(

@@ -27,7 +27,7 @@ polynomial of the paper, is a test oracle in `tests/conftest.py`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gf2tower import Tower, _ColumnSolver
 from .mobius import SemiLinearMap, apply_map, infinity
@@ -78,8 +78,7 @@ def nullspace(rows: list[int], width: int) -> tuple[int, ...]:
     return tuple(basis)
 
 
-@dataclass(frozen=True)
-class BinaryCode:
+class BinaryCode(NamedTuple):
     """Binary linear code, held as its canonical (RREF) generator rows, its
     one representation; only the `code` report derives a parity basis, from
     the parity columns that built the code (`parity_basis`)."""
@@ -258,8 +257,7 @@ def weight_enumerator(code: BinaryCode) -> tuple[int, ...]:
     return tuple(counts)
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     alpha: int
     beta: int
     map: SemiLinearMap

@@ -17,16 +17,17 @@ linear, eq_41, is counted on the kernel of a linearized polynomial whose
 nonzero elements map onto its roots. Each orbit is represented by
 an element of its least class rank, the first class the scan meets. At
 n = 7 the scan meets the least class of every orbit in the first 0.4 % of
-the ranks (about 0.33-0.34 s in-process on 2 vCPU with the tables built,
-and 83 MiB peak RSS as a `--json` command, 24 MiB of it the log tables of
-GF(q^3)*). Its costly steps are the cross-ratio, taken in coordinates
-over GF(q^3), where every product and the one inverse are sums of logs on
-those tables (`Tower.mul_vec`, `Tower.inv_vec`), and the least of the 6n
-squarings of each value, read as rotations of its coordinates in a normal
-basis (`_canonical`); the bookkeeping is one sort per block. The census
-and the oracle stay limited to n <= 7, where the n = 8 report would hold
-some 350,000 records; larger n is refused with a cost estimate rather
-than attempted. The root counts list no root, so they run up to the tower's
+the ranks (0.22 s in-process on 2 vCPU with the tables built, n = 6
+0.083-0.087 s and n = 5 2.4 ms, and 83 MiB peak RSS as a `--json`
+command, 24 MiB of it the log tables of GF(q^3)*). Its costly steps are
+the cross-ratio, taken in coordinates over GF(q^3), where every product
+and the one inverse are sums of logs on those tables (`Tower.mul_vec`,
+`Tower.inv_vec`), and the least of the 6n squarings of each value, read
+as rotations of its coordinates in a normal basis (`_canonical`); the
+bookkeeping is one sort per block. The census and the oracle stay
+limited to n <= 7, where the n = 8 report would hold some 350,000
+records; larger n is refused with a cost estimate rather than
+attempted. The root counts list no root, so they run up to the tower's
 cap, n <= 16.
 
 Only the scan uses numpy: `_class_elements`, `_canonical`, `_period` and
@@ -41,7 +42,6 @@ import math
 import time
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import gf2poly
@@ -248,8 +248,7 @@ class SweepRecord(NamedTuple):
     pgl_orbits: int
 
 
-@dataclass(frozen=True)
-class OrbitCensus:
+class OrbitCensus(NamedTuple):
     """Census of semi-linear orbits on the degree-6 set, in ascending class
     rank of the representatives."""
 
@@ -323,19 +322,29 @@ def _canonical(ctx: Tower, mu: np.ndarray) -> np.ndarray:
     """The least of the 6n squarings of each element, given its
     coordinates in the normal basis of `Tower.normal_tables`, as
     `_cross_ratio` returns them. In that basis squaring rotates the
-    coordinates by one bit, so 6n - 1 rotations, done in place, replace
-    6n - 1 Frobenius applications."""
+    coordinates by one bit, so 6n - 1 rotations replace 6n - 1 Frobenius
+    applications, and each takes two passes, a shift and a minimum.
+
+    Left-aligned in a uint64 by s = 64 - 6n and doubled (w | w >> 6n), mu
+    holds its rotation by each i <= s as the top 6n bits of the word
+    shifted left by i. The bits below them only break ties between equal
+    tops, so the least of the shifted words, shifted right by s, is the
+    least rotation. Where s < 6n - 1 (n = 6, 7), the rotations run in two
+    stages, the second re-doubled from the rotation by s."""
     import numpy as np
     m = ctx.big_degree
-    mask = (1 << m) - 1
-    least, image, top = mu.copy(), mu.copy(), np.empty_like(mu)
-    for _ in range(1, m):
-        np.right_shift(image, m - 1, out=top)
-        image <<= 1
-        image &= mask
-        image |= top
-        np.minimum(least, image, out=least)
-    return least
+    s = 64 - m
+    top = np.uint64(((1 << m) - 1) << s)
+    word = mu.view(np.uint64) << s  # the rotation by 0
+    least, shifted = word.copy(), np.empty_like(word)
+    for start in range(0, m - 1, s):  # the rotations by start + 1, ..., start + s
+        doubled = word | word >> m
+        for i in range(1, min(s, m - 1 - start) + 1):
+            np.left_shift(doubled, i, out=shifted)
+            np.minimum(least, shifted, out=least)
+        word = shifted & top  # the rotation by start + s, if a stage follows
+    least >>= s
+    return least.view(np.int64)
 
 
 def _period(m: int, x: np.ndarray) -> np.ndarray:
@@ -473,8 +482,7 @@ def fixed_point_oracle(ctx: Tower, d: int) -> int:
 # ---------------------------------------------------------------- root counts
 
 
-@dataclass(frozen=True)
-class RootCounts:
+class RootCounts(NamedTuple):
     """Root tallies of one equation, split by where the roots live."""
 
     equation: str

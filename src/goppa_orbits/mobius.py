@@ -15,7 +15,7 @@ and the class decomposition against.
 A projective point is an int: a field encoding, or infinity(ctx) = 2^(6n),
 one past the largest encoding, so points stay dense and sortable. Semi-linear
 maps pair an invertible 2x2 matrix over the (embedded) base field with a
-Frobenius exponent; matrices are stored scalar-normalized so dataclass
+Frobenius exponent; matrices are stored scalar-normalized so record
 equality coincides with equality in the projective group. The group law
 (composition, inverses) is a test oracle in `tests/conftest.py`: the package
 only applies maps. The maps and their scalar evaluation run without numpy;
@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .gf2tower import Tower, _parse_hex
 
@@ -59,8 +58,7 @@ def infinity(ctx: Tower) -> int:
     return 1 << ctx.big_degree
 
 
-@dataclass(frozen=True)
-class SemiLinearMap:
+class SemiLinearMap(NamedTuple):
     """Normalized (matrix, Frobenius power) pair; entries are embedded base-field values."""
 
     a: int

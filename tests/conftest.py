@@ -262,6 +262,21 @@ def cross_ratio_oracle(ctx, alphas):
     return Tower.apply_tables(ctx.normal_tables(), np.array(mus, dtype=np.int64))
 
 
+def least_rotation_by_five_passes(m, mu):
+    """The least of the m rotations of each m-bit value, one rotation at a
+    time in place: shift right, shift left, mask, or, minimum. The reference
+    for `counting._canonical`, which reads the rotations off a doubled word."""
+    mask = (1 << m) - 1
+    least, image, top = mu.copy(), mu.copy(), np.empty_like(mu)
+    for _ in range(1, m):
+        np.right_shift(image, m - 1, out=top)
+        image <<= 1
+        image &= mask
+        image |= top
+        np.minimum(least, image, out=least)
+    return least
+
+
 def low_field_class_elements(ctx):
     """One element of each of the q + 2 affine classes inside GF(q^2) and
     GF(q^3) outside GF(q), q = 2^n: a basis element b of GF(q^2) outside

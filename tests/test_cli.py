@@ -255,6 +255,16 @@ def test_fixed_table(capsys):
     assert row5["counts"]["15"] == 1023
 
 
+def test_fixed_table_below_the_least_prime(capsys):
+    """--nmax below 5 leaves no prime n > 3: the text report says so in one
+    line, and the JSON report holds empty lists."""
+    code, out, err = run(capsys, "fixed", "--n", "5", "--table", "--nmax", "4")
+    assert (code, out, err) == (0, "no prime n in 5..4: the table is empty\n", "")
+    code, obj, _ = run_json(capsys, "fixed_table", "fixed", "--n", "5",
+                            "--table", "--nmax", "4", "--json")
+    assert code == 0 and obj == {"n_values": [], "rows": []}
+
+
 def test_roots_solver_path(capsys):
     code, obj, _ = run_json(capsys, "roots", "roots", "--n", "5", "--which",
                             "eq_deg8", "--json")

@@ -15,6 +15,7 @@ from conftest import (
     enumerated_root_counts,
     eq41_counts_by_gcd,
     fixed_orbit_representatives,
+    least_rotation_by_five_passes,
     low_field_class_elements,
     records_digest,
     subfield_span_array,
@@ -340,6 +341,27 @@ def test_canonical_is_the_least_squaring_and_its_period(n):
     orbit_min = np.minimum.reduce(images)  # the least polynomial encoding in the orbit
     assert np.unique(least).size == np.unique(orbit_min).size == np.unique(
         np.stack([least, orbit_min]), axis=1).shape[1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_canonical_equals_the_five_pass_rotations(n):
+    """`_canonical` on its doubled word against one rotation at a time:
+    every value at n = 2; elsewhere 0, the all-ones word, values of every
+    period d < 6n (a random d-bit block repeated) and random values, 4096
+    in all. n = 6 and 7 take the second stage."""
+    ctx = make_tower(n)
+    m = ctx.big_degree
+    if n == 2:
+        mu = np.arange(1 << m, dtype=np.int64)
+    else:
+        rng = np.random.default_rng(n)
+        periodic = [int(rng.integers(0, 1 << d)) * ((1 << m) - 1) // ((1 << d) - 1)
+                    for d in range(1, m) if m % d == 0 for _ in range(8)]
+        mu = np.array([0, (1 << m) - 1, *periodic], dtype=np.int64)
+        mu = np.concatenate([mu, rng.integers(0, 1 << m, 4096 - mu.size)])
+    least = counting._canonical(ctx, mu)
+    assert least.dtype == np.int64
+    assert least.tolist() == least_rotation_by_five_passes(m, mu).tolist()
 
 
 def brute_force_records(ctx):

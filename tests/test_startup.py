@@ -1,8 +1,12 @@
-"""Start-up guard: only the sweeps import numpy.
+"""Start-up guard: only the sweeps import numpy, and nothing imports
+`dataclasses`.
 
 Importing the CLI, building a tower and every scalar command run in a fresh
-interpreter where numpy cannot be imported, and their reports equal the
-goldens; a census or a fixed-point count by sweep imports it.
+interpreter where neither numpy nor `dataclasses` can be imported, and their
+reports equal the goldens; a census or a fixed-point count by sweep imports
+numpy. `dataclasses` brings in `inspect`, `ast`, `dis` and `tokenize`, the
+largest import a scalar command would pay for, so the package's records are
+`NamedTuple`s, immutable values like frozen dataclasses.
 """
 
 import json
@@ -13,6 +17,9 @@ from pathlib import Path
 
 import pytest
 
+from goppa_orbits.codes import BinaryCode, EquivalenceReport
+from goppa_orbits.counting import OrbitCensus, RootCounts, SweepRecord
+from goppa_orbits.mobius import SemiLinearMap
 from test_golden import GOLDEN, GOLDEN_DIR
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -24,6 +31,7 @@ CHILD = """
 import contextlib, io, json, sys
 if sys.argv[2] == "block":
     sys.modules["numpy"] = None  # `import numpy` now raises ImportError
+    sys.modules["dataclasses"] = None
 import goppa_orbits.cli
 from goppa_orbits import make_tower
 assert sys.modules.get("numpy") is None, "importing the CLI imported numpy"
@@ -68,3 +76,32 @@ def test_sweeps_import_numpy(argv):
     out = run_child([argv], "open")
     assert out["records"][0]["exit"] == 0
     assert out["numpy"]
+
+
+RECORDS = {
+    "SemiLinearMap": lambda: SemiLinearMap(a=1, b=0, c=2, d=1, frob=3),
+    "BinaryCode": lambda: BinaryCode(length=5, generator=(0b10011, 0b01101)),
+    "EquivalenceReport": lambda: EquivalenceReport(
+        alpha=6, beta=9, map=SemiLinearMap(1, 0, 0, 1, 0), permutation=(1, 0, 2),
+        verified=True, weights_alpha=(1, 0, 3), weights_beta=None),
+    "OrbitCensus": lambda: OrbitCensus(
+        n=2, records=(SweepRecord(5, 1), SweepRecord(7, 2)), pgl_orbit_size=60,
+        pgl_orbit_count=3, elements_visited=180, elapsed_ms=1.5),
+    "RootCounts": lambda: RootCounts("eq_3n", 32704, 32640, 64, 0),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_immutable_values(name):
+    """Assigning to a field raises AttributeError, and equal fields give
+    equal, equally hashed records, as for a frozen dataclass. A record also
+    compares equal to the plain tuple of its fields."""
+    record, twin = RECORDS[name](), RECORDS[name]()
+    assert type(record).__name__ == name
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.extra = 0
+    assert record is not twin and record == twin and hash(record) == hash(twin)
+    assert record == tuple(record) != record._replace(**{record._fields[0]: None})
