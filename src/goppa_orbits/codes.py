@@ -13,7 +13,8 @@ one `rref` of the transposed columns gives its reduced basis.
 A code is built from g, the sextic minimal polynomial of alpha over GF(q),
 q = 2^n, in GF(q): each finite parity column holds a^k / g(a), k < 6, read
 off the discrete logs of `Tower.base_logs`, so a code costs no product or
-inverse in the big field. It is the binary code of the single row
+inverse in the big field, and a coefficient of g with no log there lies
+outside GF(q) and is refused. It is the binary code of the single row
 1/(alpha - a) over GF(q^6), the route the tests keep as an oracle.
 
 An extended code is one subfield subcode over a projective support in any
@@ -111,10 +112,11 @@ def goppa_parity(ctx: Tower, g: tuple[int, ...], support: list[int]) -> list[int
         raise ValueError("alpha must have degree 6 over the base field")
     n = ctx.n
     q1 = (1 << n) - 1
-    logs = ctx.base_logs()
-    exp, log, base_log = logs.exp, logs.log, logs.base_log
-    coeffs = [ctx.to_base(c) for c in g]
-    terms = [(k, base_log[c]) for k, c in enumerate(coeffs) if c]
+    exp, _, log, base_log = ctx.base_logs
+    try:
+        terms = [(k, log[c]) for k, c in enumerate(g) if c]
+    except KeyError:
+        raise ValueError("a coefficient of g is not in the embedded base field") from None
     inf = infinity(ctx)
     cols = []
     try:
@@ -123,7 +125,7 @@ def goppa_parity(ctx: Tower, g: tuple[int, ...], support: list[int]) -> list[int
                 cols.append(0)
                 continue
             if a == 0:  # g(0) = g_0, and a^k = 0 for k > 0
-                ga, la, top = coeffs[0], 0, n
+                ga, la, top = exp[log[g[0]]] if g[0] else 0, 0, n
             else:
                 ga, la, top = 0, log[a], 6 * n
                 for k, lc in terms:
@@ -210,8 +212,7 @@ def induced_permutation(ctx: Tower, m: SemiLinearMap,
     """
     n = ctx.n
     q1 = (1 << n) - 1
-    logs = ctx.base_logs()
-    exp, log = logs.embedded, logs.log
+    _, exp, log, _ = ctx.base_logs
     inf = infinity(ctx)
     k = m.frob % n
 

@@ -172,20 +172,23 @@ def burnside_decomposition(n: int) -> list[dict]:
 
 
 def burnside_bound(n: int) -> int:
-    """Upper bound on inequivalent extended codes: the averaged fixed-point count.
+    """Upper bound on inequivalent extended codes: the averaged fixed-point count."""
+    return _burnside(n)[1]
 
-    Evaluates both the explicit phi-weighted divisor sum and the closed-form
-    numerator, requiring exact agreement and exact divisibility by 6n.
-    """
-    _require_odd_prime(n)
+
+def _burnside(n: int) -> tuple[list[dict], int]:
+    """`burnside_decomposition` and the bound from it: the phi-weighted divisor
+    sum must equal the closed-form numerator, and the numerator divide by 6n
+    (ConsistencyError otherwise)."""
+    rows = burnside_decomposition(n)
     numerator = burnside_numerator(n)
-    phi_sum = sum(row["term"] for row in burnside_decomposition(n))
+    phi_sum = sum(row["term"] for row in rows)
     if phi_sum != numerator:
         raise ConsistencyError(
             f"divisor sum {phi_sum} differs from closed form {numerator} at n={n}")
     if numerator % (6 * n):
         raise ConsistencyError(f"closed form not divisible by 6n at n={n}")
-    return numerator // (6 * n)
+    return rows, numerator // (6 * n)
 
 
 # ------------------------------------------------------------------ the scan
@@ -305,7 +308,7 @@ def _cross_ratio_tables(ctx: Tower) -> tuple[np.ndarray, ...]:
     tabs = ctx._np_tables.get(("cross_ratio",))
     if tabs is None:
         n, k = ctx.n, 3 * ctx.n
-        coords, out, _, _ = ctx._cubic_logs()
+        coords, out, *_ = ctx._cubic_logs
         sigma = ctx.frob_tables(n)
         a1 = Tower.apply_tables(coords, sigma)
         a2 = Tower.apply_tables(coords, ctx.frobenius_vec(sigma, n))  # sigma^n twice
@@ -314,7 +317,7 @@ def _cross_ratio_tables(ctx: Tower) -> tuple[np.ndarray, ...]:
             ((coords ^ a2) & uv) | v0 << 2 * k,  # X = a0 + a2, Z = a0 + a3 = v0
             (a1 ^ coords ^ v0) & uv,  # Y = a1 + a3, a3 = (u0 + v0) + v0 t
             a1 ^ a2,  # W = a1 + a2
-            Tower.apply_tables(ctx.normal_tables(), out))
+            Tower.apply_tables(ctx.normal_tables, out))
     return tabs
 
 

@@ -5,13 +5,13 @@ the polynomial basis of the field's modulus. 0 and 1 encode the field's zero
 and one, and addition is the xor (^) operation. A Tower carries the moduli,
 the subfield embedding and the Frobenius machinery; all operations are pure
 functions of their inputs. A Tower's moduli never change after
-construction; the subfield list and the embedding (`_embedding`), the
-Frobenius columns and the numpy tables are built on first read and then
-kept unchanged (two threads racing on a first read build equal values),
-so a Tower can be shared freely between threads. The module holds what
-the commands and the benchmark call; the independent oracles the tests
-check it against (a schoolbook product, subfield spans, enumerated root
-counts) live in `tests/conftest.py`.
+construction; the subfield and its embedding (`_embedding`) and logs
+(`base_logs`), the Frobenius columns and the numpy tables are built on
+first read and then kept unchanged (two threads racing on a first read
+build equal values), so a Tower can be shared freely between threads.
+The module holds what the commands and the benchmark call; the
+independent oracles the tests check it against (a schoolbook product,
+subfield spans, enumerated root counts) live in `tests/conftest.py`.
 
 The scalar kernel:
 
@@ -33,8 +33,8 @@ The scalar kernel:
 - `_frob_cols(i)`, the columns of x -> x^(2^i), are the powers z^j of
   z = x^(2^i), cached per i; a new i costs i squarings, and its columns
   3n - 1 squarings, z^(2j) = (z^j)^2, and 3n - 1 products. `_powers` is
-  the one power builder, also behind the sigma^n columns of `__init__` and
-  the subfield models. `_frob_plus_id_cols` and `frob_tables` build on the
+  the one power builder, also behind the sigma^n columns of `__init__`,
+  the subfield models and the embedding columns. `_frob_plus_id_cols` and `frob_tables` build on the
   columns, and `_apply_cols` is the one GF(2)-linear map application.
 - The degree tests walk the orbit of x under sigma^n on the sigma^n columns
   that `__init__` builds: the degree over GF(2^n) is the first d with
@@ -43,11 +43,12 @@ The scalar kernel:
   `mobius.random_degree_six` build no other Frobenius columns.
 - `base_logs` is the tower's one table of GF(q)*, q = 2^n: the powers of
   the least generator (on base encodings, the package's one generator
-  search), their embeddings, and the discrete log of each embedding. It is
-  built on first use and kept with the numpy tables, so commands that need
-  no arithmetic in GF(q) pay nothing for it: 0.03 ms at n = 5, a few ms at
-  n = 11. The Goppa parity (`codes.goppa_parity`) and support
-  permutations (`codes.induced_permutation`) read it.
+  search), their embeddings, and the discrete log of each embedding, built
+  on first read: 0.03 ms at n = 5, a few ms at n = 11. The Goppa parity
+  (`codes.goppa_parity`), support permutations
+  (`codes.induced_permutation`) and `to_base` read it: x is in GF(q) iff
+  it is 0 or has a log, so `to_base` is the one projection and membership
+  test (`minimal_polynomial`, `mobius.make_map`).
 
 Construction only validates the moduli and builds what every command
 uses. The default moduli are read from `_DEFAULT_MODULI`, a table of the
@@ -75,29 +76,31 @@ The subfield and the embedding are built together on the first read of
 fixed-point count read off a cached sweep build neither. From the first
 model of GF(2^n), `gf2poly.field_root` finds the least root r of
 modulus_base in K by an ascending scan on n-bit integers; gamma, the
-enc-least root in the big field, is the least image of the n conjugates
-r^(2^i), whatever w is, and the embedding columns are the images of 1, r,
-..., r^(n-1). One doubling over those columns lists the subfield and the
-span in embed order that `base_logs` reads. The embedding is checked in
-O(n): its n columns are independent and fixed by sigma^n. This first read,
-with `base_logs`, costs about 0.1-0.2 ms at n = 4 and 5, 0.3-0.4 ms at
-n = 7 and 9-11 ms at n = 11, the largest n a command reads it at, where
-the scan for r is most of it (2 vCPU).
+enc-least root in the big field, is the least of the image of r and its
+n - 1 squarings, whatever w is, and the embedding columns are
+gamma^0..gamma^(n-1). One doubling over them lists the subfield and the
+span in embed order, span[a] = embed_base(a): the record's two fields,
+and all the census reads of GF(q). The embedding is checked in
+O(n): its n columns are independent and fixed by sigma^n. This first
+read, with `base_logs`, costs about 0.1-0.2 ms at n = 4 and 5, 0.3-0.4 ms
+at n = 7 and 9-11 ms at n = 11, the largest n a command reads it at,
+where the scan for r is most of it (2 vCPU).
 
 The numpy paths hold encodings in int64, so they need 6n <= 63 (n <= 10)
 and raise ValueError above it. numpy is first imported by the first call
 of a vector path (`_chunk_tables`, which every lookup table goes through,
 and the coordinate kernel), never at import: construction and the scalar
-kernel run without it. The tables are built on first use and kept in
-`_np_tables`: byte tables of Frobenius powers (`frob_tables`), and two
-sets of tables the census reads, the second also read by the orbit oracle
-in `mobius`:
+kernel run without it. The tables are built on first use. `_np_tables`
+keeps the keyed ones, the byte tables of each Frobenius power
+(`frob_tables`) and the census's two (`counting`), and two cached
+properties the rest; the census reads both, `mobius` the second:
 - `normal_tables`, the coordinates in a normal basis beta^(2^i), in which
   squaring is a rotation by one bit, so the census ranks the 6n squarings
   of a value after one table application;
-- the tables of the coordinate kernel (`_cubic_logs`), the package's one
-  vector product (`mul_vec`) and one vector inverse (`inv_vec`, which can
-  multiply by the inverse without building it). They work in coordinates
+- `_cubic_logs`, the coordinate kernel's tables and the log of its c,
+  behind the package's one vector product (`mul_vec`) and one vector
+  inverse (`inv_vec`, which can multiply by the inverse without building
+  it). They work in coordinates
   over GF(q^3), as composite-field arithmetic does (Guajardo and Paar,
   CRYPTO 1997): x = u + v t with t + sigma^(3n)(t) = 1 and t^2 = t + c,
   packed as u | v << 3n. A product is three products in GF(q^3),
@@ -295,14 +298,21 @@ class BaseLogs(NamedTuple):
 
 
 class _Embedding(NamedTuple):
-    """The base subfield (sorted) and the embedding of GF(2^n) onto it: its
-    columns gamma^0..gamma^(n-1), their span in embed order (span[a] =
-    embed_base(a)) and their elimination, which projects back."""
+    """The base subfield (sorted) and the embedding of GF(2^n) onto it, the
+    span of gamma^0..gamma^(n-1) in embed order: span[a] = embed_base(a)."""
 
     subfield: tuple[int, ...]
-    cols: list[int]
     span: list[int]
-    project: _ColumnSolver
+
+
+class _CubicLogs(NamedTuple):
+    """The coordinate kernel's tables and the log of its c (`Tower._cubic_logs`)."""
+
+    coords: np.ndarray
+    out: np.ndarray
+    log: np.ndarray
+    exp: np.ndarray
+    log_c: int
 
 
 class Tower:
@@ -368,30 +378,23 @@ class Tower:
 
         The first model of GF(2^n) (`_trace_models`) gives w and its minimal
         polynomial m_w: y -> w maps K = GF(2)[y]/(m_w) onto the subfield, so
-        the roots of modulus_base there are the images of its n conjugate
-        roots in K, and gamma, the enc-least of them, is the image of the
-        least conjugate. The subfield and the span in embed order come from
-        one doubling over the columns gamma^0..gamma^(n-1)."""
+        the roots of modulus_base there are the image of a root r in K and
+        its n - 1 squarings, and gamma is the enc-least of them. The subfield
+        and the span in embed order come from one doubling over the columns
+        gamma^0..gamma^(n-1)."""
         n = self.n
         to_big, m_w, _ = next(self._trace_models(n))
-        r = gf2poly.field_root(self.modulus_base, m_w)
-        conjugates = [r]
+        roots = [_apply_cols(to_big, gf2poly.field_root(self.modulus_base, m_w))]
         for _ in range(n - 1):
-            conjugates.append(gf2poly.mod(gf2poly.square(conjugates[-1]), m_w))
-        root = min(conjugates, key=lambda c: _apply_cols(to_big, c))
-        cols = []  # images of root^0..root^(n-1): gamma^0..gamma^(n-1)
-        e = 1
-        for _ in range(n):
-            cols.append(_apply_cols(to_big, e))
-            e = gf2poly.mod(gf2poly.mul(e, root), m_w)
-        project = _ColumnSolver(cols)
+            roots.append(self.square(roots[-1]))
+        cols = self._powers(min(roots), n)  # gamma^0..gamma^(n-1)
         # n independent columns fixed by sigma^n span the n-dimensional fixed field
-        if project.kernel_basis or any(self.frobenius(c, n) != c for c in cols):
+        if _ColumnSolver(cols).kernel_basis or any(self.frobenius(c, n) != c for c in cols):
             raise AssertionError("embedding image differs from the fixed field")
         span = [0]  # span[a] = embed_base(a), doubled on one column a step
         for c in cols:
             span += [v ^ c for v in span]
-        return _Embedding(tuple(sorted(span)), cols, span, project)
+        return _Embedding(tuple(sorted(span)), span)
 
     def _trace_models(self, d: int) -> Iterator[tuple[list[int], int, int]]:
         """Models of the subfield GF(2^d), d | 6n, as (w^0..w^(d-1), m_w, z).
@@ -420,11 +423,6 @@ class Tower:
     def subfield(self) -> tuple[int, ...]:
         """The 2^n elements of the base subfield in the big field, ascending."""
         return self._embedding.subfield
-
-    @property
-    def _embed_cols(self) -> list[int]:
-        """gamma^0..gamma^(n-1): the columns of `embed_base`."""
-        return self._embedding.cols
 
     # ------------------------------------------------------------------ core
 
@@ -513,42 +511,42 @@ class Tower:
     # ------------------------------------------------------------- embedding
 
     def embed_base(self, a: int) -> int:
-        """Embed a base-field encoding (n bits) into the big field."""
+        """Embed a base-field encoding (n bits) into the big field: span[a]
+        of the embedding record."""
         if a >> self.n:
             raise ValueError("base-field encoding out of range")
-        return _apply_cols(self._embed_cols, a)
+        return self._embedding.span[a]
 
     def to_base(self, x: int) -> int:
-        """Inverse of embed_base; raises if x is not in the embedded subfield."""
-        a = self._embedding.project.solve(x)
-        if a is None:
-            raise ValueError("element is not in the embedded base field")
-        return a
+        """Inverse of embed_base, read off `base_logs`: the one membership
+        test of the embedded subfield, a ValueError outside it."""
+        logs = self.base_logs
+        try:
+            return logs.exp[logs.log[x]] if x else 0
+        except KeyError:
+            raise ValueError("element is not in the embedded base field") from None
 
+    @functools.cached_property
     def base_logs(self) -> BaseLogs:
         """Discrete logs on GF(q)*, q = 2^n, to the base of its least
-        generator; built on first use and kept with the numpy tables."""
-        logs = self._np_tables.get(("base_logs",))
-        if logs is None:
-            q = 1 << self.n
-            for g in range(2, q):  # least generator of GF(q)*, on base encodings
-                exp = [1]
-                while len(exp) < q:
-                    nxt = gf2poly.mod(gf2poly.mul(exp[-1], g), self.modulus_base)
-                    if nxt == 1:
-                        break
-                    exp.append(nxt)
-                if len(exp) == q - 1:
+        generator; built on first read and kept."""
+        q = 1 << self.n
+        for g in range(2, q):  # least generator of GF(q)*, on base encodings
+            exp = [1]
+            while len(exp) < q:
+                nxt = gf2poly.mod(gf2poly.mul(exp[-1], g), self.modulus_base)
+                if nxt == 1:
                     break
-            span = self._embedding.span
-            embedded = tuple(span[a] for a in exp)
-            base_log: list[int | None] = [None] * q
-            for k, a in enumerate(exp):
-                base_log[a] = k
-            logs = self._np_tables[("base_logs",)] = BaseLogs(
-                tuple(exp), embedded, {x: k for k, x in enumerate(embedded)},
-                tuple(base_log))
-        return logs
+                exp.append(nxt)
+            if len(exp) == q - 1:
+                break
+        span = self._embedding.span
+        embedded = tuple(span[a] for a in exp)
+        base_log: list[int | None] = [None] * q
+        for k, a in enumerate(exp):
+            base_log[a] = k
+        return BaseLogs(tuple(exp), embedded, {x: k for k, x in enumerate(embedded)},
+                        tuple(base_log))
 
     def _frob_plus_id_cols(self, k: int) -> tuple[int, ...]:
         """Columns of x -> x^(2^k) + x, whose kernel is GF(2^gcd(k, 6n))."""
@@ -570,9 +568,11 @@ class Tower:
                 nxt[k + 1] ^= pk
                 nxt[k] ^= self.mul(pk, c)
             poly = nxt
-        for pk in poly:
-            if self.frobenius(pk, self.n) != pk:
-                raise AssertionError("coefficient escaped the base field")
+        try:
+            for pk in poly:
+                self.to_base(pk)
+        except ValueError as exc:
+            raise AssertionError("coefficient escaped the base field") from exc
         return tuple(poly)
 
     # ------------------------------------------------------------ serialization
@@ -625,6 +625,7 @@ class Tower:
     def frobenius_vec(self, x: np.ndarray, i: int) -> np.ndarray:
         return self.apply_tables(self.frob_tables(i), x)
 
+    @functools.cached_property
     def normal_tables(self) -> np.ndarray:
         """Byte tables of the coordinates in a normal basis beta^(2^i),
         i < 6n: bit i of the image of x is the coefficient of beta^(2^i), so
@@ -633,35 +634,32 @@ class Tower:
         beta is the first draw of random.Random(0).getrandbits(6n) whose 6n
         squarings `_ColumnSolver` finds independent, which takes 1-4 draws
         on the towers tried; ordered candidates (ascending integers, x^(6n-1)
-        + k) took hundreds on some. Built on first use and kept."""
-        tabs = self._np_tables.get(("normal",))
-        if tabs is None:
-            m = self.big_degree
-            rng = random.Random(0)
-            while True:
-                squarings = [rng.getrandbits(m)]
-                for _ in range(m - 1):
-                    squarings.append(self.square(squarings[-1]))
-                solver = _ColumnSolver(squarings)
-                if not solver.kernel_basis:
-                    break
-            tabs = self._np_tables[("normal",)] = self._byte_tables(
-                [solver.solve(1 << j) for j in range(m)])
-        return tabs
+        + k) took hundreds on some. Built on first read and kept."""
+        m = self.big_degree
+        rng = random.Random(0)
+        while True:
+            squarings = [rng.getrandbits(m)]
+            for _ in range(m - 1):
+                squarings.append(self.square(squarings[-1]))
+            solver = _ColumnSolver(squarings)
+            if not solver.kernel_basis:
+                break
+        return self._byte_tables([solver.solve(1 << j) for j in range(m)])
 
-    def _cubic_logs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    @functools.cached_property
+    def _cubic_logs(self) -> _CubicLogs:
         """The tables of the coordinate kernel (`mul_vec`, `inv_vec`), built
-        on first use and kept with the numpy tables: GF(q^6) = GF(q^3)(t),
-        q = 2^n, in coordinates over GF(q^3), and discrete logs on GF(q^3)*.
-        With k = 3n, they are (coords, out, log, exp): byte tables from an
+        on first read and kept: GF(q^6) = GF(q^3)(t), q = 2^n, in
+        coordinates over GF(q^3), and discrete logs on GF(q^3)*. With
+        k = 3n, they are (coords, out, log, exp, log_c): byte tables from an
         encoding x = u + v t to u | v << k | (u^2 + c v^2) << 2k, and from
         u | v << k back to x; then int32 logs and powers of g on GF(q^3)*
         with u and v read in the basis w^0..w^(k-1), exp[i] =
         g^(i mod (2^k - 1)) for i < 2(2^k - 1), exp[2(2^k - 1)] = 0, and
         log 0 = 3(2^k - 1), so that a sum that holds log 0, even less
         2^k - 1 (`_fold`), lies past the zero entry of exp, which every
-        lookup clips onto. The log of c, which the product's c v v' term
-        adds, is kept beside them as ("cubic_log_c",).
+        lookup clips onto; and log_c, the log of c, which the product's
+        c v v' term adds.
 
         w, m_w and the draw z are the first model of GF(q^3)
         (`_trace_models`) whose K = GF(2)[y]/(m_w) has y, y + 1 or y (y + 1)
@@ -680,9 +678,6 @@ class Tower:
         2k would run past bit 63 without an error. Raises AssertionError
         when t, c, the change of basis or the powers of g are not what they
         must be."""
-        logs = self._np_tables.get(("cubic_logs",))
-        if logs is not None:
-            return logs
         m, k = self.big_degree, 3 * self.n
         if m > 63:
             raise ValueError("vectorized paths need encodings below 64 bits")
@@ -757,15 +752,13 @@ class Tower:
         to_uv, from_coords, square = _chunk_tables(np.array(
             [[solver.solve(1 << j) for j in range(m)], cols, ys[::2] + cs[::2]], dtype=np.int64))
         to_coords = to_uv ^ self.apply_tables(square, to_uv) << 2 * k
-        self._np_tables[("cubic_log_c",)] = int(log[cs[0]])
-        logs = self._np_tables[("cubic_logs",)] = (to_coords, from_coords, log, exp)
-        return logs
+        return _CubicLogs(to_coords, from_coords, log, exp, int(log[cs[0]]))
 
     def _coord_logs(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The logs of u, v and u + v for each x = u + v t packed as
         u | v << 3n (bits from 6n up ignored), on the tables of
         `_cubic_logs`: the form in which `_mul_logs` takes its operands."""
-        _, _, log, _ = self._cubic_logs()
+        log = self._cubic_logs.log
         k = 3 * self.n
         order = (1 << k) - 1
         u, v = x & order, (x >> k) & order
@@ -783,9 +776,8 @@ class Tower:
         (`_fold`). v is shifted in int64: exp holds int32, which the shift
         by 3n would overflow from n = 6."""
         import numpy as np
-        exp = self._cubic_logs()[3]
+        _, _, _, exp, log_c = self._cubic_logs
         k = 3 * self.n
-        log_c = self._np_tables[("cubic_log_c",)]
         uu = np.take(exp, x[0] + y[0], mode="clip")
         cvv = np.take(exp, _fold(x[1] + log_c, (1 << k) - 1) + y[1], mode="clip")
         sums = np.take(exp, x[2] + y[2], mode="clip")
@@ -820,7 +812,7 @@ class Tower:
         oracle's representatives take 1/(alpha + g)
         (`mobius.suborbit_representatives`)."""
         import numpy as np
-        _, _, log, exp = self._cubic_logs()
+        _, _, log, exp, _ = self._cubic_logs
         k = 3 * self.n
         order = (1 << k) - 1
         lu, lv, luv = self._coord_logs(x)

@@ -71,14 +71,16 @@ class SemiLinearMap(NamedTuple):
 def make_map(ctx: Tower, a: int, b: int, c: int, d: int, frob: int = 0) -> SemiLinearMap:
     """Validate and scalar-normalize a semi-linear map.
 
-    Entries must lie in the embedded base field and the matrix must be
-    invertible. Normalization scales by the inverse of the first nonzero
-    entry, making equal projective maps structurally equal.
+    Entries must lie in the embedded base field (`Tower.to_base`) and the
+    matrix must be invertible. Normalization scales by the inverse of the
+    first nonzero entry, making equal projective maps structurally equal.
     """
     entries = (a, b, c, d)
-    for e in entries:
-        if e and ctx.frobenius(e, ctx.n) != e:
-            raise ValueError("matrix entries must lie in the embedded base field")
+    try:
+        for e in entries:
+            ctx.to_base(e)
+    except ValueError as exc:
+        raise ValueError("matrix entries must lie in the embedded base field") from exc
     det = ctx.mul(a, d) ^ ctx.mul(b, c)
     if det == 0:
         raise ValueError("matrix is singular")
@@ -149,7 +151,7 @@ def suborbit_representatives(ctx: Tower, alpha: int | np.ndarray) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=np.int64)[..., None]
     if not all(map(ctx.is_degree_six, alpha.ravel().tolist())):
         raise ValueError("element must have degree 6 over the base field")
-    coords, out, _, _ = ctx._cubic_logs()
+    coords, out, *_ = ctx._cubic_logs
     z = Tower.apply_tables(coords, alpha ^ np.array(ctx.subfield, dtype=np.int64))
     return np.concatenate([alpha, Tower.apply_tables(out, ctx.inv_vec(z))], axis=-1)
 
@@ -164,7 +166,7 @@ def pgl_orbit_array(ctx: Tower, alpha: int) -> np.ndarray:
     2^(3n) - 2^n; no duplicates.
     """
     import numpy as np
-    coords, out, _, _ = ctx._cubic_logs()
+    coords, out, *_ = ctx._cubic_logs
     reps = Tower.apply_tables(coords, suborbit_representatives(ctx, alpha))
     sub = np.array(ctx.subfield, dtype=np.int64)
     multiples = ctx.mul_vec(reps[None, :], Tower.apply_tables(coords, sub[1:, None]))

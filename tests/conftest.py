@@ -119,6 +119,12 @@ def eval_poly(ctx, coeffs, x):
     return r
 
 
+def embed_cols(ctx):
+    """gamma^0..gamma^(n-1), the embedding's columns, read through
+    `embed_base` on the base encodings 2^i."""
+    return [ctx.embed_base(1 << i) for i in range(ctx.n)]
+
+
 def embedding_by_scan(ctx):
     """The embedding-column oracle: powers of the enc-least root of
     modulus_base, found by scanning the subfield in ascending order."""
@@ -259,7 +265,7 @@ def cross_ratio_oracle(ctx, alphas):
         a0, a1, a2, a3 = (ctx.frobenius(alpha, i * ctx.n) for i in range(4))
         den = ctx.mul(a0 ^ a3, a1 ^ a2)
         mus.append(ctx.mul(ctx.mul(a0 ^ a2, a1 ^ a3), ctx.inv(den)) if den else 0)
-    return Tower.apply_tables(ctx.normal_tables(), np.array(mus, dtype=np.int64))
+    return Tower.apply_tables(ctx.normal_tables, np.array(mus, dtype=np.int64))
 
 
 def least_rotation_by_five_passes(m, mu):

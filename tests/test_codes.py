@@ -221,6 +221,19 @@ def test_goppa_parity_entries_distinct(tower5):
             goppa_parity(ctx, ctx.minimal_polynomial(bad), list(ctx.subfield))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 11])
+def test_goppa_parity_refuses_a_coefficient_outside_the_base_field(n):
+    """A hand-made g of 7 coefficients, one of them x (degree 6n over
+    GF(2), so outside GF(q)), is refused for that coefficient, whichever it
+    is, and not for a support point."""
+    ctx = make_tower(n)
+    g = ctx.minimal_polynomial(random_degree_six(ctx, random.Random(n)))
+    for k in range(7):
+        bad = g[:k] + (2,) + g[k + 1:]
+        with pytest.raises(ValueError, match="not in the embedded base field"):
+            goppa_parity(ctx, bad, [*ctx.subfield, infinity(ctx)])
+
+
 def test_goppa_parity_is_zero_at_infinity(tower5):
     alpha = random_degree_six(tower5, random.Random(0))
     g = tower5.minimal_polynomial(alpha)

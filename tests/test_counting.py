@@ -88,6 +88,21 @@ def test_burnside_exact_division_through_61():
         assert burnside_bound(n) == burnside_numerator(n) // (6 * n)
 
 
+def test_burnside_refuses_a_divisor_sum_off_the_closed_form(monkeypatch, capsys):
+    """The bound, the `bound` report and each `fixed --table` row check the
+    phi-sum of their one decomposition against the closed-form numerator."""
+    from goppa_orbits import cli
+
+    rows = burnside_decomposition(5)
+    rows[0]["term"] += 1
+    monkeypatch.setattr(counting, "burnside_decomposition", lambda n: rows)
+    with pytest.raises(counting.ConsistencyError, match="differs from closed form"):
+        burnside_bound(5)
+    for argv in (["bound", "--n", "5", "--json"], ["fixed", "--n", "5", "--table", "--json"]):
+        assert cli.main(argv) == cli.EXIT_MISMATCH
+    assert capsys.readouterr().out == ""
+
+
 def test_burnside_rejects_composite():
     with pytest.raises(ValueError):
         burnside_bound(9)
@@ -173,7 +188,7 @@ def test_census_n7():
         0, 0, 3, 9, 0, 126, 16383, 2097279]
     # the inverse's log tables on GF(2^21)*: 2^21 logs and 2^22 - 1 powers, int32,
     # with one zero entry for every clipped sum; its byte tables add 24 KiB
-    coords, out, log, exp = ctx._np_tables[("cubic_logs",)]
+    coords, out, log, exp, _ = vars(ctx)["_cubic_logs"]
     assert log.dtype == exp.dtype == np.int32
     assert log.nbytes + exp.nbytes <= 24 << 20
     assert coords.nbytes + out.nbytes == 2 * 6 * 256 * 8
@@ -326,7 +341,7 @@ def test_canonical_is_the_least_squaring_and_its_period(n):
         mu = np.concatenate([subfield_span_array(ctx, d) for d in range(1, 13) if m % d == 0]
                             + [rng.integers(0, 1 << m, 2000)])
     def canonical(x):
-        return counting._canonical(ctx, ctx.apply_tables(ctx.normal_tables(), x))
+        return counting._canonical(ctx, ctx.apply_tables(ctx.normal_tables, x))
 
     least = canonical(mu)
     t = counting._period(m, least)

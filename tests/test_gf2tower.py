@@ -13,6 +13,7 @@ from goppa_orbits.gf2tower import _DEFAULT_MODULI, _apply_cols, solve_affine_lin
 
 from conftest import (
     coset_array,
+    embed_cols,
     embedding_by_scan,
     eval_poly,
     fixed_field_basis,
@@ -75,7 +76,7 @@ def test_default_moduli_table_is_the_lowest_irreducible_search(monkeypatch):
         ctx = make_tower(n)
         given = make_tower(n, modulus_base=gf2poly.lowest_irreducible(n),
                            modulus_big=gf2poly.lowest_irreducible(6 * n))
-        assert ctx == given and ctx._embed_cols == given._embed_cols, n
+        assert ctx == given and embed_cols(ctx) == embed_cols(given), n
 
     def no_search(d):
         raise AssertionError(f"searched degree {d}")
@@ -232,6 +233,40 @@ def test_to_base_roundtrip(tower5):
         tower5.to_base(0x2)  # x has degree 30 over GF(2), not in the subfield
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 11])
+def test_to_base_inverts_embed_base_and_refuses_non_members(n):
+    """to_base takes embed_base(a) back to a for every base encoding a, and
+    raises ValueError on the elements sigma^n moves: every one at n = 2,
+    and 200 draws above it. embed_base refuses an a outside 0..q - 1 (its
+    span would read -1 as the last entry)."""
+    ctx = make_tower(n)
+    q = 1 << n
+    assert [ctx.to_base(ctx.embed_base(a)) for a in range(q)] == list(range(q))
+    for a in (-1, q):
+        with pytest.raises(ValueError, match="out of range"):
+            ctx.embed_base(a)
+    if n == 2:
+        elements = range(ctx.order)
+    else:
+        rng = random.Random(n)
+        elements = [rng.getrandbits(ctx.big_degree) for _ in range(200)]
+    outside = [x for x in elements if ctx.frobenius(x, n) != x]
+    assert len(outside) == (ctx.order - q if n == 2 else 200)
+    for x in outside:
+        with pytest.raises(ValueError, match="not in the embedded base field"):
+            ctx.to_base(x)
+
+
+def test_minimal_polynomial_refuses_a_coefficient_outside_the_base_field(monkeypatch):
+    """A product over a set that is not a whole conjugate orbit has a
+    coefficient outside GF(q), and the check on `to_base` refuses it."""
+    ctx = make_tower(5)
+    alpha = random_degree_six(ctx, random.Random(0))
+    monkeypatch.setattr(ctx, "conjugates", lambda x: (x,))
+    with pytest.raises(AssertionError, match="escaped the base field"):
+        ctx.minimal_polynomial(alpha)
+
+
 def test_minimal_polynomial_degrees(tower5):
     # base-field element: x + alpha
     e = tower5.embed_base(0b10011 & 0x1f)
@@ -299,8 +334,8 @@ def test_base_logs_are_a_cyclic_group_table(n):
     """exp lists q - 1 distinct base encodings, each the generator times the
     previous; the embedded powers are their embeddings, and log inverts them."""
     ctx = make_tower(n)
-    assert ("base_logs",) not in ctx._np_tables  # built on first use, not by __init__
-    logs = ctx.base_logs()
+    assert "base_logs" not in vars(ctx)  # built on first read, not by __init__
+    logs = ctx.base_logs
     q = 1 << n
     assert len(logs.exp) == len(set(logs.exp)) == q - 1 and sorted(logs.exp) == list(range(1, q))
     g = logs.exp[1]
@@ -310,7 +345,7 @@ def test_base_logs_are_a_cyclic_group_table(n):
         assert logs.log[logs.embedded[k]] == k
         assert logs.base_log[a] == k
     assert logs.base_log[0] is None
-    assert ctx.base_logs() is logs
+    assert ctx.base_logs is logs
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -365,7 +400,7 @@ READERS = {
     "subfield": lambda ctx: ctx.subfield,
     "embed_base": lambda ctx: ctx.embed_base(1),
     "to_base": lambda ctx: ctx.to_base(1),
-    "base_logs": lambda ctx: ctx.base_logs(),
+    "base_logs": lambda ctx: ctx.base_logs,
 }
 
 
@@ -379,7 +414,7 @@ def test_any_reader_builds_the_subfield_and_embedding(n, reader):
     READERS[reader](ctx)
     assert "_embedding" in vars(ctx)
     assert list(ctx.subfield) == subfield_span_array(ctx, n).tolist()
-    assert ctx._embed_cols == embedding_by_scan(ctx)
+    assert embed_cols(ctx) == embedding_by_scan(ctx)
 
 
 @pytest.mark.parametrize("n", range(2, 17))
@@ -387,7 +422,7 @@ def test_embedding_equals_the_ascending_scan(n):
     """Default moduli: the root found in an n-bit copy of the subfield gives
     the columns of the enc-least root of modulus_base in the big field."""
     ctx = make_tower(n)
-    assert ctx._embed_cols == embedding_by_scan(ctx)
+    assert embed_cols(ctx) == embedding_by_scan(ctx)
 
 
 def random_irreducible(rng, d):
@@ -432,7 +467,7 @@ def test_embedding_equals_the_ascending_scan_for_random_moduli(n):
     for k in range(5):
         ctx = make_tower(n, modulus_base=bases[k % len(bases)],
                          modulus_big=random_irreducible(rng, 6 * n))
-        assert ctx._embed_cols == embedding_by_scan(ctx), (ctx.modulus_base, ctx.modulus_big)
+        assert embed_cols(ctx) == embedding_by_scan(ctx), (ctx.modulus_base, ctx.modulus_big)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -449,7 +484,7 @@ def test_embedding_passes_a_first_trace_in_a_proper_subfield(n):
     else:
         pytest.fail("no tower whose first trace lies in a proper subfield")
     assert next(ctx._trace_models(n))[0][1] != first
-    assert ctx._embed_cols == embedding_by_scan(ctx)
+    assert embed_cols(ctx) == embedding_by_scan(ctx)
 
 
 @pytest.mark.parametrize("k", [1, 3])

@@ -37,7 +37,7 @@ from conftest import fixed_field_basis, schoolbook_mul
 
 KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
-# (n, big modulus exponents or None, _embed_cols, digest of all 6n _frob_cols),
+# (n, big modulus exponents or None, embedding columns, digest of all 6n _frob_cols),
 # recorded from the bit-serial kernel this one replaced.
 GOLDEN = [
     (2, None, [1, 72], "a6873da0c1aafc96"),
@@ -121,7 +121,7 @@ def test_frobenius_is_repeated_squaring(key):
 @pytest.mark.parametrize("n,big,embed_cols,frob_digest", GOLDEN, ids=str)
 def test_tower_internals_golden(n, big, embed_cols, frob_digest):
     ctx = tower((n, big))
-    assert ctx._embed_cols == embed_cols
+    assert [ctx.embed_base(1 << i) for i in range(n)] == embed_cols
     cols = [ctx._frob_cols(i) for i in range(ctx.big_degree)]
     assert hashlib.sha256(repr(cols).encode()).hexdigest()[:16] == frob_digest
 
@@ -139,12 +139,12 @@ def test_inv_refuses_reducible_modulus():
 
 def to_coords(ctx, x):
     """u | v << 3n | (u^2 + c v^2) << 6n of each encoding, on the kernel's table."""
-    return ctx.apply_tables(ctx._cubic_logs()[0], np.asarray(x, dtype=np.int64))
+    return ctx.apply_tables(ctx._cubic_logs.coords, np.asarray(x, dtype=np.int64))
 
 
 def from_coords(ctx, p):
     """The encoding of each u | v << 3n, on the kernel's table."""
-    return ctx.apply_tables(ctx._cubic_logs()[1], p)
+    return ctx.apply_tables(ctx._cubic_logs.out, p)
 
 
 def mul_on_coords(ctx, x, y):
@@ -247,13 +247,13 @@ def test_inv_vec_refuses_n8_to_n10_by_the_size_of_its_tables(n):
         # the packed coordinates u | v << 3n | (u^2 + c v^2) << 6n outgrow an int64 too
         assert str(err.value).endswith(f"u | v << {3 * n} | (u^2 + c v^2) << {6 * n} "
                                        f"would need {9 * n} of the 63 bits of an int64")
-    assert ("cubic_logs",) not in ctx._np_tables
+    assert "_cubic_logs" not in vars(ctx)
 
 
 def assert_build_raises(ctx, message):
     with pytest.raises(AssertionError, match=re.escape(message)):
         ctx.inv_vec(np.arange(1, 64, dtype=np.int64))
-    assert ("cubic_logs",) not in ctx._np_tables
+    assert "_cubic_logs" not in vars(ctx)
 
 
 def outside_cubic(ctx, x):
@@ -353,10 +353,10 @@ def rotate(v, m):
 def test_squaring_rotates_normal_coordinates_on_every_element_n2():
     ctx = tower((2, None))
     x = np.arange(1 << 12, dtype=np.int64)
-    v = ctx.apply_tables(ctx.normal_tables(), x)
+    v = ctx.apply_tables(ctx.normal_tables, x)
     assert np.unique(v).size == 1 << 12  # the coordinate map is a bijection
     squares = np.array([ctx.square(a) for a in range(1 << 12)], dtype=np.int64)
-    assert (rotate(v, 12) == ctx.apply_tables(ctx.normal_tables(), squares)).all()
+    assert (rotate(v, 12) == ctx.apply_tables(ctx.normal_tables, squares)).all()
 
 
 @pytest.mark.parametrize("n", range(3, 11))
@@ -368,8 +368,8 @@ def test_squaring_rotates_normal_coordinates(n):
     def check(drawn):
         x = np.array(drawn, dtype=np.int64)
         squares = np.array([ctx.square(a) for a in drawn], dtype=np.int64)
-        assert (rotate(ctx.apply_tables(ctx.normal_tables(), x), 6 * n)
-                == ctx.apply_tables(ctx.normal_tables(), squares)).all()
+        assert (rotate(ctx.apply_tables(ctx.normal_tables, x), 6 * n)
+                == ctx.apply_tables(ctx.normal_tables, squares)).all()
 
     check()
 

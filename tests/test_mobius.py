@@ -25,6 +25,8 @@ def test_make_map_validates(tower2):
         make_map(tower2, 1, 0, 0, 0)  # singular
     with pytest.raises(ValueError):
         make_map(tower2, 2, 0, 0, 1)  # 2 encodes x, not in the embedded subfield
+    with pytest.raises(ValueError, match="matrix entries must lie in the embedded base field"):
+        make_map(tower2, 1, 0, infinity(tower2), 1)
     m = make_map(tower2, 0, 1, 1, 0)
     assert (m.a, m.b, m.c, m.d) == (0, 1, 1, 0)
 
