@@ -115,12 +115,12 @@ def cmd_bound(args) -> int:
 
 def cmd_census(args) -> int:
     counting._sweep_cost_check(args.n)
-    ctx = _tower(args)
     if args.workers < 1:
         raise ValueError("workers must be positive")
+    ctx = _tower(args)
     census = counting.global_orbit_census(ctx)
     # `to_hex` for each row, with its range check made once for all of them
-    if census.records and max(r.rep for r in census.records) >= ctx.order:
+    if census.records and max(rep for rep, _ in census.records) >= ctx.order:
         raise ValueError("encoding out of range")
     spec = f"0{ctx.hex_width}x"
     bound = match = None
@@ -138,9 +138,8 @@ def cmd_census(args) -> int:
         "orbit_size_histogram": {str(s): c for s, c in sizes},
         "elements_visited": census.elements_visited,
         "orbits": [
-            {"rep": format(r.rep, spec), "pgl_orbits": r.pgl_orbits,
-             "size": r.pgl_orbits * census.pgl_orbit_size}
-            for r in census.records
+            {"rep": format(rep, spec), "pgl_orbits": t, "size": t * census.pgl_orbit_size}
+            for rep, t in census.records
         ],
         "workers": args.workers,
         "elapsed_ms": round(census.elapsed_ms, 3),
@@ -195,7 +194,7 @@ def cmd_fixed(args) -> int:
         oracle = counting.fixed_point_oracle(ctx, d)
     elapsed = (time.perf_counter() - start) * 1e3
     match = None if closed is None or oracle is None else closed == oracle
-    order = (6 * n) // math.gcd(6 * n, d % (6 * n) or 6 * n)
+    order = 6 * n // math.gcd(6 * n, d)
     obj = {
         "n": n, "d": d, "order": order,
         "closed_form": closed, "oracle": oracle, "match": match,

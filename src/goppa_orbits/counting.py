@@ -17,23 +17,25 @@ linear, eq_41, is counted on the kernel of a linearized polynomial whose
 nonzero elements map onto its roots. Each orbit is represented by
 an element of its least class rank, the first class the scan meets. At
 n = 7 the scan meets the least class of every orbit in the first 0.4 % of
-the ranks (0.22 s in-process on 2 vCPU with the tables built, n = 6
-0.083-0.087 s and n = 5 2.4 ms, and 83 MiB peak RSS as a `--json`
+the ranks (0.19-0.20 s in-process on 2 vCPU with the tables built, n = 6
+0.076-0.078 s and n = 5 2.1 ms, and 83 MiB peak RSS as a `--json`
 command, 24 MiB of it the log tables of GF(q^3)*). Its costly steps are
-the cross-ratio, taken in coordinates over GF(q^3), where every product
+the cross-ratio, taken in coordinates over GF(q^3) straight from the
+class coordinates of each rank, four table passes per block
+(`_census_tables`, the census's one table record), where every product
 and the one inverse are sums of logs on those tables (`Tower.mul_vec`,
 `Tower.inv_vec`), and the least of the 6n squarings of each value, read
 as rotations of its coordinates in a normal basis (`_canonical`); the
-bookkeeping is one sort per block. The census and the oracle stay
-limited to n <= 7, where the n = 8 report would hold some 350,000
-records; larger n is refused with a cost estimate rather than
-attempted. The root counts list no root, so they run up to the tower's
-cap, n <= 16.
+bookkeeping is one sort per block. The
+census and the oracle stay limited to n <= 7, where the n = 8 report
+would hold some 350,000 records; larger n is refused with a cost
+estimate rather than attempted. The root counts list no root, so they
+run up to the tower's cap, n <= 16.
 
-Only the scan uses numpy: `_class_elements`, `_canonical`, `_period` and
-`_run_sweep` import it on their first call, so the closed forms, the root
-counts and a fixed-point count read off a cached census run without it, as
-does importing this module.
+Only the scan uses numpy: `_census_tables`, `_class_coordinates`,
+`_canonical`, `_period` and `_run_sweep` import it on their first call,
+so the closed forms, the root counts and a fixed-point count read off a
+cached census run without it, as does importing this module.
 """
 
 from __future__ import annotations
@@ -212,51 +214,72 @@ def _sweep_cost_check(n: int) -> None:
             f"their orbits hold every class; they are limited to n <= {MAX_SWEEP_N}")
 
 
-def _class_elements(ctx: Tower, ranks: np.ndarray) -> np.ndarray:
-    """One element of the affine class {e*beta + f : e in GF(q)*, f in GF(q)}
-    of each given rank, q = 2^n.
+def _census_tables(ctx: Tower) -> tuple[np.ndarray, ...]:
+    """The census's one table record, the byte tables (elements, xz, y, w,
+    normal), built on first use and kept in the tower's table cache.
 
-    A class is a point of P^4(GF(q)), as GF(q^6)/GF(q) is a 5-dimensional
-    GF(q)-space. Coordinates use the GF(2)-basis gamma_k * theta^j (k < n,
-    j < 6) with gamma_k = embed_base(2^k) and theta = x, the generator of the
-    big field; base-field coordinate j of an element sits in bits
-    [jn, jn + n). Dropping coordinate 0 quotients by GF(q) and leaves
-    coordinate j at bits [(j - 1)n, jn); scaling the highest nonzero one
-    (index l) to 1 picks the projective point. Points are ranked by l, then
-    by the lower coordinates read as one integer. The element taken has
-    coordinate 0 equal to 0. The byte tables of the basis are built once and
-    kept in the tower's table cache.
-    """
-    import numpy as np
-    n, q = ctx.n, 1 << ctx.n
-    from_coords = ctx._np_tables.get(("class_elements",))
-    if from_coords is None:
-        gammas = [ctx.embed_base(1 << k) for k in range(n)]
+    A class is a point of P^4(GF(q)), q = 2^n, as GF(q^6)/GF(q) is a
+    5-dimensional GF(q)-space. Coordinates use the GF(2)-basis
+    gamma_k * theta^j (k < n, j < 6) with gamma_k = embed_base(2^k) and
+    theta = x, the generator of the big field; base-field coordinate j of
+    an element sits in bits [jn, jn + n). Dropping coordinate 0 quotients by
+    GF(q) and leaves the class coordinates, coordinate j at bits
+    [(j - 1)n, jn), which the first four tables read. `elements` takes
+    them to the element whose coordinate 0 is 0. xz, y and w, the operand
+    tables of `_cross_ratio` to X | Z << 6n, to Y and to W with its
+    u^2 + c v^2, compose the kernel's tables (`Tower._cubic_logs`) with
+    sigma^n and sigma^(2n) (`Tower.frob_tables`) and with the basis: their
+    columns are the kernel's images of the 5n basis elements and of their
+    q- and q^2-powers. `normal` composes `Tower.normal_tables` with the
+    kernel's table back from u | v << 3n."""
+    tabs = ctx._np_tables.get(("census",))
+    if tabs is None:
+        import numpy as np
+        n, k = ctx.n, 3 * ctx.n
+        gammas = [ctx.embed_base(1 << i) for i in range(n)]
         # theta^j = x^j is the bitmask 1 << j, already reduced as j < 6 <= 6n
         basis = [ctx.mul(g, 1 << j) for j in range(6) for g in gammas]
         if _ColumnSolver(basis).kernel_basis:
             raise ConsistencyError("gamma_k * theta^j is not a basis of the big field")
-        from_coords = ctx._np_tables[("class_elements",)] = ctx._byte_tables(basis)
+        coords, out, *_ = ctx._cubic_logs
+        b0 = np.array(basis[n:])  # coordinate 0, GF(q), is dropped
+        b1 = ctx.frobenius_vec(b0, n)
+        a0, a1, a2 = (Tower.apply_tables(coords, b) for b in (b0, b1, ctx.frobenius_vec(b1, n)))
+        uv, v0 = (1 << 2 * k) - 1, (a0 >> k) & ((1 << k) - 1)
+        # X = a0 + a2, Z = a0 + a3 = v0; Y = a1 + a3, a3 = (u0 + v0) + v0 t; W = a1 + a2
+        cols = [b0, ((a0 ^ a2) & uv) | v0 << 2 * k, (a1 ^ a0 ^ v0) & uv, a1 ^ a2]
+        tabs = ctx._np_tables[("census",)] = (
+            *ctx._byte_tables(np.stack(cols)), Tower.apply_tables(ctx.normal_tables, out))
+    return tabs
+
+
+def _class_coordinates(n: int, ranks: np.ndarray) -> np.ndarray:
+    """The class coordinates (`_census_tables`) of each given class rank.
+    Scaling the highest nonzero coordinate (index l) to 1 picks the
+    projective point, and points are ranked by l, then by the lower
+    coordinates read as one integer."""
+    import numpy as np
+    q = 1 << n
     offsets = np.array([(q ** l - 1) // (q - 1) for l in range(5)])  # first rank of each l
     lead = offsets.searchsorted(ranks, side="right") - 1
-    point = (1 << lead * n) + ranks - offsets[lead]
-    return Tower.apply_tables(from_coords, point << n)
+    return (1 << lead * n) + ranks - offsets[lead]
 
 
-class SweepRecord(NamedTuple):
-    """One semi-linear orbit: its representative and t, its count of linear
-    orbits; sigma^p fixes each member orbit iff t divides p, and t | 6n."""
-
-    rep: int
-    pgl_orbits: int
+def _class_elements(ctx: Tower, ranks: np.ndarray) -> np.ndarray:
+    """One element of the affine class {e*beta + f : e in GF(q)*, f in GF(q)}
+    of each given rank, q = 2^n: the one whose coordinate 0 is 0
+    (`_census_tables`)."""
+    return Tower.apply_tables(_census_tables(ctx)[0], _class_coordinates(ctx.n, ranks))
 
 
 class OrbitCensus(NamedTuple):
-    """Census of semi-linear orbits on the degree-6 set, in ascending class
-    rank of the representatives."""
+    """Census of semi-linear orbits on the degree-6 set: one (rep, t) pair
+    per orbit, in ascending class rank of the representatives, where t is
+    the orbit's count of linear orbits; sigma^p fixes each member orbit iff
+    t divides p, and t | 6n."""
 
     n: int
-    records: tuple[SweepRecord, ...]
+    records: tuple[tuple[int, int], ...]
     pgl_orbit_size: int
     pgl_orbit_count: int
     elements_visited: int
@@ -269,16 +292,20 @@ class OrbitCensus(NamedTuple):
     @property
     def orbit_sizes(self) -> tuple[tuple[int, int], ...]:
         """(size, multiplicity) pairs, ascending by size."""
-        hist = Counter(r.pgl_orbits * self.pgl_orbit_size for r in self.records)
+        hist = Counter(t * self.pgl_orbit_size for _, t in self.records)
         return tuple(sorted(hist.items()))
 
 
-def _cross_ratio(ctx: Tower, alpha: np.ndarray) -> np.ndarray:
+def _cross_ratio(ctx: Tower, point: np.ndarray) -> np.ndarray:
     """The coordinates in the normal basis of `Tower.normal_tables` of
-    mu = (a0 + a2)(a1 + a3) / ((a0 + a3)(a1 + a2)) for each element, with
-    a_i = alpha^(q^i), q = 2^n, and 1/0 read as 0. For alpha of degree 6
-    the a_i are distinct and mu lies outside {0, 1}; in GF(q^2) a2 = a0,
-    and in GF(q^3) a3 = a0, so mu = 0 there.
+    mu = (a0 + a2)(a1 + a3) / ((a0 + a3)(a1 + a2)) for each class, given
+    its class coordinates (`_census_tables`), with a_i = alpha^(q^i),
+    q = 2^n, for any alpha of the class, and 1/0 read as 0. For alpha of
+    degree 6 the a_i are distinct and mu lies outside {0, 1}; in GF(q^2)
+    a2 = a0, and in GF(q^3) a3 = a0, so mu = 0 there. mu is the same on
+    the whole class: each factor is a sum of two conjugates, so adding f in
+    GF(q) cancels, and scaling by e in GF(q)* scales the numerator and the
+    denominator alike.
 
     It runs in the coordinates x = u + v t over GF(q^3) of the tower's
     coordinate kernel. a3 is the conjugate (u0 + v0) + v0 t of
@@ -286,39 +313,14 @@ def _cross_ratio(ctx: Tower, alpha: np.ndarray) -> np.ndarray:
     X = a0 + a2, Y = a1 + a3 and W = a1 + a2, mu = X Y conj(W) / (N(W) Z):
     the product X Y (`Tower.mul_vec`), divided by W scaled by Z
     (`Tower.inv_vec`, which multiplies by the inverse without building it).
-    X and Z, Y, and W with its u^2 + c v^2 each come from one byte table
-    (`_cross_ratio_tables`), and one more takes mu from u | v << 3n to
-    its normal-basis coordinates."""
-    xz, y, w, normal = _cross_ratio_tables(ctx)
-    xz = Tower.apply_tables(xz, alpha)
-    mu = ctx.inv_vec(Tower.apply_tables(w, alpha), xz >> 6 * ctx.n,
-                     numer=ctx.mul_vec(xz, Tower.apply_tables(y, alpha)))
+    X and Z, Y, and W with its u^2 + c v^2 each come from one byte table on
+    the class coordinates, and one more takes mu from u | v << 3n to its
+    normal-basis coordinates: four table passes."""
+    _, xz, y, w, normal = _census_tables(ctx)
+    xz = Tower.apply_tables(xz, point)
+    mu = ctx.inv_vec(Tower.apply_tables(w, point), xz >> 6 * ctx.n,
+                     numer=ctx.mul_vec(xz, Tower.apply_tables(y, point)))
     return Tower.apply_tables(normal, mu)
-
-
-def _cross_ratio_tables(ctx: Tower) -> tuple[np.ndarray, ...]:
-    """Byte tables from alpha to X | Z << 6n, to Y and to W with its
-    u^2 + c v^2 (`_cross_ratio`), and from u | v << 3n to normal-basis
-    coordinates, built once per tower and kept in its table cache. They
-    compose the kernel's tables (`Tower._cubic_logs`) with sigma^n and
-    sigma^(2n) (`Tower.frob_tables`) and with `Tower.normal_tables`, each
-    composition one table application to the entries of another table:
-    the tables of sigma^(2n) are those of sigma^n applied to their own
-    entries."""
-    tabs = ctx._np_tables.get(("cross_ratio",))
-    if tabs is None:
-        n, k = ctx.n, 3 * ctx.n
-        coords, out, *_ = ctx._cubic_logs
-        sigma = ctx.frob_tables(n)
-        a1 = Tower.apply_tables(coords, sigma)
-        a2 = Tower.apply_tables(coords, ctx.frobenius_vec(sigma, n))  # sigma^n twice
-        uv, v0 = (1 << 2 * k) - 1, (coords >> k) & ((1 << k) - 1)
-        tabs = ctx._np_tables[("cross_ratio",)] = (
-            ((coords ^ a2) & uv) | v0 << 2 * k,  # X = a0 + a2, Z = a0 + a3 = v0
-            (a1 ^ coords ^ v0) & uv,  # Y = a1 + a3, a3 = (u0 + v0) + v0 t
-            a1 ^ a2,  # W = a1 + a2
-            Tower.apply_tables(ctx.normal_tables, out))
-    return tabs
 
 
 def _canonical(ctx: Tower, mu: np.ndarray) -> np.ndarray:
@@ -370,18 +372,21 @@ def _run_sweep(ctx: Tower) -> OrbitCensus:
     a PGL(2, q) orbit, and mu(alpha^2) = mu(alpha)^2, so the least of the 6n
     squarings of mu (`_canonical`) is constant on a semi-linear orbit.
 
-    The scan walks the class ranks upward in blocks, takes one element of
-    each class (`_class_elements`) and sorts the block once by the int64
-    key canonical mu << _INDEX_BITS | i, i the class's index in the block,
-    so the first key of each run of equal values is its value's least class.
+    The scan walks the class ranks upward in blocks, takes mu straight from
+    the class coordinates of each rank (`_class_coordinates`), in four
+    table passes per block, and sorts the block once by the int64 key
+    canonical mu << _INDEX_BITS | i, i the class's index in the block, so
+    the first key of each run of equal values is its value's least class.
     It drops the value 0, the canonical mu of mu = 0 alone (`normal_tables`
     is a bijection): the q + 2 classes inside GF(q^2) and GF(q^3). It
     accepts a class when its canonical mu is new and records, by ascending
-    index, the element and t, the least p >= 1 with mu^(2^p) = mu, as the
-    count of linear orbits; mu^(2^p) = mu iff t divides p. t is read off the
-    accepted classes' canonical mu alone (`_period`). An accepted class
-    is the least of its orbit, as every class below it was scanned first, so
-    records come out in ascending class rank.
+    index, the pair (rep, t): an element of the class (`_class_elements`,
+    built for the accepted ranks only) and t, the least p >= 1 with
+    mu^(2^p) = mu, as the count of linear orbits; mu^(2^p) = mu iff t
+    divides p. t is read off the accepted classes' canonical mu alone
+    (`_period`). An accepted class is the least of its orbit, as every
+    class below it was scanned first, so records come out in ascending
+    class rank.
 
     The scan stops when the accepted orbits' classes, t(q + 1) each, sum to
     the (q^5 - 1)/(q - 1) - (q + 2) degree-6 classes. This certifies the
@@ -402,13 +407,14 @@ def _run_sweep(ctx: Tower) -> OrbitCensus:
     count = (q ** 5 - 1) // (q - 1)
     degree_six_classes = count - (q + 2)
     seen = np.array([-1])  # canonical mu of the records, sorted, after a sentinel
-    records: list[SweepRecord] = []
+    records: list[tuple[int, int]] = []
     covered = 0
     lo, size = 0, _FIRST_BLOCK
     while lo < count:
-        alpha = _class_elements(ctx, np.arange(lo, min(lo + size, count)))
+        ranks = np.arange(lo, min(lo + size, count))
         lo, size = lo + size, min(2 * size, _BLOCK)
-        canon = _canonical(ctx, _cross_ratio(ctx, alpha))
+        point = _class_coordinates(n, ranks)
+        canon = _canonical(ctx, _cross_ratio(ctx, point))
         key = np.sort(canon << _INDEX_BITS | np.arange(canon.size))
         value = key >> _INDEX_BITS
         head = key[(value != 0) & np.concatenate(([True], value[1:] != value[:-1]))]
@@ -420,7 +426,7 @@ def _run_sweep(ctx: Tower) -> OrbitCensus:
         seen = np.insert(seen, pos[new], value[new])
         index = np.sort(head[new] & (1 << _INDEX_BITS) - 1)  # in ascending rank
         t = _period(m, canon[index])
-        records += map(SweepRecord, alpha[index].tolist(), t.tolist())
+        records += zip(_class_elements(ctx, ranks[index]).tolist(), t.tolist())
         covered += int(t.sum()) * (q + 1)
         if covered >= degree_six_classes:
             break
@@ -428,7 +434,7 @@ def _run_sweep(ctx: Tower) -> OrbitCensus:
         raise ConsistencyError(
             f"the scan's orbits hold {covered} classes, not the "
             f"{degree_six_classes} degree-6 classes")
-    pgl_orbit_count = sum(r.pgl_orbits for r in records)
+    pgl_orbit_count = sum(t for _, t in records)
     orbit_size = (1 << 3 * n) - (1 << n)
     s_size = (1 << m) - (q * q + q ** 3 - q)  # |GF(q^2) u GF(q^3)|: they meet in GF(q)
     if pgl_orbit_count * orbit_size != s_size:
@@ -479,7 +485,7 @@ def fixed_point_oracle(ctx: Tower, d: int) -> int:
     mu^(2^d) = mu for its cross-ratio mu, that is, iff its t divides d, and
     the census's stop certifies that each record's t is exact.
     """
-    return sum(r.pgl_orbits for r in _sweep(ctx).records if d % r.pgl_orbits == 0)
+    return sum(t for _, t in _sweep(ctx).records if d % t == 0)
 
 
 # ---------------------------------------------------------------- root counts

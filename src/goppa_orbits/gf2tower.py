@@ -92,8 +92,9 @@ of a vector path (`_chunk_tables`, which every lookup table goes through,
 and the coordinate kernel), never at import: construction and the scalar
 kernel run without it. The tables are built on first use. `_np_tables`
 keeps the keyed ones, the byte tables of each Frobenius power
-(`frob_tables`) and the census's two (`counting`), and two cached
-properties the rest; the census reads both, `mobius` the second:
+(`frob_tables`) and the census's one record (`counting._census_tables`),
+and two cached properties the rest; the census reads both, `mobius` the
+second:
 - `normal_tables`, the coordinates in a normal basis beta^(2^i), in which
   squaring is a rotation by one bit, so the census ranks the 6n squarings
   of a value after one table application;
@@ -599,9 +600,10 @@ class Tower:
 
     # ------------------------------------------------------------ numpy paths
 
-    def _byte_tables(self, cols: list[int]) -> np.ndarray:
+    def _byte_tables(self, cols: list[int] | np.ndarray) -> np.ndarray:
         """The byte tables (`_chunk_tables`) of a GF(2)-linear map on
-        encodings with columns cols (one per input bit)."""
+        encodings with columns cols (one per input bit, along the last
+        axis: a stack of maps gives a stack of tables)."""
         import numpy as np
         if self.big_degree > 63:
             raise ValueError("vectorized paths need encodings below 64 bits")

@@ -177,11 +177,17 @@ def quotient_coordinate_tables(ctx):
     return ctx._byte_tables([coords.solve(1 << j) >> n for j in range(ctx.big_degree)])
 
 
+def class_coordinates(ctx, x):
+    """The quotient coordinates of each element, coordinate 0 dropped: the
+    class coordinates `counting._cross_ratio` reads, up to a scalar in
+    GF(q)*, on which the cross-ratio does not depend."""
+    return Tower.apply_tables(quotient_coordinate_tables(ctx), x)
+
+
 def class_ranks(ctx, x):
     """The class-rank oracle: the rank of the affine class of each element
     (outside GF(q)) in P^4(GF(q)), from its quotient coordinates."""
-    return class_ranks_by_coordinate(
-        ctx, Tower.apply_tables(quotient_coordinate_tables(ctx), x))
+    return class_ranks_by_coordinate(ctx, class_coordinates(ctx, x))
 
 
 def fixed_field_basis(ctx, bits):
@@ -298,7 +304,7 @@ def low_field_class_elements(ctx):
 def fixed_orbit_representatives(ctx, d, limit=None):
     """Census representatives of the orbits fixed setwise by the d-th
     Frobenius power, in ascending class rank: those whose t divides d."""
-    return [r.rep for r in counting._sweep(ctx).records if d % r.pgl_orbits == 0][:limit]
+    return [rep for rep, t in counting._sweep(ctx).records if d % t == 0][:limit]
 
 
 def records_digest(ctx, records):

@@ -228,7 +228,7 @@ def test_census_n6_has_no_bound(capsys):
     assert records_digest(make_tower(6), records) == (
         "44ff532a395f3bfd3e90263d2525fd089af647b2e7c1629b159717b0bc3b9f14")
     assert len(records) == 7405
-    assert Counter(r.pgl_orbits for r in records) == {36: 7168, 18: 224, 12: 5, 9: 7, 4: 1}
+    assert Counter(t for _, t in records) == {36: 7168, 18: 224, 12: 5, 9: 7, 4: 1}
 
 
 def test_fixed_single_power(capsys):
@@ -238,6 +238,14 @@ def test_fixed_single_power(capsys):
     assert obj["oracle"] == 15
     assert obj["closed_form"] is None
     assert obj["order"] == 2
+
+
+@pytest.mark.parametrize("d, order", [(0, 1), (-6, 5), (30, 1), (13, 30)])
+def test_fixed_order_is_6n_over_its_gcd_with_d(capsys, d, order):
+    """The order of sigma^d is 6n / gcd(6n, d) for every int d, 0 and
+    negative d included: gcd(6n, 0) = 6n. n = 5, so 6n = 30."""
+    code, obj, _ = run_json(capsys, "fixed", "fixed", "--n", "5", "--d", str(d), "--json")
+    assert code == 0 and (obj["d"], obj["order"]) == (d, order)
 
 
 def test_fixed_requires_d(capsys):
@@ -439,6 +447,15 @@ def test_reducible_modulus_base_exit_2(capsys, mode):
 def test_bad_workers_exit_2(capsys):
     code, out, err = run(capsys, "census", "--n", "2", "--workers", "0")
     assert code == 2 and out == ""
+    assert err == "error: workers must be positive\n"
+
+
+def test_bad_workers_are_refused_before_a_tower_is_built(capsys, monkeypatch):
+    """--workers is checked with the other flags, before `make_tower` runs."""
+    built = []
+    monkeypatch.setattr(cli, "make_tower", lambda *args, **kwargs: built.append(args))
+    code, out, err = run(capsys, "census", "--n", "4", "--workers", "0")
+    assert (code, out, built) == (2, "", [])
     assert err == "error: workers must be positive\n"
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     LINEAR_EQUATIONS,
     canonical_orbit_rep,
+    class_coordinates,
     class_equation_oracle,
     class_ranks,
     cross_ratio_oracle,
@@ -33,6 +34,7 @@ from goppa_orbits.counting import (
     global_orbit_census,
     root_count_oracle,
 )
+from goppa_orbits.gf2tower import Tower
 
 PRIMES_TO_61 = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
 
@@ -182,7 +184,7 @@ def test_census_n7():
     assert records_digest(ctx, census.records) == (
         "bb70c8a0eb711e5526b02808f4a39846665a320cc5cd9dee0f1b2493b52d318e")
     assert census.orbit_count == burnside_bound(7) == 50333
-    assert Counter(r.pgl_orbits for r in census.records) == {
+    assert Counter(t for _, t in census.records) == {
         42: 49542, 21: 780, 14: 9, 6: 1, 3: 1}
     assert [fixed_point_oracle(ctx, d) for d in (1, 2, 3, 6, 7, 14, 21, 42)] == [
         0, 0, 3, 9, 0, 126, 16383, 2097279]
@@ -232,15 +234,15 @@ def test_low_field_classes_are_those_of_the_subfield_spans(n):
     assert low.size == (1 << 2 * n) + (1 << 3 * n) - (1 << n)
     want = np.unique(class_ranks(ctx, outside))
     count, step = (q ** 5 - 1) // (q - 1), 1 << 16
-    got = [lo + np.flatnonzero(counting._cross_ratio(ctx, counting._class_elements(
-        ctx, np.arange(lo, min(lo + step, count)))) == 0) for lo in range(0, count, step)]
+    got = [lo + np.flatnonzero(counting._cross_ratio(ctx, counting._class_coordinates(
+        n, np.arange(lo, min(lo + step, count)))) == 0) for lo in range(0, count, step)]
     assert want.size == q + 2 and np.concatenate(got).tolist() == want.tolist()
 
 
 def test_cross_ratio_matches_the_scalar_oracle_on_every_element_n2(tower2):
     x = np.arange(1 << 12, dtype=np.int64)
-    assert counting._cross_ratio(tower2, x).tolist() == cross_ratio_oracle(
-        tower2, x.tolist()).tolist()
+    mu = counting._cross_ratio(tower2, class_coordinates(tower2, x))
+    assert mu.tolist() == cross_ratio_oracle(tower2, x.tolist()).tolist()
 
 
 ORACLE_TOWERS = [(3, None), (3, (18, 15, 0)), (4, None), (4, (24, 16, 3, 1, 0)), (5, None),
@@ -260,7 +262,7 @@ def test_cross_ratio_matches_the_scalar_oracle(n, exponents):
     ranks = np.concatenate([low, np.random.default_rng(n).integers(
         0, (q ** 5 - 1) // (q - 1), 2000)])
     alpha = counting._class_elements(ctx, ranks)
-    mu = counting._cross_ratio(ctx, alpha)
+    mu = counting._cross_ratio(ctx, counting._class_coordinates(n, ranks))
     assert mu.tolist() == cross_ratio_oracle(ctx, alpha.tolist()).tolist()
     assert ((mu == 0) == np.isin(ranks, low)).all()
 
@@ -281,7 +283,8 @@ def test_cross_ratio_is_a_semilinear_invariant(n):
         a, b, c, d = (ctx.embed_base(e) for e in entries)
         assume(ctx.mul(a, d) ^ ctx.mul(b, c))
         beta = mobius.apply_map(ctx, mobius.make_map(ctx, a, b, c, d), alpha)
-        mu = counting._cross_ratio(ctx, np.array([alpha, beta, ctx.square(alpha)])).tolist()
+        mu = counting._cross_ratio(ctx, class_coordinates(
+            ctx, np.array([alpha, beta, ctx.square(alpha)]))).tolist()
         assert mu[0] == cross_ratio_oracle(ctx, [alpha])[0] not in (0, (1 << m) - 1)
         assert mu[1] == mu[0] and mu[2] == ((mu[0] << 1) & ((1 << m) - 1)) | mu[0] >> (m - 1)
 
@@ -290,7 +293,7 @@ def test_cross_ratio_is_a_semilinear_invariant(n):
 
 def test_cross_ratio_is_zero_exactly_off_the_degree_six_set(tower2):
     x = np.arange(1 << 12)
-    mu = counting._cross_ratio(tower2, x)
+    mu = counting._cross_ratio(tower2, class_coordinates(tower2, x))
     six = np.array([tower2.is_degree_six(v) for v in range(1 << 12)])
     assert six.sum() == 4020
     assert ((mu == 0) == ~six).all() and (mu != (1 << 12) - 1).all()  # mu = 1: all ones
@@ -305,7 +308,8 @@ def test_scan_raises_unless_its_orbits_hold_every_class(tower3, monkeypatch, coa
     total = (q ** 5 - 1) // (q - 1) - (q + 2)
     records = counting._run_sweep(tower3).records
     canonical = counting._canonical
-    mu = counting._cross_ratio(tower3, np.array([r.rep for r in records[:2]]))
+    mu = counting._cross_ratio(tower3, class_coordinates(
+        tower3, np.array([rep for rep, _ in records[:2]])))
     c0, c1 = canonical(tower3, mu)
 
     def coarse(ctx, mu):
@@ -320,7 +324,7 @@ def test_scan_raises_unless_its_orbits_hold_every_class(tower3, monkeypatch, coa
         counting._run_sweep(tower3)
     held = int(str(err.value).split()[4])  # "the scan's orbits hold <held> classes, ..."
     if coarsen == "merge two orbits":
-        assert held == total - records[1].pgl_orbits * (q + 1)
+        assert held == total - records[1][1] * (q + 1)
     else:
         assert held > total
 
@@ -413,8 +417,8 @@ def brute_force_records(ctx):
 @pytest.mark.parametrize("n", [2, 3])
 def test_class_census_matches_element_brute_force(n):
     ctx = make_tower(n)
-    got = sorted((canonical_orbit_rep(ctx, r.rep, "PGammaL"), r.pgl_orbits)
-                 for r in counting._run_sweep(ctx).records)
+    got = sorted((canonical_orbit_rep(ctx, rep, "PGammaL"), t)
+                 for rep, t in counting._run_sweep(ctx).records)
     assert got == brute_force_records(ctx)
 
 
@@ -442,9 +446,38 @@ def test_census_n4_recorded_values():
         assert dict(census.orbit_sizes) == {
             12240: 1, 24480: 2, 32640: 2, 48960: 20, 97920: 160}
         assert census.elements_visited == (1 << 24) - (1 << 12) - (1 << 8) + (1 << 4)
-        reps = np.array([r.rep for r in census.records], dtype=np.int64)
+        reps = np.array([rep for rep, _ in census.records], dtype=np.int64)
         assert int(class_ranks(ctx, reps).max()) == last_rank
         assert {d: fixed_point_oracle(ctx, d) for d in fixed} == fixed
+
+
+@pytest.mark.parametrize("n, exponents", [(4, (4, 3, 0)), (5, (5, 3, 0)), (5, (5, 4, 3, 2, 0))])
+def test_census_under_a_non_default_base_modulus(n, exponents):
+    """The class basis gamma_k * theta^j moves with the embedding, and so
+    with modulus_base; the census keeps the count and the orbit-size
+    histogram of the default moduli."""
+    default = global_orbit_census(make_tower(n))
+    census = global_orbit_census(make_tower(n, modulus_base=gf2poly.from_exponents(exponents)))
+    assert census.orbit_count == default.orbit_count == {4: 185, 5: 1131}[n]
+    assert census.orbit_sizes == default.orbit_sizes
+    assert census.pgl_orbit_count == default.pgl_orbit_count
+
+
+def test_census_keeps_one_table_record(monkeypatch):
+    """A census on a fresh tower leaves two entries in the tower's table
+    cache, the tables of sigma^n and the census's one record, and a second
+    census on the same tower builds no byte table."""
+    built = []
+    byte_tables = Tower._byte_tables
+    monkeypatch.setattr(Tower, "_byte_tables",
+                        lambda self, cols: built.append(len(cols)) or byte_tables(self, cols))
+    ctx = make_tower(4)
+    first = global_orbit_census(ctx)
+    assert sorted(ctx._np_tables) == [("census",), ("frob", 4)]
+    assert built  # the counter sees the first census build its tables
+    built.clear()
+    assert global_orbit_census(ctx).records == first.records
+    assert built == []
 
 
 def test_fixed_point_oracle_cold_cache_matches_warm(tower2):
