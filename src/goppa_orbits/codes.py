@@ -59,7 +59,7 @@ WEIGHT_ENUM_MAX_DIM = 24
 
 def rref(rows: list[int]) -> tuple[int, ...]:
     """Reduced row echelon form of int-bitmask rows, pivots at least set bits."""
-    return _ColumnSolver(rows).rref()
+    return _ColumnSolver.rref(rows)
 
 
 def nullspace(rows: list[int], width: int) -> tuple[int, ...]:

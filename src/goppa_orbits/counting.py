@@ -265,13 +265,6 @@ def _class_coordinates(n: int, ranks: np.ndarray) -> np.ndarray:
     return (1 << lead * n) + ranks - offsets[lead]
 
 
-def _class_elements(ctx: Tower, ranks: np.ndarray) -> np.ndarray:
-    """One element of the affine class {e*beta + f : e in GF(q)*, f in GF(q)}
-    of each given rank, q = 2^n: the one whose coordinate 0 is 0
-    (`_census_tables`)."""
-    return Tower.apply_tables(_census_tables(ctx)[0], _class_coordinates(ctx.n, ranks))
-
-
 class OrbitCensus(NamedTuple):
     """Census of semi-linear orbits on the degree-6 set: one (rep, t) pair
     per orbit, in ascending class rank of the representatives, where t is
@@ -380,13 +373,14 @@ def _run_sweep(ctx: Tower) -> OrbitCensus:
     It drops the value 0, the canonical mu of mu = 0 alone (`normal_tables`
     is a bijection): the q + 2 classes inside GF(q^2) and GF(q^3). It
     accepts a class when its canonical mu is new and records, by ascending
-    index, the pair (rep, t): an element of the class (`_class_elements`,
-    built for the accepted ranks only) and t, the least p >= 1 with
-    mu^(2^p) = mu, as the count of linear orbits; mu^(2^p) = mu iff t
-    divides p. t is read off the accepted classes' canonical mu alone
-    (`_period`). An accepted class is the least of its orbit, as every
-    class below it was scanned first, so records come out in ascending
-    class rank.
+    index, the pair (rep, t): an element of the class (the `elements` table
+    of `_census_tables` on the block's class coordinates, for the accepted
+    ranks only) and t, the least p >= 1 with mu^(2^p) = mu, as the count of
+    linear orbits; mu^(2^p) = mu iff t divides p. t is read off the
+    accepted classes' canonical mu alone (`_period`), and the running sum
+    of t is the count of linear orbits. An accepted class is the least of
+    its orbit, as every class below it was scanned first, so records come
+    out in ascending class rank.
 
     The scan stops when the accepted orbits' classes, t(q + 1) each, sum to
     the (q^5 - 1)/(q - 1) - (q + 2) degree-6 classes. This certifies the
@@ -408,7 +402,8 @@ def _run_sweep(ctx: Tower) -> OrbitCensus:
     degree_six_classes = count - (q + 2)
     seen = np.array([-1])  # canonical mu of the records, sorted, after a sentinel
     records: list[tuple[int, int]] = []
-    covered = 0
+    elements = _census_tables(ctx)[0]
+    pgl_orbit_count = covered = 0
     lo, size = 0, _FIRST_BLOCK
     while lo < count:
         ranks = np.arange(lo, min(lo + size, count))
@@ -426,15 +421,15 @@ def _run_sweep(ctx: Tower) -> OrbitCensus:
         seen = np.insert(seen, pos[new], value[new])
         index = np.sort(head[new] & (1 << _INDEX_BITS) - 1)  # in ascending rank
         t = _period(m, canon[index])
-        records += zip(_class_elements(ctx, ranks[index]).tolist(), t.tolist())
-        covered += int(t.sum()) * (q + 1)
+        records += zip(Tower.apply_tables(elements, point[index]).tolist(), t.tolist())
+        pgl_orbit_count += int(t.sum())
+        covered = pgl_orbit_count * (q + 1)
         if covered >= degree_six_classes:
             break
     if covered != degree_six_classes:
         raise ConsistencyError(
             f"the scan's orbits hold {covered} classes, not the "
             f"{degree_six_classes} degree-6 classes")
-    pgl_orbit_count = sum(t for _, t in records)
     orbit_size = (1 << 3 * n) - (1 << n)
     s_size = (1 << m) - (q * q + q ** 3 - q)  # |GF(q^2) u GF(q^3)|: they meet in GF(q)
     if pgl_orbit_count * orbit_size != s_size:

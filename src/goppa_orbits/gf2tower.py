@@ -44,7 +44,7 @@ The scalar kernel:
 - `base_logs` is the tower's one table of GF(q)*, q = 2^n: the powers of
   the least generator (on base encodings, the package's one generator
   search), their embeddings, and the discrete log of each embedding, built
-  on first read: 0.03 ms at n = 5, a few ms at n = 11. The Goppa parity
+  on first read: 0.01 ms at n = 5, 0.6 ms at n = 11. The Goppa parity
   (`codes.goppa_parity`), support permutations
   (`codes.induced_permutation`) and `to_base` read it: x is in GF(q) iff
   it is 0 or has a log, so `to_base` is the one projection and membership
@@ -117,12 +117,12 @@ second:
   at n = 4 and 0.31 ms on 8192 at n = 7, and 0.10 and 0.35 ms for one
   `inv_vec` with a scale (best of 5 x 100 calls).
 
-Linear algebra over GF(2) has one elimination, `_ColumnSolver`: it reduces
-int-bitmask vectors at their least set bits and keeps the input combination
-behind each pivot. Walking the inputs from last to first makes its kernel
-basis come out in reduced row echelon form. That kernel gives the minimal
-polynomial of a trace (`_trace_models`) and every binary code; `solve`
-inverts GF(2)-linear maps, and its `rref` is `codes.rref`.
+Linear algebra over GF(2) has one elimination, `_ColumnSolver`: each input
+and its combination of inputs is one int, reduced at its highest set bit.
+Walking the inputs from last to first makes its kernel basis come out in
+reduced row echelon form. That kernel gives the minimal polynomial of a
+trace (`_trace_models`) and every binary code; `solve` inverts GF(2)-linear
+maps; its `rref` (`codes.rref`) reduces rows alone, at least set bits.
 `solve_affine_linearized` hands back the solutions of a linearized equation
 as a coset, a particular solution and a kernel basis, so a root count is a
 rank and never a list of roots.
@@ -174,59 +174,78 @@ _CHUNK = 1 << 16  # elements per numpy pass while `Tower._cubic_logs` fills its 
 
 
 class _ColumnSolver:
-    """The package's one GF(2) elimination: pivots at least set bits, each with
-    the combination of inputs (bit j = input j) it came from; inputs that
-    reduce to zero give the kernel.
+    """The package's one GF(2) elimination. Input j is the word
+    vecs[j] << C | 1 << j, C = len(vecs), its combination in the low C bits,
+    and pivots are listed by `bit_length`: a step is one `bit_length`, one
+    list read and one XOR, and a word reduced to C bits is a kernel vector.
 
     Inputs are walked from last to first, so a dependent input j reduces
-    against pivots that all came from inputs after j, and its kernel vector is
-    e_j plus pivot inputs above j. No pivot input is ever a kernel vector's
-    least bit, so `kernel_basis`, by ascending least bit, is the unique
-    reduced row echelon form of the kernel: the tuple `codes.rref` returns.
+    against pivots from inputs after j, and its kernel vector is e_j plus
+    pivot inputs above j, whichever bit keys the pivots. No pivot input is a
+    kernel vector's least bit, so `kernel_basis`, by ascending least bit, is
+    the unique reduced row echelon form of the kernel.
     """
 
     def __init__(self, vecs: list[int] | tuple[int, ...]):
-        self._pivots: dict[int, tuple[int, int]] = {}  # least bit -> (vec, combo)
+        c = self._c = len(vecs)
+        self._width = max(vecs, default=0).bit_length()
+        pivots = self._pivots = [0] * (c + self._width + 1)  # bit_length -> word
         kernel = []
-        for j in range(len(vecs) - 1, -1, -1):
-            vec, combo = vecs[j], 1 << j
-            while vec:
-                low = (vec & -vec).bit_length() - 1
-                hit = self._pivots.get(low)
-                if hit is None:
-                    self._pivots[low] = (vec, combo)
+        for j in range(c - 1, -1, -1):
+            word = vecs[j] << c | 1 << j
+            top = word.bit_length()
+            while top > c:
+                hit = pivots[top]
+                if not hit:
+                    pivots[top] = word
                     break
-                vec ^= hit[0]
-                combo ^= hit[1]
+                word ^= hit
+                top = word.bit_length()
             else:
-                kernel.append(combo)
+                kernel.append(word)
         self.kernel_basis: tuple[int, ...] = tuple(reversed(kernel))
 
     def solve(self, target: int) -> int | None:
         """A combination x of the inputs summing to target, or None outside the span."""
-        x = 0
-        while target:
-            hit = self._pivots.get((target & -target).bit_length() - 1)
-            if hit is None:
+        if target.bit_length() > self._width:
+            return None
+        c, pivots = self._c, self._pivots
+        word = target << c
+        top = word.bit_length()
+        while top > c:
+            hit = pivots[top]
+            if not hit:
                 return None
-            target ^= hit[0]
-            x ^= hit[1]
-        return x
+            word ^= hit
+            top = word.bit_length()
+        return word
 
-    def rref(self) -> tuple[int, ...]:
-        """Reduced row echelon basis of the span, by ascending pivot; back-substitutes
-        from the highest pivot down (a reduced row holds no other pivot bit)."""
+    @staticmethod
+    def rref(vecs: list[int] | tuple[int, ...]) -> tuple[int, ...]:
+        """Reduced row echelon basis of the span of vecs, by ascending least
+        set bit (keyed by its `bit_length`): vecs reduced alone, last to
+        first, then back-substituted from the highest pivot down (a reduced
+        row holds no other pivot bit)."""
+        pivots: dict[int, int] = {}
+        for vec in reversed(vecs):
+            while vec:
+                low = (vec & -vec).bit_length()
+                hit = pivots.get(low)
+                if hit is None:
+                    pivots[low] = vec
+                    break
+                vec ^= hit
         reduced: dict[int, int] = {}
         above = 0  # pivot bits of the rows reduced so far
-        for low in sorted(self._pivots, reverse=True):
-            vec = self._pivots[low][0]
+        for low in sorted(pivots, reverse=True):
+            vec = pivots[low]
             hits = vec & above
             while hits:
                 bit = hits & -hits
-                vec ^= reduced[bit.bit_length() - 1]
+                vec ^= reduced[bit.bit_length()]
                 hits ^= bit
             reduced[low] = vec
-            above |= 1 << low
+            above |= 1 << low - 1
         return tuple(reversed(reduced.values()))
 
 
@@ -531,11 +550,20 @@ class Tower:
     def base_logs(self) -> BaseLogs:
         """Discrete logs on GF(q)*, q = 2^n, to the base of its least
         generator; built on first read and kept."""
-        q = 1 << self.n
+        n, modulus = self.n, self.modulus_base
+        q = 1 << n
         for g in range(2, q):  # least generator of GF(q)*, on base encodings
+            shifts = range(1, g.bit_length())
             exp = [1]
             while len(exp) < q:
-                nxt = gf2poly.mod(gf2poly.mul(exp[-1], g), self.modulus_base)
+                v = exp[-1]  # v g: a shift, one conditional reduction and an add per bit of g
+                nxt = v if g & 1 else 0
+                for i in shifts:
+                    v <<= 1
+                    if v >> n:
+                        v ^= modulus
+                    if g >> i & 1:
+                        nxt ^= v
                 if nxt == 1:
                     break
                 exp.append(nxt)
@@ -564,10 +592,10 @@ class Tower:
         """
         poly = [1]
         for c in self.conjugates(alpha):
-            nxt = [0] * (len(poly) + 1)
-            for k, pk in enumerate(poly):
-                nxt[k + 1] ^= pk
-                nxt[k] ^= self.mul(pk, c)
+            nxt = [0, *poly]  # x poly + c poly, whose top term c needs no product
+            for k in range(len(poly) - 1):
+                nxt[k] ^= self.mul(poly[k], c)
+            nxt[-2] ^= c
             poly = nxt
         try:
             for pk in poly:

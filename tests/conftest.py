@@ -91,6 +91,57 @@ def lowest_irreducible_by_sort(d):
     raise AssertionError(f"no irreducible of degree {d} found")
 
 
+class ReferenceElimination:
+    """The elimination oracle: int-bitmask vectors reduced at their least set
+    bits, each pivot kept with the combination of inputs (bit j = input j) it
+    came from, inputs walked last to first; inputs that reduce to zero give
+    the kernel, by ascending least bit."""
+
+    def __init__(self, vecs):
+        self.pivots = {}  # least bit -> (vec, combo)
+        kernel = []
+        for j in range(len(vecs) - 1, -1, -1):
+            vec, combo = vecs[j], 1 << j
+            while vec:
+                low = (vec & -vec).bit_length() - 1
+                hit = self.pivots.get(low)
+                if hit is None:
+                    self.pivots[low] = (vec, combo)
+                    break
+                vec ^= hit[0]
+                combo ^= hit[1]
+            else:
+                kernel.append(combo)
+        self.kernel_basis = tuple(reversed(kernel))
+
+    def solve(self, target):
+        """A combination of the inputs summing to target, or None outside the span."""
+        x = 0
+        while target:
+            hit = self.pivots.get((target & -target).bit_length() - 1)
+            if hit is None:
+                return None
+            target ^= hit[0]
+            x ^= hit[1]
+        return x
+
+    def rref(self):
+        """The span's reduced row echelon basis, by ascending pivot:
+        back-substituted from the highest pivot down."""
+        reduced = {}
+        above = 0
+        for low in sorted(self.pivots, reverse=True):
+            vec = self.pivots[low][0]
+            hits = vec & above
+            while hits:
+                bit = hits & -hits
+                vec ^= reduced[bit.bit_length() - 1]
+                hits ^= bit
+            reduced[low] = vec
+            above |= 1 << low
+        return tuple(reversed(reduced.values()))
+
+
 def span(basis):
     """All XOR combinations of the basis vectors, as a sorted int64 array."""
     arr = np.zeros(1, dtype=np.int64)
@@ -182,6 +233,14 @@ def class_coordinates(ctx, x):
     class coordinates `counting._cross_ratio` reads, up to a scalar in
     GF(q)*, on which the cross-ratio does not depend."""
     return Tower.apply_tables(quotient_coordinate_tables(ctx), x)
+
+
+def class_elements(ctx, ranks):
+    """One element of the affine class {e*beta + f : e in GF(q)*, f in GF(q)}
+    of each given rank, q = 2^n: the one whose coordinate 0 is 0, read off
+    the census's `elements` table (`counting._census_tables`)."""
+    return Tower.apply_tables(counting._census_tables(ctx)[0],
+                              counting._class_coordinates(ctx.n, ranks))
 
 
 def class_ranks(ctx, x):

@@ -10,6 +10,7 @@ from conftest import (
     LINEAR_EQUATIONS,
     canonical_orbit_rep,
     class_coordinates,
+    class_elements,
     class_equation_oracle,
     class_ranks,
     cross_ratio_oracle,
@@ -208,7 +209,7 @@ def test_sweep_refuses_large_n():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_class_ranks_match_the_per_coordinate_route(n):
-    """`_class_elements` against the coordinate-by-coordinate class-rank
+    """`class_elements` against the coordinate-by-coordinate class-rank
     oracle: every rank at n <= 3, else the first 2q (leading indices 0 and
     1), every 97th rank after them, and the last; each element lies outside
     GF(q)."""
@@ -217,7 +218,7 @@ def test_class_ranks_match_the_per_coordinate_route(n):
     count = (q ** 5 - 1) // (q - 1)
     ranks = np.arange(count) if n <= 3 else np.concatenate(
         [np.arange(2 * q), np.arange(2 * q, count, 97), [count - 1]])
-    alpha = counting._class_elements(ctx, ranks)
+    alpha = class_elements(ctx, ranks)
     assert class_ranks(ctx, alpha).tolist() == ranks.tolist()
     assert not (ctx.frobenius_vec(alpha, n) == alpha).any()
 
@@ -261,7 +262,7 @@ def test_cross_ratio_matches_the_scalar_oracle(n, exponents):
     assert np.unique(low).size == q + 2
     ranks = np.concatenate([low, np.random.default_rng(n).integers(
         0, (q ** 5 - 1) // (q - 1), 2000)])
-    alpha = counting._class_elements(ctx, ranks)
+    alpha = class_elements(ctx, ranks)
     mu = counting._cross_ratio(ctx, counting._class_coordinates(n, ranks))
     assert mu.tolist() == cross_ratio_oracle(ctx, alpha.tolist()).tolist()
     assert ((mu == 0) == np.isin(ranks, low)).all()

@@ -1,9 +1,12 @@
 """Property tests for the package's one GF(2) elimination.
 
-`gf2tower._ColumnSolver` reduces int-bitmask vectors at their least set bits
-and hands back its kernel basis in reduced row echelon form; `codes.rref` and
-`codes.nullspace` are built on it. Vectors are drawn as up to 12 rows of up to
-20 bits, with duplicates and zero rows allowed.
+`gf2tower._ColumnSolver` reduces each input packed with its combination,
+keyed by its highest bit, and hands back its kernel basis in reduced row
+echelon form; its `rref` reduces at least set bits, and `codes.rref` and
+`codes.nullspace` are built on it. Vectors are drawn as up to 12 rows of up
+to 20 bits, with duplicates and zero rows allowed; one property compares
+all three with the least-bit reference elimination of `tests/conftest.py`
+on up to 150 inputs of up to 150 bits.
 """
 
 from functools import reduce
@@ -12,6 +15,7 @@ from operator import xor
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ReferenceElimination
 from goppa_orbits.codes import nullspace, rref
 from goppa_orbits.gf2tower import _apply_cols, _ColumnSolver
 
@@ -83,3 +87,40 @@ def test_kernel_maps_to_zero_with_nullity_dimension(cols):
     assert len(kernel) == len(cols) - len(rref(cols))
     assert kernel == rref(list(kernel))  # reduced: the unique RREF of the kernel
 
+
+@st.composite
+def wide_systems(draw):
+    """Up to 150 inputs of up to 150 bits, so that a packed word runs to 300
+    bits: fresh vectors, zeros, copies and sums of earlier inputs; then two
+    targets, one in the span and one drawn up to 8 bits past the widest
+    input."""
+    width, count = draw(st.sampled_from(range(1, 151))), draw(st.sampled_from(range(151)))
+    # a Random seeded by Hypothesis, whose bits do not fill Hypothesis's buffer,
+    # so large systems are not cut off
+    rng = draw(st.randoms(use_true_random=True))
+    vecs = []
+    for kind in draw(st.lists(st.sampled_from("fzcs"), min_size=count, max_size=count)):
+        if kind == "z":
+            vecs.append(0)
+        elif kind == "f" or not vecs:
+            vecs.append(rng.getrandbits(width))
+        elif kind == "c":
+            vecs.append(rng.choice(vecs))
+        else:
+            vecs.append(reduce(xor, rng.sample(vecs, rng.randint(1, len(vecs)))))
+    inside = _apply_cols(vecs, rng.getrandbits(len(vecs))) if vecs else 0
+    return vecs, inside, rng.getrandbits(width + rng.randrange(9))
+
+
+@ELIM
+@given(wide_systems())
+def test_matches_the_reference_elimination_past_the_packing_boundary(system):
+    vecs, inside, drawn = system
+    solver, reference = _ColumnSolver(vecs), ReferenceElimination(vecs)
+    assert solver.kernel_basis == reference.kernel_basis
+    for target in (inside, drawn):
+        sol = solver.solve(target)
+        assert (sol is None) == (reference.solve(target) is None)
+        assert sol is None or _apply_cols(vecs, sol) == target
+    assert solver.solve(inside) is not None
+    assert _ColumnSolver.rref(vecs) == rref(vecs) == reference.rref()

@@ -329,16 +329,23 @@ def test_subfield_span_array(tower5):
         subfield_span_array(tower5, 7)
 
 
-@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("n", range(2, 10))
 def test_base_logs_are_a_cyclic_group_table(n):
     """exp lists q - 1 distinct base encodings, each the generator times the
-    previous; the embedded powers are their embeddings, and log inverts them."""
+    previous, and the generator is the least one (3 at n = 8 and 7 at n = 9,
+    whose default moduli are not primitive); the embedded powers are their
+    embeddings, and log inverts them."""
     ctx = make_tower(n)
     assert "base_logs" not in vars(ctx)  # built on first read, not by __init__
     logs = ctx.base_logs
     q = 1 << n
     assert len(logs.exp) == len(set(logs.exp)) == q - 1 and sorted(logs.exp) == list(range(1, q))
     g = logs.exp[1]
+    for h in range(2, g):  # each smaller candidate has a smaller order
+        x, order = h, 1
+        while x != 1:
+            x, order = gf2poly.mod(gf2poly.mul(x, h), ctx.modulus_base), order + 1
+        assert order < q - 1
     for k, a in enumerate(logs.exp):
         assert gf2poly.mod(gf2poly.mul(a, g), ctx.modulus_base) == logs.exp[(k + 1) % (q - 1)]
         assert logs.embedded[k] == ctx.embed_base(a)
