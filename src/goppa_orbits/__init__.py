@@ -15,6 +15,7 @@ Library layout:
   and fixed-point oracle scan affine classes, the points of P^4(GF(2^n)),
   keyed by the cross-ratio, an orbit invariant, and the root counts are
   GF(2) ranks.
+- scan: the census's numpy half (the GF(q^3) kernel and the class scan).
 - cli: the goppa-orbits command.
 
 The package holds what the commands and the benchmark reach

@@ -6,7 +6,7 @@ shift-and-add extended Euclid. `field_root` finds the least root in such a
 field of a polynomial with GF(2) coefficients, by an ascending scan, which
 is how `Tower` embeds its base field, and `is_generator` tests whether a
 product of factors y + a generates the field's multiplicative group, which
-is how `Tower` picks the base of its discrete logs on GF(q^3).
+is how `scan._cubic_logs` picks the base of its discrete logs on GF(q^3).
 """
 
 from __future__ import annotations

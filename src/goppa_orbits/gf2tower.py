@@ -68,8 +68,8 @@ w = z + sigma^d(z) + ... + sigma^(6n-d)(z), walked on the sigma^n
 columns, lies in GF(2^d), and when the one relation among w^0..w^d (one
 `_ColumnSolver`) has degree d it is the minimal polynomial m_w, so
 y -> w maps K = GF(2)[y]/(m_w) onto GF(2^d); a trace in a proper subfield
-is skipped. The embedding and the log tables of the coordinate kernel both
-start from such a model, of GF(2^n) and of GF(q^3).
+is skipped. The embedding and the log tables of the coordinate kernel
+(`scan._cubic_logs`) both start from such a model, of GF(2^n) and of GF(q^3).
 
 The subfield and the embedding are built together on the first read of
 `subfield`, `embed_base`, `to_base` or `base_logs`, so root counts and a
@@ -86,36 +86,10 @@ read, with `base_logs`, costs about 0.1-0.2 ms at n = 4 and 5, 0.3-0.4 ms
 at n = 7 and 9-11 ms at n = 11, the largest n a command reads it at,
 where the scan for r is most of it (2 vCPU).
 
-The numpy paths hold encodings in int64, so they need 6n <= 63 (n <= 10)
-and raise ValueError above it. numpy is first imported by the first call
-of a vector path (`_chunk_tables`, which every lookup table goes through,
-and the coordinate kernel), never at import: construction and the scalar
-kernel run without it. The tables are built on first use. `_np_tables`
-keeps the keyed ones, the byte tables of each Frobenius power
-(`frob_tables`) and the census's one record (`counting._census_tables`),
-and two cached properties the rest; the census reads both, `mobius` the
-second:
-- `normal_tables`, the coordinates in a normal basis beta^(2^i), in which
-  squaring is a rotation by one bit, so the census ranks the 6n squarings
-  of a value after one table application;
-- `_cubic_logs`, the coordinate kernel's tables and the log of its c,
-  behind the package's one vector product (`mul_vec`) and one vector
-  inverse (`inv_vec`, which can multiply by the inverse without building
-  it). They work in coordinates
-  over GF(q^3), as composite-field arithmetic does (Guajardo and Paar,
-  CRYPTO 1997): x = u + v t with t + sigma^(3n)(t) = 1 and t^2 = t + c,
-  packed as u | v << 3n. A product is three products in GF(q^3),
-  (u + v t)(u' + v' t) = (u u' + c v v') + ((u + v)(u' + v') + u u') t
-  (`_mul_logs`); the norm to GF(q^3) is N = u(u + v) + c v^2 and
-  1/x = ((u + v) + v t)/N. Every product and quotient in GF(q^3) is a sum
-  of logs on int32 log and exp tables of GF(q^3)*, and a byte table takes
-  encodings into the coordinates and one takes them back. The log tables
-  hold 2^(3n) and 2^(3n+1) - 1 entries, 24 MiB at n = 7, so the kernel
-  serves n <= 7 and refuses n = 8..10. Building them takes 0.44-0.67 ms at
-  n = 4 (about 0.9 ms as the first build of a fresh process) and 46-67 ms
-  at n = 7 (2 vCPU), against 0.07 ms for one `mul_vec` on 4096 elements
-  at n = 4 and 0.31 ms on 8192 at n = 7, and 0.10 and 0.35 ms for one
-  `inv_vec` with a scale (best of 5 x 100 calls).
+The byte tables of GF(2)-linear maps (`_byte_tables`, below 64 bits),
+of each Frobenius power (`frob_tables`) and their application
+(`apply_tables`) import numpy on first use; the coordinate kernel and the
+census scan that read them are the module `scan`.
 
 Linear algebra over GF(2) has one elimination, `_ColumnSolver`: each input
 and its combination of inputs is one int, reduced at its highest set bit.
@@ -148,7 +122,7 @@ __all__ = [
     "solve_affine_linearized",
 ]
 
-_MAX_N = 16  # the last n in _DEFAULT_MODULI; reading the subfield lists its 2^n elements
+_MAX_N = 16  # the last n in _DEFAULT_MODULI
 
 # the default moduli, as exponents: gf2poly.lowest_irreducible(d), the
 # fewest-terms, least-value irreducible, for each degree a tower asks for,
@@ -166,11 +140,7 @@ _DEFAULT_MODULI = {
 
 _HEX = re.compile(r"[0-9a-fA-F]+")
 
-# the generators `Tower._cubic_logs` tries in GF(2)[y]/(m_w), as the roots a of
-# their factors y + a: y, y + 1 and y (y + 1), each product a shift (and an add)
-_GENERATORS = ((0,), (1,), (0, 1))
 _DRAWS = 64  # draws `Tower._trace_models` takes before it gives up
-_CHUNK = 1 << 16  # elements per numpy pass while `Tower._cubic_logs` fills its tables
 
 
 class _ColumnSolver:
@@ -287,16 +257,6 @@ def _chunk_tables(cols: np.ndarray, width: int = 8) -> np.ndarray:
     return out
 
 
-def _fold(s: np.ndarray, order: int) -> np.ndarray:
-    """s less order where s >= order, for an int32 array s >= 0: read as
-    uint32, s - order wraps above s exactly where s < order, so the least
-    of the two is the result. A sum of two logs below order lands below
-    order, and a sum that holds log 0 (3 order) stays past 2 order."""
-    import numpy as np
-    s = s.view(np.uint32)
-    return np.minimum(s, s - np.uint32(order)).view(np.int32)
-
-
 def _parse_hex(text: str) -> int:
     """The value of a string of hex digits; `int(text, 16)` would also take a
     sign, a 0x prefix, underscores and surrounding space."""
@@ -323,16 +283,6 @@ class _Embedding(NamedTuple):
 
     subfield: tuple[int, ...]
     span: list[int]
-
-
-class _CubicLogs(NamedTuple):
-    """The coordinate kernel's tables and the log of its c (`Tower._cubic_logs`)."""
-
-    coords: np.ndarray
-    out: np.ndarray
-    log: np.ndarray
-    exp: np.ndarray
-    log_c: int
 
 
 class Tower:
@@ -651,208 +601,6 @@ class Tower:
         for bpos in range(1, len(tables)):
             out ^= tables[bpos][(x >> (8 * bpos)) & 0xFF]
         return out
-
-    def frobenius_vec(self, x: np.ndarray, i: int) -> np.ndarray:
-        return self.apply_tables(self.frob_tables(i), x)
-
-    @functools.cached_property
-    def normal_tables(self) -> np.ndarray:
-        """Byte tables of the coordinates in a normal basis beta^(2^i),
-        i < 6n: bit i of the image of x is the coefficient of beta^(2^i), so
-        the image of x^2 is that of x rotated left by one bit.
-
-        beta is the first draw of random.Random(0).getrandbits(6n) whose 6n
-        squarings `_ColumnSolver` finds independent, which takes 1-4 draws
-        on the towers tried; ordered candidates (ascending integers, x^(6n-1)
-        + k) took hundreds on some. Built on first read and kept."""
-        m = self.big_degree
-        rng = random.Random(0)
-        while True:
-            squarings = [rng.getrandbits(m)]
-            for _ in range(m - 1):
-                squarings.append(self.square(squarings[-1]))
-            solver = _ColumnSolver(squarings)
-            if not solver.kernel_basis:
-                break
-        return self._byte_tables([solver.solve(1 << j) for j in range(m)])
-
-    @functools.cached_property
-    def _cubic_logs(self) -> _CubicLogs:
-        """The tables of the coordinate kernel (`mul_vec`, `inv_vec`), built
-        on first read and kept: GF(q^6) = GF(q^3)(t), q = 2^n, in
-        coordinates over GF(q^3), and discrete logs on GF(q^3)*. With
-        k = 3n, they are (coords, out, log, exp, log_c): byte tables from an
-        encoding x = u + v t to u | v << k | (u^2 + c v^2) << 2k, and from
-        u | v << k back to x; then int32 logs and powers of g on GF(q^3)*
-        with u and v read in the basis w^0..w^(k-1), exp[i] =
-        g^(i mod (2^k - 1)) for i < 2(2^k - 1), exp[2(2^k - 1)] = 0, and
-        log 0 = 3(2^k - 1), so that a sum that holds log 0, even less
-        2^k - 1 (`_fold`), lies past the zero entry of exp, which every
-        lookup clips onto; and log_c, the log of c, which the product's
-        c v v' term adds.
-
-        w, m_w and the draw z are the first model of GF(q^3)
-        (`_trace_models`) whose K = GF(2)[y]/(m_w) has y, y + 1 or y (y + 1)
-        for a generator g (`gf2poly.is_generator`, on 3n-bit integers).
-        There w = Tr(z) = z + sigma^(3n)(z) has degree 3n, so it is nonzero,
-        t = z / w has t + sigma^(3n)(t) = 1, and c = t^2 + t lies in
-        GF(q^3), the kernel of sigma^(3n) + id. So x = u + v t with
-        u, v in K, read in the basis w^0..w^(3n-1), and exp[i] = g^i: the
-        first 64 by shifts, then doubled on the tables of the products by
-        g^64, g^128, ..., each read on the low and the high half of g^i.
-
-        The log tables hold 2^(3n) and 2^(3n+1) - 1 entries, 24 MiB at
-        n = 7, and the packed coordinates fill 9n bits of one int64, so the
-        kernel serves n <= 7 and refuses n = 8..10 with a ValueError that
-        names both limits, before it builds anything: at n = 8 the shift by
-        2k would run past bit 63 without an error. Raises AssertionError
-        when t, c, the change of basis or the powers of g are not what they
-        must be."""
-        m, k = self.big_degree, 3 * self.n
-        if m > 63:
-            raise ValueError("vectorized paths need encodings below 64 bits")
-        if k > 21:
-            raise ValueError(f"mul_vec and inv_vec serve n <= 7: at n = {self.n} their log "
-                             f"tables on GF(q^3) would hold 2^{k} entries each, and their "
-                             f"packed coordinates u | v << {k} | (u^2 + c v^2) << {2 * k} "
-                             f"would need {3 * k} of the 63 bits of an int64")
-        import numpy as np
-        order = (1 << k) - 1  # |GF(q^3)*|
-        powers, m_w, z, g = next((powers, m_w, z, g) for powers, m_w, z in self._trace_models(k)
-                                 for g in _GENERATORS if gf2poly.is_generator(m_w, g))
-        t = self.mul(z, self.inv(powers[1]))  # powers[1] = w = Tr(z)
-        if t ^ self.frobenius(t, k) != 1:
-            raise AssertionError("t + sigma^3n(t) is not 1")
-        c = self.square(t) ^ t
-        if self.frobenius(c, k) != c:
-            raise AssertionError("c = t^2 + t lies outside GF(q^3)")
-        cols = powers + [self.mul(p, t) for p in powers]  # w^i, then w^i t
-        solver = _ColumnSolver(cols)
-        if solver.kernel_basis:
-            raise AssertionError("the basis w^i, w^i t of GF(q^6) is singular")
-
-        def times_g(v: int) -> int:  # v g in K: a shift (and an add) per factor
-            for a in g:
-                v = v << 1 ^ (v if a else 0)
-                if v >> k:
-                    v ^= m_w
-            return v
-
-        seed = [1]  # g^i below 64
-        for _ in range(min(64, order) - 1):
-            seed.append(times_g(seed[-1]))
-        by = []  # columns g^d y^i of the products by g^d, d = 64, 128, ... below the order
-        g_d = times_g(seed[-1])
-        for _ in range(k - 6):
-            col = g_d
-            for _ in range(k):
-                by.append(col)
-                col <<= 1
-                if col >> k:
-                    col ^= m_w
-            g_d = gf2poly.mod(gf2poly.square(g_d), m_w)
-        half = (k + 1) // 2  # the tables read the low and the high half of g^i
-        exp = np.empty(2 * order + 1, dtype=np.int32)
-        exp[:len(seed)] = seed
-        done = len(seed)
-        for low, high in _chunk_tables(np.array(by, dtype=np.int32).reshape(-1, k), half):
-            step = min(done, order - done)  # g^done g^i, on the tables of g^done
-            for lo in range(0, step, _CHUNK):
-                head = exp[lo:min(lo + _CHUNK, step)]
-                part = exp[done + lo:done + lo + head.size]
-                np.take(low, head & (1 << half) - 1, out=part)
-                part ^= high[head >> half]
-            done += step
-        log = np.full(order + 1, -1, dtype=np.int32)
-        for lo in range(0, order, _CHUNK):
-            hi = min(lo + _CHUNK, order)
-            log[exp[lo:hi]] = np.arange(lo, hi, dtype=np.int32)
-        if log[0] != -1 or (log[1:] < 0).any():
-            raise AssertionError("the powers of g are not all of GF(q^3)*")
-        exp[order:2 * order] = exp[:order]
-        exp[2 * order], log[0] = 0, 3 * order  # a sum holding log 0 lies past the zero
-
-        # each bit of an encoding in coordinates u | v << 3n; u^2 + c v^2 is
-        # linear in them, with columns y^2i and c y^2i, and lands above 6n
-        ys, cs = [1], [solver.solve(c)]  # y^i and c y^i; c has no v part
-        for _ in range(2 * k - 2):
-            for col in (ys, cs):
-                v = col[-1] << 1
-                col.append(v ^ m_w if v >> k else v)
-        to_uv, from_coords, square = _chunk_tables(np.array(
-            [[solver.solve(1 << j) for j in range(m)], cols, ys[::2] + cs[::2]], dtype=np.int64))
-        to_coords = to_uv ^ self.apply_tables(square, to_uv) << 2 * k
-        return _CubicLogs(to_coords, from_coords, log, exp, int(log[cs[0]]))
-
-    def _coord_logs(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The logs of u, v and u + v for each x = u + v t packed as
-        u | v << 3n (bits from 6n up ignored), on the tables of
-        `_cubic_logs`: the form in which `_mul_logs` takes its operands."""
-        log = self._cubic_logs.log
-        k = 3 * self.n
-        order = (1 << k) - 1
-        u, v = x & order, (x >> k) & order
-        return log[u], log[v], log[u ^ v]
-
-    def _mul_logs(self, x: tuple[np.ndarray, ...], y: tuple[np.ndarray, ...]) -> np.ndarray:
-        """The product of two elements given as the logs of their u, v and
-        u + v (`_coord_logs`), each below 2^(3n) - 1 or, for a zero, past
-        2(2^(3n) - 1), packed as u | v << 3n. With t^2 = t + c,
-
-            (u + v t)(u' + v' t) = (u u' + c v v') + ((u + v)(u' + v') + u u') t,
-
-        three products in GF(q^3), each one sum of logs and one lookup in
-        exp; the log of c joins the log of v, folded back below 2^(3n) - 1
-        (`_fold`). v is shifted in int64: exp holds int32, which the shift
-        by 3n would overflow from n = 6."""
-        import numpy as np
-        _, _, _, exp, log_c = self._cubic_logs
-        k = 3 * self.n
-        uu = np.take(exp, x[0] + y[0], mode="clip")
-        cvv = np.take(exp, _fold(x[1] + log_c, (1 << k) - 1) + y[1], mode="clip")
-        sums = np.take(exp, x[2] + y[2], mode="clip")
-        return np.left_shift(sums ^ uu, k, dtype=np.int64) | (uu ^ cvv)
-
-    def mul_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Elementwise products in coordinates over GF(q^3), q = 2^n, n <= 7
-        (`_cubic_logs`): x and y hold u | v << 3n for u + v t, bits from 6n
-        up ignored, and are broadcast against each other as numpy operands
-        are, so shapes (1, R) and (E, 1) give the (E, R) table of every
-        product; the result is packed the same way (`_mul_logs`)."""
-        return self._mul_logs(self._coord_logs(x), self._coord_logs(y))
-
-    def inv_vec(self, x: np.ndarray, scale: np.ndarray | None = None,
-                numer: np.ndarray | None = None) -> np.ndarray:
-        """Elementwise numer/(x s) in coordinates over GF(q^3), q = 2^n,
-        n <= 7 (`_cubic_logs`), and 0 where x s = 0, packed as u | v << 3n:
-        x holds u | v << 3n | (u^2 + c v^2) << 6n, as the table `coords`
-        gives; s, an optional array of elements of GF(q^3) read as u, and
-        numer, optional packed coordinates, are 1 by default and broadcast
-        against x.
-
-        The conjugate of x over GF(q^3) is (u + v) + v t, the norm
-        N = u(u + v) + c v^2 = (u^2 + c v^2) + u v lies in GF(q^3), and
-        1/(x s) = ((u + v) + v t)/(N s), whose u + v is u/(N s). The product
-        u v is one sum of logs; the log of 1/(N s) is 2^(3n) - 1 less the
-        log of N s, folded (`_fold`), and where N s = 0 the mask puts log 0
-        in its place, so that the result reads 0. The logs of 1/(x s) then
-        go straight into the product by numer (`_mul_logs`): the inverse is
-        never packed, nor its logs looked up again. The census's
-        cross-ratio passes a numerator (`counting._cross_ratio`); the orbit
-        oracle's representatives take 1/(alpha + g)
-        (`mobius.suborbit_representatives`)."""
-        import numpy as np
-        _, _, log, exp, _ = self._cubic_logs
-        k = 3 * self.n
-        order = (1 << k) - 1
-        lu, lv, luv = self._coord_logs(x)
-        norm = (x >> 2 * k) ^ np.take(exp, lu + lv, mode="clip")
-        ld = log[norm] if scale is None else log[norm] + log[scale]
-        neg = order - _fold(ld, order)  # log 1/(N s), in (0, order] unless N s = 0
-        neg = np.where(neg > 0, neg, log[0])
-        inv = _fold(luv + neg, order), _fold(lv + neg, order), _fold(lu + neg, order)
-        one = 0, log[0], 0  # the logs of u = 1, v = 0 and u + v = 1
-        return self._mul_logs(one if numer is None else self._coord_logs(numer), inv)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Tower)

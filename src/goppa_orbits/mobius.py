@@ -2,15 +2,10 @@
 
 Each PGL(2, 2^n) orbit of a degree-6 element is the disjoint union of the
 2^n + 1 affine classes {e*beta + f} of its `suborbit_representatives`, and
-`pgl_orbit_array` expands an orbit element by element. Both run on the
-coordinate kernel the census uses, in coordinates over GF(q^3) between
-its byte tables to and from encodings: the representatives are
-1/(alpha + g), by `Tower.inv_vec`, and the expansion multiplies them by
-GF(2^n)* in one broadcast `Tower.mul_vec`, so the oracle serves n <= 7, as
-the census does. The census in `counting` never builds an orbit: it keys
-affine classes by the cross-ratio, which is constant on each orbit. These
-two builders are the element-level orbit oracle the tests check the census
-and the class decomposition against.
+`pgl_orbit_array` expands an orbit element by element: the element-level
+orbit oracle the tests check the census and the class decomposition
+against. The census never builds an orbit: it keys affine classes by the
+cross-ratio, which is constant on each orbit.
 
 A projective point is an int: a field encoding, or infinity(ctx) = 2^(6n),
 one past the largest encoding, so points stay dense and sortable. Semi-linear
@@ -19,9 +14,9 @@ Frobenius exponent; matrices are stored scalar-normalized so record
 equality coincides with equality in the projective group. The group law
 (composition, inverses) is a test oracle in `tests/conftest.py`: the package
 only applies maps. The maps and their scalar evaluation run without numpy;
-it is first imported by `suborbit_representatives` and `pgl_orbit_array`,
-the two orbit builders, and they build no byte table of their own: the
-tables are those of the coordinate kernel (`Tower._cubic_logs`).
+the two orbit builders import it and `scan` on their call, and run on the
+census's coordinate kernel over GF(q^3) (`scan._cubic_logs`), building no
+byte table of their own, so they serve n <= 7, as the census does.
 """
 
 from __future__ import annotations
@@ -144,16 +139,17 @@ def random_degree_six(ctx: Tower, rng: random.Random) -> int:
 def suborbit_representatives(ctx: Tower, alpha: int | np.ndarray) -> np.ndarray:
     """Representatives of the 2^n + 1 affine suborbits partitioning the orbit
     of alpha, as an int64 array: alpha, then 1/(alpha + g) for g in the
-    subfield, ascending, by `Tower.inv_vec` in coordinates over GF(q^3)
+    subfield, ascending, by `scan.inv_vec` in coordinates over GF(q^3)
     (n <= 7). For an array of alphas, one row per alpha; each alpha must
     have degree 6 (`Tower.is_degree_six`)."""
     import numpy as np
+    from . import scan
     alpha = np.asarray(alpha, dtype=np.int64)[..., None]
     if not all(map(ctx.is_degree_six, alpha.ravel().tolist())):
         raise ValueError("element must have degree 6 over the base field")
-    coords, out, *_ = ctx._cubic_logs
+    coords, out, *_ = scan._cubic_logs(ctx)
     z = Tower.apply_tables(coords, alpha ^ np.array(ctx.subfield, dtype=np.int64))
-    return np.concatenate([alpha, Tower.apply_tables(out, ctx.inv_vec(z))], axis=-1)
+    return np.concatenate([alpha, Tower.apply_tables(out, scan.inv_vec(ctx, z))], axis=-1)
 
 
 def pgl_orbit_array(ctx: Tower, alpha: int) -> np.ndarray:
@@ -162,12 +158,13 @@ def pgl_orbit_array(ctx: Tower, alpha: int) -> np.ndarray:
     The element-level expansion of the affine-class decomposition: the
     2^n + 1 suborbit representatives, then e*rep + f for e in GF(2^n)*
     (outermost), rep, and f in GF(2^n) (innermost), the products e*rep in
-    one broadcast `Tower.mul_vec` in coordinates over GF(q^3). Size
+    one broadcast `scan.mul_vec` in coordinates over GF(q^3). Size
     2^(3n) - 2^n; no duplicates.
     """
     import numpy as np
-    coords, out, *_ = ctx._cubic_logs
+    from . import scan
+    coords, out, *_ = scan._cubic_logs(ctx)
     reps = Tower.apply_tables(coords, suborbit_representatives(ctx, alpha))
     sub = np.array(ctx.subfield, dtype=np.int64)
-    multiples = ctx.mul_vec(reps[None, :], Tower.apply_tables(coords, sub[1:, None]))
+    multiples = scan.mul_vec(ctx, reps[None, :], Tower.apply_tables(coords, sub[1:, None]))
     return (Tower.apply_tables(out, multiples)[:, :, None] ^ sub).reshape(-1)

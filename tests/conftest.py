@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from goppa_orbits import counting, gf2poly, make_tower
+from goppa_orbits import counting, gf2poly, make_tower, scan
 from goppa_orbits.codes import BinaryCode, nullspace, rref
 from goppa_orbits.counting import RootCounts
 from goppa_orbits.gf2tower import Tower, _ColumnSolver, solve_affine_linearized
@@ -230,7 +230,7 @@ def quotient_coordinate_tables(ctx):
 
 def class_coordinates(ctx, x):
     """The quotient coordinates of each element, coordinate 0 dropped: the
-    class coordinates `counting._cross_ratio` reads, up to a scalar in
+    class coordinates `scan._cross_ratio` reads, up to a scalar in
     GF(q)*, on which the cross-ratio does not depend."""
     return Tower.apply_tables(quotient_coordinate_tables(ctx), x)
 
@@ -238,9 +238,9 @@ def class_coordinates(ctx, x):
 def class_elements(ctx, ranks):
     """One element of the affine class {e*beta + f : e in GF(q)*, f in GF(q)}
     of each given rank, q = 2^n: the one whose coordinate 0 is 0, read off
-    the census's `elements` table (`counting._census_tables`)."""
-    return Tower.apply_tables(counting._census_tables(ctx)[0],
-                              counting._class_coordinates(ctx.n, ranks))
+    the census's `elements` table (`scan._census_tables`)."""
+    return Tower.apply_tables(scan._census_tables(ctx)[0],
+                              scan._class_coordinates(ctx.n, ranks))
 
 
 def class_ranks(ctx, x):
@@ -277,8 +277,8 @@ def enumerated_root_counts(ctx, which):
     n = ctx.n
     k, rhs = LINEAR_EQUATIONS[which](n)
     sols = coset_array(solve_affine_linearized(ctx._frob_plus_id_cols(k), rhs))
-    in2 = ctx.frobenius_vec(sols, 2 * n) == sols
-    in3 = ctx.frobenius_vec(sols, 3 * n) == sols
+    in2 = scan.frobenius_vec(ctx, sols, 2 * n) == sols
+    in3 = scan.frobenius_vec(ctx, sols, 3 * n) == sols
     return RootCounts(which, int(sols.size), int((~in2 & ~in3).sum()),
                       int(in2.sum()), int(in3.sum()))
 
@@ -324,19 +324,19 @@ def cross_ratio_oracle(ctx, alphas):
     """The census's cross-ratio by the scalar kernel: the q-powers a_i by
     `Tower.frobenius`, mu = (a0 + a2)(a1 + a3) / ((a0 + a3)(a1 + a2)) by
     `Tower.mul` and one `Tower.inv`, 0 where the denominator is 0, then
-    its coordinates in the normal basis of `Tower.normal_tables`."""
+    its coordinates in the normal basis of `scan.normal_tables`."""
     mus = []
     for alpha in alphas:
         a0, a1, a2, a3 = (ctx.frobenius(alpha, i * ctx.n) for i in range(4))
         den = ctx.mul(a0 ^ a3, a1 ^ a2)
         mus.append(ctx.mul(ctx.mul(a0 ^ a2, a1 ^ a3), ctx.inv(den)) if den else 0)
-    return Tower.apply_tables(ctx.normal_tables, np.array(mus, dtype=np.int64))
+    return Tower.apply_tables(scan.normal_tables(ctx), np.array(mus, dtype=np.int64))
 
 
 def least_rotation_by_five_passes(m, mu):
     """The least of the m rotations of each m-bit value, one rotation at a
     time in place: shift right, shift left, mask, or, minimum. The reference
-    for `counting._canonical`, which reads the rotations off a doubled word."""
+    for `scan._canonical`, which reads the rotations off a doubled word."""
     mask = (1 << m) - 1
     least, image, top = mu.copy(), mu.copy(), np.empty_like(mu)
     for _ in range(1, m):

@@ -135,6 +135,16 @@ def test_census_worker_independence(capsys):
     assert one == eight
 
 
+def test_census_exits_1_on_a_singular_class_basis(capsys, monkeypatch):
+    """An embedding that sends every gamma_k to 1 leaves gamma_k * theta^j
+    dependent: the census's table build raises ConsistencyError, which the
+    CLI reports as a falsified claim, with exit 1 and one stderr line."""
+    monkeypatch.setattr(Tower, "embed_base", lambda self, a: 1 if a else 0)
+    code, out, err = run(capsys, "census", "--n", "3", "--json")
+    assert (code, out) == (1, "")
+    assert err == "falsified internal claim: gamma_k * theta^j is not a basis of the big field\n"
+
+
 def test_census_refuses_n8(capsys):
     code, _, err = run(capsys, "census", "--n", "8")
     assert code == 3

@@ -22,7 +22,7 @@ from conftest import (
     records_digest,
     subfield_span_array,
 )
-from goppa_orbits import counting, gf2poly, make_tower, mobius
+from goppa_orbits import counting, gf2poly, make_tower, mobius, scan
 from goppa_orbits.counting import (
     InfeasibleError,
     burnside_bound,
@@ -142,7 +142,7 @@ def test_census_reps_are_least_class_ranks(tower2, tower3):
         for rep, rank in zip(reps, ranks.tolist()):
             base = mobius.pgl_orbit_array(ctx, rep)
             orbit = np.concatenate(
-                [ctx.frobenius_vec(base, i) for i in range(ctx.big_degree)])
+                [scan.frobenius_vec(ctx, base, i) for i in range(ctx.big_degree)])
             assert int(class_ranks(ctx, orbit).min()) == rank
         least = {canonical_orbit_rep(ctx, rep, "PGammaL") for rep in reps}
         assert len(least) == len(reps)
@@ -150,7 +150,7 @@ def test_census_reps_are_least_class_ranks(tower2, tower3):
 
 def test_census_n5_records_digest(tower5):
     """The n = 5 records, pinned by a sha256 recorded from the one-orbit-per-round sweep."""
-    assert records_digest(tower5, counting._run_sweep(tower5).records) == (
+    assert records_digest(tower5, scan._run_sweep(tower5).records) == (
         "a92df7bb20bd60a90a9c53d290253902478551c7b1a83067ff269c0bccb55f94")
 
 
@@ -164,7 +164,7 @@ def test_census_n5_records_digest_on_other_moduli(exponents, digest):
     equiv requests, whose scans read blocks of the full size; the digests
     were taken before the scan sorted one packed key per block."""
     ctx = make_tower(5, modulus_big=gf2poly.from_exponents(exponents))
-    assert records_digest(ctx, counting._run_sweep(ctx).records) == digest
+    assert records_digest(ctx, scan._run_sweep(ctx).records) == digest
 
 
 def test_the_packed_sort_key_fits_in_an_int64():
@@ -173,8 +173,8 @@ def test_the_packed_sort_key_fits_in_an_int64():
     and 6n plus those bits must stay at most 62 for every n the scan
     accepts and for n = 8, the next census, so that the key never
     overflows an int64 without an error."""
-    assert counting._FIRST_BLOCK <= counting._BLOCK <= 1 << counting._INDEX_BITS
-    assert 6 * max(counting.MAX_SWEEP_N, 8) + counting._INDEX_BITS <= 62
+    assert scan._FIRST_BLOCK <= scan._BLOCK <= 1 << scan._INDEX_BITS
+    assert 6 * max(counting.MAX_SWEEP_N, 8) + scan._INDEX_BITS <= 62
 
 
 @pytest.mark.slow
@@ -191,7 +191,7 @@ def test_census_n7():
         0, 0, 3, 9, 0, 126, 16383, 2097279]
     # the inverse's log tables on GF(2^21)*: 2^21 logs and 2^22 - 1 powers, int32,
     # with one zero entry for every clipped sum; its byte tables add 24 KiB
-    coords, out, log, exp, _ = vars(ctx)["_cubic_logs"]
+    coords, out, log, exp, _ = ctx._np_tables[("_cubic_logs",)]
     assert log.dtype == exp.dtype == np.int32
     assert log.nbytes + exp.nbytes <= 24 << 20
     assert coords.nbytes + out.nbytes == 2 * 6 * 256 * 8
@@ -220,7 +220,7 @@ def test_class_ranks_match_the_per_coordinate_route(n):
         [np.arange(2 * q), np.arange(2 * q, count, 97), [count - 1]])
     alpha = class_elements(ctx, ranks)
     assert class_ranks(ctx, alpha).tolist() == ranks.tolist()
-    assert not (ctx.frobenius_vec(alpha, n) == alpha).any()
+    assert not (scan.frobenius_vec(ctx, alpha, n) == alpha).any()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -235,14 +235,14 @@ def test_low_field_classes_are_those_of_the_subfield_spans(n):
     assert low.size == (1 << 2 * n) + (1 << 3 * n) - (1 << n)
     want = np.unique(class_ranks(ctx, outside))
     count, step = (q ** 5 - 1) // (q - 1), 1 << 16
-    got = [lo + np.flatnonzero(counting._cross_ratio(ctx, counting._class_coordinates(
+    got = [lo + np.flatnonzero(scan._cross_ratio(ctx, scan._class_coordinates(
         n, np.arange(lo, min(lo + step, count)))) == 0) for lo in range(0, count, step)]
     assert want.size == q + 2 and np.concatenate(got).tolist() == want.tolist()
 
 
 def test_cross_ratio_matches_the_scalar_oracle_on_every_element_n2(tower2):
     x = np.arange(1 << 12, dtype=np.int64)
-    mu = counting._cross_ratio(tower2, class_coordinates(tower2, x))
+    mu = scan._cross_ratio(tower2, class_coordinates(tower2, x))
     assert mu.tolist() == cross_ratio_oracle(tower2, x.tolist()).tolist()
 
 
@@ -263,7 +263,7 @@ def test_cross_ratio_matches_the_scalar_oracle(n, exponents):
     ranks = np.concatenate([low, np.random.default_rng(n).integers(
         0, (q ** 5 - 1) // (q - 1), 2000)])
     alpha = class_elements(ctx, ranks)
-    mu = counting._cross_ratio(ctx, counting._class_coordinates(n, ranks))
+    mu = scan._cross_ratio(ctx, scan._class_coordinates(n, ranks))
     assert mu.tolist() == cross_ratio_oracle(ctx, alpha.tolist()).tolist()
     assert ((mu == 0) == np.isin(ranks, low)).all()
 
@@ -284,7 +284,7 @@ def test_cross_ratio_is_a_semilinear_invariant(n):
         a, b, c, d = (ctx.embed_base(e) for e in entries)
         assume(ctx.mul(a, d) ^ ctx.mul(b, c))
         beta = mobius.apply_map(ctx, mobius.make_map(ctx, a, b, c, d), alpha)
-        mu = counting._cross_ratio(ctx, class_coordinates(
+        mu = scan._cross_ratio(ctx, class_coordinates(
             ctx, np.array([alpha, beta, ctx.square(alpha)]))).tolist()
         assert mu[0] == cross_ratio_oracle(ctx, [alpha])[0] not in (0, (1 << m) - 1)
         assert mu[1] == mu[0] and mu[2] == ((mu[0] << 1) & ((1 << m) - 1)) | mu[0] >> (m - 1)
@@ -294,10 +294,22 @@ def test_cross_ratio_is_a_semilinear_invariant(n):
 
 def test_cross_ratio_is_zero_exactly_off_the_degree_six_set(tower2):
     x = np.arange(1 << 12)
-    mu = counting._cross_ratio(tower2, class_coordinates(tower2, x))
+    mu = scan._cross_ratio(tower2, class_coordinates(tower2, x))
     six = np.array([tower2.is_degree_six(v) for v in range(1 << 12)])
     assert six.sum() == 4020
     assert ((mu == 0) == ~six).all() and (mu != (1 << 12) - 1).all()  # mu = 1: all ones
+
+
+def test_scan_raises_unless_its_orbits_fill_the_tower(monkeypatch):
+    """The scan's last check, after its stop rule: the linear orbits and
+    GF(q^2) u GF(q^3) make up the tower's order. A tower that counts one
+    element too many fails it."""
+    ctx = make_tower(3)
+    monkeypatch.setattr(ctx, "order", ctx.order + 1)
+    # q = 8: 519 linear orbits of 504 elements, and 2^18 + 1 - (64 + 512 - 8)
+    with pytest.raises(counting.ConsistencyError,
+                       match=r"^orbit sizes sum to 261576, expected \|S\| = 261577$"):
+        global_orbit_census(ctx)
 
 
 @pytest.mark.parametrize("coarsen", ["merge two orbits", "no squarings"])
@@ -307,9 +319,9 @@ def test_scan_raises_unless_its_orbits_hold_every_class(tower3, monkeypatch, coa
     least of its squarings) carries the sum past the total. Both raise."""
     q = 1 << 3
     total = (q ** 5 - 1) // (q - 1) - (q + 2)
-    records = counting._run_sweep(tower3).records
-    canonical = counting._canonical
-    mu = counting._cross_ratio(tower3, class_coordinates(
+    records = scan._run_sweep(tower3).records
+    canonical = scan._canonical
+    mu = scan._cross_ratio(tower3, class_coordinates(
         tower3, np.array([rep for rep, _ in records[:2]])))
     c0, c1 = canonical(tower3, mu)
 
@@ -320,9 +332,9 @@ def test_scan_raises_unless_its_orbits_hold_every_class(tower3, monkeypatch, coa
         # mu's own normal-basis coordinates, whose period is still t
         return mu
 
-    monkeypatch.setattr(counting, "_canonical", coarse)
+    monkeypatch.setattr(scan, "_canonical", coarse)
     with pytest.raises(counting.ConsistencyError, match=f"not the {total} degree-6") as err:
-        counting._run_sweep(tower3)
+        scan._run_sweep(tower3)
     held = int(str(err.value).split()[4])  # "the scan's orbits hold <held> classes, ..."
     if coarsen == "merge two orbits":
         assert held == total - records[1][1] * (q + 1)
@@ -346,13 +358,13 @@ def test_canonical_is_the_least_squaring_and_its_period(n):
         mu = np.concatenate([subfield_span_array(ctx, d) for d in range(1, 13) if m % d == 0]
                             + [rng.integers(0, 1 << m, 2000)])
     def canonical(x):
-        return counting._canonical(ctx, ctx.apply_tables(ctx.normal_tables, x))
+        return scan._canonical(ctx, ctx.apply_tables(scan.normal_tables(ctx), x))
 
     least = canonical(mu)
-    t = counting._period(m, least)
+    t = scan._period(m, least)
     images = [mu]
     for _ in range(m):
-        images.append(ctx.frobenius_vec(images[-1], 1))
+        images.append(scan.frobenius_vec(ctx, images[-1], 1))
     period = np.array([min(p for p in range(1, m + 1) if images[p][k] == mu[k])
                        for k in range(mu.size)])
     assert t.tolist() == period.tolist()
@@ -379,7 +391,7 @@ def test_canonical_equals_the_five_pass_rotations(n):
                     for d in range(1, m) if m % d == 0 for _ in range(8)]
         mu = np.array([0, (1 << m) - 1, *periodic], dtype=np.int64)
         mu = np.concatenate([mu, rng.integers(0, 1 << m, 4096 - mu.size)])
-    least = counting._canonical(ctx, mu)
+    least = scan._canonical(ctx, mu)
     assert least.dtype == np.int64
     assert least.tolist() == least_rotation_by_five_passes(m, mu).tolist()
 
@@ -404,7 +416,7 @@ def brute_force_records(ctx):
         members = set(base.tolist())
         fixed_mask = sum(1 << p for p in range(1, m)
                          if ctx.frobenius(alpha, p) in members)
-        images = [ctx.frobenius_vec(base, i) for i in range(m)]
+        images = [scan.frobenius_vec(ctx, base, i) for i in range(m)]
         linear_orbits = {int(img.min()) for img in images}
         orbit = np.concatenate(images)
         assert not visited[orbit].any()
@@ -419,7 +431,7 @@ def brute_force_records(ctx):
 def test_class_census_matches_element_brute_force(n):
     ctx = make_tower(n)
     got = sorted((canonical_orbit_rep(ctx, rep, "PGammaL"), t)
-                 for rep, t in counting._run_sweep(ctx).records)
+                 for rep, t in scan._run_sweep(ctx).records)
     assert got == brute_force_records(ctx)
 
 
@@ -465,16 +477,18 @@ def test_census_under_a_non_default_base_modulus(n, exponents):
 
 
 def test_census_keeps_one_table_record(monkeypatch):
-    """A census on a fresh tower leaves two entries in the tower's table
-    cache, the tables of sigma^n and the census's one record, and a second
-    census on the same tower builds no byte table."""
+    """A census on a fresh tower leaves four entries in the tower's table
+    cache: the census's one record, the coordinate kernel's record, the
+    tables of sigma^n and the normal-basis tables. A second census on the
+    same tower builds no byte table."""
     built = []
     byte_tables = Tower._byte_tables
     monkeypatch.setattr(Tower, "_byte_tables",
                         lambda self, cols: built.append(len(cols)) or byte_tables(self, cols))
     ctx = make_tower(4)
     first = global_orbit_census(ctx)
-    assert sorted(ctx._np_tables) == [("census",), ("frob", 4)]
+    assert sorted(ctx._np_tables) == [
+        ("_census_tables",), ("_cubic_logs",), ("frob", 4), ("normal_tables",)]
     assert built  # the counter sees the first census build its tables
     built.clear()
     assert global_orbit_census(ctx).records == first.records

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goppa_orbits import counting, gf2poly, make_tower, random_degree_six
+from goppa_orbits import counting, gf2poly, make_tower, random_degree_six, scan
 from goppa_orbits.gf2tower import _DEFAULT_MODULI, _apply_cols, solve_affine_linearized
 
 
@@ -208,8 +208,21 @@ def test_frobenius_vec_matches_scalar(tower5):
     rng = np.random.default_rng(6)
     x = rng.integers(0, 1 << 30, 500, dtype=np.int64)
     for i in (0, 1, 5, 10, 15, 29):
-        vec = tower5.frobenius_vec(x, i)
+        vec = scan.frobenius_vec(tower5, x, i)
         assert [int(v) for v in vec[::97]] == [tower5.frobenius(int(v), i) for v in x[::97]]
+
+
+def test_byte_tables_refuse_encodings_of_64_bits():
+    """At n = 11 encodings have 66 bits, past an int64: the tables of a
+    Frobenius power and the normal-basis tables refuse before they build,
+    and cache, anything."""
+    ctx = make_tower(11)
+    x = np.ones(2, dtype=np.int64)
+    for build in (lambda: ctx.frob_tables(1), lambda: scan.frobenius_vec(ctx, x, 1),
+                  lambda: scan.normal_tables(ctx)):
+        with pytest.raises(ValueError, match="^vectorized paths need encodings below 64 bits$"):
+            build()
+    assert ctx._np_tables == {}
 
 
 def test_embedding_is_field_homomorphism(tower5):

@@ -6,8 +6,8 @@ the tower read from the top byte down (Tower.mul, Tower.square), Tower.inv
 (shift-and-add extended Euclid) and the Frobenius columns. Each property
 runs on the default towers at n = 2, 3, 4, 5, 7 and on two towers whose big
 modulus has a dense tail (24,16,3,1,0 and 30,29,0), where a folded top byte
-reaches the most bytes below it. The coordinate kernel, Tower.mul_vec and
-Tower.inv_vec, works on u | v << 3n for x = u + v t over GF(q^3), on log
+reaches the most bytes below it. The coordinate kernel, scan.mul_vec and
+scan.inv_vec, works on u | v << 3n for x = u + v t over GF(q^3), on log
 tables of GF(q^3)*: read through its tables to and from encodings, its
 products, their broadcast tables ((1, R) against (E, 1)) and its inverses,
 0 to 0, optionally scaled by an element of GF(q^3) and times a numerator,
@@ -18,7 +18,7 @@ towers; it refuses n = 8..10, whose tables would hold 2^(3n) entries, and
 each check of its table build raises when a patched input breaks it. The
 suborbit representatives of alpha, which it computes, must be alpha and
 then the scalar inv(alpha + g) for each g of the subfield. In the
-coordinates of Tower.normal_tables, squaring must rotate left by one bit.
+coordinates of scan.normal_tables, squaring must rotate left by one bit.
 """
 
 import copy
@@ -31,7 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goppa_orbits import gf2poly, make_tower, mobius
+from goppa_orbits import gf2poly, make_tower, mobius, scan
 
 from conftest import fixed_field_basis, schoolbook_mul
 
@@ -139,23 +139,23 @@ def test_inv_refuses_reducible_modulus():
 
 def to_coords(ctx, x):
     """u | v << 3n | (u^2 + c v^2) << 6n of each encoding, on the kernel's table."""
-    return ctx.apply_tables(ctx._cubic_logs.coords, np.asarray(x, dtype=np.int64))
+    return ctx.apply_tables(scan._cubic_logs(ctx).coords, np.asarray(x, dtype=np.int64))
 
 
 def from_coords(ctx, p):
     """The encoding of each u | v << 3n, on the kernel's table."""
-    return ctx.apply_tables(ctx._cubic_logs.out, p)
+    return ctx.apply_tables(scan._cubic_logs(ctx).out, p)
 
 
 def mul_on_coords(ctx, x, y):
-    return from_coords(ctx, ctx.mul_vec(to_coords(ctx, x), to_coords(ctx, y)))
+    return from_coords(ctx, scan.mul_vec(ctx, to_coords(ctx, x), to_coords(ctx, y)))
 
 
 def inv_on_coords(ctx, x, scale=None, numer=None):
     """numer/(x s) by `inv_vec`, s in GF(q^3) passed as its u coordinate."""
     s = None if scale is None else to_coords(ctx, scale) & (1 << 3 * ctx.n) - 1
     y = None if numer is None else to_coords(ctx, numer)
-    return from_coords(ctx, ctx.inv_vec(to_coords(ctx, x), s, y))
+    return from_coords(ctx, scan.inv_vec(ctx, to_coords(ctx, x), s, y))
 
 
 def scalar_inv(ctx, x):
@@ -188,7 +188,7 @@ def test_vec_kernel_matches_scalar(key):
     ctx = tower(key)
     if ctx.n > 7:
         x = np.array([1, 2], dtype=np.int64)
-        for call in (lambda: ctx.mul_vec(x, x), lambda: ctx.inv_vec(x)):
+        for call in (lambda: scan.mul_vec(ctx, x, x), lambda: scan.inv_vec(ctx, x)):
             with pytest.raises(ValueError, match=r"n <= 7: at n = 10 .* 2\^30 entries"):
                 call()
         return
@@ -201,10 +201,11 @@ def test_vec_kernel_matches_scalar(key):
         x, y = (np.array(col, dtype=np.int64) for col in zip(*drawn))
         assert mul_on_coords(ctx, x, y).tolist() == [ctx.mul(a, b) for a, b in drawn]
         cx, cy = to_coords(ctx, x), to_coords(ctx, y)
-        column = ctx.mul_vec(cx[:, None], cy[:, None])
+        column = scan.mul_vec(ctx, cx[:, None], cy[:, None])
         assert column.shape == (len(drawn), 1)
-        assert column[:, 0].tolist() == ctx.mul_vec(cx, cy).tolist()
-        table = from_coords(ctx, ctx.mul_vec(cx[None, :], cy[:, None]))  # every y against every x
+        assert column[:, 0].tolist() == scan.mul_vec(ctx, cx, cy).tolist()
+        # every y against every x
+        table = from_coords(ctx, scan.mul_vec(ctx, cx[None, :], cy[:, None]))
         assert table.shape == (len(drawn), len(drawn))
         assert table.tolist() == [[ctx.mul(a, b) for a in x.tolist()] for b in y.tolist()]
         assert inv_on_coords(ctx, x).tolist() == [scalar_inv(ctx, a) for a in x.tolist()]
@@ -241,19 +242,19 @@ def test_inv_vec_refuses_n8_to_n10_by_the_size_of_its_tables(n):
     ctx = make_tower(n)
     prefix = rf"^mul_vec and inv_vec serve n <= 7: at n = {n} .* 2\^{3 * n} "
     x = np.array([1, 2], dtype=np.int64)
-    for call in (lambda: ctx.inv_vec(x), lambda: ctx.mul_vec(x, x)):
+    for call in (lambda: scan.inv_vec(ctx, x), lambda: scan.mul_vec(ctx, x, x)):
         with pytest.raises(ValueError, match=prefix) as err:
             call()
         # the packed coordinates u | v << 3n | (u^2 + c v^2) << 6n outgrow an int64 too
         assert str(err.value).endswith(f"u | v << {3 * n} | (u^2 + c v^2) << {6 * n} "
                                        f"would need {9 * n} of the 63 bits of an int64")
-    assert "_cubic_logs" not in vars(ctx)
+    assert ("_cubic_logs",) not in ctx._np_tables
 
 
 def assert_build_raises(ctx, message):
     with pytest.raises(AssertionError, match=re.escape(message)):
-        ctx.inv_vec(np.arange(1, 64, dtype=np.int64))
-    assert "_cubic_logs" not in vars(ctx)
+        scan.inv_vec(ctx, np.arange(1, 64, dtype=np.int64))
+    assert ("_cubic_logs",) not in ctx._np_tables
 
 
 def outside_cubic(ctx, x):
@@ -306,12 +307,12 @@ def test_mul_vec_all_ones(n):
     ones = (1 << 2 * k) - 1
     if n > 7:
         with pytest.raises(ValueError, match="serve n <= 7"):
-            ctx.mul_vec(np.array([ones]), np.array([ones]))
+            scan.mul_vec(ctx, np.array([ones]), np.array([ones]))
         return
     cx = np.array([ones, ones, ones >> k, ones ^ 1, 1 << k], dtype=np.int64)
     cy = np.array([ones, 1, ones, 1 << k, ones], dtype=np.int64)
     x, y = from_coords(ctx, cx), from_coords(ctx, cy)
-    assert from_coords(ctx, ctx.mul_vec(cx, cy)).tolist() == [
+    assert from_coords(ctx, scan.mul_vec(ctx, cx, cy)).tolist() == [
         ctx.mul(a, b) for a, b in zip(x.tolist(), y.tolist())]
     enc = np.array([(1 << 6 * n) - 1, 1 << 6 * n - 1, 3], dtype=np.int64)
     assert mul_on_coords(ctx, enc, enc[::-1]).tolist() == [
@@ -353,10 +354,10 @@ def rotate(v, m):
 def test_squaring_rotates_normal_coordinates_on_every_element_n2():
     ctx = tower((2, None))
     x = np.arange(1 << 12, dtype=np.int64)
-    v = ctx.apply_tables(ctx.normal_tables, x)
+    v = ctx.apply_tables(scan.normal_tables(ctx), x)
     assert np.unique(v).size == 1 << 12  # the coordinate map is a bijection
     squares = np.array([ctx.square(a) for a in range(1 << 12)], dtype=np.int64)
-    assert (rotate(v, 12) == ctx.apply_tables(ctx.normal_tables, squares)).all()
+    assert (rotate(v, 12) == ctx.apply_tables(scan.normal_tables(ctx), squares)).all()
 
 
 @pytest.mark.parametrize("n", range(3, 11))
@@ -368,8 +369,8 @@ def test_squaring_rotates_normal_coordinates(n):
     def check(drawn):
         x = np.array(drawn, dtype=np.int64)
         squares = np.array([ctx.square(a) for a in drawn], dtype=np.int64)
-        assert (rotate(ctx.apply_tables(ctx.normal_tables, x), 6 * n)
-                == ctx.apply_tables(ctx.normal_tables, squares)).all()
+        assert (rotate(ctx.apply_tables(scan.normal_tables(ctx), x), 6 * n)
+                == ctx.apply_tables(scan.normal_tables(ctx), squares)).all()
 
     check()
 
@@ -378,6 +379,6 @@ def test_vec_kernel_refuses_towers_above_63_bits():
     ctx = make_tower(11)  # 66-bit encodings
     x = np.array([1, 2, 3], dtype=np.int64)
     with pytest.raises(ValueError, match="below 64 bits"):
-        ctx.mul_vec(x, x)
+        scan.mul_vec(ctx, x, x)
     with pytest.raises(ValueError, match="below 64 bits"):
-        ctx.inv_vec(x)
+        scan.inv_vec(ctx, x)

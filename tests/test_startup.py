@@ -1,14 +1,18 @@
-"""Start-up guard: only the sweeps import numpy, and nothing imports
-`dataclasses`.
+"""Start-up guard: only the sweeps import numpy and the scan module, and
+nothing imports `dataclasses`.
 
 Importing the CLI, building a tower and every scalar command run in a fresh
-interpreter where neither numpy nor `dataclasses` can be imported, and their
-reports equal the goldens; a census or a fixed-point count by sweep imports
-numpy. `dataclasses` brings in `inspect`, `ast`, `dis` and `tokenize`, the
-largest import a scalar command would pay for, so the package's records are
-`NamedTuple`s, immutable values like frozen dataclasses.
+interpreter where neither numpy nor `dataclasses` can be imported, import
+no `goppa_orbits.scan`, and their reports equal the goldens; a census or a
+fixed-point count by sweep imports numpy and the scan. In `src/` numpy is
+imported only by the scan at module level and by the few functions pinned
+here, and the scan only inside functions. `dataclasses` brings in
+`inspect`, `ast`, `dis` and `tokenize`, the largest import a scalar command
+would pay for, so the package's records are `NamedTuple`s, immutable values
+like frozen dataclasses.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -26,7 +30,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # each entry of argv[1] is run by cli.main with --json; prints one
 # {"argv", "exit", "report"} record per entry (the golden file layout, without
-# `elapsed_ms`), then whether numpy was imported
+# `elapsed_ms`), then whether numpy and the scan were imported
 CHILD = """
 import contextlib, io, json, sys
 if sys.argv[2] == "block":
@@ -35,9 +39,11 @@ if sys.argv[2] == "block":
 import goppa_orbits.cli
 from goppa_orbits import make_tower
 assert sys.modules.get("numpy") is None, "importing the CLI imported numpy"
+assert "goppa_orbits.scan" not in sys.modules, "importing the CLI imported the scan"
 for n in range(2, 17):
     make_tower(n)
 assert sys.modules.get("numpy") is None, "building a tower imported numpy"
+assert "goppa_orbits.scan" not in sys.modules, "building a tower imported the scan"
 records = []
 for argv in json.loads(sys.argv[1]):
     buf = io.StringIO()
@@ -46,7 +52,10 @@ for argv in json.loads(sys.argv[1]):
     report = json.loads(buf.getvalue())
     report.pop("elapsed_ms", None)
     records.append({"argv": argv, "exit": code, "report": report})
-print(json.dumps({"records": records, "numpy": sys.modules.get("numpy") is not None}))
+scan = "goppa_orbits.scan" in sys.modules
+assert sys.argv[2] == "open" or not scan, "a scalar command imported the scan"
+print(json.dumps({"records": records, "numpy": sys.modules.get("numpy") is not None,
+                  "scan": scan}))
 """
 
 SCALAR = ["bound_n5", "fixed_table", "code_n5_seed1", "equiv_n5_seed1"] + [
@@ -64,7 +73,7 @@ def run_child(argvs, mode):
 def test_scalar_commands_run_without_numpy():
     assert len(SCALAR) == 9
     out = run_child([GOLDEN[name] for name in SCALAR], "block")
-    assert not out["numpy"]
+    assert not out["numpy"] and not out["scan"]
     for name, record in zip(SCALAR, out["records"]):
         assert record == json.loads((GOLDEN_DIR / f"{name}.json").read_text()), name
         assert record["exit"] == 0, name
@@ -72,10 +81,70 @@ def test_scalar_commands_run_without_numpy():
 
 @pytest.mark.parametrize("argv", [["census", "--n", "2"], ["fixed", "--n", "2", "--d", "3"]])
 def test_sweeps_import_numpy(argv):
-    """The guard can fail: a sweep imports numpy, and only there."""
+    """The guard can fail: a sweep imports numpy and the scan, and only there."""
     out = run_child([argv], "open")
     assert out["records"][0]["exit"] == 0
-    assert out["numpy"]
+    assert out["numpy"] and out["scan"]
+
+
+def import_sites(imports):
+    """(module, place) of every import statement in `src/` that imports(node)
+    accepts, place the qualified name of the function or class that holds
+    it, "<module>" at module level, or "<TYPE_CHECKING>" under
+    `if TYPE_CHECKING:`, which never runs."""
+    sites = []
+
+    def walk(module, node, place):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = child.name if place == "<module>" else f"{place}.{child.name}"
+                walk(module, child, inner)
+            elif isinstance(child, ast.If) and ast.unparse(child.test) == "TYPE_CHECKING":
+                walk(module, child, "<TYPE_CHECKING>")
+            else:
+                if isinstance(child, (ast.Import, ast.ImportFrom)) and imports(child):
+                    sites.append((module, place))
+                walk(module, child, place)
+
+    for path in sorted((SRC / "goppa_orbits").glob("*.py")):
+        walk(path.stem, ast.parse(path.read_text()), "<module>")
+    return sorted(sites)
+
+
+def imports_numpy(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+    return node.level == 0 and node.module.split(".")[0] == "numpy"
+
+
+def imports_scan(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name == "goppa_orbits.scan" for alias in node.names)
+    return (node.module == "goppa_orbits.scan" or node.level == 1 and (
+        node.module == "scan" or node.module is None
+        and any(alias.name == "scan" for alias in node.names)))
+
+
+def test_numpy_and_the_scan_are_imported_only_where_pinned():
+    """The scan imports numpy at module level; the byte tables of `Tower`
+    (`frob_tables` and `apply_tables` are names the benchmark traces) and
+    `mobius`'s two orbit builders import it on their call. No module imports
+    the scan at module level: the census cache and the orbit builders
+    import it on their call."""
+    assert import_sites(imports_numpy) == [
+        ("gf2tower", "<TYPE_CHECKING>"),
+        ("gf2tower", "Tower._byte_tables"),
+        ("gf2tower", "_chunk_tables"),
+        ("mobius", "<TYPE_CHECKING>"),
+        ("mobius", "pgl_orbit_array"),
+        ("mobius", "suborbit_representatives"),
+        ("scan", "<module>"),
+    ]
+    assert import_sites(imports_scan) == [
+        ("counting", "_sweep"),
+        ("mobius", "pgl_orbit_array"),
+        ("mobius", "suborbit_representatives"),
+    ]
 
 
 RECORDS = {
