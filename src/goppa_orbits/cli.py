@@ -1,7 +1,9 @@
 """Command-line surface: reproduce the counting claims and build codes.
 
 Exit codes: 0 success (and all verified claims matched), 1 a verified claim
-mismatched (falsification), 2 usage or domain error, 3 infeasible request,
+mismatched or an internal check failed (falsification: a `ConsistencyError`
+or an `AssertionError` of the arithmetic's own guards, one line, no
+traceback), 2 usage or domain error, 3 infeasible request,
 4 the reader closed the output pipe before the report was written (as
 `goppa-orbits code --n 11 --alpha random --seed 1 --extended --json | head -c 1`
 does).
@@ -389,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except ConsistencyError as exc:
+    except (ConsistencyError, AssertionError) as exc:
         print(f"falsified internal claim: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except (ValueError, ZeroDivisionError) as exc:

@@ -10,17 +10,22 @@ group action itself, with no shared formulas: the census and the fixed-point
 oracle scan the affine classes of P^4(GF(2^n)) in ascending rank and key each
 by an orbit invariant, the cross-ratio of the first four q-power conjugates,
 until the orbits found hold every class (`scan._run_sweep` says why that stop
-certifies the census); the element-level orbits and class equations that
-check it are test oracles in `tests/`. The root-count oracles count by rank,
-one stacked GF(2)-linear system per subfield; the one equation that is not
-linear, eq_41, is counted on the kernel of a linearized polynomial whose
-nonzero elements map onto its roots. Each orbit is represented by an
-element of its least class rank, the first class the scan meets; at n = 7
+certifies the census). The scan counts N(t), the number of orbits with t
+linear orbits, once per census, and the fixed-point oracle is the sum of
+t N(t) over the t dividing d, one step per divisor of 6n, read off a
+cached census (`OrbitCensus.t_counts`). The element-level orbits and
+class equations that check them are test oracles in `tests/`. The
+root-count oracles count by rank, one stacked GF(2)-linear system per
+subfield; the one equation that is not linear, eq_41, is counted on the
+kernel of a linearized polynomial whose nonzero elements map onto its
+roots. Each orbit is represented by an element of its least class rank,
+the first class the scan meets; at n = 7
 the scan meets the least class of every orbit in the first 0.4 % of the
 ranks. The census and the oracle stay limited to n <= 7, where the n = 8
 report would hold some 350,000 records; larger n is refused with a cost
 estimate rather than attempted. The root counts list no root, so they run
-up to the tower's cap, n <= 16.
+as far as the towers' default moduli reach: every n <= 16 and every prime
+n <= 127, where they check the paper's root lemmas.
 
 The scan and its numpy kernel are the module `scan`, which this module
 imports only inside `_sweep`, on a cache miss: importing it, the closed
@@ -31,12 +36,11 @@ neither `scan` nor numpy.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Sequence
 from typing import NamedTuple
 
 from . import gf2poly
-from .gf2tower import _MAX_N, Tower, solve_affine_linearized
+from .gf2tower import _MAX_N, _MODULI_SCOPE, Tower, _has_moduli, solve_affine_linearized
 
 __all__ = [
     "InfeasibleError",
@@ -62,7 +66,7 @@ __all__ = [
 ]
 
 MAX_SWEEP_N = 7
-MAX_ROOTS_N = _MAX_N  # every root count is a rank: any tower will do
+MAX_ROOTS_N = _MAX_N  # every root count is a rank: any tower with default moduli will do
 # the closed forms grow as 2^(3n): at n = 701 they have 634 digits, below the
 # least limit (640) that PYTHONINTMAXSTRDIGITS accepts for printing an int
 MAX_CLOSED_FORM_N = 701
@@ -196,10 +200,12 @@ class OrbitCensus(NamedTuple):
     """Census of semi-linear orbits on the degree-6 set: one (rep, t) pair
     per orbit, in ascending class rank of the representatives, where t is
     the orbit's count of linear orbits; sigma^p fixes each member orbit iff
-    t divides p, and t | 6n."""
+    t divides p, and t | 6n. t_counts holds (t, N(t)) for each t that
+    occurs, ascending: N(t) records have that t."""
 
     n: int
     records: tuple[tuple[int, int], ...]
+    t_counts: tuple[tuple[int, int], ...]
     pgl_orbit_size: int
     pgl_orbit_count: int
     elements_visited: int
@@ -211,9 +217,8 @@ class OrbitCensus(NamedTuple):
 
     @property
     def orbit_sizes(self) -> tuple[tuple[int, int], ...]:
-        """(size, multiplicity) pairs, ascending by size."""
-        hist = Counter(t * self.pgl_orbit_size for _, t in self.records)
-        return tuple(sorted(hist.items()))
+        """(size, multiplicity) pairs, ascending by size: (t(q^3 - q), N(t))."""
+        return tuple((t * self.pgl_orbit_size, count) for t, count in self.t_counts)
 
 
 _SWEEPS: dict[tuple[int, int, int], OrbitCensus] = {}
@@ -251,9 +256,11 @@ def fixed_point_oracle(ctx: Tower, d: int) -> int:
 
     Formula-free: sigma^d fixes the linear orbits of a record iff
     mu^(2^d) = mu for its cross-ratio mu, that is, iff its t divides d, and
-    the census's stop certifies that each record's t is exact.
+    the census's stop certifies that each record's t is exact. So the count
+    is the sum of t N(t) over the t that divide d (`OrbitCensus.t_counts`),
+    one step per divisor of 6n.
     """
-    return sum(t for _, t in _sweep(ctx).records if d % t == 0)
+    return sum(t * count for t, count in _sweep(ctx).t_counts if d % t == 0)
 
 
 # ---------------------------------------------------------------- root counts
@@ -285,10 +292,9 @@ def _by_subfield(which: str, roots: dict[int, int]) -> RootCounts:
 def _roots_cost_check(n: int, which: str) -> None:
     if which not in ROOT_EQUATIONS:
         raise ValueError(f"unknown equation {which!r}; choose from {ROOT_EQUATIONS}")
-    if n > MAX_ROOTS_N:
+    if not _has_moduli(n):
         raise InfeasibleError(
-            f"n={n}: the root counts work in the tower GF(2^{6 * n}), built for "
-            f"n <= {MAX_ROOTS_N}, the last n with default moduli")
+            f"n={n}: the root counts work in the tower GF(2^{6 * n}), whose {_MODULI_SCOPE}")
 
 
 def root_count_oracle(ctx: Tower, which: str) -> RootCounts:

@@ -27,18 +27,19 @@ The scalar kernel:
   zero remainder means the modulus was not irreducible and raises instead
   of looping.
 - `frobenius(x, i)` reduces i modulo 6n, does (i mod n) squarings, then
-  floor(i / n) steps on the sigma^n columns that `__init__` builds: at most
-  n - 1 squarings and 5 column applications, and no new column table for a
-  power used once.
+  floor(i / n) steps on the sigma^n columns: at most n - 1 squarings and 5
+  column applications, and no new column table for a power used once.
 - `_frob_cols(i)`, the columns of x -> x^(2^i), are the powers z^j of
-  z = x^(2^i), cached per i; a new i costs i squarings, and its columns
-  3n - 1 squarings, z^(2j) = (z^j)^2, and 3n - 1 products. `_powers` is
-  the one power builder, also behind the sigma^n columns of `__init__`,
-  the subfield models and the embedding columns. `_frob_plus_id_cols` and `frob_tables` build on the
-  columns, and `_apply_cols` is the one GF(2)-linear map application.
-- The degree tests walk the orbit of x under sigma^n on the sigma^n columns
-  that `__init__` builds: the degree over GF(2^n) is the first d with
-  sigma^(dn)(x) = x, and a degree-6 test takes three steps. So
+  z = x^(2^i), built on first use and cached per i, sigma^n's included. z
+  is chain[i], read off the squaring chain `__init__` kept, so a new i
+  costs no squaring loop: its columns take 3n - 1 squarings,
+  z^(2j) = (z^j)^2, and 3n - 1 products. `_powers` is the one power
+  builder, also behind the subfield models and the embedding columns.
+  `_frob_plus_id_cols` and `frob_tables` build on the columns, and
+  `_apply_cols` is the one GF(2)-linear map application.
+- The degree tests walk the orbit of x under sigma^n on the sigma^n
+  columns: the degree over GF(2^n) is the first d with sigma^(dn)(x) = x,
+  and a degree-6 test takes three steps. So
   `conjugates`, `is_degree_six`, `minimal_polynomial` and
   `mobius.random_degree_six` build no other Frobenius columns.
 - `base_logs` is the tower's one table of GF(q)*, q = 2^n: the powers of
@@ -50,17 +51,23 @@ The scalar kernel:
   it is 0 or has a log, so `to_base` is the one projection and membership
   test (`minimal_polynomial`, `mobius.make_map`).
 
-Construction only validates the moduli and builds what every command
-uses. The default moduli are read from `_DEFAULT_MODULI`, a table of the
-`gf2poly.lowest_irreducible` picks for the 29 degrees n and 6n a tower can
-ask for (the tests check it against that search), and a table modulus
-passes exactly the checks a given one does: `gf2poly.is_irreducible` for
-modulus_base, and for modulus_big both Rabin tests on the chain
-x^(2^i) mod modulus_big, i <= 6n, that the tower squares on its own
-reduction table. chain[n] seeds the sigma^n columns. `make_tower` takes
-about 0.12-0.16 ms at n = 5, 0.19-0.27 ms at n = 7, 1.1-1.4 ms at n = 16,
-and 0.09-0.13 ms at n = 4 with the given modulus 24,4,3,1,0 (2 vCPU; the
-host drifts by up to half).
+Construction only validates the moduli: it builds the reduction table
+every product reads and keeps the chain it checks, but no Frobenius
+columns besides the identity's; `_frob_cols` reads the chain on first use.
+The default moduli are the `gf2poly.lowest_irreducible` picks for the
+degrees n and 6n (the tests check them against that search): for every
+n <= 16 in `_DEFAULT_MODULI`, and for each prime 17 <= n <= 127, which
+only the root counts reach, in `_PRIME_MODULI`, one string parsed on the
+first tower above n = 16; a composite n above 16 is refused. A table
+modulus passes exactly the checks a given one does:
+`gf2poly.is_irreducible` for modulus_base, and for modulus_big both Rabin
+tests on the chain x^(2^i) mod modulus_big, i <= 6n, that the tower
+squares on its own reduction table. `make_tower` takes about 0.040 ms at
+n = 5, 0.057 ms at n = 7, 0.24 ms at n = 16, 0.031 ms at n = 4 with the
+given modulus 24,4,3,1,0, and 15 ms at n = 127; it took 0.061, 0.105,
+0.52 and 0.047 ms while it built the sigma^n columns, which now cost their
+first reader that much (2 vCPU, best of 15 rounds of 3 loops of 20 calls,
+in two alternating runs; the host drifts by up to half).
 
 A subfield GF(2^d), d | 6n, has one model, `_trace_models(d)`: for each
 draw z of random.Random(0).getrandbits(6n), the trace
@@ -122,7 +129,10 @@ __all__ = [
     "solve_affine_linearized",
 ]
 
-_MAX_N = 16  # the last n in _DEFAULT_MODULI
+_ALL_N = 16  # every n up to here has default moduli; above it, the primes only
+_MAX_N = 127  # the last n with default moduli
+_MODULI_SCOPE = (f"default moduli are tabled for every n <= {_ALL_N} and for "
+                 f"the primes {_ALL_N + 1} <= n <= {_MAX_N} only")
 
 # the default moduli, as exponents: gf2poly.lowest_irreducible(d), the
 # fewest-terms, least-value irreducible, for each degree a tower asks for,
@@ -137,6 +147,33 @@ _DEFAULT_MODULI = {
     54: (54, 9, 0), 60: (60, 1, 0), 66: (66, 3, 0), 72: (72, 10, 9, 3, 0),
     78: (78, 6, 5, 3, 0), 84: (84, 5, 0), 90: (90, 27, 0), 96: (96, 10, 9, 6, 0),
 }
+# the same picks for d = n and d = 6n at each prime 17 <= n <= 127, for the
+# root counts: one string of exponent lists, parsed on the first tower above
+# n = 16 (`_prime_moduli`), since a dict literal of 50 tuples would add to the
+# compile time of every command; a `-m slow` test repeats that search
+_PRIME_MODULI = (
+    "17,3,0 102,29,0 19,5,2,1,0 114,5,3,2,0 23,5,0 138,8,7,1,0 29,2,0 "
+    "174,13,0 31,3,0 186,11,0 37,6,4,1,0 222,5,4,2,0 41,3,0 246,11,2,1,0 "
+    "43,6,4,3,0 258,71,0 47,5,0 282,35,0 53,6,2,1,0 318,45,0 59,7,4,2,0 "
+    "354,99,0 61,5,2,1,0 366,29,0 67,5,2,1,0 402,171,0 71,6,0 426,63,0 "
+    "73,25,0 438,65,0 79,9,0 474,191,0 83,7,4,2,0 498,155,0 89,38,0 "
+    "534,161,0 97,6,0 582,85,0 101,7,6,1,0 606,165,0 103,9,0 618,295,0 "
+    "107,9,7,4,0 642,119,0 109,5,4,2,0 654,33,0 113,9,0 678,15,5,3,0 "
+    "127,1,0 762,83,0"
+)
+
+
+@functools.cache
+def _prime_moduli() -> dict[int, tuple[int, ...]]:
+    """`_PRIME_MODULI` as exponent tuples keyed by degree."""
+    rows = (tuple(map(int, entry.split(","))) for entry in _PRIME_MODULI.split())
+    return {exps[0]: exps for exps in rows}
+
+
+def _has_moduli(n: int) -> bool:
+    """Whether n is within the reach of the default moduli: every n <= 16
+    (the constructor refuses n < 2 first) and the primes up to 127."""
+    return n <= _ALL_N or n <= _MAX_N and gf2poly._prime_factors(n) == [n]
 
 _HEX = re.compile(r"[0-9a-fA-F]+")
 
@@ -301,19 +338,18 @@ class Tower:
                  modulus_big: int | None = None):
         if n < 2:
             raise ValueError("n must be at least 2")
-        if n > _MAX_N:
-            raise ValueError(
-                f"n={n} exceeds the construction cap ({_MAX_N}), "
-                "the last n with default moduli")
+        if not _has_moduli(n):
+            raise ValueError(f"n={n} is outside the construction cap: the {_MODULI_SCOPE}")
         self.n = n
         self.big_degree = 6 * n
         m = self.big_degree
+        table = _DEFAULT_MODULI if n <= _ALL_N else _prime_moduli()
         if modulus_base is None:
-            modulus_base = gf2poly.from_exponents(_DEFAULT_MODULI[n])
+            modulus_base = gf2poly.from_exponents(table[n])
         if gf2poly.degree(modulus_base) != n or not gf2poly.is_irreducible(modulus_base):
             raise ValueError("modulus_base must be irreducible of degree n")
         if modulus_big is None:
-            modulus_big = gf2poly.from_exponents(_DEFAULT_MODULI[m])
+            modulus_big = gf2poly.from_exponents(table[m])
         if gf2poly.degree(modulus_big) != m:
             raise ValueError("modulus_big must be irreducible of degree 6n")
         self.modulus_base = modulus_base
@@ -330,14 +366,14 @@ class Tower:
         self._shifts = tuple((sh, sh - m) for sh in range(m + 8 * ((m - 2) // 8), m, -8))
 
         # x^(2^i) mod modulus_big, i <= 6n, by table squarings: modulus_big
-        # passes both Rabin tests on it, and chain[n] seeds the sigma^n columns
-        chain = [2]
+        # passes both Rabin tests on it, and it is kept, chain[i] seeding the
+        # columns of sigma^i (`_frob_cols`)
+        chain = self._chain = [2]
         for _ in range(m):
             chain.append(self.square(chain[-1]))
         if not gf2poly.is_irreducible(modulus_big, chain=chain):
             raise ValueError("modulus_big must be irreducible of degree 6n")
-        self._frob_cache: dict[int, list[int]] = {
-            0: [1 << j for j in range(m)], n: self._powers(chain[n], m)}
+        self._frob_cache: dict[int, list[int]] = {0: [1 << j for j in range(m)]}
         self._np_tables: dict[tuple, object] = {}  # per-tower tables, built on first use
 
     @functools.cached_property
@@ -434,23 +470,21 @@ class Tower:
         return powers
 
     def _frob_cols(self, i: int) -> list[int]:
-        """Columns of x -> x^(2^i) in the polynomial basis, cached per i.
+        """Columns of x -> x^(2^i) in the polynomial basis, built on first use
+        and cached per i.
 
-        Column j is z^j with z = x^(2^i): i squarings, then the powers of z
-        (`_powers`).
+        Column j is z^j with z = x^(2^i), read off the chain `__init__`
+        kept: the powers of z (`_powers`) and no squaring loop.
         """
         i %= self.big_degree
         cols = self._frob_cache.get(i)
         if cols is None:
-            z = 2
-            for _ in range(i):
-                z = self.square(z)
-            cols = self._frob_cache[i] = self._powers(z, self.big_degree)
+            cols = self._frob_cache[i] = self._powers(self._chain[i], self.big_degree)
         return cols
 
     def frobenius(self, x: int, i: int) -> int:
         """x^(2^i), i reduced modulo 6n: (i mod n) squarings, then floor(i / n)
-        steps on the sigma^n columns __init__ built."""
+        steps on the sigma^n columns (`_frob_cols`, built on first use)."""
         i %= self.big_degree
         for _ in range(i % self.n):
             x = self.square(x)
@@ -461,8 +495,9 @@ class Tower:
 
     def conjugates(self, x: int) -> tuple[int, ...]:
         """x, x^q, ..., x^(q^(d-1)), q = 2^n: the orbit of x under sigma^n,
-        walked on the columns __init__ built. Its length d, the least with
-        x^(2^(dn)) = x, is the degree of x over GF(q) and divides 6."""
+        walked on the sigma^n columns (`_frob_cols`, built on first use).
+        Its length d, the least with x^(2^(dn)) = x, is the degree of x over
+        GF(q) and divides 6."""
         cols = self._frob_cols(self.n)
         orbit = [x]
         for _ in range(6):

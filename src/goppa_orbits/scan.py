@@ -415,8 +415,10 @@ def _run_sweep(ctx: Tower) -> OrbitCensus:
     of `_census_tables` on the block's class coordinates, for the accepted
     ranks only) and t, the least p >= 1 with mu^(2^p) = mu, as the count of
     linear orbits; mu^(2^p) = mu iff t divides p. t is read off the
-    accepted classes' canonical mu alone (`_period`), and the running sum
-    of t is the count of linear orbits. An accepted class is the least of
+    accepted classes' canonical mu alone (`_period`); the running sum of t
+    is the count of linear orbits, and N(t), the number of records with
+    each t, is counted once per census, one `bincount` per block
+    (`OrbitCensus.t_counts`). An accepted class is the least of
     its orbit, as every class below it was scanned first, so records come
     out in ascending class rank.
 
@@ -438,6 +440,7 @@ def _run_sweep(ctx: Tower) -> OrbitCensus:
     degree_six_classes = count - (q + 2)
     seen = np.array([-1])  # canonical mu of the records, sorted, after a sentinel
     records: list[tuple[int, int]] = []
+    n_of_t = np.zeros(m + 1, dtype=np.int64)  # N(t), t | 6n
     elements = _census_tables(ctx)[0]
     pgl_orbit_count = covered = 0
     lo, size = 0, _FIRST_BLOCK
@@ -458,6 +461,7 @@ def _run_sweep(ctx: Tower) -> OrbitCensus:
         index = np.sort(head[new] & (1 << _INDEX_BITS) - 1)  # in ascending rank
         t = _period(m, canon[index])
         records += zip(Tower.apply_tables(elements, point[index]).tolist(), t.tolist())
+        n_of_t += np.bincount(t, minlength=m + 1)
         pgl_orbit_count += int(t.sum())
         covered = pgl_orbit_count * (q + 1)
         if covered >= degree_six_classes:
@@ -474,6 +478,7 @@ def _run_sweep(ctx: Tower) -> OrbitCensus:
     return OrbitCensus(
         n=n,
         records=tuple(records),
+        t_counts=tuple((t, count) for t, count in enumerate(n_of_t.tolist()) if count),
         pgl_orbit_size=orbit_size,
         pgl_orbit_count=pgl_orbit_count,
         elements_visited=s_size,

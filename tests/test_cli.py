@@ -490,14 +490,15 @@ def test_code_and_equiv_refuse_n12(capsys):
 
 
 def test_census_and_roots_refuse_n17_before_building_a_tower(capsys, monkeypatch):
-    # n = 17 is above the tower's construction cap, so a tower build would exit 2
+    # both refuse before a tower is built: n = 16 and 17 are above the
+    # census's cap, and n = 18 above the tower's, where a build would exit 2
     def no_tower(*args, **kwargs):
         raise AssertionError("tower built before the n check")
 
     monkeypatch.setattr("goppa_orbits.cli.make_tower", no_tower)
     for argv, limit in ((("census", "--n", "17"), "n <= 7"),
                         (("census", "--n", "16"), "n <= 7"),
-                        (("roots", "--n", "17", "--which", "eq_deg8"), "n <= 16")):
+                        (("roots", "--n", "18", "--which", "eq_deg8"), "n <= 16")):
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith(f"infeasible: n={argv[2]}:")
@@ -534,15 +535,20 @@ def test_roots_eq41_n7(capsys):
 
 
 def test_roots_eq41_runs_to_the_tower_cap(capsys):
-    # eq_41 is a rank like the linear equations, so it has no cap of its own
-    code, obj, _ = run_json(capsys, "roots", "roots", "--n", "13", "--which",
-                            "eq_41", "--json")
-    assert code == 0 and obj["match"] is True
-    assert obj["in_degree_six"] == obj["expected_in_degree_six"] == ROOT_EXPECTED["eq_41"](13)
-    code, out, err = run(capsys, "roots", "--n", "17", "--which", "eq_41")
-    assert code == 3 and out == ""
-    assert err == ("infeasible: n=17: the root counts work in the tower GF(2^102), "
-                   "built for n <= 16, the last n with default moduli\n")
+    # eq_41 is a rank like the linear equations, so it has no cap of its own:
+    # it runs to the last prime with default moduli, and a composite n above
+    # 16 or any n past 127 is refused before a tower is built
+    for n in (13, 127):
+        code, obj, _ = run_json(capsys, "roots", "roots", "--n", str(n), "--which",
+                                "eq_41", "--json")
+        assert code == 0 and obj["match"] is True
+        assert obj["in_degree_six"] == obj["expected_in_degree_six"] == ROOT_EXPECTED["eq_41"](n)
+    for n in (18, 131):
+        code, out, err = run(capsys, "roots", "--n", str(n), "--which", "eq_41")
+        assert code == 3 and out == ""
+        assert err == (f"infeasible: n={n}: the root counts work in the tower GF(2^{6 * n}), "
+                       "whose default moduli are tabled for every n <= 16 and for the "
+                       "primes 17 <= n <= 127 only\n")
 
 
 def test_roots_at_largest_accepted_n(capsys):

@@ -18,6 +18,7 @@ from conftest import (
     eq41_counts_by_gcd,
     fixed_orbit_representatives,
     least_rotation_by_five_passes,
+    load_bench_run,
     low_field_class_elements,
     records_digest,
     subfield_span_array,
@@ -38,6 +39,7 @@ from goppa_orbits.counting import (
 from goppa_orbits.gf2tower import Tower
 
 PRIMES_TO_61 = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
+PRIMES_TO_127 = [n for n in range(5, 128) if counting.is_prime(n)]
 
 
 # ------------------------------------------------------------- closed forms
@@ -185,7 +187,7 @@ def test_census_n7():
     assert records_digest(ctx, census.records) == (
         "bb70c8a0eb711e5526b02808f4a39846665a320cc5cd9dee0f1b2493b52d318e")
     assert census.orbit_count == burnside_bound(7) == 50333
-    assert Counter(t for _, t in census.records) == {
+    assert Counter(t for _, t in census.records) == dict(census.t_counts) == {
         42: 49542, 21: 780, 14: 9, 6: 1, 3: 1}
     assert [fixed_point_oracle(ctx, d) for d in (1, 2, 3, 6, 7, 14, 21, 42)] == [
         0, 0, 3, 9, 0, 126, 16383, 2097279]
@@ -517,6 +519,40 @@ def test_fixed_point_oracle_small(tower2):
         assert derived == table[d]
 
 
+def n4_bench_towers(monkeypatch):
+    """Towers at n = 4 on the four big moduli of the benchmark's census workload."""
+    load_bench_run(monkeypatch)
+    import workloads
+    return [make_tower(4, modulus_big=gf2poly.from_exponents([int(e) for e in big.split(",")]))
+            for big in workloads.N4_BIG_MODULI]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_census_t_counts_are_the_records_histogram(n):
+    """N(t), counted once per census, is the histogram of the records' t,
+    ascending; sum t N(t) is the linear-orbit count, sum N(t) the orbit
+    count, and the orbit sizes are t(q^3 - q) with multiplicity N(t)."""
+    census = global_orbit_census(make_tower(n))
+    hist = Counter(t for _, t in census.records)
+    assert census.t_counts == tuple(sorted(hist.items()))
+    assert sum(t * count for t, count in census.t_counts) == census.pgl_orbit_count
+    assert sum(count for _, count in census.t_counts) == census.orbit_count
+    assert census.orbit_sizes == tuple(sorted(
+        Counter(t * census.pgl_orbit_size for _, t in census.records).items()))
+
+
+def test_fixed_point_oracle_is_the_per_record_sum(monkeypatch):
+    """sum t N(t) over the t dividing d equals the sum of t over the records
+    whose t divides d, for every d | 6n: n = 2..5 on the default moduli, and
+    n = 4 on the benchmark's four big moduli."""
+    for ctx in [make_tower(n) for n in range(2, 6)] + n4_bench_towers(monkeypatch):
+        records = global_orbit_census(ctx).records
+        m = ctx.big_degree
+        for d in (d for d in range(1, m + 1) if m % d == 0):
+            assert fixed_point_oracle(ctx, d) == sum(t for _, t in records if d % t == 0), (
+                ctx, d)
+
+
 # ------------------------------------------------------------- root counting
 
 
@@ -588,6 +624,22 @@ def test_eq41_rank_is_the_same_under_other_moduli(n, base, big):
 
     ctx = make_tower(n, modulus_base=modulus(base), modulus_big=modulus(big))
     assert root_count_oracle(ctx, "eq_41") == eq41_counts_by_gcd(n)
+
+
+@pytest.mark.parametrize("n", PRIMES_TO_127)
+def test_root_lemmas_at_every_prime_to_the_tower_cap(monkeypatch, n):
+    """The five equations' degree-6 root counts equal the paper's closed
+    forms at every prime 5 <= n <= 127 (about 2 s in all), on towers whose
+    default moduli are read from the tables, not searched for."""
+    def no_search(d):
+        raise AssertionError(f"searched degree {d}")
+
+    monkeypatch.setattr(gf2poly, "lowest_irreducible", no_search)
+    ctx = make_tower(n)
+    assert (gf2poly.degree(ctx.modulus_base), gf2poly.degree(ctx.modulus_big)) == (n, 6 * n)
+    for which in counting.ROOT_EQUATIONS:
+        assert root_count_oracle(ctx, which).in_degree_six == counting.ROOT_EXPECTED[which](n), (
+            which)
 
 
 def test_root_oracle_rejects_unknown(tower2):

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goppa_orbits import counting, gf2poly, make_tower, random_degree_six, scan
-from goppa_orbits.gf2tower import _DEFAULT_MODULI, _apply_cols, solve_affine_linearized
+from goppa_orbits.gf2tower import (
+    _DEFAULT_MODULI,
+    Tower,
+    _apply_cols,
+    _prime_moduli,
+    solve_affine_linearized,
+)
 
 
 from conftest import (
@@ -25,10 +31,17 @@ from conftest import (
 
 
 def test_construction_rejects_small_and_huge_n():
+    """Above n = 16 only the primes up to 127 have default moduli: a
+    composite n there, or any n past 127, is refused by a message that names
+    the primes-only table, before any given modulus is read."""
     with pytest.raises(ValueError):
         make_tower(1)
-    with pytest.raises(ValueError):
-        make_tower(17)
+    for n in (18, 121, 131):
+        with pytest.raises(ValueError, match=rf"^n={n} is outside the construction cap: "
+                                             r"the default moduli are tabled for every "
+                                             r"n <= 16 and for the primes 17 <= n <= 127 only$"):
+            make_tower(n, modulus_base=0)
+    assert make_tower(17).big_degree == 102
 
 
 def test_tower_above_63_bits_builds():
@@ -84,6 +97,25 @@ def test_default_moduli_table_is_the_lowest_irreducible_search(monkeypatch):
     monkeypatch.setattr(gf2poly, "lowest_irreducible", no_search)
     for n in range(2, 17):
         assert make_tower(n).modulus_big == gf2poly.from_exponents(_DEFAULT_MODULI[6 * n])
+
+
+def test_prime_moduli_table_holds_n_and_6n_for_each_prime_above_16():
+    """Above n = 16 the string table holds degrees n and 6n for each prime
+    17 <= n <= 127, 50 exponent lists, each headed by its degree."""
+    table = _prime_moduli()
+    primes = [n for n in range(17, 128) if counting.is_prime(n)]
+    assert len(table) == 50
+    assert sorted(table) == sorted(d for n in primes for d in (n, 6 * n))
+    assert all(exps[0] == d and list(exps) == sorted(exps, reverse=True)
+               for d, exps in table.items())
+
+
+@pytest.mark.slow
+def test_prime_moduli_table_is_the_lowest_irreducible_search():
+    """Every entry above n = 16 is `lowest_irreducible`'s pick (about 31 s,
+    15 s of it for degree 678)."""
+    for d, exps in _prime_moduli().items():
+        assert gf2poly.from_exponents(exps) == gf2poly.lowest_irreducible(d), d
 
 
 def test_field_axioms_n2_exhaustive_inverses(tower2):
@@ -189,14 +221,58 @@ def test_degree_chain_matches_the_frobenius_definition(n, d, coords):
 
 @pytest.mark.parametrize("n", [2, 5, 7])
 def test_degree_tests_build_no_frobenius_columns(n):
-    # __init__ builds the identity and sigma^n columns; the degree tests need no others
+    # __init__ builds only the identity columns; the degree tests build sigma^n's, no others
     ctx = make_tower(n)
-    assert sorted(ctx._frob_cache) == [0, n]
+    assert sorted(ctx._frob_cache) == [0]
     rng = random.Random(n)
     for _ in range(5):
         alpha = random_degree_six(ctx, rng)
         assert len(ctx.minimal_polynomial(alpha)) == 7
     assert sorted(ctx._frob_cache) == [0, n]
+
+
+@pytest.mark.parametrize("n", [2, 5, 17])
+def test_a_fresh_tower_holds_only_the_identity_columns(n):
+    """Construction keeps the chain x^(2^i), i <= 6n, on which modulus_big
+    passed its Rabin tests, and builds no Frobenius columns but the
+    identity's."""
+    ctx = make_tower(n)
+    m = ctx.big_degree
+    assert ctx._frob_cache == {0: [1 << j for j in range(m)]}
+    chain = ctx._chain
+    assert len(chain) == m + 1 and chain[0] == chain[m] == 2
+    assert all(chain[i + 1] == ctx.mul(c, c) for i, c in enumerate(chain[:-1]))
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_frobenius_columns_read_the_kept_chain(monkeypatch, n):
+    """A new sigma^i's columns start from the chain's x^(2^i): every
+    `Tower.square` call comes from `_powers`, 3n - 1 for each new power
+    (z^(2j) = (z^j)^2), and none from a squaring loop up to x^(2^i)."""
+    ctx = make_tower(n)
+    inside, outside, depth = [], [], [0]
+    square, powers = Tower.square, Tower._powers
+
+    def counted_square(self, x):
+        (inside if depth[0] else outside).append(x)
+        return square(self, x)
+
+    def counted_powers(self, z, count):
+        depth[0] += 1
+        try:
+            return powers(self, z, count)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(Tower, "square", counted_square)
+    monkeypatch.setattr(Tower, "_powers", counted_powers)
+    for i in range(ctx.big_degree):
+        before = len(inside)
+        cols = ctx._frob_cols(i)
+        assert len(inside) - before == (3 * n - 1 if i else 0), i
+        assert cols[1] == ctx._chain[i]
+    assert outside == []
+    assert sorted(ctx._frob_cache) == list(range(ctx.big_degree))
 
 
 def test_degree_six_formula_values():

@@ -154,7 +154,7 @@ RECORDS = {
         alpha=6, beta=9, map=SemiLinearMap(1, 0, 0, 1, 0), permutation=(1, 0, 2),
         verified=True, weights_alpha=(1, 0, 3), weights_beta=None),
     "OrbitCensus": lambda: OrbitCensus(
-        n=2, records=((5, 1), (7, 2)), pgl_orbit_size=60,
+        n=2, records=((5, 1), (7, 2)), t_counts=((1, 1), (2, 1)), pgl_orbit_size=60,
         pgl_orbit_count=3, elements_visited=180, elapsed_ms=1.5),
     "RootCounts": lambda: RootCounts("eq_3n", 32704, 32640, 64, 0),
 }
