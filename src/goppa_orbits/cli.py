@@ -181,9 +181,10 @@ def cmd_fixed(args) -> int:
                 f"d={d}: {v}" for d, v in row["counts"].items()))
         _emit(args, "fixed_table", obj, lines)
         return EXIT_OK
-    if args.d is None:
-        print("error: --d is required without --table", file=sys.stderr)
-        return EXIT_USAGE
+    for flag in ("n", "d"):
+        if getattr(args, flag) is None:
+            print(f"error: --{flag} is required without --table", file=sys.stderr)
+            return EXIT_USAGE
     n, d = args.n, args.d
     counting._closed_form_cost_check(n)
     closed = None
@@ -305,8 +306,8 @@ def cmd_equiv(args) -> int:
 # -------------------------------------------------------------------- parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, required=True, help="base-field exponent")
+def _add_common(p: argparse.ArgumentParser, n_required: bool = True) -> None:
+    p.add_argument("--n", type=int, required=n_required, help="base-field exponent")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--modulus-base", help="override, exponent list like '5,2,0'")
     p.add_argument("--modulus-big", help="override, exponent list like '30,1,0'")
@@ -335,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fixed", help="fixed-orbit counts per Frobenius power "
                                      f"(n <= {counting.MAX_CLOSED_FORM_N}; "
                                      f"oracle n <= {counting.MAX_SWEEP_N})")
-    _add_common(p)
+    _add_common(p, n_required=False)  # `--table` reads no n
     p.add_argument("--d", type=int, help="Frobenius power")
     p.add_argument("--table", action="store_true",
                    help="print closed forms for a range of primes")
@@ -369,15 +370,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # built by the first `main` call, not on import, and shared by every later
-# call in the process: parsing reads the parser and never changes it
+# call in the process: parsing reads the parsers and never changes them.
+# `_COMMANDS` is the parser's own subcommand table (its subparsers' `choices`),
+# rebuilt whenever `_PARSER` is
 _PARSER: argparse.ArgumentParser | None = None
+_COMMANDS: dict[str, argparse.ArgumentParser] = {}
 
 
 def main(argv: list[str] | None = None) -> int:
-    global _PARSER
+    global _PARSER, _COMMANDS
     if _PARSER is None:
         _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+        _COMMANDS = next(a.choices for a in _PARSER._actions
+                         if isinstance(a, argparse._SubParsersAction))
+    if argv is None:
+        argv = sys.argv[1:]
+    # a request is parsed once, by its subcommand's parser: the top-level one
+    # would match every word against its own options first, then hand them all
+    # over. It still reads an argv that names no subcommand (empty, -h, a typo)
+    command = _COMMANDS.get(argv[0]) if argv else None
+    args = _PARSER.parse_args(argv) if command is None else command.parse_args(argv[1:])
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not in the exit-time flush

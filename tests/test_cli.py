@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -623,9 +624,11 @@ def test_only_the_code_report_derives_a_parity_basis(capsys, monkeypatch):
 
 @pytest.fixture
 def fresh_parser(monkeypatch):
-    """Start from no parser, counting the builds; the old parser comes back after."""
+    """Start from no parser, counting the builds; the old parser and its
+    command table come back after."""
     builds = []
     build = cli.build_parser
+    monkeypatch.setattr(cli, "_COMMANDS", cli._COMMANDS)  # restored, not reset
     monkeypatch.setattr(cli, "_PARSER", None)
     monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
     return builds
@@ -663,11 +666,152 @@ def test_options_of_one_call_do_not_reach_the_next(capsys, monkeypatch, fresh_pa
 
 def test_usage_error_leaves_the_shared_parser_working(capsys, fresh_parser):
     for argv in (["code", "--n", "5"], ["roots", "--n", "5", "--which", "eq_99"],
-                 ["bound", "--n", "five"], ["nosuchcommand"]):
+                 ["bound", "--n", "five"], ["nosuchcommand"], [],
+                 ["census", "--n", "4", "--bogus"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert capsys.readouterr().err.startswith("usage: goppa-orbits")
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: goppa-orbits"), argv
+        assert "Traceback" not in err
     code, obj, _ = run_json(capsys, "bound", "bound", "--n", "5", "--json")
     assert code == 0 and obj["bound"] == 1131
     assert fresh_parser == [1]
+
+
+# ------------------------------------------- one parse, by the subcommand's parser
+
+# the help texts as the top-level parser printed them before requests went
+# straight to their subcommand's parser, at 80 columns
+TOP_HELP = """\
+usage: goppa-orbits [-h] {bound,census,fixed,roots,code,equiv} ...
+
+Extended binary sextic Goppa codes: orbit counts, bounds, and equivalence
+checks over GF(2^(6n)).
+
+positional arguments:
+  {bound,census,fixed,roots,code,equiv}
+    bound               closed-form orbit-count upper bound (n <= 701)
+    census              full orbit census (n <= 7)
+    fixed               fixed-orbit counts per Frobenius power (n <= 701;
+                        oracle n <= 7)
+    roots               root-count oracles for the named equations (n <= 127)
+    code                build the binary code of a degree-6 element (n <= 11)
+    equiv               verify extended-code equivalence under a map (n <= 11)
+
+options:
+  -h, --help            show this help message and exit
+"""
+CENSUS_HELP = """\
+usage: goppa-orbits census [-h] --n N [--json] [--modulus-base MODULUS_BASE]
+                           [--modulus-big MODULUS_BIG] [--workers WORKERS]
+
+options:
+  -h, --help            show this help message and exit
+  --n N                 base-field exponent
+  --json                emit a JSON report
+  --modulus-base MODULUS_BASE
+                        override, exponent list like '5,2,0'
+  --modulus-big MODULUS_BIG
+                        override, exponent list like '30,1,0'
+  --workers WORKERS     validated (>= 1) and echoed in the report; the census
+                        runs in one thread
+"""
+
+
+def request_argvs(monkeypatch) -> list[list[str]]:
+    """Every golden argv, in text and JSON mode, and one round of each
+    benchmark workload plus its known-defect probe."""
+    from test_golden import GOLDEN
+    load_bench_run(monkeypatch)
+    import workloads
+    argvs = [[*argv, *mode] for argv in GOLDEN.values() for mode in ((), ("--json",))]
+    for round_of in workloads.ROUNDS.values():
+        argvs += [list(op.argv) for op in round_of(1, 0)[0]]
+    argvs.append([*workloads.KNOWN_DEFECT, "--seed", "1", "--json"])
+    return argvs
+
+
+@pytest.fixture
+def recorded(monkeypatch, fresh_parser):
+    """Each command replaced by one that keeps its namespace and exits 0."""
+    seen = []
+    for name in ("bound", "census", "fixed", "roots", "code", "equiv"):
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda args: seen.append(args) or 0)
+    return seen
+
+
+def test_dispatch_gives_the_top_level_parsers_namespace(monkeypatch, recorded):
+    argvs = request_argvs(monkeypatch)
+    shapes = {(argv[0], "--d" in argv, "--table" in argv, "--modulus-big" in argv)
+              for argv in argvs}
+    for command in ("census", "roots", "equiv"):
+        assert {(command, False, False, big) for big in (False, True)} <= shapes
+    assert {("fixed", True, False, True), ("fixed", True, False, False),
+            ("fixed", False, True, False), ("code", False, False, False),
+            ("bound", False, False, False)} <= shapes
+    for argv in argvs:
+        assert main(argv) == 0, argv
+        full = vars(cli._PARSER.parse_args(argv))
+        assert full.pop("command") == argv[0]
+        assert vars(recorded.pop()) == full, argv
+    assert recorded == []
+
+
+def test_a_request_is_parsed_once(capsys, monkeypatch):
+    calls = []
+    inner = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    for argv in (["bound", "--n", "5"], ["fixed", "--table", "--nmax", "7", "--json"],
+                 ["fixed", "--n", "2", "--d", "3", "--json"], ["census", "--n", "2"],
+                 ["roots", "--n", "5", "--which", "eq_deg8", "--modulus-big", "30,1,0"],
+                 ["code", "--n", "3", "--alpha", "random", "--seed", "1", "--extended"],
+                 ["equiv", "--n", "3", "--alpha", "random", "--map", "random"]):
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0, argv
+        assert calls == [f"goppa-orbits {argv[0]}"], argv
+
+
+@pytest.mark.parametrize("argv, text", [(["--help"], TOP_HELP),
+                                        (["census", "--help"], CENSUS_HELP)])
+def test_help_texts_are_kept(capsys, monkeypatch, argv, text):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0 and capsys.readouterr() == (text, "")
+
+
+def test_an_unknown_option_is_reported_by_its_subcommand(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        main(["census", "--n", "4", "--bogus"])
+    err = capsys.readouterr().err
+    assert err == (CENSUS_HELP.split("\n\n")[0] + "\n"
+                   "goppa-orbits census: error: unrecognized arguments: --bogus\n")
+
+
+def test_resetting_the_parser_rebuilds_its_command_table(capsys, monkeypatch, fresh_parser):
+    def table():
+        return next(a.choices for a in cli._PARSER._actions
+                    if isinstance(a, argparse._SubParsersAction))
+
+    assert run(capsys, "bound", "--n", "5")[0] == 0
+    first = cli._COMMANDS
+    assert first is table() and first["census"].prog == "goppa-orbits census"
+    monkeypatch.setattr(cli, "_PARSER", None)
+    assert run(capsys, "bound", "--n", "5")[0] == 0
+    assert fresh_parser == [1, 1] and cli._COMMANDS is table() and cli._COMMANDS is not first
+
+
+def test_fixed_table_needs_no_n(capsys):
+    code, without, err = run(capsys, "fixed", "--table", "--nmax", "7", "--json")
+    assert (code, err) == (0, "")
+    assert run(capsys, "fixed", "--n", "5", "--table", "--nmax", "7", "--json") == (0, without, "")
+    for argv, flag in ((["fixed", "--d", "6"], "--n"), (["fixed", "--n", "5"], "--d"),
+                       (["fixed", "--json"], "--n")):
+        assert run(capsys, *argv) == (2, "", f"error: {flag} is required without --table\n")
