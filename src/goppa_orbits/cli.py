@@ -59,8 +59,8 @@ def _parse_modulus(text: str | None, degree: int) -> int | None:
 def _tower(args) -> Tower:
     return make_tower(
         args.n,
-        modulus_base=_parse_modulus(getattr(args, "modulus_base", None), args.n),
-        modulus_big=_parse_modulus(getattr(args, "modulus_big", None), 6 * args.n),
+        modulus_base=_parse_modulus(args.modulus_base, args.n),
+        modulus_big=_parse_modulus(args.modulus_big, 6 * args.n),
     )
 
 
@@ -127,7 +127,7 @@ def cmd_census(args) -> int:
     spec = f"0{ctx.hex_width}x"
     bound = match = None
     note = ""
-    if args.n > 3 and counting.is_prime(args.n):
+    if counting.has_closed_forms(args.n):
         bound = counting.burnside_bound(args.n)
         match = census.orbit_count == bound
     else:
@@ -162,9 +162,14 @@ def cmd_census(args) -> int:
 
 
 def cmd_fixed(args) -> int:
+    # the oracle's is the one tower `fixed` builds: elsewhere a modulus would go unread
+    if ((args.table or args.n is not None and args.n > counting.MAX_SWEEP_N)
+            and (args.modulus_base is not None or args.modulus_big is not None)):
+        raise ValueError("fixed reads --modulus-base and --modulus-big only for its "
+                         f"oracle, which runs at n <= {counting.MAX_SWEEP_N} without --table")
     if args.table:
         counting._closed_form_cost_check(args.nmax, "nmax")
-        primes = [k for k in range(5, args.nmax + 1) if counting.is_prime(k)]
+        primes = [k for k in range(args.nmax + 1) if counting.has_closed_forms(k)]
         rows = []
         for n in primes:
             decomposition, bound = counting._burnside(n)
@@ -188,7 +193,7 @@ def cmd_fixed(args) -> int:
     n, d = args.n, args.d
     counting._closed_form_cost_check(n)
     closed = None
-    if n > 3 and counting.is_prime(n):
+    if counting.has_closed_forms(n):
         closed = counting.fixed_points_for_power(n, d)
     oracle = None
     start = time.perf_counter()
@@ -217,7 +222,7 @@ def cmd_roots(args) -> int:
     counts = counting.root_count_oracle(ctx, args.which)
     elapsed = (time.perf_counter() - start) * 1e3
     expected = match = None
-    if args.n > 3 and counting.is_prime(args.n):
+    if counting.has_closed_forms(args.n):
         expected = counting.ROOT_EXPECTED[args.which](args.n)
         match = counts.in_degree_six == expected
     obj = {

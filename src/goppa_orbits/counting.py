@@ -1,7 +1,8 @@
 """Orbit counts: closed-form fixed-point formulas, the averaged orbit bound,
 and independent oracles (global census, fixed points, root counts).
 
-The closed forms are pure integer formulas valid for prime n > 3. Reports
+The closed forms are pure integer formulas valid for prime n > 3, the
+paper's hypotheses, which `has_closed_forms` is the one test of. Reports
 print them in full, so the commands refuse n > `MAX_CLOSED_FORM_N` = 701, the
 last prime whose closed forms stay below 640 digits, the least limit that
 PYTHONINTMAXSTRDIGITS accepts for int-to-string conversion. Every one
@@ -24,8 +25,9 @@ the scan meets the least class of every orbit in the first 0.4 % of the
 ranks. The census and the oracle stay limited to n <= 7, where the n = 8
 report would hold some 350,000 records; larger n is refused with a cost
 estimate rather than attempted. The root counts list no root, so they run
-as far as the towers' default moduli reach: every n <= 16 and every prime
-n <= 127, where they check the paper's root lemmas.
+as far as the towers' default moduli reach (`gf2tower._has_moduli`): every
+n <= 16 and every prime n <= 127. At the primes n > 3 among them
+(`has_closed_forms`) they check the paper's root lemmas.
 
 The scan and its numpy kernel are the module `scan`, which this module
 imports only inside `_sweep`, on a cache miss: importing it, the closed
@@ -47,6 +49,7 @@ __all__ = [
     "ConsistencyError",
     "euler_phi",
     "is_prime",
+    "has_closed_forms",
     "closed_form_fixed_points",
     "fixed_points_for_power",
     "burnside_numerator",
@@ -111,8 +114,14 @@ def _closed_form_cost_check(n: int, flag: str = "n") -> None:
             f"full; bound and fixed are limited to n <= {MAX_CLOSED_FORM_N}")
 
 
+def has_closed_forms(n: int) -> bool:
+    """Whether n meets the paper's hypotheses, a prime n > 3: the one test
+    of where the closed forms and the root lemmas are stated."""
+    return n > 3 and is_prime(n)
+
+
 def _require_odd_prime(n: int) -> None:
-    if n <= 3 or not is_prime(n):
+    if not has_closed_forms(n):
         raise ValueError("closed forms require a prime n greater than 3")
 
 

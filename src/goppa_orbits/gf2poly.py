@@ -184,9 +184,9 @@ def _ascending_masks(w: int, top: int) -> Iterator[int]:
 def lowest_irreducible(d: int) -> int:
     """Deterministic irreducible of degree d: fewest terms, then least value.
 
-    It defines the default moduli of a tower: `gf2tower._DEFAULT_MODULI`
-    holds its picks for every degree a tower asks for, and the tests check
-    that table against it, so no tower runs this search.
+    It defines the default moduli of a tower: `gf2tower._MODULI` holds its
+    picks for every degree a tower asks for, and the tests check that table
+    against it, so no tower runs this search.
 
     Candidates must have the constant term and an odd number of interior
     terms (an even total term count has 1 as a root). At d = 0 mod 8 every

@@ -55,11 +55,12 @@ Construction only validates the moduli: it builds the reduction table
 every product reads and keeps the chain it checks, but no Frobenius
 columns besides the identity's; `_frob_cols` reads the chain on first use.
 The default moduli are the `gf2poly.lowest_irreducible` picks for the
-degrees n and 6n (the tests check them against that search): for every
-n <= 16 in `_DEFAULT_MODULI`, and for each prime 17 <= n <= 127, which
-only the root counts reach, in `_PRIME_MODULI`, one string parsed on the
-first tower above n = 16; a composite n above 16 is refused. A table
-modulus passes exactly the checks a given one does:
+degrees n and 6n (the tests check them against that search) for every
+n <= 16 and each prime 17 <= n <= 127, which only the root counts reach:
+one string of exponent lists, `_MODULI`, parsed on the first tower. A tower
+is served where both its degrees are tabled (`_has_moduli`), so a
+composite n above 16 is refused. A table modulus passes exactly the checks
+a given one does:
 `gf2poly.is_irreducible` for modulus_base, and for modulus_big both Rabin
 tests on the chain x^(2^i) mod modulus_big, i <= 6n, that the tower
 squares on its own reduction table. `make_tower` takes about 0.040 ms at
@@ -129,51 +130,42 @@ __all__ = [
     "solve_affine_linearized",
 ]
 
-_ALL_N = 16  # every n up to here has default moduli; above it, the primes only
 _MAX_N = 127  # the last n with default moduli
-_MODULI_SCOPE = (f"default moduli are tabled for every n <= {_ALL_N} and for "
-                 f"the primes {_ALL_N + 1} <= n <= {_MAX_N} only")
+_MODULI_SCOPE = ("default moduli are tabled for every n <= 16 and for "
+                 f"the primes 17 <= n <= {_MAX_N} only")
 
-# the default moduli, as exponents: gf2poly.lowest_irreducible(d), the
-# fewest-terms, least-value irreducible, for each degree a tower asks for,
-# d = n and d = 6n with 2 <= n <= 16; tests/test_gf2tower.py checks every
-# entry against that search, and the constructor checks each one it reads
-_DEFAULT_MODULI = {
-    2: (2, 1, 0), 3: (3, 1, 0), 4: (4, 1, 0), 5: (5, 2, 0), 6: (6, 1, 0),
-    7: (7, 1, 0), 8: (8, 4, 3, 1, 0), 9: (9, 1, 0), 10: (10, 3, 0),
-    11: (11, 2, 0), 12: (12, 3, 0), 13: (13, 4, 3, 1, 0), 14: (14, 5, 0),
-    15: (15, 1, 0), 16: (16, 5, 3, 1, 0), 18: (18, 3, 0), 24: (24, 4, 3, 1, 0),
-    30: (30, 1, 0), 36: (36, 9, 0), 42: (42, 7, 0), 48: (48, 5, 3, 2, 0),
-    54: (54, 9, 0), 60: (60, 1, 0), 66: (66, 3, 0), 72: (72, 10, 9, 3, 0),
-    78: (78, 6, 5, 3, 0), 84: (84, 5, 0), 90: (90, 27, 0), 96: (96, 10, 9, 6, 0),
-}
-# the same picks for d = n and d = 6n at each prime 17 <= n <= 127, for the
-# root counts: one string of exponent lists, parsed on the first tower above
-# n = 16 (`_prime_moduli`), since a dict literal of 50 tuples would add to the
-# compile time of every command; a `-m slow` test repeats that search
-_PRIME_MODULI = (
-    "17,3,0 102,29,0 19,5,2,1,0 114,5,3,2,0 23,5,0 138,8,7,1,0 29,2,0 "
-    "174,13,0 31,3,0 186,11,0 37,6,4,1,0 222,5,4,2,0 41,3,0 246,11,2,1,0 "
-    "43,6,4,3,0 258,71,0 47,5,0 282,35,0 53,6,2,1,0 318,45,0 59,7,4,2,0 "
-    "354,99,0 61,5,2,1,0 366,29,0 67,5,2,1,0 402,171,0 71,6,0 426,63,0 "
-    "73,25,0 438,65,0 79,9,0 474,191,0 83,7,4,2,0 498,155,0 89,38,0 "
-    "534,161,0 97,6,0 582,85,0 101,7,6,1,0 606,165,0 103,9,0 618,295,0 "
-    "107,9,7,4,0 642,119,0 109,5,4,2,0 654,33,0 113,9,0 678,15,5,3,0 "
-    "127,1,0 762,83,0"
+# the default moduli: gf2poly.lowest_irreducible(d), the fewest-terms,
+# least-value irreducible, for each degree a tower asks for, d = n and d = 6n
+# with 2 <= n <= 16 or n a prime up to 127; one string of exponent lists,
+# each headed by its degree, ascending, parsed on the first tower
+# (`_default_moduli`), since a dict literal of 79 tuples would add to the
+# compile time of every command. tests/test_gf2tower.py checks every entry
+# against that search, and the constructor checks each one it reads
+_MODULI = (
+    "2,1,0 3,1,0 4,1,0 5,2,0 6,1,0 7,1,0 8,4,3,1,0 9,1,0 10,3,0 11,2,0 12,3,0 "
+    "13,4,3,1,0 14,5,0 15,1,0 16,5,3,1,0 17,3,0 18,3,0 19,5,2,1,0 23,5,0 "
+    "24,4,3,1,0 29,2,0 30,1,0 31,3,0 36,9,0 37,6,4,1,0 41,3,0 42,7,0 43,6,4,3,0 "
+    "47,5,0 48,5,3,2,0 53,6,2,1,0 54,9,0 59,7,4,2,0 60,1,0 61,5,2,1,0 66,3,0 "
+    "67,5,2,1,0 71,6,0 72,10,9,3,0 73,25,0 78,6,5,3,0 79,9,0 83,7,4,2,0 84,5,0 "
+    "89,38,0 90,27,0 96,10,9,6,0 97,6,0 101,7,6,1,0 102,29,0 103,9,0 107,9,7,4,0 "
+    "109,5,4,2,0 113,9,0 114,5,3,2,0 127,1,0 138,8,7,1,0 174,13,0 186,11,0 "
+    "222,5,4,2,0 246,11,2,1,0 258,71,0 282,35,0 318,45,0 354,99,0 366,29,0 "
+    "402,171,0 426,63,0 438,65,0 474,191,0 498,155,0 534,161,0 582,85,0 606,165,0 "
+    "618,295,0 642,119,0 654,33,0 678,15,5,3,0 762,83,0"
 )
 
 
 @functools.cache
-def _prime_moduli() -> dict[int, tuple[int, ...]]:
-    """`_PRIME_MODULI` as exponent tuples keyed by degree."""
-    rows = (tuple(map(int, entry.split(","))) for entry in _PRIME_MODULI.split())
+def _default_moduli() -> dict[int, tuple[int, ...]]:
+    """`_MODULI` as exponent tuples keyed by degree."""
+    rows = (tuple(map(int, entry.split(","))) for entry in _MODULI.split())
     return {exps[0]: exps for exps in rows}
 
 
 def _has_moduli(n: int) -> bool:
-    """Whether n is within the reach of the default moduli: every n <= 16
-    (the constructor refuses n < 2 first) and the primes up to 127."""
-    return n <= _ALL_N or n <= _MAX_N and gf2poly._prime_factors(n) == [n]
+    """Whether n is within the reach of the default moduli: degrees n and 6n
+    are both tabled (n < 2 passes, for the constructor to refuse first)."""
+    return n < 2 or {n, 6 * n} <= _default_moduli().keys()
 
 _HEX = re.compile(r"[0-9a-fA-F]+")
 
@@ -326,10 +318,10 @@ class Tower:
     """The tower GF(2) < GF(2^n) < GF(2^(6n)) with fixed moduli and embedding.
 
     Default moduli are the deterministic fewest-terms, least-value
-    irreducibles of degrees n and 6n, read from `_DEFAULT_MODULI` and
-    checked like given ones. The embedding sends the base field's
-    generator (x mod modulus_base) to the enc-least root of modulus_base in
-    the big field, so encodings are reproducible across runs; it and the
+    irreducibles of degrees n and 6n, read from `_MODULI` and checked like
+    given ones. The embedding sends the base field's generator
+    (x mod modulus_base) to the enc-least root of modulus_base in the big
+    field, so encodings are reproducible across runs; it and the
     subfield list are built on first read (`_embedding`, from a model of
     the subfield, `_trace_models`), the moduli checks at construction.
     """
@@ -343,13 +335,12 @@ class Tower:
         self.n = n
         self.big_degree = 6 * n
         m = self.big_degree
-        table = _DEFAULT_MODULI if n <= _ALL_N else _prime_moduli()
         if modulus_base is None:
-            modulus_base = gf2poly.from_exponents(table[n])
+            modulus_base = gf2poly.from_exponents(_default_moduli()[n])
         if gf2poly.degree(modulus_base) != n or not gf2poly.is_irreducible(modulus_base):
             raise ValueError("modulus_base must be irreducible of degree n")
         if modulus_big is None:
-            modulus_big = gf2poly.from_exponents(table[m])
+            modulus_big = gf2poly.from_exponents(_default_moduli()[m])
         if gf2poly.degree(modulus_big) != m:
             raise ValueError("modulus_big must be irreducible of degree 6n")
         self.modulus_base = modulus_base

@@ -455,6 +455,34 @@ def test_reducible_modulus_base_exit_2(capsys, mode):
         assert err == "error: modulus_base must be irreducible of degree n\n", argv
 
 
+UNREAD_MODULI = ("error: fixed reads --modulus-base and --modulus-big only for its oracle, "
+                 "which runs at n <= 7 without --table\n")
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+def test_fixed_refuses_a_modulus_it_would_not_read(capsys, monkeypatch, mode):
+    """`fixed` builds a tower only for its oracle, at n <= 7 without
+    `--table`. On every other path a modulus flag, well-formed or not, exits 2
+    with one line and no report, where it went unread with exit 0; on the
+    oracle's path it is read and checked as before."""
+    def no_tower(*args, **kwargs):
+        raise AssertionError("built a tower")
+
+    monkeypatch.setattr(cli, "make_tower", no_tower)
+    for argv in (("--n", "11", "--d", "3", "--modulus-big", "zz"),
+                 ("--n", "11", "--d", "3", "--modulus-base", "11,0"),  # x^11 + 1, reducible
+                 ("--n", "11", "--d", "3", "--modulus-base", "11,2,0"),
+                 ("--n", "8", "--d", "6", "--modulus-big", "48,5,3,2,0"),
+                 ("--table", "--nmax", "7", "--modulus-base", "9,9"),
+                 ("--n", "5", "--table", "--nmax", "13", "--modulus-big", "30,1,0")):
+        assert run(capsys, "fixed", *argv, *mode) == (2, "", UNREAD_MODULI), argv
+    monkeypatch.undo()
+    code, out, err = run(capsys, "fixed", "--n", "5", "--d", "3", "--modulus-big", "zz", *mode)
+    assert (code, out) == (2, "") and err.startswith("error: bad modulus exponent list 'zz'")
+    assert run(capsys, "fixed", "--n", "4", "--d", "12", "--modulus-big", "24,16,3,1,0",
+               *mode)[0] == 0
+
+
 def test_bad_workers_exit_2(capsys):
     code, out, err = run(capsys, "census", "--n", "2", "--workers", "0")
     assert code == 2 and out == ""

@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 
@@ -66,6 +67,28 @@ def test_closed_forms_reject_bad_inputs():
             closed_form_fixed_points(bad_n, 1)
     with pytest.raises(ValueError):
         closed_form_fixed_points(5, 4)
+
+
+def test_the_papers_hypotheses_have_one_test(monkeypatch, capsys):
+    """`has_closed_forms` is the paper's prime n > 3, and every reader of the
+    hypotheses goes by it: with it patched to refuse n = 5, the closed forms
+    raise there, and `census`, `fixed` and `roots` report no closed form and
+    `fixed --table` no row."""
+    from goppa_orbits import cli
+
+    assert [n for n in range(-3, 62) if counting.has_closed_forms(n)] == PRIMES_TO_61
+    monkeypatch.setattr(counting, "has_closed_forms", lambda n: n in (7, 11))
+    with pytest.raises(ValueError, match="^closed forms require a prime n greater than 3$"):
+        closed_form_fixed_points(5, 1)
+    fields = {"census": ["bound", "match"], "fixed": ["closed_form", "match"],
+              "roots": ["expected_in_degree_six", "match"]}
+    for argv in (["census", "--n", "5"], ["fixed", "--n", "5", "--d", "6"],
+                 ["roots", "--n", "5", "--which", "eq_deg8"]):
+        assert cli.main([*argv, "--json"]) == 0, argv
+        obj = json.loads(capsys.readouterr().out)
+        assert [obj[key] for key in fields[argv[0]]] == [None, None], argv
+    assert cli.main(["fixed", "--table", "--nmax", "11", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["n_values"] == [7, 11]
 
 
 def test_power_reduction_by_gcd():
@@ -630,7 +653,7 @@ def test_eq41_rank_is_the_same_under_other_moduli(n, base, big):
 def test_root_lemmas_at_every_prime_to_the_tower_cap(monkeypatch, n):
     """The five equations' degree-6 root counts equal the paper's closed
     forms at every prime 5 <= n <= 127 (about 2 s in all), on towers whose
-    default moduli are read from the tables, not searched for."""
+    default moduli are read from the table, not searched for."""
     def no_search(d):
         raise AssertionError(f"searched degree {d}")
 

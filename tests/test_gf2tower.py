@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import random
 
@@ -7,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goppa_orbits import counting, gf2poly, make_tower, random_degree_six, scan
+from goppa_orbits import cli, counting, gf2poly, make_tower, random_degree_six, scan
 from goppa_orbits.gf2tower import (
-    _DEFAULT_MODULI,
     Tower,
     _apply_cols,
-    _prime_moduli,
+    _default_moduli,
     solve_affine_linearized,
 )
 
@@ -78,13 +78,30 @@ def test_modulus_overrides_validated():
     assert alt.mul(x, alt.inv(x)) == 1
 
 
+# the towers' reach: every n <= 16 and each prime 17 <= n <= 127
+SERVED = [n for n in range(2, 128) if n <= 16 or counting.is_prime(n)]
+SCOPE = "default moduli are tabled for every n <= 16 and for the primes 17 <= n <= 127 only"
+
+
+def test_default_moduli_table_holds_n_and_6n_for_each_served_n():
+    """One table holds every degree a tower asks for, n and 6n for each
+    served n: 79 exponent lists, each headed by its degree, ascending (degree
+    12 is both n = 12 and 6n at n = 2)."""
+    table = _default_moduli()
+    assert len(table) == 79 and list(table) == sorted(table)
+    assert set(table) == {d for n in SERVED for d in (n, 6 * n)}
+    assert all(exps[0] == d and list(exps) == sorted(exps, reverse=True)
+               for d, exps in table.items())
+
+
 def test_default_moduli_table_is_the_lowest_irreducible_search(monkeypatch):
-    """The table holds every degree a tower asks for, n and 6n for
-    2 <= n <= 16, each entry `lowest_irreducible`'s pick; a tower built on
-    it equals the one built with those moduli given, and no tower searches."""
-    assert set(_DEFAULT_MODULI) == set(range(2, 17)) | {6 * n for n in range(2, 17)}
-    for d, exps in _DEFAULT_MODULI.items():
-        assert gf2poly.from_exponents(exps) == gf2poly.lowest_irreducible(d), d
+    """Each entry of degree <= 96 is `lowest_irreducible`'s pick (the larger
+    ones under `-m slow`); a tower built on the table equals the one built
+    with those moduli given, and no tower searches."""
+    table = _default_moduli()
+    for d, exps in table.items():
+        if d <= 96:
+            assert gf2poly.from_exponents(exps) == gf2poly.lowest_irreducible(d), d
     for n in range(2, 12):
         ctx = make_tower(n)
         given = make_tower(n, modulus_base=gf2poly.lowest_irreducible(n),
@@ -96,26 +113,48 @@ def test_default_moduli_table_is_the_lowest_irreducible_search(monkeypatch):
 
     monkeypatch.setattr(gf2poly, "lowest_irreducible", no_search)
     for n in range(2, 17):
-        assert make_tower(n).modulus_big == gf2poly.from_exponents(_DEFAULT_MODULI[6 * n])
-
-
-def test_prime_moduli_table_holds_n_and_6n_for_each_prime_above_16():
-    """Above n = 16 the string table holds degrees n and 6n for each prime
-    17 <= n <= 127, 50 exponent lists, each headed by its degree."""
-    table = _prime_moduli()
-    primes = [n for n in range(17, 128) if counting.is_prime(n)]
-    assert len(table) == 50
-    assert sorted(table) == sorted(d for n in primes for d in (n, 6 * n))
-    assert all(exps[0] == d and list(exps) == sorted(exps, reverse=True)
-               for d, exps in table.items())
+        assert make_tower(n).modulus_big == gf2poly.from_exponents(table[6 * n])
 
 
 @pytest.mark.slow
-def test_prime_moduli_table_is_the_lowest_irreducible_search():
-    """Every entry above n = 16 is `lowest_irreducible`'s pick (about 31 s,
+def test_default_moduli_above_degree_96_are_the_lowest_irreducible_search():
+    """Every entry above degree 96, the 6n of each prime 17 <= n <= 127 and
+    the primes 97 <= n <= 127, is `lowest_irreducible`'s pick (about 31 s,
     15 s of it for degree 678)."""
-    for d, exps in _prime_moduli().items():
-        assert gf2poly.from_exponents(exps) == gf2poly.lowest_irreducible(d), d
+    for d, exps in _default_moduli().items():
+        if d > 96:
+            assert gf2poly.from_exponents(exps) == gf2poly.lowest_irreducible(d), d
+
+
+def test_towers_serve_every_n_to_16_and_each_prime_to_127(capsys):
+    """For every n in -2..200 a tower is built exactly where the rule above
+    says, on the table's moduli, whose digest pins them; anywhere else
+    `make_tower` raises its one message, and `roots` refuses with one line:
+    exit 2 below n = 2, which the constructor refuses, and exit 3 above, where
+    the tower's cap is checked before any tower is built."""
+    table = _default_moduli()
+    built = []
+    for n in range(-2, 201):
+        if n in SERVED:
+            ctx = make_tower(n)
+            assert (ctx.modulus_base, ctx.modulus_big) == (
+                gf2poly.from_exponents(table[n]), gf2poly.from_exponents(table[6 * n])), n
+            built.append(f"{n}:{ctx.modulus_base:x}:{ctx.modulus_big:x}")
+            continue
+        message = ("n must be at least 2" if n < 2
+                   else f"n={n} is outside the construction cap: the {SCOPE}")
+        with pytest.raises(ValueError) as exc:
+            make_tower(n)
+        assert str(exc.value) == message
+        code = cli.main(["roots", "--n", str(n), "--which", "eq_3n"])
+        out, err = capsys.readouterr()
+        assert (code, out) == ((2, "") if n < 2 else (3, "")), n
+        assert err == (f"error: {message}\n" if n < 2 else
+                       f"infeasible: n={n}: the root counts work in the tower "
+                       f"GF(2^{6 * n}), whose {SCOPE}\n"), n
+    assert len(built) == 40
+    assert hashlib.sha256(" ".join(built).encode()).hexdigest() == (
+        "90dc1ae395fc68d1017b9a960811e34dd3ac62f0b8d0ce704903efa853ced5a4")
 
 
 def test_field_axioms_n2_exhaustive_inverses(tower2):
