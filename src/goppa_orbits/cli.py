@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fixed)
 
     p = sub.add_parser("roots", help="root-count oracles for the named equations "
-                                     f"(n <= {counting.MAX_ROOTS_N})")
+                                     f"(n <= 16 or a prime n <= {counting.MAX_ROOTS_N})")
     _add_common(p)
     p.add_argument("--which", required=True, choices=counting.ROOT_EQUATIONS)
     p.set_defaults(func=cmd_roots)

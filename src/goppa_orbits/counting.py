@@ -16,11 +16,12 @@ linear orbits, once per census, and the fixed-point oracle is the sum of
 t N(t) over the t dividing d, one step per divisor of 6n, read off a
 cached census (`OrbitCensus.t_counts`). The element-level orbits and
 class equations that check them are test oracles in `tests/`. The
-root-count oracles count by rank, one stacked GF(2)-linear system per
-subfield; the one equation that is not linear, eq_41, is counted on the
-kernel of a linearized polynomial whose nonzero elements map onto its
-roots. Each orbit is represented by an element of its least class rank,
-the first class the scan meets; at n = 7
+root-count oracles count by rank: each GF(2)-linear equation is solved
+once over GF(2^(6n)), as a coset of dimension d, and its points in each
+subfield solve a system in d unknowns; the one equation that is not
+linear, eq_41, is counted on the kernel of a linearized polynomial whose
+nonzero elements map onto its roots. Each orbit is represented by an
+element of its least class rank, the first class the scan meets; at n = 7
 the scan meets the least class of every orbit in the first 0.4 % of the
 ranks. The census and the oracle stay limited to n <= 7, where the n = 8
 report would hold some 350,000 records; larger n is refused with a cost
@@ -42,7 +43,8 @@ from collections.abc import Sequence
 from typing import NamedTuple
 
 from . import gf2poly
-from .gf2tower import _MAX_N, _MODULI_SCOPE, Tower, _has_moduli, solve_affine_linearized
+from .gf2tower import (_MAX_N, _MODULI_SCOPE, Tower, _apply_cols, _has_moduli,
+                       solve_affine_linearized)
 
 __all__ = [
     "InfeasibleError",
@@ -306,60 +308,98 @@ def _roots_cost_check(n: int, which: str) -> None:
             f"n={n}: the root counts work in the tower GF(2^{6 * n}), whose {_MODULI_SCOPE}")
 
 
+def _size(coset: tuple[int, tuple[int, ...]] | None) -> int:
+    """The number of points of a `solve_affine_linearized` coset: 0 for
+    none, else 2^(kernel dimension)."""
+    return 0 if coset is None else 1 << len(coset[1])
+
+
+def _coset_points(ctx: Tower, coset: tuple[int, tuple[int, ...]],
+                  js: Sequence[int]) -> dict[int, int]:
+    """Points of the coset x0 + span(k_1..k_d) in GF(2^(jn)), for each j in
+    js (1, 2 or 3), keyed by j: with M = sigma^(jn) + id, the solutions c
+    of sum c_i M(k_i) = M(x0), a system in d unknowns.
+
+    The d + 1 images under M are taken by j steps on sigma^n's columns
+    while (d + 1) * max(js) < 6n, which builds no other table; a larger
+    coset reads them off sigma^(2n)'s and sigma^(3n)'s own columns, and its
+    points in GF(2^n) = GF(2^(2n)) & GF(2^(3n)) solve those two systems
+    stacked.
+    """
+    n, m = ctx.n, ctx.big_degree
+    x0, basis = coset
+    vecs = (x0, *basis)
+    moved = {}
+    if len(vecs) * max(js) < m:
+        cols, images = ctx._frob_cols(n), vecs
+        for j in range(1, max(js) + 1):
+            images = [_apply_cols(cols, v) for v in images]
+            moved[j] = [a ^ v for a, v in zip(images, vecs)]
+    else:
+        for j in (2, 3) if 1 in js else js:
+            cols = ctx._frob_cols(j * n)
+            moved[j] = [_apply_cols(cols, v) ^ v for v in vecs]
+        if 1 in js:
+            moved[1] = [a << m | b for a, b in zip(moved[2], moved[3])]
+    return {j: _size(solve_affine_linearized(moved[j][1:], moved[j][0])) for j in js}
+
+
 def root_count_oracle(ctx: Tower, which: str) -> RootCounts:
     """Count roots of one of the named equations, splitting by subfield.
 
-    Every count is a rank. The zeros in GF(2^(jn)) of a GF(2)-linear map,
-    set equal to rhs, solve one stacked GF(2) system, the map beside
-    x^(2^(jn)) + x = 0, so they number 0 or 2^(kernel dimension). The
-    affine-linearized equations, each x^(2^k) + x = rhs, are counted so
-    directly; the whole field (j = 6) goes first, and without a root there
-    the subfields are not solved.
+    Every count is a rank. A GF(2)-linear map set equal to rhs is solved
+    once over GF(2^(6n)) (`solve_affine_linearized`), as a coset
+    x0 + span(k_1..k_d) or none; its points in GF(2^(jn)) are those where
+    sigma^(jn) + id vanishes, 0 or 2^(kernel dimension) of a system in d
+    unknowns (`_coset_points`). The affine-linearized equations, each
+    x^(2^k) + x = rhs with d = gcd(k, 6n), are counted so directly, and
+    without a root in the whole field the subfields are not solved.
 
     eq_41, f(x) = x^(q^2+1) + x + 1 with q = 2^n, is counted through
     L(z) = z^(q^4) + z^(q^2) + z: L(z)/z = f(z^(q^2-1)), and L is
     GF(q^2)-linear, so the q^2 - 1 nonzero multiples of a kernel element
     give one root, and every root in GF(2^(6n)) has norm 1 to GF(q^2), so
     it is reached. In GF(2^(3n)), y = 1/x turns f into y^(q+1) + y + 1,
-    counted the same way by z^(q^2) + z^q + z with unit q - 1. In GF(2^(2n))
-    and GF(2^n), f is x^2 + x + 1, counted as x^2 + x = 1. See Bluher,
+    counted the same way by the points of ker(z^(q^2) + z^q + z) in
+    GF(2^(3n)), with unit q - 1. In GF(2^(2n)) and GF(2^n), f is
+    x^2 + x + 1, counted as the points of x^2 + x = 1 there. See Bluher,
     "On x^(q+1) + ax + b", Finite Fields Appl. 10 (2004).
     """
     _roots_cost_check(ctx.n, which)
     n, m = ctx.n, ctx.big_degree
 
-    def count(cols: Sequence[int], rhs: int, j: int) -> int:
-        sub = ctx._frob_plus_id_cols(j * n)  # all zero at j = 6
-        coset = solve_affine_linearized([c | s << m for c, s in zip(cols, sub)], rhs)
-        return 0 if coset is None else 1 << len(coset[1])
-
     if which == "eq_41":
-        def kernel_lines(k: int, j: int) -> int:
-            """(|ker L| - 1)/(2^k - 1) in GF(2^(jn)), L(z) = z^(2^(2k)) + z^(2^k) + z."""
+        def kernel(k: int) -> tuple[int, tuple[int, ...]]:
+            """ker L in GF(2^(6n)) as the coset (0, basis), L(z) = z^(2^(2k)) + z^(2^k) + z."""
             cols = [a ^ b ^ (1 << i) for i, (a, b)
                     in enumerate(zip(ctx._frob_cols(2 * k), ctx._frob_cols(k)))]
-            nonzero, unit = count(cols, 0, j) - 1, (1 << k) - 1
+            return solve_affine_linearized(cols, 0)
+
+        def lines(points: int, k: int, j: int) -> int:
+            """(points - 1)/(2^k - 1): the roots given by the nonzero points
+            of ker L in GF(2^(jn))."""
+            nonzero, unit = points - 1, (1 << k) - 1
             if nonzero % unit:
                 raise ConsistencyError(
                     f"eq_41: {nonzero} nonzero kernel elements in GF(2^{j * n}), "
                     f"not a multiple of 2^{k} - 1")
             return nonzero // unit
 
-        quadratic = ctx._frob_plus_id_cols(1)  # x^2 + x = 1
-        return _by_subfield(which, {6: kernel_lines(2 * n, 6), 3: kernel_lines(n, 3),
-                                    2: count(quadratic, 1, 2),
-                                    1: count(quadratic, 1, 1)})
+        total = lines(_size(kernel(2 * n)), 2 * n, 6)
+        in_3n = lines(_coset_points(ctx, kernel(n), (3,))[3], n, 3)
+        quadratic = solve_affine_linearized(ctx._frob_plus_id_cols(1), 1)  # x^2 + x = 1
+        return _by_subfield(which, {6: total, 3: in_3n,
+                                    **_coset_points(ctx, quadratic, (1, 2))})
     k, rhs = {"eq_3n": (3 * n, 1), "eq_2n_affine": (2 * n, 1),
               "eq_deg8": (3, 1), "fixed_field_64": (6, 0)}[which]
-    cols = ctx._frob_plus_id_cols(k)
-    total = count(cols, rhs, 6)
+    coset = solve_affine_linearized(ctx._frob_plus_id_cols(k), rhs)
+    total = _size(coset)
     kernel_dim = math.gcd(k, m)  # the kernel is GF(2^gcd(k, 6n))
     if total not in (0, 1 << kernel_dim):
         raise ConsistencyError(f"{which}: {total} solutions, not 0 or 2^{kernel_dim}")
     if not total:
         return RootCounts(which, 0, 0, 0, 0)
-    return _by_subfield(which, {6: total, 1: count(cols, rhs, 1), 2: count(cols, rhs, 2),
-                                3: count(cols, rhs, 3)})
+    return _by_subfield(which, {6: total, **_coset_points(ctx, coset, (1, 2, 3))})
 
 
 def permutation_cycles(perm: Sequence[int]) -> list[tuple[int, ...]]:

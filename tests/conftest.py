@@ -283,26 +283,36 @@ def enumerated_root_counts(ctx, which):
                       int(in2.sum()), int(in3.sum()))
 
 
-@functools.lru_cache(maxsize=None)
-def eq41_counts_by_gcd(n):
-    """Root tallies of P = x^(2^(2n)+1) + x + 1 from GF(2) polynomial gcds, the
-    oracle for the rank route of eq_41; they depend on n only.
+# P over GF(2) whose roots are an equation's, n -> P; each is squarefree
+GCD_POLYNOMIALS = {
+    "eq_41": lambda n: (1 << (1 << 2 * n) + 1) | 0b11,  # x^(2^(2n)+1) + x + 1
+    "eq_deg8": lambda n: 0x103,  # x^8 + x + 1, P' = 1
+    "fixed_field_64": lambda n: (1 << 64) | 0b10,  # x^64 + x, P' = 1
+}
 
-    P' = x^(2^(2n)) + 1 is coprime to P, so P is squarefree and has exactly
+
+@functools.lru_cache(maxsize=None)
+def root_counts_by_gcd(which, n):
+    """Root tallies of `which` from GF(2) polynomial gcds, the oracle for
+    the rank route; they depend on n only.
+
+    P (`GCD_POLYNOMIALS`) is coprime to its derivative, the odd-degree
+    terms of P each lowered by one, so it is squarefree and has exactly
     deg gcd(P, x^(2^k) + x) roots in GF(2^k). One chain of 6n squarings
-    mod P gives x^(2^k) for k = n, 2n, 3n and 6n. The degree of P is
-    2^(2n) + 1, so this takes 1.6 s at n = 8.
+    mod P gives x^(2^k) for k = n, 2n, 3n and 6n. eq_41's P has degree
+    2^(2n) + 1, so it takes 1.6 s at n = 8; the two of degree 8 and 64
+    take under a millisecond at n = 127.
     """
-    e = 1 << 2 * n
-    p = (1 << e + 1) | 0b11
-    assert gf2poly.gcd(p, (1 << e) | 1) == 1, "P is not squarefree"
+    p = GCD_POLYNOMIALS[which](n)
+    derivative = (p >> 1) & int("01" * p.bit_length(), 2)
+    assert gf2poly.gcd(p, derivative) == 1, "P is not squarefree"
     roots = {}
     r = 0b10
     for k in range(1, 6 * n + 1):
         r = gf2poly.mod(gf2poly.square(r), p)
         if k % n == 0:
             roots[k // n] = gf2poly.degree(gf2poly.gcd(p, r ^ 0b10))
-    return RootCounts("eq_41", roots[6], roots[6] - roots[2] - roots[3] + roots[1],
+    return RootCounts(which, roots[6], roots[6] - roots[2] - roots[3] + roots[1],
                       roots[2], roots[3])
 
 

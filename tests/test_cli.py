@@ -710,7 +710,8 @@ def test_usage_error_leaves_the_shared_parser_working(capsys, fresh_parser):
 # ------------------------------------------- one parse, by the subcommand's parser
 
 # the help texts as the top-level parser printed them before requests went
-# straight to their subcommand's parser, at 80 columns
+# straight to their subcommand's parser, at 80 columns; the roots line has
+# since named its reach above n = 16, the primes only
 TOP_HELP = """\
 usage: goppa-orbits [-h] {bound,census,fixed,roots,code,equiv} ...
 
@@ -723,7 +724,8 @@ positional arguments:
     census              full orbit census (n <= 7)
     fixed               fixed-orbit counts per Frobenius power (n <= 701;
                         oracle n <= 7)
-    roots               root-count oracles for the named equations (n <= 127)
+    roots               root-count oracles for the named equations (n <= 16 or
+                        a prime n <= 127)
     code                build the binary code of a degree-6 element (n <= 11)
     equiv               verify extended-code equivalence under a map (n <= 11)
 

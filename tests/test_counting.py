@@ -16,12 +16,12 @@ from conftest import (
     class_ranks,
     cross_ratio_oracle,
     enumerated_root_counts,
-    eq41_counts_by_gcd,
     fixed_orbit_representatives,
     least_rotation_by_five_passes,
     load_bench_run,
     low_field_class_elements,
     records_digest,
+    root_counts_by_gcd,
     subfield_span_array,
 )
 from goppa_orbits import counting, gf2poly, make_tower, mobius, scan
@@ -629,12 +629,12 @@ def test_eq41_matches_exhaustive_sweep_n3(tower3):
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_eq41_rank_equals_gcd_oracle(n):
-    assert root_count_oracle(make_tower(n), "eq_41") == eq41_counts_by_gcd(n)
+    assert root_count_oracle(make_tower(n), "eq_41") == root_counts_by_gcd("eq_41", n)
 
 
 @pytest.mark.slow
 def test_eq41_rank_equals_gcd_oracle_n8():
-    assert root_count_oracle(make_tower(8), "eq_41") == eq41_counts_by_gcd(8)
+    assert root_count_oracle(make_tower(8), "eq_41") == root_counts_by_gcd("eq_41", 8)
 
 
 @pytest.mark.parametrize("n, base, big", [
@@ -646,7 +646,7 @@ def test_eq41_rank_is_the_same_under_other_moduli(n, base, big):
         return None if exps is None else gf2poly.from_exponents([int(e) for e in exps.split(",")])
 
     ctx = make_tower(n, modulus_base=modulus(base), modulus_big=modulus(big))
-    assert root_count_oracle(ctx, "eq_41") == eq41_counts_by_gcd(n)
+    assert root_count_oracle(ctx, "eq_41") == root_counts_by_gcd("eq_41", n)
 
 
 @pytest.mark.parametrize("n", PRIMES_TO_127)
@@ -663,6 +663,36 @@ def test_root_lemmas_at_every_prime_to_the_tower_cap(monkeypatch, n):
     for which in counting.ROOT_EQUATIONS:
         assert root_count_oracle(ctx, which).in_degree_six == counting.ROOT_EXPECTED[which](n), (
             which)
+    for which in GCD_SPLITS:
+        assert root_count_oracle(ctx, which) == root_counts_by_gcd(which, n), which
+
+
+# the equations whose gcd oracle stays small at any n: P of degree 8 and 64
+GCD_SPLITS = ("eq_deg8", "fixed_field_64")
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_subfield_splits_equal_the_gcd_oracle(n):
+    """Every tally, the subfield splits too, of the two equations with a
+    small squarefree P, on every tower with n <= 16."""
+    ctx = make_tower(n)
+    for which in GCD_SPLITS:
+        assert root_count_oracle(ctx, which) == root_counts_by_gcd(which, n), which
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_root_counts_build_only_the_column_tables_they_read(n):
+    """On a fresh tower, x^(2^k) + x = rhs builds sigma^k's columns and,
+    only when it has roots, sigma^n's (a coset of d + 1 vectors, 3(d + 1) <
+    6n) or sigma^(2n)'s and sigma^(3n)'s, never all three; eq_2n_affine has
+    no roots. eq_41 reads its two kernels' columns, sigma^(3n)'s for the
+    points of the smaller one in GF(2^(3n)), and the squaring's."""
+    tables = {"eq_3n": {3 * n, 2 * n}, "eq_2n_affine": {2 * n}, "eq_deg8": {3, n},
+              "fixed_field_64": {6, n}, "eq_41": {1, n, 2 * n, 3 * n, 4 * n}}
+    for which, keys in tables.items():
+        ctx = make_tower(n)
+        root_count_oracle(ctx, which)
+        assert set(ctx._frob_cache) == {0} | keys, which
 
 
 def test_root_oracle_rejects_unknown(tower2):
