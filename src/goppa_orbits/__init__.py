@@ -10,7 +10,7 @@ Library layout:
   classes.
 - codes: Goppa and extended code construction as binary codes, on
   projective supports, and permutation-equivalence verification.
-- counting: closed-form fixed-point counts, the averaged orbit bound, and
+- counting: the closed-form fixed-point count, the averaged orbit count, and
   the independent oracles (census, fixed points, root counts); the census
   and fixed-point oracle scan affine classes, the points of P^4(GF(2^n)),
   keyed by the cross-ratio, an orbit invariant, and the root counts are
@@ -44,8 +44,8 @@ from .counting import (
     InfeasibleError,
     OrbitCensus,
     burnside_bound,
-    closed_form_fixed_points,
     fixed_point_oracle,
+    fixed_points_for_power,
     global_orbit_census,
     root_count_oracle,
 )
@@ -57,7 +57,7 @@ __all__ = [
     "SemiLinearMap", "make_map", "apply_map", "infinity", "random_degree_six",
     "BinaryCode", "goppa_code", "extended_goppa_code", "extend_code",
     "check_extended_equivalence", "weight_enumerator",
-    "burnside_bound", "closed_form_fixed_points", "fixed_point_oracle",
+    "burnside_bound", "fixed_points_for_power", "fixed_point_oracle",
     "global_orbit_census", "root_count_oracle",
     "OrbitCensus", "InfeasibleError",
 ]

@@ -125,13 +125,8 @@ def cmd_census(args) -> int:
     if census.records and max(rep for rep, _ in census.records) >= ctx.order:
         raise ValueError("encoding out of range")
     spec = f"0{ctx.hex_width}x"
-    bound = match = None
-    note = ""
-    if counting.has_closed_forms(args.n):
-        bound = counting.burnside_bound(args.n)
-        match = census.orbit_count == bound
-    else:
-        note = " (n outside the closed-form hypotheses; census only)"
+    bound = counting.burnside_bound(args.n)
+    match = census.orbit_count == bound
     sizes = census.orbit_sizes
     obj = {
         "n": census.n,
@@ -150,15 +145,14 @@ def cmd_census(args) -> int:
     }
     lines = [
         f"n = {args.n}: {census.orbit_count} semi-linear orbits on "
-        f"{census.elements_visited} degree-6 elements{note}",
+        f"{census.elements_visited} degree-6 elements",
         f"linear orbits: {census.pgl_orbit_count}; histogram (size: count): "
         + ", ".join(f"{s}: {c}" for s, c in sizes),
         f"workers = {args.workers}, elapsed {census.elapsed_ms:.1f} ms",
+        f"bound = {bound}: {'MATCH' if match else 'MISMATCH'}",
     ]
-    if bound is not None:
-        lines.append(f"bound = {bound}: {'MATCH' if match else 'MISMATCH'}")
     _emit(args, "census", obj, lines)
-    return EXIT_OK if match is not False else EXIT_MISMATCH
+    return EXIT_OK if match else EXIT_MISMATCH
 
 
 def cmd_fixed(args) -> int:

@@ -41,8 +41,8 @@ _SCHEMAS: dict[str, dict] = {
         "orbits": list,
         "workers": _INT,
         "elapsed_ms": _NUM,
-        "bound": _opt(_INT),
-        "match": _opt(_BOOL),
+        "bound": _INT,
+        "match": _BOOL,
     },
     "fixed": {
         "n": _INT,

@@ -5,6 +5,7 @@ import functools
 import hashlib
 import importlib.util
 import json
+import math
 from itertools import combinations
 from pathlib import Path
 
@@ -314,6 +315,147 @@ def root_counts_by_gcd(which, n):
             roots[k // n] = gf2poly.degree(gf2poly.gcd(p, r ^ 0b10))
     return RootCounts(which, roots[6], roots[6] - roots[2] - roots[3] + roots[1],
                       roots[2], roots[3])
+
+
+# -------------------------------------------------------- fixed-point counts
+
+
+def paper_fixed_points(n):
+    """The paper's fixed-point counts at a prime n > 3, keyed by the order
+    6n / gcd(d, 6n) of the Galois element sigma^d: the table that
+    `counting.fixed_points_for_power` must reduce to there."""
+    return {1: (1 << 3 * n) + (1 << n) - 1, 2: (1 << 2 * n) - 1, 3: (1 << n) - 2,
+            6: 0, n: 9, 2 * n: 3, 3 * n: 0, 6 * n: 0}
+
+
+def divisors(k):
+    """The divisors of k >= 1, ascending."""
+    low = [d for d in range(1, math.isqrt(k) + 1) if k % d == 0]
+    return sorted({*low, *(k // d for d in low)})
+
+
+def moebius(k):
+    """The Moebius function: 0 unless k is squarefree, else (-1)^(number of
+    its prime factors)."""
+    primes = gf2poly._prime_factors(k)
+    return 0 if any(k % (p * p) == 0 for p in primes) else (-1) ** len(primes)
+
+
+def orbit_counts_by_moebius(n):
+    """N(t), the number of semi-linear orbits holding t linear orbits, as
+    the census's (t, N(t)) pairs with N(t) > 0, ascending, from the closed
+    form by Moebius inversion: sigma^d fixes the t linear orbits of an
+    orbit exactly when t | d, so sum_{t | d} t N(t) = L(d) and
+    t N(t) = sum_{d | t} moebius(t/d) L(d). An error in any one term of L
+    shows as a remainder or a negative count, which fails an assertion."""
+    divs = divisors(6 * n)
+    counts = []
+    for t in divs:
+        weighted = sum(moebius(t // d) * counting.fixed_points_for_power(n, d)
+                       for d in divs if t % d == 0)
+        count, rest = divmod(weighted, t)
+        assert rest == 0 and count >= 0, f"N({t}) = {weighted}/{t} at n = {n}"
+        if count:
+            counts.append((t, count))
+    return tuple(counts)
+
+
+def primitive_modulus(d):
+    """The least primitive polynomial of degree d over GF(2)."""
+    p = (1 << d) | 1
+    while not (gf2poly.is_irreducible(p) and gf2poly.is_generator(p)):
+        p += 2
+    return p
+
+
+class TwistedNorm:
+    """The twisted-norm test of mu in GF(2^d): whether B B^s B^(s^2) ...
+    B^(s^5) is scalar, with B = [[0, mu], [1 + mu, mu]] and s the 2^n-power
+    applied to each entry. mu is the cross-ratio of a degree-6 element
+    exactly when mu is not 0 or 1 and the product is scalar (Lang's
+    theorem), so for d | 6n `count` is L(d), the number of linear orbits
+    fixed by sigma^d. Shares no code with `counting` or the scan: the field
+    is GF(2)[y]/(m) for the least primitive m of degree d (`gf2poly`), its
+    elements held in numpy arrays.
+    """
+
+    def __init__(self, n, d):
+        self.d, self.m = d, primitive_modulus(d)
+        self.top = (1 << d) - 1
+        self.square, self.s = self._frobenius(1), self._frobenius(n)
+        self._reduce = self._linear([gf2poly.mod(1 << d + i, self.m) for i in range(d - 1)])
+
+    @staticmethod
+    def _linear(images):
+        """The GF(2)-linear map sending y^i to images[i], a byte at a time."""
+        byte = np.arange(256)
+        tables = []
+        for j in range(0, len(images), 8):
+            table = np.zeros(256, np.int64)
+            for i, image in enumerate(images[j:j + 8]):
+                table[byte >> i & 1 == 1] ^= image
+            tables.append(table)
+        return lambda v: functools.reduce(
+            np.bitwise_xor, [table[v >> 8 * j & 255] for j, table in enumerate(tables)])
+
+    def _frobenius(self, e):
+        """x -> x^(2^e)."""
+        images = []
+        for i in range(self.d):
+            x = 1 << i
+            for _ in range(e):
+                x = gf2poly.mod(gf2poly.square(x), self.m)
+            images.append(x)
+        return self._linear(images)
+
+    def mul(self, a, b):
+        product = functools.reduce(
+            np.bitwise_xor, [(a << i) & -(b >> i & 1) for i in range(self.d)])
+        return product & self.top ^ self._reduce(product >> self.d)
+
+    def member(self, mu):
+        """Whether the product is scalar at each mu, 0 and 1 included."""
+        zero, one = np.zeros_like(mu), np.ones_like(mu)
+
+        def b(c):
+            """The entries of B at mu = c, row by row."""
+            return zero, c, one ^ c, c
+
+        product, conjugate = b(mu), mu
+        for _ in range(5):
+            conjugate = self.s(conjugate)
+            (w, x, y, z), (b00, b01, b10, b11) = product, b(conjugate)
+            product = (self.mul(w, b00) ^ self.mul(x, b10), self.mul(w, b01) ^ self.mul(x, b11),
+                       self.mul(y, b00) ^ self.mul(z, b10), self.mul(y, b01) ^ self.mul(z, b11))
+        w, x, y, z = product
+        return (x == 0) & (y == 0) & (w == z)
+
+    def count(self, chunk=1 << 18):
+        """The members outside {0, 1}. Squaring permutes them, since it
+        commutes with s and keeps a scalar matrix scalar, so each mu = y^k
+        is tested once per cyclotomic coset {k 2^r mod 2^d - 1}, whose
+        members are the rotations of k's d bits: at its least member,
+        counted with the size of the coset."""
+        d, top = self.d, self.top
+
+        def rotate(k, r):
+            return (k << r | k >> d - r) & top
+
+        count = 0
+        for start in range(1, top, chunk):  # k = 0 is mu = 1
+            k = np.arange(start, min(start + chunk, top), dtype=np.int64)
+            for r in range(1, d):
+                k = k[k <= rotate(k, r)]
+            size = np.full(k.size, d)
+            for r in range(d - 1, 0, -1):
+                size[rotate(k, r) == k] = r
+            mu = np.ones_like(k)  # y^k, from k's top bit down
+            for bit in range(d - 1, -1, -1):
+                mu = self.square(mu)
+                up = mu << 1
+                mu = np.where(k >> bit & 1, up ^ (up >> d) * self.m, mu)
+            count += int(size[self.member(mu)].sum())
+        return count
 
 
 # ------------------------------------------------------------------- orbits

@@ -15,6 +15,7 @@ from conftest import (
     eval_poly,
     fixed_orbit_representatives,
     multipliers,
+    paper_fixed_points,
     stacked_columns,
     transform_polynomial,
 )
@@ -51,12 +52,7 @@ def test_criterion_1_bound_reproduction():
         numerator = burnside_numerator(n)
         assert phi_sum == numerator
         assert numerator % (6 * n) == 0
-        orders = {r["order"]: r for r in rows}
-        assert orders[1]["fixed_points"] == (1 << 3 * n) + (1 << n) - 1
-        assert orders[2]["fixed_points"] == (1 << 2 * n) - 1
-        assert orders[3]["fixed_points"] == (1 << n) - 2
-        assert orders[n]["fixed_points"] == 9
-        assert orders[2 * n]["fixed_points"] == 3
+        assert {r["order"]: r["fixed_points"] for r in rows} == paper_fixed_points(n)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     _pass(1, f"bounds 1131/50333 and exact divisor sums for primes 5..61 "

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,8 +10,10 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import load_bench_run, records_digest
+from conftest import load_bench_run, orbit_counts_by_moebius, records_digest
 from goppa_orbits import cli, codes, counting, make_tower, schema
 from goppa_orbits.cli import main
 from goppa_orbits.counting import (
@@ -112,8 +116,19 @@ def test_census_small(capsys):
     code, obj, _ = run_json(capsys, "census", "census", "--n", "2", "--json")
     assert code == 0
     assert obj["orbit_count"] == 8
-    assert obj["match"] is None  # outside the closed-form hypotheses
+    assert (obj["bound"], obj["match"]) == (8, True)
     assert obj["elements_visited"] == 4020
+
+
+def test_census_exits_1_when_its_count_misses_the_closed_form(capsys, monkeypatch):
+    """L(6n) raised by 6n raises the closed-form count by one."""
+    fixed = counting.fixed_points_for_power
+    monkeypatch.setattr(counting, "fixed_points_for_power",
+                        lambda n, d: fixed(n, d) + 6 * n * (d == 6 * n))
+    code, out, err = run(capsys, "census", "--n", "2")
+    assert (code, err) == (1, "") and out.endswith("\nbound = 9: MISMATCH\n")
+    code, obj, _ = run_json(capsys, "census", "census", "--n", "2", "--json")
+    assert (code, obj["orbit_count"], obj["bound"], obj["match"]) == (1, 8, 9, False)
 
 
 def test_census_text_mode_prints_the_elapsed_milliseconds(capsys):
@@ -228,18 +243,19 @@ def test_closed_pipe_ends_with_one_line(tmp_path):
 
 
 @pytest.mark.slow
-def test_census_n6_has_no_bound(capsys):
-    """n = 6 prints no bound; its records are pinned by a sha256 recorded
-    from the visited-bit sweep the cross-ratio scan replaced."""
+def test_census_n6_matches_the_closed_form(capsys):
+    """n = 6 prints a MATCH against the closed form's 7405; its records are
+    pinned by a sha256 recorded from the visited-bit sweep the cross-ratio
+    scan replaced, and its histogram is N(t) by Moebius inversion."""
     code, out, _ = run(capsys, "census", "--n", "6")
     assert code == 0
-    assert "(n outside the closed-form hypotheses; census only)" in out
-    assert "bound" not in out
-    records = counting._sweep(make_tower(6)).records  # the census just cached
-    assert records_digest(make_tower(6), records) == (
+    assert out.endswith("\nbound = 7405: MATCH\n")
+    census = counting._sweep(make_tower(6))  # the census just cached
+    assert records_digest(make_tower(6), census.records) == (
         "44ff532a395f3bfd3e90263d2525fd089af647b2e7c1629b159717b0bc3b9f14")
-    assert len(records) == 7405
-    assert Counter(t for _, t in records) == {36: 7168, 18: 224, 12: 5, 9: 7, 4: 1}
+    assert len(census.records) == 7405
+    assert Counter(t for _, t in census.records) == {36: 7168, 18: 224, 12: 5, 9: 7, 4: 1}
+    assert census.t_counts == orbit_counts_by_moebius(6)
 
 
 def test_fixed_single_power(capsys):
@@ -845,3 +861,69 @@ def test_fixed_table_needs_no_n(capsys):
     for argv, flag in ((["fixed", "--d", "6"], "--n"), (["fixed", "--n", "5"], "--d"),
                        (["fixed", "--json"], "--n")):
         assert run(capsys, *argv) == (2, "", f"error: {flag} is required without --table\n")
+
+
+# the values of each option that parse, then those that do not; n stays at
+# most 5 where a census could run, or is one that every command refuses
+_OPTION_VALUES = {
+    "--n": (("-1", "0", "1", "2", "3", "4", "5", "12", "709", "5000"), ("x", "")),
+    "--d": (("-7", "0", "1", "6", "13"), ("x",)),
+    "--nmax": (("-1", "4", "13", "701", "709"), ("x",)),
+    "--which": (counting.ROOT_EQUATIONS, ("eq_x",)),
+    "--alpha": (("random", "0", "1f", "zz", ""), ()),
+    "--map": (("random", "1,0,0,1;0", "1,1,1,0;5", "1,2", ""), ()),
+    "--seed": (("0", "1", "-3"), ("x",)),
+    "--workers": (("0", "1", "2"), ("x",)),
+    "--modulus-base": (("5,2,0", "5,3,0", "3_0", "2,2", ""), ()),
+    "--modulus-big": (("30,29,0", "24,16,3,1,0", "12,9,7,4,3,1,0", "99", ""), ()),
+}
+_MODULUS_FLAGS = ("--modulus-base", "--modulus-big")
+# each command's required options, then its optional ones
+_COMMAND_OPTIONS = {
+    "bound": (("--n",), ("--json",)),
+    "census": (("--n",), ("--json", "--workers", *_MODULUS_FLAGS)),
+    "fixed": ((), ("--n", "--d", "--json", "--table", "--nmax", *_MODULUS_FLAGS)),
+    "roots": (("--n", "--which"), ("--json", *_MODULUS_FLAGS)),
+    "code": (("--n", "--alpha"), ("--seed", "--extended", "--json", *_MODULUS_FLAGS)),
+    "equiv": (("--n", "--alpha", "--map"), ("--seed", "--json", *_MODULUS_FLAGS)),
+}
+
+
+@st.composite
+def argvs(draw):
+    """A command, or none, or an unknown one, then its required options and
+    some of its optional ones in any order, each with a value that parses
+    eleven times in twelve, and once in eight an option no command has, or
+    -h."""
+    command = draw(st.sampled_from([*_COMMAND_OPTIONS, "nosuchcommand", None]))
+    argv = [] if command is None else [command]
+    required, optional = _COMMAND_OPTIONS.get(command, ((), ()))
+    chosen = [*required, *(flag for flag in optional if draw(st.booleans()))]
+    for flag in draw(st.permutations(chosen)):
+        argv.append(flag)
+        if flag in _OPTION_VALUES:
+            parses, fails = _OPTION_VALUES[flag]
+            pool = fails if fails and not draw(st.integers(0, 11)) else parses
+            argv.append(draw(st.sampled_from(pool)))
+    if not draw(st.integers(0, 7)):
+        argv.append(draw(st.sampled_from(("--bogus", "-h"))))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs())
+def test_any_argv_ends_with_a_documented_exit_and_at_most_one_line(argv):
+    """Any argv ends with exit 0, 1, 2 or 3 and at most one line on stderr,
+    or with argparse's own usage exit (2, or 0 for help), never with a
+    traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+            assert code in (0, 2) and (code == 2) == err.getvalue().startswith("usage: "), argv
+        else:
+            assert code in (0, 1, 2, 3), argv
+            assert len(err.getvalue().splitlines()) == (code in (2, 3)), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -9,17 +9,21 @@ from hypothesis import strategies as st
 
 from conftest import (
     LINEAR_EQUATIONS,
+    TwistedNorm,
     canonical_orbit_rep,
     class_coordinates,
     class_elements,
     class_equation_oracle,
     class_ranks,
     cross_ratio_oracle,
+    divisors,
     enumerated_root_counts,
     fixed_orbit_representatives,
     least_rotation_by_five_passes,
     load_bench_run,
     low_field_class_elements,
+    orbit_counts_by_moebius,
+    paper_fixed_points,
     records_digest,
     root_counts_by_gcd,
     subfield_span_array,
@@ -30,7 +34,6 @@ from goppa_orbits.counting import (
     burnside_bound,
     burnside_decomposition,
     burnside_numerator,
-    closed_form_fixed_points,
     euler_phi,
     fixed_point_oracle,
     fixed_points_for_power,
@@ -41,6 +44,7 @@ from goppa_orbits.gf2tower import Tower
 
 PRIMES_TO_61 = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
 PRIMES_TO_127 = [n for n in range(5, 128) if counting.is_prime(n)]
+PRIMES_TO_701 = [n for n in range(5, 702) if counting.is_prime(n)]
 
 
 # ------------------------------------------------------------- closed forms
@@ -51,42 +55,54 @@ def test_euler_phi_values():
 
 
 def test_closed_forms_at_n5():
-    assert closed_form_fixed_points(5, 1) == (1 << 15) + (1 << 5) - 1 == 32799
-    assert closed_form_fixed_points(5, 2) == 1023
-    assert closed_form_fixed_points(5, 3) == 30
-    assert closed_form_fixed_points(5, 6) == 0
-    assert closed_form_fixed_points(5, 5) == 9
-    assert closed_form_fixed_points(5, 10) == 3
-    assert closed_form_fixed_points(5, 15) == 0
-    assert closed_form_fixed_points(5, 30) == 0
+    """Every power d of sigma at n = 5, 0 and 6n included, against the
+    paper's table, keyed by the order of sigma^d."""
+    assert {30 // math.gcd(d, 30): fixed_points_for_power(5, d) for d in range(31)} == (
+        paper_fixed_points(5))
+
+
+def test_closed_forms_reduce_to_the_papers_table_at_every_prime_to_701():
+    """At every prime 5 <= n <= 701, F is the paper's table term by term,
+    and the phi-sum of its terms is the paper's numerator."""
+    for n in PRIMES_TO_701:
+        rows = burnside_decomposition(n)
+        assert {r["order"]: r["fixed_points"] for r in rows} == paper_fixed_points(n), n
+        assert sum(r["term"] for r in rows) == burnside_numerator(n), n
 
 
 def test_closed_forms_reject_bad_inputs():
-    for bad_n in (2, 3, 4, 9):
-        with pytest.raises(ValueError):
-            closed_form_fixed_points(bad_n, 1)
-    with pytest.raises(ValueError):
-        closed_form_fixed_points(5, 4)
+    """F and its average take any n >= 1; the paper's numerator, which
+    `bound` and `fixed --table` check the sum against, only a prime n > 3."""
+    for bad_n in (0, -5):
+        for count in (lambda n: fixed_points_for_power(n, 1), burnside_bound):
+            with pytest.raises(ValueError, match=f"^n must be positive, got {bad_n}$"):
+                count(bad_n)
+    for n in (1, 2, 3, 4, 9):
+        with pytest.raises(ValueError, match="^closed forms require a prime n greater than 3$"):
+            counting._burnside(n)
 
 
 def test_the_papers_hypotheses_have_one_test(monkeypatch, capsys):
     """`has_closed_forms` is the paper's prime n > 3, and every reader of the
-    hypotheses goes by it: with it patched to refuse n = 5, the closed forms
-    raise there, and `census`, `fixed` and `roots` report no closed form and
-    `fixed --table` no row."""
+    hypotheses goes by it: with it patched to refuse n = 5, the paper's
+    numerator is refused there, `fixed` and `roots` report no closed form
+    and `fixed --table` no row. `census` does not read it: its count holds
+    for every n."""
     from goppa_orbits import cli
 
     assert [n for n in range(-3, 62) if counting.has_closed_forms(n)] == PRIMES_TO_61
     monkeypatch.setattr(counting, "has_closed_forms", lambda n: n in (7, 11))
     with pytest.raises(ValueError, match="^closed forms require a prime n greater than 3$"):
-        closed_form_fixed_points(5, 1)
+        counting._burnside(5)
+    assert cli.main(["bound", "--n", "5"]) == cli.EXIT_USAGE
     fields = {"census": ["bound", "match"], "fixed": ["closed_form", "match"],
               "roots": ["expected_in_degree_six", "match"]}
+    expected = {"census": [1131, True], "fixed": [None, None], "roots": [None, None]}
     for argv in (["census", "--n", "5"], ["fixed", "--n", "5", "--d", "6"],
                  ["roots", "--n", "5", "--which", "eq_deg8"]):
         assert cli.main([*argv, "--json"]) == 0, argv
         obj = json.loads(capsys.readouterr().out)
-        assert [obj[key] for key in fields[argv[0]]] == [None, None], argv
+        assert [obj[key] for key in fields[argv[0]]] == expected[argv[0]], argv
     assert cli.main(["fixed", "--table", "--nmax", "11", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["n_values"] == [7, 11]
 
@@ -117,23 +133,87 @@ def test_burnside_exact_division_through_61():
 
 
 def test_burnside_refuses_a_divisor_sum_off_the_closed_form(monkeypatch, capsys):
-    """The bound, the `bound` report and each `fixed --table` row check the
-    phi-sum of their one decomposition against the closed-form numerator."""
+    """The `bound` report and each `fixed --table` row check the phi-sum of
+    their one decomposition against the paper's numerator, and the orbit
+    count checks that 6n divides it."""
     from goppa_orbits import cli
 
     rows = burnside_decomposition(5)
     rows[0]["term"] += 1
     monkeypatch.setattr(counting, "burnside_decomposition", lambda n: rows)
     with pytest.raises(counting.ConsistencyError, match="differs from closed form"):
+        counting._burnside(5)
+    with pytest.raises(counting.ConsistencyError, match="^closed form not divisible by 6n at n=5$"):
         burnside_bound(5)
     for argv in (["bound", "--n", "5", "--json"], ["fixed", "--n", "5", "--table", "--json"]):
         assert cli.main(argv) == cli.EXIT_MISMATCH
     assert capsys.readouterr().out == ""
 
 
-def test_burnside_rejects_composite():
-    with pytest.raises(ValueError):
-        burnside_bound(9)
+def test_burnside_bound_serves_every_n():
+    """The orbit count at composite and small n: the census's counts at
+    n = 2..7, and the n = 8 count that the census would have to find."""
+    assert [burnside_bound(n) for n in range(2, 9)] == [8, 33, 185, 1131, 7405, 50333, 350919]
+
+
+def test_orbit_counts_by_moebius_are_nonnegative_integers_to_701():
+    """N(t) from F by Moebius inversion is a non-negative integer at every
+    n = 2..701, and the N(t) add up to the orbit count."""
+    for n in range(2, 702):
+        assert sum(count for _, count in orbit_counts_by_moebius(n)) == burnside_bound(n), n
+
+
+def test_census_histogram_equals_the_orbit_counts_by_moebius(tower2, tower3, tower5):
+    for ctx in (tower2, tower3, make_tower(4), tower5):
+        assert counting._sweep(ctx).t_counts == orbit_counts_by_moebius(ctx.n), ctx.n
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_twisted_norm_counts_equal_the_closed_form(n):
+    """Every d <= 16 dividing 6n, which beyond the census's n <= 7 reaches
+    every branch of F: e = 2 with odd g at n = 9 (d = 2) and even g at
+    n = 8 (d = 16), e = 3 at n = 8 (d = 12) and e = 6 at n = 10 (d = 12)."""
+    got = {d: TwistedNorm(n, d).count() for d in divisors(6 * n) if d <= 16}
+    assert got == {d: fixed_points_for_power(n, d) for d in got}
+
+
+def test_twisted_norm_counts_equal_the_census_oracle(tower2, tower3):
+    """At n = 2 and 3 the twisted norm counts what the census's fixed-point
+    oracle counts, every d | 6n, F aside; d = 6n counts every linear orbit."""
+    for ctx in (tower2, tower3):
+        got = {d: TwistedNorm(ctx.n, d).count() for d in divisors(6 * ctx.n)}
+        assert got == {d: fixed_point_oracle(ctx, d) for d in got}
+        assert got[6 * ctx.n] == global_orbit_census(ctx).pgl_orbit_count
+
+
+def test_twisted_norm_members_are_the_cross_ratios_at_n2(tower2):
+    """At n = 2 the members outside {0, 1} are exactly the cross-ratios of
+    the degree-6 elements, as sets: the map y -> r, r a root of the
+    oracle's modulus in the tower, takes one field model to the other."""
+    norm = TwistedNorm(2, 12)
+    mu = np.arange(2, 1 << 12, dtype=np.int64)
+    members = mu[norm.member(mu)]
+    r = gf2poly.field_root(norm.m, tower2.modulus_big)
+    powers = [1]
+    for _ in range(11):
+        powers.append(tower2.mul(powers[-1], r))
+    in_tower = np.zeros_like(members)
+    for i, power in enumerate(powers):
+        in_tower ^= np.where(members >> i & 1, power, 0)
+    alphas = [a for a in range(1 << 12) if tower2.is_degree_six(a)]
+    assert len(alphas) == 4020 and members.size == 67
+    assert set(Tower.apply_tables(scan.normal_tables(tower2), in_tower).tolist()) == set(
+        cross_ratio_oracle(tower2, alphas).tolist())
+
+
+@pytest.mark.slow
+def test_twisted_norm_counts_equal_the_closed_form_to_d24():
+    """Every 16 < d <= 24 dividing 6n at n = 2..10 (8-12 s, most of it
+    GF(2^24) at n = 4 and 8)."""
+    for n in range(2, 11):
+        for d in divisors(6 * n):
+            if 16 < d <= 24:
+                assert TwistedNorm(n, d).count() == fixed_points_for_power(n, d), (n, d)
 
 
 # ------------------------------------------------------------------ sweeps
@@ -212,6 +292,7 @@ def test_census_n7():
     assert census.orbit_count == burnside_bound(7) == 50333
     assert Counter(t for _, t in census.records) == dict(census.t_counts) == {
         42: 49542, 21: 780, 14: 9, 6: 1, 3: 1}
+    assert census.t_counts == orbit_counts_by_moebius(7)
     assert [fixed_point_oracle(ctx, d) for d in (1, 2, 3, 6, 7, 14, 21, 42)] == [
         0, 0, 3, 9, 0, 126, 16383, 2097279]
     # the inverse's log tables on GF(2^21)*: 2^21 logs and 2^22 - 1 powers, int32,

@@ -30,12 +30,12 @@ def assert_one_line(capsys, argv, code, line):
 
 
 def test_burnside_refuses_a_numerator_that_6n_does_not_divide(monkeypatch, capsys):
-    """The order-1 closed form one too large in the table and in the
-    numerator alike: the phi-weighted sum still equals the numerator, and
-    only the division by 6n breaks."""
-    table, numerator = counting.closed_form_fixed_points, counting.burnside_numerator
-    monkeypatch.setattr(counting, "closed_form_fixed_points",
-                        lambda n, order: table(n, order) + (order == 1))
+    """The order-1 closed form one too large in F and in the numerator
+    alike: the phi-weighted sum still equals the numerator, and only the
+    division by 6n breaks."""
+    fixed, numerator = counting.fixed_points_for_power, counting.burnside_numerator
+    monkeypatch.setattr(counting, "fixed_points_for_power",
+                        lambda n, d: fixed(n, d) + (d == 6 * n))
     monkeypatch.setattr(counting, "burnside_numerator", lambda n: numerator(n) + 1)
     message = "closed form not divisible by 6n at n=5"
     with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
