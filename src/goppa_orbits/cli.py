@@ -26,7 +26,7 @@ import time
 
 from . import codes, counting, gf2poly, mobius, schema
 from .counting import ConsistencyError, InfeasibleError
-from .gf2tower import Tower, make_tower
+from .gf2tower import Tower, _check_n, make_tower
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -56,12 +56,16 @@ def _parse_modulus(text: str | None, degree: int) -> int | None:
     return gf2poly.from_exponents(exps)
 
 
+def _moduli(args) -> tuple[int | None, int | None]:
+    """The request's --modulus-base and --modulus-big, parsed once n is
+    known to have a tower: the degrees they are checked against are n and 6n."""
+    _check_n(args.n)
+    return (_parse_modulus(args.modulus_base, args.n),
+            _parse_modulus(args.modulus_big, 6 * args.n))
+
+
 def _tower(args) -> Tower:
-    return make_tower(
-        args.n,
-        modulus_base=_parse_modulus(args.modulus_base, args.n),
-        modulus_big=_parse_modulus(args.modulus_big, 6 * args.n),
-    )
+    return make_tower(args.n, *_moduli(args))
 
 
 def _code_cost_check(n: int) -> None:
@@ -190,11 +194,12 @@ def cmd_fixed(args) -> int:
     if counting.has_closed_forms(n):
         closed = counting.fixed_points_for_power(n, d)
     oracle = None
-    start = time.perf_counter()
+    elapsed = 0.0
     if n <= counting.MAX_SWEEP_N:
-        ctx = _tower(args)
-        oracle = counting.fixed_point_oracle(ctx, d)
-    elapsed = (time.perf_counter() - start) * 1e3
+        moduli = _moduli(args)
+        start = time.perf_counter()
+        oracle = counting.fixed_point_oracle(n, d, *moduli)
+        elapsed = (time.perf_counter() - start) * 1e3
     match = None if closed is None or oracle is None else closed == oracle
     order = 6 * n // math.gcd(6 * n, d)
     obj = {

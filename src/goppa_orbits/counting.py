@@ -19,8 +19,13 @@ until the orbits found hold every class (`scan._run_sweep` says why that stop
 certifies the census). The scan counts N(t), the number of orbits with t
 linear orbits, once per census, and the fixed-point oracle is the sum of
 t N(t) over the t dividing d, one step per divisor of 6n, read off a
-cached census (`OrbitCensus.t_counts`). The element-level orbits and
-class equations that check them are test oracles in `tests/`. The
+cached census (`OrbitCensus.t_counts`). The cache is keyed by n and the
+two moduli, omitted ones resolved to their defaults as a tower resolves
+them, so a fixed-point count off a cached census builds no tower: an
+entry is written only off a tower that passed its constructor's checks
+and a scan that passed its stop rule, and a miss builds one. The
+element-level orbits and class equations that check them are test
+oracles in `tests/`. The
 root-count oracles count by rank: each GF(2)-linear equation is solved
 once over GF(2^(6n)), as a coset of dimension d, and its points in each
 subfield solve a system in d unknowns; the one equation that is not
@@ -48,8 +53,8 @@ from collections.abc import Sequence
 from typing import NamedTuple
 
 from . import gf2poly
-from .gf2tower import (_MAX_N, _MODULI_SCOPE, Tower, _apply_cols, _has_moduli,
-                       solve_affine_linearized)
+from .gf2tower import (_MAX_N, _MODULI_SCOPE, Tower, _apply_cols, _check_n,
+                       _has_moduli, _moduli, make_tower, solve_affine_linearized)
 
 __all__ = [
     "InfeasibleError",
@@ -243,18 +248,31 @@ class OrbitCensus(NamedTuple):
 _SWEEPS: dict[tuple[int, int, int], OrbitCensus] = {}
 
 
-def _sweep(ctx: Tower, fresh: bool = False) -> OrbitCensus:
-    """The census of one tower, cached by (n, modulus_base, modulus_big).
+def _sweep(n: int, modulus_base: int | None = None, modulus_big: int | None = None,
+           ctx: Tower | None = None) -> OrbitCensus:
+    """The census of the tower of n on the given moduli, cached by
+    (n, modulus_base, modulus_big) with the omitted moduli resolved to their
+    defaults (`gf2tower._moduli`, as the tower's own are).
 
-    The only reader and writer of the cache; fresh=True recomputes and
-    refreshes the entry. A miss refuses n > 7, then runs `scan._run_sweep`.
+    The only reader and writer of the cache. Given ctx, the tower on those
+    moduli, it recomputes and refreshes the entry. Otherwise n is checked
+    (`gf2tower._check_n`), and a hit returns the entry and builds no tower:
+    an entry is written only under the moduli of a tower that passed its
+    constructor's checks and whose scan passed its stop rule, so a hit
+    rests on a validated tower. A miss refuses n > 7, builds the tower
+    (`make_tower`, which refuses bad moduli) and runs `scan._run_sweep`.
     """
-    key = (ctx.n, ctx.modulus_base, ctx.modulus_big)
-    if fresh or key not in _SWEEPS:
-        _sweep_cost_check(ctx.n)
-        from .scan import _run_sweep
-        _SWEEPS[key] = _run_sweep(ctx)
-    return _SWEEPS[key]
+    if ctx is None:
+        _check_n(n)
+        census = _SWEEPS.get((n, *_moduli(n, modulus_base, modulus_big)))
+        if census is not None:
+            return census
+    _sweep_cost_check(n)
+    if ctx is None:
+        ctx = make_tower(n, modulus_base, modulus_big)
+    from .scan import _run_sweep
+    census = _SWEEPS[n, ctx.modulus_base, ctx.modulus_big] = _run_sweep(ctx)
+    return census
 
 
 # ---------------------------------------------------------------- the census
@@ -266,20 +284,26 @@ def global_orbit_census(ctx: Tower) -> OrbitCensus:
     Always recomputes, and the fresh result refills the census cache used by
     the fixed-point oracle.
     """
-    return _sweep(ctx, fresh=True)
+    return _sweep(ctx.n, ctx=ctx)
 
 
-def fixed_point_oracle(ctx: Tower, d: int) -> int:
+def fixed_point_oracle(n: int, d: int, modulus_base: int | None = None,
+                       modulus_big: int | None = None) -> int:
     """Count linear-group orbits fixed by the d-th Frobenius power, off the
-    census.
+    census of the tower of n on the given moduli (the defaults when
+    omitted).
 
     Formula-free: sigma^d fixes the linear orbits of a record iff
     mu^(2^d) = mu for its cross-ratio mu, that is, iff its t divides d, and
     the census's stop certifies that each record's t is exact. So the count
     is the sum of t N(t) over the t that divide d (`OrbitCensus.t_counts`),
-    one step per divisor of 6n.
+    one step per divisor of 6n. A cached census is read by its moduli and
+    builds no tower; the entry was written off a tower that passed every
+    check (`_sweep`). A miss, or an n no tower is built for, meets the
+    checks of `make_tower` and the cost check as it would uncached.
     """
-    return sum(t * count for t, count in _sweep(ctx).t_counts if d % t == 0)
+    return sum(t * count for t, count in _sweep(n, modulus_base, modulus_big).t_counts
+               if d % t == 0)
 
 
 # ---------------------------------------------------------------- root counts
@@ -368,9 +392,11 @@ def root_count_oracle(ctx: Tower, which: str) -> RootCounts:
     GF(q^2)-linear, so the q^2 - 1 nonzero multiples of a kernel element
     give one root, and every root in GF(2^(6n)) has norm 1 to GF(q^2), so
     it is reached. In GF(2^(3n)), y = 1/x turns f into y^(q+1) + y + 1,
-    counted the same way by the points of ker(z^(q^2) + z^q + z) in
-    GF(2^(3n)), with unit q - 1. In GF(2^(2n)) and GF(2^n), f is
-    x^2 + x + 1, counted as the points of x^2 + x = 1 there. See Bluher,
+    counted the same way by ker(z^(q^2) + z^q + z), with unit q - 1: the
+    kernel lies in GF(2^(3n)), since z^(q^2) = z^q + z gives
+    z^(q^3) = z^(q^2) + z^q = z, so no sigma^(3n) column is read. In
+    GF(2^(2n)) and GF(2^n), f is x^2 + x + 1, counted as the points of
+    x^2 + x = 1 there. See Bluher,
     "On x^(q+1) + ax + b", Finite Fields Appl. 10 (2004).
     """
     _roots_cost_check(ctx.n, which)
@@ -394,7 +420,7 @@ def root_count_oracle(ctx: Tower, which: str) -> RootCounts:
             return nonzero // unit
 
         total = lines(_size(kernel(2 * n)), 2 * n, 6)
-        in_3n = lines(_coset_points(ctx, kernel(n), (3,))[3], n, 3)
+        in_3n = lines(_size(kernel(n)), n, 3)  # the kernel lies in GF(2^(3n))
         quadratic = solve_affine_linearized(ctx._frob_plus_id_cols(1), 1)  # x^2 + x = 1
         return _by_subfield(which, {6: total, 3: in_3n,
                                     **_coset_points(ctx, quadratic, (1, 2))})

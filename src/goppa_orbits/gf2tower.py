@@ -57,10 +57,13 @@ columns besides the identity's; `_frob_cols` reads the chain on first use.
 The default moduli are the `gf2poly.lowest_irreducible` picks for the
 degrees n and 6n (the tests check them against that search) for every
 n <= 16 and each prime 17 <= n <= 127, which only the root counts reach:
-one string of exponent lists, `_MODULI`, parsed on the first tower. A tower
-is served where both its degrees are tabled (`_has_moduli`), so a
-composite n above 16 is refused. A table modulus passes exactly the checks
-a given one does:
+one string of exponent lists, `_MODULI`, parsed on first use. One helper,
+`_moduli`, resolves an omitted modulus to its default, for a tower and for
+the key of a cached census (`counting._sweep`). A tower is served where
+both its degrees are tabled (`_has_moduli`), so a composite n above 16 is
+refused; `_check_n` holds the refusals of n, which the CLI also reads
+before it parses a modulus. A table modulus passes exactly the checks a
+given one does:
 `gf2poly.is_irreducible` for modulus_base, and for modulus_big both Rabin
 tests on the chain x^(2^i) mod modulus_big, i <= 6n, that the tower
 squares on its own reduction table. `make_tower` takes about 0.040 ms at
@@ -166,6 +169,29 @@ def _has_moduli(n: int) -> bool:
     """Whether n is within the reach of the default moduli: degrees n and 6n
     are both tabled (n < 2 passes, for the constructor to refuse first)."""
     return n < 2 or {n, 6 * n} <= _default_moduli().keys()
+
+
+def _check_n(n: int) -> None:
+    """Refuse, with the one message for each, an n no tower is built for:
+    ValueError below 2 or outside the default moduli's reach."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    if not _has_moduli(n):
+        raise ValueError(f"n={n} is outside the construction cap: the {_MODULI_SCOPE}")
+
+
+def _moduli(n: int, modulus_base: int | None = None,
+            modulus_big: int | None = None) -> tuple[int, int]:
+    """(modulus_base, modulus_big) of the tower of n, for an n `_check_n`
+    passes: each one given, else the default of its degree, n or 6n. The
+    one resolution of the defaults; it checks nothing else."""
+    defaults = _default_moduli()
+    if modulus_base is None:
+        modulus_base = gf2poly.from_exponents(defaults[n])
+    if modulus_big is None:
+        modulus_big = gf2poly.from_exponents(defaults[6 * n])
+    return modulus_base, modulus_big
+
 
 _HEX = re.compile(r"[0-9a-fA-F]+")
 
@@ -328,19 +354,13 @@ class Tower:
 
     def __init__(self, n: int, modulus_base: int | None = None,
                  modulus_big: int | None = None):
-        if n < 2:
-            raise ValueError("n must be at least 2")
-        if not _has_moduli(n):
-            raise ValueError(f"n={n} is outside the construction cap: the {_MODULI_SCOPE}")
+        _check_n(n)
         self.n = n
         self.big_degree = 6 * n
         m = self.big_degree
-        if modulus_base is None:
-            modulus_base = gf2poly.from_exponents(_default_moduli()[n])
+        modulus_base, modulus_big = _moduli(n, modulus_base, modulus_big)
         if gf2poly.degree(modulus_base) != n or not gf2poly.is_irreducible(modulus_base):
             raise ValueError("modulus_base must be irreducible of degree n")
-        if modulus_big is None:
-            modulus_big = gf2poly.from_exponents(_default_moduli()[m])
         if gf2poly.degree(modulus_big) != m:
             raise ValueError("modulus_big must be irreducible of degree 6n")
         self.modulus_base = modulus_base

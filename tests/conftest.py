@@ -515,7 +515,8 @@ def low_field_class_elements(ctx):
 def fixed_orbit_representatives(ctx, d, limit=None):
     """Census representatives of the orbits fixed setwise by the d-th
     Frobenius power, in ascending class rank: those whose t divides d."""
-    return [rep for rep, t in counting._sweep(ctx).records if d % t == 0][:limit]
+    census = counting._sweep(ctx.n, ctx.modulus_base, ctx.modulus_big)
+    return [rep for rep, t in census.records if d % t == 0][:limit]
 
 
 def records_digest(ctx, records):

@@ -82,7 +82,7 @@ def test_criterion_2_full_census_n5(tower5):
 
 def test_criterion_3_fixed_point_table_n5(tower5):
     expected = {1: 0, 2: 0, 3: 3, 5: 0, 6: 9, 10: 30, 15: 1023, 30: 32799}
-    got = {d: fixed_point_oracle(tower5, d) for d in expected}
+    got = {d: fixed_point_oracle(5, d) for d in expected}
     assert got == expected
     closed = {d: counting.fixed_points_for_power(5, d) for d in expected}
     assert closed == expected

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_bench_run, orbit_counts_by_moebius, records_digest
+from conftest import divisors, load_bench_run, orbit_counts_by_moebius, records_digest
 from goppa_orbits import cli, codes, counting, make_tower, schema
 from goppa_orbits.cli import main
 from goppa_orbits.counting import (
@@ -138,7 +138,7 @@ def test_census_text_mode_prints_the_elapsed_milliseconds(capsys):
     line = next(line for line in out.splitlines() if line.startswith("workers = "))
     ms = float(line.removeprefix("workers = 1, elapsed ").removesuffix(" ms"))
     assert ms > 0
-    assert counting._sweep(make_tower(3)).elapsed_ms == pytest.approx(ms, abs=0.05)
+    assert counting._sweep(3).elapsed_ms == pytest.approx(ms, abs=0.05)
 
 
 def test_census_worker_independence(capsys):
@@ -250,7 +250,7 @@ def test_census_n6_matches_the_closed_form(capsys):
     code, out, _ = run(capsys, "census", "--n", "6")
     assert code == 0
     assert out.endswith("\nbound = 7405: MATCH\n")
-    census = counting._sweep(make_tower(6))  # the census just cached
+    census = counting._sweep(6)  # the census just cached
     assert records_digest(make_tower(6), census.records) == (
         "44ff532a395f3bfd3e90263d2525fd089af647b2e7c1629b159717b0bc3b9f14")
     assert len(census.records) == 7405
@@ -471,6 +471,14 @@ def test_reducible_modulus_base_exit_2(capsys, mode):
         assert err == "error: modulus_base must be irreducible of degree n\n", argv
 
 
+def no_tower(*args, **kwargs):
+    raise AssertionError("built a tower")
+
+
+def without_elapsed(report):
+    return {k: v for k, v in json.loads(report).items() if k != "elapsed_ms"}
+
+
 UNREAD_MODULI = ("error: fixed reads --modulus-base and --modulus-big only for its oracle, "
                  "which runs at n <= 7 without --table\n")
 
@@ -481,9 +489,6 @@ def test_fixed_refuses_a_modulus_it_would_not_read(capsys, monkeypatch, mode):
     `--table`. On every other path a modulus flag, well-formed or not, exits 2
     with one line and no report, where it went unread with exit 0; on the
     oracle's path it is read and checked as before."""
-    def no_tower(*args, **kwargs):
-        raise AssertionError("built a tower")
-
     monkeypatch.setattr(cli, "make_tower", no_tower)
     for argv in (("--n", "11", "--d", "3", "--modulus-big", "zz"),
                  ("--n", "11", "--d", "3", "--modulus-base", "11,0"),  # x^11 + 1, reducible
@@ -497,6 +502,78 @@ def test_fixed_refuses_a_modulus_it_would_not_read(capsys, monkeypatch, mode):
     assert (code, out) == (2, "") and err.startswith("error: bad modulus exponent list 'zz'")
     assert run(capsys, "fixed", "--n", "4", "--d", "12", "--modulus-big", "24,16,3,1,0",
                *mode)[0] == 0
+
+
+def test_fixed_reads_a_cached_census_and_builds_no_tower(capsys, monkeypatch):
+    """After `census --n 4` on the default modulus and on each of the
+    benchmark's four big moduli, `fixed --n 4 --d d` for every d | 24 reads
+    the cached census and builds no tower; its report, timing aside, is the
+    report of the same request on an empty cache. The default modulus
+    spelled out hits the default's entry."""
+    load_bench_run(monkeypatch)
+    import workloads
+    for big in (None, *workloads.N4_BIG_MODULI):
+        flags = () if big is None else ("--modulus-big", big)
+        cold = {}
+        for d in divisors(24):
+            counting._SWEEPS.clear()
+            code, out, err = run(capsys, "fixed", "--n", "4", "--d", str(d), "--json", *flags)
+            assert (code, err) == (0, ""), (big, d)
+            cold[d] = without_elapsed(out)
+        assert run(capsys, "census", "--n", "4", "--json", *flags)[0] == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(counting, "make_tower", no_tower)
+            patch.setattr(cli, "make_tower", no_tower)
+            for d in divisors(24):
+                code, out, err = run(capsys, "fixed", "--n", "4", "--d", str(d), "--json",
+                                     *flags)
+                assert (code, err, without_elapsed(out)) == (0, "", cold[d]), (big, d)
+    counting._SWEEPS.clear()
+    assert run(capsys, "census", "--n", "4")[0] == 0
+    monkeypatch.setattr(counting, "make_tower", no_tower)
+    code, out, _ = run(capsys, "fixed", "--n", "4", "--d", "24", "--json",
+                       "--modulus-big", "24,4,3,1,0", "--modulus-base", "4,1,0")
+    assert code == 0 and json.loads(out)["oracle"] == 4111
+
+
+def test_fixed_refusals_do_not_depend_on_the_census_cache(capsys):
+    """A reducible modulus, an n no tower is built for and an n above the
+    oracle's limit give the same exit code, output and message before and
+    after the censuses they could be mistaken for are cached."""
+    argvs = (("fixed", "--n", "4", "--d", "6", "--modulus-big", "24,1,0"),
+             ("fixed", "--n", "4", "--d", "6", "--modulus-base", "4,3,2,0"),
+             ("fixed", "--n", "1", "--d", "1"),
+             ("fixed", "--n", "1", "--d", "1", "--modulus-big", "6,1,0"),
+             ("fixed", "--n", "8", "--d", "6"),
+             ("fixed", "--n", "8", "--d", "6", "--modulus-big", "48,5,3,2,0"))
+
+    def results():
+        return [run(capsys, *argv, *mode) for argv in argvs for mode in ((), ("--json",))]
+
+    counting._SWEEPS.clear()
+    cold = results()
+    for n in (2, 4):
+        assert run(capsys, "census", "--n", str(n))[0] == 0
+    assert results() == cold
+    assert [code for code, _, _ in cold[::2]] == [2, 2, 2, 2, 0, 2]
+    assert cold[0][2] == "error: modulus_big must be irreducible of degree 6n\n"
+    assert cold[4][2] == cold[6][2] == "error: n must be at least 2\n"
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+def test_n_is_checked_before_a_modulus_is_parsed(capsys, monkeypatch, mode):
+    """A modulus is checked against degrees n and 6n, so an n no tower is
+    built for is refused first, with the tower's own line; an oversized
+    exponent is still refused before any polynomial is built from it."""
+    for argv in (("code", "--n", "-1", "--modulus-big", "24,16,3,1,0", "--alpha", "0"),
+                 ("fixed", "--n", "0", "--d", "1", "--modulus-big", "1,0"),
+                 ("roots", "--n", "1", "--which", "eq_3n", "--modulus-base", "5,2,0"),
+                 ("census", "--n", "-3", "--modulus-big", "99999999999999999999")):
+        assert run(capsys, *argv, *mode) == (2, "", "error: n must be at least 2\n"), argv
+    monkeypatch.setattr(cli.gf2poly, "from_exponents", no_tower)
+    code, out, err = run(capsys, "code", "--n", "5", "--alpha", "random",
+                         "--modulus-big", "99999999999999999999", *mode)
+    assert (code, out) == (2, "") and "0..30" in err and len(err.splitlines()) == 1
 
 
 def test_bad_workers_exit_2(capsys):

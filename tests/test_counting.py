@@ -165,7 +165,7 @@ def test_orbit_counts_by_moebius_are_nonnegative_integers_to_701():
 
 def test_census_histogram_equals_the_orbit_counts_by_moebius(tower2, tower3, tower5):
     for ctx in (tower2, tower3, make_tower(4), tower5):
-        assert counting._sweep(ctx).t_counts == orbit_counts_by_moebius(ctx.n), ctx.n
+        assert counting._sweep(ctx.n).t_counts == orbit_counts_by_moebius(ctx.n), ctx.n
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -182,7 +182,7 @@ def test_twisted_norm_counts_equal_the_census_oracle(tower2, tower3):
     oracle counts, every d | 6n, F aside; d = 6n counts every linear orbit."""
     for ctx in (tower2, tower3):
         got = {d: TwistedNorm(ctx.n, d).count() for d in divisors(6 * ctx.n)}
-        assert got == {d: fixed_point_oracle(ctx, d) for d in got}
+        assert got == {d: fixed_point_oracle(ctx.n, d) for d in got}
         assert got[6 * ctx.n] == global_orbit_census(ctx).pgl_orbit_count
 
 
@@ -293,7 +293,7 @@ def test_census_n7():
     assert Counter(t for _, t in census.records) == dict(census.t_counts) == {
         42: 49542, 21: 780, 14: 9, 6: 1, 3: 1}
     assert census.t_counts == orbit_counts_by_moebius(7)
-    assert [fixed_point_oracle(ctx, d) for d in (1, 2, 3, 6, 7, 14, 21, 42)] == [
+    assert [fixed_point_oracle(7, d) for d in (1, 2, 3, 6, 7, 14, 21, 42)] == [
         0, 0, 3, 9, 0, 126, 16383, 2097279]
     # the inverse's log tables on GF(2^21)*: 2^21 logs and 2^22 - 1 powers, int32,
     # with one zero entry for every clipped sum; its byte tables add 24 KiB
@@ -310,7 +310,7 @@ def test_sweep_refuses_large_n():
     # the refusal words the class count (2^40 - 1)/(2^8 - 1) = 4311810305 as an expression
     assert "(2^40 - 1)/(2^8 - 1) classes" in str(err.value) and "n <= 7" in str(err.value)
     with pytest.raises(InfeasibleError):
-        fixed_point_oracle(make_tower(8), 1)
+        fixed_point_oracle(8, 1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
@@ -567,7 +567,7 @@ def test_census_n4_recorded_values():
         assert census.elements_visited == (1 << 24) - (1 << 12) - (1 << 8) + (1 << 4)
         reps = np.array([rep for rep, _ in census.records], dtype=np.int64)
         assert int(class_ranks(ctx, reps).max()) == last_rank
-        assert {d: fixed_point_oracle(ctx, d) for d in fixed} == fixed
+        assert {d: fixed_point_oracle(4, d, modulus_big=ctx.modulus_big) for d in fixed} == fixed
 
 
 @pytest.mark.parametrize("n, exponents", [(4, (4, 3, 0)), (5, (5, 3, 0)), (5, (5, 4, 3, 2, 0))])
@@ -601,26 +601,29 @@ def test_census_keeps_one_table_record(monkeypatch):
     assert built == []
 
 
-def test_fixed_point_oracle_cold_cache_matches_warm(tower2):
-    warm = [fixed_point_oracle(tower2, d) for d in (1, 2, 3, 4, 6, 12)]
+def test_fixed_point_oracle_cold_cache_matches_warm():
+    warm = [fixed_point_oracle(2, d) for d in (1, 2, 3, 4, 6, 12)]
     counting._SWEEPS.clear()
-    cold = [fixed_point_oracle(tower2, d) for d in (1, 2, 3, 4, 6, 12)]
+    cold = [fixed_point_oracle(2, d) for d in (1, 2, 3, 4, 6, 12)]
     assert cold == warm
 
 
 def test_fixed_point_oracle_small(tower2):
     # measured by this sweep and stable: the full table at n=2
-    table = {d: fixed_point_oracle(tower2, d) for d in (1, 2, 3, 4, 6, 12)}
+    table = {d: fixed_point_oracle(2, d) for d in (1, 2, 3, 4, 6, 12)}
     assert table == {1: 0, 2: 0, 3: 3, 4: 4, 6: 15, 12: 67}
     # reduction to the gcd divisor holds mechanically
     for i in (5, 7, 8, 9, 10, 11):
-        assert fixed_point_oracle(tower2, i) == fixed_point_oracle(
-            tower2, math.gcd(i, 12))
+        assert fixed_point_oracle(2, i) == fixed_point_oracle(2, math.gcd(i, 12))
     # census cross-tabulation: sum of class sizes with period dividing d
     census = global_orbit_census(tower2)
     for d in (1, 2, 3, 4, 6, 12):
         derived = sum(t for _, t in census.records if d % t == 0)
         assert derived == table[d]
+
+
+def no_tower(*args, **kwargs):
+    raise AssertionError("built a tower")
 
 
 def n4_bench_towers(monkeypatch):
@@ -653,8 +656,49 @@ def test_fixed_point_oracle_is_the_per_record_sum(monkeypatch):
         records = global_orbit_census(ctx).records
         m = ctx.big_degree
         for d in (d for d in range(1, m + 1) if m % d == 0):
-            assert fixed_point_oracle(ctx, d) == sum(t for _, t in records if d % t == 0), (
-                ctx, d)
+            got = fixed_point_oracle(ctx.n, d, modulus_big=ctx.modulus_big)
+            assert got == sum(t for _, t in records if d % t == 0), (ctx, d)
+
+
+def test_fixed_point_oracle_reads_a_cached_census_by_its_moduli(monkeypatch):
+    """After a census at n = 4 on the default moduli and on each of the
+    benchmark's four big moduli, the oracle reads it by the request's moduli
+    and builds no tower, with the value an empty cache gives, for every
+    d | 24. Moduli equal to the defaults, given or omitted, are one key."""
+    bigs = [ctx.modulus_big for ctx in n4_bench_towers(monkeypatch)]
+    cold = {}
+    for big in bigs:
+        for d in divisors(24):
+            counting._SWEEPS.clear()
+            cold[big, d] = fixed_point_oracle(4, d, modulus_big=big)
+    counting._SWEEPS.clear()
+    for big in (None, *bigs):
+        global_orbit_census(make_tower(4, modulus_big=big))
+    monkeypatch.setattr(counting, "make_tower", no_tower)
+    default = gf2poly.from_exponents((4, 1, 0)), gf2poly.from_exponents((24, 4, 3, 1, 0))
+    for d in divisors(24):
+        for big in bigs:
+            assert fixed_point_oracle(4, d, modulus_big=big) == cold[big, d], (big, d)
+        assert fixed_point_oracle(4, d) == fixed_point_oracle(4, d, *default) == cold[
+            default[1], d]
+
+
+def test_fixed_point_oracle_refusals_do_not_depend_on_the_cache():
+    """With n = 4's census cached, a reducible modulus still meets the
+    tower's check, and an n no tower is built for, or above the census's
+    limit, its own refusal."""
+    global_orbit_census(make_tower(4))
+    for args, error, message in (
+            ((4, 6, None, gf2poly.from_exponents((24, 1, 0))), ValueError,
+             "modulus_big must be irreducible of degree 6n"),
+            ((4, 6, gf2poly.from_exponents((4, 3, 2, 0))), ValueError,
+             "modulus_base must be irreducible of degree n"),
+            ((1, 1), ValueError, "n must be at least 2"),
+            ((18, 1), ValueError, "n=18 is outside the construction cap"),
+            ((8, 1), InfeasibleError, "n=8: the census")):
+        with pytest.raises(error) as err:
+            fixed_point_oracle(*args)
+        assert str(err.value).startswith(message), args
 
 
 # ------------------------------------------------------------- root counting
@@ -766,10 +810,10 @@ def test_root_counts_build_only_the_column_tables_they_read(n):
     """On a fresh tower, x^(2^k) + x = rhs builds sigma^k's columns and,
     only when it has roots, sigma^n's (a coset of d + 1 vectors, 3(d + 1) <
     6n) or sigma^(2n)'s and sigma^(3n)'s, never all three; eq_2n_affine has
-    no roots. eq_41 reads its two kernels' columns, sigma^(3n)'s for the
-    points of the smaller one in GF(2^(3n)), and the squaring's."""
+    no roots. eq_41 reads its two kernels' columns and the squaring's; the
+    smaller kernel lies in GF(2^(3n)) whole, so sigma^(3n)'s are not read."""
     tables = {"eq_3n": {3 * n, 2 * n}, "eq_2n_affine": {2 * n}, "eq_deg8": {3, n},
-              "fixed_field_64": {6, n}, "eq_41": {1, n, 2 * n, 3 * n, 4 * n}}
+              "fixed_field_64": {6, n}, "eq_41": {1, n, 2 * n, 4 * n}}
     for which, keys in tables.items():
         ctx = make_tower(n)
         root_count_oracle(ctx, which)

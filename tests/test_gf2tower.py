@@ -517,18 +517,21 @@ def test_equiv_request_builds_only_the_identity_and_sigma_n_columns(monkeypatch,
 # ------------------------------------------------------------------ embedding
 
 
-def test_root_counts_and_a_cached_sweep_build_no_subfield():
-    """Root counts, and a fixed-point count read off a cached sweep, neither
-    list the subfield nor embed the base field."""
+def test_root_counts_and_a_cached_sweep_build_no_subfield(monkeypatch):
+    """Root counts neither list the subfield nor embed the base field, and a
+    fixed-point count read off a cached sweep builds no tower at all."""
     for n in (5, 16):
         ctx = make_tower(n)
         for which in counting.ROOT_EQUATIONS:
             counting.root_count_oracle(ctx, which)
         assert "_embedding" not in vars(ctx), n
-    want = counting.fixed_point_oracle(make_tower(2), 3)  # runs and caches the sweep
-    ctx = make_tower(2)
-    assert counting.fixed_point_oracle(ctx, 3) == want
-    assert "_embedding" not in vars(ctx)
+    want = counting.fixed_point_oracle(2, 3)  # runs and caches the sweep
+
+    def no_tower(*args, **kwargs):
+        raise AssertionError("built a tower")
+
+    monkeypatch.setattr(counting, "make_tower", no_tower)
+    assert counting.fixed_point_oracle(2, 3) == want
 
 
 READERS = {
