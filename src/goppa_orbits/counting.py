@@ -403,15 +403,10 @@ def root_count_oracle(ctx: Tower, which: str) -> RootCounts:
     n, m = ctx.n, ctx.big_degree
 
     if which == "eq_41":
-        def kernel(k: int) -> tuple[int, tuple[int, ...]]:
-            """ker L in GF(2^(6n)) as the coset (0, basis), L(z) = z^(2^(2k)) + z^(2^k) + z."""
-            cols = [a ^ b ^ (1 << i) for i, (a, b)
-                    in enumerate(zip(ctx._frob_cols(2 * k), ctx._frob_cols(k)))]
-            return solve_affine_linearized(cols, 0)
-
-        def lines(points: int, k: int, j: int) -> int:
+        def lines(k: int, j: int) -> int:
             """(points - 1)/(2^k - 1): the roots given by the nonzero points
-            of ker L in GF(2^(jn))."""
+            of ker L in GF(2^(jn)), L(z) = z^(2^(2k)) + z^(2^k) + z."""
+            points = _size(solve_affine_linearized(ctx._frob_plus_id_cols(k, 2 * k), 0))
             nonzero, unit = points - 1, (1 << k) - 1
             if nonzero % unit:
                 raise ConsistencyError(
@@ -419,8 +414,8 @@ def root_count_oracle(ctx: Tower, which: str) -> RootCounts:
                     f"not a multiple of 2^{k} - 1")
             return nonzero // unit
 
-        total = lines(_size(kernel(2 * n)), 2 * n, 6)
-        in_3n = lines(_size(kernel(n)), n, 3)  # the kernel lies in GF(2^(3n))
+        total = lines(2 * n, 6)
+        in_3n = lines(n, 3)  # the kernel lies in GF(2^(3n))
         quadratic = solve_affine_linearized(ctx._frob_plus_id_cols(1), 1)  # x^2 + x = 1
         return _by_subfield(which, {6: total, 3: in_3n,
                                     **_coset_points(ctx, quadratic, (1, 2))})

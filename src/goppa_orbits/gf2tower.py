@@ -68,10 +68,8 @@ given one does:
 tests on the chain x^(2^i) mod modulus_big, i <= 6n, that the tower
 squares on its own reduction table. `make_tower` takes about 0.040 ms at
 n = 5, 0.057 ms at n = 7, 0.24 ms at n = 16, 0.031 ms at n = 4 with the
-given modulus 24,4,3,1,0, and 15 ms at n = 127; it took 0.061, 0.105,
-0.52 and 0.047 ms while it built the sigma^n columns, which now cost their
-first reader that much (2 vCPU, best of 15 rounds of 3 loops of 20 calls,
-in two alternating runs; the host drifts by up to half).
+given modulus 24,4,3,1,0, and 15 ms at n = 127 (2 vCPU, best of 15 rounds
+of 3 loops of 20 calls; the host drifts by up to half).
 
 A subfield GF(2^d), d | 6n, has one model, `_trace_models(d)`: for each
 draw z of random.Random(0).getrandbits(6n), the trace
@@ -116,6 +114,7 @@ rank and never a list of roots.
 from __future__ import annotations
 
 import functools
+import operator
 import random
 import re
 from typing import TYPE_CHECKING, NamedTuple
@@ -573,9 +572,13 @@ class Tower:
         return BaseLogs(tuple(exp), embedded, {x: k for k, x in enumerate(embedded)},
                         tuple(base_log))
 
-    def _frob_plus_id_cols(self, k: int) -> tuple[int, ...]:
-        """Columns of x -> x^(2^k) + x, whose kernel is GF(2^gcd(k, 6n))."""
-        return tuple(c ^ (1 << j) for j, c in enumerate(self._frob_cols(k)))
+    def _frob_plus_id_cols(self, *ks: int) -> tuple[int, ...]:
+        """Columns of x -> x + x^(2^k_1) + x^(2^k_2) + ..., the identity's
+        columns plus each power's; for one k the kernel is GF(2^gcd(k, 6n))."""
+        cols = self._frob_cols(0)
+        for k in ks:
+            cols = tuple(map(operator.xor, cols, self._frob_cols(k)))
+        return cols
 
     # --------------------------------------------------------- polynomials
 

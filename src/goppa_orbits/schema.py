@@ -14,80 +14,72 @@ class SchemaError(ValueError):
     pass
 
 
-_INT = int
-_STR = str
-_BOOL = bool
-_NUM = (int, float)
-
-
-def _opt(t):
-    return ("optional", t)
-
-
-_SCHEMAS: dict[str, dict] = {
+# each field's rule is the type, or the tuple of types, that it may hold,
+# matched exactly, so a bool is not an int; None in the tuple lets it be null
+_SCHEMAS: dict[str, dict[str, type | tuple]] = {
     "bound": {
-        "n": _INT,
-        "bound": _INT,
-        "numerator": _INT,
+        "n": int,
+        "bound": int,
+        "numerator": int,
         "decomposition": list,
-        "match": _BOOL,
+        "match": bool,
     },
     "census": {
-        "n": _INT,
-        "orbit_count": _INT,
-        "pgl_orbit_count": _INT,
+        "n": int,
+        "orbit_count": int,
+        "pgl_orbit_count": int,
         "orbit_size_histogram": dict,
-        "elements_visited": _INT,
+        "elements_visited": int,
         "orbits": list,
-        "workers": _INT,
-        "elapsed_ms": _NUM,
-        "bound": _INT,
-        "match": _BOOL,
+        "workers": int,
+        "elapsed_ms": (int, float),
+        "bound": int,
+        "match": bool,
     },
     "fixed": {
-        "n": _INT,
-        "d": _INT,
-        "order": _INT,
-        "closed_form": _opt(_INT),
-        "oracle": _opt(_INT),
-        "match": _opt(_BOOL),
-        "elapsed_ms": _NUM,
+        "n": int,
+        "d": int,
+        "order": int,
+        "closed_form": (int, None),
+        "oracle": (int, None),
+        "match": (bool, None),
+        "elapsed_ms": (int, float),
     },
     "fixed_table": {
         "n_values": list,
         "rows": list,
     },
     "roots": {
-        "n": _INT,
-        "which": _STR,
-        "total": _INT,
-        "in_degree_six": _INT,
-        "in_subfield_2n": _INT,
-        "in_subfield_3n": _INT,
-        "expected_in_degree_six": _opt(_INT),
-        "match": _opt(_BOOL),
-        "elapsed_ms": _NUM,
+        "n": int,
+        "which": str,
+        "total": int,
+        "in_degree_six": int,
+        "in_subfield_2n": int,
+        "in_subfield_3n": int,
+        "expected_in_degree_six": (int, None),
+        "match": (bool, None),
+        "elapsed_ms": (int, float),
     },
     "code": {
-        "n": _INT,
-        "alpha_hex": _STR,
+        "n": int,
+        "alpha_hex": str,
         "g_coeffs": list,
-        "length": _INT,
-        "dimension": _INT,
+        "length": int,
+        "dimension": int,
         "generator_rows": list,
         "parity_rows": list,
-        "weight_enumerator": _opt(list),
-        "extended": _BOOL,
+        "weight_enumerator": (list, None),
+        "extended": bool,
     },
     "equiv": {
-        "n": _INT,
-        "alpha_hex": _STR,
-        "beta_hex": _STR,
-        "map": _STR,
-        "permutation_cycles": _STR,
-        "verified": _BOOL,
-        "weight_enumerator_alpha": _opt(list),
-        "weight_enumerator_beta": _opt(list),
+        "n": int,
+        "alpha_hex": str,
+        "beta_hex": str,
+        "map": str,
+        "permutation_cycles": str,
+        "verified": bool,
+        "weight_enumerator_alpha": (list, None),
+        "weight_enumerator_beta": (list, None),
     },
 }
 
@@ -97,28 +89,19 @@ def validate(kind: str, obj: dict) -> None:
     schema = _SCHEMAS.get(kind)
     if schema is None:
         raise SchemaError(f"unknown report kind {kind!r}")
-    problems = []
     if not isinstance(obj, dict):
         raise SchemaError(f"{kind}: report must be an object")
+    problems = []
     for field, rule in schema.items():
-        optional = isinstance(rule, tuple) and rule[0] == "optional"
-        expected = rule[1] if optional else rule
+        allowed = rule if isinstance(rule, tuple) else (rule,)
         if field not in obj:
             problems.append(f"missing field {field!r}")
-            continue
-        value = obj[field]
-        if value is None:
-            if not optional:
+        elif obj[field] is None:
+            if None not in allowed:
                 problems.append(f"field {field!r} must not be null")
-            continue
-        if expected is _BOOL:
-            if not isinstance(value, bool):
-                problems.append(f"field {field!r}: expected bool")
-        elif expected is _INT:
-            if not isinstance(value, int) or isinstance(value, bool):
-                problems.append(f"field {field!r}: expected int")
-        elif not isinstance(value, expected):
-            problems.append(f"field {field!r}: expected {expected}")
+        elif type(obj[field]) not in allowed:
+            names = " or ".join(t.__name__ for t in allowed if t is not None)
+            problems.append(f"field {field!r}: expected {names}")
     extras = set(obj) - set(schema)
     if extras:
         problems.append(f"unexpected fields {sorted(extras)}")

@@ -211,6 +211,11 @@ def test_fixed_reports_skipped_oracle(capsys):
     assert obj["oracle"] is None and obj["closed_form"] == 0
 
 
+def whole_argv(*argv, marks=()):
+    """A case named by every word of its argv, where the first four would repeat."""
+    return pytest.param(argv, id="-".join(a.lstrip("-") for a in argv), marks=marks)
+
+
 @pytest.mark.parametrize("argv", [
     ("bound", "--n", "5"),
     ("census", "--n", "2"),
@@ -219,9 +224,32 @@ def test_fixed_reports_skipped_oracle(capsys):
     ("roots", "--n", "5", "--which", "eq_deg8"),
     ("code", "--n", "5", "--alpha", "random", "--seed", "1", "--extended"),
     ("equiv", "--n", "5", "--alpha", "random", "--map", "random", "--seed", "3"),
+    # the census on the benchmark's dense big modulus and on a base modulus
+    # that moves the class basis; exit 1 would be a count off the closed form
+    whole_argv("census", "--n", "5", "--modulus-big", "30,29,0"),
+    whole_argv("census", "--n", "5", "--modulus-base", "5,3,0"),
+    whole_argv("census", "--n", "7", "--modulus-big", "42,35,0", marks=pytest.mark.slow),
+    whole_argv("fixed", "--n", "7", "--d", "14", marks=pytest.mark.slow),
+    # eq_41 on the largest composite tower, and the linear equations on the
+    # largest, where exit 1 would be a count off the paper's closed form
+    whole_argv("roots", "--n", "16", "--which", "eq_41"),
+    *(whole_argv("roots", "--n", "127", "--which", which)
+      for which in ("eq_3n", "eq_2n_affine", "eq_deg8", "fixed_field_64")),
+    # codes at n = 2 (the zero code), 6 and 7, and at the largest n
+    whole_argv("code", "--n", "2", "--alpha", "random", "--seed", "1", "--extended"),
+    whole_argv("code", "--n", "6", "--alpha", "random", "--seed", "1", "--extended"),
+    whole_argv("code", "--n", "7", "--alpha", "random", "--seed", "1"),
+    whole_argv("code", "--n", "11", "--alpha", "random", "--seed", "1"),
+    whole_argv("code", "--n", "11", "--alpha", "random", "--extended", "--seed", "1"),
+    # composite n = 4, n = 7 past the weight budget, and a map whose
+    # Frobenius power equals n
+    whole_argv("equiv", "--n", "4", "--alpha", "random", "--map", "random", "--seed", "1"),
+    whole_argv("equiv", "--n", "7", "--alpha", "random", "--map", "random", "--seed", "7"),
+    whole_argv("equiv", "--n", "5", "--alpha", "random", "--map", "1,1,1,0;5"),
 ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:4]))
 def test_json_report_is_one_compact_line(capsys, argv):
-    """Every report is the compact encoding of its object, so the C encoder writes it."""
+    """Every report is the compact encoding of its object, so the C encoder
+    writes it, and exits 0: a count that misses its closed form exits 1."""
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 0
     assert out.count("\n") == 1
@@ -620,7 +648,8 @@ def test_census_and_roots_refuse_n17_before_building_a_tower(capsys, monkeypatch
     monkeypatch.setattr("goppa_orbits.cli.make_tower", no_tower)
     for argv, limit in ((("census", "--n", "17"), "n <= 7"),
                         (("census", "--n", "16"), "n <= 7"),
-                        (("roots", "--n", "18", "--which", "eq_deg8"), "n <= 16")):
+                        (("roots", "--n", "18", "--which", "eq_deg8"), "n <= 16"),
+                        (("roots", "--n", "18", "--which", "eq_3n"), "n <= 16")):
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith(f"infeasible: n={argv[2]}:")

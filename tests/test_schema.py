@@ -13,30 +13,30 @@ from goppa_orbits.schema import SchemaError
 KINDS = sorted(schema._SCHEMAS)
 
 
-def rule_of(kind, field):
-    """(expected type, optional) of one field of a kind."""
+def allowed(kind, field):
+    """The types one field of a kind may hold, None among them where it may be null."""
     rule = schema._SCHEMAS[kind][field]
-    optional = isinstance(rule, tuple) and rule[0] == "optional"
-    return (rule[1] if optional else rule), optional
+    return rule if isinstance(rule, tuple) else (rule,)
 
 
 def valid_report(kind):
-    """One value of each field's expected type; optional fields null."""
-    sample = {int: 3, bool: True, str: "ab", list: [1], dict: {"1": 2}, (int, float): 1.5}
+    """One value of each field's first type; nullable fields null."""
+    sample = {int: 3, bool: True, str: "ab", list: [1], dict: {"1": 2}}
     report = {}
     for field in schema._SCHEMAS[kind]:
-        expected, optional = rule_of(kind, field)
-        report[field] = None if optional else sample[expected]
+        types = allowed(kind, field)
+        report[field] = None if None in types else sample[types[0]]
     return report
 
 
-def wrong_value(expected):
-    """A value of the wrong type and the message `validate` gives for it."""
-    if expected is int:
-        return True, "expected int"  # a bool is not an int here
-    if expected is bool:
-        return 1, "expected bool"
-    return ("ab" if expected is not str else 3), f"expected {expected}"
+def wrong_value(types):
+    """A value of none of the types and the message `validate` gives for it."""
+    message = "expected " + " or ".join(t.__name__ for t in types if t is not None)
+    if int in types:
+        return True, message  # a bool is not an int here
+    if bool in types:
+        return 1, message
+    return ("ab" if str not in types else 3), message
 
 
 def rejection(kind, report):
@@ -73,7 +73,7 @@ def test_null_in_a_required_field_is_rejected(kind):
     for field in schema._SCHEMAS[kind]:
         report = valid_report(kind)
         report[field] = None
-        if rule_of(kind, field)[1]:
+        if None in allowed(kind, field):
             schema.validate(kind, report)  # an optional field may be null
         else:
             assert rejection(kind, report) == f"{kind}: field {field!r} must not be null"
@@ -82,7 +82,7 @@ def test_null_in_a_required_field_is_rejected(kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_wrong_type_is_rejected(kind):
     for field in schema._SCHEMAS[kind]:
-        value, message = wrong_value(rule_of(kind, field)[0])
+        value, message = wrong_value(allowed(kind, field))
         report = valid_report(kind)
         report[field] = value
         assert rejection(kind, report) == f"{kind}: field {field!r}: {message}"
@@ -101,8 +101,10 @@ def test_every_violation_is_reported():
     del report["n"]
     report["total"] = False
     report["which"] = None
+    report["elapsed_ms"] = "ab"
     report["spare"] = report["extra"] = 0
     assert rejection("roots", report) == (
         "roots: missing field 'n'; field 'which' must not be null; "
-        "field 'total': expected int; unexpected fields ['extra', 'spare']")
+        "field 'total': expected int; field 'elapsed_ms': expected int or float; "
+        "unexpected fields ['extra', 'spare']")
 
