@@ -222,7 +222,8 @@ def cmd_roots(args) -> int:
     elapsed = (time.perf_counter() - start) * 1e3
     expected = match = None
     if counting.has_closed_forms(args.n):
-        expected = counting.ROOT_EXPECTED[args.which](args.n)
+        d, _, c = counting.ROOT_TERMS[args.which](args.n)
+        expected = c * counting.fixed_points_for_power(args.n, d)
         match = counts.in_degree_six == expected
     obj = {
         "n": args.n, "which": args.which,

@@ -38,7 +38,13 @@ report would hold some 350,000 records; larger n is refused with a cost
 estimate rather than attempted. The root counts list no root, so they run
 as far as the towers' default moduli reach (`gf2tower._has_moduli`): every
 n <= 16 and every prime n <= 127. At the primes n > 3 among them
-(`has_closed_forms`) they check the paper's root lemmas.
+(`has_closed_forms`) each degree-6 count is expected to be c L(d), the
+paper's root lemma for the term L(d) of `fixed_points_for_power`: the
+equation asks sigma^d to act on its roots as one map m0 of PGL(2, q), and
+as PGL(2, q) acts freely on the degree-6 set, each linear orbit that sigma^d
+fixes holds c roots, c the size of m0's twisted centralizer (`ROOT_TERMS`).
+At composite n the link fails: at n = 4, eq_41 has 240 degree-6 roots
+against (q + 1) L(8) = 272.
 
 The scan and its numpy kernel are the module `scan`, which this module
 imports only inside `_sweep`, on a cache miss: importing it, the closed
@@ -70,7 +76,7 @@ __all__ = [
     "global_orbit_census",
     "fixed_point_oracle",
     "ROOT_EQUATIONS",
-    "ROOT_EXPECTED",
+    "ROOT_TERMS",
     "RootCounts",
     "root_count_oracle",
     "permutation_cycles",
@@ -85,15 +91,21 @@ MAX_ROOTS_N = _MAX_N  # every root count is a rank: any tower with default modul
 # least limit (640) that PYTHONINTMAXSTRDIGITS accepts for printing an int
 MAX_CLOSED_FORM_N = 701
 
-ROOT_EQUATIONS = ("eq_3n", "eq_2n_affine", "eq_41", "eq_deg8", "fixed_field_64")
-# the paper's closed forms for the degree-6 root counts of each equation, prime n > 3
-ROOT_EXPECTED = {
-    "eq_3n": lambda n: (1 << 3 * n) - (1 << n),
-    "eq_41": lambda n: (1 << 2 * n) - (1 << n) - 2,
-    "eq_deg8": lambda n: 6,
-    "fixed_field_64": lambda n: 54,
-    "eq_2n_affine": lambda n: 0,
+# each root equation asks sigma^d, the 2^d-power, to act on its roots as a map
+# m0 of PGL(2, q), q = 2^n; ROOT_TERMS[which](n) is (d, rhs, c), where the
+# equation is x^(2^d) + x = rhs, so m0 = x + rhs, unless rhs is None (eq_41,
+# x^(q^2) = (x + 1)/x), and c is the size of m0's centralizer twisted by
+# sigma^d, the g in PGL(2, q) with g^(sigma^d) m0 = m0 g. At prime n > 3 the
+# degree-6 roots number c L(d); c = 0 for eq_2n_affine, which has none, as
+# x^(q^2) = x + 1 gives x^(q^6) = x + 1
+ROOT_TERMS = {
+    "eq_3n": lambda n: (3 * n, 1, 1 << n),  # x + 1, untwisted: the maps x + b
+    "eq_2n_affine": lambda n: (2 * n, 1, 0),
+    "eq_41": lambda n: (2 * n, None, (1 << n) + 1),  # (x + 1)/x, of order 3
+    "eq_deg8": lambda n: (3, 1, 2),  # x + 1, twisted by the 8th power
+    "fixed_field_64": lambda n: (6, 0, 6),  # the identity: PGL(2, 2)
 }
+ROOT_EQUATIONS = tuple(ROOT_TERMS)
 
 
 class InfeasibleError(Exception):
@@ -419,8 +431,7 @@ def root_count_oracle(ctx: Tower, which: str) -> RootCounts:
         quadratic = solve_affine_linearized(ctx._frob_plus_id_cols(1), 1)  # x^2 + x = 1
         return _by_subfield(which, {6: total, 3: in_3n,
                                     **_coset_points(ctx, quadratic, (1, 2))})
-    k, rhs = {"eq_3n": (3 * n, 1), "eq_2n_affine": (2 * n, 1),
-              "eq_deg8": (3, 1), "fixed_field_64": (6, 0)}[which]
+    k, rhs, _ = ROOT_TERMS[which](n)
     coset = solve_affine_linearized(ctx._frob_plus_id_cols(k), rhs)
     total = _size(coset)
     kernel_dim = math.gcd(k, m)  # the kernel is GF(2^gcd(k, 6n))

@@ -328,6 +328,14 @@ def paper_fixed_points(n):
             6: 0, n: 9, 2 * n: 3, 3 * n: 0, 6 * n: 0}
 
 
+def paper_root_counts(n):
+    """The paper's root lemmas at a prime n > 3: the degree-6 root count of
+    each equation of `counting.ROOT_EQUATIONS`, the counts that
+    c L(d) (`counting.ROOT_TERMS`) must reduce to there."""
+    return {"eq_3n": (1 << 3 * n) - (1 << n), "eq_2n_affine": 0,
+            "eq_41": (1 << 2 * n) - (1 << n) - 2, "eq_deg8": 6, "fixed_field_64": 54}
+
+
 def divisors(k):
     """The divisors of k >= 1, ascending."""
     low = [d for d in range(1, math.isqrt(k) + 1) if k % d == 0]

@@ -13,12 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import divisors, load_bench_run, orbit_counts_by_moebius, records_digest
+from conftest import (divisors, load_bench_run, orbit_counts_by_moebius, paper_root_counts,
+                      records_digest)
 from goppa_orbits import cli, codes, counting, make_tower, schema
 from goppa_orbits.cli import main
 from goppa_orbits.counting import (
     MAX_CLOSED_FORM_N,
-    ROOT_EXPECTED,
     burnside_numerator,
     is_prime,
 )
@@ -209,6 +209,15 @@ def test_fixed_reports_skipped_oracle(capsys):
                             "--json")
     assert code == 0
     assert obj["oracle"] is None and obj["closed_form"] == 0
+
+
+@pytest.mark.slow
+def test_fixed_runs_its_oracle_at_the_largest_sweep_n(capsys):
+    """At n = MAX_SWEEP_N = 7 the census oracle runs and meets the closed
+    form; a gate that skipped it would report `oracle: null` and still exit 0."""
+    code, obj, _ = run_json(capsys, "fixed", "fixed", "--n", "7", "--d", "14", "--json")
+    assert code == 0 and obj["match"] is True
+    assert obj["oracle"] == obj["closed_form"] == 126
 
 
 def whole_argv(*argv, marks=()):
@@ -627,7 +636,7 @@ def test_roots_linear_equations_match_at_n11_and_n13(capsys):
                                     "--which", which, "--json")
             assert code == 0 and obj["match"] is True
             assert obj["in_degree_six"] == obj["expected_in_degree_six"] == (
-                ROOT_EXPECTED[which](n))
+                paper_root_counts(n)[which])
 
 
 def test_code_and_equiv_refuse_n12(capsys):
@@ -693,7 +702,8 @@ def test_roots_eq41_runs_to_the_tower_cap(capsys):
         code, obj, _ = run_json(capsys, "roots", "roots", "--n", str(n), "--which",
                                 "eq_41", "--json")
         assert code == 0 and obj["match"] is True
-        assert obj["in_degree_six"] == obj["expected_in_degree_six"] == ROOT_EXPECTED["eq_41"](n)
+        assert obj["in_degree_six"] == obj["expected_in_degree_six"] == (
+            paper_root_counts(n)["eq_41"])
     for n in (18, 131):
         code, out, err = run(capsys, "roots", "--n", str(n), "--which", "eq_41")
         assert code == 3 and out == ""

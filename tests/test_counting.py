@@ -24,6 +24,7 @@ from conftest import (
     low_field_class_elements,
     orbit_counts_by_moebius,
     paper_fixed_points,
+    paper_root_counts,
     records_digest,
     root_counts_by_gcd,
     subfield_span_array,
@@ -776,20 +777,112 @@ def test_eq41_rank_is_the_same_under_other_moduli(n, base, big):
 
 @pytest.mark.parametrize("n", PRIMES_TO_127)
 def test_root_lemmas_at_every_prime_to_the_tower_cap(monkeypatch, n):
-    """The five equations' degree-6 root counts equal the paper's closed
-    forms at every prime 5 <= n <= 127 (about 2 s in all), on towers whose
-    default moduli are read from the table, not searched for."""
+    """The five equations' degree-6 root counts, by rank, equal the paper's
+    root lemmas at every prime 5 <= n <= 127 (about 2 s in all), on towers
+    whose default moduli are read from the table, not searched for. The
+    lemmas are c L(d) there (the test below), so this checks four terms of
+    `fixed_points_for_power` by rank at each of these primes."""
     def no_search(d):
         raise AssertionError(f"searched degree {d}")
 
     monkeypatch.setattr(gf2poly, "lowest_irreducible", no_search)
     ctx = make_tower(n)
     assert (gf2poly.degree(ctx.modulus_base), gf2poly.degree(ctx.modulus_big)) == (n, 6 * n)
+    lemmas = paper_root_counts(n)
     for which in counting.ROOT_EQUATIONS:
-        assert root_count_oracle(ctx, which).in_degree_six == counting.ROOT_EXPECTED[which](n), (
-            which)
+        assert root_count_oracle(ctx, which).in_degree_six == lemmas[which], which
     for which in GCD_SPLITS:
         assert root_count_oracle(ctx, which) == root_counts_by_gcd(which, n), which
+
+
+def test_root_terms_reduce_to_the_papers_root_lemmas_at_every_prime_to_701():
+    """c L(d), each equation's expected degree-6 count off
+    `fixed_points_for_power`, is the paper's root lemma at every prime
+    5 <= n <= 701."""
+    for n in PRIMES_TO_701:
+        expected = {}
+        for which, term in counting.ROOT_TERMS.items():
+            d, _, c = term(n)
+            expected[which] = c * fixed_points_for_power(n, d)
+        assert expected == paper_root_counts(n), n
+
+
+# each equation as sigma^d acting on its roots as a map m0, here a matrix over
+# GF(2): (d, m0) by n
+NORMAL_FORMS = {
+    "eq_3n": lambda n: (3 * n, ((1, 1), (0, 1))),  # x^(2^(3n)) = x + 1
+    "eq_2n_affine": lambda n: (2 * n, ((1, 1), (0, 1))),  # x^(2^(2n)) = x + 1
+    "eq_41": lambda n: (2 * n, ((1, 1), (1, 0))),  # x^(q^2) = (x + 1)/x
+    "eq_deg8": lambda n: (3, ((1, 1), (0, 1))),  # x^8 = x + 1
+    "fixed_field_64": lambda n: (6, ((1, 0), (0, 1))),  # x^64 = x
+}
+
+
+def gf2_matrix_power(m, k):
+    out = ((1, 0), (0, 1))
+    for _ in range(k):
+        out = tuple(tuple((out[i][0] * m[0][j] + out[i][1] * m[1][j]) % 2 for j in (0, 1))
+                    for i in (0, 1))
+    return out
+
+
+def twisted_centralizer_size(ctx, d, m0):
+    """|{g in PGL(2, q) : g^(sigma^d) m0 = m0 g}|, q = 2^n, by brute force
+    over the q^3 - q maps on GF(q)'s log tables (`base_logs`): g is
+    [[1, b], [c, e]] with e != bc, or [[0, 1], [c, e]] with c != 0, and
+    g^(sigma^d) raises each entry to the 2^d-th power. Two invertible
+    matrices are one map iff all their 2x2 minors vanish."""
+    q, logs = 1 << ctx.n, ctx.base_logs
+    log = np.array([0 if k is None else k for k in logs.base_log])
+    exp = np.array(logs.exp * 2, dtype=np.uint8)  # a sum of two logs needs no reduction
+    x = np.arange(q)
+    mul = np.where((x[:, None] > 0) & (x > 0), exp[log[:, None] + log], 0).astype(np.uint8)
+    frob = np.where(x > 0, exp[log * pow(2, d, q - 1) % (q - 1)], 0).astype(np.uint8)
+    b, c, e = (v.ravel() for v in np.indices((q, q, q), dtype=np.uint8))
+    keep = e != mul[b, c]  # [[1, b], [c, e]] is invertible
+    c0, e0 = (v.ravel()[q:] for v in np.indices((q, q), dtype=np.uint8))  # c0 != 0
+    k = int(keep.sum())
+    a = np.zeros(k + len(c0), np.uint8)
+    a[:k] = 1
+    g = ((a, np.concatenate([b[keep], a[k:] + 1])),
+         (np.concatenate([c[keep], c0]), np.concatenate([e[keep], e0])))
+    assert len(g[0][0]) == q ** 3 - q
+
+    def product(f, h):
+        return [[mul[f[i][0], h[0][j]] ^ mul[f[i][1], h[1][j]] for j in (0, 1)]
+                for i in (0, 1)]
+
+    left = sum(product([[frob[v] for v in row] for row in g], m0), [])
+    right = sum(product(m0, g), [])
+    same = np.ones(q ** 3 - q, bool)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            same &= mul[left[i], right[j]] == mul[left[j], right[i]]
+    return int(same.sum())
+
+
+@pytest.mark.parametrize("n, sizes", [
+    pytest.param(5, {"eq_3n": 32, "eq_2n_affine": 0, "eq_41": 33, "eq_deg8": 2,
+                     "fixed_field_64": 6}, id="n5"),
+    pytest.param(7, {"eq_3n": 128, "eq_2n_affine": 0, "eq_41": 129, "eq_deg8": 2,
+                     "fixed_field_64": 6}, id="n7", marks=pytest.mark.slow)])
+def test_root_terms_count_each_twisted_centralizer(n, sizes):
+    """Each equation's (d, rhs, c) in `counting.ROOT_TERMS` against its map
+    m0: d is the power of sigma it names, m0 = x + rhs where it is linear,
+    and c is the size of m0's twisted centralizer, brute-forced over
+    PGL(2, q). An equation has roots only if sigma^(6n) = id asks m0's
+    norm, here m0^(6n/d) as m0 has entries in GF(2), to be the identity;
+    eq_2n_affine's is x + 1, so its c is 0."""
+    ctx = make_tower(n)
+    for which in counting.ROOT_EQUATIONS:
+        d, rhs, c = counting.ROOT_TERMS[which](n)
+        power, m0 = NORMAL_FORMS[which](n)
+        assert d == power, which
+        if rhs is not None:  # x^(2^d) + x = rhs
+            assert m0 == ((1, rhs), (0, 1)), which
+        has_roots = gf2_matrix_power(m0, 6 * n // d) == ((1, 0), (0, 1))
+        size = twisted_centralizer_size(ctx, d, m0) if has_roots else 0
+        assert size == c == sizes[which], which
 
 
 # the equations whose gcd oracle stays small at any n: P of degree 8 and 64

@@ -1,8 +1,8 @@
 """Every runtime guard of the second routes fires in a test.
 
-Each test forces one guard through its public route by a fault injected
-with `monkeypatch` (a wrong table, a wrong kernel, a wrong closed form) and
-asserts the exception and its message; where the CLI reaches the guard, the
+Each test forces one guard through its public route, by a bad argument or
+by a fault injected with `monkeypatch` (a wrong table, a wrong kernel, a
+wrong closed form), and asserts the exception and its message; where the CLI reaches the guard, the
 exit code and the one stderr line, with no traceback, too. A
 `ConsistencyError` or an `AssertionError` of the arithmetic exits 1, a
 `ValueError` exits 2.
@@ -144,3 +144,43 @@ def test_goppa_parity_refuses_a_support_point_outside_the_subfield(monkeypatch, 
     for extended in ((), ("--extended",)):
         assert_one_line(capsys, ["code", "--n", "5", "--alpha", "2", *extended], 2,
                         f"error: {message}")
+
+
+def test_census_refuses_a_record_outside_the_tower(monkeypatch, capsys):
+    """A census whose records end with the encoding 2^(6n), one past the
+    tower's last element: its row has no hex of the tower's width."""
+    census = counting.global_orbit_census
+
+    def one_record_too_many(ctx):
+        out = census(ctx)
+        return out._replace(records=(*out.records, (ctx.order, 1)))
+
+    monkeypatch.setattr(counting, "global_orbit_census", one_record_too_many)
+    for mode in ((), ("--json",)):
+        assert_one_line(capsys, ["census", "--n", "2", *mode], 2, "error: encoding out of range")
+
+
+def test_hex_refuses_an_encoding_outside_the_field(monkeypatch, capsys):
+    """Both ends of each range; in `equiv`, beta = 2^(6n), one past the
+    tower's last element, reaches `to_hex`."""
+    ctx = make_tower(5)
+    for x in (-1, ctx.order):
+        with pytest.raises(ValueError, match="^encoding out of range$"):
+            ctx.to_hex(x)
+    with pytest.raises(ValueError, match="^base encoding out of range$"):
+        ctx.base_to_hex(1 << 5)
+    assert (ctx.to_hex(ctx.order - 1), ctx.base_to_hex(31)) == ("3fffffff", "1f")
+    check = codes.check_extended_equivalence
+    monkeypatch.setattr(codes, "check_extended_equivalence",
+                        lambda ctx, alpha, m: check(ctx, alpha, m)._replace(beta=ctx.order))
+    assert_one_line(capsys, ["equiv", "--n", "5", "--alpha", "random", "--map", "random",
+                             "--seed", "1", "--json"], 2, "error: encoding out of range")
+
+
+def test_lowest_irreducible_refuses_degree_below_one_and_a_failed_search(monkeypatch):
+    for d in (0, -3):
+        with pytest.raises(ValueError, match="^degree must be positive$"):
+            gf2poly.lowest_irreducible(d)
+    monkeypatch.setattr(gf2poly, "is_irreducible", lambda p, chain=None: False)
+    with pytest.raises(AssertionError, match="^no irreducible of degree 5 found$"):
+        gf2poly.lowest_irreducible(5)

@@ -1,15 +1,16 @@
 """Start-up guard: only the sweeps import numpy and the scan module, and
-nothing imports `dataclasses`.
+nothing imports `dataclasses` or `inspect`.
 
 Importing the CLI, building a tower and every scalar command run in a fresh
-interpreter where neither numpy nor `dataclasses` can be imported, import
-no `goppa_orbits.scan`, and their reports equal the goldens; a census or a
-fixed-point count by sweep imports numpy and the scan. In `src/` numpy is
-imported only by the scan at module level and by the few functions pinned
-here, and the scan only inside functions. `dataclasses` brings in
-`inspect`, `ast`, `dis` and `tokenize`, the largest import a scalar command
-would pay for, so the package's records are `NamedTuple`s, immutable values
-like frozen dataclasses.
+interpreter where none of numpy, `dataclasses` and `inspect` can be
+imported, import no `goppa_orbits.scan`, and their reports equal the
+goldens; a census or a fixed-point count by sweep imports numpy and the
+scan. In `src/` numpy is imported only by the scan at module level and by
+the few functions pinned here, and the scan only inside functions.
+`dataclasses` brings in `inspect`, `ast`, `dis` and `tokenize`, the largest
+import a scalar command would pay for, so the package's records are
+`NamedTuple`s, immutable values like frozen dataclasses. This is the one
+check of the CLI's imports: no workflow step profiles them.
 """
 
 import ast
@@ -36,6 +37,7 @@ import contextlib, io, json, sys
 if sys.argv[2] == "block":
     sys.modules["numpy"] = None  # `import numpy` now raises ImportError
     sys.modules["dataclasses"] = None
+    sys.modules["inspect"] = None
 import goppa_orbits.cli
 from goppa_orbits import make_tower
 assert sys.modules.get("numpy") is None, "importing the CLI imported numpy"
