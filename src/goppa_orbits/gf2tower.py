@@ -49,7 +49,8 @@ The scalar kernel:
   (`codes.goppa_parity`), support permutations
   (`codes.induced_permutation`) and `to_base` read it: x is in GF(q) iff
   it is 0 or has a log, so `to_base` is the one projection and membership
-  test (`minimal_polynomial`, `mobius.make_map`).
+  test (`minimal_polynomial`); `mobius.make_map` reads the same lookup,
+  and builds a map on the logs it finds.
 
 Construction only validates the moduli: it builds the reduction table
 every product reads and keeps the chain it checks, but no Frobenius
@@ -82,18 +83,31 @@ is skipped. The embedding and the log tables of the coordinate kernel
 
 The subfield and the embedding are built together on the first read of
 `subfield`, `embed_base`, `to_base` or `base_logs`, so root counts and a
-fixed-point count read off a cached sweep build neither. From the first
-model of GF(2^n), `gf2poly.field_root` finds the least root r of
-modulus_base in K by an ascending scan on n-bit integers; gamma, the
-enc-least root in the big field, is the least of the image of r and its
-n - 1 squarings, whatever w is, and the embedding columns are
-gamma^0..gamma^(n-1). One doubling over them lists the subfield and the
-span in embed order, span[a] = embed_base(a): the record's two fields,
-and all the census reads of GF(q). The embedding is checked in
-O(n): its n columns are independent and fixed by sigma^n. This first
-read, with `base_logs`, costs about 0.1-0.2 ms at n = 4 and 5, 0.3-0.4 ms
-at n = 7 and 9-11 ms at n = 11, the largest n a command reads it at,
-where the scan for r is most of it (2 vCPU).
+fixed-point count read off a cached sweep build neither. gamma, the
+enc-least root of modulus_base in the big field, has two routes:
+
+- A tower with the default moduli of 2 <= n <= 11, every n a command
+  reads the embedding at, reads gamma from `_ROOTS`, one string of hex
+  entries parsed on the first read of an embedding, beside `_MODULI`. The
+  tests check each entry against the search, and every read checks it
+  (`_is_least_root`): f(gamma) = 0 for f = modulus_base, by Horner, and
+  gamma is less than its other n - 1 conjugates, with gamma^(2^n) =
+  gamma; as f is irreducible of degree n, that makes gamma its enc-least
+  root. A failure raises AssertionError.
+- Any other tower searches (`_searched_root`): from the first model of
+  GF(2^n), `gf2poly.field_root` finds the least root r of modulus_base in
+  K by an ascending scan on n-bit integers, and gamma is the least of the
+  image of r and its n - 1 squarings, whatever w is.
+
+The embedding columns are gamma^0..gamma^(n-1). One doubling over them
+lists the subfield and the span in embed order, span[a] = embed_base(a):
+the record's two fields, and all the census reads of GF(q). The embedding
+is checked in O(n) on both routes: its n columns are independent and
+fixed by sigma^n. On a default tower this first read costs about
+0.06 ms at n = 4, 0.08 ms at n = 5, 0.15-0.17 ms at n = 7 and 0.6-0.7 ms
+at n = 11, the largest n a command reads it at, where the search took
+0.09, 0.11, 0.21 and 5.0 ms, most of it at n = 11 the scan for r, whose
+length depends on the model (in-process medians of 51 towers, 2 vCPU).
 
 The byte tables of GF(2)-linear maps (`_byte_tables`, below 64 bits),
 of each Frobenius power (`frob_tables`) and their application
@@ -156,12 +170,30 @@ _MODULI = (
     "618,295,0 642,119,0 654,33,0 678,15,5,3,0 762,83,0"
 )
 
+# gamma, the enc-least root of modulus_base in the big field, of the default
+# tower of each n a command reads the embedding at, 2 <= n <= 11 (`code` and
+# `equiv` to cli.MAX_CODE_N, `census` to 7), as "n:hex" entries parsed on the
+# first read of an embedding (`_default_roots`). tests/test_gf2tower.py
+# checks every entry against the search, and `Tower._embedding` checks each
+# one it reads
+_ROOTS = (
+    "2:48 3:248 4:b781c4 5:f7c795f 6:208009 7:1102400a12 8:293ef1396c8c "
+    "9:48209248208 10:18da17e7f5318cf 11:8000040209009"
+)
+
 
 @functools.cache
 def _default_moduli() -> dict[int, tuple[int, ...]]:
     """`_MODULI` as exponent tuples keyed by degree."""
     rows = (tuple(map(int, entry.split(","))) for entry in _MODULI.split())
     return {exps[0]: exps for exps in rows}
+
+
+@functools.cache
+def _default_roots() -> dict[int, int]:
+    """`_ROOTS` as gamma keyed by n."""
+    rows = (entry.split(":") for entry in _ROOTS.split())
+    return {int(n): int(gamma, 16) for n, gamma in rows}
 
 
 def _has_moduli(n: int) -> bool:
@@ -347,8 +379,9 @@ class Tower:
     given ones. The embedding sends the base field's generator
     (x mod modulus_base) to the enc-least root of modulus_base in the big
     field, so encodings are reproducible across runs; it and the
-    subfield list are built on first read (`_embedding`, from a model of
-    the subfield, `_trace_models`), the moduli checks at construction.
+    subfield list are built on first read (`_embedding`, from the checked
+    table `_ROOTS` on a default tower of n <= 11, else from a model of the
+    subfield, `_trace_models`), the moduli checks at construction.
     """
 
     def __init__(self, n: int, modulus_base: int | None = None,
@@ -392,18 +425,18 @@ class Tower:
         built together on the first read of `subfield`, `embed_base`,
         `to_base` or `base_logs`.
 
-        The first model of GF(2^n) (`_trace_models`) gives w and its minimal
-        polynomial m_w: y -> w maps K = GF(2)[y]/(m_w) onto the subfield, so
-        the roots of modulus_base there are the image of a root r in K and
-        its n - 1 squarings, and gamma is the enc-least of them. The subfield
-        and the span in embed order come from one doubling over the columns
+        gamma, the enc-least root of modulus_base, is read from `_ROOTS` on a
+        tower with the default moduli of a tabled n and checked
+        (`_is_least_root`), else found by `_searched_root`. The subfield and
+        the span in embed order come from one doubling over the columns
         gamma^0..gamma^(n-1)."""
         n = self.n
-        to_big, m_w, _ = next(self._trace_models(n))
-        roots = [_apply_cols(to_big, gf2poly.field_root(self.modulus_base, m_w))]
-        for _ in range(n - 1):
-            roots.append(self.square(roots[-1]))
-        cols = self._powers(min(roots), n)  # gamma^0..gamma^(n-1)
+        gamma = _default_roots().get(n)
+        if gamma is None or (self.modulus_base, self.modulus_big) != _moduli(n):
+            gamma = self._searched_root()
+        elif not self._is_least_root(gamma):
+            raise AssertionError("tabled embedding root is not the least root of modulus_base")
+        cols = self._powers(gamma, n)  # gamma^0..gamma^(n-1)
         # n independent columns fixed by sigma^n span the n-dimensional fixed field
         if _ColumnSolver(cols).kernel_basis or any(self.frobenius(c, n) != c for c in cols):
             raise AssertionError("embedding image differs from the fixed field")
@@ -411,6 +444,39 @@ class Tower:
         for c in cols:
             span += [v ^ c for v in span]
         return _Embedding(tuple(sorted(span)), span)
+
+    def _searched_root(self) -> int:
+        """The enc-least root of modulus_base in the big field, by search: the
+        first model of GF(2^n) (`_trace_models`) gives w and its minimal
+        polynomial m_w, y -> w maps K = GF(2)[y]/(m_w) onto the subfield, so
+        the roots of modulus_base there are the image of the least root r in
+        K (`gf2poly.field_root`) and its n - 1 squarings."""
+        to_big, m_w, _ = next(self._trace_models(self.n))
+        roots = [_apply_cols(to_big, gf2poly.field_root(self.modulus_base, m_w))]
+        for _ in range(self.n - 1):
+            roots.append(self.square(roots[-1]))
+        return min(roots)
+
+    def _is_least_root(self, gamma: int) -> bool:
+        """Whether gamma is the enc-least root of modulus_base: an encoding
+        below 2^(6n) with f(gamma) = 0 for f = modulus_base, by Horner, that
+        is less than each of its other n - 1 conjugates, with
+        gamma^(2^n) = gamma. As f is irreducible of degree n, its roots are
+        exactly these conjugates."""
+        f = self.modulus_base
+        if gamma >> self.big_degree:
+            return False
+        value = 1  # Horner from the leading coefficient down
+        for k in range(self.n - 1, -1, -1):
+            value = self.mul(value, gamma) ^ (f >> k & 1)
+        if value:
+            return False
+        conjugate = gamma
+        for _ in range(self.n - 1):
+            conjugate = self.square(conjugate)
+            if conjugate <= gamma:
+                return False
+        return self.square(conjugate) == gamma
 
     def _trace_models(self, d: int) -> Iterator[tuple[list[int], int, int]]:
         """Models of the subfield GF(2^d), d | 6n, as (w^0..w^(d-1), m_w, z).

@@ -66,30 +66,50 @@ class SemiLinearMap(NamedTuple):
 def make_map(ctx: Tower, a: int, b: int, c: int, d: int, frob: int = 0) -> SemiLinearMap:
     """Validate and scalar-normalize a semi-linear map.
 
-    Entries must lie in the embedded base field (`Tower.to_base`) and the
-    matrix must be invertible. Normalization scales by the inverse of the
-    first nonzero entry, making equal projective maps structurally equal.
+    Entries must lie in the embedded base field, each looked up in
+    `Tower.base_logs`, as `Tower.to_base` does, and the matrix must be
+    invertible. The determinant test and the normalization, which scales by
+    the inverse of the first nonzero entry so that equal projective maps are
+    structurally equal, are sums and differences of logs (`_normalized`):
+    no product or inverse in the big field.
     """
-    entries = (a, b, c, d)
+    log = ctx.base_logs.log
     try:
-        for e in entries:
-            ctx.to_base(e)
-    except ValueError as exc:
-        raise ValueError("matrix entries must lie in the embedded base field") from exc
-    det = ctx.mul(a, d) ^ ctx.mul(b, c)
-    if det == 0:
+        logs = tuple(log[e] if e else None for e in (a, b, c, d))
+    except KeyError:
+        raise ValueError("matrix entries must lie in the embedded base field") from None
+    entries = _normalized(ctx, logs)
+    if entries is None:
         raise ValueError("matrix is singular")
-    scale = ctx.inv(next(e for e in entries if e))
-    a, b, c, d = (ctx.mul(scale, e) for e in entries)
-    return SemiLinearMap(a, b, c, d, frob % ctx.big_degree)
+    return SemiLinearMap(*entries, frob % ctx.big_degree)
+
+
+def _normalized(ctx: Tower, logs: tuple[int | None, ...]) -> tuple[int, ...] | None:
+    """The normalized entries a, b, c, d of the matrix whose entries have the
+    logs `logs` in GF(q)*, None for a zero entry, or None when the matrix is
+    singular: ad = bc, each product's log a sum of logs, or None when a
+    factor is zero. Entry k becomes the embedding of g^(k - first), first
+    the log of the first nonzero entry."""
+    q1 = (1 << ctx.n) - 1
+    la, lb, lc, ld = logs
+    ad = None if la is None or ld is None else (la + ld) % q1
+    bc = None if lb is None or lc is None else (lb + lc) % q1
+    if ad == bc:
+        return None
+    first = next(k for k in logs if k is not None)
+    embedded = ctx.base_logs.embedded
+    return tuple(0 if k is None else embedded[(k - first) % q1] for k in logs)
 
 
 def random_map(ctx: Tower, rng: random.Random) -> SemiLinearMap:
-    """Uniform-ish random semi-linear map from a seeded generator."""
+    """Uniform-ish random semi-linear map from a seeded generator: four base
+    encodings until the matrix is invertible, then the Frobenius power."""
+    base_log = ctx.base_logs.base_log
     while True:
-        a, b, c, d = (ctx.embed_base(rng.randrange(1 << ctx.n)) for _ in range(4))
-        if ctx.mul(a, d) ^ ctx.mul(b, c):
-            return make_map(ctx, a, b, c, d, rng.randrange(ctx.big_degree))
+        logs = tuple(base_log[rng.randrange(1 << ctx.n)] for _ in range(4))
+        entries = _normalized(ctx, logs)
+        if entries is not None:
+            return SemiLinearMap(*entries, rng.randrange(ctx.big_degree))
 
 
 def format_map(ctx: Tower, m: SemiLinearMap) -> str:

@@ -17,6 +17,7 @@ from goppa_orbits.codes import BinaryCode, nullspace, rref
 from goppa_orbits.counting import RootCounts
 from goppa_orbits.gf2tower import Tower, _ColumnSolver, solve_affine_linearized
 from goppa_orbits.mobius import (
+    SemiLinearMap,
     apply_map,
     infinity,
     make_map,
@@ -554,6 +555,32 @@ def class_equation_oracle(ctx, alpha, d):
 
 
 # ------------------------------------------------------------- map group law
+
+
+def make_map_by_inverse(ctx, a, b, c, d, frob=0):
+    """The normalization oracle in the big field: membership by `to_base`,
+    the determinant by `Tower.mul`, and every entry times the `Tower.inv` of
+    the first nonzero one, with `make_map`'s messages."""
+    entries = (a, b, c, d)
+    try:
+        for e in entries:
+            ctx.to_base(e)
+    except ValueError as exc:
+        raise ValueError("matrix entries must lie in the embedded base field") from exc
+    if ctx.mul(a, d) == ctx.mul(b, c):
+        raise ValueError("matrix is singular")
+    scale = ctx.inv(next(e for e in entries if e))
+    return SemiLinearMap(*(ctx.mul(scale, e) for e in entries), frob % ctx.big_degree)
+
+
+def random_map_by_inverse(ctx, rng):
+    """`random_map`'s draws on embedded entries, normalized by the oracle:
+    four base encodings until the determinant is nonzero, then the Frobenius
+    power."""
+    while True:
+        a, b, c, d = (ctx.embed_base(rng.randrange(1 << ctx.n)) for _ in range(4))
+        if ctx.mul(a, d) != ctx.mul(b, c):
+            return make_map_by_inverse(ctx, a, b, c, d, rng.randrange(ctx.big_degree))
 
 
 def compose(ctx, f, g):

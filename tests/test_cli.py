@@ -1026,7 +1026,7 @@ def argvs(draw):
     return argv
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(argvs())
 def test_any_argv_ends_with_a_documented_exit_and_at_most_one_line(argv):
     """Any argv ends with exit 0, 1, 2 or 3 and at most one line on stderr,

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goppa_orbits import cli, counting, gf2poly, make_tower, random_degree_six, scan
+from goppa_orbits import cli, counting, gf2poly, gf2tower, make_tower, random_degree_six, scan
 from goppa_orbits.gf2tower import (
     Tower,
     _apply_cols,
     _default_moduli,
+    _default_roots,
     solve_affine_linearized,
 )
 
@@ -561,6 +562,47 @@ def test_embedding_equals_the_ascending_scan(n):
     the columns of the enc-least root of modulus_base in the big field."""
     ctx = make_tower(n)
     assert embed_cols(ctx) == embedding_by_scan(ctx)
+
+
+def test_default_roots_table_covers_each_n_a_command_embeds_at():
+    """`_ROOTS` holds n = 2..cli.MAX_CODE_N, the n at which `code` and
+    `equiv` read the embedding (`census` stops at 7): raising the cap needs
+    a new entry."""
+    assert list(_default_roots()) == list(range(2, cli.MAX_CODE_N + 1))
+
+
+@pytest.mark.parametrize("n", sorted(_default_roots()))
+def test_default_roots_table_is_the_search(n):
+    """Each entry is the search's gamma on the default tower and the
+    ascending scan's (about 7 ms for the search at n = 11)."""
+    ctx = make_tower(n)
+    gamma = _default_roots()[n]
+    assert ctx._searched_root() == gamma
+    assert embedding_by_scan(ctx)[1] == gamma and ctx.embed_base(2) == gamma
+
+
+def test_embedding_reads_the_table_only_for_default_moduli(monkeypatch):
+    """A default tower of a tabled n reads `_ROOTS` on the first read of its
+    embedding, not at construction, and never searches; a tower with a given
+    modulus, or of an n past the table, searches."""
+    reads = []
+
+    def roots():
+        reads.append(1)
+        return _default_roots()
+
+    def no_search(f, m):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(gf2tower, "_default_roots", roots)
+    monkeypatch.setattr(gf2poly, "field_root", no_search)
+    ctx = make_tower(5)
+    assert not reads
+    assert ctx.embed_base(2) == _default_roots()[5] and reads == [1]
+    for other in (make_tower(5, modulus_big=gf2poly.from_exponents([30, 29, 0])),
+                  make_tower(4, modulus_base=0b11001), make_tower(12)):
+        with pytest.raises(AssertionError, match="^searched$"):
+            other.subfield
 
 
 def random_irreducible(rng, d):

@@ -12,7 +12,7 @@ import re
 
 import pytest
 
-from goppa_orbits import cli, codes, counting, gf2poly, make_tower
+from goppa_orbits import cli, codes, counting, gf2poly, gf2tower, make_tower
 from goppa_orbits.counting import ConsistencyError
 from goppa_orbits.gf2tower import Tower
 
@@ -83,16 +83,35 @@ def test_linear_counts_refuse_a_solution_count_off_the_kernel(monkeypatch, capsy
 
 
 EMBEDDING = "embedding image differs from the fixed field"
+TABLED_ROOT = "tabled embedding root is not the least root of modulus_base"
+BIG_30_29_0 = gf2poly.from_exponents([30, 29, 0])
 
 
 def test_embedding_refuses_dependent_columns(monkeypatch, capsys):
     """A root finder that answers 1 makes gamma = 1, whose powers are one
-    column n times over: they span GF(2), not GF(2^n)."""
+    column n times over: they span GF(2), not GF(2^n). A tower with a given
+    modulus finds gamma by the search; a default one reads `_ROOTS`."""
     monkeypatch.setattr(gf2poly, "field_root", lambda f, m: 1)
     with pytest.raises(AssertionError, match=f"^{re.escape(EMBEDDING)}$"):
+        make_tower(5, modulus_big=BIG_30_29_0).subfield
+    assert_one_line(capsys, ["code", "--n", "5", "--modulus-big", "30,29,0", "--alpha", "random",
+                             "--seed", "1"], 1, f"falsified internal claim: {EMBEDDING}")
+
+
+@pytest.mark.parametrize("wrong", ["second conjugate", "plus one"])
+def test_embedding_refuses_a_wrong_tabled_root(monkeypatch, capsys, wrong):
+    """A `_ROOTS` entry for n = 5 that is gamma^2, a root of modulus_base but
+    not the least, or the least conjugate of gamma + 1, which is the least
+    of its conjugates but a root of f(x + 1), not of f."""
+    ctx = make_tower(5)
+    gamma = gf2tower._default_roots()[5]
+    conjugates = [ctx.frobenius(gamma ^ 1, i) for i in range(5)]
+    entry = ctx.square(gamma) if wrong == "second conjugate" else min(conjugates)
+    monkeypatch.setitem(gf2tower._default_roots(), 5, entry)
+    with pytest.raises(AssertionError, match=f"^{re.escape(TABLED_ROOT)}$"):
         make_tower(5).subfield
     assert_one_line(capsys, ["code", "--n", "5", "--alpha", "random", "--seed", "1"], 1,
-                    f"falsified internal claim: {EMBEDDING}")
+                    f"falsified internal claim: {TABLED_ROOT}")
 
 
 def squaring_for_sigma_n(monkeypatch):

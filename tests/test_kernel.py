@@ -31,7 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goppa_orbits import gf2poly, make_tower, mobius, scan
+from goppa_orbits import gf2poly, gf2tower, make_tower, mobius, scan
 
 from conftest import fixed_field_basis, schoolbook_mul
 
@@ -124,6 +124,12 @@ def test_tower_internals_golden(n, big, embed_cols, frob_digest):
     assert [ctx.embed_base(1 << i) for i in range(n)] == embed_cols
     cols = [ctx._frob_cols(i) for i in range(ctx.big_degree)]
     assert hashlib.sha256(repr(cols).encode()).hexdigest()[:16] == frob_digest
+
+
+def test_default_roots_table_agrees_with_the_golden_embedding_columns():
+    """gamma, column 1 of each default-moduli row, is the `_ROOTS` entry."""
+    roots = gf2tower._default_roots()
+    assert all(roots[n] == embed_cols[1] for n, big, embed_cols, _ in GOLDEN if big is None)
 
 
 def test_inv_refuses_reducible_modulus():

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import numpy as np
@@ -5,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import canonical_orbit_rep, compose, fixed_field_basis, inverse
+from conftest import (
+    canonical_orbit_rep,
+    compose,
+    fixed_field_basis,
+    inverse,
+    make_map_by_inverse,
+    random_map_by_inverse,
+)
 from goppa_orbits import make_tower
 from goppa_orbits.mobius import (
     apply_map,
@@ -29,6 +37,48 @@ def test_make_map_validates(tower2):
         make_map(tower2, 1, 0, infinity(tower2), 1)
     m = make_map(tower2, 0, 1, 1, 0)
     assert (m.a, m.b, m.c, m.d) == (0, 1, 1, 0)
+
+
+@functools.cache
+def tower(n):
+    return make_tower(n)
+
+
+def outcome(build, *args):
+    """The map `build` returns, or the type and message of its ValueError."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 7), data=st.data())
+def test_make_map_on_logs_equals_the_big_field_normalization(n, data):
+    """`make_map` and the big-field oracle return equal maps, or raise the
+    same message: on embedded entries, with one of them set to zero, on
+    matrices made singular by a second row that is a multiple of the first,
+    and with one entry outside the base field. `random_map` draws what the oracle's
+    draws give, leaving the generator in the same state."""
+    ctx = tower(n)
+    base = st.integers(0, (1 << n) - 1).map(ctx.embed_base)
+    entries = list(data.draw(st.tuples(base, base, base, base)))
+    kind = data.draw(st.sampled_from(("as drawn", "a zero", "singular", "outside")))
+    if kind == "a zero":
+        entries[data.draw(st.integers(0, 3))] = 0
+    elif kind == "singular":
+        lam = data.draw(base)
+        entries[2:] = (ctx.mul(lam, e) for e in entries[:2])
+    elif kind == "outside":
+        entries[data.draw(st.integers(0, 3))] = data.draw(st.integers(0, ctx.order - 1))
+    a, b, c, d = entries
+    frob = data.draw(st.integers(-100, 100))
+    got = outcome(make_map, ctx, a, b, c, d, frob)
+    assert got == outcome(make_map_by_inverse, ctx, a, b, c, d, frob)
+    seed = data.draw(st.integers(0, 1 << 32))
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    assert random_map(ctx, rng) == random_map_by_inverse(ctx, oracle_rng)
+    assert rng.getstate() == oracle_rng.getstate()
 
 
 def test_scalar_normalization_gives_equality(tower2):
