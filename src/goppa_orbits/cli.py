@@ -381,6 +381,56 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER: argparse.ArgumentParser | None = None
 _COMMANDS: dict[str, argparse.ArgumentParser] = {}
 
+# the actions `_parse_request` reads off a table: a value or a constant
+_READ = (argparse._StoreAction, argparse._StoreConstAction)
+
+
+def _parse_request(command: argparse.ArgumentParser, words: list[str]) -> argparse.Namespace:
+    """`command.parse_args(words)`, read off the parser's own tables when the
+    words are well-formed: each an exact option string of a store or
+    store-constant action, each value one word that does not start with '-'
+    and passes its option's type and choices, and every required option
+    given. Any other argv goes to argparse: help, an abbreviation,
+    `--opt=value`, a value that starts with '-' or fails its checks, a
+    missing option, or an action read otherwise. So argparse alone defines
+    the interface and writes every help, usage and error text."""
+    fields = {}  # the namespace's fields in argparse's order: action defaults first
+    for action in command._actions:
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            fields.setdefault(action.dest, action.default)
+    for dest, default in command._defaults.items():
+        fields.setdefault(dest, default)
+    seen = set()
+    i = 0
+    while i < len(words):
+        action = command._option_string_actions.get(words[i])
+        if not isinstance(action, _READ):
+            break
+        if action.nargs == 0:
+            value = action.const
+            i += 1
+        elif action.nargs is None and i + 1 < len(words) and not words[i + 1].startswith("-"):
+            value = words[i + 1]
+            i += 2
+            if action.type is not None:
+                try:
+                    value = action.type(value)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    break
+            if action.choices is not None and value not in action.choices:
+                break
+        else:
+            break
+        fields[action.dest] = value
+        seen.add(action)
+    else:
+        # argparse would also convert a string default through its option's type
+        if not any(action not in seen and (action.required or action.type is not None
+                                           and isinstance(action.default, str))
+                   for action in command._actions):
+            return argparse.Namespace(**fields)
+    return command.parse_args(words)
+
 
 def main(argv: list[str] | None = None) -> int:
     global _PARSER, _COMMANDS
@@ -390,11 +440,13 @@ def main(argv: list[str] | None = None) -> int:
                          if isinstance(a, argparse._SubParsersAction))
     if argv is None:
         argv = sys.argv[1:]
-    # a request is parsed once, by its subcommand's parser: the top-level one
-    # would match every word against its own options first, then hand them all
-    # over. It still reads an argv that names no subcommand (empty, -h, a typo)
+    # a request is read off its subcommand's option table, and argparse parses
+    # only what that reading leaves to it (`_parse_request`), with the
+    # subcommand's parser alone: the top-level one would match every word
+    # against its own options first, then hand them all over. It still reads
+    # an argv that names no subcommand (empty, -h, a typo)
     command = _COMMANDS.get(argv[0]) if argv else None
-    args = _PARSER.parse_args(argv) if command is None else command.parse_args(argv[1:])
+    args = _PARSER.parse_args(argv) if command is None else _parse_request(command, argv[1:])
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not in the exit-time flush

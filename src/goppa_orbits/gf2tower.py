@@ -90,8 +90,9 @@ enc-least root of modulus_base in the big field, has two routes:
   reads the embedding at, reads gamma from `_ROOTS`, one string of hex
   entries parsed on the first read of an embedding, beside `_MODULI`. The
   tests check each entry against the search, and every read checks it
-  (`_is_least_root`): f(gamma) = 0 for f = modulus_base, by Horner, and
-  gamma is less than its other n - 1 conjugates, with gamma^(2^n) =
+  (`_least_root_powers`): f(gamma) = 0 for f = modulus_base, read off
+  gamma^0..gamma^n, the embedding's columns and one more power, and gamma
+  is less than its other n - 1 conjugates, with gamma^(2^n) =
   gamma; as f is irreducible of degree n, that makes gamma its enc-least
   root. A failure raises AssertionError.
 - Any other tower searches (`_searched_root`): from the first model of
@@ -427,16 +428,17 @@ class Tower:
 
         gamma, the enc-least root of modulus_base, is read from `_ROOTS` on a
         tower with the default moduli of a tabled n and checked
-        (`_is_least_root`), else found by `_searched_root`. The subfield and
+        (`_least_root_powers`), else found by `_searched_root`. The subfield and
         the span in embed order come from one doubling over the columns
         gamma^0..gamma^(n-1)."""
         n = self.n
         gamma = _default_roots().get(n)
         if gamma is None or (self.modulus_base, self.modulus_big) != _moduli(n):
-            gamma = self._searched_root()
-        elif not self._is_least_root(gamma):
+            cols = self._powers(self._searched_root(), n)  # gamma^0..gamma^(n-1)
+        elif (powers := self._least_root_powers(gamma)) is None:
             raise AssertionError("tabled embedding root is not the least root of modulus_base")
-        cols = self._powers(gamma, n)  # gamma^0..gamma^(n-1)
+        else:
+            cols = powers[:n]
         # n independent columns fixed by sigma^n span the n-dimensional fixed field
         if _ColumnSolver(cols).kernel_basis or any(self.frobenius(c, n) != c for c in cols):
             raise AssertionError("embedding image differs from the fixed field")
@@ -457,26 +459,24 @@ class Tower:
             roots.append(self.square(roots[-1]))
         return min(roots)
 
-    def _is_least_root(self, gamma: int) -> bool:
-        """Whether gamma is the enc-least root of modulus_base: an encoding
-        below 2^(6n) with f(gamma) = 0 for f = modulus_base, by Horner, that
+    def _least_root_powers(self, gamma: int) -> list[int] | None:
+        """gamma^0..gamma^n if gamma is the enc-least root of modulus_base,
+        else None: an encoding below 2^(6n) with f(gamma) = 0 for
+        f = modulus_base, the XOR of those powers at the set bits of f, that
         is less than each of its other n - 1 conjugates, with
         gamma^(2^n) = gamma. As f is irreducible of degree n, its roots are
         exactly these conjugates."""
-        f = self.modulus_base
         if gamma >> self.big_degree:
-            return False
-        value = 1  # Horner from the leading coefficient down
-        for k in range(self.n - 1, -1, -1):
-            value = self.mul(value, gamma) ^ (f >> k & 1)
-        if value:
-            return False
+            return None
+        powers = self._powers(gamma, self.n + 1)
+        if _apply_cols(powers, self.modulus_base):
+            return None
         conjugate = gamma
         for _ in range(self.n - 1):
             conjugate = self.square(conjugate)
             if conjugate <= gamma:
-                return False
-        return self.square(conjugate) == gamma
+                return None
+        return powers if self.square(conjugate) == gamma else None
 
     def _trace_models(self, d: int) -> Iterator[tuple[list[int], int, int]]:
         """Models of the subfield GF(2^d), d | 6n, as (w^0..w^(d-1), m_w, z).

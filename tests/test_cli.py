@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -921,6 +922,9 @@ def test_dispatch_gives_the_top_level_parsers_namespace(monkeypatch, recorded):
 
 
 def test_a_request_is_parsed_once(capsys, monkeypatch):
+    """A well-formed request is read off its subcommand's option table and
+    never reaches argparse; any other is parsed once by argparse, with its
+    subcommand's parser, never the top-level one."""
     calls = []
     inner = argparse.ArgumentParser.parse_known_args
 
@@ -936,7 +940,14 @@ def test_a_request_is_parsed_once(capsys, monkeypatch):
                  ["equiv", "--n", "3", "--alpha", "random", "--map", "random"]):
         calls.clear()
         assert run(capsys, *argv)[0] == 0, argv
-        assert calls == [f"goppa-orbits {argv[0]}"], argv
+        assert calls == [], argv
+    calls.clear()
+    assert run(capsys, "bound", "--n=5")[0] == 0
+    assert calls == ["goppa-orbits bound"]
+    calls.clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--n", "4", "--bogus"])
+    assert exc.value.code == 2 and calls == ["goppa-orbits census"]
 
 
 @pytest.mark.parametrize("argv, text", [(["--help"], TOP_HELP),
@@ -1043,3 +1054,75 @@ def test_any_argv_ends_with_a_documented_exit_and_at_most_one_line(argv):
             assert code in (0, 1, 2, 3), argv
             assert len(err.getvalue().splitlines()) == (code in (2, 3)), argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+# ------------------------------- a request read off its subcommand's table
+
+
+@functools.cache
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    """The subcommand parsers of a parser built for these tests alone."""
+    return next(a.choices for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
+def parse_outcome(parse, words):
+    """The namespace `parse(words)` returns, or the exit code, stdout and
+    stderr of the `SystemExit` it raises."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(words))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def assert_parsed_as_argparse_would(argv):
+    if not argv or argv[0] not in subcommands():
+        return
+    command = subcommands()[argv[0]]
+    expected = parse_outcome(command.parse_args, argv[1:])
+    assert parse_outcome(lambda words: cli._parse_request(command, words), argv[1:]) == expected, argv
+
+
+def assert_drawn_argvs_parse_as_argparse_would(monkeypatch, count):
+    """`assert_parsed_as_argparse_would` over `count` argvs drawn by
+    `argvs()`, at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    settings(max_examples=count, deadline=None, derandomize=True, database=None)(
+        given(argvs())(assert_parsed_as_argparse_would))()
+
+
+def test_a_request_parses_as_argparse_parses_it(monkeypatch):
+    """Whether read off the table or left to argparse, a request gives
+    argparse's namespace, or its exit, help, usage and error text."""
+    assert_drawn_argvs_parse_as_argparse_would(monkeypatch, 300)
+
+
+@pytest.mark.slow
+def test_a_request_parses_as_argparse_parses_it_over_3000_argvs(monkeypatch):
+    assert_drawn_argvs_parse_as_argparse_would(monkeypatch, 3000)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--n=5"],  # --opt=value
+    ["census", "--n", "4", "--modulus-b", "30,1,0"],  # an ambiguous abbreviation
+    ["census", "--n", "4", "--work", "2"],  # an abbreviation
+    ["code", "--n", "5", "--alpha", "random", "--seed", "-3"],  # a negative number
+    ["code", "--n", "5", "--alpha", "-x"],  # a value like an option
+    ["equiv", "--n", "5", "--alpha", "random", "--map", "-1,0,0,1;0"],
+    ["equiv", "--n", "5", "--alpha", "random", "--map", ""],
+    ["fixed", "--n", "4", "--d", "3", "--n", "5", "--json", "--json"],  # repeated options
+    ["bound", "--n", "5", "--"],
+    ["bound", "--", "--n", "5"],
+    ["roots", "--n", "5", "--which", "eq_99"],  # not a choice
+    ["roots", "--which", "eq_3n"],  # no --n
+    ["bound", "--n"],  # no value
+    ["bound", "--n", "five"],  # not an int
+    ["census", "-h"],
+    ["census", "--n", "4", "--help"],
+    ["fixed"],
+], ids=" ".join)
+def test_each_kind_of_argv_parses_as_argparse_parses_it(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert_parsed_as_argparse_would(argv)
