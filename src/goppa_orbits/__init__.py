@@ -22,42 +22,8 @@ The package holds what the commands and the benchmark reach
 (`tests/test_surface.py` checks it). The oracles that only the tests compare
 against (the alternant route through transformed polynomials, the group law
 of the maps, the element-level class equations) live in `tests/`.
+
+The package itself binds no name and imports no module: each name is
+imported from the module that defines it, as in
+`from goppa_orbits.gf2tower import make_tower`.
 """
-
-from .gf2tower import Tower, make_tower, solve_affine_linearized
-from .mobius import (
-    SemiLinearMap,
-    apply_map,
-    infinity,
-    make_map,
-    random_degree_six,
-)
-from .codes import (
-    BinaryCode,
-    check_extended_equivalence,
-    extend_code,
-    extended_goppa_code,
-    goppa_code,
-    weight_enumerator,
-)
-from .counting import (
-    InfeasibleError,
-    OrbitCensus,
-    burnside_bound,
-    fixed_point_oracle,
-    fixed_points_for_power,
-    global_orbit_census,
-    root_count_oracle,
-)
-
-__version__ = "1.0.0"
-
-__all__ = [
-    "Tower", "make_tower", "solve_affine_linearized",
-    "SemiLinearMap", "make_map", "apply_map", "infinity", "random_degree_six",
-    "BinaryCode", "goppa_code", "extended_goppa_code", "extend_code",
-    "check_extended_equivalence", "weight_enumerator",
-    "burnside_bound", "fixed_points_for_power", "fixed_point_oracle",
-    "global_orbit_census", "root_count_oracle",
-    "OrbitCensus", "InfeasibleError",
-]

@@ -16,6 +16,7 @@ pure-Python one); `python -m json.tool` prints it indented.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -374,12 +375,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# built by the first `main` call, not on import, and shared by every later
-# call in the process: parsing reads the parsers and never changes them.
-# `_COMMANDS` is the parser's own subcommand table (its subparsers' `choices`),
-# rebuilt whenever `_PARSER` is
-_PARSER: argparse.ArgumentParser | None = None
-_COMMANDS: dict[str, argparse.ArgumentParser] = {}
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its own subcommand table (its subparsers' `choices`),
+    built by the first `main` call, not on import, and shared by every later
+    call in the process: parsing reads the parsers and never changes them."""
+    parser = build_parser()
+    return parser, next(a.choices for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction))
+
 
 # the actions `_parse_request` reads off a table: a value or a constant
 _READ = (argparse._StoreAction, argparse._StoreConstAction)
@@ -433,11 +437,7 @@ def _parse_request(command: argparse.ArgumentParser, words: list[str]) -> argpar
 
 
 def main(argv: list[str] | None = None) -> int:
-    global _PARSER, _COMMANDS
-    if _PARSER is None:
-        _PARSER = build_parser()
-        _COMMANDS = next(a.choices for a in _PARSER._actions
-                         if isinstance(a, argparse._SubParsersAction))
+    parser, commands = _parsers()
     if argv is None:
         argv = sys.argv[1:]
     # a request is read off its subcommand's option table, and argparse parses
@@ -445,8 +445,8 @@ def main(argv: list[str] | None = None) -> int:
     # subcommand's parser alone: the top-level one would match every word
     # against its own options first, then hand them all over. It still reads
     # an argv that names no subcommand (empty, -h, a typo)
-    command = _COMMANDS.get(argv[0]) if argv else None
-    args = _PARSER.parse_args(argv) if command is None else _parse_request(command, argv[1:])
+    command = commands.get(argv[0]) if argv else None
+    args = parser.parse_args(argv) if command is None else _parse_request(command, argv[1:])
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not in the exit-time flush

@@ -4,9 +4,9 @@ A field GF(2)[y]/(m), m irreducible, is held the same way: its elements are
 the remainders, products are `mod(mul(a, b), m)` and `inverse` is the
 shift-and-add extended Euclid. `field_root` finds the least root in such a
 field of a polynomial with GF(2) coefficients, by an ascending scan, which
-is how `Tower` embeds its base field, and `is_generator` tests whether a
-product of factors y + a generates the field's multiplicative group, which
-is how `scan._cubic_logs` picks the base of its discrete logs on GF(q^3).
+is how `Tower` embeds its base field, and `is_generator` tests whether y
+generates the field's multiplicative group, which is how `scan._cubic_logs`
+picks the model whose y is the base of its discrete logs on GF(q^3).
 """
 
 from __future__ import annotations
@@ -148,12 +148,11 @@ def is_irreducible(p: int, chain: list[int] | None = None) -> bool:
     return True
 
 
-def is_generator(m: int, factors: tuple[int, ...] = (0,)) -> bool:
-    """Whether g, the product of y + a over a in factors, generates the
-    multiplicative group of GF(2)[y]/(m), m irreducible of degree d; with
-    the default g = y, whether m is primitive. Tests g^((2^d - 1)/p) != 1
-    for each prime p dividing 2^d - 1, each power by squarings and products
-    by g, a shift (and an add) per factor, on d-bit integers."""
+def is_generator(m: int) -> bool:
+    """Whether y generates the multiplicative group of GF(2)[y]/(m), m
+    irreducible of degree d: whether m is primitive. Tests
+    y^((2^d - 1)/p) != 1 for each prime p dividing 2^d - 1, each power by
+    squarings and products by y, a shift and reduce, on d-bit integers."""
     d = degree(m)
     order = (1 << d) - 1
     for p in _prime_factors(order):
@@ -161,10 +160,9 @@ def is_generator(m: int, factors: tuple[int, ...] = (0,)) -> bool:
         for bit in bin(order // p)[2:]:
             r = mod(square(r), m)
             if bit == "1":
-                for a in factors:
-                    r = r << 1 ^ (r if a else 0)
-                    if r >> d:
-                        r ^= m
+                r <<= 1
+                if r >> d:
+                    r ^= m
         if r == 1:
             return False
     return True

@@ -45,7 +45,7 @@ The scalar kernel:
 - `base_logs` is the tower's one table of GF(q)*, q = 2^n: the powers of
   the least generator (on base encodings, the package's one generator
   search), their embeddings, and the discrete log of each embedding, built
-  on first read: 0.01 ms at n = 5, 0.6 ms at n = 11. The Goppa parity
+  on first read. The Goppa parity
   (`codes.goppa_parity`), support permutations
   (`codes.induced_permutation`) and `to_base` read it: x is in GF(q) iff
   it is 0 or has a log, so `to_base` is the one projection and membership
@@ -67,10 +67,7 @@ before it parses a modulus. A table modulus passes exactly the checks a
 given one does:
 `gf2poly.is_irreducible` for modulus_base, and for modulus_big both Rabin
 tests on the chain x^(2^i) mod modulus_big, i <= 6n, that the tower
-squares on its own reduction table. `make_tower` takes about 0.040 ms at
-n = 5, 0.057 ms at n = 7, 0.24 ms at n = 16, 0.031 ms at n = 4 with the
-given modulus 24,4,3,1,0, and 15 ms at n = 127 (2 vCPU, best of 15 rounds
-of 3 loops of 20 calls; the host drifts by up to half).
+squares on its own reduction table.
 
 A subfield GF(2^d), d | 6n, has one model, `_trace_models(d)`: for each
 draw z of random.Random(0).getrandbits(6n), the trace
@@ -84,31 +81,28 @@ is skipped. The embedding and the log tables of the coordinate kernel
 The subfield and the embedding are built together on the first read of
 `subfield`, `embed_base`, `to_base` or `base_logs`, so root counts and a
 fixed-point count read off a cached sweep build neither. gamma, the
-enc-least root of modulus_base in the big field, has two routes:
+enc-least root of modulus_base in the big field, has two routes and one
+check:
 
 - A tower with the default moduli of 2 <= n <= 11, every n a command
   reads the embedding at, reads gamma from `_ROOTS`, one string of hex
   entries parsed on the first read of an embedding, beside `_MODULI`. The
-  tests check each entry against the search, and every read checks it
-  (`_least_root_powers`): f(gamma) = 0 for f = modulus_base, read off
-  gamma^0..gamma^n, the embedding's columns and one more power, and gamma
-  is less than its other n - 1 conjugates, with gamma^(2^n) =
-  gamma; as f is irreducible of degree n, that makes gamma its enc-least
-  root. A failure raises AssertionError.
+  tests check each entry against the search.
 - Any other tower searches (`_searched_root`): from the first model of
   GF(2^n), `gf2poly.field_root` finds the least root r of modulus_base in
   K by an ascending scan on n-bit integers, and gamma is the least of the
   image of r and its n - 1 squarings, whatever w is.
+- Either gamma is checked (`_least_root_powers`): f(gamma) = 0 for
+  f = modulus_base, read off gamma^0..gamma^n, the embedding's columns and
+  one more power, and gamma is less than its other n - 1 conjugates, with
+  gamma^(2^n) = gamma; as f is irreducible of degree n, that makes gamma
+  its enc-least root. A failure raises AssertionError.
 
 The embedding columns are gamma^0..gamma^(n-1). One doubling over them
 lists the subfield and the span in embed order, span[a] = embed_base(a):
 the record's two fields, and all the census reads of GF(q). The embedding
-is checked in O(n) on both routes: its n columns are independent and
-fixed by sigma^n. On a default tower this first read costs about
-0.06 ms at n = 4, 0.08 ms at n = 5, 0.15-0.17 ms at n = 7 and 0.6-0.7 ms
-at n = 11, the largest n a command reads it at, where the search took
-0.09, 0.11, 0.21 and 5.0 ms, most of it at n = 11 the scan for r, whose
-length depends on the model (in-process medians of 51 towers, 2 vCPU).
+is also checked in O(n): its n columns are independent and fixed by
+sigma^n.
 
 The byte tables of GF(2)-linear maps (`_byte_tables`, below 64 bits),
 of each Frobenius power (`frob_tables`) and their application
@@ -427,18 +421,18 @@ class Tower:
         `to_base` or `base_logs`.
 
         gamma, the enc-least root of modulus_base, is read from `_ROOTS` on a
-        tower with the default moduli of a tabled n and checked
-        (`_least_root_powers`), else found by `_searched_root`. The subfield and
-        the span in embed order come from one doubling over the columns
-        gamma^0..gamma^(n-1)."""
+        tower with the default moduli of a tabled n, else found by
+        `_searched_root`, and checked either way (`_least_root_powers`). The
+        subfield and the span in embed order come from one doubling over the
+        columns gamma^0..gamma^(n-1)."""
         n = self.n
         gamma = _default_roots().get(n)
         if gamma is None or (self.modulus_base, self.modulus_big) != _moduli(n):
-            cols = self._powers(self._searched_root(), n)  # gamma^0..gamma^(n-1)
-        elif (powers := self._least_root_powers(gamma)) is None:
-            raise AssertionError("tabled embedding root is not the least root of modulus_base")
-        else:
-            cols = powers[:n]
+            gamma = self._searched_root()
+        powers = self._least_root_powers(gamma)
+        if powers is None:
+            raise AssertionError("embedding root is not the least root of modulus_base")
+        cols = powers[:n]  # gamma^0..gamma^(n-1)
         # n independent columns fixed by sigma^n span the n-dimensional fixed field
         if _ColumnSolver(cols).kernel_basis or any(self.frobenius(c, n) != c for c in cols):
             raise AssertionError("embedding image differs from the fixed field")
@@ -716,14 +710,6 @@ class Tower:
         for bpos in range(1, len(tables)):
             out ^= tables[bpos][(x >> (8 * bpos)) & 0xFF]
         return out
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Tower)
-                and (self.n, self.modulus_base, self.modulus_big)
-                == (other.n, other.modulus_base, other.modulus_big))
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.modulus_base, self.modulus_big))
 
     def __repr__(self) -> str:
         base = ",".join(map(str, gf2poly.exponents(self.modulus_base)))

@@ -16,12 +16,7 @@ vector product (`mul_vec`) and one vector inverse (`inv_vec`). The kernel
 works in coordinates over GF(q^3), as composite-field arithmetic does
 (Guajardo and Paar, CRYPTO 1997), and every product and quotient in
 GF(q^3) is a sum of logs on int32 tables of GF(q^3)*, 24 MiB at n = 7, so
-it serves n <= 7. On 2 vCPU, building them takes 0.27 ms at n = 4 and
-22-23 ms at n = 7 (median of 20 and 10 fresh towers in one process), one
-`mul_vec` 0.05 ms on 4096 elements at n = 4 and 0.25 ms on 8192 at n = 7,
-one `inv_vec` with a scale 0.07 and 0.27 ms (best of 5 x 100 calls), and
-a scan with its tables built 1.6-1.8 ms at n = 5, 74-76 ms at n = 6 and
-189-192 ms at n = 7.
+it serves n <= 7.
 """
 
 from __future__ import annotations
@@ -37,9 +32,6 @@ from . import gf2poly
 from .counting import ConsistencyError, OrbitCensus
 from .gf2tower import Tower, _chunk_tables, _ColumnSolver
 
-# the generators `_cubic_logs` tries in GF(2)[y]/(m_w), as the roots a of
-# their factors y + a: y, y + 1 and y (y + 1), each product a shift (and an add)
-_GENERATORS = ((0,), (1,), (0, 1))
 _CHUNK = 1 << 16  # elements per numpy pass while `_cubic_logs` fills its tables
 
 # class ranks in the first block of the scan and in its largest; the blocks
@@ -94,8 +86,7 @@ def normal_tables(ctx: Tower) -> np.ndarray:
     the image of x^2 is that of x rotated left by one bit.
 
     beta is the first draw of random.Random(0).getrandbits(6n) whose 6n
-    squarings `_ColumnSolver` finds independent: 1-4 draws on the towers
-    tried, where ordered candidates (x^(6n-1) + k, ascending) took hundreds."""
+    squarings `_ColumnSolver` finds independent."""
     m = ctx.big_degree
     rng = random.Random(0)
     while True:
@@ -123,10 +114,10 @@ def _cubic_logs(ctx: Tower) -> _CubicLogs:
     product's c v v' term adds.
 
     w, m_w and the draw z are the first model of GF(q^3)
-    (`Tower._trace_models`) whose K = GF(2)[y]/(m_w) has y, y + 1 or
-    y (y + 1) for a generator g (`gf2poly.is_generator`, on 3n-bit
-    integers). There w = Tr(z) = z + sigma^(3n)(z) has degree 3n, so it is
-    nonzero, t = z / w has t + sigma^(3n)(t) = 1, and c = t^2 + t lies in
+    (`Tower._trace_models`) whose K = GF(2)[y]/(m_w) has g = y for a
+    generator, that is whose m_w is primitive (`gf2poly.is_generator`, on
+    3n-bit integers). There w = Tr(z) = z + sigma^(3n)(z) has degree 3n, so
+    it is nonzero, t = z / w has t + sigma^(3n)(t) = 1, and c = t^2 + t lies in
     GF(q^3), the kernel of sigma^(3n) + id. So x = u + v t with u, v in K,
     read in the basis w^0..w^(3n-1), and exp[i] = g^i: the first 64 by
     shifts, then doubled on the tables of the products by g^64, g^128, ...,
@@ -145,8 +136,8 @@ def _cubic_logs(ctx: Tower) -> _CubicLogs:
                          f"packed coordinates u | v << {k} | (u^2 + c v^2) << {2 * k} "
                          f"would need {3 * k} of the 63 bits of an int64")
     order = (1 << k) - 1  # |GF(q^3)*|
-    powers, m_w, z, g = next((powers, m_w, z, g) for powers, m_w, z in ctx._trace_models(k)
-                             for g in _GENERATORS if gf2poly.is_generator(m_w, g))
+    powers, m_w, z = next(model for model in ctx._trace_models(k)
+                          if gf2poly.is_generator(model[1]))
     t = ctx.mul(z, ctx.inv(powers[1]))  # powers[1] = w = Tr(z)
     if t ^ ctx.frobenius(t, k) != 1:
         raise AssertionError("t + sigma^3n(t) is not 1")
@@ -158,12 +149,9 @@ def _cubic_logs(ctx: Tower) -> _CubicLogs:
     if solver.kernel_basis:
         raise AssertionError("the basis w^i, w^i t of GF(q^6) is singular")
 
-    def times_g(v: int) -> int:  # v g in K: a shift (and an add) per factor
-        for a in g:
-            v = v << 1 ^ (v if a else 0)
-            if v >> k:
-                v ^= m_w
-        return v
+    def times_g(v: int) -> int:  # v y in K: a shift and reduce
+        v <<= 1
+        return v ^ m_w if v >> k else v
 
     seed = [1]  # g^i below 64
     for _ in range(min(64, order) - 1):

@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from goppa_orbits import counting, gf2poly, make_tower, scan
+from goppa_orbits import counting, gf2poly, scan
 from goppa_orbits.codes import BinaryCode, nullspace, rref
 from goppa_orbits.counting import RootCounts
-from goppa_orbits.gf2tower import Tower, _ColumnSolver, solve_affine_linearized
+from goppa_orbits.gf2tower import Tower, _ColumnSolver, make_tower, solve_affine_linearized
 from goppa_orbits.mobius import (
     SemiLinearMap,
     apply_map,

@@ -16,14 +16,14 @@ from hypothesis import strategies as st
 
 from conftest import (divisors, load_bench_run, orbit_counts_by_moebius, paper_root_counts,
                       records_digest)
-from goppa_orbits import cli, codes, counting, make_tower, schema
+from goppa_orbits import cli, codes, counting, schema
 from goppa_orbits.cli import main
 from goppa_orbits.counting import (
     MAX_CLOSED_FORM_N,
     burnside_numerator,
     is_prime,
 )
-from goppa_orbits.gf2tower import Tower
+from goppa_orbits.gf2tower import Tower, make_tower
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 NEXT_PRIME = next(k for k in range(MAX_CLOSED_FORM_N + 1, 2 * MAX_CLOSED_FORM_N) if is_prime(k))
@@ -785,24 +785,24 @@ def test_only_the_code_report_derives_a_parity_basis(capsys, monkeypatch):
 
 @pytest.fixture
 def fresh_parser(monkeypatch):
-    """Start from no parser, counting the builds; the old parser and its
-    command table come back after."""
+    """Start from no parser, counting the builds; the parser built here is
+    dropped after, as its commands may be the test's stand-ins."""
     builds = []
     build = cli.build_parser
-    monkeypatch.setattr(cli, "_COMMANDS", cli._COMMANDS)  # restored, not reset
-    monkeypatch.setattr(cli, "_PARSER", None)
     monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
-    return builds
+    cli._parsers.cache_clear()
+    yield builds
+    cli._parsers.cache_clear()
 
 
 def test_parser_is_built_once_per_process(capsys, fresh_parser):
     assert run(capsys, "bound", "--n", "5")[0] == 0
-    parser = cli._PARSER
+    parsers = cli._parsers()
     assert run(capsys, "fixed", "--n", "5", "--table", "--nmax", "7", "--json")[0] == 0
     with pytest.raises(SystemExit):
         main(["roots", "--n", "5"])
     assert run(capsys, "roots", "--n", "5", "--which", "eq_deg8")[0] == 0
-    assert fresh_parser == [1] and cli._PARSER is parser
+    assert fresh_parser == [1] and cli._parsers() is parsers
 
 
 def test_options_of_one_call_do_not_reach_the_next(capsys, monkeypatch, fresh_parser):
@@ -915,7 +915,7 @@ def test_dispatch_gives_the_top_level_parsers_namespace(monkeypatch, recorded):
             ("bound", False, False, False)} <= shapes
     for argv in argvs:
         assert main(argv) == 0, argv
-        full = vars(cli._PARSER.parse_args(argv))
+        full = vars(cli._parsers()[0].parse_args(argv))
         assert full.pop("command") == argv[0]
         assert vars(recorded.pop()) == full, argv
     assert recorded == []
@@ -966,19 +966,6 @@ def test_an_unknown_option_is_reported_by_its_subcommand(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err == (CENSUS_HELP.split("\n\n")[0] + "\n"
                    "goppa-orbits census: error: unrecognized arguments: --bogus\n")
-
-
-def test_resetting_the_parser_rebuilds_its_command_table(capsys, monkeypatch, fresh_parser):
-    def table():
-        return next(a.choices for a in cli._PARSER._actions
-                    if isinstance(a, argparse._SubParsersAction))
-
-    assert run(capsys, "bound", "--n", "5")[0] == 0
-    first = cli._COMMANDS
-    assert first is table() and first["census"].prog == "goppa-orbits census"
-    monkeypatch.setattr(cli, "_PARSER", None)
-    assert run(capsys, "bound", "--n", "5")[0] == 0
-    assert fresh_parser == [1, 1] and cli._COMMANDS is table() and cli._COMMANDS is not first
 
 
 def test_fixed_table_needs_no_n(capsys):

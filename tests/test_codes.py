@@ -42,7 +42,8 @@ from goppa_orbits.mobius import (
     random_degree_six,
     random_map,
 )
-from goppa_orbits import codes, make_tower, schema
+from goppa_orbits import codes, schema
+from goppa_orbits.gf2tower import make_tower
 
 
 def projective_support(ctx):

@@ -29,7 +29,7 @@ from conftest import (
     root_counts_by_gcd,
     subfield_span_array,
 )
-from goppa_orbits import counting, gf2poly, make_tower, mobius, scan
+from goppa_orbits import counting, gf2poly, mobius, scan
 from goppa_orbits.counting import (
     InfeasibleError,
     burnside_bound,
@@ -41,7 +41,7 @@ from goppa_orbits.counting import (
     global_orbit_census,
     root_count_oracle,
 )
-from goppa_orbits.gf2tower import Tower
+from goppa_orbits.gf2tower import Tower, make_tower
 
 PRIMES_TO_61 = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
 PRIMES_TO_127 = [n for n in range(5, 128) if counting.is_prime(n)]

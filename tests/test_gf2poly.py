@@ -111,17 +111,36 @@ def test_is_irreducible_equals_the_two_pass_test():
         assert gf2poly.is_irreducible(p) == is_irreducible_two_pass(p), p
 
 
+def _evaluate(p: int, g: int, m: int) -> int:
+    """p(g) in GF(2)[y]/(m), by Horner's rule over p's bits."""
+    r = 0
+    for bit in bin(p)[2:]:
+        r = gf2poly.mod(gf2poly.mul(r, g), m) ^ int(bit)
+    return r
+
+
 @pytest.mark.parametrize("factors, g", [((0,), 0b10), ((1,), 0b11), ((0, 1), 0b110)])
 def test_is_generator_equals_the_order_by_enumeration(factors, g):
-    """Every irreducible of degree 2..9: g generates exactly when its powers
-    first return to 1 at 2^d - 1."""
+    """Every irreducible m of degree 2..9: g, the product of y + a over a in
+    factors, generates GF(2)[y]/(m)* exactly when its powers first return to
+    1 at 2^d - 1, and exactly when g is a root of a degree-d polynomial that
+    is_generator calls primitive (then that is g's minimal polynomial, and
+    x -> g maps GF(2)[x]/(it) onto GF(2)[y]/(m)). For g = y the root is m."""
+    assert g == functools.reduce(gf2poly.mul, (0b10 | a for a in factors))
+    primitive = {d: [p for p in range(1 << d, 2 << d)
+                     if gf2poly.is_irreducible(p) and gf2poly.is_generator(p)]
+                 for d in range(2, 10)}
     for m in range(4, 1 << 10):
         if not gf2poly.is_irreducible(m):
             continue
-        order, power, e = (1 << gf2poly.degree(m)) - 1, gf2poly.mod(g, m), 1
+        d = gf2poly.degree(m)
+        order, power, e = (1 << d) - 1, gf2poly.mod(g, m), 1
         while power != 1:
             power, e = gf2poly.mod(gf2poly.mul(power, g), m), e + 1
-        assert gf2poly.is_generator(m, factors) == (e == order), (m, factors)
+        root_of_primitive = any(_evaluate(p, g, m) == 0 for p in primitive[d])
+        assert root_of_primitive == (e == order), (m, factors)
+        if g == 0b10:
+            assert gf2poly.is_generator(m) == (e == order), m
 
 
 def test_lowest_irreducible_is_unchanged_up_to_degree_96():

@@ -8,14 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goppa_orbits import cli, counting, gf2poly, gf2tower, make_tower, random_degree_six, scan
+from goppa_orbits import cli, counting, gf2poly, gf2tower, scan
 from goppa_orbits.gf2tower import (
     Tower,
     _apply_cols,
     _default_moduli,
     _default_roots,
+    make_tower,
     solve_affine_linearized,
 )
+from goppa_orbits.mobius import random_degree_six
 
 
 from conftest import (
@@ -29,6 +31,11 @@ from conftest import (
     span,
     subfield_span_array,
 )
+
+
+def moduli(ctx):
+    """n and both moduli, which fix a tower and everything it builds."""
+    return ctx.n, ctx.modulus_base, ctx.modulus_big
 
 
 def test_construction_rejects_small_and_huge_n():
@@ -60,7 +67,7 @@ def test_deterministic_moduli(tower5):
     assert again.modulus_big == tower5.modulus_big
     assert gf2poly.exponents(tower5.modulus_base) == [5, 2, 0]
     assert gf2poly.exponents(tower5.modulus_big) == [30, 1, 0]
-    assert again == tower5
+    assert moduli(again) == moduli(tower5)
 
 
 def test_modulus_overrides_validated():
@@ -107,7 +114,7 @@ def test_default_moduli_table_is_the_lowest_irreducible_search(monkeypatch):
         ctx = make_tower(n)
         given = make_tower(n, modulus_base=gf2poly.lowest_irreducible(n),
                            modulus_big=gf2poly.lowest_irreducible(6 * n))
-        assert ctx == given and embed_cols(ctx) == embed_cols(given), n
+        assert moduli(ctx) == moduli(given) and embed_cols(ctx) == embed_cols(given), n
 
     def no_search(d):
         raise AssertionError(f"searched degree {d}")

@@ -12,9 +12,9 @@ import re
 
 import pytest
 
-from goppa_orbits import cli, codes, counting, gf2poly, gf2tower, make_tower
+from goppa_orbits import cli, codes, counting, gf2poly, gf2tower
 from goppa_orbits.counting import ConsistencyError
-from goppa_orbits.gf2tower import Tower
+from goppa_orbits.gf2tower import Tower, make_tower
 
 
 def run(capsys, *argv):
@@ -83,15 +83,14 @@ def test_linear_counts_refuse_a_solution_count_off_the_kernel(monkeypatch, capsy
 
 
 EMBEDDING = "embedding image differs from the fixed field"
-TABLED_ROOT = "tabled embedding root is not the least root of modulus_base"
+ROOT = "embedding root is not the least root of modulus_base"
 BIG_30_29_0 = gf2poly.from_exponents([30, 29, 0])
 
 
 def test_embedding_refuses_dependent_columns(monkeypatch, capsys):
-    """A root finder that answers 1 makes gamma = 1, whose powers are one
-    column n times over: they span GF(2), not GF(2^n). A tower with a given
-    modulus finds gamma by the search; a default one reads `_ROOTS`."""
-    monkeypatch.setattr(gf2poly, "field_root", lambda f, m: 1)
+    """A root check that passes and hands back the powers of 1 in place of
+    gamma's: one column n times over, which spans GF(2), not GF(2^n)."""
+    monkeypatch.setattr(Tower, "_least_root_powers", lambda self, gamma: [1] * (self.n + 1))
     with pytest.raises(AssertionError, match=f"^{re.escape(EMBEDDING)}$"):
         make_tower(5, modulus_big=BIG_30_29_0).subfield
     assert_one_line(capsys, ["code", "--n", "5", "--modulus-big", "30,29,0", "--alpha", "random",
@@ -108,10 +107,23 @@ def test_embedding_refuses_a_wrong_tabled_root(monkeypatch, capsys, wrong):
     conjugates = [ctx.frobenius(gamma ^ 1, i) for i in range(5)]
     entry = ctx.square(gamma) if wrong == "second conjugate" else min(conjugates)
     monkeypatch.setitem(gf2tower._default_roots(), 5, entry)
-    with pytest.raises(AssertionError, match=f"^{re.escape(TABLED_ROOT)}$"):
+    with pytest.raises(AssertionError, match=f"^{re.escape(ROOT)}$"):
         make_tower(5).subfield
     assert_one_line(capsys, ["code", "--n", "5", "--alpha", "random", "--seed", "1"], 1,
-                    f"falsified internal claim: {TABLED_ROOT}")
+                    f"falsified internal claim: {ROOT}")
+
+
+def test_embedding_refuses_a_searched_root_that_is_not_a_root(monkeypatch, capsys):
+    """A root finder that answers y, which is not a root of modulus_base in
+    the model's field on these towers: the searched gamma fails the check a
+    tabled one passes, and no command reads a wrong embedding."""
+    monkeypatch.setattr(gf2poly, "field_root", lambda f, m: 2)
+    with pytest.raises(AssertionError, match=f"^{re.escape(ROOT)}$"):
+        make_tower(5, modulus_big=gf2poly.from_exponents([30, 9, 0])).subfield
+    for argv in (["code", "--n", "5", "--modulus-big", "30,9,0", "--alpha", "random",
+                  "--seed", "1", "--extended", "--json"],
+                 ["census", "--n", "4", "--modulus-big", "24,16,3,1,0", "--json"]):
+        assert_one_line(capsys, argv, 1, f"falsified internal claim: {ROOT}")
 
 
 def squaring_for_sigma_n(monkeypatch):

@@ -31,7 +31,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goppa_orbits import gf2poly, gf2tower, make_tower, mobius, scan
+from goppa_orbits import gf2poly, gf2tower, mobius, scan
+from goppa_orbits.gf2tower import make_tower
 
 from conftest import fixed_field_basis, schoolbook_mul
 
@@ -296,11 +297,12 @@ def test_inv_vec_build_checks_the_change_of_basis(monkeypatch):
 
 
 def test_inv_vec_build_checks_that_g_generates(monkeypatch):
-    """At n = 2 the first trace of degree 6 has y + 1, not y, for a generator
-    of its K; a test that passes everything keeps y, and its powers repeat
-    before they cover GF(64)*."""
+    """At n = 2 the first trace of degree 6 has a minimal polynomial that is
+    not primitive, so y does not generate its K; a test that passes
+    everything keeps that model, and the powers of y repeat before they
+    cover GF(64)*."""
     ctx = make_tower(2)
-    monkeypatch.setattr(gf2poly, "is_generator", lambda m, factors=(0,): True)
+    monkeypatch.setattr(gf2poly, "is_generator", lambda m: True)
     assert_build_raises(ctx, "the powers of g are not all of GF(q^3)*")
 
 

@@ -14,7 +14,7 @@ from conftest import (
     make_map_by_inverse,
     random_map_by_inverse,
 )
-from goppa_orbits import make_tower
+from goppa_orbits.gf2tower import make_tower
 from goppa_orbits.mobius import (
     apply_map,
     format_map,

@@ -9,8 +9,9 @@ scan. In `src/` numpy is imported only by the scan at module level and by
 the few functions pinned here, and the scan only inside functions.
 `dataclasses` brings in `inspect`, `ast`, `dis` and `tokenize`, the largest
 import a scalar command would pay for, so the package's records are
-`NamedTuple`s, immutable values like frozen dataclasses. This is the one
-check of the CLI's imports: no workflow step profiles them.
+`NamedTuple`s, immutable values like frozen dataclasses. The package's own
+`__init__` binds no name and imports no submodule. This is the one check of
+the CLI's imports: no workflow step profiles them.
 """
 
 import ast
@@ -39,7 +40,7 @@ if sys.argv[2] == "block":
     sys.modules["dataclasses"] = None
     sys.modules["inspect"] = None
 import goppa_orbits.cli
-from goppa_orbits import make_tower
+from goppa_orbits.gf2tower import make_tower
 assert sys.modules.get("numpy") is None, "importing the CLI imported numpy"
 assert "goppa_orbits.scan" not in sys.modules, "importing the CLI imported the scan"
 for n in range(2, 17):
@@ -64,10 +65,15 @@ SCALAR = ["bound_n5", "fixed_table", "code_n5_seed1", "equiv_n5_seed1"] + [
     name for name in GOLDEN if name.startswith("roots_n5_")]
 
 
-def run_child(argvs, mode):
+def run_python(*args):
+    """`python -c *args` in a fresh interpreter that imports the package from `src/`."""
     env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argvs), mode],
-                          env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def run_child(argvs, mode):
+    proc = run_python(CHILD, json.dumps(argvs), mode)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -87,6 +93,19 @@ def test_sweeps_import_numpy(argv):
     out = run_child([argv], "open")
     assert out["records"][0]["exit"] == 0
     assert out["numpy"] and out["scan"]
+
+
+def test_the_package_binds_no_name_and_imports_no_submodule():
+    """`import goppa_orbits` runs the package's docstring alone: every name
+    is imported from the module that defines it."""
+    probe = ("import json, sys\n"
+             "import goppa_orbits\n"
+             "modules = [k for k in sys.modules if k.startswith('goppa_orbits.')]\n"
+             "names = [k for k in vars(goppa_orbits) if not k.startswith('__')]\n"
+             "print(json.dumps([modules, names]))\n")
+    proc = run_python(probe)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], []]
 
 
 def import_sites(imports):
