@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib.util
 import json
 import math
 import os
@@ -24,10 +25,41 @@ import random
 import re
 import sys
 import time
+import types
 
-from . import codes, counting, gf2poly, mobius, schema
+from . import counting, gf2poly, schema
 from .counting import ConsistencyError, InfeasibleError
 from .gf2tower import Tower, _check_n, make_tower
+
+
+def _lazy(name: str) -> types.ModuleType:
+    """The module `name`, run on the first read of any of its attributes.
+
+    Only `code` and `equiv` read `codes` and `mobius`, so a process that
+    serves `bound`, `fixed`, `roots` or `census` never compiles or runs
+    them. The module object goes into `sys.modules`, and onto its package,
+    before it runs, as an import would put it: every importer (`codes`'
+    own `from .mobius import ...`, a test, a tracer that reads each layer
+    from `sys.modules` and rebinds its functions) gets this one object, and
+    whichever of them reads it first, `vars()` included, runs it. A PEP 562
+    `__getattr__` or an import inside the commands would leave the module
+    out of `sys.modules` until a command imports it. The first read runs
+    the module without a lock on 3.10.13, 3.11.7 and 3.12.1 (3.13.0 takes
+    one), so two threads must not make it at once; the CLI runs in one."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    package, _, attr = name.rpartition(".")
+    setattr(sys.modules[package], attr, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+codes = _lazy(f"{__package__}.codes")
+mobius = _lazy(f"{__package__}.mobius")
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -85,9 +117,8 @@ def _emit(args, kind: str, obj: dict, lines: list[str]) -> None:
             print(line)
 
 
-def _resolve_alpha(ctx: Tower, text: str, seed: int | None) -> int:
+def _resolve_alpha(ctx: Tower, text: str, rng: random.Random) -> int:
     if text == "random":
-        rng = random.Random(seed)
         return mobius.random_degree_six(ctx, rng)
     alpha = ctx.from_hex(text)
     if not ctx.is_degree_six(alpha):
@@ -251,7 +282,7 @@ def cmd_roots(args) -> int:
 def cmd_code(args) -> int:
     _code_cost_check(args.n)
     ctx = _tower(args)
-    alpha = _resolve_alpha(ctx, args.alpha, args.seed)
+    alpha = _resolve_alpha(ctx, args.alpha, random.Random(args.seed))
     g = ctx.minimal_polynomial(alpha)
     columns = (codes.extended_parity(ctx, g) if args.extended
                else codes.goppa_parity(ctx, g, list(ctx.subfield)))
@@ -274,8 +305,9 @@ def cmd_code(args) -> int:
 def cmd_equiv(args) -> int:
     _code_cost_check(args.n)
     ctx = _tower(args)
+    # one stream: alpha is `code --seed`'s, and the map is drawn after it
     rng = random.Random(args.seed)
-    alpha = _resolve_alpha(ctx, args.alpha, args.seed)
+    alpha = _resolve_alpha(ctx, args.alpha, rng)
     if args.map == "random":
         semimap = mobius.random_map(ctx, rng)
     else:
@@ -370,7 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True, help="hex encoding or 'random'")
     p.add_argument("--map", required=True,
                    help="semi-linear map 'a,b,c,d;i' (base-field hex) or 'random'")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int,
+                   help="seed when alpha or the map is 'random': a random alpha "
+                        "is code's for the same seed, and the map is drawn after it")
     p.set_defaults(func=cmd_equiv)
     return ap
 

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -24,6 +25,7 @@ from goppa_orbits.counting import (
     is_prime,
 )
 from goppa_orbits.gf2tower import Tower, make_tower
+from goppa_orbits.mobius import format_map, random_degree_six, random_map
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 NEXT_PRIME = next(k for k in range(MAX_CLOSED_FORM_N + 1, 2 * MAX_CLOSED_FORM_N) if is_prime(k))
@@ -384,6 +386,23 @@ def test_equiv_random(capsys):
     assert obj["weight_enumerator_alpha"] == obj["weight_enumerator_beta"]
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_equiv_draws_the_map_after_alpha_from_one_stream(capsys, seed):
+    """A random alpha is `code --seed S`'s alpha, and a random map is drawn
+    after it from the same generator. A second generator of the same seed
+    would start the map on the words alpha was drawn from."""
+    ctx = make_tower(5)
+    rng = random.Random(seed)
+    alpha = random_degree_six(ctx, rng)
+    semimap = random_map(ctx, rng)
+    _, obj, _ = run_json(capsys, "equiv", "equiv", "--n", "5", "--alpha", "random",
+                         "--map", "random", "--seed", str(seed), "--json")
+    assert (obj["alpha_hex"], obj["map"]) == (ctx.to_hex(alpha), format_map(ctx, semimap))
+    _, code_obj, _ = run_json(capsys, "code", "code", "--n", "5", "--alpha", "random",
+                              "--seed", str(seed), "--json")
+    assert code_obj["alpha_hex"] == obj["alpha_hex"]
+
+
 def test_equiv_skips_weights_above_budget(capsys):
     # the extended n = 7 code has dimension 86, past WEIGHT_ENUM_MAX_DIM
     argv = ("equiv", "--n", "7", "--alpha", "random", "--map", "random",
@@ -682,7 +701,7 @@ def test_code_and_equiv_at_largest_accepted_n(capsys):
                        "--seed", "1", "--json")
     assert code == 0 and json.loads(out)["verified"] is True
     assert digest(out) == (
-        "d2bbded041bc47389ae9d1b2d1cf8f0a141565a389671beb21f443130d562e81")
+        "75bc6baa6607ca3ac6e2180f649599961eb95623dfd90ff4ed00a1f636425953")
 
 
 def test_roots_eq41_n7(capsys):
@@ -812,16 +831,18 @@ def test_options_of_one_call_do_not_reach_the_next(capsys, monkeypatch, fresh_pa
     code, obj, _ = run_json(capsys, "fixed", "fixed", "--n", "5", "--d", "6", "--json")
     assert code == 0 and (obj["d"], obj["oracle"], obj["closed_form"]) == (6, 9, 9)
 
-    seeds = []
+    seeds = []  # whether each call's generator starts as random.Random(3)
     resolve = cli._resolve_alpha
+    seeded = random.Random(3).getstate()
     monkeypatch.setattr(cli, "_resolve_alpha",
-                        lambda ctx, text, seed: seeds.append(seed) or resolve(ctx, text, seed))
+                        lambda ctx, text, rng: seeds.append(rng.getstate() == seeded)
+                        or resolve(ctx, text, rng))
     code, first, _ = run_json(capsys, "code", "code", "--n", "3", "--alpha", "random",
                               "--seed", "3", "--extended", "--json")
     assert code == 0 and first["extended"] is True
     code, second, _ = run_json(capsys, "code", "code", "--n", "3", "--alpha", "random",
                                "--json")
-    assert code == 0 and second["extended"] is False and seeds == [3, None]
+    assert code == 0 and second["extended"] is False and seeds == [True, False]
     assert fresh_parser == [1]
 
 

@@ -10,8 +10,9 @@ the few functions pinned here, and the scan only inside functions.
 `dataclasses` brings in `inspect`, `ast`, `dis` and `tokenize`, the largest
 import a scalar command would pay for, so the package's records are
 `NamedTuple`s, immutable values like frozen dataclasses. The package's own
-`__init__` binds no name and imports no submodule. This is the one check of
-the CLI's imports: no workflow step profiles them.
+`__init__` binds no name and imports no submodule, and the CLI binds `codes`
+and `mobius` unrun (`cli._lazy`), so that only `code` and `equiv` run them.
+This is the one check of the CLI's imports: no workflow step profiles them.
 """
 
 import ast
@@ -93,6 +94,42 @@ def test_sweeps_import_numpy(argv):
     out = run_child([argv], "open")
     assert out["records"][0]["exit"] == 0
     assert out["numpy"] and out["scan"]
+
+
+# runs the request in argv[1], if any, by cli.main, or else builds the tower
+# the benchmark's set-up probe builds; prints whether `codes` and `mobius`
+# have run. `type()` reads no attribute of the module, so it runs neither
+LAZY_CHILD = """
+import contextlib, io, json, sys, types
+import goppa_orbits.cli
+from goppa_orbits.gf2tower import make_tower
+argv = json.loads(sys.argv[1])
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert goppa_orbits.cli.main(argv) == 0, argv
+else:
+    make_tower(4)
+print(json.dumps([type(sys.modules[m]) is types.ModuleType
+                  for m in ("goppa_orbits.codes", "goppa_orbits.mobius")]))
+"""
+
+
+@pytest.mark.parametrize("argv, runs", [
+    ([], False),
+    (["bound", "--n", "5"], False),
+    (["fixed", "--table", "--nmax", "13"], False),
+    (["roots", "--n", "5", "--which", "eq_3n"], False),
+    (["census", "--n", "3"], False),
+    (["code", "--n", "5", "--alpha", "random", "--seed", "1"], True),
+    (["equiv", "--n", "5", "--alpha", "random", "--map", "random", "--seed", "1"], True),
+])
+def test_only_code_and_equiv_run_codes_and_mobius(argv, runs):
+    """`cli` binds both modules unrun: importing the CLI and building a tower,
+    or serving `bound`, `fixed`, `roots` or `census`, never compiles or runs
+    them, and a `code` or `equiv` request runs both."""
+    proc = run_python(LAZY_CHILD, json.dumps(argv))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [runs, runs]
 
 
 def test_the_package_binds_no_name_and_imports_no_submodule():
