@@ -8,9 +8,17 @@ traceback), 2 usage or domain error, 3 infeasible request,
 `goppa-orbits code --n 11 --alpha random --seed 1 --extended --json | head -c 1`
 does).
 
-A `--json` report is one line of JSON with sorted keys, written by the C
-encoder of the `json` module (an `indent` would send it through the
-pure-Python one); `python -m json.tool` prints it indented.
+A `--json` report is one line of JSON with sorted keys, written by one
+`json.JSONEncoder(sort_keys=True)` built on import, which the C encoder of the
+`json` module runs (an `indent` would send it through the pure-Python one);
+`python -m json.tool` prints it indented. A text report's lines are
+formatted only when they are printed.
+
+What no request changes is built once per process: the parser and, for each
+subcommand, the table `_parse_request` reads a well-formed request off
+(`_parsers`, on the first `main` call), the JSON encoder and `schema`'s
+rules (on import). Each request still pays for its own parse, its moduli,
+its work and its report.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ import re
 import sys
 import time
 import types
+from collections.abc import Callable, Iterable
 
 from . import counting, gf2poly, schema
 from .counting import ConsistencyError, InfeasibleError
@@ -108,12 +117,18 @@ def _code_cost_check(n: int) -> None:
             f"build and report; code and equiv are limited to n <= {MAX_CODE_N}")
 
 
-def _emit(args, kind: str, obj: dict, lines: list[str]) -> None:
+# `json.dumps(obj, sort_keys=True)`'s encoder, built once rather than per report
+_JSON = json.JSONEncoder(sort_keys=True)
+
+
+def _emit(args, kind: str, obj: dict, lines: Callable[[], Iterable[str]]) -> None:
+    """Print the report: `obj` as one line of JSON with --json, else the
+    text lines, which only this branch makes."""
     if args.json:
         schema.validate(kind, obj)
-        print(json.dumps(obj, sort_keys=True))
+        print(_JSON.encode(obj))
     else:
-        for line in lines:
+        for line in lines():
             print(line)
 
 
@@ -141,12 +156,14 @@ def cmd_bound(args) -> int:
         "decomposition": rows,
         "match": True,
     }
-    lines = [f"n = {n}: at most {bound} inequivalent extended codes",
-             f"numerator 2^(3n)+2^(2n)+3*2^n+12n-18 = {numerator} = {bound} * {6 * n}"]
-    for r in rows:
-        lines.append(
-            f"  divisor {r['divisor']:>3} (order {r['order']:>3}): "
-            f"{r['fixed_points']:>12} fixed * phi = {r['phi']:>3} -> {r['term']}")
+
+    def lines():
+        yield f"n = {n}: at most {bound} inequivalent extended codes"
+        yield f"numerator 2^(3n)+2^(2n)+3*2^n+12n-18 = {numerator} = {bound} * {6 * n}"
+        for r in rows:
+            yield (f"  divisor {r['divisor']:>3} (order {r['order']:>3}): "
+                   f"{r['fixed_points']:>12} fixed * phi = {r['phi']:>3} -> {r['term']}")
+
     _emit(args, "bound", obj, lines)
     return EXIT_OK
 
@@ -179,14 +196,15 @@ def cmd_census(args) -> int:
         "bound": bound,
         "match": match,
     }
-    lines = [
-        f"n = {args.n}: {census.orbit_count} semi-linear orbits on "
-        f"{census.elements_visited} degree-6 elements",
-        f"linear orbits: {census.pgl_orbit_count}; histogram (size: count): "
-        + ", ".join(f"{s}: {c}" for s, c in sizes),
-        f"workers = {args.workers}, elapsed {census.elapsed_ms:.1f} ms",
-        f"bound = {bound}: {'MATCH' if match else 'MISMATCH'}",
-    ]
+
+    def lines():
+        yield (f"n = {args.n}: {census.orbit_count} semi-linear orbits on "
+               f"{census.elements_visited} degree-6 elements")
+        yield (f"linear orbits: {census.pgl_orbit_count}; histogram (size: count): "
+               + ", ".join(f"{s}: {c}" for s, c in sizes))
+        yield f"workers = {args.workers}, elapsed {census.elapsed_ms:.1f} ms"
+        yield f"bound = {bound}: {'MATCH' if match else 'MISMATCH'}"
+
     _emit(args, "census", obj, lines)
     return EXIT_OK if match else EXIT_MISMATCH
 
@@ -209,12 +227,16 @@ def cmd_fixed(args) -> int:
                 "bound": bound,
             })
         obj = {"n_values": primes, "rows": rows}
-        lines = [] if rows else [f"no prime n in 5..{args.nmax}: the table is empty"]
-        for row in rows:
-            lines.append(f"n = {row['n']}: bound {row['bound']}")
-            lines.append("  fixed by divisor: " + ", ".join(
-                f"d={d}: {v}" for d, v in row["counts"].items()))
-        _emit(args, "fixed_table", obj, lines)
+
+        def table_lines():
+            if not rows:
+                yield f"no prime n in 5..{args.nmax}: the table is empty"
+            for row in rows:
+                yield f"n = {row['n']}: bound {row['bound']}"
+                yield "  fixed by divisor: " + ", ".join(
+                    f"d={d}: {v}" for d, v in row["counts"].items())
+
+        _emit(args, "fixed_table", obj, table_lines)
         return EXIT_OK
     for flag in ("n", "d"):
         if getattr(args, flag) is None:
@@ -239,9 +261,14 @@ def cmd_fixed(args) -> int:
         "closed_form": closed, "oracle": oracle, "match": match,
         "elapsed_ms": round(elapsed, 3),
     }
-    shown = f"skipped (n > {counting.MAX_SWEEP_N})" if oracle is None else oracle
-    lines = [f"n = {n}, power d = {d} (element order {order})",
-             f"closed form: {closed}", f"oracle: {shown}", f"match: {match}"]
+
+    def lines():
+        shown = f"skipped (n > {counting.MAX_SWEEP_N})" if oracle is None else oracle
+        yield f"n = {n}, power d = {d} (element order {order})"
+        yield f"closed form: {closed}"
+        yield f"oracle: {shown}"
+        yield f"match: {match}"
+
     _emit(args, "fixed", obj, lines)
     return EXIT_MISMATCH if match is False else EXIT_OK
 
@@ -267,14 +294,15 @@ def cmd_roots(args) -> int:
         "match": match,
         "elapsed_ms": round(elapsed, 3),
     }
-    lines = [
-        f"n = {args.n}, equation {args.which}: {counts.total} roots total",
-        f"  degree-6: {counts.in_degree_six}; in GF(2^{2 * args.n}): "
-        f"{counts.in_subfield_2n}; in GF(2^{3 * args.n}): {counts.in_subfield_3n}",
-    ]
-    if expected is not None:
-        lines.append(f"  expected degree-6 count {expected}: "
-                     f"{'MATCH' if match else 'MISMATCH'}")
+
+    def lines():
+        yield f"n = {args.n}, equation {args.which}: {counts.total} roots total"
+        yield (f"  degree-6: {counts.in_degree_six}; in GF(2^{2 * args.n}): "
+               f"{counts.in_subfield_2n}; in GF(2^{3 * args.n}): {counts.in_subfield_3n}")
+        if expected is not None:
+            yield (f"  expected degree-6 count {expected}: "
+                   f"{'MATCH' if match else 'MISMATCH'}")
+
     _emit(args, "roots", obj, lines)
     return EXIT_MISMATCH if match is False else EXIT_OK
 
@@ -288,16 +316,18 @@ def cmd_code(args) -> int:
                else codes.goppa_parity(ctx, g, list(ctx.subfield)))
     obj = codes.code_to_json(ctx, alpha, g, columns)
     obj["extended"] = bool(args.extended)
-    lines = [
-        f"n = {args.n}, alpha = {ctx.to_hex(alpha)}"
-        + (" (extended)" if args.extended else ""),
-        f"g coefficients (ascending): {' '.join(obj['g_coeffs'])}",
-        f"[{obj['length']}, {obj['dimension']}] binary code",
-    ]
-    if obj["weight_enumerator"] is not None:
-        nz = {w: c for w, c in enumerate(obj["weight_enumerator"]) if c}
-        lines.append(f"weight enumerator: {nz}")
-    lines += [f"generator row: {row}" for row in obj["generator_rows"]]
+
+    def lines():
+        yield (f"n = {args.n}, alpha = {ctx.to_hex(alpha)}"
+               + (" (extended)" if args.extended else ""))
+        yield f"g coefficients (ascending): {' '.join(obj['g_coeffs'])}"
+        yield f"[{obj['length']}, {obj['dimension']}] binary code"
+        if obj["weight_enumerator"] is not None:
+            nz = {w: c for w, c in enumerate(obj["weight_enumerator"]) if c}
+            yield f"weight enumerator: {nz}"
+        for row in obj["generator_rows"]:
+            yield f"generator row: {row}"
+
     _emit(args, "code", obj, lines)
     return EXIT_OK
 
@@ -328,15 +358,16 @@ def cmd_equiv(args) -> int:
         "weight_enumerator_beta": (None if report.weights_beta is None
                                    else list(report.weights_beta)),
     }
-    lines = [
-        f"alpha = {obj['alpha_hex']}, map = {obj['map']}",
-        f"beta  = {obj['beta_hex']}",
-        f"support permutation: {obj['permutation_cycles']}",
-        f"verified: {report.verified}",
-    ]
-    if report.weights_alpha is None:
-        lines.append(f"weight enumerators: skipped (dimension above "
-                     f"{codes.WEIGHT_ENUM_MAX_DIM})")
+
+    def lines():
+        yield f"alpha = {obj['alpha_hex']}, map = {obj['map']}"
+        yield f"beta  = {obj['beta_hex']}"
+        yield f"support permutation: {obj['permutation_cycles']}"
+        yield f"verified: {report.verified}"
+        if report.weights_alpha is None:
+            yield (f"weight enumerators: skipped (dimension above "
+                   f"{codes.WEIGHT_ENUM_MAX_DIM})")
+
     _emit(args, "equiv", obj, lines)
     return EXIT_OK if report.verified else EXIT_MISMATCH
 
@@ -409,45 +440,69 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# what `_parse_request` reads off one subcommand's parser: the namespace's
+# fields with their defaults, in argparse's order; each option string of an
+# action it reads; and the actions a well-formed request must name
+_Table = tuple[dict[str, object], dict[str, argparse.Action], frozenset[argparse.Action]]
+
+
+def _table(command: argparse.ArgumentParser) -> _Table:
+    """The table of `command`, made from argparse's own: the fields are the
+    action defaults, then the parser's `set_defaults`; the actions read are
+    those that store one value or a constant; the actions to name are the
+    required ones and those with a string default, which argparse would
+    convert through the option's type."""
+    fields = {}
+    for action in command._actions:
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            fields.setdefault(action.dest, action.default)
+    for dest, default in command._defaults.items():
+        fields.setdefault(dest, default)
+    options = {option: action for option, action in command._option_string_actions.items()
+               if isinstance(action, (argparse._StoreAction, argparse._StoreConstAction))
+               and action.nargs in (None, 0)}
+    named = frozenset(action for action in command._actions
+                      if action.required or action.type is not None
+                      and isinstance(action.default, str))
+    return fields, options, named
+
+
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser and its own subcommand table (its subparsers' `choices`),
-    built by the first `main` call, not on import, and shared by every later
-    call in the process: parsing reads the parsers and never changes them."""
+def _parsers() -> tuple[argparse.ArgumentParser,
+                        dict[str, tuple[argparse.ArgumentParser, _Table]]]:
+    """The parser, and each subcommand's parser (its subparsers' `choices`)
+    with its `_table`, built by the first `main` call, not on import, and
+    shared by every later call in the process: parsing reads them and never
+    changes them."""
     parser = build_parser()
-    return parser, next(a.choices for a in parser._actions
-                        if isinstance(a, argparse._SubParsersAction))
+    commands = next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    return parser, {name: (command, _table(command)) for name, command in commands.items()}
 
 
-# the actions `_parse_request` reads off a table: a value or a constant
-_READ = (argparse._StoreAction, argparse._StoreConstAction)
-
-
-def _parse_request(command: argparse.ArgumentParser, words: list[str]) -> argparse.Namespace:
-    """`command.parse_args(words)`, read off the parser's own tables when the
-    words are well-formed: each an exact option string of a store or
+def _parse_request(command: argparse.ArgumentParser, words: list[str],
+                   table: _Table | None = None) -> argparse.Namespace:
+    """`command.parse_args(words)`, read off `table`, the command's `_table`
+    (made here for a parser that `_parsers` did not build), when the words
+    are well-formed: each an exact option string of a store or
     store-constant action, each value one word that does not start with '-'
     and passes its option's type and choices, and every required option
     given. Any other argv goes to argparse: help, an abbreviation,
     `--opt=value`, a value that starts with '-' or fails its checks, a
     missing option, or an action read otherwise. So argparse alone defines
     the interface and writes every help, usage and error text."""
-    fields = {}  # the namespace's fields in argparse's order: action defaults first
-    for action in command._actions:
-        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-            fields.setdefault(action.dest, action.default)
-    for dest, default in command._defaults.items():
-        fields.setdefault(dest, default)
+    defaults, options, named = _table(command) if table is None else table
+    fields = defaults.copy()
     seen = set()
     i = 0
     while i < len(words):
-        action = command._option_string_actions.get(words[i])
-        if not isinstance(action, _READ):
+        action = options.get(words[i])
+        if action is None:
             break
         if action.nargs == 0:
             value = action.const
             i += 1
-        elif action.nargs is None and i + 1 < len(words) and not words[i + 1].startswith("-"):
+        elif i + 1 < len(words) and not words[i + 1].startswith("-"):
             value = words[i + 1]
             i += 2
             if action.type is not None:
@@ -462,11 +517,10 @@ def _parse_request(command: argparse.ArgumentParser, words: list[str]) -> argpar
         fields[action.dest] = value
         seen.add(action)
     else:
-        # argparse would also convert a string default through its option's type
-        if not any(action not in seen and (action.required or action.type is not None
-                                           and isinstance(action.default, str))
-                   for action in command._actions):
-            return argparse.Namespace(**fields)
+        if named <= seen:
+            namespace = argparse.Namespace()
+            vars(namespace).update(fields)  # `Namespace(**fields)` without a setattr each
+            return namespace
     return command.parse_args(words)
 
 
@@ -474,13 +528,17 @@ def main(argv: list[str] | None = None) -> int:
     parser, commands = _parsers()
     if argv is None:
         argv = sys.argv[1:]
-    # a request is read off its subcommand's option table, and argparse parses
-    # only what that reading leaves to it (`_parse_request`), with the
+    # a request is read off its subcommand's table, and argparse parses only
+    # what that reading leaves to it (`_parse_request`), with the
     # subcommand's parser alone: the top-level one would match every word
     # against its own options first, then hand them all over. It still reads
     # an argv that names no subcommand (empty, -h, a typo)
-    command = commands.get(argv[0]) if argv else None
-    args = parser.parse_args(argv) if command is None else _parse_request(command, argv[1:])
+    entry = commands.get(argv[0]) if argv else None
+    if entry is None:
+        args = parser.parse_args(argv)
+    else:
+        command, table = entry
+        args = _parse_request(command, argv[1:], table)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not in the exit-time flush

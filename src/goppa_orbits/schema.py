@@ -2,7 +2,10 @@
 
 Small hand-rolled checks rather than a jsonschema dependency: each report
 kind lists its required fields and types, and validate() raises SchemaError
-with every violation found.
+with every violation found. A call reads its rules and builds none: they
+are made once on import, each kind's fields as one set and each rule as a
+tuple of types, so a call is one pass over the fields and one set
+difference for the extras.
 """
 
 from __future__ import annotations
@@ -83,26 +86,31 @@ _SCHEMAS: dict[str, dict[str, type | tuple]] = {
     },
 }
 
+# `_SCHEMAS` as `validate` reads it, made once on import: for each kind, each
+# field's rule as a tuple of types, and its fields as one set
+_RULES = {kind: ({field: rule if isinstance(rule, tuple) else (rule,)
+                  for field, rule in rules.items()}, frozenset(rules))
+          for kind, rules in _SCHEMAS.items()}
+
 
 def validate(kind: str, obj: dict) -> None:
     """Check obj against the report schema for kind; raise SchemaError if bad."""
-    schema = _SCHEMAS.get(kind)
-    if schema is None:
+    if kind not in _RULES:
         raise SchemaError(f"unknown report kind {kind!r}")
     if not isinstance(obj, dict):
         raise SchemaError(f"{kind}: report must be an object")
+    rules, fields = _RULES[kind]
     problems = []
-    for field, rule in schema.items():
-        allowed = rule if isinstance(rule, tuple) else (rule,)
+    for field, allowed in rules.items():
         if field not in obj:
             problems.append(f"missing field {field!r}")
-        elif obj[field] is None:
-            if None not in allowed:
+        elif type(value := obj[field]) not in allowed:
+            if value is not None:
+                names = " or ".join(t.__name__ for t in allowed if t is not None)
+                problems.append(f"field {field!r}: expected {names}")
+            elif None not in allowed:
                 problems.append(f"field {field!r} must not be null")
-        elif type(obj[field]) not in allowed:
-            names = " or ".join(t.__name__ for t in allowed if t is not None)
-            problems.append(f"field {field!r}: expected {names}")
-    extras = set(obj) - set(schema)
+    extras = obj.keys() - fields
     if extras:
         problems.append(f"unexpected fields {sorted(extras)}")
     if problems:

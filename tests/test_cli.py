@@ -942,6 +942,32 @@ def test_dispatch_gives_the_top_level_parsers_namespace(monkeypatch, recorded):
     assert recorded == []
 
 
+def test_the_request_table_is_the_cached_parsers(monkeypatch, recorded):
+    """A request is read off the table `_parsers()` built with its parser,
+    and nowhere else: a parser built with another default, once the cache
+    is cleared, gives that default on the table route too."""
+    build = cli.build_parser
+
+    def build_with_other_default():
+        parser = build()
+        next(a.choices for a in parser._actions
+             if isinstance(a, argparse._SubParsersAction))["census"].set_defaults(workers=3)
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", build_with_other_default)
+    cli._parsers.cache_clear()
+    calls = []
+    inner = argparse.ArgumentParser.parse_known_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                        lambda self, *args, **kwargs: calls.append(self.prog)
+                        or inner(self, *args, **kwargs))
+    argv = ["census", "--n", "4", "--json"]
+    assert main(argv) == 0 and calls == []
+    expected = vars(cli._parsers()[0].parse_args(argv))
+    assert expected.pop("command") == "census" and expected["workers"] == 3
+    assert vars(recorded.pop()) == expected and recorded == []
+
+
 def test_a_request_is_parsed_once(capsys, monkeypatch):
     """A well-formed request is read off its subcommand's option table and
     never reaches argparse; any other is parsed once by argparse, with its

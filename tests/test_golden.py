@@ -1,7 +1,10 @@
 """Golden CLI reports: each command's JSON report, with `elapsed_ms` removed,
-must equal the file recorded under tests/golden/.
+must equal the file recorded under tests/golden/, its `--json` stdout must be
+exactly the `json.dumps(..., sort_keys=True)` line of that report, and its
+text output (census's elapsed time masked) must equal the `.txt` file
+recorded beside it.
 
-Re-record after a deliberate change of output with
+Re-record both after a deliberate change of output with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -9,6 +12,7 @@ Re-record after a deliberate change of output with
 import contextlib
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -39,15 +43,30 @@ def _golden_commands() -> dict[str, list[str]]:
 
 GOLDEN = _golden_commands()
 
+# the one line of text output that varies between runs: census's timing
+_ELAPSED = re.compile(r"elapsed [0-9.]+ ms")
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of one command."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
 
 def report(argv: list[str]) -> dict:
     """Exit code and JSON report of one command, without `elapsed_ms`."""
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = main([*argv, "--json"])
-    obj = json.loads(buf.getvalue())
+    code, out = run([*argv, "--json"])
+    obj = json.loads(out)
     obj.pop("elapsed_ms", None)
     return {"argv": argv, "exit": code, "report": obj}
+
+
+def text(argv: list[str]) -> str:
+    """Exit code and text output of one command, census's elapsed time masked."""
+    code, out = run(argv)
+    return f"exit {code}\n" + _ELAPSED.sub("elapsed <masked> ms", out)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -56,13 +75,29 @@ def test_golden_report(name):
     assert report(GOLDEN[name]) == expected
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_json_report_is_one_sorted_dumps_line(name):
+    """The goldens compare parsed objects; this pins the bytes: separators,
+    key order and `ensure_ascii` are those of `json.dumps(sort_keys=True)`."""
+    _, out = run([*GOLDEN[name], "--json"])
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_text(name):
+    assert text(GOLDEN[name]) == (GOLDEN_DIR / f"{name}.txt").read_text()
+
+
 def test_golden_files_match_commands():
-    assert sorted(p.stem for p in GOLDEN_DIR.glob("*.json")) == sorted(GOLDEN)
+    for suffix in ("json", "txt"):
+        assert sorted(p.stem for p in GOLDEN_DIR.glob(f"*.{suffix}")) == sorted(GOLDEN)
 
 
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, argv in GOLDEN.items():
-        text = json.dumps(report(argv), indent=1, sort_keys=True) + "\n"
-        (GOLDEN_DIR / f"{name}.json").write_text(text)
-    print(f"recorded {len(GOLDEN)} reports in {GOLDEN_DIR}", file=sys.stderr)
+        record = json.dumps(report(argv), indent=1, sort_keys=True) + "\n"
+        (GOLDEN_DIR / f"{name}.json").write_text(record)
+        (GOLDEN_DIR / f"{name}.txt").write_text(text(argv))
+    print(f"recorded {len(GOLDEN)} JSON reports and {len(GOLDEN)} text outputs "
+          f"in {GOLDEN_DIR}", file=sys.stderr)
